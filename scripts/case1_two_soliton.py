@@ -32,20 +32,19 @@ def main():
     print(f"eigenvalues: {eigenset.zeros_t11}")
     print(f"singular member: {scan.singular} (min|1/Theta| = {scan.min_theta_inv:.3e})")
 
+    sites = np.arange(-args.N, args.N + 1)
+    skipped = 0
     with open(args.out, "w", newline="\n") as fh:
         fh.write("n,t,re_q,im_q,abs_q\n")
         for t in np.linspace(-10.0, 10.0, 41):
-            for n in range(-args.N, args.N + 1):
-                try:
-                    q = ist.reconstruct(cfg, eigenset, norming, n, float(t))
-                except Exception:
-                    continue
+            grid = ist.reconstruct_grid(cfg, eigenset, norming, sites, float(t))
+            skipped += int(grid.singular.sum())
+            for n, q in zip(sites[~grid.singular], grid.q[~grid.singular]):
                 fh.write(f"{n},{t:.6f},{q.real:.12g},{q.imag:.12g},{abs(q):.12g}\n")
-    print(f"field written to {args.out}")
+    print(f"field written to {args.out} ({skipped} singular cells left out)")
 
     if not scan.singular:
-        q = np.array([ist.reconstruct(cfg, eigenset, norming, n, 0.0)
-                      for n in range(-args.N, args.N + 1)])
+        q = ist.reconstruct_grid(cfg, eigenset, norming, sites, 0.0).require()
         window = lattice.PotentialWindow(cfg, args.N, 0.0, q)
         rep = scattering_report(window, continuum_samples(cfg, 10, seed=0), eigenset)
         print(f"|t11| at planted eigenvalues: {[f'{r:.2e}' for r in rep.eigenvalue_residuals]}")

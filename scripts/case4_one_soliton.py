@@ -28,20 +28,20 @@ def main():
     norming = ist.norming_case4(cfg, eigenset, args.thbar1)
     ev = ist.make_evaluator(cfg, eigenset, norming)
 
+    sites = np.arange(-args.N, args.N + 1)
     worst = 0.0
     for t in np.linspace(0.0, args.t_end, 6):
-        for n in range(-args.N, args.N + 1):
-            a = ev(n, float(t))
-            b = ist.soliton_closed_form_case4(cfg, args.thbar1, n, float(t))
-            worst = max(worst, abs(a - b))
+        a = ev.grid(sites, float(t))
+        b = [ist.soliton_closed_form_case4(cfg, args.thbar1, int(n), float(t)) for n in sites]
+        worst = max(worst, float(np.max(np.abs(a - b))))
     print(f"closed form vs 5x5 system: {worst:.3e}")
 
-    prof = np.array([abs(ev(n, 0.0)) for n in range(-args.N, args.N + 1)])
+    q0_row = ev.grid(sites, 0.0)
+    prof = np.abs(q0_row)
     kind = "bright" if prof.max() > args.q0 + 1e-9 else "dark"
     print(f"profile at t=0: min {prof.min():.4f}, max {prof.max():.4f} ({kind})")
 
-    w0 = lattice.PotentialWindow(cfg, args.N, 0.0,
-                                 np.array([ev(n, 0.0) for n in range(-args.N, args.N + 1)]))
+    w0 = lattice.PotentialWindow(cfg, args.N, 0.0, q0_row)
     traj = verify.simulate(w0, cfg, args.t_end, args.dt)
     print(f"RK4 deviation over [0, {args.t_end}]: {verify.compare(traj, ev):.3e}")
     rep = verify.equation_residual(ev, cfg, range(-20, 21), 0.5 * args.t_end)

@@ -10,11 +10,12 @@ from .spectral import (Case, CaseConfig, Region, RegionTag, SpectralPoint,
 from .lattice import (PotentialWindow, ThetaProduct, al_rhs, background_field,
                       partner, theta_products)
 from .ist import (EigenSet, NormingData, Quartet, RealPair,
-                  ReflectionlessSystem, build_system, case2_feasibility_scan,
-                  eigenvalues_case1, eigenvalues_case2, eigenvalues_case3,
-                  eigenvalues_case4, empty_eigenset, make_evaluator,
-                  norming_case1, norming_case4, reconstruct, reconstruct_pair,
-                  singularity_scan, soliton_closed_form_case4,
+                  ReconstructionGrid, ReflectionlessSystem, build_system,
+                  case2_feasibility_scan, eigenvalues_case1, eigenvalues_case2,
+                  eigenvalues_case3, eigenvalues_case4, empty_eigenset,
+                  make_evaluator, norming_case1, norming_case4, reconstruct,
+                  reconstruct_grid, reconstruct_pair, singularity_scan,
+                  soliton_closed_form_case4,
                   theta_minus_inf_constraint, theta_minus_inf_from_system,
                   time_factors, unit_norming)
 from .scattering import (AsymptoticReport, Coefficients, ColumnKind,
@@ -23,6 +24,6 @@ from .scattering import (AsymptoticReport, Coefficients, ColumnKind,
                          jost, reflection, scattering_coefficients,
                          scattering_report, trace_formula, wronskian)
 from .verify import (ResidualReport, Trajectory, compare, equation_residual,
-                     simulate)
+                     evaluate_cells, simulate)
 
 __version__ = "0.1.0"

@@ -12,16 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ist, lattice, scattering, verify
-from .errors import (BlowupDetected, ConfigError, Inadmissible, IstError,
-                     SingularSolution)
+from .errors import BlowupDetected, ConfigError, Inadmissible, IstError
 from .spectral import classify, make_case
 
 EXIT_OK = 0
@@ -237,22 +234,6 @@ def _eigen_data(config: RunConfig, cfg):
     return eigenset, norming
 
 
-def _threads() -> int:
-    raw = os.environ.get("IST_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _grid_map(fn, items):
-    workers = _threads()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _t_values(config: RunConfig) -> list[float]:
     g = config.t_grid
     if g["steps"] == 1:
@@ -305,18 +286,14 @@ def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
 
 
 def _field_rows(config: RunConfig, cfg, eigenset, norming):
-    ts = _t_values(config)
-    sites = list(range(-config.N, config.N + 1))
-
-    def row(args):
-        t, n = args
-        try:
-            q = ist.reconstruct(cfg, eigenset, norming, n, t)
-        except SingularSolution:
-            return (n, t, None)
-        return (n, t, q)
-
-    return _grid_map(row, [(t, n) for t in ts for n in sites])
+    """(n, t, q or None for a singular cell), one batched solve per time row."""
+    sites = np.arange(-config.N, config.N + 1)
+    rows = []
+    for t in _t_values(config):
+        grid = ist.reconstruct_grid(cfg, eigenset, norming, sites, t)
+        rows.extend((int(n), t, None if bad else complex(q))
+                    for n, q, bad in zip(sites, grid.q, grid.singular))
+    return rows
 
 
 def cmd_soliton(config: RunConfig, out: str | None, seed: int) -> int:
@@ -387,8 +364,8 @@ def _scatter_window(config: RunConfig, cfg):
     eigenset, norming = _eigen_data(config, cfg)
     if eigenset.is_empty():
         return lattice.background_field(cfg, 0.0, config.N), eigenset
-    q = np.array([ist.reconstruct(cfg, eigenset, norming, n, 0.0)
-                  for n in range(-config.N, config.N + 1)])
+    sites = np.arange(-config.N, config.N + 1)
+    q = ist.reconstruct_grid(cfg, eigenset, norming, sites, 0.0).require()
     return lattice.PotentialWindow(cfg, config.N, 0.0, q), eigenset
 
 
@@ -474,18 +451,19 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     ok_closed = True
     if config.case == 4 and not singular:
         worst_cf = 0.0
+        sites = np.arange(-20, 21)
         for t in _t_values(config):
-            for n in range(-20, 21):
-                a = evaluator(n, t)
-                b = ist.soliton_closed_form_case4(cfg, config.thbar1, n, t)
-                worst_cf = max(worst_cf, abs(a - b))
+            a = evaluator.grid(sites, t)
+            b = np.array([ist.soliton_closed_form_case4(cfg, config.thbar1, int(n), t)
+                          for n in sites])
+            worst_cf = max(worst_cf, float(np.max(np.abs(a - b))))
         ok_closed = worst_cf < 1e-10
         checks["closed_form_equality"] = {"max": worst_cf, "tolerance": 1e-10,
                                           "pass": ok_closed}
     ok_scatter = True
     if not singular:
         N_win = min(config.N, 40)
-        q = np.array([evaluator(n, 0.0) for n in range(-N_win, N_win + 1)])
+        q = evaluator.grid(np.arange(-N_win, N_win + 1), 0.0)
         window = lattice.PotentialWindow(cfg, N_win, 0.0, q)
         zetas = scattering.continuum_samples(cfg, 8, seed=1)
         report = scattering.scattering_report(window, zetas, eigenset)
@@ -535,7 +513,7 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     t0 = float(config.t_grid["t0"])
     t1 = float(config.t_grid["t1"])
     N = min(config.N, 40)
-    q = np.array([evaluator(n, t0) for n in range(-N, N + 1)])
+    q = verify.evaluate_cells(evaluator, np.arange(-N, N + 1), t0)
     window = lattice.PotentialWindow(cfg, N, t0, q)
     try:
         traj = verify.simulate(window, cfg, t1, config.dt)

@@ -4,13 +4,16 @@ Admissible spectra are fixed per case by the trace-formula asymptotics:
 case I carries one complex quartet on |zeta - 1/r| = q0/r, case II carries
 nothing, case III two real pairs linked by the spectral involution, case IV
 one real pair.  The reflectionless inverse problem collapses to a dense
-(4J+1)-dimensional linear system solved per lattice site and time.
+(4J+1)-dimensional linear system per lattice site and time; reconstruct_grid
+assembles those systems for a row of cells as one stack and solves them in
+one batched call, and the one-cell functions (build_system, reconstruct,
+reconstruct_pair) are views over it.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -299,10 +302,15 @@ class NormingData:
     eigenset: EigenSet
     cbar0: tuple[complex, ...]
     params: dict
+    gammas: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # gamma(zbar_j) depends only on the eigenvalues: evaluate it once.
+        object.__setattr__(self, "gammas", tuple(gamma(self.cfg, zb)
+                                                 for zb in self.eigenset.zeros_t22))
 
     def cbar(self, j: int, t: float) -> complex:
-        zb = self.eigenset.zeros_t22[j]
-        return self.cbar0[j] * cmath.exp(-1j * (self.cfg.rotation + gamma(self.cfg, zb)) * t)
+        return self.cbar0[j] * cmath.exp(-1j * (self.cfg.rotation + self.gammas[j]) * t)
 
     def c(self, j: int, t: float) -> complex:
         zb = self.eigenset.zeros_t22[j]
@@ -385,7 +393,6 @@ class ReflectionlessSystem:
     Y: np.ndarray
     n: int
     t: float
-    row_coeffs: tuple[complex, ...]  # multipliers of N1(zeta_j) in the field sum
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -398,66 +405,174 @@ class ReflectionlessSystem:
         return tuple(out)
 
 
+# Per-cell outcome of reconstruct_grid: the first check a cell fails, in the
+# order the checks run (OK when it passes them all).
+OK, OVERFLOW, EXACTLY_SINGULAR, BACKWARD_ERROR, THETA_DIVERGENCE, AMPLITUDE = range(6)
+REASONS = ("ok", "overflow", "exactly singular", "backward error",
+           "Theta_n divergence", "non-finite amplitude")
+_SOLVE_FAILED = (OVERFLOW, EXACTLY_SINGULAR, BACKWARD_ERROR)
+
+
+def _boundary(cfg: CaseConfig, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q_plus(t) and r_plus(t) over a vector of times."""
+    qp = cfg.q0 * np.exp(1j * (cfg.theta_plus + cfg.rotation * ts))
+    qm = cfg.q0 * np.exp(1j * (cfg.theta_minus + cfg.rotation * ts))
+    return qp, cfg.sigma * np.conj(qm)
+
+
+def _assemble(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
+              ns: np.ndarray, ts: np.ndarray):
+    """Stack of reflectionless systems over the cells (ns[i], ts[i]).
+
+    Returns B (M, 4J+1, 4J+1), the shared right-hand side Y, the
+    multipliers of N1(zeta_j) in the q sum and of Nbar2(zbar_j) in the r
+    sum (both (M, J)), and the boundary values q_plus, r_plus per cell.
+    Overflowing entries come out non-finite, not as an exception.
+    """
+    zs = np.array(eigenset.zeros_t11)
+    zbs = np.array(eigenset.zeros_t22)
+    J = zs.size
+    r = cfg.r
+    rinv = 1.0 / r
+    with np.errstate(all="ignore"):
+        qp, rp = _boundary(cfg, ts)
+        cbar = np.array(norming.cbar0) * np.exp(
+            np.outer(ts, -1j * (cfg.rotation + np.array(norming.gammas))))
+        c = (-(qp * qp))[:, None] / (zbs - r) ** 2 * cbar
+        cpow = c * lam_squared(cfg, zs) ** -ns[:, None]
+        cbarpow = cbar * lam_squared(cfg, zbs) ** ns[:, None]
+        kbar = ((zs - rinv)[:, None] * cbarpow[:, None, :]
+                / ((zbs - rinv)[None, :] * (zs[:, None] - zbs[None, :])))
+        k = ((zbs - r)[:, None] * cpow[:, None, :]
+             / ((zs - r)[None, :] * (zbs[:, None] - zs[None, :])))
+        row = cpow / (zs * (zs - r))
+        row_r = cbarpow / (zbs - rinv)
+    dim = 4 * J + 1
+    B = np.zeros((ns.size, dim, dim), dtype=complex)
+    B[:, np.arange(dim), np.arange(dim)] = 1.0
+    B[:, J:2 * J, -1] = rp[:, None]
+    B[:, 2 * J:3 * J, -1] = -qp[:, None]
+    B[:, :J, 2 * J:3 * J] = -kbar
+    B[:, J:2 * J, 3 * J:4 * J] = -kbar
+    B[:, 2 * J:3 * J, :J] = -k
+    B[:, 3 * J:4 * J, J:2 * J] = -k
+    B[:, -1, J:2 * J] = row
+    Y = np.zeros(dim, dtype=complex)
+    Y[:J] = r - 1.0 / zs
+    Y[3 * J:4 * J] = zbs - r
+    Y[-1] = 1.0
+    return B, Y, row, row_r, qp, rp
+
+
 def build_system(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                  n: int, t: float) -> ReflectionlessSystem:
     """Assemble the (4J+1)-dimensional reflectionless system at site n, time t."""
-    zs = eigenset.zeros_t11
-    zbs = eigenset.zeros_t22
-    J = len(zs)
-    r = cfg.r
-    rinv = 1.0 / r
-    cpow = []
-    cbarpow = []
-    for j in range(J):
-        cpow.append(norming.c(j, t) * lam_squared(cfg, zs[j]) ** (-n))
-        cbarpow.append(norming.cbar(j, t) * lam_squared(cfg, zbs[j]) ** n)
-    dim = 4 * J + 1
-    B = np.eye(dim, dtype=complex)
-    Y = np.zeros(dim, dtype=complex)
-    qp = cfg.q_plus(t)
-    rp = cfg.r_plus(t)
-    for i in range(J):
-        Y[i] = r - 1.0 / zs[i]
-        Y[3 * J + i] = zbs[i] - r
-        B[J + i, dim - 1] = rp
-        B[2 * J + i, dim - 1] = -qp
-        for j in range(J):
-            kbar = (zs[i] - rinv) * cbarpow[j] / ((zbs[j] - rinv) * (zs[i] - zbs[j]))
-            B[i, 2 * J + j] = -kbar
-            B[J + i, 3 * J + j] = -kbar
-            k = (zbs[i] - r) * cpow[j] / ((zs[j] - r) * (zbs[i] - zs[j]))
-            B[2 * J + i, j] = -k
-            B[3 * J + i, J + j] = -k
-    row = []
-    for j in range(J):
-        lj = cpow[j] / (zs[j] * (zs[j] - r))
-        B[dim - 1, J + j] = lj
-        row.append(lj)
-    Y[dim - 1] = 1.0
-    return ReflectionlessSystem(B, Y, n, t, tuple(row))
+    B, Y, *_ = _assemble(cfg, eigenset, norming, np.array([n]), np.array([float(t)]))
+    return ReflectionlessSystem(B[0], Y, n, t)
 
 
-def _solve_system(system: ReflectionlessSystem) -> np.ndarray:
-    """Solve B X = Y with a backward-error check instead of a raw det test.
+@dataclass(frozen=True)
+class ReconstructionGrid:
+    """Reflectionless solution over a batch of cells (ns[i], ts[i]).
 
-    The system is badly scaled but well posed at large |n| (lam**(2n)
-    entries), so singularity is judged by the solve's backward error and,
-    downstream, by divergence of Theta_n = 1/X[-1].
+    q and r are NaN on singular cells; reason holds the codes OK ...
+    AMPLITUDE (names in REASONS).  backward is the solve's backward error:
+    NaN where the entries overflowed (no solve was made) and inf where the
+    solve gave no finite solution; theta_inv is 1/Theta_n wherever it did.
     """
-    B = system.B
-    if not np.all(np.isfinite(B)):
-        raise SingularSolution(f"system entries overflowed at n={system.n}, t={system.t}")
-    try:
-        X = np.linalg.solve(B, system.Y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSolution(f"exactly singular system at n={system.n}, t={system.t}") from exc
-    if not np.all(np.isfinite(X)):
-        raise SingularSolution(f"solution overflowed at n={system.n}, t={system.t}")
-    backward = np.max(np.abs(B @ X - system.Y))
-    scale = np.max(np.abs(B)) * max(np.max(np.abs(X)), 1e-300) + np.max(np.abs(system.Y))
-    if backward > 1e-8 * scale:
-        raise SingularSolution(f"solve backward error {backward:.2e} at n={system.n}, t={system.t}")
-    return X
+
+    ns: np.ndarray
+    ts: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    backward: np.ndarray
+    theta_inv: np.ndarray
+    reason: np.ndarray
+
+    @property
+    def singular(self) -> np.ndarray:
+        return self.reason != OK
+
+    def error(self, i: int) -> SingularSolution:
+        """The SingularSolution that the one-cell API raises for cell i."""
+        where = f"n={int(self.ns[i])}, t={float(self.ts[i])}"
+        why = self.reason[i]
+        if why == OVERFLOW:
+            what = "system entries" if np.isnan(self.backward[i]) else "solution"
+            return SingularSolution(f"{what} overflowed at {where}")
+        if why == EXACTLY_SINGULAR:
+            return SingularSolution(f"exactly singular system at {where}")
+        if why == BACKWARD_ERROR:
+            return SingularSolution(f"solve backward error {self.backward[i]:.2e} at {where}")
+        if why == THETA_DIVERGENCE:
+            return SingularSolution(f"Theta_n diverges at {where}")
+        return SingularSolution(f"amplitude diverges at {where}")
+
+    def require(self) -> np.ndarray:
+        """q over every cell; raises SingularSolution for the first singular cell."""
+        bad = np.flatnonzero(self.reason)
+        if bad.size:
+            raise self.error(int(bad[0]))
+        return self.q
+
+
+def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None,
+                     ns, ts) -> ReconstructionGrid:
+    """Reflectionless (q_n(t), r_n(t)) over the cells (ns[i], ts[i]) in one solve.
+
+    ns and ts broadcast against each other (a scalar t gives a time row).
+    The systems are stacked and solved by one batched LAPACK call; each
+    cell is then judged on its own: finite entries and solution, backward
+    error at most 1e-8 * |B| |X| + |Y|, |1/Theta_n| at least
+    DET_GUARD * max(1, |X|), and a finite amplitude.  The system is badly
+    scaled but well posed at large |n| (lam**(2n) entries), so singularity
+    is judged by these checks rather than by a determinant.
+    """
+    ns, ts = np.broadcast_arrays(np.asarray(ns, dtype=np.int64), np.asarray(ts, dtype=float))
+    ns, ts = ns.ravel(), ts.ravel()
+    M = ns.size
+    if eigenset.is_empty():
+        qp, rp = _boundary(cfg, ts)
+        return ReconstructionGrid(ns, ts, qp, rp, np.zeros(M), np.ones(M, dtype=complex),
+                                  np.full(M, OK, dtype=np.int8))
+    if norming is None:
+        raise DomainError("nonempty eigenset requires norming data")
+    B, Y, row, row_r, qp, rp = _assemble(cfg, eigenset, norming, ns, ts)
+    J = row.shape[1]
+    reason = np.full(M, OK, dtype=np.int8)
+
+    def flag(bad, code):
+        reason[(reason == OK) & bad] = code
+
+    entries_ok = np.isfinite(B).all(axis=(1, 2))
+    flag(~entries_ok, OVERFLOW)
+    B[~entries_ok] = np.eye(B.shape[1])  # placeholder, never reported
+    rhs = np.broadcast_to(Y[:, None], B.shape[:2] + (1,))
+    with np.errstate(all="ignore"):
+        try:
+            X = np.linalg.solve(B, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            X = np.full(B.shape[:2], np.nan, dtype=complex)
+            for i in range(M):
+                try:
+                    X[i] = np.linalg.solve(B[i:i + 1], rhs[i:i + 1])[0, :, 0]
+                except np.linalg.LinAlgError:
+                    reason[i] = EXACTLY_SINGULAR  # entries were finite
+        solved = np.isfinite(X).all(axis=1)
+        flag(~solved, OVERFLOW)
+        backward = np.abs((B @ X[..., None])[..., 0] - Y).max(axis=1)
+        xmax = np.abs(X).max(axis=1)
+        scale = np.abs(B).max(axis=(1, 2)) * np.maximum(xmax, 1e-300) + np.abs(Y).max()
+        flag(backward > 1e-8 * scale, BACKWARD_ERROR)
+        theta_inv = X[:, -1]
+        flag(np.abs(theta_inv) < DET_GUARD * np.maximum(1.0, xmax), THETA_DIVERGENCE)
+        q = qp + cfg.r * (row * X[:, :J]).sum(axis=1) / theta_inv
+        rn = rp - (row_r * X[:, 3 * J:4 * J]).sum(axis=1) / theta_inv
+    flag(~np.isfinite(q), AMPLITUDE)
+    backward[~solved] = np.inf
+    backward[~entries_ok] = np.nan
+    q[reason != OK] = rn[reason != OK] = complex(np.nan, np.nan)
+    return ReconstructionGrid(ns, ts, q, rn, backward, theta_inv, reason)
 
 
 def reconstruct(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None,
@@ -476,37 +591,25 @@ def reconstruct_pair(cfg: CaseConfig, eigenset: EigenSet,
     must coincide with sigma * conj(q_{-n}) for admissible data; the pair
     is exposed so that the reduction can be verified independently.
     """
-    if eigenset.is_empty():
-        return cfg.q_plus(t), cfg.r_plus(t)
-    if norming is None:
-        raise DomainError("nonempty eigenset requires norming data")
-    system = build_system(cfg, eigenset, norming, n, t)
-    X = _solve_system(system)
-    theta_inv = X[-1]
-    if abs(theta_inv) < DET_GUARD * max(1.0, float(np.max(np.abs(X)))):
-        raise SingularSolution(f"Theta_n diverges at n={n}, t={t}")
-    acc = 0.0 + 0.0j
-    for j, lj in enumerate(system.row_coeffs):
-        acc += lj * X[j]
-    qn = cfg.q_plus(t) + cfg.r * acc / theta_inv
-    zbs = eigenset.zeros_t22
-    J = len(zbs)
-    acc_r = 0.0 + 0.0j
-    for j in range(J):
-        cbarpow = norming.cbar(j, t) * lam_squared(cfg, zbs[j]) ** n
-        acc_r += cbarpow / (zbs[j] - 1.0 / cfg.r) * X[3 * J + j]
-    rn = cfg.r_plus(t) - acc_r / theta_inv
-    if not (np.isfinite(qn.real) and np.isfinite(qn.imag)):
-        raise SingularSolution(f"amplitude diverges at n={n}, t={t}")
-    return complex(qn), complex(rn)
+    grid = reconstruct_grid(cfg, eigenset, norming, [n], [t])
+    grid.require()
+    return complex(grid.q[0]), complex(grid.r[0])
 
 
 def make_evaluator(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None):
-    """Closure (n, t) -> q_n(t) over the reflectionless reconstruction."""
+    """Closure (n, t) -> q_n(t) over the reflectionless reconstruction.
+
+    Its grid(ns, ts) method evaluates a batch of cells in one solve and
+    raises SingularSolution for the first singular one.
+    """
 
     def evaluator(n: int, t: float) -> complex:
         return reconstruct(cfg, eigenset, norming, n, t)
 
+    def grid(ns, ts) -> np.ndarray:
+        return reconstruct_grid(cfg, eigenset, norming, ns, ts).require()
+
+    evaluator.grid = grid
     return evaluator
 
 
@@ -528,33 +631,35 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                      n_range: tuple[int, int] = (-25, 25),
                      t_span: tuple[float, float] = (-10.0, 10.0),
                      coarse_dt: float = 0.1, flag_below: float = 1e-6) -> SingularityScan:
-    """Locate the deepest dip of |1/Theta_n| and refine it in time."""
+    """Locate the deepest dip of |1/Theta_n| and refine it in time.
 
-    def theta_inv_at(n, t):
-        system = build_system(cfg, eigenset, norming, n, t)
-        try:
-            X = _solve_system(system)
-        except SingularSolution:
-            return 0.0
-        return float(abs(X[-1]))
+    A cell whose solve fails scores 0; the coarse sweep keeps the first
+    minimum in site-major order.
+    """
 
+    def theta_inv_at(ns, ts) -> np.ndarray:
+        grid = reconstruct_grid(cfg, eigenset, norming, ns, ts)
+        return np.where(np.isin(grid.reason, _SOLVE_FAILED), 0.0, np.abs(grid.theta_inv))
+
+    sites = np.arange(n_range[0], n_range[1] + 1)
+    times = []
+    t = t_span[0]
+    while t <= t_span[1]:
+        times.append(t)
+        t += coarse_dt
     best = (math.inf, 0, 0.0)
-    for n in range(n_range[0], n_range[1] + 1):
-        t = t_span[0]
-        while t <= t_span[1]:
-            v = theta_inv_at(n, t)
-            if v < best[0]:
-                best = (v, n, t)
-            t += coarse_dt
+    if sites.size and times:
+        vals = np.column_stack([theta_inv_at(sites, t) for t in times])
+        i, j = divmod(int(np.argmin(vals)), len(times))
+        best = (float(vals[i, j]), int(sites[i]), times[j])
     _, n_star, t_star = best
     lo, hi = t_star - coarse_dt, t_star + coarse_dt
     for _ in range(80):
         ts = np.linspace(lo, hi, 7)
-        vals = [theta_inv_at(n_star, float(x)) for x in ts]
-        i = int(np.argmin(vals))
+        i = int(np.argmin(theta_inv_at(n_star, ts)))
         lo, hi = float(ts[max(0, i - 1)]), float(ts[min(6, i + 1)])
     t_ref = 0.5 * (lo + hi)
-    v_ref = min(best[0], theta_inv_at(n_star, t_ref))
+    v_ref = min(best[0], float(theta_inv_at(n_star, t_ref)[0]))
     return SingularityScan(v_ref, n_star, t_ref, v_ref < flag_below)
 
 
@@ -563,7 +668,8 @@ def soliton_closed_form_case4(cfg: CaseConfig, thbar1: float, n: int, t: float) 
 
     Uses the explicit elimination of the 5x5 system: with v_n**2 = R1*R2,
     1/Theta_n and N1(zeta_1) have rational closed forms, and
-    q_n = q_plus + r*R3*N1/( 1/Theta_n ).
+    q_n = q_plus + r*R3*N1/( 1/Theta_n ).  Far from the soliton the
+    lam**(2n) factors overflow; that raises SingularSolution.
     """
     if cfg.case_id is not Case.IV:
         raise DomainError("closed form defined for case IV only")
@@ -577,11 +683,16 @@ def soliton_closed_form_case4(cfg: CaseConfig, thbar1: float, n: int, t: float) 
     qp = cfg.q_plus(t)
     rp = cfg.r_plus(t)
     lam_b = point_from_zeta(cfg, zb1).lam
-    lam2n_b = lam_squared(cfg, zb1) ** n
+    try:
+        lam2n_b = lam_squared(cfg, zb1) ** n
+        r3 = c1 * lam_squared(cfg, z1) ** (-n) / (z1 * (z1 - r))
+    except OverflowError:
+        lam2n_b = r3 = complex(math.inf)
     v = qp * cbar1 * lam_b * lam2n_b / (zb1 * zb1 - 2.0 * r * zb1 + 1.0)
     v2 = v * v
+    if not (cmath.isfinite(v2) and cmath.isfinite(r3)):
+        raise SingularSolution(f"closed form overflows at n={n}, t={t}")
     r1 = -(z1 - 1.0 / r) * cbar1 * lam2n_b / ((zb1 - 1.0 / r) * (z1 - zb1))
-    r3 = c1 * lam_squared(cfg, z1) ** (-n) / (z1 * (z1 - r))
     den1 = v2 - 1.0
     den2 = v2 + r3 * rp - 1.0
     if abs(den1) < DET_GUARD or abs(den2) < DET_GUARD:
@@ -607,8 +718,9 @@ def theta_minus_inf_from_system(cfg: CaseConfig, eigenset: EigenSet,
     for z in (*eigenset.zeros_t11, *eigenset.zeros_t22):
         max_log = max(max_log, abs(math.log10(abs(lam_squared(cfg, z)))))
     n_eff = min(n_large, max(8, int(140.0 / max_log)))
-    system = build_system(cfg, eigenset, norming, -n_eff, t)
-    X = _solve_system(system)
-    if abs(X[-1]) < DET_GUARD:
+    grid = reconstruct_grid(cfg, eigenset, norming, [-n_eff], [t])
+    if grid.reason[0] in _SOLVE_FAILED:
+        raise grid.error(0)
+    if abs(grid.theta_inv[0]) < DET_GUARD:
         raise SingularSolution("Theta_n diverged in the minus-infinity limit")
-    return complex(1.0 / X[-1])
+    return complex(1.0 / grid.theta_inv[0])

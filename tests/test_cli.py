@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,26 @@ class TestSoliton:
         assert main(["soliton", "--config", path, "--out", str(out1)]) == EXIT_OK
         assert main(["soliton", "--config", path, "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+
+    def test_wide_window_flags_overflow_without_traceback(self, tmp_path, capsys):
+        # far out on the left the lam**(2n) entries overflow double precision;
+        # those cells are flagged singular and the command still succeeds
+        doc = dict(CASE4_CONFIG)
+        doc["N"] = 700
+        doc["t_grid"] = {"t0": 0.0, "t1": 1.0, "steps": 2}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "wide.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["soliton", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 2 * 1401
+        flagged = {int(r[0]) for r in rows if r[5] == "1"}
+        assert flagged and max(flagged) < -400
+        far_right = [float(r[4]) for r in rows if int(r[0]) == 700]
+        assert all(abs(a - 2.0 / 3.0) < 1e-12 for a in far_right)
 
 
 class TestScatter:

@@ -1,8 +1,11 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnls_ist import ist, lattice, spectral
 from dnls_ist.errors import (DegenerateEigenvalues, DomainError, Inadmissible,
@@ -354,6 +357,12 @@ class TestClosedFormCase4:
         with pytest.raises(DomainError):
             soliton_closed_form_case4(cfg, 0.0, 0, 0.0)
 
+    @pytest.mark.parametrize("n", [-300, -600])
+    def test_overflow_raises_instead_of_nan(self, case4_soliton, n):
+        cfg, _, _ = case4_soliton
+        with pytest.raises(SingularSolution):
+            soliton_closed_form_case4(cfg, math.pi / 3.0, n, 0.0)
+
 
 class TestThetaMinusInf:
     def test_background(self):
@@ -401,3 +410,131 @@ class TestSingularity:
             # pole time itself must raise
             for dt in (0.0, 1e-9, -1e-9):
                 reconstruct(cfg, eigenset, norming, scan.at_site, scan.at_time + dt)
+
+
+def _pole_member():
+    """The singular case-I member (theta + thbar1 = pi) and its refined pole."""
+    cfg = spectral.make_case(1, 2.0 / 3.0, math.pi)
+    eigenset = eigenvalues_case1(cfg, CASE1_ETA1)
+    norming = norming_case1(cfg, eigenset, 1.0, 0.0, 0.0)
+    scan = singularity_scan(cfg, eigenset, norming, n_range=(-8, 8),
+                            t_span=(0.0, 5.0), coarse_dt=0.25)
+    return cfg, eigenset, norming, scan
+
+
+POLE = _pole_member()
+
+_cells = st.lists(st.tuples(st.integers(-40, 40),
+                            st.floats(-5.0, 5.0, allow_nan=False)),
+                  min_size=1, max_size=12)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestReconstructGrid:
+    def _assert_cells_independent(self, cfg, eigenset, norming, ns, ts):
+        grid = ist.reconstruct_grid(cfg, eigenset, norming, ns, ts)
+        for i, (n, t) in enumerate(zip(ns, ts)):
+            alone = ist.reconstruct_grid(cfg, eigenset, norming, [n], [t])
+            assert alone.reason[0] == grid.reason[i]
+            assert np.array_equal(_bits(alone.q), _bits(grid.q[i:i + 1]))
+            assert np.array_equal(_bits(alone.r), _bits(grid.r[i:i + 1]))
+            assert np.array_equal(_bits(alone.theta_inv), _bits(grid.theta_inv[i:i + 1]))
+            assert np.array_equal(_bits(alone.backward), _bits(grid.backward[i:i + 1]))
+        return grid
+
+    @settings(max_examples=20, deadline=None)
+    @given(cells=_cells)
+    def test_batching_never_couples_cells_case1(self, case1_soliton, cells):
+        ns, ts = zip(*cells)
+        self._assert_cells_independent(*case1_soliton, ns, ts)
+
+    @settings(max_examples=20, deadline=None)
+    @given(cells=_cells)
+    def test_batching_never_couples_cells_case4(self, case4_soliton, cells):
+        ns, ts = zip(*cells)
+        self._assert_cells_independent(*case4_soliton, ns, ts)
+
+    @settings(max_examples=20, deadline=None)
+    @given(cells=_cells)
+    def test_batching_never_couples_cells_at_pole(self, cells):
+        cfg, eigenset, norming, scan = POLE
+        pole = [(scan.at_site, scan.at_time + dt) for dt in (0.0, 1e-9, -1e-9)]
+        ns, ts = zip(*(list(cells) + pole))
+        grid = self._assert_cells_independent(cfg, eigenset, norming, ns, ts)
+        assert grid.singular[-3:].any()
+
+    def test_matches_closed_form_case4(self, case4_soliton):
+        cfg, eigenset, norming = case4_soliton
+        sites = np.arange(-40, 41)
+        for t in (0.0, 0.5, 1.0):
+            q = ist.reconstruct_grid(cfg, eigenset, norming, sites, t).require()
+            cf = [soliton_closed_form_case4(cfg, math.pi / 3.0, int(n), t) for n in sites]
+            assert np.max(np.abs(q - cf)) < 1e-10
+
+    def test_one_cell_views_agree(self, case1_soliton):
+        cfg, eigenset, norming = case1_soliton
+        sites = np.arange(-6, 7)
+        grid = ist.reconstruct_grid(cfg, eigenset, norming, sites, 0.7)
+        for i, n in enumerate(sites):
+            q, r = reconstruct_pair(cfg, eigenset, norming, int(n), 0.7)
+            assert q == grid.q[i] and r == grid.r[i]
+            system = build_system(cfg, eigenset, norming, int(n), 0.7)
+            X = np.linalg.solve(system.B, system.Y)
+            assert abs(X[-1] - grid.theta_inv[i]) < 1e-12 * max(1.0, abs(X[-1]))
+
+    def test_wide_window_flags_overflow_quietly(self, case4_soliton):
+        cfg, eigenset, norming = case4_soliton
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = ist.reconstruct_grid(cfg, eigenset, norming, [-700, 0, 700], 0.0)
+        assert list(grid.reason) == [ist.OVERFLOW, ist.OK, ist.OK]
+        assert np.isnan(grid.q[0]) and abs(grid.q[2] - cfg.q_plus(0.0)) < 1e-12
+        with pytest.raises(SingularSolution, match="overflowed at n=-700"):
+            reconstruct(cfg, eigenset, norming, -700, 0.0)
+
+    def test_pole_reason_and_message(self):
+        cfg, eigenset, norming, scan = POLE
+        grid = ist.reconstruct_grid(cfg, eigenset, norming, scan.at_site, scan.at_time)
+        assert grid.singular[0]
+        assert ist.REASONS[grid.reason[0]] != "ok"
+        with pytest.raises(SingularSolution, match=f"at n={scan.at_site}"):
+            grid.require()
+
+    def test_exactly_singular_cell_is_isolated(self, case4_soliton, monkeypatch):
+        # LAPACK rejects the whole batch when one matrix has a zero pivot;
+        # only that cell may be flagged, the others keep their batched values
+        cfg, eigenset, norming = case4_soliton
+        sites = np.arange(-2, 3)
+        clean = ist.reconstruct_grid(cfg, eigenset, norming, sites, 0.0)
+        marker = build_system(cfg, eigenset, norming, 0, 0.0).B[0, 2]
+        solve = np.linalg.solve
+
+        def zero_pivot_at_marker(B, b):
+            if np.any(B[:, 0, 2] == marker):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(B, b)
+
+        monkeypatch.setattr(np.linalg, "solve", zero_pivot_at_marker)
+        grid = ist.reconstruct_grid(cfg, eigenset, norming, sites, 0.0)
+        assert list(grid.reason) == [ist.OK, ist.OK, ist.EXACTLY_SINGULAR, ist.OK, ist.OK]
+        keep = sites != 0
+        assert np.array_equal(grid.q[keep], clean.q[keep])
+        with pytest.raises(SingularSolution, match="exactly singular system at n=0, t=0.0"):
+            grid.require()
+
+    def test_empty_spectrum_is_background(self):
+        cfg = spectral.make_case(2, 1.0, 0.0)
+        grid = ist.reconstruct_grid(cfg, ist.empty_eigenset(cfg), None, [-3, 0, 3], 0.7)
+        assert not grid.singular.any()
+        assert np.max(np.abs(grid.q - cfg.q_plus(0.7))) < 1e-15
+        assert np.max(np.abs(grid.r - cfg.r_plus(0.7))) < 1e-15
+
+    def test_cbar_does_not_recompute_gamma(self, case1_soliton, monkeypatch):
+        cfg, eigenset, norming = case1_soliton
+        expected = norming.cbar(1, 0.4)
+        monkeypatch.setattr(ist, "gamma", None)
+        assert norming.cbar(1, 0.4) == expected
+        assert norming.gammas == tuple(gamma(cfg, zb) for zb in eigenset.zeros_t22)

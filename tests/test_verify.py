@@ -52,6 +52,26 @@ class TestEquationResidual:
         assert -5 <= rep.argmax_site <= 5
 
 
+    def test_grid_and_plain_callable_agree(self, case1_soliton):
+        cfg, eigenset, norming = case1_soliton
+        ev = ist.make_evaluator(cfg, eigenset, norming)
+        cells = []
+
+        def grid(ns, ts):
+            cells.append(len(ns))
+            return ev.grid(ns, ts)
+
+        def plain(n, t):
+            return ev(n, t)
+
+        plain.grid = grid
+        batched = equation_residual(plain, cfg, range(-15, 16), 0.3)
+        looped = equation_residual(lambda n, t: ev(n, t), cfg, range(-15, 16), 0.3)
+        assert cells == [157]  # each distinct cell of the stencil set once
+        assert batched.argmax_site == looped.argmax_site
+        assert np.max(np.abs(batched.per_site - looped.per_site)) < 1e-9
+
+
 class TestSimulate:
     def test_background_fidelity(self):
         # constant backgrounds only; dt = 0.002 keeps the RK4 phase error
@@ -126,6 +146,14 @@ class TestCompare:
         w0 = background_field(cfg, 0.0, 10)
         traj = simulate(w0, cfg, 0.05, 0.01)
         assert compare(traj, traj) == 0.0
+
+    def test_grid_and_plain_callable_agree(self, case4_soliton):
+        cfg, eigenset, norming = case4_soliton
+        ev = ist.make_evaluator(cfg, eigenset, norming)
+        w0 = lattice.PotentialWindow(cfg, 10, 0.0, ev.grid(np.arange(-10, 11), 0.0))
+        traj = simulate(w0, cfg, 0.05, 0.01)
+        assert compare(traj, ev) == pytest.approx(compare(traj, lambda n, t: ev(n, t)),
+                                                  rel=1e-6, abs=1e-13)
 
     def test_grid_mismatch(self):
         cfg = spectral.make_case(1, 0.5, 0.0)
