@@ -122,60 +122,72 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number (booleans, NaN and infinities are not)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def parse_config(raw: dict) -> RunConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
     unknown = set(raw) - _SCHEMA_KEYS
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     _require("case" in raw and "q0" in raw, "config requires 'case' and 'q0'")
     case = raw["case"]
-    _require(isinstance(case, int) and 1 <= case <= 4, "'case' must be an integer 1..4")
+    _require(isinstance(case, int) and not isinstance(case, bool) and 1 <= case <= 4,
+             "'case' must be an integer 1..4")
     q0 = raw["q0"]
-    _require(isinstance(q0, (int, float)) and q0 > 0, "'q0' must be a positive number")
+    _require(_is_number(q0) and q0 > 0, "'q0' must be a positive number")
     phase_keys = [k for k in ("theta", "theta_minus", "theta_plus") if k in raw]
     _require(len(phase_keys) <= 1, "give at most one of theta / theta_minus / theta_plus")
     if not phase_keys:
         theta_minus = 0.0
     else:
         val = raw[phase_keys[0]]
-        _require(isinstance(val, (int, float)), f"'{phase_keys[0]}' must be a number")
+        _require(_is_number(val), f"'{phase_keys[0]}' must be a finite number")
         if phase_keys[0] == "theta_plus":
             delta = math.pi if case in (2, 4) else 0.0
             theta_minus = float(val) - delta
         else:
             theta_minus = float(val)
     kwargs = {}
-    for key, typ in (("J", int), ("eta1", (int, float)), ("zeta_hat_1", (int, float)),
-                     ("kappa1", (int, float)), ("thbar1", (int, float)),
-                     ("thbar2", (int, float)), ("N", int), ("dt", (int, float)),
-                     ("zeta_samples", int)):
+    for key in ("J", "N", "zeta_samples"):
         if key in raw:
-            _require(isinstance(raw[key], typ) and not isinstance(raw[key], bool),
+            _require(isinstance(raw[key], int) and not isinstance(raw[key], bool),
                      f"'{key}' has the wrong type")
+            kwargs[key] = raw[key]
+    for key in ("eta1", "zeta_hat_1", "kappa1", "thbar1", "thbar2", "dt"):
+        if key in raw:
+            _require(_is_number(raw[key]), f"'{key}' must be a finite number")
             kwargs[key] = raw[key]
     if "N" in kwargs:
         _require(kwargs["N"] >= 1, "'N' must be >= 1")
     if "dt" in kwargs:
         _require(kwargs["dt"] > 0, "'dt' must be positive")
+    if "zeta_samples" in kwargs:
+        _require(kwargs["zeta_samples"] >= 1, "'zeta_samples' must be >= 1")
     t_grid = dict(_TGRID_DEFAULTS)
     if "t_grid" in raw:
         _require(isinstance(raw["t_grid"], dict), "'t_grid' must be an object")
         extra = set(raw["t_grid"]) - {"t0", "t1", "steps"}
         _require(not extra, f"unknown t_grid keys: {sorted(extra)}")
         t_grid.update(raw["t_grid"])
-        _require(isinstance(t_grid["steps"], int) and t_grid["steps"] >= 1,
-                 "'t_grid.steps' must be a positive integer")
+        _require(isinstance(t_grid["steps"], int) and not isinstance(t_grid["steps"], bool)
+                 and t_grid["steps"] >= 1, "'t_grid.steps' must be a positive integer")
+        for key in ("t0", "t1"):
+            _require(_is_number(t_grid[key]), f"'t_grid.{key}' must be a finite number")
     tolerances = dict(_TOLERANCE_DEFAULTS)
     if "tolerances" in raw:
         _require(isinstance(raw["tolerances"], dict), "'tolerances' must be an object")
         extra = set(raw["tolerances"]) - set(_TOLERANCE_DEFAULTS)
         _require(not extra, f"unknown tolerance keys: {sorted(extra)}")
         for k, v in raw["tolerances"].items():
-            _require(isinstance(v, (int, float)) and v >= 0, f"tolerance '{k}' must be >= 0")
+            _require(_is_number(v) and v >= 0, f"tolerance '{k}' must be a finite number >= 0")
         tolerances.update(raw["tolerances"])
     field_source = {"source": "soliton"}
     if "field" in raw:
         _require(isinstance(raw["field"], dict), "'field' must be an object")
-        extra = set(raw["field"]) - {"source", "path", "bump", "seed"}
+        extra = set(raw["field"]) - {"source", "path"}
         _require(not extra, f"unknown field keys: {sorted(extra)}")
         src = raw["field"].get("source")
         _require(src in ("soliton", "background", "csv"),
@@ -379,16 +391,16 @@ def cmd_scatter(config: RunConfig, out: str | None, seed: int) -> int:
     zetas = scattering.continuum_samples(cfg, config.zeta_samples, seed=seed)
     report = scattering.scattering_report(window, zetas, eigenset)
     tol = config.tolerances["scattering"]
-    failures = {}
-    if report.det_residual > tol:
+    failures = {}  # `not res <= tol` also catches a NaN residual
+    if not report.det_residual <= tol:
         failures["det_vs_theta"] = report.det_residual
     for name, val in (("first_diag", report.symmetry.first_diag),
                       ("first_offdiag", report.symmetry.first_offdiag),
                       ("second", report.symmetry.second)):
-        if val > tol:
+        if not val <= tol:
             failures[f"symmetry_{name}"] = val
     for k, res in enumerate(report.eigenvalue_residuals):
-        if res > tol:
+        if not res <= tol:
             failures[f"t11_zero_{k}"] = res
     doc = {
         "zeta_grid": list(report.zeta_grid),

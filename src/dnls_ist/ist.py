@@ -657,7 +657,10 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     for _ in range(80):
         ts = np.linspace(lo, hi, 7)
         i = int(np.argmin(theta_inv_at(n_star, ts)))
-        lo, hi = float(ts[max(0, i - 1)]), float(ts[min(6, i + 1)])
+        shrunk = float(ts[max(0, i - 1)]), float(ts[min(6, i + 1)])
+        if shrunk == (lo, hi):  # collapsed to a few ulps: every later round repeats this one
+            break
+        lo, hi = shrunk
     t_ref = 0.5 * (lo + hi)
     v_ref = min(best[0], float(theta_inv_at(n_star, t_ref)[0]))
     return SingularityScan(v_ref, n_star, t_ref, v_ref < flag_below)

@@ -36,6 +36,10 @@ class PotentialWindow:
             return complex(self.q[n + self.N])
         return self.background(n)
 
+    def partner_field(self) -> np.ndarray:
+        """r_n = sigma * conj(q_{-n}) on every window site."""
+        return self.cfg.sigma * np.conj(self.q[::-1])
+
     def background(self, n: int, t: float | None = None) -> complex:
         tt = self.t if t is None else t
         return self.cfg.q_plus(tt) if n >= 0 else self.cfg.q_minus(tt)
@@ -75,17 +79,12 @@ def theta_products(window: PotentialWindow) -> ThetaProduct:
     """Finite product over the window; tail factors are exactly 1."""
     cfg = window.cfg
     N = window.N
-    rsq = cfg.r * cfg.r
-    factors = np.empty(2 * N + 1, dtype=complex)
-    for i, n in enumerate(range(-N, N + 1)):
-        f = 1.0 - window.site(n) * partner(window, n)
-        if abs(f) < PRODUCT_GUARD:
-            raise SingularProduct(f"1 - q_n r_n vanishes at n = {n}")
-        factors[i] = f / rsq
-    theta = np.empty(2 * N + 2, dtype=complex)
-    theta[-1] = 1.0
-    for i in range(2 * N, -1, -1):
-        theta[i] = factors[i] * theta[i + 1]
+    factors = 1.0 - window.q * window.partner_field()
+    bad = np.flatnonzero(np.abs(factors) < PRODUCT_GUARD)
+    if bad.size:
+        raise SingularProduct(f"1 - q_n r_n vanishes at n = {int(bad[0]) - N}")
+    theta = np.ones(2 * N + 2, dtype=complex)
+    theta[:-1] = np.cumprod((factors / (cfg.r * cfg.r))[::-1])[::-1]
     return ThetaProduct(theta, complex(theta[0]), N)
 
 

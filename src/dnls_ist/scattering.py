@@ -7,6 +7,12 @@ their site-independence is a test, not an assumption.  Each column is
 integrated from the edge where its boundary vector is exactly stationary,
 which is also the direction in which its recursion is contractive inside
 the column's analyticity region.
+
+The recursion is batched over zeta: one sequential sweep over n advances
+all four columns at every requested spectral point with elementwise array
+arithmetic.  `jost` and `scattering_coefficients` are one-point views of
+that sweep, and `scattering_report` evaluates each zeta it needs (samples,
+their zeta_bar partners, eigenvalues) once, over one Theta product.
 """
 from __future__ import annotations
 
@@ -19,12 +25,13 @@ import numpy as np
 
 from .errors import DivisionNearZero, NearBranchPoint, SingularTransfer
 from .ist import EigenSet, theta_minus_inf_constraint
-from .lattice import PotentialWindow, partner, theta_products
+from .lattice import PotentialWindow, ThetaProduct, theta_products
 from .spectral import (Case, CaseConfig, SINGULAR_GUARD, SpectralPoint,
                        lam_squared, point_from_zeta, zeta_bar)
 
 RENORM_THRESHOLD = 1e50
 BRANCH_GUARD = 1e-10
+_CHECK_BLOCK = 8192  # (step, column, zeta) entries checked per block
 
 
 class ColumnKind(enum.Enum):
@@ -53,6 +60,7 @@ class EigenfunctionColumn:
     log_scale: np.ndarray
 
     def raw(self, n: int) -> tuple[np.ndarray, float]:
+        _check_site(self.N, n)
         i = n + self.N
         return self.values[i], float(self.log_scale[i])
 
@@ -61,77 +69,157 @@ class EigenfunctionColumn:
         return vec * math.exp(s)
 
 
-def _step_matrix_a(cfg: CaseConfig, zeta: complex, qn: complex, rn: complex) -> np.ndarray:
+def _check_site(N: int, n: int) -> None:
+    if not -N <= n <= N + 1:
+        raise ValueError(f"site n={n} outside the columns' range [{-N}, {N + 1}]")
+
+
+def _step_constants(cfg: CaseConfig, zeta: np.ndarray,
+                    kind: ColumnKind) -> tuple[np.ndarray, ...]:
+    """(X00, X01, X10, X11) over zeta for one column's step.
+
+    Each column steps by [[X00, X01 q_n], [X10 r_n, X11]] / det: a forward
+    column by its step matrix (det = 1), a backward one by the inverse,
+    whose adjugate has this form and whose det is X00 X11 - X01 X10 q_n r_n.
+    """
     r = cfg.r
-    return np.array(
-        [[1.0 / zeta, qn * (zeta * r - 1.0) / (zeta * (zeta - r))],
-         [rn, (zeta * r - 1.0) / (zeta - r)]], dtype=complex) / r
+    one = np.ones_like(zeta)
+    if _EQUATION_A[kind]:
+        s00, s01, s10, s11 = (1.0 / zeta / r, (zeta * r - 1.0) / (zeta * (zeta - r)) / r,
+                              one / r, (zeta * r - 1.0) / (zeta - r) / r)
+    else:
+        s00, s01, s10, s11 = ((zeta - r) / (zeta * r - 1.0) / r, one / r,
+                              zeta * (zeta - r) / (zeta * r - 1.0) / r, zeta / r)
+    if _FORWARD[kind]:
+        return s00, s01, s10, s11
+    return s11, -s01, -s10, s00
 
 
-def _step_matrix_b(cfg: CaseConfig, zeta: complex, qn: complex, rn: complex) -> np.ndarray:
-    r = cfg.r
-    return np.array(
-        [[(zeta - r) / (zeta * r - 1.0), qn],
-         [zeta * (zeta - r) / (zeta * r - 1.0) * rn, zeta]], dtype=complex) / r
-
-
-def _boundary_vector(cfg: CaseConfig, t: float, zeta: complex, kind: ColumnKind) -> np.ndarray:
+def _boundary_vector(cfg: CaseConfig, t: float, zeta: np.ndarray,
+                     kind: ColumnKind) -> tuple[np.ndarray, np.ndarray]:
+    one = np.ones_like(zeta)
     if kind is ColumnKind.M:
-        return np.array([cfg.q_minus(t), zeta - cfg.r], dtype=complex)
+        return cfg.q_minus(t) * one, zeta - cfg.r
     if kind is ColumnKind.MBAR:
-        return np.array([cfg.r - 1.0 / zeta, -cfg.r_minus(t)], dtype=complex)
+        return cfg.r - 1.0 / zeta, -cfg.r_minus(t) * one
     if kind is ColumnKind.NBAR:
-        return np.array([cfg.q_plus(t), zeta - cfg.r], dtype=complex)
-    return np.array([cfg.r - 1.0 / zeta, -cfg.r_plus(t)], dtype=complex)
+        return cfg.q_plus(t) * one, zeta - cfg.r
+    return cfg.r - 1.0 / zeta, -cfg.r_plus(t) * one
 
 
-def _inv2(m: np.ndarray) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if det == 0 or not np.isfinite(det):
-        raise SingularTransfer("transfer matrix not invertible")
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
+def _step_index(kind: ColumnKind, N: int, n: int) -> int:
+    """Step after which a column holds site n (0 is its boundary vector)."""
+    return n + N if _FORWARD[kind] else N + 1 - n
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """Columns of one batched propagation at the recorded steps.
+
+    `values` is (recorded steps, 2, columns, K) and `logs` drops the
+    component axis; `slots` maps a step index to its row.
+    """
+
+    kinds: tuple[ColumnKind, ...]
+    N: int
+    slots: dict
+    values: np.ndarray
+    logs: np.ndarray
+
+    def at(self, kind: ColumnKind, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled (2, K) values and (K,) log scales of one column at site n."""
+        i = self.slots[_step_index(kind, self.N, n)]
+        c = self.kinds.index(kind)
+        return self.values[i, :, c], self.logs[i, c]
+
+    def column(self, kind: ColumnKind, k: int, point: SpectralPoint) -> EigenfunctionColumn:
+        """The whole column at point k of a sweep that recorded every step."""
+        c = self.kinds.index(kind)
+        order = slice(None) if _FORWARD[kind] else slice(None, None, -1)
+        return EigenfunctionColumn(kind, point, self.N, self.values[order, :, c, k],
+                                   self.logs[order, c, k])
+
+
+def _propagate(window: PotentialWindow, zetas,
+               kinds: tuple[ColumnKind, ...] = tuple(ColumnKind),
+               site: int | None = None) -> _Sweep:
+    """Propagate the given columns at every zeta in one sequential sweep over n.
+
+    Each step advances all K points and all columns with elementwise
+    arithmetic on (columns, K) arrays; a column whose magnitude leaves
+    [1/RENORM_THRESHOLD, RENORM_THRESHOLD] is divided by it and the log of
+    the factor accumulated.  Only `site` is recorded, or every site when it
+    is None.  Every step matrix is checked before the sweep; the first
+    failure in (zeta, column, step) order is raised.
+    """
+    cfg = window.cfg
+    N = window.N
+    if site is not None:
+        _check_site(N, site)
+    steps = 2 * N + 1
+    zeta = np.asarray(zetas, dtype=complex)
+    K, C = zeta.size, len(kinds)
+    forward = np.array([_FORWARD[kind] for kind in kinds])
+    # Site fields in each column's step order, shape (steps, C, 1).
+    q_f, r_f = window.q, window.partner_field()
+    q_s = np.where(forward, q_f[:, None], q_f[::-1, None])[:, :, None]
+    r_s = np.where(forward, r_f[:, None], r_f[::-1, None])[:, :, None]
+    g_s = q_s * r_s
+    with np.errstate(all="ignore"):
+        x00, x01, x10, x11 = (np.stack(x) for x in zip(
+            *(_step_constants(cfg, zeta, kind) for kind in kinds)))
+        # det = det0 - det1 * q_n r_n, identically 1 for a forward column.
+        det0 = np.where(forward[:, None], 1.0, x00 * x11)
+        det1 = np.where(forward[:, None], 0.0, x01 * x10)
+        failures = np.empty((steps, C, K), dtype=np.int8)
+        block = max(1, _CHECK_BLOCK // max(1, C * K))
+        for j in range(0, steps, block):
+            q, r = q_s[j:j + block], r_s[j:j + block]
+            finite = (np.isfinite(x00) & np.isfinite(x11)
+                      & np.isfinite(x01 * q) & np.isfinite(x10 * r))
+            det = det0 - det1 * g_s[j:j + block]
+            invertible = forward[:, None] | ((det != 0) & np.isfinite(det))
+            failures[j:j + block] = np.where(finite, np.where(invertible, 0, 2), 1)
+        if failures.any():
+            k, c, j = np.unravel_index(int(np.argmax(failures.transpose(2, 1, 0) != 0)),
+                                       (K, C, steps))
+            if failures[j, c, k] == 2:
+                raise SingularTransfer("transfer matrix not invertible")
+            n = j - N if forward[c] else N - j
+            raise SingularTransfer(f"non-finite transfer entry at n={n}, zeta={complex(zeta[k])}")
+
+        keep = range(steps + 1) if site is None else sorted(
+            {_step_index(kind, N, site) for kind in kinds})
+        slots = {j: i for i, j in enumerate(keep)}
+        values = np.empty((len(keep), 2, C, K), dtype=complex)
+        logs = np.empty((len(keep), C, K))
+        v0, v1 = (np.stack(x) for x in zip(
+            *(_boundary_vector(cfg, window.t, zeta, kind) for kind in kinds)))
+        log = np.zeros((C, K))
+
+        def record(j):
+            i = slots.get(j)
+            if i is not None:
+                values[i, 0], values[i, 1], logs[i] = v0, v1, log
+
+        record(0)
+        for j in range(steps):
+            d = det0 - det1 * g_s[j]
+            v0, v1 = ((x00 * v0 + x01 * q_s[j] * v1) / d,
+                      (x10 * r_s[j] * v0 + x11 * v1) / d)
+            m = np.maximum(np.abs(v0), np.abs(v1))
+            rescale = (m > RENORM_THRESHOLD) | ((m > 0.0) & (m < 1.0 / RENORM_THRESHOLD))
+            if rescale.any():
+                m = np.where(rescale, m, 1.0)
+                v0, v1, log = v0 / m, v1 / m, log + np.log(m)
+            record(j + 1)
+    return _Sweep(tuple(kinds), N, slots, values, logs)
 
 
 def jost(window: PotentialWindow, point: SpectralPoint,
          kind: ColumnKind) -> EigenfunctionColumn:
     """Propagate one modified Jost column across the window."""
-    cfg = window.cfg
-    N = window.N
-    zeta = point.zeta
-    size = 2 * N + 2
-    values = np.empty((size, 2), dtype=complex)
-    logs = np.zeros(size)
-    step = _step_matrix_a if _EQUATION_A[kind] else _step_matrix_b
-    vec = _boundary_vector(cfg, window.t, zeta, kind)
-    log = 0.0
-
-    def renorm(v, s):
-        m = float(np.max(np.abs(v)))
-        if m > RENORM_THRESHOLD or (0.0 < m < 1.0 / RENORM_THRESHOLD):
-            return v / m, s + math.log(m)
-        return v, s
-
-    if _FORWARD[kind]:
-        values[0] = vec
-        for i, n in enumerate(range(-N, N + 1)):
-            s = step(cfg, zeta, window.site(n), partner(window, n))
-            if not np.all(np.isfinite(s)):
-                raise SingularTransfer(f"non-finite transfer entry at n={n}, zeta={zeta}")
-            vec = s @ vec
-            vec, log = renorm(vec, log)
-            values[i + 1] = vec
-            logs[i + 1] = log
-    else:
-        values[-1] = vec
-        for n in range(N, -N - 1, -1):
-            s = step(cfg, zeta, window.site(n), partner(window, n))
-            if not np.all(np.isfinite(s)):
-                raise SingularTransfer(f"non-finite transfer entry at n={n}, zeta={zeta}")
-            vec = _inv2(s) @ vec
-            vec, log = renorm(vec, log)
-            values[n + N] = vec
-            logs[n + N] = log
-    return EigenfunctionColumn(kind, point, N, values, logs)
+    return _propagate(window, [point.zeta], (kind,)).column(kind, 0, point)
 
 
 def wronskian(col_a: EigenfunctionColumn, col_b: EigenfunctionColumn, n: int) -> complex:
@@ -142,15 +230,12 @@ def wronskian(col_a: EigenfunctionColumn, col_b: EigenfunctionColumn, n: int) ->
     return complex(det * math.exp(sa + sb))
 
 
-def _wronskian_scaled(col_a, col_b, n) -> tuple[complex, float]:
-    va, sa = col_a.raw(n)
-    vb, sb = col_b.raw(n)
-    return va[0] * vb[1] - va[1] * vb[0], sa + sb
-
-
 @dataclass(frozen=True)
 class Coefficients:
-    """Modified scattering entries at one zeta (t21/t12 carry the lam-factors)."""
+    """Modified scattering entries (t21/t12 carry the lam-factors).
+
+    Fields are complex at one zeta, or arrays over a batch of zeta.
+    """
 
     t11: complex
     t22: complex
@@ -162,41 +247,53 @@ class Coefficients:
         return self.t11 * self.t22 - self.t21_mod * self.t12_mod
 
 
-def _columns(window: PotentialWindow, point: SpectralPoint) -> dict:
-    return {kind: jost(window, point, kind) for kind in ColumnKind}
-
-
-def _descale(value: complex, log: float) -> complex:
+def _descale(value: np.ndarray, log: np.ndarray) -> np.ndarray:
     """value * exp(log), overflowing to inf (columns evaluated far outside
     their analyticity region produce meaningless huge coefficients)."""
-    if value == 0:
-        return 0.0 + 0.0j
-    e = log + math.log(abs(value))
-    if e > 700.0:
-        return complex(math.inf, 0.0)
-    return value * math.exp(log)
+    with np.errstate(all="ignore"):
+        exponent = log + np.log(np.abs(value))
+        out = value * np.exp(log)
+    out = np.where(exponent > 700.0, complex(math.inf, 0.0), out)
+    return np.where(value == 0, 0.0j, out)
+
+
+def _guard(cfg: CaseConfig, zetas) -> None:
+    """Raise NearBranchPoint or SingularPoint for the first unusable zeta."""
+    for zeta in zetas:
+        if abs(zeta) > SINGULAR_GUARD and abs(zeta + 1.0 / zeta - 2.0 * cfg.r) < BRANCH_GUARD:
+            raise NearBranchPoint(f"zeta + 1/zeta - 2r vanishes at zeta={zeta}")
+        point_from_zeta(cfg, zeta)
+
+
+def _evaluate(window: PotentialWindow, theta: ThetaProduct, zetas,
+              n: int = 0) -> tuple[Coefficients, _Sweep]:
+    """Wronskian coefficients at site n for guarded zetas, from one sweep."""
+    cfg = window.cfg
+    sweep = _propagate(window, zetas, site=n)
+    theta_n = theta.at(n)
+    zeta = np.asarray(zetas, dtype=complex)
+
+    def wr(a: ColumnKind, b: ColumnKind) -> np.ndarray:
+        (va, sa), (vb, sb) = sweep.at(a, n), sweep.at(b, n)
+        return _descale(va[0] * vb[1] - va[1] * vb[0], sa + sb)
+
+    with np.errstate(all="ignore"):
+        denom = cfg.r * (zeta + 1.0 / zeta - 2.0 * cfg.r)
+        lam2 = lam_squared(cfg, zeta)
+        t11 = -theta_n * wr(ColumnKind.M, ColumnKind.N) / denom
+        t22 = theta_n * wr(ColumnKind.MBAR, ColumnKind.NBAR) / denom
+        t21 = theta_n * lam2 ** n * wr(ColumnKind.M, ColumnKind.NBAR) / denom
+        t12 = -theta_n * lam2 ** (-n) * wr(ColumnKind.MBAR, ColumnKind.N) / denom
+    return Coefficients(t11, t22, t21, t12), sweep
 
 
 def scattering_coefficients(window: PotentialWindow, zeta: complex,
                             n: int = 0) -> Coefficients:
     """Wronskian representation of the scattering coefficients at site n."""
-    cfg = window.cfg
-    if abs(zeta) > SINGULAR_GUARD and abs(zeta + 1.0 / zeta - 2.0 * cfg.r) < BRANCH_GUARD:
-        raise NearBranchPoint(f"zeta + 1/zeta - 2r vanishes at zeta={zeta}")
-    point = point_from_zeta(cfg, zeta)
-    denom = cfg.r * (zeta + 1.0 / zeta - 2.0 * cfg.r)
-    cols = _columns(window, point)
-    theta_n = theta_products(window).at(n)
-    lam2 = lam_squared(cfg, zeta)
-    d_mn, s_mn = _wronskian_scaled(cols[ColumnKind.M], cols[ColumnKind.N], n)
-    d_mb_nb, s_mb_nb = _wronskian_scaled(cols[ColumnKind.MBAR], cols[ColumnKind.NBAR], n)
-    d_m_nb, s_m_nb = _wronskian_scaled(cols[ColumnKind.M], cols[ColumnKind.NBAR], n)
-    d_mb_n, s_mb_n = _wronskian_scaled(cols[ColumnKind.MBAR], cols[ColumnKind.N], n)
-    t11 = -theta_n * _descale(d_mn, s_mn) / denom
-    t22 = theta_n * _descale(d_mb_nb, s_mb_nb) / denom
-    t21 = theta_n * lam2 ** n * _descale(d_m_nb, s_m_nb) / denom
-    t12 = -theta_n * lam2 ** (-n) * _descale(d_mb_n, s_mb_n) / denom
-    return Coefficients(complex(t11), complex(t22), complex(t21), complex(t12))
+    _guard(window.cfg, [zeta])
+    c, _ = _evaluate(window, theta_products(window), [zeta], n)
+    return Coefficients(complex(c.t11[0]), complex(c.t22[0]),
+                        complex(c.t21_mod[0]), complex(c.t12_mod[0]))
 
 
 def reflection(window: PotentialWindow, zeta: complex) -> tuple[complex, complex]:
@@ -219,6 +316,35 @@ class SymmetryReport:
     samples: tuple[complex, ...]
 
 
+def _with_partners(cfg: CaseConfig, zetas) -> list[complex]:
+    """The guarded samples, then zeta_bar(zeta) and its conjugate per sample."""
+    _guard(cfg, zetas)
+    partners = []
+    for zeta in zetas:
+        zb = zeta_bar(cfg, zeta)
+        partners += [zb, zb.conjugate()]
+    _guard(cfg, partners)
+    return list(zetas) + partners
+
+
+def _symmetries(window: PotentialWindow, c: Coefficients, samples) -> SymmetryReport:
+    """Symmetry residuals from coefficients laid out as by `_with_partners`."""
+    cfg = window.cfg
+    sign = 1.0 if cfg.case_id in (Case.I, Case.III) else -1.0
+    qp = cfg.q_plus(window.t)
+    rm = cfg.r_minus(window.t)
+    K = len(samples)
+    here, bar, star = slice(0, K), slice(K, 3 * K, 2), slice(K + 1, 3 * K, 2)
+    d1 = _max_abs(c.t11[here] - sign * c.t22[bar])
+    d2 = _max_abs(c.t21_mod[here] + (qp / rm) * c.t12_mod[bar])
+    d3 = _max_abs(c.t11[here] - sign * np.conj(c.t22[star]))
+    return SymmetryReport(d1, d2, d3, tuple(complex(z) for z in samples))
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x), initial=0.0))
+
+
 def check_symmetries(window: PotentialWindow, zeta_samples) -> SymmetryReport:
     """Residuals of t11(z) = s*t22(zbar(z)) and its conjugated companion.
 
@@ -229,20 +355,10 @@ def check_symmetries(window: PotentialWindow, zeta_samples) -> SymmetryReport:
     -(q_plus/r_minus) t12_mod(zbar(z)), which is equivalent on the
     spectral surface and free of the square-root branch.
     """
-    cfg = window.cfg
-    sign = 1.0 if cfg.case_id in (Case.I, Case.III) else -1.0
-    qp = cfg.q_plus(window.t)
-    rm = cfg.r_minus(window.t)
-    d1 = d2 = d3 = 0.0
-    for zeta in zeta_samples:
-        zb = zeta_bar(cfg, zeta)
-        c_here = scattering_coefficients(window, zeta)
-        c_bar = scattering_coefficients(window, zb)
-        c_star = scattering_coefficients(window, np.conj(zb))
-        d1 = max(d1, abs(c_here.t11 - sign * c_bar.t22))
-        d2 = max(d2, abs(c_here.t21_mod + (qp / rm) * c_bar.t12_mod))
-        d3 = max(d3, abs(c_here.t11 - sign * np.conj(c_star.t22)))
-    return SymmetryReport(d1, d2, d3, tuple(complex(z) for z in zeta_samples))
+    samples = list(zeta_samples)
+    points = _with_partners(window.cfg, samples)
+    c, _ = _evaluate(window, theta_products(window), points)
+    return _symmetries(window, c, samples)
 
 
 def trace_formula(cfg: CaseConfig, eigen_data: EigenSet,
@@ -280,25 +396,28 @@ def asymptotic_checks(window: PotentialWindow, big: float = 1e4,
     cfg = window.cfg
     sign = 1.0 if cfg.case_id in (Case.I, Case.III) else -1.0
     theta = theta_products(window)
+    points = [big, small, 1.0 / cfg.r + offset, cfg.r + offset]
+    _guard(cfg, points)
+    c, sweep = _evaluate(window, theta, points)
 
-    pt_big = point_from_zeta(cfg, big)
-    m_col = jost(window, pt_big, ColumnKind.M)
-    mv = m_col.value(0)
+    # M is read at points[0] = big, Nbar at points[1] = small.
+    m_vec, m_log = sweep.at(ColumnKind.M, 0)
+    mv = m_vec[:, 0] * math.exp(m_log[0])
     m_first = abs(mv[0] - window.site(-1))
     m_second = abs(mv[1] / big - 1.0)
 
-    pt_small = point_from_zeta(cfg, small)
-    nbar_col = jost(window, pt_small, ColumnKind.NBAR)
-    nv = nbar_col.value(0) * theta.at(0)
+    nbar_vec, nbar_log = sweep.at(ColumnKind.NBAR, 0)
+    nv = nbar_vec[:, 1] * math.exp(nbar_log[1]) * theta.at(0)
     nbar_first = abs(nv[0] - window.site(0))
     nbar_second = abs(nv[1] + cfg.r)
 
-    t11_large = abs(scattering_coefficients(window, big).t11 - 1.0)
-    t22_zero = abs(scattering_coefficients(window, small).t22 - 1.0)
-    t11_branch = abs(scattering_coefficients(window, 1.0 / cfg.r + offset).t11 - sign)
-    t22_branch = abs(scattering_coefficients(window, cfg.r + offset).t22 - sign)
-    return AsymptoticReport(m_first, m_second, nbar_first, nbar_second,
-                            t11_large, t11_branch, t22_zero, t22_branch, sign)
+    t11_large = abs(c.t11[0] - 1.0)
+    t22_zero = abs(c.t22[1] - 1.0)
+    t11_branch = abs(c.t11[2] - sign)
+    t22_branch = abs(c.t22[3] - sign)
+    return AsymptoticReport(*(float(x) for x in (
+        m_first, m_second, nbar_first, nbar_second, t11_large, t11_branch,
+        t22_zero, t22_branch)), sign)
 
 
 def continuum_samples(cfg: CaseConfig, count: int, seed: int = 0,
@@ -338,37 +457,38 @@ class ScatteringReport:
 
 def scattering_report(window: PotentialWindow, zetas,
                       eigen_data: EigenSet | None = None) -> ScatteringReport:
-    """Assemble the full direct-scattering report on a zeta grid."""
+    """Assemble the full direct-scattering report on a zeta grid.
+
+    The samples, their zeta_bar partners and the eigenvalues are evaluated
+    in one sweep over one Theta product.
+    """
     cfg = window.cfg
-    theta_inf = theta_products(window).theta_minus_inf
-    t11, t22, t21, t12, rho, rho_bar, det_t = [], [], [], [], [], [], []
-    det_res = 0.0
-    for z in zetas:
-        c = scattering_coefficients(window, z)
-        t11.append(c.t11)
-        t22.append(c.t22)
-        t21.append(c.t21_mod)
-        t12.append(c.t12_mod)
-        det_t.append(c.det)
-        det_res = max(det_res, abs(c.det - theta_inf))
-        if abs(c.t11) > 1e-13 and abs(c.t22) > 1e-13:
-            rho.append(c.t21_mod / c.t11)
-            rho_bar.append(c.t12_mod / c.t22)
-        else:
-            rho.append(complex("nan"))
-            rho_bar.append(complex("nan"))
-    symmetry = check_symmetries(window, zetas)
+    theta = theta_products(window)
+    samples = list(zetas)
+    K = len(samples)
+    eigs = [] if eigen_data is None or eigen_data.is_empty() else list(eigen_data.zeros_t11)
+    points = _with_partners(cfg, samples)
+    _guard(cfg, eigs)
+    c, _ = _evaluate(window, theta, points + eigs)
+    t11, t22, t21, t12 = (x[:K] for x in (c.t11, c.t22, c.t21_mod, c.t12_mod))
+    det_t = t11 * t22 - t21 * t12
+    with np.errstate(all="ignore"):
+        ok = (np.abs(t11) > 1e-13) & (np.abs(t22) > 1e-13)
+        rho = np.where(ok, t21 / t11, complex("nan"))
+        rho_bar = np.where(ok, t12 / t22, complex("nan"))
     trace_res = None
     eig_res = ()
-    if eigen_data is not None and not eigen_data.is_empty():
-        trace_res = 0.0
-        for z in zetas:
-            pred11, _ = trace_formula(cfg, eigen_data, z)
-            c = scattering_coefficients(window, z)
-            trace_res = max(trace_res, abs(pred11 - c.t11))
-        eig_res = tuple(abs(scattering_coefficients(window, z).t11)
-                        for z in eigen_data.zeros_t11)
+    if eigs:
+        pred11 = np.array([trace_formula(cfg, eigen_data, z)[0] for z in samples],
+                          dtype=complex)
+        trace_res = _max_abs(pred11 - t11)
+        eig_res = tuple(float(x) for x in np.abs(c.t11[len(points):]))
+
+    def cplx(x):
+        return tuple(complex(v) for v in x)
+
     return ScatteringReport(
-        tuple(complex(z) for z in zetas), tuple(t11), tuple(t22), tuple(t21),
-        tuple(t12), tuple(rho), tuple(rho_bar), tuple(det_t),
-        complex(theta_inf), det_res, symmetry, trace_res, eig_res)
+        cplx(samples), cplx(t11), cplx(t22), cplx(t21), cplx(t12), cplx(rho),
+        cplx(rho_bar), cplx(det_t), complex(theta.theta_minus_inf),
+        _max_abs(det_t - theta.theta_minus_inf), _symmetries(window, c, samples),
+        trace_res, eig_res)

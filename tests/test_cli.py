@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -72,6 +73,37 @@ class TestConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["eigs", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("edit", [
+        {"zeta_samples": -3},
+        {"zeta_samples": 0},
+        {"t_grid": {"t0": "zero", "t1": 1.0, "steps": 3}},
+        {"t_grid": {"t0": 0.0, "t1": [1.0], "steps": 3}},
+        {"theta": math.nan},
+        {"eta1": math.inf},
+        {"q0": math.inf},
+        {"dt": math.nan},
+        {"tolerances": {"scattering": math.inf}},
+        {"case": True},
+    ], ids=["zeta_samples_negative", "zeta_samples_zero", "t0_string", "t1_list",
+            "theta_nan", "eta1_inf", "q0_inf", "dt_nan", "tolerance_inf", "case_bool"])
+    def test_bad_values_exit_2_without_traceback(self, tmp_path, capsys, edit):
+        doc = {**CASE1_CONFIG, "zeta_samples": 4, **edit}
+        path = write_config(tmp_path, doc)  # json writes NaN and Infinity literally
+        assert main(["scatter", "--config", path, "--out", str(tmp_path / "r.json")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("key", ["bump", "seed"])
+    def test_ignored_field_keys_are_gone(self, tmp_path, capsys, key):
+        doc = {"case": 1, "q0": 2.0 / 3.0, "N": 10, "zeta_samples": 2,
+               "field": {"source": "background", key: 1}}
+        path = write_config(tmp_path, doc)
+        assert main(["scatter", "--config", path, "--out", str(tmp_path / "r.json")]) \
+            == EXIT_CONFIG
+        assert f"unknown field keys: ['{key}']" in capsys.readouterr().err
 
 
 class TestEigs:
@@ -247,6 +279,21 @@ class TestScatter:
         assert main(["scatter", "--config", path2, "--out", str(out)]) == EXIT_OK
         rep = json.loads(out.read_text())
         assert rep["failures"] == {}
+
+    def test_nan_residual_is_a_failure(self, tmp_path, monkeypatch):
+        from dnls_ist import scattering
+        report = scattering.scattering_report
+
+        def nan_det(*args):
+            return dataclasses.replace(report(*args), det_residual=math.nan)
+
+        monkeypatch.setattr(scattering, "scattering_report", nan_det)
+        doc = {"case": 1, "q0": 2.0 / 3.0, "N": 10,
+               "field": {"source": "background"}, "zeta_samples": 2}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "r.json"
+        assert main(["scatter", "--config", path, "--out", str(out)]) == EXIT_TOLERANCE
+        assert json.loads(out.read_text())["failures"] == {"det_vs_theta": "nan"}
 
     def test_tolerance_breach(self, tmp_path):
         doc = {"case": 1, "q0": 2.0 / 3.0, "N": 20,

@@ -538,3 +538,55 @@ class TestReconstructGrid:
         monkeypatch.setattr(ist, "gamma", None)
         assert norming.cbar(1, 0.4) == expected
         assert norming.gammas == tuple(gamma(cfg, zb) for zb in eigenset.zeros_t22)
+
+
+def _scan_fixed_rounds(cfg, eigenset, norming, n_range, t_span, coarse_dt,
+                       flag_below=1e-6, rounds=80):
+    """The scan with the refinement run for a fixed number of rounds."""
+
+    def theta_inv_at(ns, ts):
+        grid = ist.reconstruct_grid(cfg, eigenset, norming, ns, ts)
+        return np.where(np.isin(grid.reason, ist._SOLVE_FAILED), 0.0, np.abs(grid.theta_inv))
+
+    sites = np.arange(n_range[0], n_range[1] + 1)
+    times = []
+    t = t_span[0]
+    while t <= t_span[1]:
+        times.append(t)
+        t += coarse_dt
+    vals = np.column_stack([theta_inv_at(sites, t) for t in times])
+    i, j = divmod(int(np.argmin(vals)), len(times))
+    best, n_star, t_star = float(vals[i, j]), int(sites[i]), times[j]
+    lo, hi = t_star - coarse_dt, t_star + coarse_dt
+    for _ in range(rounds):
+        ts = np.linspace(lo, hi, 7)
+        i = int(np.argmin(theta_inv_at(n_star, ts)))
+        lo, hi = float(ts[max(0, i - 1)]), float(ts[min(6, i + 1)])
+    t_ref = 0.5 * (lo + hi)
+    v_ref = min(best, float(theta_inv_at(n_star, t_ref)[0]))
+    return ist.SingularityScan(v_ref, n_star, t_ref, v_ref < flag_below), len(times)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi], ids=["regular", "pole"])
+def test_scan_stops_refining_at_a_fixed_point(theta, monkeypatch):
+    # The CLI's scan ranges; the pole member refines onto its real-time pole.
+    cfg = spectral.make_case(1, 2.0 / 3.0, theta)
+    eigenset = eigenvalues_case1(cfg, CASE1_ETA1)
+    norming = norming_case1(cfg, eigenset, 1.0, 0.0, 0.0)
+    ranges = {"n_range": (-12, 12), "t_span": (-6.0, 6.0), "coarse_dt": 0.25}
+    expected, coarse_calls = _scan_fixed_rounds(cfg, eigenset, norming, **ranges)
+    calls = []
+    grid = ist.reconstruct_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return grid(*args, **kwargs)
+
+    monkeypatch.setattr(ist, "reconstruct_grid", counted)
+    scan = singularity_scan(cfg, eigenset, norming, **ranges)
+    assert (scan.at_site, scan.at_time, scan.min_theta_inv, scan.singular) == (
+        expected.at_site, expected.at_time, expected.min_theta_inv, expected.singular)
+    assert math.copysign(1.0, scan.at_time) == math.copysign(1.0, expected.at_time)
+    refinements = len(calls) - coarse_calls - 1
+    assert 1 <= refinements < 80
+    assert scan.singular == (theta == math.pi)

@@ -1,8 +1,11 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dnls_ist import ist, lattice, spectral
 from dnls_ist.errors import NearBranchPoint
@@ -34,6 +37,17 @@ def test_jost_n_boundary_vector():
     col = jost(w, pt, ColumnKind.N)
     bv = np.array([cfg.r - 1.0 / pt.zeta, -cfg.r_plus(0.0)])
     assert np.max(np.abs(col.value(20) - bv)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [-11, 12])
+def test_sites_outside_the_columns_raise(n):
+    cfg = spectral.make_case(1, 2.0 / 3.0, 0.0)
+    w = background_field(cfg, 0.0, 10)
+    col = jost(w, point_from_zeta(cfg, 1.1j), ColumnKind.M)
+    with pytest.raises(ValueError, match=f"site n={n} outside"):
+        col.value(n)
+    with pytest.raises(ValueError, match=f"site n={n} outside"):
+        scattering_coefficients(w, 1.1j, n=n)
 
 
 def test_wronskian_of_identical_columns_is_zero():
@@ -299,3 +313,138 @@ def test_t11_time_invariance(case1_soliton):
         c1 = scattering_coefficients(windows[1.0], z)
         assert abs(c0.t11 - c1.t11) < 1e-5
         assert abs(c0.t22 - c1.t22) < 1e-5
+
+
+def _mp_coefficients(window, zeta):
+    """50-digit Wronskian coefficients at n = 0 and the four columns at every site.
+
+    The step matrices are applied (forward) or inverted (backward) directly,
+    with no renormalization, from the window's double-precision inputs.
+    """
+    cfg = window.cfg
+    N = window.N
+    with mpmath.workdps(50):
+        r = mpmath.mpf(cfg.r)
+        z = mpmath.mpc(zeta)
+
+        def step(eq_a, n):
+            q = mpmath.mpc(window.site(n))
+            rn = mpmath.mpc(lattice.partner(window, n))
+            if eq_a:
+                m = [[1 / z, q * (z * r - 1) / (z * (z - r))], [rn, (z * r - 1) / (z - r)]]
+            else:
+                m = [[(z - r) / (z * r - 1), q], [z * (z - r) / (z * r - 1) * rn, z]]
+            return mpmath.matrix(m) / r
+
+        t = window.t
+        starts = {
+            ColumnKind.M: [cfg.q_minus(t), z - r],
+            ColumnKind.MBAR: [r - 1 / z, -cfg.r_minus(t)],
+            ColumnKind.NBAR: [cfg.q_plus(t), z - r],
+            ColumnKind.N: [r - 1 / z, -cfg.r_plus(t)],
+        }
+        cols = {}
+        for kind, start in starts.items():
+            eq_a = kind in (ColumnKind.M, ColumnKind.NBAR)
+            vec = mpmath.matrix([mpmath.mpc(x) for x in start])
+            sites = {}
+            if kind in (ColumnKind.M, ColumnKind.MBAR):
+                sites[-N] = vec
+                for n in range(-N, N + 1):
+                    vec = step(eq_a, n) * vec
+                    sites[n + 1] = vec
+            else:
+                sites[N + 1] = vec
+                for n in range(N, -N - 1, -1):
+                    vec = mpmath.inverse(step(eq_a, n)) * vec
+                    sites[n] = vec
+            cols[kind] = sites
+        theta0 = mpmath.mpc(1)
+        for n in range(0, N + 1):
+            theta0 *= (1 - mpmath.mpc(window.site(n)) * mpmath.mpc(lattice.partner(window, n))) / r**2
+        denom = r * (z + 1 / z - 2 * r)
+
+        def wr(a, b):
+            va, vb = cols[a][0], cols[b][0]
+            return va[0] * vb[1] - va[1] * vb[0]
+
+        coeffs = (-theta0 * wr(ColumnKind.M, ColumnKind.N) / denom,
+                  theta0 * wr(ColumnKind.MBAR, ColumnKind.NBAR) / denom,
+                  theta0 * wr(ColumnKind.M, ColumnKind.NBAR) / denom,
+                  -theta0 * wr(ColumnKind.MBAR, ColumnKind.N) / denom)
+        columns = {kind: {n: (complex(v[0]), complex(v[1])) for n, v in sites.items()}
+                   for kind, sites in cols.items()}
+        return tuple(complex(c) for c in coeffs), columns
+
+
+def _windows_n8(cfg):
+    return {"background": background_field(cfg, 0.0, 8),
+            "perturbed": perturbed_background(cfg, N=8, seed=21)}
+
+
+# Case II at q0 = 0.9: at q0 = 1 its background has 1 - q_0 r_0 = 0.
+MP_CASES = [spectral.make_case(1, 2.0 / 3.0, 0.0), spectral.make_case(2, 0.9, 0.3),
+            spectral.make_case(3, 1.0, 0.0), spectral.make_case(4, 2.0 / 3.0, -math.pi)]
+
+
+@pytest.mark.parametrize("cfg", MP_CASES, ids=lambda c: c.case_id.name)
+def test_transfer_recursion_matches_mpmath(cfg):
+    for name, w in _windows_n8(cfg).items():
+        for z in continuum_samples(cfg, 3, seed=4):
+            ref, ref_cols = _mp_coefficients(w, z)
+            c = scattering_coefficients(w, z)
+            got = (c.t11, c.t22, c.t21_mod, c.t12_mod)
+            for g, e in zip(got, ref):
+                assert abs(g - e) <= 1e-12 * max(1.0, abs(e)), (name, z, got, ref)
+            pt = point_from_zeta(cfg, z)
+            for kind, sites in ref_cols.items():
+                col = jost(w, pt, kind)
+                for n, e in sites.items():
+                    assert np.max(np.abs(col.value(n) - e)) <= 1e-12 * max(1.0, abs(e[0]), abs(e[1]))
+
+
+_samples = st.lists(
+    st.tuples(st.floats(0.0, 2.0 * math.pi, allow_nan=False),
+              st.sampled_from([1.0 - 1e-6, 1.0 + 1e-6, 0.7, 1.3])),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.integers(0, 3), seed=st.integers(0, 50), polar=_samples)
+def test_batched_coefficients_equal_each_zeta_alone(case, seed, polar):
+    cfg = case_configs()[case]
+    w = perturbed_background(cfg, N=12, seed=seed)
+    zetas = [radius * cmath.exp(1j * angle) for angle, radius in polar]
+    poles = [0.0, cfg.r, 1.0 / cfg.r, *cfg.branch_points]
+    assume(all(min(abs(z - p) for p in poles) > 1e-3 for z in zetas))
+    assume(all(abs(zeta_bar(cfg, z) - p) > 1e-3 for z in zetas for p in poles))
+    rep = scattering_report(w, zetas)
+    for i, z in enumerate(zetas):
+        alone = scattering_coefficients(w, z)
+        for batched, single in ((rep.t11[i], alone.t11), (rep.t22[i], alone.t22),
+                                (rep.t21_mod[i], alone.t21_mod),
+                                (rep.t12_mod[i], alone.t12_mod)):
+            assert abs(batched - single) <= 1e-14 * max(1.0, abs(single))
+
+
+def test_report_builds_theta_once_and_propagates_once(case1_window, case1_soliton,
+                                                      monkeypatch):
+    from dnls_ist import scattering
+    cfg, eigenset, _ = case1_soliton
+    counts = {"theta_products": 0, "_propagate": 0}
+
+    def counting(name):
+        original = getattr(scattering, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(scattering, name, counting(name))
+    monkeypatch.setattr(scattering, "jost", None)
+    monkeypatch.setattr(scattering, "scattering_coefficients", None)
+    rep = scattering_report(case1_window, continuum_samples(cfg, 20, seed=3), eigenset)
+    assert counts == {"theta_products": 1, "_propagate": 1}
+    assert rep.det_residual < 1e-6 and max(rep.eigenvalue_residuals) < 1e-5
