@@ -33,15 +33,14 @@ def main():
     print(f"singular member: {scan.singular} (min|1/Theta| = {scan.min_theta_inv:.3e})")
 
     sites = np.arange(-args.N, args.N + 1)
-    skipped = 0
+    ts = np.linspace(-10.0, 10.0, 41)
+    grid = ist.reconstruct_grid(cfg, eigenset, norming, sites[None, :], ts[:, None])
+    ok = ~grid.singular
     with open(args.out, "w", newline="\n") as fh:
         fh.write("n,t,re_q,im_q,abs_q\n")
-        for t in np.linspace(-10.0, 10.0, 41):
-            grid = ist.reconstruct_grid(cfg, eigenset, norming, sites, float(t))
-            skipped += int(grid.singular.sum())
-            for n, q in zip(sites[~grid.singular], grid.q[~grid.singular]):
-                fh.write(f"{n},{t:.6f},{q.real:.12g},{q.imag:.12g},{abs(q):.12g}\n")
-    print(f"field written to {args.out} ({skipped} singular cells left out)")
+        for n, t, q in zip(grid.ns[ok], grid.ts[ok], grid.q[ok]):
+            fh.write(f"{n},{t:.6f},{q.real:.12g},{q.imag:.12g},{abs(q):.12g}\n")
+    print(f"field written to {args.out} ({int(grid.singular.sum())} singular cells left out)")
 
     if not scan.singular:
         q = ist.reconstruct_grid(cfg, eigenset, norming, sites, 0.0).require()

@@ -256,11 +256,7 @@ def _t_values(config: RunConfig) -> list[float]:
 
 def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
     cfg = _case_config(config)
-    try:
-        eigenset, _ = _eigen_data(config, cfg)
-    except Inadmissible as exc:
-        sys.stderr.write(f"inadmissible: {exc}\n")
-        return EXIT_INADMISSIBLE
+    eigenset, _ = _eigen_data(config, cfg)
     entries = []
     for q in eigenset.quartets:
         entries.append({
@@ -297,37 +293,38 @@ def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
     return EXIT_OK
 
 
-def _field_rows(config: RunConfig, cfg, eigenset, norming):
-    """(n, t, q or None for a singular cell), one batched solve per time row."""
+def _field_grid(config: RunConfig, cfg, eigenset, norming) -> ist.ReconstructionGrid:
+    """The field over the configured (n, t) grid, time-major, in one reconstruct_grid call."""
     sites = np.arange(-config.N, config.N + 1)
-    rows = []
-    for t in _t_values(config):
-        grid = ist.reconstruct_grid(cfg, eigenset, norming, sites, t)
-        rows.extend((int(n), t, None if bad else complex(q))
-                    for n, q, bad in zip(sites, grid.q, grid.singular))
-    return rows
+    ts = np.array(_t_values(config))
+    return ist.reconstruct_grid(cfg, eigenset, norming, sites[None, :], ts[:, None])
+
+
+def _field_csv(grid: ist.ReconstructionGrid) -> str:
+    lines = ["n,t,re_q,im_q,abs_q,singular"]
+    for n, t, q, bad in zip(grid.ns.tolist(), grid.ts.tolist(), grid.q.tolist(),
+                            grid.singular.tolist()):
+        if bad:
+            lines.append(f"{n},{_fmt(t)},,,,1")
+            continue
+        abs_q = abs(q)  # Python's abs, not np.abs: the two differ in the last bit
+        if math.isfinite(abs_q):
+            lines.append("%d,%.17g,%.17g,%.17g,%.17g,0" % (n, t, q.real, q.imag, abs_q))
+        else:  # _fmt quotes non-finite values
+            lines.append(f"{n},{_fmt(t)},{_fmt(q.real)},{_fmt(q.imag)},{_fmt(abs_q)},0")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_soliton(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
     cfg = _case_config(config)
-    try:
-        eigenset, norming = _eigen_data(config, cfg)
-    except Inadmissible as exc:
-        sys.stderr.write(f"inadmissible: {exc}\n")
-        return EXIT_INADMISSIBLE
-    rows = _field_rows(config, cfg, eigenset, norming)
-    if all(r[2] is None for r in rows):
+    eigenset, norming = _eigen_data(config, cfg)
+    grid = _field_grid(config, cfg, eigenset, norming)
+    if grid.singular.all():
         sys.stderr.write("every grid cell is singular\n")
         return EXIT_ALL_SINGULAR
-    lines = ["n,t,re_q,im_q,abs_q,singular"]
-    for n, t, q in rows:
-        if q is None:
-            lines.append(f"{n},{_fmt(t)},,,,1")
-        else:
-            lines.append(f"{n},{_fmt(t)},{_fmt(q.real)},{_fmt(q.imag)},{_fmt(abs(q))},0")
     path = out or config.outputs.get("field_csv")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, _field_csv(grid))
     return EXIT_OK
 
 
@@ -383,11 +380,7 @@ def _scatter_window(config: RunConfig, cfg):
 
 def cmd_scatter(config: RunConfig, out: str | None, seed: int) -> int:
     cfg = _case_config(config)
-    try:
-        window, eigenset = _scatter_window(config, cfg)
-    except Inadmissible as exc:
-        sys.stderr.write(f"inadmissible: {exc}\n")
-        return EXIT_INADMISSIBLE
+    window, eigenset = _scatter_window(config, cfg)
     zetas = scattering.continuum_samples(cfg, config.zeta_samples, seed=seed)
     report = scattering.scattering_report(window, zetas, eigenset)
     tol = config.tolerances["scattering"]
@@ -439,11 +432,7 @@ def _singular_phase(config: RunConfig, cfg, eigenset, norming) -> bool:
 def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
     cfg = _case_config(config)
-    try:
-        eigenset, norming = _eigen_data(config, cfg)
-    except Inadmissible as exc:
-        sys.stderr.write(f"inadmissible: {exc}\n")
-        return EXIT_INADMISSIBLE
+    eigenset, norming = _eigen_data(config, cfg)
     checks = {}
     singular = _singular_phase(config, cfg, eigenset, norming)
     checks["singular_parameters"] = {"flagged": singular}
@@ -453,22 +442,18 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
         checks["equation_residual"] = {"skipped": "singular family member"}
         ok_res = True
     else:
-        ts = _t_values(config)
-        worst = 0.0
-        for t in ts:
-            rep = verify.equation_residual(evaluator, cfg, range(-15, 16), t)
-            worst = max(worst, rep.max_abs_residual)
+        reps = verify.equation_residuals(evaluator, cfg, range(-15, 16), _t_values(config))
+        worst = max([0.0] + [rep.max_abs_residual for rep in reps])
         ok_res = worst < tol_res
         checks["equation_residual"] = {"max": worst, "tolerance": tol_res, "pass": ok_res}
     ok_closed = True
     if config.case == 4 and not singular:
-        worst_cf = 0.0
         sites = np.arange(-20, 21)
-        for t in _t_values(config):
-            a = evaluator.grid(sites, t)
-            b = np.array([ist.soliton_closed_form_case4(cfg, config.thbar1, int(n), t)
-                          for n in sites])
-            worst_cf = max(worst_cf, float(np.max(np.abs(a - b))))
+        ts = _t_values(config)
+        a = evaluator.grid(sites[None, :], np.array(ts)[:, None])
+        b = np.array([[ist.soliton_closed_form_case4(cfg, config.thbar1, n, t)
+                       for n in sites.tolist()] for t in ts])
+        worst_cf = float(np.max(np.abs(a - b)))
         ok_closed = worst_cf < 1e-10
         checks["closed_form_equality"] = {"max": worst_cf, "tolerance": 1e-10,
                                           "pass": ok_closed}
@@ -505,14 +490,23 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
+def _trajectory_csv(traj: verify.Trajectory) -> str:
+    lines = ["step,t,n,re_q,im_q"]
+    sites = range(-traj.N, traj.N + 1)
+    finite = bool(np.isfinite(traj.states).all() and np.isfinite(traj.times).all())
+    for k, (t, row) in enumerate(zip(traj.times.tolist(), traj.states.tolist())):
+        for n, z in zip(sites, row):
+            if finite:
+                lines.append("%d,%.17g,%d,%.17g,%.17g" % (k, t, n, z.real, z.imag))
+            else:  # _fmt quotes non-finite values
+                lines.append(f"{k},{_fmt(t)},{n},{_fmt(z.real)},{_fmt(z.imag)}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
     cfg = _case_config(config)
-    try:
-        eigenset, norming = _eigen_data(config, cfg)
-    except Inadmissible as exc:
-        sys.stderr.write(f"inadmissible: {exc}\n")
-        return EXIT_INADMISSIBLE
+    eigenset, norming = _eigen_data(config, cfg)
     if eigenset.is_empty() and config.field_source.get("source") != "background":
         sys.stderr.write("evolve requires a nonempty eigenvalue set or a background field\n")
         return EXIT_CONFIG
@@ -535,14 +529,8 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
         _write_text(out or config.outputs.get("report_json"), dump_json(doc) + "\n")
         return EXIT_OK if singular else EXIT_BLOWUP
     deviation = verify.compare(traj, evaluator)
-    lines = ["step,t,n,re_q,im_q"]
-    for k in range(traj.states.shape[0]):
-        t = float(traj.times[k])
-        for i, n in enumerate(range(-N, N + 1)):
-            z = traj.states[k, i]
-            lines.append(f"{k},{_fmt(t)},{n},{_fmt(z.real)},{_fmt(z.imag)}")
     traj_path = config.outputs.get("trajectory_csv", "trajectory.csv")
-    _write_text(traj_path, "\n".join(lines) + "\n")
+    _write_text(traj_path, _trajectory_csv(traj))
     tol = config.tolerances["compare"]
     doc = {"case": config.case, "blowup": False, "singular_parameters": singular,
            "max_deviation": deviation, "tolerance": tol,

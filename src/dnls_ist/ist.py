@@ -5,8 +5,8 @@ case I carries one complex quartet on |zeta - 1/r| = q0/r, case II carries
 nothing, case III two real pairs linked by the spectral involution, case IV
 one real pair.  The reflectionless inverse problem collapses to a dense
 (4J+1)-dimensional linear system per lattice site and time; reconstruct_grid
-assembles those systems for a row of cells as one stack and solves them in
-one batched call, and the one-cell functions (build_system, reconstruct,
+solves those systems for a whole (n, t) grid of cells, one batched call per
+fixed-size block, and the one-cell functions (build_system, reconstruct,
 reconstruct_pair) are views over it.
 """
 from __future__ import annotations
@@ -411,6 +411,9 @@ OK, OVERFLOW, EXACTLY_SINGULAR, BACKWARD_ERROR, THETA_DIVERGENCE, AMPLITUDE = ra
 REASONS = ("ok", "overflow", "exactly singular", "backward error",
            "Theta_n divergence", "non-finite amplitude")
 _SOLVE_FAILED = (OVERFLOW, EXACTLY_SINGULAR, BACKWARD_ERROR)
+# Cells per batched solve in reconstruct_grid: bounds the system stack
+# (512 cells of 9x9 complex entries are 0.7 MB) whatever the grid size.
+_BLOCK = 512
 
 
 def _boundary(cfg: CaseConfig, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -518,12 +521,14 @@ class ReconstructionGrid:
 
 def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None,
                      ns, ts) -> ReconstructionGrid:
-    """Reflectionless (q_n(t), r_n(t)) over the cells (ns[i], ts[i]) in one solve.
+    """Reflectionless (q_n(t), r_n(t)) over the cells (ns[i], ts[i]).
 
-    ns and ts broadcast against each other (a scalar t gives a time row).
-    The systems are stacked and solved by one batched LAPACK call; each
-    cell is then judged on its own: finite entries and solution, backward
-    error at most 1e-8 * |B| |X| + |Y|, |1/Theta_n| at least
+    ns and ts broadcast against each other (a scalar t gives a time row,
+    sites[None, :] and ts[:, None] a time-major grid); the result is flat in
+    that broadcast order.  The cells are solved in blocks of _BLOCK: each
+    block's systems are stacked and solved by one batched LAPACK call, and
+    each cell is then judged on its own: finite entries and solution,
+    backward error at most 1e-8 * |B| |X| + |Y|, |1/Theta_n| at least
     DET_GUARD * max(1, |X|), and a finite amplitude.  The system is badly
     scaled but well posed at large |n| (lam**(2n) entries), so singularity
     is judged by these checks rather than by a determinant.
@@ -537,7 +542,23 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData |
                                   np.full(M, OK, dtype=np.int8))
     if norming is None:
         raise DomainError("nonempty eigenset requires norming data")
+    q = np.empty(M, dtype=complex)
+    rn = np.empty(M, dtype=complex)
+    backward = np.empty(M)
+    theta_inv = np.empty(M, dtype=complex)
+    reason = np.empty(M, dtype=np.int8)
+    for start in range(0, M, _BLOCK):
+        cells = slice(start, start + _BLOCK)
+        (q[cells], rn[cells], backward[cells], theta_inv[cells],
+         reason[cells]) = _solve_block(cfg, eigenset, norming, ns[cells], ts[cells])
+    return ReconstructionGrid(ns, ts, q, rn, backward, theta_inv, reason)
+
+
+def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
+                 ns: np.ndarray, ts: np.ndarray):
+    """q, r, backward error, 1/Theta_n and reason code over one block of cells."""
     B, Y, row, row_r, qp, rp = _assemble(cfg, eigenset, norming, ns, ts)
+    M = ns.size
     J = row.shape[1]
     reason = np.full(M, OK, dtype=np.int8)
 
@@ -572,7 +593,7 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData |
     backward[~solved] = np.inf
     backward[~entries_ok] = np.nan
     q[reason != OK] = rn[reason != OK] = complex(np.nan, np.nan)
-    return ReconstructionGrid(ns, ts, q, rn, backward, theta_inv, reason)
+    return q, rn, backward, theta_inv, reason
 
 
 def reconstruct(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None,
@@ -599,15 +620,17 @@ def reconstruct_pair(cfg: CaseConfig, eigenset: EigenSet,
 def make_evaluator(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None):
     """Closure (n, t) -> q_n(t) over the reflectionless reconstruction.
 
-    Its grid(ns, ts) method evaluates a batch of cells in one solve and
-    raises SingularSolution for the first singular one.
+    Its grid(ns, ts) method evaluates the broadcast cells in one
+    reconstruct_grid call, returns q in their broadcast shape, and raises
+    SingularSolution for the first singular cell in flattened order.
     """
 
     def evaluator(n: int, t: float) -> complex:
         return reconstruct(cfg, eigenset, norming, n, t)
 
     def grid(ns, ts) -> np.ndarray:
-        return reconstruct_grid(cfg, eigenset, norming, ns, ts).require()
+        q = reconstruct_grid(cfg, eigenset, norming, ns, ts).require()
+        return q.reshape(np.broadcast_shapes(np.shape(ns), np.shape(ts)))
 
     evaluator.grid = grid
     return evaluator
@@ -633,7 +656,8 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                      coarse_dt: float = 0.1, flag_below: float = 1e-6) -> SingularityScan:
     """Locate the deepest dip of |1/Theta_n| and refine it in time.
 
-    A cell whose solve fails scores 0; the coarse sweep keeps the first
+    A cell whose solve fails scores 0; the coarse sweep is one
+    reconstruct_grid call over every (site, time) cell and keeps the first
     minimum in site-major order.
     """
 
@@ -649,9 +673,10 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
         t += coarse_dt
     best = (math.inf, 0, 0.0)
     if sites.size and times:
-        vals = np.column_stack([theta_inv_at(sites, t) for t in times])
-        i, j = divmod(int(np.argmin(vals)), len(times))
-        best = (float(vals[i, j]), int(sites[i]), times[j])
+        vals = theta_inv_at(sites[:, None], np.array(times)[None, :])
+        k = int(np.argmin(vals))
+        i, j = divmod(k, len(times))
+        best = (float(vals[k]), int(sites[i]), times[j])
     _, n_star, t_star = best
     lo, hi = t_star - coarse_dt, t_star + coarse_dt
     for _ in range(80):

@@ -31,45 +31,62 @@ class ResidualReport:
 
 
 def evaluate_cells(solution_evaluator, ns, ts) -> np.ndarray:
-    """q over the cells (ns[i], ts[i]); ns and ts broadcast against each other.
+    """q over the cells (ns, ts) broadcast against each other, in their broadcast shape.
 
-    An evaluator with a grid(ns, ts) method (ist.make_evaluator) answers in
-    one batched call; a plain (n, t) callable is called cell by cell.
+    An evaluator with a grid(ns, ts) method (ist.make_evaluator) answers the
+    flattened cells in one batched call; a plain (n, t) callable is called
+    cell by cell.
     """
     ns, ts = np.broadcast_arrays(np.asarray(ns, dtype=int), np.asarray(ts, dtype=float))
     grid = getattr(solution_evaluator, "grid", None)
     if grid is not None:
-        return np.asarray(grid(ns, ts))
-    return np.array([solution_evaluator(int(n), float(t)) for n, t in zip(ns, ts)],
-                    dtype=complex)
+        q = np.asarray(grid(ns.ravel(), ts.ravel()))
+    else:
+        q = np.array([solution_evaluator(n, t) for n, t in zip(ns.ravel().tolist(),
+                                                                 ts.ravel().tolist())],
+                     dtype=complex)
+    return q.reshape(ns.shape)
 
 
-def equation_residual(solution_evaluator, cfg: CaseConfig, n_range,
-                      t: float, h: float = 1e-3) -> ResidualReport:
-    """|i q_dot - (q_{n+1} - 2 q_n + q_{n-1}) + sigma q_n q*_{-n} (q_{n+1}+q_{n-1})|.
+def equation_residuals(solution_evaluator, cfg: CaseConfig, n_range, ts,
+                       h: float = 1e-3) -> list[ResidualReport]:
+    """|i q_dot - (q_{n+1} - 2 q_n + q_{n-1}) + sigma q_n q*_{-n} (q_{n+1}+q_{n-1})|, per t.
 
     q_dot uses the 4th-order central stencil over t +/- h, t +/- 2h; the
     nonlocal partner is evaluated at the same time.  Each distinct cell of
-    the stencil set is evaluated once, all in one evaluate_cells call.
+    a time's stencil set is evaluated once, and the stencil sets of every
+    t in ts are evaluated together in one evaluate_cells call; the result
+    holds one report per t, in the order of ts.
     """
     sites = np.array(list(n_range), dtype=int)
     K = sites.size
     at_t = np.unique(np.concatenate([sites - 1, sites, sites + 1, -sites]))
-    q = evaluate_cells(solution_evaluator,
-                       np.concatenate([np.tile(sites, 4), at_t]),
-                       np.concatenate([np.repeat([t + 2 * h, t + h, t - h, t - 2 * h], K),
-                                       np.full(at_t.size, t)]))
-    q2p, q1p, q1m, q2m = q[:4 * K].reshape(4, K)
+    ts = [float(t) for t in ts]
+    stencil_ns = np.concatenate([np.tile(sites, 4), at_t])
+    stencil_ts = np.array([np.concatenate([np.repeat([t + 2 * h, t + h, t - h, t - 2 * h], K),
+                                           np.full(at_t.size, t)]) for t in ts])
+    q = evaluate_cells(solution_evaluator, stencil_ns,  # reshape: an empty ts stays 2-D
+                       stencil_ts.reshape(len(ts), stencil_ns.size))
+    reports = []
+    for t, q_t in zip(ts, q):
+        q2p, q1p, q1m, q2m = q_t[:4 * K].reshape(4, K)
 
-    def at(ns):
-        return q[4 * K + np.searchsorted(at_t, ns)]
+        def at(ns):
+            return q_t[4 * K + np.searchsorted(at_t, ns)]
 
-    qp, qm, qn, qmir = at(sites + 1), at(sites - 1), at(sites), at(-sites)
-    qdot = (-q2p + 8.0 * q1p - 8.0 * q1m + q2m) / (12.0 * h)
-    res = np.abs(1j * qdot - (qp - 2.0 * qn + qm)
-                 + cfg.sigma * qn * np.conj(qmir) * (qp + qm))
-    k = int(np.argmax(res))
-    return ResidualReport(float(res[k]), int(sites[k]), t, res, h)
+        qp, qm, qn, qmir = at(sites + 1), at(sites - 1), at(sites), at(-sites)
+        qdot = (-q2p + 8.0 * q1p - 8.0 * q1m + q2m) / (12.0 * h)
+        res = np.abs(1j * qdot - (qp - 2.0 * qn + qm)
+                     + cfg.sigma * qn * np.conj(qmir) * (qp + qm))
+        i = int(np.argmax(res))
+        reports.append(ResidualReport(float(res[i]), int(sites[i]), t, res, h))
+    return reports
+
+
+def equation_residual(solution_evaluator, cfg: CaseConfig, n_range,
+                      t: float, h: float = 1e-3) -> ResidualReport:
+    """The lattice-equation residual at one time t (see equation_residuals)."""
+    return equation_residuals(solution_evaluator, cfg, n_range, [t], h)[0]
 
 
 @dataclass(frozen=True)
@@ -88,25 +105,22 @@ class Trajectory:
                                self.states[step].copy())
 
 
-def _background_array(cfg: CaseConfig, N: int, t: float) -> np.ndarray:
-    n = np.arange(-N, N + 1)
-    return np.where(n >= 0, cfg.q_plus(t), cfg.q_minus(t)).astype(complex)
-
-
-def _rhs(cfg: CaseConfig, N: int, y: np.ndarray, t: float,
-         pinned: np.ndarray) -> np.ndarray:
+def _rhs(cfg: CaseConfig, y: np.ndarray, t: float, pinned: np.ndarray,
+         pinned_plus: np.ndarray) -> np.ndarray:
+    """dq/dt of the window field; the pinned sites follow the background at t."""
+    q_plus, q_minus = cfg.q_plus(t), cfg.q_minus(t)
+    bg = np.where(pinned_plus, q_plus, q_minus)
     q = y.copy()
-    bg = _background_array(cfg, N, t)
-    q[pinned] = bg[pinned]
+    q[pinned] = bg
     qp = np.empty_like(q)
     qm = np.empty_like(q)
     qp[:-1] = q[1:]
-    qp[-1] = cfg.q_plus(t)
+    qp[-1] = q_plus
     qm[1:] = q[:-1]
-    qm[0] = cfg.q_minus(t)
+    qm[0] = q_minus
     qmir = np.conj(q[::-1])
     deriv = -1j * (qp - 2.0 * q + qm - cfg.sigma * q * qmir * (qp + qm))
-    deriv[pinned] = 1j * cfg.rotation * bg[pinned]
+    deriv[pinned] = 1j * cfg.rotation * bg
     return deriv
 
 
@@ -126,17 +140,18 @@ def simulate(initial_window: PotentialWindow, cfg: CaseConfig, t_end: float,
     states = np.empty((n_steps + 1, 2 * N + 1), dtype=complex)
     states[0] = initial_window.q
     idx = np.arange(-N, N + 1)
-    pinned = (np.abs(idx) >= N - 1)
+    pinned = np.flatnonzero(np.abs(idx) >= N - 1)
+    pinned_plus = idx[pinned] >= 0  # pinned sites on the q_plus side
     y = states[0].copy()
     for k in range(n_steps):
         t = float(times[k])
-        k1 = _rhs(cfg, N, y, t, pinned)
-        k2 = _rhs(cfg, N, y + 0.5 * step * k1, t + 0.5 * step, pinned)
-        k3 = _rhs(cfg, N, y + 0.5 * step * k2, t + 0.5 * step, pinned)
-        k4 = _rhs(cfg, N, y + step * k3, t + step, pinned)
+        k1 = _rhs(cfg, y, t, pinned, pinned_plus)
+        k2 = _rhs(cfg, y + 0.5 * step * k1, t + 0.5 * step, pinned, pinned_plus)
+        k3 = _rhs(cfg, y + 0.5 * step * k2, t + 0.5 * step, pinned, pinned_plus)
+        k4 = _rhs(cfg, y + step * k3, t + step, pinned, pinned_plus)
         y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        bg = _background_array(cfg, N, float(times[k + 1]))
-        y[pinned] = bg[pinned]
+        t_next = float(times[k + 1])
+        y[pinned] = np.where(pinned_plus, cfg.q_plus(t_next), cfg.q_minus(t_next))
         peak = float(np.max(np.abs(y)))
         if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
             raise BlowupDetected(
@@ -149,8 +164,8 @@ def simulate(initial_window: PotentialWindow, cfg: CaseConfig, t_end: float,
 def compare(trajectory: Trajectory, solution_evaluator) -> float:
     """Max |simulated - analytic| over the trajectory's (site, time) grid.
 
-    Accepts either an (n, t) evaluator, evaluated one time row per call,
-    or a second Trajectory on the same grid.
+    Accepts either an (n, t) evaluator, evaluated over the whole grid in one
+    evaluate_cells call, or a second Trajectory on the same grid.
     """
     if isinstance(solution_evaluator, Trajectory):
         other = solution_evaluator
@@ -159,8 +174,5 @@ def compare(trajectory: Trajectory, solution_evaluator) -> float:
             raise GridMismatch("trajectories are on different (n, t) grids")
         return float(np.max(np.abs(trajectory.states - other.states)))
     sites = np.arange(-trajectory.N, trajectory.N + 1)
-    worst = 0.0
-    for k, t in enumerate(trajectory.times):
-        q = evaluate_cells(solution_evaluator, sites, float(t))
-        worst = max(worst, float(np.max(np.abs(trajectory.states[k] - q))))
-    return worst
+    q = evaluate_cells(solution_evaluator, sites[None, :], trajectory.times[:, None])
+    return float(np.max(np.abs(trajectory.states - q)))

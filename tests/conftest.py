@@ -35,6 +35,19 @@ def case4_soliton():
     return cfg, eigenset, norming
 
 
+def reconstruct_grid_sizes(monkeypatch):
+    """Record the cell count of every ist.reconstruct_grid call made through the module."""
+    sizes = []
+    grid = ist.reconstruct_grid
+
+    def counted(cfg, eigenset, norming, ns, ts):
+        sizes.append(np.broadcast(ns, ts).size)
+        return grid(cfg, eigenset, norming, ns, ts)
+
+    monkeypatch.setattr(ist, "reconstruct_grid", counted)
+    return sizes
+
+
 def perturbed_background(cfg, N=25, t=0.0, seed=0, amplitude=0.04):
     """Background window with a compact random bump (PT partner is derived)."""
     rng = np.random.default_rng(seed)

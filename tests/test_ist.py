@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnls_ist import ist, lattice, spectral
+from dnls_ist import cli, ist, lattice, spectral
 from dnls_ist.errors import (DegenerateEigenvalues, DomainError, Inadmissible,
                              SingularSolution)
 from dnls_ist.ist import (build_system, case2_feasibility_scan,
@@ -22,7 +22,7 @@ from dnls_ist.ist import (build_system, case2_feasibility_scan,
 from dnls_ist.spectral import (Region, classify, gamma, lam_squared,
                                point_from_zeta, zeta_bar)
 
-from conftest import CASE1_ETA1
+from conftest import CASE1_ETA1, reconstruct_grid_sizes
 
 
 def cramer_solve(B, Y):
@@ -540,6 +540,76 @@ class TestReconstructGrid:
         assert norming.gammas == tuple(gamma(cfg, zb) for zb in eigenset.zeros_t22)
 
 
+# A grid of 41 sites by at least 26 time rows spans three blocks or more.
+_grids = st.tuples(st.integers(-60, 20), st.integers(26, 32),
+                   st.floats(-5.0, 5.0), st.floats(0.01, 0.4))
+
+
+class TestWholeGrid:
+    def _assert_grid_equals_rows(self, cfg, eigenset, norming, sites, ts):
+        assert sites.size * ts.size > 2 * ist._BLOCK
+        grid = ist.reconstruct_grid(cfg, eigenset, norming, sites[None, :], ts[:, None])
+        rows = [ist.reconstruct_grid(cfg, eigenset, norming, sites, t) for t in ts.tolist()]
+        for name in ("q", "r", "backward", "theta_inv"):
+            whole = getattr(grid, name)
+            by_row = np.concatenate([getattr(row, name) for row in rows])
+            assert np.array_equal(_bits(whole), _bits(by_row)), name
+        assert np.array_equal(grid.reason, np.concatenate([row.reason for row in rows]))
+        assert np.array_equal(grid.ns, np.tile(sites, ts.size))
+        assert np.array_equal(grid.ts, np.repeat(ts, sites.size))
+        return grid
+
+    @staticmethod
+    def _axes(first_site, steps, t0, dt):
+        return np.arange(first_site, first_site + 41), t0 + dt * np.arange(steps)
+
+    @settings(max_examples=8, deadline=None)
+    @given(spec=_grids)
+    def test_whole_grid_equals_rows_case1(self, case1_soliton, spec):
+        self._assert_grid_equals_rows(*case1_soliton, *self._axes(*spec))
+
+    @settings(max_examples=8, deadline=None)
+    @given(spec=_grids)
+    def test_whole_grid_equals_rows_case4(self, case4_soliton, spec):
+        self._assert_grid_equals_rows(*case4_soliton, *self._axes(*spec))
+
+    @settings(max_examples=8, deadline=None)
+    @given(spec=_grids, at=st.integers(0, 26))
+    def test_whole_grid_equals_rows_at_pole(self, spec, at):
+        cfg, eigenset, norming, scan = POLE
+        sites, ts = self._axes(scan.at_site - 20, *spec[1:])
+        ts = np.insert(ts, at, scan.at_time)
+        grid = self._assert_grid_equals_rows(cfg, eigenset, norming, sites, ts)
+        assert grid.singular.any()
+
+    def test_no_solve_batch_exceeds_block(self, case1_soliton, monkeypatch):
+        cfg, eigenset, norming = case1_soliton
+        sizes = []
+        solve = np.linalg.solve
+
+        def recording(B, b):
+            sizes.append(B.shape[0])
+            return solve(B, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        sites, ts = np.arange(-60, 61), np.linspace(-5.0, 5.0, 11)
+        grid = ist.reconstruct_grid(cfg, eigenset, norming, sites[None, :], ts[:, None])
+        assert not grid.singular.any()
+        assert max(sizes) == ist._BLOCK
+        assert sum(sizes) == grid.q.size == 1331
+        assert len(sizes) == -(-1331 // ist._BLOCK)
+
+    def test_field_grid_is_one_call(self, monkeypatch):
+        config = cli.parse_config({"case": 1, "q0": 2.0 / 3.0, "eta1": CASE1_ETA1, "N": 30,
+                                   "t_grid": {"t0": -5.0, "t1": 5.0, "steps": 41}})
+        cfg = cli._case_config(config)
+        eigenset, norming = cli._eigen_data(config, cfg)
+        sizes = reconstruct_grid_sizes(monkeypatch)
+        grid = cli._field_grid(config, cfg, eigenset, norming)
+        assert sizes == [61 * 41]
+        assert list(grid.ts[:61]) == [-5.0] * 61 and list(grid.ns[:61]) == list(range(-30, 31))
+
+
 def _scan_fixed_rounds(cfg, eigenset, norming, n_range, t_span, coarse_dt,
                        flag_below=1e-6, rounds=80):
     """The scan with the refinement run for a fixed number of rounds."""
@@ -564,7 +634,8 @@ def _scan_fixed_rounds(cfg, eigenset, norming, n_range, t_span, coarse_dt,
         lo, hi = float(ts[max(0, i - 1)]), float(ts[min(6, i + 1)])
     t_ref = 0.5 * (lo + hi)
     v_ref = min(best, float(theta_inv_at(n_star, t_ref)[0]))
-    return ist.SingularityScan(v_ref, n_star, t_ref, v_ref < flag_below), len(times)
+    # The scan itself makes its coarse sweep in one reconstruct_grid call.
+    return ist.SingularityScan(v_ref, n_star, t_ref, v_ref < flag_below), 1
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["regular", "pole"])
@@ -590,3 +661,10 @@ def test_scan_stops_refining_at_a_fixed_point(theta, monkeypatch):
     refinements = len(calls) - coarse_calls - 1
     assert 1 <= refinements < 80
     assert scan.singular == (theta == math.pi)
+
+
+def test_scan_coarse_sweep_is_one_call(case1_soliton, monkeypatch):
+    sizes = reconstruct_grid_sizes(monkeypatch)
+    singularity_scan(*case1_soliton, n_range=(-12, 12), t_span=(-6.0, 6.0), coarse_dt=0.25)
+    assert sizes[0] == 25 * 49
+    assert max(sizes[1:]) <= 7  # the refinement rounds and the final cell

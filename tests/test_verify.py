@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from dnls_ist import ist, lattice, spectral, verify
-from dnls_ist.errors import BlowupDetected, GridMismatch
+from dnls_ist.errors import BlowupDetected, GridMismatch, SingularSolution
 from dnls_ist.lattice import background_field, theta_products
-from dnls_ist.verify import compare, equation_residual, simulate
+from dnls_ist.verify import (Trajectory, compare, equation_residual, equation_residuals,
+                             simulate)
 
-from conftest import CASE1_ETA1
+from conftest import CASE1_ETA1, reconstruct_grid_sizes
 
 
 def background_evaluator(cfg):
     return lambda n, t: cfg.q_plus(t) if n >= 0 else cfg.q_minus(t)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestEquationResidual:
@@ -70,6 +75,27 @@ class TestEquationResidual:
         assert cells == [157]  # each distinct cell of the stencil set once
         assert batched.argmax_site == looped.argmax_site
         assert np.max(np.abs(batched.per_site - looped.per_site)) < 1e-9
+
+
+class TestEquationResiduals:
+    TIMES = (-5.0, -1.3, 0.0, 2.7, 5.0)
+
+    def test_equals_one_time_calls_bit_for_bit(self, case1_soliton):
+        cfg, eigenset, norming = case1_soliton
+        ev = ist.make_evaluator(cfg, eigenset, norming)
+        reps = equation_residuals(ev, cfg, range(-15, 16), self.TIMES)
+        assert [rep.t for rep in reps] == list(self.TIMES)
+        for rep, t in zip(reps, self.TIMES):
+            alone = equation_residual(ev, cfg, range(-15, 16), t)
+            assert np.array_equal(bits(rep.per_site), bits(alone.per_site))
+            assert (rep.max_abs_residual, rep.argmax_site, rep.t, rep.h) == (
+                alone.max_abs_residual, alone.argmax_site, alone.t, alone.h)
+
+    def test_one_reconstruct_grid_call(self, case1_soliton, monkeypatch):
+        ev = ist.make_evaluator(*case1_soliton)
+        sizes = reconstruct_grid_sizes(monkeypatch)
+        equation_residuals(ev, case1_soliton[0], range(-15, 16), self.TIMES)
+        assert sizes == [157 * len(self.TIMES)]
 
 
 class TestSimulate:
@@ -161,3 +187,39 @@ class TestCompare:
         t2 = simulate(background_field(cfg, 0.0, 12), cfg, 0.05, 0.01)
         with pytest.raises(GridMismatch):
             compare(t1, t2)
+
+    def test_one_reconstruct_grid_call(self, case4_soliton, monkeypatch):
+        cfg, eigenset, norming = case4_soliton
+        ev = ist.make_evaluator(cfg, eigenset, norming)
+        w0 = lattice.PotentialWindow(cfg, 10, 0.0, ev.grid(np.arange(-10, 11), 0.0))
+        traj = simulate(w0, cfg, 0.2, 0.01)
+        sizes = reconstruct_grid_sizes(monkeypatch)
+        deviation = compare(traj, ev)
+        assert sizes == [21 * 21]
+        rows = max(float(np.max(np.abs(traj.states[k] - ev.grid(np.arange(-10, 11), t))))
+                   for k, t in enumerate(traj.times.tolist()))
+        assert deviation == rows
+
+    def test_singular_cell_raises_the_row_loop_message(self):
+        cfg = spectral.make_case(1, 2.0 / 3.0, math.pi)
+        eigenset = ist.eigenvalues_case1(cfg, CASE1_ETA1)
+        norming = ist.norming_case1(cfg, eigenset, 1.0, 0.0, 0.0)
+        # Sites +-1 and +-4 have their poles at different times; in this row
+        # order the first singular cell is (-1, row 1) time-major but (-4, row 2)
+        # site-major.
+        poles = [ist.singularity_scan(cfg, eigenset, norming, n_range=(n, n),
+                                      t_span=(-10.0, 10.0), coarse_dt=0.25).at_time
+                 for n in (1, 4)]
+        N = 10
+        times = np.array([0.0, *poles, 4.0])
+        traj = Trajectory(cfg, N, times, np.zeros((times.size, 2 * N + 1), dtype=complex), 0.1)
+        expected = None
+        for t in times.tolist():  # the old loop: one reconstruct_grid call per time row
+            grid = ist.reconstruct_grid(cfg, eigenset, norming, np.arange(-N, N + 1), t)
+            if grid.singular.any():
+                expected = str(grid.error(int(np.flatnonzero(grid.singular)[0])))
+                break
+        assert expected is not None
+        with pytest.raises(SingularSolution) as info:
+            compare(traj, ist.make_evaluator(cfg, eigenset, norming))
+        assert str(info.value) == expected
