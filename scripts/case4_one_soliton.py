@@ -30,13 +30,12 @@ def main():
 
     sites = np.arange(-args.N, args.N + 1)
     ts = np.linspace(0.0, args.t_end, 6)
-    a = ev.grid(sites[None, :], ts[:, None])
-    b = [[ist.soliton_closed_form_case4(cfg, args.thbar1, n, t) for n in sites.tolist()]
-         for t in ts.tolist()]
+    a = ev(sites[None, :], ts[:, None])
+    b = ist.soliton_closed_form_case4(cfg, args.thbar1, sites[None, :], ts[:, None])
     worst = float(np.max(np.abs(a - b)))
     print(f"closed form vs 5x5 system: {worst:.3e}")
 
-    q0_row = ev.grid(sites, 0.0)
+    q0_row = ev(sites, 0.0)
     prof = np.abs(q0_row)
     kind = "bright" if prof.max() > args.q0 + 1e-9 else "dark"
     print(f"profile at t=0: min {prof.min():.4f}, max {prof.max():.4f} ({kind})")

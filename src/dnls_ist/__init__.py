@@ -24,6 +24,6 @@ from .scattering import (AsymptoticReport, Coefficients, ColumnKind,
                          jost, reflection, scattering_coefficients,
                          scattering_report, trace_formula, wronskian)
 from .verify import (ResidualReport, Trajectory, compare, equation_residual,
-                     equation_residuals, evaluate_cells, simulate)
+                     equation_residuals, simulate)
 
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ JSON, fields and trajectories CSV.  All numbers are emitted with 17
 significant digits and LF line endings so identical configs produce
 byte-identical artifacts.  Exit codes: 0 ok, 2 config error, 3 inadmissible
 eigenvalue request, 4 every grid cell singular, 5 tolerance breach,
-6 blow-up.
+6 blow-up, 7 numerical failure.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ist, lattice, scattering, verify
-from .errors import BlowupDetected, ConfigError, Inadmissible, IstError
+from .errors import BlowupDetected, ConfigError, DomainError, Inadmissible, IstError
 from .spectral import classify, make_case
 
 EXIT_OK = 0
@@ -27,6 +27,7 @@ EXIT_INADMISSIBLE = 3
 EXIT_ALL_SINGULAR = 4
 EXIT_TOLERANCE = 5
 EXIT_BLOWUP = 6
+EXIT_NUMERICAL = 7
 
 _TOLERANCE_DEFAULTS = {"residual": 1e-6, "scattering": 1e-5, "compare": 1e-4}
 _TGRID_DEFAULTS = {"t0": 0.0, "t1": 1.0, "steps": 11}
@@ -223,27 +224,37 @@ def _case_config(config: RunConfig):
     return make_case(config.case, config.q0, config.theta_minus)
 
 
-def _eigen_data(config: RunConfig, cfg):
-    """EigenSet (possibly empty) plus norming data for soliton-bearing cases."""
+def _eigenset(config: RunConfig, cfg) -> ist.EigenSet:
+    """The configured discrete spectrum (possibly empty)."""
     if config.J == 0:
-        return ist.empty_eigenset(cfg), None
+        return ist.empty_eigenset(cfg)
     if config.case == 1:
-        eta1 = config.eta1
-        _require(eta1 is not None, "case 1 requires 'eta1'")
-        eigenset = ist.eigenvalues_case1(cfg, float(eta1), J=config.J or 2)
-        norming = ist.norming_case1(cfg, eigenset, config.kappa1,
-                                    config.thbar1, config.thbar2)
-        return eigenset, norming
+        _require(config.eta1 is not None, "case 1 requires 'eta1'")
+        return ist.eigenvalues_case1(cfg, float(config.eta1), J=config.J or 2)
     if config.case == 2:
-        return ist.eigenvalues_case2(cfg, J=config.J if config.J is not None else 2), None
+        return ist.eigenvalues_case2(cfg, J=config.J if config.J is not None else 2)
     if config.case == 3:
         _require(config.zeta_hat_1 is not None, "case 3 requires 'zeta_hat_1'")
-        eigenset = ist.eigenvalues_case3(cfg, float(config.zeta_hat_1),
-                                         J=config.J or 2)
-        return eigenset, ist.unit_norming(cfg, eigenset)
-    eigenset = ist.eigenvalues_case4(cfg, J=config.J or 1)
-    norming = ist.norming_case4(cfg, eigenset, config.thbar1)
-    return eigenset, norming
+        return ist.eigenvalues_case3(cfg, float(config.zeta_hat_1), J=config.J or 2)
+    return ist.eigenvalues_case4(cfg, J=config.J or 1)
+
+
+def _eigen_data(config: RunConfig, cfg):
+    """EigenSet plus its norming data (None for an empty spectrum).
+
+    Case III has no reduction-pinned norming constants yet, so no soliton
+    of it is available: a nonempty case-III spectrum is inadmissible here.
+    """
+    eigenset = _eigenset(config, cfg)
+    if eigenset.is_empty():
+        return eigenset, None
+    if config.case == 1:
+        return eigenset, ist.norming_case1(cfg, eigenset, config.kappa1,
+                                           config.thbar1, config.thbar2)
+    if config.case == 4:
+        return eigenset, ist.norming_case4(cfg, eigenset, config.thbar1)
+    raise Inadmissible("case III norming constants are not derived yet, "
+                       "so no case-III soliton is available")
 
 
 def _t_values(config: RunConfig) -> list[float]:
@@ -256,7 +267,7 @@ def _t_values(config: RunConfig) -> list[float]:
 
 def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
     cfg = _case_config(config)
-    eigenset, _ = _eigen_data(config, cfg)
+    eigenset = _eigenset(config, cfg)
     entries = []
     for q in eigenset.quartets:
         entries.append({
@@ -448,11 +459,10 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
         checks["equation_residual"] = {"max": worst, "tolerance": tol_res, "pass": ok_res}
     ok_closed = True
     if config.case == 4 and not singular:
-        sites = np.arange(-20, 21)
-        ts = _t_values(config)
-        a = evaluator.grid(sites[None, :], np.array(ts)[:, None])
-        b = np.array([[ist.soliton_closed_form_case4(cfg, config.thbar1, n, t)
-                       for n in sites.tolist()] for t in ts])
+        sites = np.arange(-20, 21)[None, :]
+        ts = np.array(_t_values(config))[:, None]
+        a = evaluator(sites, ts)
+        b = ist.soliton_closed_form_case4(cfg, config.thbar1, sites, ts)
         worst_cf = float(np.max(np.abs(a - b)))
         ok_closed = worst_cf < 1e-10
         checks["closed_form_equality"] = {"max": worst_cf, "tolerance": 1e-10,
@@ -460,7 +470,7 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     ok_scatter = True
     if not singular:
         N_win = min(config.N, 40)
-        q = evaluator.grid(np.arange(-N_win, N_win + 1), 0.0)
+        q = evaluator(np.arange(-N_win, N_win + 1), 0.0)
         window = lattice.PotentialWindow(cfg, N_win, 0.0, q)
         zetas = scattering.continuum_samples(cfg, 8, seed=1)
         report = scattering.scattering_report(window, zetas, eigenset)
@@ -493,13 +503,10 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
 def _trajectory_csv(traj: verify.Trajectory) -> str:
     lines = ["step,t,n,re_q,im_q"]
     sites = range(-traj.N, traj.N + 1)
-    finite = bool(np.isfinite(traj.states).all() and np.isfinite(traj.times).all())
+    # simulate stores only finite states (it raises BlowupDetected first)
     for k, (t, row) in enumerate(zip(traj.times.tolist(), traj.states.tolist())):
         for n, z in zip(sites, row):
-            if finite:
-                lines.append("%d,%.17g,%d,%.17g,%.17g" % (k, t, n, z.real, z.imag))
-            else:  # _fmt quotes non-finite values
-                lines.append(f"{k},{_fmt(t)},{n},{_fmt(z.real)},{_fmt(z.imag)}")
+            lines.append("%d,%.17g,%d,%.17g,%.17g" % (k, t, n, z.real, z.imag))
     return "\n".join(lines) + "\n"
 
 
@@ -510,16 +517,19 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     if eigenset.is_empty() and config.field_source.get("source") != "background":
         sys.stderr.write("evolve requires a nonempty eigenvalue set or a background field\n")
         return EXIT_CONFIG
-    singular = _singular_phase(config, cfg, eigenset, norming)
-    if eigenset.is_empty():
-        def evaluator(n, t):
-            return cfg.q_plus(t) if n >= 0 else cfg.q_minus(t)
-    else:
-        evaluator = ist.make_evaluator(cfg, eigenset, norming)
     t0 = float(config.t_grid["t0"])
     t1 = float(config.t_grid["t1"])
+    span = abs(t1 - t0)
+    steps = round(span / config.dt)
+    _require(steps >= 1 and abs(steps * config.dt - span) <= 1e-9 * max(1.0, span),
+             f"'dt' = {config.dt} does not tile [t0, t1] = [{t0}, {t1}] in whole steps")
+    singular = _singular_phase(config, cfg, eigenset, norming)
+    if eigenset.is_empty():
+        evaluator = cfg.background
+    else:
+        evaluator = ist.make_evaluator(cfg, eigenset, norming)
     N = min(config.N, 40)
-    q = verify.evaluate_cells(evaluator, np.arange(-N, N + 1), t0)
+    q = evaluator(np.arange(-N, N + 1), t0)
     window = lattice.PotentialWindow(cfg, N, t0, q)
     try:
         traj = verify.simulate(window, cfg, t1, config.dt)
@@ -562,7 +572,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         return _DISPATCH[args.command](config, args.out, args.seed)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except Inadmissible as exc:
@@ -572,8 +582,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"blow-up: {exc}\n")
         return EXIT_BLOWUP
     except IstError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
+        sys.stderr.write(f"numerical failure: {exc}\n")
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

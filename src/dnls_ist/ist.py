@@ -295,7 +295,8 @@ class NormingData:
     """Norming constants at t = 0 plus their case time factors.
 
     cbar0 is aligned with EigenSet.zeros_t22; C_j always follows from the
-    symmetry C_j = -q_plus(t)**2 / (zbar_j - r)**2 * Cbar_j.
+    symmetry C_j = -q_plus(t)**2 / (zbar_j - r)**2 * Cbar_j.  cbar(j, t)
+    and c(j, t) broadcast the index j against the times t.
     """
 
     cfg: CaseConfig
@@ -309,13 +310,18 @@ class NormingData:
         object.__setattr__(self, "gammas", tuple(gamma(self.cfg, zb)
                                                  for zb in self.eigenset.zeros_t22))
 
-    def cbar(self, j: int, t: float) -> complex:
-        return self.cbar0[j] * cmath.exp(-1j * (self.cfg.rotation + self.gammas[j]) * t)
+    # Complex products go through ufuncs, not *: on NumPy scalars * can
+    # round them differently from the array loop, and a scalar call must
+    # give the bits of the array path.
+    def cbar(self, j, t):
+        phase = -1j * (self.cfg.rotation + np.take(self.gammas, j)) * np.asarray(t)
+        return np.multiply(np.take(self.cbar0, j), np.exp(phase))
 
-    def c(self, j: int, t: float) -> complex:
-        zb = self.eigenset.zeros_t22[j]
+    def c(self, j, t):
         qp = self.cfg.q_plus(t)
-        return -(qp * qp) / (zb - self.cfg.r) ** 2 * self.cbar(j, t)
+        zb = np.take(self.eigenset.zeros_t22, j)
+        return np.multiply(np.divide(-np.multiply(qp, qp), np.square(zb - self.cfg.r)),
+                           self.cbar(j, t))
 
 
 def time_factors(cfg: CaseConfig, zeta: complex, t: float) -> tuple[complex, complex]:
@@ -416,13 +422,6 @@ _SOLVE_FAILED = (OVERFLOW, EXACTLY_SINGULAR, BACKWARD_ERROR)
 _BLOCK = 512
 
 
-def _boundary(cfg: CaseConfig, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """q_plus(t) and r_plus(t) over a vector of times."""
-    qp = cfg.q0 * np.exp(1j * (cfg.theta_plus + cfg.rotation * ts))
-    qm = cfg.q0 * np.exp(1j * (cfg.theta_minus + cfg.rotation * ts))
-    return qp, cfg.sigma * np.conj(qm)
-
-
 def _assemble(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
               ns: np.ndarray, ts: np.ndarray):
     """Stack of reflectionless systems over the cells (ns[i], ts[i]).
@@ -437,10 +436,10 @@ def _assemble(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     J = zs.size
     r = cfg.r
     rinv = 1.0 / r
+    qp, rp = cfg.q_plus(ts), cfg.r_plus(ts)
     with np.errstate(all="ignore"):
-        qp, rp = _boundary(cfg, ts)
-        cbar = np.array(norming.cbar0) * np.exp(
-            np.outer(ts, -1j * (cfg.rotation + np.array(norming.gammas))))
+        cbar = norming.cbar(np.arange(J), ts[:, None])
+        # NormingData.c's symmetry, on the q_plus and Cbar_j already at hand
         c = (-(qp * qp))[:, None] / (zbs - r) ** 2 * cbar
         cpow = c * lam_squared(cfg, zs) ** -ns[:, None]
         cbarpow = cbar * lam_squared(cfg, zbs) ** ns[:, None]
@@ -537,9 +536,8 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData |
     ns, ts = ns.ravel(), ts.ravel()
     M = ns.size
     if eigenset.is_empty():
-        qp, rp = _boundary(cfg, ts)
-        return ReconstructionGrid(ns, ts, qp, rp, np.zeros(M), np.ones(M, dtype=complex),
-                                  np.full(M, OK, dtype=np.int8))
+        return ReconstructionGrid(ns, ts, cfg.q_plus(ts), cfg.r_plus(ts), np.zeros(M),
+                                  np.ones(M, dtype=complex), np.full(M, OK, dtype=np.int8))
     if norming is None:
         raise DomainError("nonempty eigenset requires norming data")
     q = np.empty(M, dtype=complex)
@@ -618,21 +616,18 @@ def reconstruct_pair(cfg: CaseConfig, eigenset: EigenSet,
 
 
 def make_evaluator(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None):
-    """Closure (n, t) -> q_n(t) over the reflectionless reconstruction.
+    """Evaluator ev(ns, ts) -> q_n(t) over the reflectionless reconstruction.
 
-    Its grid(ns, ts) method evaluates the broadcast cells in one
-    reconstruct_grid call, returns q in their broadcast shape, and raises
-    SingularSolution for the first singular cell in flattened order.
+    ns and ts broadcast against each other; the cells are solved in one
+    reconstruct_grid call and q comes back in their broadcast shape (a
+    complex scalar for one scalar cell).  SingularSolution is raised for
+    the first singular cell in flattened order.
     """
 
-    def evaluator(n: int, t: float) -> complex:
-        return reconstruct(cfg, eigenset, norming, n, t)
-
-    def grid(ns, ts) -> np.ndarray:
+    def evaluator(ns, ts):
         q = reconstruct_grid(cfg, eigenset, norming, ns, ts).require()
-        return q.reshape(np.broadcast_shapes(np.shape(ns), np.shape(ts)))
+        return q.reshape(np.broadcast_shapes(np.shape(ns), np.shape(ts)))[()]
 
-    evaluator.grid = grid
     return evaluator
 
 
@@ -691,45 +686,50 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     return SingularityScan(v_ref, n_star, t_ref, v_ref < flag_below)
 
 
-def soliton_closed_form_case4(cfg: CaseConfig, thbar1: float, n: int, t: float) -> complex:
+def soliton_closed_form_case4(cfg: CaseConfig, thbar1: float, ns, ts):
     """First-order closed form for case IV, independent of the linear solve.
 
     Uses the explicit elimination of the 5x5 system: with v_n**2 = R1*R2,
     1/Theta_n and N1(zeta_1) have rational closed forms, and
-    q_n = q_plus + r*R3*N1/( 1/Theta_n ).  Far from the soliton the
-    lam**(2n) factors overflow; that raises SingularSolution.
+    q_n = q_plus + r*R3*N1/( 1/Theta_n ).  ns and ts broadcast against each
+    other; q comes back in their broadcast shape (a complex scalar for one
+    scalar cell).  SingularSolution is raised for the first failing cell in
+    flattened order: far from the soliton the lam**(2n) factors overflow,
+    and on a pole a denominator or 1/Theta_n vanishes.
     """
     if cfg.case_id is not Case.IV:
         raise DomainError("closed form defined for case IV only")
+    ns, ts = np.broadcast_arrays(np.asarray(ns, dtype=np.int64), np.asarray(ts, dtype=float))
+    shape = ns.shape
+    ns, ts = ns.ravel(), ts.ravel()  # 1-D, so that one cell rounds as in a grid
     eigenset = eigenvalues_case4(cfg)
-    pair = eigenset.pairs[0]
-    zb1, z1 = pair.zbar, pair.zeta
+    zb1, z1 = eigenset.pairs[0].zbar, eigenset.pairs[0].zeta
     norming = norming_case4(cfg, eigenset, thbar1)
-    cbar1 = norming.cbar(0, t)
-    c1 = norming.c(0, t)
     r = cfg.r
-    qp = cfg.q_plus(t)
-    rp = cfg.r_plus(t)
+    qp, rp = cfg.q_plus(ts), cfg.r_plus(ts)
+    cbar1, c1 = norming.cbar(0, ts), norming.c(0, ts)
     lam_b = point_from_zeta(cfg, zb1).lam
-    try:
-        lam2n_b = lam_squared(cfg, zb1) ** n
-        r3 = c1 * lam_squared(cfg, z1) ** (-n) / (z1 * (z1 - r))
-    except OverflowError:
-        lam2n_b = r3 = complex(math.inf)
-    v = qp * cbar1 * lam_b * lam2n_b / (zb1 * zb1 - 2.0 * r * zb1 + 1.0)
-    v2 = v * v
-    if not (cmath.isfinite(v2) and cmath.isfinite(r3)):
-        raise SingularSolution(f"closed form overflows at n={n}, t={t}")
-    r1 = -(z1 - 1.0 / r) * cbar1 * lam2n_b / ((zb1 - 1.0 / r) * (z1 - zb1))
-    den1 = v2 - 1.0
-    den2 = v2 + r3 * rp - 1.0
-    if abs(den1) < DET_GUARD or abs(den2) < DET_GUARD:
-        raise SingularSolution(f"closed-form denominator vanishes at n={n}, t={t}")
-    theta_inv = (v2 * zb1 / z1 - 1.0) / den2
-    if abs(theta_inv) < DET_GUARD:
-        raise SingularSolution(f"Theta_n diverges at n={n}, t={t}")
-    n1 = (cfg.q0 ** 2 * zb1 / (r * zb1 - 1.0) + qp * r1 * theta_inv) / den1
-    return complex(qp + r * r3 * n1 / theta_inv)
+    with np.errstate(all="ignore"):
+        lam2n_b = lam_squared(cfg, zb1) ** ns
+        r3 = c1 * lam_squared(cfg, z1) ** (-ns) / (z1 * (z1 - r))
+        v = qp * cbar1 * lam_b * lam2n_b / (zb1 * zb1 - 2.0 * r * zb1 + 1.0)
+        v2 = v * v
+        r1 = -(z1 - 1.0 / r) * cbar1 * lam2n_b / ((zb1 - 1.0 / r) * (z1 - zb1))
+        den1 = v2 - 1.0
+        den2 = v2 + r3 * rp - 1.0
+        theta_inv = (v2 * zb1 / z1 - 1.0) / den2
+        n1 = (cfg.q0 ** 2 * zb1 / (r * zb1 - 1.0) + qp * r1 * theta_inv) / den1
+        q = qp + r * r3 * n1 / theta_inv
+    checks = ((~(np.isfinite(v2) & np.isfinite(r3)), "closed form overflows"),
+              ((np.abs(den1) < DET_GUARD) | (np.abs(den2) < DET_GUARD),
+               "closed-form denominator vanishes"),
+              (np.abs(theta_inv) < DET_GUARD, "Theta_n diverges"))
+    bad = np.flatnonzero(np.logical_or.reduce([failed for failed, _ in checks]))
+    if bad.size:
+        i = int(bad[0])
+        what = next(what for failed, what in checks if failed[i])
+        raise SingularSolution(f"{what} at n={int(ns[i])}, t={float(ts[i])}")
+    return q.reshape(shape)[()]
 
 
 def theta_minus_inf_from_system(cfg: CaseConfig, eigenset: EigenSet,

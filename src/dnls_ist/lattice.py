@@ -34,24 +34,18 @@ class PotentialWindow:
         """q_n, with the exact background substituted for |n| > N."""
         if -self.N <= n <= self.N:
             return complex(self.q[n + self.N])
-        return self.background(n)
+        return self.cfg.background(n, self.t)
 
     def partner_field(self) -> np.ndarray:
         """r_n = sigma * conj(q_{-n}) on every window site."""
         return self.cfg.sigma * np.conj(self.q[::-1])
-
-    def background(self, n: int, t: float | None = None) -> complex:
-        tt = self.t if t is None else t
-        return self.cfg.q_plus(tt) if n >= 0 else self.cfg.q_minus(tt)
 
 
 def background_field(cfg: CaseConfig, t: float, N: int) -> PotentialWindow:
     """Pure background window; the delta_theta = pi step sits at n = 0."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    n = np.arange(-N, N + 1)
-    q = np.where(n >= 0, cfg.q_plus(t), cfg.q_minus(t))
-    return PotentialWindow(cfg, N, t, q.astype(complex))
+    return PotentialWindow(cfg, N, t, cfg.background(np.arange(-N, N + 1), t))
 
 
 def partner(window: PotentialWindow, n: int) -> complex:

@@ -14,6 +14,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, SingularPoint
 
 SINGULAR_GUARD = 1e-10
@@ -62,17 +64,22 @@ class CaseConfig:
         """Angular velocity 2*sigma*delta of the background phase."""
         return 2.0 * self.sigma * self.delta
 
-    def q_plus(self, t: float) -> complex:
-        return self.q0 * cmath.exp(1j * (self.theta_plus + self.rotation * t))
+    # The boundary values take a scalar t or an array of times.
+    def q_plus(self, t):
+        return self.q0 * np.exp(1j * (self.theta_plus + self.rotation * np.asarray(t)))
 
-    def q_minus(self, t: float) -> complex:
-        return self.q0 * cmath.exp(1j * (self.theta_minus + self.rotation * t))
+    def q_minus(self, t):
+        return self.q0 * np.exp(1j * (self.theta_minus + self.rotation * np.asarray(t)))
 
-    def r_plus(self, t: float) -> complex:
-        return self.sigma * self.q_minus(t).conjugate()
+    def r_plus(self, t):
+        return self.sigma * np.conj(self.q_minus(t))
 
-    def r_minus(self, t: float) -> complex:
-        return self.sigma * self.q_plus(t).conjugate()
+    def r_minus(self, t):
+        return self.sigma * np.conj(self.q_plus(t))
+
+    def background(self, ns, ts):
+        """q_plus(t) on n >= 0 and q_minus(t) on n < 0, over broadcast (ns, ts) cells."""
+        return np.where(np.asarray(ns) >= 0, self.q_plus(ts), self.q_minus(ts))[()]
 
 
 def make_case(case_id, q0: float, theta_minus: float = 0.0) -> CaseConfig:

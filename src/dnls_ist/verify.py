@@ -1,7 +1,8 @@
 """Independent validation: lattice-equation residuals and time-domain RK4.
 
-The residual oracle never touches the scattering machinery; it only needs a
-(n, t) -> q evaluator and a 4th-order finite-difference time derivative.
+The residual oracle never touches the scattering machinery; it only needs an
+evaluator ev(ns, ts) -> q over broadcast (n, t) cells (ist.make_evaluator,
+CaseConfig.background) and a 4th-order finite-difference time derivative.
 The simulator integrates the truncated lattice as a complex ODE with the
 outermost two sites on each side pinned to the exact background rotation.
 """
@@ -30,24 +31,6 @@ class ResidualReport:
     stencil_order: int = 4
 
 
-def evaluate_cells(solution_evaluator, ns, ts) -> np.ndarray:
-    """q over the cells (ns, ts) broadcast against each other, in their broadcast shape.
-
-    An evaluator with a grid(ns, ts) method (ist.make_evaluator) answers the
-    flattened cells in one batched call; a plain (n, t) callable is called
-    cell by cell.
-    """
-    ns, ts = np.broadcast_arrays(np.asarray(ns, dtype=int), np.asarray(ts, dtype=float))
-    grid = getattr(solution_evaluator, "grid", None)
-    if grid is not None:
-        q = np.asarray(grid(ns.ravel(), ts.ravel()))
-    else:
-        q = np.array([solution_evaluator(n, t) for n, t in zip(ns.ravel().tolist(),
-                                                                 ts.ravel().tolist())],
-                     dtype=complex)
-    return q.reshape(ns.shape)
-
-
 def equation_residuals(solution_evaluator, cfg: CaseConfig, n_range, ts,
                        h: float = 1e-3) -> list[ResidualReport]:
     """|i q_dot - (q_{n+1} - 2 q_n + q_{n-1}) + sigma q_n q*_{-n} (q_{n+1}+q_{n-1})|, per t.
@@ -55,8 +38,8 @@ def equation_residuals(solution_evaluator, cfg: CaseConfig, n_range, ts,
     q_dot uses the 4th-order central stencil over t +/- h, t +/- 2h; the
     nonlocal partner is evaluated at the same time.  Each distinct cell of
     a time's stencil set is evaluated once, and the stencil sets of every
-    t in ts are evaluated together in one evaluate_cells call; the result
-    holds one report per t, in the order of ts.
+    t in ts are evaluated together in one evaluator call; the result holds
+    one report per t, in the order of ts.
     """
     sites = np.array(list(n_range), dtype=int)
     K = sites.size
@@ -65,8 +48,8 @@ def equation_residuals(solution_evaluator, cfg: CaseConfig, n_range, ts,
     stencil_ns = np.concatenate([np.tile(sites, 4), at_t])
     stencil_ts = np.array([np.concatenate([np.repeat([t + 2 * h, t + h, t - h, t - 2 * h], K),
                                            np.full(at_t.size, t)]) for t in ts])
-    q = evaluate_cells(solution_evaluator, stencil_ns,  # reshape: an empty ts stays 2-D
-                       stencil_ts.reshape(len(ts), stencil_ns.size))
+    q = solution_evaluator(stencil_ns,  # reshape: an empty ts stays 2-D
+                           stencil_ts.reshape(len(ts), stencil_ns.size))
     reports = []
     for t, q_t in zip(ts, q):
         q2p, q1p, q1m, q2m = q_t[:4 * K].reshape(4, K)
@@ -105,19 +88,16 @@ class Trajectory:
                                self.states[step].copy())
 
 
-def _rhs(cfg: CaseConfig, y: np.ndarray, t: float, pinned: np.ndarray,
-         pinned_plus: np.ndarray) -> np.ndarray:
-    """dq/dt of the window field; the pinned sites follow the background at t."""
-    q_plus, q_minus = cfg.q_plus(t), cfg.q_minus(t)
-    bg = np.where(pinned_plus, q_plus, q_minus)
+def _rhs(cfg: CaseConfig, y: np.ndarray, pinned: np.ndarray, bg: np.ndarray) -> np.ndarray:
+    """dq/dt of the window field; the pinned sites hold the background values bg."""
     q = y.copy()
     q[pinned] = bg
     qp = np.empty_like(q)
     qm = np.empty_like(q)
     qp[:-1] = q[1:]
-    qp[-1] = q_plus
+    qp[-1] = bg[-1]  # site N + 1 carries the same q_plus(t) as site N
     qm[1:] = q[:-1]
-    qm[0] = q_minus
+    qm[0] = bg[0]  # and site -N - 1 the same q_minus(t) as site -N
     qmir = np.conj(q[::-1])
     deriv = -1j * (qp - 2.0 * q + qm - cfg.sigma * q * qmir * (qp + qm))
     deriv[pinned] = 1j * cfg.rotation * bg
@@ -141,17 +121,18 @@ def simulate(initial_window: PotentialWindow, cfg: CaseConfig, t_end: float,
     states[0] = initial_window.q
     idx = np.arange(-N, N + 1)
     pinned = np.flatnonzero(np.abs(idx) >= N - 1)
-    pinned_plus = idx[pinned] >= 0  # pinned sites on the q_plus side
+    # The pinned sites' background at every step time and stage time, in one
+    # call each: the stage times are t, t + step/2 and t + step of each step.
+    bg_at, bg_half, bg_full = (cfg.background(idx[pinned], ts[:, None]) for ts in (
+        times, times[:-1] + 0.5 * step, times[:-1] + step))
     y = states[0].copy()
     for k in range(n_steps):
-        t = float(times[k])
-        k1 = _rhs(cfg, y, t, pinned, pinned_plus)
-        k2 = _rhs(cfg, y + 0.5 * step * k1, t + 0.5 * step, pinned, pinned_plus)
-        k3 = _rhs(cfg, y + 0.5 * step * k2, t + 0.5 * step, pinned, pinned_plus)
-        k4 = _rhs(cfg, y + step * k3, t + step, pinned, pinned_plus)
+        k1 = _rhs(cfg, y, pinned, bg_at[k])
+        k2 = _rhs(cfg, y + 0.5 * step * k1, pinned, bg_half[k])
+        k3 = _rhs(cfg, y + 0.5 * step * k2, pinned, bg_half[k])
+        k4 = _rhs(cfg, y + step * k3, pinned, bg_full[k])
         y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_next = float(times[k + 1])
-        y[pinned] = np.where(pinned_plus, cfg.q_plus(t_next), cfg.q_minus(t_next))
+        y[pinned] = bg_at[k + 1]
         peak = float(np.max(np.abs(y)))
         if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
             raise BlowupDetected(
@@ -164,8 +145,8 @@ def simulate(initial_window: PotentialWindow, cfg: CaseConfig, t_end: float,
 def compare(trajectory: Trajectory, solution_evaluator) -> float:
     """Max |simulated - analytic| over the trajectory's (site, time) grid.
 
-    Accepts either an (n, t) evaluator, evaluated over the whole grid in one
-    evaluate_cells call, or a second Trajectory on the same grid.
+    Accepts either an evaluator ev(ns, ts), called once over the whole grid,
+    or a second Trajectory on the same grid.
     """
     if isinstance(solution_evaluator, Trajectory):
         other = solution_evaluator
@@ -174,5 +155,5 @@ def compare(trajectory: Trajectory, solution_evaluator) -> float:
             raise GridMismatch("trajectories are on different (n, t) grids")
         return float(np.max(np.abs(trajectory.states - other.states)))
     sites = np.arange(-trajectory.N, trajectory.N + 1)
-    q = evaluate_cells(solution_evaluator, sites[None, :], trajectory.times[:, None])
+    q = solution_evaluator(sites[None, :], trajectory.times[:, None])
     return float(np.max(np.abs(trajectory.states - q)))

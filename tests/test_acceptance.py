@@ -85,9 +85,8 @@ def test_criterion_2_background_sanity():
                           abs(c.t21_mod), abs(c.t12_mod))
         rep = check_symmetries(w, continuum_samples(cfg, 4, seed=2))
         worst_sym = max(worst_sym, rep.first_diag, rep.first_offdiag, rep.second)
-        ev = lambda n, t: cfg.q_plus(t) if n >= 0 else cfg.q_minus(t)
-        worst_res = max(worst_res,
-                        verify.equation_residual(ev, cfg, range(-10, 11), 0.4).max_abs_residual)
+        worst_res = max(worst_res, verify.equation_residual(
+            cfg.background, cfg, range(-10, 11), 0.4).max_abs_residual)
     ok = worst_t < 1e-12 and worst_theta < 1e-12 and worst_sym < 1e-12 and worst_res < 1e-10
     assert report("criterion 2 (background sanity)", ok,
                   f"T-I {worst_t:.2e}, Theta-1 {worst_theta:.2e}, "
@@ -215,8 +214,7 @@ def test_criterion_7_simulator_cross_check(case4_soliton):
     dev_soliton = verify.compare(traj, ev)
     cfg_bg = spectral.make_case(1, 2.0 / 3.0, 0.3)
     traj_bg = verify.simulate(background_field(cfg_bg, 0.0, N), cfg_bg, 1.0, 0.002)
-    bg = lambda n, t: cfg_bg.q_plus(t) if n >= 0 else cfg_bg.q_minus(t)
-    dev_bg = verify.compare(traj_bg, bg)
+    dev_bg = verify.compare(traj_bg, cfg_bg.background)
     ok = dev_soliton < 1e-4 and dev_bg < 1e-10
     assert report("criterion 7 (simulator cross-check)", ok,
                   f"soliton {dev_soliton:.2e}, background {dev_bg:.2e}")

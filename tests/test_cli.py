@@ -8,8 +8,9 @@ import pytest
 
 from dnls_ist import cli
 from dnls_ist.cli import (EXIT_ALL_SINGULAR, EXIT_BLOWUP, EXIT_CONFIG,
-                          EXIT_INADMISSIBLE, EXIT_OK, EXIT_TOLERANCE,
-                          dump_json, load_config, main, parse_config)
+                          EXIT_INADMISSIBLE, EXIT_NUMERICAL, EXIT_OK,
+                          EXIT_TOLERANCE, dump_json, load_config, main,
+                          parse_config)
 from dnls_ist.errors import ConfigError
 
 from conftest import CASE1_ETA1
@@ -372,6 +373,60 @@ class TestEvolve:
         path = write_config(tmp_path, doc)
         assert main(["evolve", "--config", path, "--out",
                      str(tmp_path / "bg.json")]) == EXIT_OK
+
+    # dt = 2.0 would take zero RK4 steps and pass vacuously; dt = 0.3 would
+    # stop at t = 0.9 instead of t1 = 1.
+    @pytest.mark.parametrize("dt", [2.0, 0.3])
+    def test_dt_must_tile_the_time_span(self, tmp_path, capsys, monkeypatch, dt):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, {**CASE4_CONFIG, "dt": dt})
+        out = tmp_path / "e.json"
+        assert main(["evolve", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: 'dt' = ")
+        assert not out.exists() and not (tmp_path / "trajectory.csv").exists()
+
+
+# Case III has no reduction-pinned norming constants yet: every command that
+# needs its soliton is inadmissible, while its spectrum and background work.
+@pytest.mark.parametrize("command, source, code", [
+    ("eigs", "soliton", EXIT_OK),
+    ("soliton", "soliton", EXIT_INADMISSIBLE),
+    ("verify", "soliton", EXIT_INADMISSIBLE),
+    ("evolve", "soliton", EXIT_INADMISSIBLE),
+    ("scatter", "soliton", EXIT_INADMISSIBLE),
+    ("scatter", "background", EXIT_OK),
+])
+def test_case3_soliton_is_inadmissible(tmp_path, capsys, monkeypatch, command, source, code):
+    monkeypatch.chdir(tmp_path)
+    doc = {"case": 3, "q0": 1.0, "zeta_hat_1": 3.0, "N": 20, "zeta_samples": 2,
+           "field": {"source": source}}
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_INADMISSIBLE:
+        assert err.startswith("inadmissible: case III norming constants")
+        assert not out.exists()
+    else:
+        assert err == ""
+
+
+class TestNumericalFailure:
+    def test_vanishing_product_exits_7(self, tmp_path, capsys):
+        doc = {"case": 2, "q0": 1.0, "N": 20, "zeta_samples": 2,
+               "field": {"source": "background"}}
+        path = write_config(tmp_path, doc)
+        assert main(["scatter", "--config", path, "--out",
+                     str(tmp_path / "r.json")]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: 1 - q_n r_n vanishes at n = 0\n")
+
+    def test_overflowing_window_exits_7(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**CASE4_CONFIG, "N": 700, "zeta_samples": 2})
+        assert main(["scatter", "--config", path, "--out",
+                     str(tmp_path / "r.json")]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: system entries overflowed at n=-700, t=0.0\n")
 
 
 def test_dump_json_formats():

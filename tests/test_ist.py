@@ -197,6 +197,17 @@ class TestNorming:
         diff = (cmath.phase(norming.cbar(0, 0.0)) - expected) % (2.0 * math.pi)
         assert min(diff, 2.0 * math.pi - diff) < 1e-12
 
+    @pytest.mark.parametrize("fixture", ["case1_soliton", "case4_soliton"])
+    def test_arrays_equal_scalars_bit_for_bit(self, fixture, request):
+        _, eigenset, norming = request.getfixturevalue(fixture)
+        ts = np.array([-4.2, 0.0, 0.4, 1.7, 9.5])
+        js = np.arange(eigenset.J)
+        for f in (norming.cbar, norming.c):
+            scalars = np.array([[f(j, t) for j in js.tolist()] for t in ts.tolist()])
+            for j in js.tolist():
+                assert np.array_equal(_bits(f(j, ts)), _bits(scalars[:, j]))
+            assert np.array_equal(_bits(f(js, ts[:, None])), _bits(scalars))
+
     def test_case4_time_phase_velocity(self, case4_soliton):
         cfg, eigenset, norming = case4_soliton
         zb = eigenset.pairs[0].zbar
@@ -363,6 +374,39 @@ class TestClosedFormCase4:
         with pytest.raises(SingularSolution):
             soliton_closed_form_case4(cfg, math.pi / 3.0, n, 0.0)
 
+    def test_broadcast_shapes(self, case4_soliton):
+        cfg, _, _ = case4_soliton
+        sites = np.arange(-5, 6)
+        ts = np.array([0.0, 0.5, 1.0])
+        one = soliton_closed_form_case4(cfg, math.pi / 3.0, 2, 0.5)
+        assert isinstance(one, complex) and np.ndim(one) == 0
+        grid = soliton_closed_form_case4(cfg, math.pi / 3.0, sites[None, :], ts[:, None])
+        assert grid.shape == (3, 11) and grid[1, 7] == one
+        assert soliton_closed_form_case4(cfg, math.pi / 3.0, sites, 0.5).shape == (11,)
+        assert soliton_closed_form_case4(cfg, math.pi / 3.0, 2, ts[:, None]).shape == (3, 1)
+
+    def test_first_overflowing_cell_is_named(self, case4_soliton):
+        cfg, _, _ = case4_soliton
+        ns = np.array([0, 5, -300, -600])[None, :]
+        ts = np.array([0.25, 0.5])[:, None]
+        with pytest.raises(SingularSolution) as info:
+            soliton_closed_form_case4(cfg, math.pi / 3.0, ns, ts)
+        assert str(info.value) == "closed form overflows at n=-300, t=0.25"
+
+    def test_first_vanishing_denominator_is_named(self):
+        # theta_plus + thbar1 = pi: the denominator vanishes at n = 0, t = 0
+        # while the cells before it in time-major order are regular.
+        cfg = spectral.make_case(4, 0.5, 0.0)
+        sites = np.arange(-20, 21)
+        for n in range(-20, 0):
+            soliton_closed_form_case4(cfg, 0.0, n, 0.0)
+        with pytest.raises(SingularSolution) as one:
+            soliton_closed_form_case4(cfg, 0.0, 0, 0.0)
+        with pytest.raises(SingularSolution) as info:
+            soliton_closed_form_case4(cfg, 0.0, sites[None, :], np.array([0.0, 0.5])[:, None])
+        assert str(info.value) == str(one.value) == (
+            "closed-form denominator vanishes at n=0, t=0.0")
+
 
 class TestThetaMinusInf:
     def test_background(self):
@@ -468,11 +512,28 @@ class TestReconstructGrid:
 
     def test_matches_closed_form_case4(self, case4_soliton):
         cfg, eigenset, norming = case4_soliton
-        sites = np.arange(-40, 41)
-        for t in (0.0, 0.5, 1.0):
-            q = ist.reconstruct_grid(cfg, eigenset, norming, sites, t).require()
-            cf = [soliton_closed_form_case4(cfg, math.pi / 3.0, int(n), t) for n in sites]
-            assert np.max(np.abs(q - cf)) < 1e-10
+        sites = np.arange(-40, 41)[None, :]
+        ts = np.array([0.0, 0.5, 1.0])[:, None]
+        q = ist.reconstruct_grid(cfg, eigenset, norming, sites, ts).require()
+        cf = soliton_closed_form_case4(cfg, math.pi / 3.0, sites, ts)
+        assert cf.shape == (3, 81)
+        assert np.max(np.abs(q - cf.ravel())) < 1e-10
+
+    def test_evaluator_shapes(self, case1_soliton):
+        cfg, eigenset, norming = case1_soliton
+        ev = ist.make_evaluator(cfg, eigenset, norming)
+        sites = np.arange(-3, 4)
+        ts = np.array([0.0, 0.5, 1.0])
+        one = ev(2, 0.5)
+        assert isinstance(one, complex) and np.ndim(one) == 0
+        assert one == reconstruct(cfg, eigenset, norming, 2, 0.5)
+        assert ev(sites, 0.5).shape == (7,)
+        assert ev(sites[:, None], 0.5).shape == (7, 1)
+        assert ev(2, ts[:, None]).shape == (3, 1)
+        grid = ev(sites[None, :], ts[:, None])
+        assert grid.shape == (3, 7) and grid[1, 5] == one
+        assert np.array_equal(grid[1], ev(sites, 0.5))
+        assert not hasattr(ev, "grid")
 
     def test_one_cell_views_agree(self, case1_soliton):
         cfg, eigenset, norming = case1_soliton

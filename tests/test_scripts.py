@@ -1,0 +1,27 @@
+"""The experiment scripts run end to end against the current package API."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script, args", [
+    ("case1_two_soliton.py", ["--N", "20", "--out", "{tmp}/case1_field.csv"]),
+    ("case4_one_soliton.py", ["--N", "20", "--t-end", "0.1"]),
+    ("case2_scan.py", ["--samples", "300"]),
+])
+def test_script_runs_cleanly(tmp_path, script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script)]
+        + [a.format(tmp=tmp_path) for a in args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout

@@ -62,6 +62,44 @@ class TestMakeCase:
             assert cfg.q_plus(t) * cfg.r_plus(t) == pytest.approx(expected, abs=1e-14)
 
 
+class TestBoundaryValues:
+    TIMES = np.array([-7.3, -1.0, 0.0, 0.25, 2.0 / 3.0, 11.9])
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    @pytest.mark.parametrize("cfg", case_configs(), ids=lambda c: c.case_id.name)
+    def test_arrays_equal_scalars_bit_for_bit(self, cfg):
+        for name in ("q_plus", "q_minus", "r_plus", "r_minus"):
+            f = getattr(cfg, name)
+            scalars = np.array([f(t) for t in self.TIMES.tolist()])
+            assert np.array_equal(self.bits(f(self.TIMES)), self.bits(scalars))
+            assert np.array_equal(self.bits(f(self.TIMES[:, None])[:, 0]), self.bits(scalars))
+
+    @pytest.mark.parametrize("cfg", case_configs(), ids=lambda c: c.case_id.name)
+    def test_scalars_equal_the_cmath_formula(self, cfg):
+        for t in self.TIMES.tolist():
+            qp = cfg.q0 * cmath.exp(1j * (cfg.theta_plus + cfg.rotation * t))
+            qm = cfg.q0 * cmath.exp(1j * (cfg.theta_minus + cfg.rotation * t))
+            assert (cfg.q_plus(t), cfg.q_minus(t)) == (qp, qm)
+            assert (cfg.r_plus(t), cfg.r_minus(t)) == (cfg.sigma * qm.conjugate(),
+                                                       cfg.sigma * qp.conjugate())
+
+    @pytest.mark.parametrize("cfg", case_configs(), ids=lambda c: c.case_id.name)
+    def test_background_broadcasts_over_cells(self, cfg):
+        ns = np.arange(-3, 4)
+        q = cfg.background(ns[None, :], self.TIMES[:, None])
+        assert q.shape == (self.TIMES.size, ns.size)
+        for i, t in enumerate(self.TIMES.tolist()):
+            for j, n in enumerate(ns.tolist()):
+                assert q[i, j] == (cfg.q_plus(t) if n >= 0 else cfg.q_minus(t))
+        assert cfg.background(ns[:, None], 0.25).shape == (ns.size, 1)
+        one = cfg.background(-2, 0.25)
+        assert isinstance(one, complex) and np.ndim(one) == 0
+        assert one == cfg.q_minus(0.25) and cfg.background(0, 0.25) == cfg.q_plus(0.25)
+
+
 class TestPointFromZeta:
     @pytest.mark.parametrize("cfg", case_configs(), ids=lambda c: c.case_id.name)
     def test_mapping_identities(self, cfg):

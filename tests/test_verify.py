@@ -12,10 +12,6 @@ from dnls_ist.verify import (Trajectory, compare, equation_residual, equation_re
 from conftest import CASE1_ETA1, reconstruct_grid_sizes
 
 
-def background_evaluator(cfg):
-    return lambda n, t: cfg.q_plus(t) if n >= 0 else cfg.q_minus(t)
-
-
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
@@ -24,13 +20,13 @@ class TestEquationResidual:
     def test_background_exact(self):
         for case_id, q0 in ((1, 2.0 / 3.0), (3, 0.8)):
             cfg = spectral.make_case(case_id, q0, 0.2)
-            rep = equation_residual(background_evaluator(cfg), cfg, range(-10, 11), 0.5)
+            rep = equation_residual(cfg.background, cfg, range(-10, 11), 0.5)
             assert rep.max_abs_residual < 1e-10
 
     def test_fourth_order_convergence(self):
         # at large h the truncation term dominates; halving h gains ~16x
         cfg = spectral.make_case(3, 0.9, 0.0)
-        ev = background_evaluator(cfg)
+        ev = cfg.background
         r1 = equation_residual(ev, cfg, range(-3, 4), 0.3, h=0.04)
         r2 = equation_residual(ev, cfg, range(-3, 4), 0.3, h=0.02)
         factor = r1.max_abs_residual / r2.max_abs_residual
@@ -51,30 +47,20 @@ class TestEquationResidual:
 
     def test_report_fields(self):
         cfg = spectral.make_case(1, 0.5, 0.0)
-        rep = equation_residual(background_evaluator(cfg), cfg, range(-5, 6), 0.0)
+        rep = equation_residual(cfg.background, cfg, range(-5, 6), 0.0)
         assert rep.per_site.shape == (11,)
         assert rep.stencil_order == 4
         assert -5 <= rep.argmax_site <= 5
 
 
-    def test_grid_and_plain_callable_agree(self, case1_soliton):
-        cfg, eigenset, norming = case1_soliton
-        ev = ist.make_evaluator(cfg, eigenset, norming)
-        cells = []
-
-        def grid(ns, ts):
-            cells.append(len(ns))
-            return ev.grid(ns, ts)
-
-        def plain(n, t):
-            return ev(n, t)
-
-        plain.grid = grid
-        batched = equation_residual(plain, cfg, range(-15, 16), 0.3)
-        looped = equation_residual(lambda n, t: ev(n, t), cfg, range(-15, 16), 0.3)
-        assert cells == [157]  # each distinct cell of the stencil set once
-        assert batched.argmax_site == looped.argmax_site
-        assert np.max(np.abs(batched.per_site - looped.per_site)) < 1e-9
+    def test_vectorized_scalar_function_is_an_evaluator(self):
+        # The documented way to hand a scalar (n, t) function to the oracles.
+        cfg = spectral.make_case(4, 0.5, 0.3)
+        ev = np.vectorize(lambda n, t: cfg.q_plus(t) if n >= 0 else cfg.q_minus(t),
+                          otypes=[complex])
+        a = equation_residual(ev, cfg, range(-5, 6), 0.4)
+        b = equation_residual(cfg.background, cfg, range(-5, 6), 0.4)
+        assert np.array_equal(a.per_site, b.per_site)
 
 
 class TestEquationResiduals:
@@ -104,7 +90,7 @@ class TestSimulate:
         # below the 1e-10 target
         cfg = spectral.make_case(1, 2.0 / 3.0, 0.3)
         traj = simulate(background_field(cfg, 0.0, 30), cfg, 1.0, 0.002)
-        assert compare(traj, background_evaluator(cfg)) < 1e-10
+        assert compare(traj, cfg.background) < 1e-10
 
     def test_boundary_sites_exact(self, case4_soliton):
         cfg, eigenset, norming = case4_soliton
@@ -176,7 +162,7 @@ class TestCompare:
     def test_grid_and_plain_callable_agree(self, case4_soliton):
         cfg, eigenset, norming = case4_soliton
         ev = ist.make_evaluator(cfg, eigenset, norming)
-        w0 = lattice.PotentialWindow(cfg, 10, 0.0, ev.grid(np.arange(-10, 11), 0.0))
+        w0 = lattice.PotentialWindow(cfg, 10, 0.0, ev(np.arange(-10, 11), 0.0))
         traj = simulate(w0, cfg, 0.05, 0.01)
         assert compare(traj, ev) == pytest.approx(compare(traj, lambda n, t: ev(n, t)),
                                                   rel=1e-6, abs=1e-13)
@@ -191,12 +177,12 @@ class TestCompare:
     def test_one_reconstruct_grid_call(self, case4_soliton, monkeypatch):
         cfg, eigenset, norming = case4_soliton
         ev = ist.make_evaluator(cfg, eigenset, norming)
-        w0 = lattice.PotentialWindow(cfg, 10, 0.0, ev.grid(np.arange(-10, 11), 0.0))
+        w0 = lattice.PotentialWindow(cfg, 10, 0.0, ev(np.arange(-10, 11), 0.0))
         traj = simulate(w0, cfg, 0.2, 0.01)
         sizes = reconstruct_grid_sizes(monkeypatch)
         deviation = compare(traj, ev)
         assert sizes == [21 * 21]
-        rows = max(float(np.max(np.abs(traj.states[k] - ev.grid(np.arange(-10, 11), t))))
+        rows = max(float(np.max(np.abs(traj.states[k] - ev(np.arange(-10, 11), t))))
                    for k, t in enumerate(traj.times.tolist()))
         assert deviation == rows
 
