@@ -52,6 +52,22 @@ class TestEquationResidual:
         assert rep.stencil_order == 4
         assert -5 <= rep.argmax_site <= 5
 
+    def test_grid_and_plain_callable_agree(self, case1_soliton):
+        # the batched evaluator against one scalar evaluator call per cell
+        cfg, eigenset, norming = case1_soliton
+        ev = ist.make_evaluator(cfg, eigenset, norming)
+        cells = []
+
+        def grid(ns, ts):
+            cells.append(np.size(ns))
+            return ev(ns, ts)
+
+        plain = np.vectorize(lambda n, t: ev(int(n), float(t)), otypes=[complex])
+        batched = equation_residual(grid, cfg, range(-15, 16), 0.3)
+        looped = equation_residual(plain, cfg, range(-15, 16), 0.3)
+        assert cells == [157]  # each distinct cell of the stencil set once
+        assert batched.argmax_site == looped.argmax_site
+        assert np.max(np.abs(batched.per_site - looped.per_site)) < 1e-9
 
     def test_vectorized_scalar_function_is_an_evaluator(self):
         # The documented way to hand a scalar (n, t) function to the oracles.
