@@ -14,16 +14,16 @@ from .ist import (EigenSet, NormingData, Quartet, RealPair,
                   case2_feasibility_scan, eigenvalues_case1, eigenvalues_case2,
                   eigenvalues_case3, eigenvalues_case4, empty_eigenset,
                   make_evaluator, norming_case1, norming_case4, reconstruct,
-                  reconstruct_grid, reconstruct_pair, singularity_scan,
-                  soliton_closed_form_case4,
+                  reconstruct_grid, reconstruct_pair, reconstruct_with_derivative,
+                  singularity_scan, soliton_closed_form_case4,
                   theta_minus_inf_constraint, theta_minus_inf_from_system,
-                  time_factors, unit_norming)
+                  unit_norming)
 from .scattering import (AsymptoticReport, Coefficients, ColumnKind,
                          EigenfunctionColumn, ScatteringReport, SymmetryReport,
                          asymptotic_checks, check_symmetries, continuum_samples,
                          jost, reflection, scattering_coefficients,
                          scattering_report, trace_formula, wronskian)
 from .verify import (ResidualReport, Trajectory, compare, equation_residual,
-                     equation_residuals, simulate)
+                     equation_residuals, equation_residuals_exact, simulate)
 
 __version__ = "0.1.0"

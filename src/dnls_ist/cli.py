@@ -10,6 +10,7 @@ eigenvalue request, 4 every grid cell singular, 5 tolerance breach,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,6 +31,9 @@ EXIT_BLOWUP = 6
 EXIT_NUMERICAL = 7
 
 _TOLERANCE_DEFAULTS = {"residual": 1e-6, "scattering": 1e-5, "compare": 1e-4}
+# Most RK4 steps `evolve` takes: its trajectory holds one 81-site row of
+# complex states per step (about 130 MB at the cap) and its CSV 81 lines.
+MAX_EVOLVE_STEPS = 100_000
 _TGRID_DEFAULTS = {"t0": 0.0, "t1": 1.0, "steps": 11}
 
 
@@ -239,14 +243,21 @@ def _eigenset(config: RunConfig, cfg) -> ist.EigenSet:
     return ist.eigenvalues_case4(cfg, J=config.J or 1)
 
 
-def _eigen_data(config: RunConfig, cfg):
+def _eigen_data(config: RunConfig, cfg, soliton: bool = True):
     """EigenSet plus its norming data (None for an empty spectrum).
 
     Case III has no reduction-pinned norming constants yet, so no soliton
     of it is available: a nonempty case-III spectrum is inadmissible here.
+    With soliton set, so is an empty spectrum that violates its case's
+    trace limits (every Delta theta = pi background): no reflectionless
+    potential joins q_minus = -q_plus to q_plus without eigenvalues.
     """
     eigenset = _eigenset(config, cfg)
     if eigenset.is_empty():
+        residuals = ist.admissibility_residuals(cfg, eigenset)
+        if soliton and max(residuals.values()) > ist.CONSTRAINT_TOL:
+            raise Inadmissible(f"an empty spectrum misses the case-{config.case} "
+                               f"trace limits {residuals}: no reflectionless field exists")
         return eigenset, None
     if config.case == 1:
         return eigenset, ist.norming_case1(cfg, eigenset, config.kappa1,
@@ -431,6 +442,10 @@ def cmd_scatter(config: RunConfig, out: str | None, seed: int) -> int:
     return EXIT_TOLERANCE if failures else EXIT_OK
 
 
+def _soliton_source(config: RunConfig) -> bool:
+    return config.field_source.get("source", "soliton") == "soliton"
+
+
 def _singular_phase(config: RunConfig, cfg, eigenset, norming) -> bool:
     if eigenset is None or eigenset.is_empty() or norming is None:
         return False
@@ -443,7 +458,7 @@ def _singular_phase(config: RunConfig, cfg, eigenset, norming) -> bool:
 def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
     cfg = _case_config(config)
-    eigenset, norming = _eigen_data(config, cfg)
+    eigenset, norming = _eigen_data(config, cfg, _soliton_source(config))
     checks = {}
     singular = _singular_phase(config, cfg, eigenset, norming)
     checks["singular_parameters"] = {"flagged": singular}
@@ -453,12 +468,13 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
         checks["equation_residual"] = {"skipped": "singular family member"}
         ok_res = True
     else:
-        reps = verify.equation_residuals(evaluator, cfg, range(-15, 16), _t_values(config))
+        exact = functools.partial(ist.reconstruct_with_derivative, cfg, eigenset, norming)
+        reps = verify.equation_residuals_exact(exact, cfg, range(-15, 16), _t_values(config))
         worst = max([0.0] + [rep.max_abs_residual for rep in reps])
         ok_res = worst < tol_res
         checks["equation_residual"] = {"max": worst, "tolerance": tol_res, "pass": ok_res}
     ok_closed = True
-    if config.case == 4 and not singular:
+    if config.case == 4 and not singular and not eigenset.is_empty():
         sites = np.arange(-20, 21)[None, :]
         ts = np.array(_t_values(config))[:, None]
         a = evaluator(sites, ts)
@@ -513,7 +529,7 @@ def _trajectory_csv(traj: verify.Trajectory) -> str:
 def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
     cfg = _case_config(config)
-    eigenset, norming = _eigen_data(config, cfg)
+    eigenset, norming = _eigen_data(config, cfg, _soliton_source(config))
     if eigenset.is_empty() and config.field_source.get("source") != "background":
         sys.stderr.write("evolve requires a nonempty eigenvalue set or a background field\n")
         return EXIT_CONFIG
@@ -523,6 +539,9 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     steps = round(span / config.dt)
     _require(steps >= 1 and abs(steps * config.dt - span) <= 1e-9 * max(1.0, span),
              f"'dt' = {config.dt} does not tile [t0, t1] = [{t0}, {t1}] in whole steps")
+    _require(steps <= MAX_EVOLVE_STEPS,
+             f"'dt' = {config.dt} takes {steps} RK4 steps over [t0, t1] = [{t0}, {t1}]; "
+             f"at most {MAX_EVOLVE_STEPS} are allowed")
     singular = _singular_phase(config, cfg, eigenset, norming)
     if eigenset.is_empty():
         evaluator = cfg.background

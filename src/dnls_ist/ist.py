@@ -102,9 +102,9 @@ def admissibility_residuals(cfg: CaseConfig, eigenset: EigenSet,
 
     The right-hand sides follow the case-dependent branch-point signs of
     t11 near 1/r and t22 near r (+1 for cases I/III, -1 for cases II/IV).
+    An empty spectrum meets them only for cases I/III: for II/IV both
+    branch-point limits miss by 2.
     """
-    if eigenset.is_empty():
-        return {}
     sign = 1.0 if cfg.case_id in (Case.I, Case.III) else -1.0
     if theta_inf is None:
         theta_inf = theta_minus_inf_constraint(eigenset)
@@ -292,11 +292,13 @@ def eigenvalues_case4(cfg: CaseConfig, J: int = 1) -> EigenSet:
 
 @dataclass(frozen=True)
 class NormingData:
-    """Norming constants at t = 0 plus their case time factors.
+    """Norming constants at t = 0 plus their time evolution.
 
     cbar0 is aligned with EigenSet.zeros_t22; C_j always follows from the
-    symmetry C_j = -q_plus(t)**2 / (zbar_j - r)**2 * Cbar_j.  cbar(j, t)
-    and c(j, t) broadcast the index j against the times t.
+    symmetry C_j = -q_plus(t)**2 / (zbar_j - r)**2 * Cbar_j.  Both evolve by
+    exponentials, Cbar_j(t) = Cbar_j(0) exp(cbar_rate[j] t) and C_j likewise
+    with c_rate.  cbar(j, t) and c(j, t) broadcast the index j against the
+    times t.
     """
 
     cfg: CaseConfig
@@ -310,11 +312,21 @@ class NormingData:
         object.__setattr__(self, "gammas", tuple(gamma(self.cfg, zb)
                                                  for zb in self.eigenset.zeros_t22))
 
+    @property
+    def cbar_rate(self) -> np.ndarray:
+        """d(log Cbar_j)/dt = -i (rotation + gamma(zbar_j)), per eigenvalue."""
+        return -1j * (self.cfg.rotation + np.array(self.gammas, dtype=complex))
+
+    @property
+    def c_rate(self) -> np.ndarray:
+        """d(log C_j)/dt = i (rotation - gamma(zbar_j)): C_j carries q_plus(t)**2."""
+        return self.cbar_rate + 2j * self.cfg.rotation
+
     # Complex products go through ufuncs, not *: on NumPy scalars * can
     # round them differently from the array loop, and a scalar call must
     # give the bits of the array path.
     def cbar(self, j, t):
-        phase = -1j * (self.cfg.rotation + np.take(self.gammas, j)) * np.asarray(t)
+        phase = np.take(self.cbar_rate, j) * np.asarray(t)
         return np.multiply(np.take(self.cbar0, j), np.exp(phase))
 
     def c(self, j, t):
@@ -322,12 +334,6 @@ class NormingData:
         zb = np.take(self.eigenset.zeros_t22, j)
         return np.multiply(np.divide(-np.multiply(qp, qp), np.square(zb - self.cfg.r)),
                            self.cbar(j, t))
-
-
-def time_factors(cfg: CaseConfig, zeta: complex, t: float) -> tuple[complex, complex]:
-    """Evolution factors for (C_j, Cbar_j); t11 and t22 are time invariants."""
-    phase = (cfg.rotation + gamma(cfg, zeta)) * t
-    return cmath.exp(1j * phase), cmath.exp(-1j * phase)
 
 
 def norming_case1(cfg: CaseConfig, eigenset: EigenSet, kappa1: float,
@@ -518,6 +524,12 @@ class ReconstructionGrid:
         return self.q
 
 
+def _flat_cells(ns, ts):
+    """The broadcast cells of (ns, ts), flat, with their broadcast shape."""
+    ns, ts = np.broadcast_arrays(np.asarray(ns, dtype=np.int64), np.asarray(ts, dtype=float))
+    return ns.ravel(), ts.ravel(), ns.shape
+
+
 def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None,
                      ns, ts) -> ReconstructionGrid:
     """Reflectionless (q_n(t), r_n(t)) over the cells (ns[i], ts[i]).
@@ -532,8 +544,7 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData |
     scaled but well posed at large |n| (lam**(2n) entries), so singularity
     is judged by these checks rather than by a determinant.
     """
-    ns, ts = np.broadcast_arrays(np.asarray(ns, dtype=np.int64), np.asarray(ts, dtype=float))
-    ns, ts = ns.ravel(), ts.ravel()
+    ns, ts, _ = _flat_cells(ns, ts)
     M = ns.size
     if eigenset.is_empty():
         return ReconstructionGrid(ns, ts, cfg.q_plus(ts), cfg.r_plus(ts), np.zeros(M),
@@ -552,9 +563,42 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData |
     return ReconstructionGrid(ns, ts, q, rn, backward, theta_inv, reason)
 
 
+def reconstruct_with_derivative(cfg: CaseConfig, eigenset: EigenSet,
+                                norming: NormingData | None, ns, ts):
+    """(q_n(t), dq_n/dt) over the cells (ns[i], ts[i]), both in their broadcast shape.
+
+    q is reconstruct_grid's q bit for bit (the same blocks, solves and
+    checks).  Time enters the system only through exponentials, so
+    dB/dt is B times a constant rate matrix elementwise and the exact
+    derivative of the computed solution is X' = -B^-1 (dB/dt) X, a second
+    solve on the same stack.  An empty spectrum gives q_plus(t) and
+    i * rotation * q_plus(t).  Raises SingularSolution for the first
+    singular cell in flattened order, as make_evaluator does.
+    """
+    ns, ts, shape = _flat_cells(ns, ts)
+    if eigenset.is_empty():
+        q = cfg.q_plus(ts)
+        qdot = 1j * cfg.rotation * q
+    elif norming is None:
+        raise DomainError("nonempty eigenset requires norming data")
+    else:
+        q = np.empty(ns.size, dtype=complex)
+        qdot = np.empty(ns.size, dtype=complex)
+        for start in range(0, ns.size, _BLOCK):
+            cells = slice(start, start + _BLOCK)
+            *block, qdot[cells] = _solve_block(cfg, eigenset, norming, ns[cells], ts[cells],
+                                               derivative=True)
+            q[cells] = ReconstructionGrid(ns[cells], ts[cells], *block).require()
+    return q.reshape(shape)[()], qdot.reshape(shape)[()]
+
+
 def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
-                 ns: np.ndarray, ts: np.ndarray):
-    """q, r, backward error, 1/Theta_n and reason code over one block of cells."""
+                 ns: np.ndarray, ts: np.ndarray, derivative: bool = False):
+    """q, r, backward error, 1/Theta_n and reason code over one block of cells.
+
+    With derivative set, dq/dt follows as a sixth array when every cell of
+    the block is regular (all NaN otherwise: its caller raises).
+    """
     B, Y, row, row_r, qp, rp = _assemble(cfg, eigenset, norming, ns, ts)
     M = ns.size
     J = row.shape[1]
@@ -585,13 +629,41 @@ def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
         flag(backward > 1e-8 * scale, BACKWARD_ERROR)
         theta_inv = X[:, -1]
         flag(np.abs(theta_inv) < DET_GUARD * np.maximum(1.0, xmax), THETA_DIVERGENCE)
-        q = qp + cfg.r * (row * X[:, :J]).sum(axis=1) / theta_inv
+        sum_q = (row * X[:, :J]).sum(axis=1)
+        q = qp + cfg.r * sum_q / theta_inv
         rn = rp - (row_r * X[:, 3 * J:4 * J]).sum(axis=1) / theta_inv
     flag(~np.isfinite(q), AMPLITUDE)
     backward[~solved] = np.inf
     backward[~entries_ok] = np.nan
     q[reason != OK] = rn[reason != OK] = complex(np.nan, np.nan)
-    return q, rn, backward, theta_inv, reason
+    if not derivative:
+        return q, rn, backward, theta_inv, reason
+    qdot = np.full(M, complex(np.nan, np.nan))
+    if not reason.any():
+        with np.errstate(all="ignore"):
+            dX = np.linalg.solve(B, -((B * _rate_matrix(cfg, norming)) @ X[..., None]))[..., 0]
+            dsum_q = (row * (norming.c_rate * X[:, :J] + dX[:, :J])).sum(axis=1)
+            qdot = (1j * cfg.rotation * qp
+                    + cfg.r * (dsum_q - sum_q * dX[:, -1] / theta_inv) / theta_inv)
+    return q, rn, backward, theta_inv, reason, qdot
+
+
+def _rate_matrix(cfg: CaseConfig, norming: NormingData) -> np.ndarray:
+    """R with dB/dt = B * R elementwise, the same for every cell.
+
+    Column j of the N1/N2 blocks carries C_j(t) (in k and in the 1/Theta_n
+    row), column j of the Nbar1/Nbar2 blocks Cbar_j(t) (in kbar), and the
+    last column r_plus(t) and -q_plus(t); the unit diagonal is constant.
+    """
+    J = len(norming.cbar0)
+    dim = 4 * J + 1
+    R = np.zeros((dim, dim), dtype=complex)
+    R[:, :2 * J] = np.tile(norming.c_rate, 2)
+    R[:, 2 * J:4 * J] = np.tile(norming.cbar_rate, 2)
+    R[J:2 * J, -1] = -1j * cfg.rotation
+    R[2 * J:3 * J, -1] = 1j * cfg.rotation
+    R[np.arange(dim), np.arange(dim)] = 0.0
+    return R
 
 
 def reconstruct(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None,
@@ -699,9 +771,7 @@ def soliton_closed_form_case4(cfg: CaseConfig, thbar1: float, ns, ts):
     """
     if cfg.case_id is not Case.IV:
         raise DomainError("closed form defined for case IV only")
-    ns, ts = np.broadcast_arrays(np.asarray(ns, dtype=np.int64), np.asarray(ts, dtype=float))
-    shape = ns.shape
-    ns, ts = ns.ravel(), ts.ravel()  # 1-D, so that one cell rounds as in a grid
+    ns, ts, shape = _flat_cells(ns, ts)  # 1-D, so that one cell rounds as in a grid
     eigenset = eigenvalues_case4(cfg)
     zb1, z1 = eigenset.pairs[0].zbar, eigenset.pairs[0].zeta
     norming = norming_case4(cfg, eigenset, thbar1)

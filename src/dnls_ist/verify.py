@@ -1,8 +1,14 @@
 """Independent validation: lattice-equation residuals and time-domain RK4.
 
-The residual oracle never touches the scattering machinery; it only needs an
-evaluator ev(ns, ts) -> q over broadcast (n, t) cells (ist.make_evaluator,
-CaseConfig.background) and a 4th-order finite-difference time derivative.
+The residual oracle never touches the scattering machinery.  It needs the
+field q over the sites, their neighbours and their mirror sites at each
+time, and dq/dt at the sites.  For the reflectionless solution, dq/dt is
+exact: ist.reconstruct_with_derivative differentiates the solve itself
+(equation_residuals_exact, which `ist verify` uses).  Any other evaluator
+ev(ns, ts) -> q over broadcast (n, t) cells (ist.make_evaluator,
+CaseConfig.background, a np.vectorize'd function) gets dq/dt from a
+4th-order finite-difference stencil (equation_residuals), which also stays
+as the cross-check of the exact derivative.
 The simulator integrates the truncated lattice as a complex ODE with the
 outermost two sites on each side pinned to the exact background rotation.
 """
@@ -21,7 +27,11 @@ BLOWUP_THRESHOLD = 1e6
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Max deviation from the lattice equation over a site range at one time."""
+    """Max deviation from the lattice equation over a site range at one time.
+
+    h and stencil_order describe the finite-difference q_dot; both are 0
+    when q_dot is exact.
+    """
 
     max_abs_residual: float
     argmax_site: int
@@ -31,9 +41,33 @@ class ResidualReport:
     stencil_order: int = 4
 
 
+def _residual_cells(n_range):
+    """The sites, and the sorted cells their residual reads at one time."""
+    sites = np.array(list(n_range), dtype=int)
+    return sites, np.unique(np.concatenate([sites - 1, sites, sites + 1, -sites]))
+
+
+def _reports(cfg: CaseConfig, sites, cells, ts, q, qdot, h, order) -> list[ResidualReport]:
+    """|i q_dot - (q_{n+1} - 2 q_n + q_{n-1}) + sigma q_n q*_{-n} (q_{n+1}+q_{n-1})|, per t.
+
+    q holds one row per t over the cells, qdot one row per t over the sites.
+    """
+    def at(ns):
+        return q[:, np.searchsorted(cells, ns)]
+
+    qp, qm, qn, qmir = at(sites + 1), at(sites - 1), at(sites), at(-sites)
+    res = np.abs(1j * qdot - (qp - 2.0 * qn + qm)
+                 + cfg.sigma * qn * np.conj(qmir) * (qp + qm))
+    reports = []
+    for t, res_t in zip(ts, res):
+        i = int(np.argmax(res_t))
+        reports.append(ResidualReport(float(res_t[i]), int(sites[i]), t, res_t, h, order))
+    return reports
+
+
 def equation_residuals(solution_evaluator, cfg: CaseConfig, n_range, ts,
                        h: float = 1e-3) -> list[ResidualReport]:
-    """|i q_dot - (q_{n+1} - 2 q_n + q_{n-1}) + sigma q_n q*_{-n} (q_{n+1}+q_{n-1})|, per t.
+    """Lattice-equation residuals per t, with q_dot from a finite-difference stencil.
 
     q_dot uses the 4th-order central stencil over t +/- h, t +/- 2h; the
     nonlocal partner is evaluated at the same time.  Each distinct cell of
@@ -41,29 +75,32 @@ def equation_residuals(solution_evaluator, cfg: CaseConfig, n_range, ts,
     t in ts are evaluated together in one evaluator call; the result holds
     one report per t, in the order of ts.
     """
-    sites = np.array(list(n_range), dtype=int)
+    sites, cells = _residual_cells(n_range)
     K = sites.size
-    at_t = np.unique(np.concatenate([sites - 1, sites, sites + 1, -sites]))
     ts = [float(t) for t in ts]
-    stencil_ns = np.concatenate([np.tile(sites, 4), at_t])
+    stencil_ns = np.concatenate([np.tile(sites, 4), cells])
     stencil_ts = np.array([np.concatenate([np.repeat([t + 2 * h, t + h, t - h, t - 2 * h], K),
-                                           np.full(at_t.size, t)]) for t in ts])
+                                           np.full(cells.size, t)]) for t in ts])
     q = solution_evaluator(stencil_ns,  # reshape: an empty ts stays 2-D
                            stencil_ts.reshape(len(ts), stencil_ns.size))
-    reports = []
-    for t, q_t in zip(ts, q):
-        q2p, q1p, q1m, q2m = q_t[:4 * K].reshape(4, K)
+    q2p, q1p, q1m, q2m = (q[:, k * K:(k + 1) * K] for k in range(4))
+    qdot = (-q2p + 8.0 * q1p - 8.0 * q1m + q2m) / (12.0 * h)
+    return _reports(cfg, sites, cells, ts, q[:, 4 * K:], qdot, h, 4)
 
-        def at(ns):
-            return q_t[4 * K + np.searchsorted(at_t, ns)]
 
-        qp, qm, qn, qmir = at(sites + 1), at(sites - 1), at(sites), at(-sites)
-        qdot = (-q2p + 8.0 * q1p - 8.0 * q1m + q2m) / (12.0 * h)
-        res = np.abs(1j * qdot - (qp - 2.0 * qn + qm)
-                     + cfg.sigma * qn * np.conj(qmir) * (qp + qm))
-        i = int(np.argmax(res))
-        reports.append(ResidualReport(float(res[i]), int(sites[i]), t, res, h))
-    return reports
+def equation_residuals_exact(solution_and_derivative, cfg: CaseConfig, n_range,
+                             ts) -> list[ResidualReport]:
+    """Lattice-equation residuals per t, with the exact q_dot.
+
+    solution_and_derivative(ns, ts) -> (q, dq/dt) over broadcast cells, as
+    ist.reconstruct_with_derivative with its first three arguments bound.
+    It is called once, at the residual cells of every t in ts and at no
+    other time; the reports have h = 0 and stencil_order = 0.
+    """
+    sites, cells = _residual_cells(n_range)
+    ts = [float(t) for t in ts]
+    q, qdot = solution_and_derivative(cells[None, :], np.reshape(ts, (len(ts), 1)))
+    return _reports(cfg, sites, cells, ts, q, qdot[:, np.searchsorted(cells, sites)], 0.0, 0)
 
 
 def equation_residual(solution_evaluator, cfg: CaseConfig, n_range,

@@ -139,6 +139,17 @@ class TestEigs:
         assert doc["J"] == 2 and doc["J2"] == 2
 
 
+    @pytest.mark.parametrize("doc, mismatch", [
+        ({"case": 1, "q0": 0.5, "J": 0}, 0.0),
+        ({"case": 2, "q0": 0.5}, 2.0),
+        ({"case": 4, "q0": 0.5, "J": 0}, 2.0),
+    ])
+    def test_empty_spectrum_reports_trace_residuals(self, tmp_path, capsys, doc, mismatch):
+        assert main(["eigs", "--config", write_config(tmp_path, doc)]) == EXIT_OK
+        res = json.loads(capsys.readouterr().out)["constraint_residuals"]
+        assert res == {"t11_at_rinv": mismatch, "t22_at_zero": 0.0, "t22_at_r": mismatch}
+
+
 class TestSoliton:
     def test_background_constant_field(self, tmp_path):
         doc = {"case": 1, "q0": 2.0 / 3.0, "J": 0, "N": 10,
@@ -332,6 +343,36 @@ class TestVerify:
         assert "skipped" in rep["checks"]["equation_residual"]
         assert code == EXIT_OK
 
+    def test_residual_uses_the_exact_derivative(self, tmp_path, monkeypatch):
+        def stencil(*args, **kwargs):
+            raise AssertionError("verify ran the finite-difference oracle")
+
+        monkeypatch.setattr(cli.verify, "equation_residuals", stencil)
+        path = write_config(tmp_path, CASE1_CONFIG)
+        out = tmp_path / "v.json"
+        assert main(["verify", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["checks"]["equation_residual"]["max"] < 1e-10
+
+    def test_case1_background_passes(self, tmp_path):
+        doc = {"case": 1, "q0": 0.5, "theta": 0.3, "J": 0, "N": 20, "zeta_samples": 4}
+        out = tmp_path / "v.json"
+        assert main(["verify", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["checks"]["equation_residual"]["max"] < 1e-14
+
+    def test_case4_background_has_no_closed_form_check(self, tmp_path, capsys):
+        # the closed form is a soliton formula: with no eigenvalue there is
+        # nothing to compare; q_n = q_plus on every site is no solution
+        doc = {"case": 4, "q0": 0.5, "J": 0, "N": 20, "zeta_samples": 4,
+               "field": {"source": "background"}}
+        out = tmp_path / "v.json"
+        assert main(["verify", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == EXIT_TOLERANCE
+        assert capsys.readouterr().err == ""
+        checks = json.loads(out.read_text())["checks"]
+        assert "closed_form_equality" not in checks
+        assert checks["equation_residual"]["max"] == pytest.approx(0.5, rel=1e-12)
+
 
 class TestEvolve:
     def test_case4_matches(self, tmp_path, monkeypatch):
@@ -385,6 +426,36 @@ class TestEvolve:
         assert capsys.readouterr().err.startswith("config error: 'dt' = ")
         assert not out.exists() and not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("dt", [1e-300, 1.0 / (cli.MAX_EVOLVE_STEPS + 1)])
+    def test_step_count_is_capped(self, tmp_path, capsys, monkeypatch, dt):
+        monkeypatch.chdir(tmp_path)
+
+        def simulate(*args):
+            raise AssertionError("simulate ran")
+
+        monkeypatch.setattr(cli.verify, "simulate", simulate)
+        path = write_config(tmp_path, {**CASE4_CONFIG, "dt": dt})
+        out = tmp_path / "e.json"
+        assert main(["evolve", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: 'dt' = ")
+        assert err.endswith(f"at most {cli.MAX_EVOLVE_STEPS} are allowed\n")
+        assert not out.exists()
+
+    def test_step_cap_itself_is_allowed(self, tmp_path, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def simulate(window, cfg, t_end, dt):
+            raise Reached(round((t_end - window.t) / dt))
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.verify, "simulate", simulate)
+        path = write_config(tmp_path, {**CASE4_CONFIG, "dt": 1.0 / cli.MAX_EVOLVE_STEPS})
+        with pytest.raises(Reached) as info:
+            main(["evolve", "--config", path, "--out", str(tmp_path / "e.json")])
+        assert info.value.args == (cli.MAX_EVOLVE_STEPS,)
+
 
 # Case III has no reduction-pinned norming constants yet: every command that
 # needs its soliton is inadmissible, while its spectrum and background work.
@@ -406,6 +477,37 @@ def test_case3_soliton_is_inadmissible(tmp_path, capsys, monkeypatch, command, s
     err = capsys.readouterr().err
     if code == EXIT_INADMISSIBLE:
         assert err.startswith("inadmissible: case III norming constants")
+        assert not out.exists()
+    else:
+        assert err == ""
+
+
+# With Delta theta = pi (cases 2 and 4) an empty spectrum misses the trace
+# limits: no reflectionless field joins q_minus = -q_plus to q_plus, so every
+# command that needs it is inadmissible, while the spectrum and the
+# background still work.
+@pytest.mark.parametrize("doc", [{"case": 2, "q0": 0.5}, {"case": 4, "q0": 0.5, "J": 0}])
+@pytest.mark.parametrize("command, source, code", [
+    ("eigs", "soliton", EXIT_OK),
+    ("soliton", "soliton", EXIT_INADMISSIBLE),
+    ("soliton", "background", EXIT_INADMISSIBLE),
+    ("verify", "soliton", EXIT_INADMISSIBLE),
+    ("evolve", "soliton", EXIT_INADMISSIBLE),
+    ("scatter", "soliton", EXIT_INADMISSIBLE),
+    ("scatter", "background", EXIT_OK),
+    ("evolve", "background", EXIT_TOLERANCE),
+])
+def test_empty_spectrum_at_delta_theta_pi_is_inadmissible(tmp_path, capsys, monkeypatch,
+                                                          doc, command, source, code):
+    monkeypatch.chdir(tmp_path)
+    doc = {**doc, "N": 10, "zeta_samples": 2, "field": {"source": source}}
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_INADMISSIBLE:
+        assert err.startswith(f"inadmissible: an empty spectrum misses the case-{doc['case']} "
+                              "trace limits")
         assert not out.exists()
     else:
         assert err == ""

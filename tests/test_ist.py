@@ -17,8 +17,7 @@ from dnls_ist.ist import (build_system, case2_feasibility_scan,
                           reconstruct_pair, singularity_scan,
                           soliton_closed_form_case4,
                           theta_minus_inf_constraint,
-                          theta_minus_inf_from_system, time_factors,
-                          unit_norming)
+                          theta_minus_inf_from_system, unit_norming)
 from dnls_ist.spectral import (Region, classify, gamma, lam_squared,
                                point_from_zeta, zeta_bar)
 
@@ -146,25 +145,30 @@ class TestNorming:
                 assert abs(lhs - rhs) < 1e-14 * max(1.0, abs(lhs))
 
     def test_time_factor_consistency(self, case1_soliton):
-        # C_j(t) = C_j(0) * c_factor(zeta_j, t) requires gamma(zbar) = -gamma(zeta)
+        # C_j(t) = C_j(0) exp(i (rotation + gamma(zeta_j)) t) requires
+        # gamma(zbar_j) = -gamma(zeta_j)
         cfg, eigenset, norming = case1_soliton
         t = 1.3
         for j in range(2):
             zj = eigenset.zeros_t11[j]
-            c_factor, _ = time_factors(cfg, zj, t)
+            c_factor = cmath.exp(1j * (cfg.rotation + gamma(cfg, zj)) * t)
             assert norming.c(j, t) == pytest.approx(norming.c(j, 0.0) * c_factor,
                                                     rel=1e-12)
+            assert norming.c_rate[j] == pytest.approx(1j * (cfg.rotation + gamma(cfg, zj)),
+                                                      rel=1e-12)
 
     def test_time_factors_basics(self, case1_soliton):
-        cfg, eigenset, _ = case1_soliton
-        z = eigenset.zeros_t22[0]
-        cf, cbf = time_factors(cfg, z, 0.0)
-        assert cf == 1.0 and cbf == 1.0
-        t = 0.9
-        cf, cbf = time_factors(cfg, z, t)
-        g = gamma(cfg, z)
-        assert abs(cf) == pytest.approx(math.exp(-g.imag * t), rel=1e-12)
-        assert cf * cbf == pytest.approx(1.0, rel=1e-12)
+        cfg, eigenset, norming = case1_soliton
+        for j, zb in enumerate(eigenset.zeros_t22):
+            assert norming.cbar_rate[j] == -1j * (cfg.rotation + gamma(cfg, zb))
+            assert norming.cbar(j, 0.0) == norming.cbar0[j]
+            t = 0.9
+            g = gamma(cfg, zb)
+            assert abs(norming.cbar(j, t)) == pytest.approx(
+                abs(norming.cbar0[j]) * math.exp(g.imag * t), rel=1e-12)
+            # C_j Cbar_j evolves by exp(-2 i gamma(zbar_j) t)
+            assert norming.c(j, t) * norming.cbar(j, t) == pytest.approx(
+                norming.c(j, 0.0) * norming.cbar(j, 0.0) * cmath.exp(-2j * g * t), rel=1e-12)
 
     def test_cbar_product_modulus_time_invariant(self, case1_soliton):
         # |Cbar_1 Cbar_2| is conserved because gamma at conjugate points
@@ -669,6 +673,110 @@ class TestWholeGrid:
         grid = cli._field_grid(config, cfg, eigenset, norming)
         assert sizes == [61 * 41]
         assert list(grid.ts[:61]) == [-5.0] * 61 and list(grid.ns[:61]) == list(range(-30, 31))
+
+
+# A grid of 41 sites by at least 26 time rows (more than two blocks) with
+# a few arbitrary cells inserted at an arbitrary position of the flat order.
+_cell_sets = st.tuples(_grids, _cells, st.integers(0, 41 * 26))
+
+
+def _flat_cell_set(spec):
+    (first_site, steps, t0, dt), extra, at = spec
+    sites, ts = TestWholeGrid._axes(first_site, steps, t0, dt)
+    ns = np.tile(sites, ts.size)
+    ts = np.repeat(ts, sites.size)
+    extra_ns, extra_ts = zip(*extra)
+    return np.insert(ns, at, extra_ns), np.insert(ts, at, extra_ts)
+
+
+class TestDerivative:
+    """ist.reconstruct_with_derivative: q as reconstruct_grid, dq/dt exact."""
+
+    def _assert_q_is_grid_q(self, cfg, eigenset, norming, spec):
+        ns, ts = _flat_cell_set(spec)
+        assert ns.size > ist._BLOCK
+        q, qdot = ist.reconstruct_with_derivative(cfg, eigenset, norming, ns, ts)
+        grid = ist.reconstruct_grid(cfg, eigenset, norming, ns, ts)
+        assert np.array_equal(_bits(q), _bits(grid.require()))
+        assert qdot.shape == q.shape and np.isfinite(qdot).all()
+
+    @settings(max_examples=8, deadline=None)
+    @given(spec=_cell_sets)
+    def test_q_is_reconstruct_grid_q_case1(self, case1_soliton, spec):
+        self._assert_q_is_grid_q(*case1_soliton, spec)
+
+    @settings(max_examples=8, deadline=None)
+    @given(spec=_cell_sets)
+    def test_q_is_reconstruct_grid_q_case4(self, case4_soliton, spec):
+        self._assert_q_is_grid_q(*case4_soliton, spec)
+
+    @pytest.mark.parametrize("fixture", ["case1_soliton", "case4_soliton"])
+    def test_derivative_of_the_solved_field(self, fixture, request):
+        # a 4th-order central difference of q converges to dq/dt at rate h**4
+        cfg, eigenset, norming = request.getfixturevalue(fixture)
+        sites, ts = np.arange(-12, 13)[None, :], np.array([-2.0, 0.3, 1.7])[:, None]
+        _, qdot = ist.reconstruct_with_derivative(cfg, eigenset, norming, sites, ts)
+        ev = ist.make_evaluator(cfg, eigenset, norming)
+
+        def fd_error(h):
+            fd = (-ev(sites, ts + 2 * h) + 8.0 * ev(sites, ts + h)
+                  - 8.0 * ev(sites, ts - h) + ev(sites, ts - 2 * h)) / (12.0 * h)
+            return float(np.max(np.abs(fd - qdot)))
+
+        assert 12.0 < fd_error(0.1) / fd_error(0.05) < 20.0
+        assert fd_error(1e-3) < 1e-9
+
+    def test_shapes(self, case1_soliton):
+        cfg, eigenset, norming = case1_soliton
+        q, qdot = ist.reconstruct_with_derivative(cfg, eigenset, norming, 2, 0.5)
+        assert isinstance(q, complex) and isinstance(qdot, complex)
+        assert q == reconstruct(cfg, eigenset, norming, 2, 0.5)
+        q, qdot = ist.reconstruct_with_derivative(cfg, eigenset, norming,
+                                                  np.arange(-3, 4)[None, :],
+                                                  np.array([0.0, 0.5])[:, None])
+        assert q.shape == qdot.shape == (2, 7)
+
+    def test_empty_spectrum_rotates_q_plus(self):
+        for cfg in (spectral.make_case(1, 0.5, 0.3), spectral.make_case(4, 0.5, 0.3)):
+            ts = np.array([0.0, 0.4, 1.3])[:, None]
+            q, qdot = ist.reconstruct_with_derivative(cfg, ist.empty_eigenset(cfg), None,
+                                                      np.arange(-3, 4)[None, :], ts)
+            qp = np.broadcast_to(cfg.q_plus(ts), (3, 7))
+            assert np.array_equal(q, qp)
+            assert np.array_equal(qdot, 1j * cfg.rotation * qp)
+
+    def test_nonempty_spectrum_needs_norming(self, case1_soliton):
+        cfg, eigenset, _ = case1_soliton
+        with pytest.raises(DomainError):
+            ist.reconstruct_with_derivative(cfg, eigenset, None, 0, 0.0)
+
+    @settings(max_examples=8, deadline=None)
+    @given(spec=_grids, at=st.integers(0, 26))
+    def test_pole_raises_the_evaluator_message(self, spec, at):
+        cfg, eigenset, norming, scan = POLE
+        sites, ts = TestWholeGrid._axes(scan.at_site - 20, *spec[1:])
+        ts = np.insert(ts, at, scan.at_time)[:, None]
+        with pytest.raises(SingularSolution) as expected:
+            ist.make_evaluator(cfg, eigenset, norming)(sites[None, :], ts)
+        with pytest.raises(SingularSolution) as got:
+            ist.reconstruct_with_derivative(cfg, eigenset, norming, sites[None, :], ts)
+        assert str(got.value) == str(expected.value)
+
+    def test_solves_per_block(self, case1_soliton, monkeypatch):
+        # two batched solves per block, none larger than _BLOCK
+        cfg, eigenset, norming = case1_soliton
+        sizes = []
+        solve = np.linalg.solve
+
+        def recording(B, b):
+            sizes.append(B.shape[0])
+            return solve(B, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        ist.reconstruct_with_derivative(cfg, eigenset, norming,
+                                        np.arange(-16, 17)[None, :],
+                                        np.linspace(-5.0, 5.0, 41)[:, None])
+        assert sizes == [512, 512, 512, 512, 329, 329]
 
 
 def _scan_fixed_rounds(cfg, eigenset, norming, n_range, t_span, coarse_dt,

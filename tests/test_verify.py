@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from dnls_ist import ist, lattice, spectral, verify
 from dnls_ist.errors import BlowupDetected, GridMismatch, SingularSolution
 from dnls_ist.lattice import background_field, theta_products
 from dnls_ist.verify import (Trajectory, compare, equation_residual, equation_residuals,
-                             simulate)
+                             equation_residuals_exact, simulate)
 
 from conftest import CASE1_ETA1, reconstruct_grid_sizes
 
@@ -98,6 +99,108 @@ class TestEquationResiduals:
         sizes = reconstruct_grid_sizes(monkeypatch)
         equation_residuals(ev, case1_soliton[0], range(-15, 16), self.TIMES)
         assert sizes == [157 * len(self.TIMES)]
+
+
+def _old_equation_residuals(solution_evaluator, cfg, n_range, ts, h=1e-3):
+    """The stencil oracle as it stood before the residual core was shared."""
+    sites = np.array(list(n_range), dtype=int)
+    K = sites.size
+    at_t = np.unique(np.concatenate([sites - 1, sites, sites + 1, -sites]))
+    ts = [float(t) for t in ts]
+    stencil_ns = np.concatenate([np.tile(sites, 4), at_t])
+    stencil_ts = np.array([np.concatenate([np.repeat([t + 2 * h, t + h, t - h, t - 2 * h], K),
+                                           np.full(at_t.size, t)]) for t in ts])
+    q = solution_evaluator(stencil_ns, stencil_ts.reshape(len(ts), stencil_ns.size))
+    out = []
+    for t, q_t in zip(ts, q):
+        q2p, q1p, q1m, q2m = q_t[:4 * K].reshape(4, K)
+
+        def at(ns):
+            return q_t[4 * K + np.searchsorted(at_t, ns)]
+
+        qp, qm, qn, qmir = at(sites + 1), at(sites - 1), at(sites), at(-sites)
+        qdot = (-q2p + 8.0 * q1p - 8.0 * q1m + q2m) / (12.0 * h)
+        res = np.abs(1j * qdot - (qp - 2.0 * qn + qm)
+                     + cfg.sigma * qn * np.conj(qmir) * (qp + qm))
+        i = int(np.argmax(res))
+        out.append((float(res[i]), int(sites[i]), t, res, h))
+    return out
+
+
+class TestStencilAdapter:
+    @pytest.mark.parametrize("n_range, h", [(range(-15, 16), 1e-3), (range(-4, 9), 0.02),
+                                            (range(3, 7), 1e-3)])
+    def test_bit_identical_to_the_old_oracle(self, case1_soliton, case4_soliton, n_range, h):
+        ts = (-5.0, -1.3, 0.0, 2.7, 5.0)
+        cfg3 = spectral.make_case(3, 0.9, 0.2)
+        for cfg, ev in ((case1_soliton[0], ist.make_evaluator(*case1_soliton)),
+                        (case4_soliton[0], ist.make_evaluator(*case4_soliton)),
+                        (cfg3, cfg3.background)):
+            old = _old_equation_residuals(ev, cfg, n_range, ts, h)
+            new = equation_residuals(ev, cfg, n_range, ts, h)
+            for (worst, site, t, per_site, h_old), rep in zip(old, new):
+                assert np.array_equal(bits(rep.per_site), bits(per_site))
+                assert (rep.max_abs_residual, rep.argmax_site, rep.t, rep.h) == (
+                    worst, site, t, h_old)
+            one = equation_residual(ev, cfg, n_range, ts[1], h)
+            assert np.array_equal(bits(one.per_site), bits(old[1][3]))
+
+    def test_empty_times(self, case1_soliton):
+        ev = ist.make_evaluator(*case1_soliton)
+        assert equation_residuals(ev, case1_soliton[0], range(-3, 4), []) == []
+
+
+def _exact(cfg, eigenset, norming):
+    return functools.partial(ist.reconstruct_with_derivative, cfg, eigenset, norming)
+
+
+class TestExactResiduals:
+    TIMES = np.linspace(-5.0, 5.0, 41)
+
+    @pytest.mark.parametrize("fixture", ["case1_soliton", "case4_soliton"])
+    def test_solution_passes_below_the_stencil(self, fixture, request):
+        cfg, eigenset, norming = request.getfixturevalue(fixture)
+        exact = equation_residuals_exact(_exact(cfg, eigenset, norming), cfg,
+                                         range(-15, 16), self.TIMES)
+        fd = equation_residuals(ist.make_evaluator(cfg, eigenset, norming), cfg,
+                                range(-15, 16), self.TIMES)
+        assert [rep.t for rep in exact] == list(self.TIMES)
+        assert all(rep.h == 0.0 and rep.stencil_order == 0 for rep in exact)
+        worst = max(rep.max_abs_residual for rep in exact)
+        assert worst < 1e-10
+        assert worst <= max(rep.max_abs_residual for rep in fd)
+
+    def test_background(self):
+        cfg = spectral.make_case(1, 2.0 / 3.0, 0.2)
+        pair = _exact(cfg, ist.empty_eigenset(cfg), None)
+        reps = equation_residuals_exact(pair, cfg, range(-10, 11), [0.0, 0.5])
+        assert max(rep.max_abs_residual for rep in reps) < 1e-14
+
+    # gamma(zbar_1) vanishes for the case-4 pair, so it is shifted, not scaled
+    @pytest.mark.parametrize("fixture, wrong_gamma", [
+        ("case1_soliton", lambda g: (1.0 + 1e-3) * g),
+        ("case4_soliton", lambda g: g + 1e-3),
+    ])
+    def test_wrong_time_evolution_fails(self, fixture, wrong_gamma, request, monkeypatch):
+        # the exact derivative is that of the computed field, so a norming
+        # constant that evolves with a perturbed gamma breaks the equation
+        cfg, eigenset, norming = request.getfixturevalue(fixture)
+        monkeypatch.setattr(ist, "gamma", lambda c, z: wrong_gamma(spectral.gamma(c, z)))
+        wrong = ist.NormingData(cfg, eigenset, norming.cbar0, norming.params)
+        reps = equation_residuals_exact(_exact(cfg, eigenset, wrong), cfg,
+                                        range(-15, 16), self.TIMES)
+        assert max(rep.max_abs_residual for rep in reps) > 1e-6
+
+    def test_one_call_at_the_residual_cells(self, case1_soliton):
+        calls = []
+        pair = _exact(*case1_soliton)
+
+        def counted(ns, ts):
+            calls.append(np.broadcast(ns, ts).shape)
+            return pair(ns, ts)
+
+        equation_residuals_exact(counted, case1_soliton[0], range(-15, 16), self.TIMES)
+        assert calls == [(41, 33)]
 
 
 class TestSimulate:
