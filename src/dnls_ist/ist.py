@@ -105,7 +105,7 @@ def admissibility_residuals(cfg: CaseConfig, eigenset: EigenSet,
     An empty spectrum meets them only for cases I/III: for II/IV both
     branch-point limits miss by 2.
     """
-    sign = 1.0 if cfg.case_id in (Case.I, Case.III) else -1.0
+    sign = cfg.branch_sign
     if theta_inf is None:
         theta_inf = theta_minus_inf_constraint(eigenset)
     rinv = 1.0 / cfg.r
@@ -244,8 +244,7 @@ def eigenvalues_case2(cfg: CaseConfig, J: int = 2, scan_samples: int = 3000,
     return empty_eigenset(cfg)
 
 
-def eigenvalues_case3(cfg: CaseConfig, zeta_hat_1: float, J: int = 2,
-                      check: bool = True) -> EigenSet:
+def eigenvalues_case3(cfg: CaseConfig, zeta_hat_1: float, J: int = 2) -> EigenSet:
     """Two real pairs {zh1, zbar(zh1)} and {1/zbar(zh1), 1/zh1} for case III."""
     if cfg.case_id is not Case.III:
         raise DomainError("eigenvalues_case3 requires a case III configuration")
@@ -257,6 +256,8 @@ def eigenvalues_case3(cfg: CaseConfig, zeta_hat_1: float, J: int = 2,
     for bp in cfg.branch_points:
         if abs(zh1 - bp) < SINGULAR_GUARD * 1e6:
             raise Inadmissible(f"zeta_hat_1 = {zeta_hat_1} is a branch point")
+    if abs(zh1 - 1.0 / cfg.r) < SINGULAR_GUARD * 1e6:  # in D-, and zeta_bar(1/r) = 0
+        raise Inadmissible(f"zeta_hat_1 = {zeta_hat_1} is the pole 1/r of lam")
     if classify(cfg, zh1).tag is not Region.DMinus:
         raise Inadmissible(f"zeta_hat_1 = {zeta_hat_1} is not in D- (continuum or D+)")
     zbh1 = zeta_bar(cfg, zh1)
@@ -268,12 +269,10 @@ def eigenvalues_case3(cfg: CaseConfig, zeta_hat_1: float, J: int = 2,
             raise Inadmissible(f"derived eigenvalue {p.zeta} left D-")
         if classify(cfg, p.zbar).tag is not Region.DPlus:
             raise Inadmissible(f"derived eigenvalue {p.zbar} left D+")
-    if check:
-        theta_inf = theta_minus_inf_from_system(cfg, eigenset, unit_norming(cfg, eigenset))
-        res = admissibility_residuals(cfg, eigenset, theta_inf)
-        worst = max(res.values())
-        if worst > CONSTRAINT_TOL:
-            raise Inadmissible(f"trace-formula constraints violated: {res}")
+    theta_inf = theta_minus_inf_from_system(cfg, eigenset, unit_norming(cfg, eigenset))
+    res = admissibility_residuals(cfg, eigenset, theta_inf)
+    if max(res.values()) > CONSTRAINT_TOL:
+        raise Inadmissible(f"trace-formula constraints violated: {res}")
     return eigenset
 
 
@@ -337,7 +336,7 @@ class NormingData:
 
 
 def norming_case1(cfg: CaseConfig, eigenset: EigenSet, kappa1: float,
-                  thbar1: float, thbar2: float, t: float = 0.0) -> NormingData:
+                  thbar1: float, thbar2: float) -> NormingData:
     """Quartet norming constants pinned to the nonlocal reduction.
 
     The pair below is the unique choice (given Cbar_1) for which the
@@ -362,14 +361,11 @@ def norming_case1(cfg: CaseConfig, eigenset: EigenSet, kappa1: float,
              / (zb1 - zb2) * cmath.exp(1j * (thbar1 - math.pi / 2.0)))
     cbar2 = ((1.0 / kappa1) * lam_b ** -3 * (zb2 - z1) * (zb2 - z1.conjugate())
              / (zb2 - zb1) * cmath.exp(1j * (thbar2 + math.pi / 2.0)))
-    # t enters through cbar()/c(); the stored values are the t = 0 residues.
-    del t
     return NormingData(cfg, eigenset, (cbar1, cbar2),
                        {"kappa1": kappa1, "thbar1": thbar1, "thbar2": thbar2})
 
 
-def norming_case4(cfg: CaseConfig, eigenset: EigenSet, thbar1: float,
-                  t: float = 0.0) -> NormingData:
+def norming_case4(cfg: CaseConfig, eigenset: EigenSet, thbar1: float) -> NormingData:
     """Single-pair norming constant pinned to the nonlocal reduction.
 
     The modulus lam**-1 * |zbar_1 - zeta_1| is forced (it centers the
@@ -384,7 +380,6 @@ def norming_case4(cfg: CaseConfig, eigenset: EigenSet, thbar1: float,
     zb1, z1 = pair.zbar, pair.zeta
     lam_b = point_from_zeta(cfg, zb1).lam
     cbar1 = lam_b ** -1 * (zb1 - z1) * cmath.exp(1j * thbar1)
-    del t  # t enters through cbar()/c()
     return NormingData(cfg, eigenset, (cbar1,), {"thbar1": thbar1})
 
 
@@ -403,18 +398,6 @@ class ReflectionlessSystem:
 
     B: np.ndarray
     Y: np.ndarray
-    n: int
-    t: float
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        J = (self.B.shape[0] - 1) // 4
-        out = [f"N1(zeta_{j + 1})" for j in range(J)]
-        out += [f"N2(zeta_{j + 1})" for j in range(J)]
-        out += [f"Nbar1(zbar_{j + 1})" for j in range(J)]
-        out += [f"Nbar2(zbar_{j + 1})" for j in range(J)]
-        out.append("1/Theta_n")
-        return tuple(out)
 
 
 # Per-cell outcome of reconstruct_grid: the first check a cell fails, in the
@@ -476,7 +459,7 @@ def build_system(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                  n: int, t: float) -> ReflectionlessSystem:
     """Assemble the (4J+1)-dimensional reflectionless system at site n, time t."""
     B, Y, *_ = _assemble(cfg, eigenset, norming, np.array([n]), np.array([float(t)]))
-    return ReflectionlessSystem(B[0], Y, n, t)
+    return ReflectionlessSystem(B[0], Y)
 
 
 @dataclass(frozen=True)
@@ -542,25 +525,11 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData |
     backward error at most 1e-8 * |B| |X| + |Y|, |1/Theta_n| at least
     DET_GUARD * max(1, |X|), and a finite amplitude.  The system is badly
     scaled but well posed at large |n| (lam**(2n) entries), so singularity
-    is judged by these checks rather than by a determinant.
+    is judged by these checks rather than by a determinant.  An empty
+    spectrum is the J = 0 system B = [1]: q_plus(t), r_plus(t) at every cell.
     """
     ns, ts, _ = _flat_cells(ns, ts)
-    M = ns.size
-    if eigenset.is_empty():
-        return ReconstructionGrid(ns, ts, cfg.q_plus(ts), cfg.r_plus(ts), np.zeros(M),
-                                  np.ones(M, dtype=complex), np.full(M, OK, dtype=np.int8))
-    if norming is None:
-        raise DomainError("nonempty eigenset requires norming data")
-    q = np.empty(M, dtype=complex)
-    rn = np.empty(M, dtype=complex)
-    backward = np.empty(M)
-    theta_inv = np.empty(M, dtype=complex)
-    reason = np.empty(M, dtype=np.int8)
-    for start in range(0, M, _BLOCK):
-        cells = slice(start, start + _BLOCK)
-        (q[cells], rn[cells], backward[cells], theta_inv[cells],
-         reason[cells]) = _solve_block(cfg, eigenset, norming, ns[cells], ts[cells])
-    return ReconstructionGrid(ns, ts, q, rn, backward, theta_inv, reason)
+    return _solve_cells(cfg, eigenset, norming, ns, ts)[0]
 
 
 def reconstruct_with_derivative(cfg: CaseConfig, eigenset: EigenSet,
@@ -571,25 +540,33 @@ def reconstruct_with_derivative(cfg: CaseConfig, eigenset: EigenSet,
     checks).  Time enters the system only through exponentials, so
     dB/dt is B times a constant rate matrix elementwise and the exact
     derivative of the computed solution is X' = -B^-1 (dB/dt) X, a second
-    solve on the same stack.  An empty spectrum gives q_plus(t) and
-    i * rotation * q_plus(t).  Raises SingularSolution for the first
+    solve on the same stack.  Raises SingularSolution for the first
     singular cell in flattened order, as make_evaluator does.
     """
     ns, ts, shape = _flat_cells(ns, ts)
-    if eigenset.is_empty():
-        q = cfg.q_plus(ts)
-        qdot = 1j * cfg.rotation * q
-    elif norming is None:
-        raise DomainError("nonempty eigenset requires norming data")
-    else:
-        q = np.empty(ns.size, dtype=complex)
-        qdot = np.empty(ns.size, dtype=complex)
-        for start in range(0, ns.size, _BLOCK):
-            cells = slice(start, start + _BLOCK)
-            *block, qdot[cells] = _solve_block(cfg, eigenset, norming, ns[cells], ts[cells],
-                                               derivative=True)
-            q[cells] = ReconstructionGrid(ns[cells], ts[cells], *block).require()
-    return q.reshape(shape)[()], qdot.reshape(shape)[()]
+    grid, (qdot,) = _solve_cells(cfg, eigenset, norming, ns, ts, derivative=True)
+    return grid.require().reshape(shape)[()], qdot.reshape(shape)[()]
+
+
+def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None,
+                 ns: np.ndarray, ts: np.ndarray, derivative: bool = False):
+    """The ReconstructionGrid over flat cells, and [dq/dt] if derivative is set.
+
+    The one block loop of reconstruct_grid and reconstruct_with_derivative;
+    norming may be None only for an empty spectrum.
+    """
+    if norming is None:
+        if not eigenset.is_empty():
+            raise DomainError("nonempty eigenset requires norming data")
+        norming = unit_norming(cfg, eigenset)
+    out = [np.empty(ns.size, dtype) for dtype in
+           (complex, complex, float, complex, np.int8, complex)[:5 + derivative]]
+    for start in range(0, ns.size, _BLOCK):
+        cells = slice(start, start + _BLOCK)
+        for whole, part in zip(out, _solve_block(cfg, eigenset, norming, ns[cells], ts[cells],
+                                                 derivative)):
+            whole[cells] = part
+    return ReconstructionGrid(ns, ts, *out[:5]), out[5:]
 
 
 def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
@@ -720,12 +697,13 @@ class SingularityScan:
 def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                      n_range: tuple[int, int] = (-25, 25),
                      t_span: tuple[float, float] = (-10.0, 10.0),
-                     coarse_dt: float = 0.1, flag_below: float = 1e-6) -> SingularityScan:
+                     coarse_dt: float = 0.1) -> SingularityScan:
     """Locate the deepest dip of |1/Theta_n| and refine it in time.
 
     A cell whose solve fails scores 0; the coarse sweep is one
     reconstruct_grid call over every (site, time) cell and keeps the first
-    minimum in site-major order.
+    minimum in site-major order.  The member is flagged singular when the
+    refined minimum is below 1e-6.
     """
 
     def theta_inv_at(ns, ts) -> np.ndarray:
@@ -755,7 +733,7 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
         lo, hi = shrunk
     t_ref = 0.5 * (lo + hi)
     v_ref = min(best[0], float(theta_inv_at(n_star, t_ref)[0]))
-    return SingularityScan(v_ref, n_star, t_ref, v_ref < flag_below)
+    return SingularityScan(v_ref, n_star, t_ref, v_ref < 1e-6)
 
 
 def soliton_closed_form_case4(cfg: CaseConfig, thbar1: float, ns, ts):
@@ -803,20 +781,17 @@ def soliton_closed_form_case4(cfg: CaseConfig, thbar1: float, ns, ts):
 
 
 def theta_minus_inf_from_system(cfg: CaseConfig, eigenset: EigenSet,
-                                norming: NormingData, n_large: int = 200,
-                                t: float = 0.0) -> complex:
-    """Theta_n from the solved system at a deeply negative site.
+                                norming: NormingData) -> complex:
+    """Theta_n from the solved system at t = 0 and a deeply negative site.
 
-    The site is capped so that the lam**(2n) system entries stay finite in
-    double precision; the limit is machine-converged long before the cap.
+    The site (at most 200 out) is capped so that the lam**(2n) system entries
+    stay finite in double precision; the limit is machine-converged long before the cap.
     """
-    if eigenset.is_empty():
-        return 1.0 + 0.0j
     max_log = 1e-6
     for z in (*eigenset.zeros_t11, *eigenset.zeros_t22):
         max_log = max(max_log, abs(math.log10(abs(lam_squared(cfg, z)))))
-    n_eff = min(n_large, max(8, int(140.0 / max_log)))
-    grid = reconstruct_grid(cfg, eigenset, norming, [-n_eff], [t])
+    n_eff = min(200, max(8, int(140.0 / max_log)))
+    grid = reconstruct_grid(cfg, eigenset, norming, [-n_eff], [0.0])
     if grid.reason[0] in _SOLVE_FAILED:
         raise grid.error(0)
     if abs(grid.theta_inv[0]) < DET_GUARD:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DivisionNearZero, NearBranchPoint, SingularTransfer
 from .ist import EigenSet, theta_minus_inf_constraint
 from .lattice import PotentialWindow, ThetaProduct, theta_products
-from .spectral import (Case, CaseConfig, SINGULAR_GUARD, SpectralPoint,
+from .spectral import (CaseConfig, SINGULAR_GUARD, SpectralPoint,
                        lam_squared, point_from_zeta, zeta_bar)
 
 RENORM_THRESHOLD = 1e50
@@ -53,8 +53,6 @@ _EQUATION_A = {ColumnKind.M: True, ColumnKind.NBAR: True,
 class EigenfunctionColumn:
     """Column values on n in [-N, N+1] with per-site log renormalization."""
 
-    kind: ColumnKind
-    point: SpectralPoint
     N: int
     values: np.ndarray
     log_scale: np.ndarray
@@ -132,12 +130,11 @@ class _Sweep:
         c = self.kinds.index(kind)
         return self.values[i, :, c], self.logs[i, c]
 
-    def column(self, kind: ColumnKind, k: int, point: SpectralPoint) -> EigenfunctionColumn:
+    def column(self, kind: ColumnKind, k: int) -> EigenfunctionColumn:
         """The whole column at point k of a sweep that recorded every step."""
         c = self.kinds.index(kind)
         order = slice(None) if _FORWARD[kind] else slice(None, None, -1)
-        return EigenfunctionColumn(kind, point, self.N, self.values[order, :, c, k],
-                                   self.logs[order, c, k])
+        return EigenfunctionColumn(self.N, self.values[order, :, c, k], self.logs[order, c, k])
 
 
 def _propagate(window: PotentialWindow, zetas,
@@ -219,7 +216,7 @@ def _propagate(window: PotentialWindow, zetas,
 def jost(window: PotentialWindow, point: SpectralPoint,
          kind: ColumnKind) -> EigenfunctionColumn:
     """Propagate one modified Jost column across the window."""
-    return _propagate(window, [point.zeta], (kind,)).column(kind, 0, point)
+    return _propagate(window, [point.zeta], (kind,)).column(kind, 0)
 
 
 def wronskian(col_a: EigenfunctionColumn, col_b: EigenfunctionColumn, n: int) -> complex:
@@ -313,7 +310,6 @@ class SymmetryReport:
     first_diag: float
     first_offdiag: float
     second: float
-    samples: tuple[complex, ...]
 
 
 def _with_partners(cfg: CaseConfig, zetas) -> list[complex]:
@@ -330,7 +326,7 @@ def _with_partners(cfg: CaseConfig, zetas) -> list[complex]:
 def _symmetries(window: PotentialWindow, c: Coefficients, samples) -> SymmetryReport:
     """Symmetry residuals from coefficients laid out as by `_with_partners`."""
     cfg = window.cfg
-    sign = 1.0 if cfg.case_id in (Case.I, Case.III) else -1.0
+    sign = cfg.branch_sign
     qp = cfg.q_plus(window.t)
     rm = cfg.r_minus(window.t)
     K = len(samples)
@@ -338,7 +334,7 @@ def _symmetries(window: PotentialWindow, c: Coefficients, samples) -> SymmetryRe
     d1 = _max_abs(c.t11[here] - sign * c.t22[bar])
     d2 = _max_abs(c.t21_mod[here] + (qp / rm) * c.t12_mod[bar])
     d3 = _max_abs(c.t11[here] - sign * np.conj(c.t22[star]))
-    return SymmetryReport(d1, d2, d3, tuple(complex(z) for z in samples))
+    return SymmetryReport(d1, d2, d3)
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -394,7 +390,7 @@ def asymptotic_checks(window: PotentialWindow, big: float = 1e4,
                       small: float = 1e-4, offset: float = 1e-4) -> AsymptoticReport:
     """Evaluate the columns and coefficients near their distinguished points."""
     cfg = window.cfg
-    sign = 1.0 if cfg.case_id in (Case.I, Case.III) else -1.0
+    sign = cfg.branch_sign
     theta = theta_products(window)
     points = [big, small, 1.0 / cfg.r + offset, cfg.r + offset]
     _guard(cfg, points)

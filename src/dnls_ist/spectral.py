@@ -60,6 +60,11 @@ class CaseConfig:
         return self.theta_minus + self.delta_theta
 
     @property
+    def branch_sign(self) -> float:
+        """Sign of t11 at 1/r and of t22 at r: +1 for cases I/III, -1 for II/IV."""
+        return 1.0 if self.case_id in (Case.I, Case.III) else -1.0
+
+    @property
     def rotation(self) -> float:
         """Angular velocity 2*sigma*delta of the background phase."""
         return 2.0 * self.sigma * self.delta
@@ -110,10 +115,6 @@ class SpectralPoint:
     z: complex
     lam: complex
 
-    @property
-    def lam2(self) -> complex:
-        return self.lam * self.lam
-
 
 def _guard_singular(cfg: CaseConfig, zeta: complex, include_branch: bool = True) -> None:
     poles = [0.0, cfg.r, 1.0 / cfg.r]
@@ -154,7 +155,6 @@ class Region(enum.Enum):
 @dataclass(frozen=True)
 class RegionTag:
     tag: Region
-    tolerance: float
 
 
 def classify(cfg: CaseConfig, zeta: complex, tol: float = REGION_TOL) -> RegionTag:
@@ -165,10 +165,10 @@ def classify(cfg: CaseConfig, zeta: complex, tol: float = REGION_TOL) -> RegionT
     else:
         s = (abs(zeta) - 1.0) * (abs(zeta - cfg.r) - cfg.q0)
     if s < -tol:
-        return RegionTag(Region.DPlus, tol)
+        return RegionTag(Region.DPlus)
     if s > tol:
-        return RegionTag(Region.DMinus, tol)
-    return RegionTag(Region.Continuum, tol)
+        return RegionTag(Region.DMinus)
+    return RegionTag(Region.Continuum)
 
 
 def gamma(cfg: CaseConfig, zeta: complex) -> complex:

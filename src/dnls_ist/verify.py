@@ -118,7 +118,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     dt: float
-    boundary_policy: str = "pinned-background"
 
     def window(self, step: int) -> PotentialWindow:
         return PotentialWindow(self.cfg, self.N, float(self.times[step]),

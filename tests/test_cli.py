@@ -1,10 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnls_ist import cli
 from dnls_ist.cli import (EXIT_ALL_SINGULAR, EXIT_BLOWUP, EXIT_CONFIG,
@@ -292,7 +298,8 @@ class TestScatter:
         rep = json.loads(out.read_text())
         assert rep["failures"] == {}
 
-    def test_nan_residual_is_a_failure(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["scatter", "verify"])
+    def test_nan_residual_is_a_failure(self, tmp_path, monkeypatch, command):
         from dnls_ist import scattering
         report = scattering.scattering_report
 
@@ -300,12 +307,20 @@ class TestScatter:
             return dataclasses.replace(report(*args), det_residual=math.nan)
 
         monkeypatch.setattr(scattering, "scattering_report", nan_det)
-        doc = {"case": 1, "q0": 2.0 / 3.0, "N": 10,
+        # J: 0 gives verify a field (the bare background); scatter ignores it
+        doc = {"case": 1, "q0": 2.0 / 3.0, "J": 0, "N": 10,
                "field": {"source": "background"}, "zeta_samples": 2}
         path = write_config(tmp_path, doc)
         out = tmp_path / "r.json"
-        assert main(["scatter", "--config", path, "--out", str(out)]) == EXIT_TOLERANCE
-        assert json.loads(out.read_text())["failures"] == {"det_vs_theta": "nan"}
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_TOLERANCE
+        rep = json.loads(out.read_text())
+        if command == "scatter":
+            assert rep["failures"] == {"det_vs_theta": "nan"}
+        else:
+            assert rep["checks"]["det_vs_theta"] == {"max": "nan", "tolerance": 1e-5,
+                                                     "pass": False}
+            assert rep["checks"]["symmetries"]["pass"] is True
+            assert rep["pass"] is False
 
     def test_tolerance_breach(self, tmp_path):
         doc = {"case": 1, "q0": 2.0 / 3.0, "N": 20,
@@ -538,3 +553,49 @@ def test_dump_json_formats():
     assert doc["a"] == pytest.approx(1.0 / 3.0, abs=0)
     assert doc["c"] == {"re": 1.0, "im": -2.0}
     assert "0.33333333333333331" in text
+
+
+_DOCUMENTED_EXITS = {EXIT_OK, EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_ALL_SINGULAR,
+                     EXIT_TOLERANCE, EXIT_BLOWUP, EXIT_NUMERICAL}
+
+
+@st.composite
+def _run_configs(draw):
+    """Configs of every case, in and out of range, with and without eigenvalue keys."""
+    case = draw(st.integers(1, 4))
+    q0 = draw(st.one_of(st.floats(0.05, 0.95), st.floats(0.05, 1.5),
+                        st.sampled_from([0.0, -0.5, 1.0])))
+    t0 = draw(st.floats(-1.0, 1.0))
+    doc = {"case": case, "q0": q0, "theta": draw(st.floats(-math.pi, math.pi)),
+           "N": draw(st.integers(1, 8)), "dt": draw(st.sampled_from([0.05, 0.1, 0.3])),
+           "t_grid": {"t0": t0, "t1": t0 + draw(st.sampled_from([0.0, 0.3, 1.0])),
+                      "steps": draw(st.integers(1, 3))},
+           "field": {"source": draw(st.sampled_from(["soliton", "background"]))}}
+    J = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    if J is not None:
+        doc["J"] = J
+    if draw(st.booleans()):
+        doc["eta1"] = draw(st.floats(2.0, 4.5))
+    if draw(st.booleans()):
+        # only case 3 reads it: its r, the poles 0, r, 1/r and the branch points among them
+        r = math.sqrt(1.0 + q0 * q0)
+        doc["zeta_hat_1"] = draw(st.one_of(st.floats(-4.0, 4.0),
+                                           st.sampled_from([0.0, r, 1.0 / r, r + q0, r - q0])))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_run_configs())
+def test_every_command_exits_with_a_documented_code(doc):
+    # An exception escaping main would be a traceback: the test fails on it.
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = {**doc, "outputs": {"trajectory_csv": os.path.join(tmp, "traj.csv")}}
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in cli._DISPATCH:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+            assert code in _DOCUMENTED_EXITS, (command, code)
+            assert "Traceback" not in err.getvalue()

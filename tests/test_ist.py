@@ -105,6 +105,12 @@ class TestEigenvaluesCase3:
         with pytest.raises(Inadmissible):
             eigenvalues_case3(cfg, cfg.r + cfg.q0)
 
+    def test_pole_rejected(self):
+        # 1/r lies in D- but is a pole of lam, and zeta_bar(1/r) = 0
+        cfg = spectral.make_case(3, 1.0)
+        with pytest.raises(Inadmissible, match="pole 1/r"):
+            eigenvalues_case3(cfg, 1.0 / cfg.r)
+
     def test_continuum_rejected(self):
         cfg = spectral.make_case(3, 1.0)
         # |zeta - r| = q0 is part of the continuum
@@ -596,6 +602,28 @@ class TestReconstructGrid:
         assert not grid.singular.any()
         assert np.max(np.abs(grid.q - cfg.q_plus(0.7))) < 1e-15
         assert np.max(np.abs(grid.r - cfg.r_plus(0.7))) < 1e-15
+
+    @pytest.mark.parametrize("theta", [0.3, 0.0, -0.0, math.pi, 0.7])
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    def test_empty_spectrum_is_the_j0_system(self, case, theta):
+        # B = [1] and 1/Theta_n = 1 through the same blocks as any spectrum
+        cfg = spectral.make_case(case, 0.5, theta)
+        empty = ist.empty_eigenset(cfg)
+        cells = [(np.arange(-300, 301)[None, :], np.array([-2.0, 0.0, 1.3])[:, None]),
+                 (np.arange(0), np.arange(0.0))]
+        for norming in (None, unit_norming(cfg, empty)):
+            for ns, ts in cells:
+                grid = ist.reconstruct_grid(cfg, empty, norming, ns, ts)
+                q, qdot = ist.reconstruct_with_derivative(cfg, empty, norming, ns, ts)
+                qp = cfg.q_plus(grid.ts)
+                assert np.array_equal(_bits(grid.q), _bits(qp))
+                assert np.array_equal(_bits(grid.r), _bits(cfg.r_plus(grid.ts)))
+                assert np.array_equal(_bits(grid.backward), _bits(np.zeros(qp.size)))
+                assert np.array_equal(_bits(grid.theta_inv), _bits(np.ones(qp.size, complex)))
+                assert np.array_equal(grid.reason, np.full(qp.size, ist.OK, dtype=np.int8))
+                assert np.array_equal(_bits(q.ravel()), _bits(qp))
+                assert np.array_equal(_bits(qdot.ravel()), _bits(1j * cfg.rotation * qp))
+                assert q.shape == qdot.shape == np.broadcast_shapes(ns.shape, ts.shape)
 
     def test_cbar_does_not_recompute_gamma(self, case1_soliton, monkeypatch):
         cfg, eigenset, norming = case1_soliton
