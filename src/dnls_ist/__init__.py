@@ -4,7 +4,7 @@ from .errors import (BlowupDetected, ConfigError, DegenerateEigenvalues,
                      DivisionNearZero, DomainError, GridMismatch, Inadmissible,
                      IstError, NearBranchPoint, SingularPoint, SingularProduct,
                      SingularSolution, SingularTransfer)
-from .spectral import (Case, CaseConfig, Region, RegionTag, SpectralPoint,
+from .spectral import (Case, CaseConfig, Region, SpectralPoint,
                        classify, gamma, lam_squared, make_case,
                        point_from_zeta, zeta_bar)
 from .lattice import (PotentialWindow, ThetaProduct, al_rhs, background_field,
@@ -17,12 +17,12 @@ from .ist import (EigenSet, NormingData, Quartet, RealPair,
                   reconstruct_grid, reconstruct_pair, reconstruct_with_derivative,
                   singularity_scan, soliton_closed_form_case4,
                   theta_minus_inf_constraint, theta_minus_inf_from_system,
-                  unit_norming)
+                  trace_formula, trace_product, unit_norming)
 from .scattering import (AsymptoticReport, Coefficients, ColumnKind,
                          EigenfunctionColumn, ScatteringReport, SymmetryReport,
                          asymptotic_checks, check_symmetries, continuum_samples,
                          jost, reflection, scattering_coefficients,
-                         scattering_report, trace_formula, wronskian)
+                         scattering_report, wronskian)
 from .verify import (ResidualReport, Trajectory, compare, equation_residual,
                      equation_residuals, equation_residuals_exact, simulate)
 

@@ -285,15 +285,15 @@ def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
             "kind": "quartet",
             "zeta": q.zeta, "zeta_conj": q.zeta_conj,
             "zeta_bar": q.zbar, "zeta_bar_conj": q.zbar_conj,
-            "region_zeta": classify(cfg, q.zeta).tag.value,
-            "region_zeta_bar": classify(cfg, q.zbar).tag.value,
+            "region_zeta": classify(cfg, q.zeta).value,
+            "region_zeta_bar": classify(cfg, q.zbar).value,
         })
     for p in eigenset.pairs:
         entries.append({
             "kind": "pair",
             "zeta": p.zeta, "zeta_bar": p.zbar,
-            "region_zeta": classify(cfg, p.zeta).tag.value,
-            "region_zeta_bar": classify(cfg, p.zbar).tag.value,
+            "region_zeta": classify(cfg, p.zeta).value,
+            "region_zeta_bar": classify(cfg, p.zbar).value,
         })
     report = {
         "case": config.case,

@@ -86,14 +86,44 @@ def empty_eigenset(cfg: CaseConfig) -> EigenSet:
     return EigenSet(cfg.case_id, (), ())
 
 
+def trace_product(zeros, partners, zeta):
+    """prod_j (zeta - zeros_j)/(zeta - partners_j), the reflectionless t11(zeta).
+
+    zeros and partners are (..., J): one spectrum or a batch of candidate
+    spectra; zeta broadcasts against the batch shape.  theta_-inf = t11(0),
+    and t22 is theta_-inf times the product with the roles swapped.
+    """
+    zeta = np.asarray(zeta, dtype=complex)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.prod((zeta - zeros) / (zeta - partners), axis=-1)
+
+
 def theta_minus_inf_constraint(eigenset: EigenSet) -> complex:
-    """Theta_-inf forced by the zero-argument limit of the trace formula."""
-    val = 1.0 + 0.0j
-    for q in eigenset.quartets:
-        val *= abs(q.zeta) ** 2 / abs(q.zbar) ** 2
-    for p in eigenset.pairs:
-        val *= p.zeta / p.zbar
-    return val
+    """Theta_-inf = t11(0), forced by the zero-argument limit of the trace formula."""
+    return complex(trace_product(eigenset.zeros_t11, eigenset.zeros_t22, 0.0))
+
+
+def trace_formula(cfg: CaseConfig, eigen_data: EigenSet, zeta):
+    """Reflectionless predictions (t11, t22) at zeta (a scalar or an array).
+
+    t22 has poles at the zeros of t11, where it comes out non-finite.
+    """
+    zs, zbs = eigen_data.zeros_t11, eigen_data.zeros_t22
+    with np.errstate(invalid="ignore"):
+        return (trace_product(zs, zbs, zeta),
+                theta_minus_inf_constraint(eigen_data) * trace_product(zbs, zs, zeta))
+
+
+def _trace_limits(cfg: CaseConfig, zeros, partners, theta_inf=None) -> dict:
+    """The three trace-limit residuals over spectra (..., J), as arrays."""
+    sign = cfg.branch_sign
+    if theta_inf is None:
+        theta_inf = trace_product(zeros, partners, 0.0)
+    return {
+        "t11_at_rinv": np.abs(trace_product(zeros, partners, 1.0 / cfg.r) - sign),
+        "t22_at_zero": np.abs(theta_inf * trace_product(partners, zeros, 0.0) - 1.0),
+        "t22_at_r": np.abs(theta_inf * trace_product(partners, zeros, cfg.r) - sign),
+    }
 
 
 def admissibility_residuals(cfg: CaseConfig, eigenset: EigenSet,
@@ -105,22 +135,8 @@ def admissibility_residuals(cfg: CaseConfig, eigenset: EigenSet,
     An empty spectrum meets them only for cases I/III: for II/IV both
     branch-point limits miss by 2.
     """
-    sign = cfg.branch_sign
-    if theta_inf is None:
-        theta_inf = theta_minus_inf_constraint(eigenset)
-    rinv = 1.0 / cfg.r
-    p_rinv = 1.0 + 0.0j
-    p_zero = 1.0 + 0.0j
-    p_r = 1.0 + 0.0j
-    for z, zb in zip(eigenset.zeros_t11, eigenset.zeros_t22):
-        p_rinv *= (rinv - z) / (rinv - zb)
-        p_zero *= zb / z
-        p_r *= (cfg.r - zb) / (cfg.r - z)
-    return {
-        "t11_at_rinv": abs(p_rinv - sign),
-        "t22_at_zero": abs(theta_inf * p_zero - 1.0),
-        "t22_at_r": abs(theta_inf * p_r - sign),
-    }
+    res = _trace_limits(cfg, eigenset.zeros_t11, eigenset.zeros_t22, theta_inf)
+    return {name: float(value) for name, value in res.items()}
 
 
 def eigenvalues_case1(cfg: CaseConfig, eta1: float, J: int = 2) -> EigenSet:
@@ -139,7 +155,7 @@ def eigenvalues_case1(cfg: CaseConfig, eta1: float, J: int = 2) -> EigenSet:
         raise Inadmissible("zeta_bar pairing failed for the constructed quartet")
     if abs(abs(zb1 - 1.0 / cfg.r) - cfg.q0 / cfg.r) > 1e-12:
         raise Inadmissible("zbar_1 is off the circle |zeta - 1/r| = q0/r")
-    if classify(cfg, zb1).tag is not Region.DPlus or classify(cfg, z1).tag is not Region.DMinus:
+    if classify(cfg, zb1) is not Region.DPlus or classify(cfg, z1) is not Region.DMinus:
         raise Inadmissible("quartet landed outside its required regions")
     return EigenSet(cfg.case_id, (Quartet(z1, z1.conjugate(), zb1, zb1.conjugate()),), ())
 
@@ -162,83 +178,65 @@ def case2_feasibility_scan(cfg: CaseConfig, samples: int = 10_000,
     and two involution-linked real pairs (J=2).  The violation of a
     candidate is the distance of the trace-formula limits from their
     required values; strict positivity over the grid means no admissible
-    discrete spectrum exists.
+    discrete spectrum exists.  Each family's candidates are scored as one
+    batch of spectra; the first least violation wins, in family order.
     """
     if cfg.case_id is not Case.II:
         raise DomainError("the feasibility scan is defined for case II")
     rng = np.random.default_rng(seed)
     r, q0 = cfg.r, cfg.q0
-    rinv = 1.0 / r
-
-    def ratio_at(point, z, zb):
-        return (point - z) / (point - zb)
-
-    best = (math.inf, 0.0 + 0.0j, "")
     n_each = max(1, samples // 3)
-    total = 0
 
     # J = 1: one real zero zeta_hat in D-, partner zeta_bar_hat = involution image.
     reals = np.concatenate([
         rng.uniform(-6.0, -1.0 - 1e-3, n_each // 3),
-        rng.uniform(rinv * (1 + 1e-6), 0.999, n_each // 3),
+        rng.uniform(1.0 / r * (1 + 1e-6), 0.999, n_each // 3),
         rng.uniform(r + q0 + 1e-3, 8.0, n_each - 2 * (n_each // 3)),
     ])
-    for zh in reals:
-        if classify(cfg, zh).tag is not Region.DMinus:
-            continue
-        total += 1
-        zbh = zeta_bar(cfg, zh)
-        v1 = abs(ratio_at(rinv, zh, zbh) + 1.0)
-        theta = zh / zbh
-        v2 = abs(theta * ratio_at(r, zbh, zh) + 1.0)
-        v = max(v1, v2)
-        if v < best[0]:
-            best = (v, complex(zh), "J2=1 real pair")
+    zh = reals[classify(cfg, reals) == Region.DMinus]
+    zbh = zeta_bar(cfg, zh)
 
     # J = 2 with one quartet: the 1/r limit is a positive modulus ratio, so
-    # its distance from -1 is at least 1 for every complex candidate.
-    for _ in range(n_each):
-        zeta = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        if classify(cfg, zeta).tag is not Region.DMinus or abs(zeta.imag) < 1e-3:
-            continue
-        total += 1
-        zb = zeta_bar(cfg, zeta)
-        lhs = abs(rinv - zeta) ** 2 / abs(rinv - zb) ** 2
-        v = abs(lhs + 1.0)
-        if v < best[0]:
-            best = (v, zeta, "J1=1 quartet")
+    # its distance from -1 is at least 1 for every complex candidate.  Each
+    # candidate takes two consecutive draws, real part first.
+    zeta = rng.uniform(-4, 4, (n_each, 2)).view(complex)[:, 0]
+    zeta = zeta[(classify(cfg, zeta) == Region.DMinus) & (np.abs(zeta.imag) >= 1e-3)]
+    zb = zeta_bar(cfg, zeta)
 
     # J = 2 with two real pairs linked by zeta_hat_2 = 1/zeta_bar_hat_1.
-    for zh1 in reals[: n_each]:
-        if classify(cfg, zh1).tag is not Region.DMinus:
-            continue
-        zbh1 = zeta_bar(cfg, zh1)
-        if abs(zbh1) < 1e-12:
-            continue
-        zh2 = 1.0 / zbh1
-        if classify(cfg, zh2).tag is not Region.DMinus:
-            continue
-        total += 1
-        zbh2 = zeta_bar(cfg, zh2)
-        prod = ratio_at(rinv, zh1, zbh1) * ratio_at(rinv, zh2, zbh2)
-        theta = (zh1 / zbh1) * (zh2 / zbh2)
-        v = max(abs(prod + 1.0),
-                abs(theta * ratio_at(r, zbh1, zh1) * ratio_at(r, zbh2, zh2) + 1.0))
-        if v < best[0]:
-            best = (v, complex(zh1), "J2=2 real pairs")
+    nonzero = np.abs(zbh) >= 1e-12
+    zh1, zbh1 = zh[nonzero], zbh[nonzero]
+    zh2 = 1.0 / zbh1
+    linked = classify(cfg, zh2) == Region.DMinus
+    zh1, zbh1, zh2 = zh1[linked], zbh1[linked], zh2[linked]
 
-    return FeasibilityScan(best[0], best[1], best[2], total)
+    families = (  # (name, zeros with the candidate first, partners, scored limits)
+        ("J2=1 real pair", zh[:, None], zbh[:, None], ("t11_at_rinv", "t22_at_r")),
+        ("J1=1 quartet", np.stack([zeta, zeta.conj()], 1), np.stack([zb, zb.conj()], 1),
+         ("t11_at_rinv",)),
+        ("J2=2 real pairs", np.stack([zh1, zh2], 1), np.stack([zbh1, zeta_bar(cfg, zh2)], 1),
+         ("t11_at_rinv", "t22_at_r")),
+    )
+    best = FeasibilityScan(math.inf, 0.0 + 0.0j, "", sum(len(f[1]) for f in families))
+    for family, zeros, partners, scored in families:
+        if len(zeros):
+            res = _trace_limits(cfg, zeros, partners)
+            violation = np.max([res[name] for name in scored], axis=0)
+            i = int(np.argmin(violation))
+            if violation[i] < best.min_violation:
+                best = FeasibilityScan(float(violation[i]), complex(zeros[i, 0]), family,
+                                       best.candidates)
+    return best
 
 
-def eigenvalues_case2(cfg: CaseConfig, J: int = 2, scan_samples: int = 3000,
-                      seed: int = 0) -> EigenSet:
+def eigenvalues_case2(cfg: CaseConfig, J: int = 2, scan_samples: int = 3000) -> EigenSet:
     """Case II has no admissible discrete spectrum; returns the empty set."""
     if cfg.case_id is not Case.II:
         raise DomainError("eigenvalues_case2 requires a case II configuration")
     if J not in (0, 1, 2):
         raise Inadmissible(f"J = {J} not covered by the admissibility analysis")
     if J > 0:
-        scan = case2_feasibility_scan(cfg, samples=scan_samples, seed=seed)
+        scan = case2_feasibility_scan(cfg, samples=scan_samples)
         if not scan.min_violation > 0.0:
             raise Inadmissible("feasibility scan unexpectedly reached zero violation")
     return empty_eigenset(cfg)
@@ -258,16 +256,16 @@ def eigenvalues_case3(cfg: CaseConfig, zeta_hat_1: float, J: int = 2) -> EigenSe
             raise Inadmissible(f"zeta_hat_1 = {zeta_hat_1} is a branch point")
     if abs(zh1 - 1.0 / cfg.r) < SINGULAR_GUARD * 1e6:  # in D-, and zeta_bar(1/r) = 0
         raise Inadmissible(f"zeta_hat_1 = {zeta_hat_1} is the pole 1/r of lam")
-    if classify(cfg, zh1).tag is not Region.DMinus:
+    if classify(cfg, zh1) is not Region.DMinus:
         raise Inadmissible(f"zeta_hat_1 = {zeta_hat_1} is not in D- (continuum or D+)")
     zbh1 = zeta_bar(cfg, zh1)
     zh2 = 1.0 / zbh1
     zbh2 = zeta_bar(cfg, zh2)
     eigenset = EigenSet(cfg.case_id, (), (RealPair(zh1, zbh1), RealPair(zh2, zbh2)))
     for p in eigenset.pairs:
-        if classify(cfg, p.zeta).tag is not Region.DMinus:
+        if classify(cfg, p.zeta) is not Region.DMinus:
             raise Inadmissible(f"derived eigenvalue {p.zeta} left D-")
-        if classify(cfg, p.zbar).tag is not Region.DPlus:
+        if classify(cfg, p.zbar) is not Region.DPlus:
             raise Inadmissible(f"derived eigenvalue {p.zbar} left D+")
     theta_inf = theta_minus_inf_from_system(cfg, eigenset, unit_norming(cfg, eigenset))
     res = admissibility_residuals(cfg, eigenset, theta_inf)
@@ -303,7 +301,6 @@ class NormingData:
     cfg: CaseConfig
     eigenset: EigenSet
     cbar0: tuple[complex, ...]
-    params: dict
     gammas: tuple[complex, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -361,8 +358,7 @@ def norming_case1(cfg: CaseConfig, eigenset: EigenSet, kappa1: float,
              / (zb1 - zb2) * cmath.exp(1j * (thbar1 - math.pi / 2.0)))
     cbar2 = ((1.0 / kappa1) * lam_b ** -3 * (zb2 - z1) * (zb2 - z1.conjugate())
              / (zb2 - zb1) * cmath.exp(1j * (thbar2 + math.pi / 2.0)))
-    return NormingData(cfg, eigenset, (cbar1, cbar2),
-                       {"kappa1": kappa1, "thbar1": thbar1, "thbar2": thbar2})
+    return NormingData(cfg, eigenset, (cbar1, cbar2))
 
 
 def norming_case4(cfg: CaseConfig, eigenset: EigenSet, thbar1: float) -> NormingData:
@@ -380,12 +376,12 @@ def norming_case4(cfg: CaseConfig, eigenset: EigenSet, thbar1: float) -> Norming
     zb1, z1 = pair.zbar, pair.zeta
     lam_b = point_from_zeta(cfg, zb1).lam
     cbar1 = lam_b ** -1 * (zb1 - z1) * cmath.exp(1j * thbar1)
-    return NormingData(cfg, eigenset, (cbar1,), {"thbar1": thbar1})
+    return NormingData(cfg, eigenset, (cbar1,))
 
 
 def unit_norming(cfg: CaseConfig, eigenset: EigenSet) -> NormingData:
     """Placeholder constants (position-only) for limit computations."""
-    return NormingData(cfg, eigenset, (1.0 + 0.0j,) * eigenset.J, {})
+    return NormingData(cfg, eigenset, (1.0 + 0.0j,) * eigenset.J)
 
 
 @dataclass(frozen=True)

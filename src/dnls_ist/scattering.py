@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivisionNearZero, NearBranchPoint, SingularTransfer
-from .ist import EigenSet, theta_minus_inf_constraint
+from .ist import EigenSet, trace_formula
 from .lattice import PotentialWindow, ThetaProduct, theta_products
 from .spectral import (CaseConfig, SINGULAR_GUARD, SpectralPoint,
                        lam_squared, point_from_zeta, zeta_bar)
@@ -315,10 +315,8 @@ class SymmetryReport:
 def _with_partners(cfg: CaseConfig, zetas) -> list[complex]:
     """The guarded samples, then zeta_bar(zeta) and its conjugate per sample."""
     _guard(cfg, zetas)
-    partners = []
-    for zeta in zetas:
-        zb = zeta_bar(cfg, zeta)
-        partners += [zb, zb.conjugate()]
+    zb = zeta_bar(cfg, zetas)
+    partners = np.stack([zb, zb.conj()], axis=1).ravel().tolist()
     _guard(cfg, partners)
     return list(zetas) + partners
 
@@ -357,20 +355,6 @@ def check_symmetries(window: PotentialWindow, zeta_samples) -> SymmetryReport:
     return _symmetries(window, c, samples)
 
 
-def trace_formula(cfg: CaseConfig, eigen_data: EigenSet,
-                  zeta: complex) -> tuple[complex, complex]:
-    """Reflectionless product predictions (t11, t22) from the discrete spectrum."""
-    theta_inf = theta_minus_inf_constraint(eigen_data)
-    num = 1.0 + 0.0j
-    den = 1.0 + 0.0j
-    for z, zb in zip(eigen_data.zeros_t11, eigen_data.zeros_t22):
-        num *= zeta - z
-        den *= zeta - zb
-    t11 = num / den if den != 0 else complex(math.inf, 0.0)
-    t22 = theta_inf * den / num if num != 0 else complex(math.inf, 0.0)
-    return complex(t11), complex(t22)
-
-
 @dataclass(frozen=True)
 class AsymptoticReport:
     """Measured errors of the leading-order limits of columns and coefficients."""
@@ -386,21 +370,20 @@ class AsymptoticReport:
     branch_sign: float
 
 
-def asymptotic_checks(window: PotentialWindow, big: float = 1e4,
-                      small: float = 1e-4, offset: float = 1e-4) -> AsymptoticReport:
+def asymptotic_checks(window: PotentialWindow) -> AsymptoticReport:
     """Evaluate the columns and coefficients near their distinguished points."""
     cfg = window.cfg
     sign = cfg.branch_sign
     theta = theta_products(window)
-    points = [big, small, 1.0 / cfg.r + offset, cfg.r + offset]
+    points = [1e4, 1e-4, 1.0 / cfg.r + 1e-4, cfg.r + 1e-4]
     _guard(cfg, points)
     c, sweep = _evaluate(window, theta, points)
 
-    # M is read at points[0] = big, Nbar at points[1] = small.
+    # M is read at the large point points[0], Nbar at the small points[1].
     m_vec, m_log = sweep.at(ColumnKind.M, 0)
     mv = m_vec[:, 0] * math.exp(m_log[0])
     m_first = abs(mv[0] - window.site(-1))
-    m_second = abs(mv[1] / big - 1.0)
+    m_second = abs(mv[1] / points[0] - 1.0)
 
     nbar_vec, nbar_log = sweep.at(ColumnKind.NBAR, 0)
     nv = nbar_vec[:, 1] * math.exp(nbar_log[1]) * theta.at(0)
@@ -416,14 +399,13 @@ def asymptotic_checks(window: PotentialWindow, big: float = 1e4,
         t22_zero, t22_branch)), sign)
 
 
-def continuum_samples(cfg: CaseConfig, count: int, seed: int = 0,
-                      offset: float = 1e-6) -> list[complex]:
+def continuum_samples(cfg: CaseConfig, count: int, seed: int = 0) -> list[complex]:
     """Points just off the continuum, suitable for coefficient evaluation."""
     rng = np.random.default_rng(seed)
     out = []
     angles = rng.uniform(0.0, 2.0 * math.pi, count)
     for i, a in enumerate(angles):
-        radius = 1.0 + offset if i % 2 == 0 else 1.0 - offset
+        radius = 1.0 + 1e-6 if i % 2 == 0 else 1.0 - 1e-6
         z = radius * cmath.exp(1j * a)
         for bp in cfg.branch_points:
             if abs(z - bp) < 0.05:
@@ -475,9 +457,7 @@ def scattering_report(window: PotentialWindow, zetas,
     trace_res = None
     eig_res = ()
     if eigs:
-        pred11 = np.array([trace_formula(cfg, eigen_data, z)[0] for z in samples],
-                          dtype=complex)
-        trace_res = _max_abs(pred11 - t11)
+        trace_res = _max_abs(trace_formula(cfg, eigen_data, samples)[0] - t11)
         eig_res = tuple(float(x) for x in np.abs(c.t11[len(points):]))
 
     def cplx(x):

@@ -138,12 +138,19 @@ def point_from_zeta(cfg: CaseConfig, zeta: complex) -> SpectralPoint:
     return SpectralPoint(zeta, z, zeta * z)
 
 
-def zeta_bar(cfg: CaseConfig, zeta: complex) -> complex:
-    """Involution (r*zeta - 1)/(zeta - r), i.e. lam -> 1/lam at fixed z."""
-    zeta = complex(zeta)
-    if abs(zeta - cfg.r) < SINGULAR_GUARD:
+def zeta_bar(cfg: CaseConfig, zeta):
+    """Involution (r*zeta - 1)/(zeta - r), i.e. lam -> 1/lam at fixed z.
+
+    Takes a scalar (and returns a complex) or an array of zeta.  Each
+    quotient is Python's complex division (dtype=object): NumPy's complex
+    division rounds differently, and an array call must give the bits of
+    one scalar call per element.
+    """
+    zeta = np.asarray(zeta, dtype=complex)
+    if (np.abs(zeta - cfg.r) < SINGULAR_GUARD).any():
         raise SingularPoint(f"zeta_bar has a pole at zeta = r = {cfg.r}")
-    return (cfg.r * zeta - 1.0) / (zeta - cfg.r)
+    out = np.divide(cfg.r * zeta - 1.0, zeta - cfg.r, dtype=object)
+    return out.astype(complex) if zeta.ndim else complex(out)
 
 
 class Region(enum.Enum):
@@ -152,23 +159,18 @@ class Region(enum.Enum):
     Continuum = "continuum"
 
 
-@dataclass(frozen=True)
-class RegionTag:
-    tag: Region
+def classify(cfg: CaseConfig, zeta):
+    """Region of zeta: D+ where |lam| < 1, D- where |lam| > 1, else continuum.
 
-
-def classify(cfg: CaseConfig, zeta: complex, tol: float = REGION_TOL) -> RegionTag:
-    """Region of zeta: D+ where |lam| < 1, D- where |lam| > 1, else continuum."""
-    zeta = complex(zeta)
-    if cfg.case_id in (Case.I, Case.IV):
-        s = abs(zeta) - 1.0
-    else:
-        s = (abs(zeta) - 1.0) * (abs(zeta - cfg.r) - cfg.q0)
-    if s < -tol:
-        return RegionTag(Region.DPlus)
-    if s > tol:
-        return RegionTag(Region.DMinus)
-    return RegionTag(Region.Continuum)
+    Returns the Region, or an array of them for an array of zeta.
+    """
+    zeta = np.asarray(zeta, dtype=complex)
+    s = np.hypot(zeta.real, zeta.imag) - 1.0  # hypot: the bits of abs(complex)
+    if cfg.case_id in (Case.II, Case.III):
+        w = zeta - cfg.r
+        s = s * (np.hypot(w.real, w.imag) - cfg.q0)
+    return np.where(s < -REGION_TOL, Region.DPlus,
+                    np.where(s > REGION_TOL, Region.DMinus, Region.Continuum))[()]
 
 
 def gamma(cfg: CaseConfig, zeta: complex) -> complex:

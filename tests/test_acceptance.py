@@ -158,7 +158,7 @@ def test_criterion_4_roundtrip_ist(case1_soliton, case1_window):
     count = 0
     while count < 10:
         z = complex(rng.uniform(-0.85, 0.85), rng.uniform(-0.85, 0.85))
-        if not 0.1 < abs(z) < 0.85 or classify(cfg, z).tag is not Region.DPlus:
+        if not 0.1 < abs(z) < 0.85 or classify(cfg, z) is not Region.DPlus:
             continue
         if abs(z - cfg.r) < 0.05:
             continue

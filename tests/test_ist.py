@@ -44,8 +44,8 @@ class TestEigenvaluesCase1:
         assert q.zeta == pytest.approx(cfg.r / (1.0 + (2.0 / 3.0) * cmath.exp(-1j * CASE1_ETA1)),
                                        rel=1e-14)
         assert zeta_bar(cfg, q.zeta) == pytest.approx(q.zbar, rel=1e-12)
-        assert classify(cfg, q.zbar).tag is Region.DPlus
-        assert classify(cfg, q.zeta).tag is Region.DMinus
+        assert classify(cfg, q.zbar) is Region.DPlus
+        assert classify(cfg, q.zeta) is Region.DMinus
 
     def test_quartet_on_circle(self, case1_soliton):
         # |zbar - 1/r| = q0/r exactly, hence the modulus constraint at 1/r
@@ -87,6 +87,108 @@ class TestEigenvaluesCase2:
         assert scan.candidates > 500
 
 
+def _scalar_feasibility_scan(cfg, samples, seed):
+    """The case-II scan scored one candidate at a time: the reference for the batched scan."""
+    rng = np.random.default_rng(seed)
+    r, q0 = cfg.r, cfg.q0
+    rinv = 1.0 / r
+
+    def ratio_at(point, z, zb):
+        return (point - z) / (point - zb)
+
+    best = (math.inf, 0.0 + 0.0j, "")
+    n_each = max(1, samples // 3)
+    total = 0
+
+    reals = np.concatenate([
+        rng.uniform(-6.0, -1.0 - 1e-3, n_each // 3),
+        rng.uniform(rinv * (1 + 1e-6), 0.999, n_each // 3),
+        rng.uniform(r + q0 + 1e-3, 8.0, n_each - 2 * (n_each // 3)),
+    ])
+    for zh in reals:
+        if classify(cfg, zh) is not Region.DMinus:
+            continue
+        total += 1
+        zbh = zeta_bar(cfg, zh)
+        v1 = abs(ratio_at(rinv, zh, zbh) + 1.0)
+        theta = zh / zbh
+        v2 = abs(theta * ratio_at(r, zbh, zh) + 1.0)
+        v = max(v1, v2)
+        if v < best[0]:
+            best = (v, complex(zh), "J2=1 real pair")
+
+    for _ in range(n_each):
+        zeta = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+        if classify(cfg, zeta) is not Region.DMinus or abs(zeta.imag) < 1e-3:
+            continue
+        total += 1
+        zb = zeta_bar(cfg, zeta)
+        lhs = abs(rinv - zeta) ** 2 / abs(rinv - zb) ** 2
+        v = abs(lhs + 1.0)
+        if v < best[0]:
+            best = (v, zeta, "J1=1 quartet")
+
+    for zh1 in reals[: n_each]:
+        if classify(cfg, zh1) is not Region.DMinus:
+            continue
+        zbh1 = zeta_bar(cfg, zh1)
+        if abs(zbh1) < 1e-12:
+            continue
+        zh2 = 1.0 / zbh1
+        if classify(cfg, zh2) is not Region.DMinus:
+            continue
+        total += 1
+        zbh2 = zeta_bar(cfg, zh2)
+        prod = ratio_at(rinv, zh1, zbh1) * ratio_at(rinv, zh2, zbh2)
+        theta = (zh1 / zbh1) * (zh2 / zbh2)
+        v = max(abs(prod + 1.0),
+                abs(theta * ratio_at(r, zbh1, zh1) * ratio_at(r, zbh2, zh2) + 1.0))
+        if v < best[0]:
+            best = (v, complex(zh1), "J2=2 real pairs")
+
+    return ist.FeasibilityScan(best[0], best[1], best[2], total)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("samples", [1, 3, 300, 3000])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("q0", [0.1, 0.5, 1.0, 2.0])
+def test_batched_scan_matches_the_scalar_scan(q0, theta, samples, seed):
+    cfg = spectral.make_case(2, q0, theta)
+    scan = case2_feasibility_scan(cfg, samples=samples, seed=seed)
+    ref = _scalar_feasibility_scan(cfg, samples, seed)
+    assert scan.candidates == ref.candidates
+    assert scan.family == ref.family
+    if math.isinf(ref.min_violation):
+        assert scan.min_violation == ref.min_violation
+    else:
+        assert abs(scan.min_violation - ref.min_violation) <= 1e-12
+
+
+_zeros = st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False)
+_spectra = st.integers(0, 4).flatmap(lambda J: st.lists(
+    st.lists(_zeros, min_size=2 * J, max_size=2 * J), min_size=1, max_size=9))
+
+
+class TestTraceProduct:
+    @settings(max_examples=40, deadline=None)
+    @given(spectra=_spectra, at=_zeros)
+    def test_batch_equals_one_spectrum_calls(self, spectra, at):
+        batch = np.array(spectra, dtype=complex)
+        J = batch.shape[1] // 2
+        zeros, partners = batch[:, :J], batch[:, J:]
+        points = at + np.arange(len(spectra))  # one point per spectrum, then one shared
+        for zeta, per_spectrum in ((points, points), (at, [at] * len(spectra))):
+            together = ist.trace_product(zeros, partners, zeta)
+            alone = [ist.trace_product(z, zb, p) for z, zb, p in
+                     zip(zeros, partners, per_spectrum)]
+            assert together.shape == (len(spectra),)
+            assert np.array_equal(_bits(together), _bits(np.array(alone, dtype=complex)))
+
+    def test_empty_spectrum_is_one(self):
+        assert ist.trace_product((), (), np.array([0.0, 2.0, 1j])).tolist() == [1, 1, 1]
+
+
 class TestEigenvaluesCase3:
     def test_pair_structure(self):
         cfg = spectral.make_case(3, 1.0)
@@ -97,8 +199,8 @@ class TestEigenvaluesCase3:
         assert eigenset.pairs[1].zeta == pytest.approx(1.0 / zbh1, rel=1e-14)
         assert eigenset.pairs[1].zbar == pytest.approx(1.0 / 3.0, rel=1e-12)
         for p in eigenset.pairs:
-            assert classify(cfg, p.zeta).tag is Region.DMinus
-            assert classify(cfg, p.zbar).tag is Region.DPlus
+            assert classify(cfg, p.zeta) is Region.DMinus
+            assert classify(cfg, p.zbar) is Region.DPlus
 
     def test_branch_point_rejected(self):
         cfg = spectral.make_case(3, 1.0)
@@ -131,8 +233,8 @@ class TestEigenvaluesCase4:
         p = eigenset.pairs[0]
         assert p.zbar == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-14)
         assert zeta_bar(cfg, p.zeta) == pytest.approx(p.zbar, rel=1e-12)
-        assert classify(cfg, p.zbar).tag is Region.DPlus
-        assert classify(cfg, p.zeta).tag is Region.DMinus
+        assert classify(cfg, p.zbar) is Region.DPlus
+        assert classify(cfg, p.zeta) is Region.DMinus
 
     def test_two_eigenvalues_rejected(self):
         cfg = spectral.make_case(4, 2.0 / 3.0)
@@ -292,7 +394,7 @@ class TestBuildSystem:
 
     def test_zero_constants_give_background_solution(self, case4_soliton):
         cfg, eigenset, _ = case4_soliton
-        zero = ist.NormingData(cfg, eigenset, (0.0 + 0.0j,), {})
+        zero = ist.NormingData(cfg, eigenset, (0.0 + 0.0j,))
         system = build_system(cfg, eigenset, zero, 0, 0.0)
         X = np.linalg.solve(system.B, system.Y)
         z1, zb1 = eigenset.pairs[0].zeta, eigenset.pairs[0].zbar

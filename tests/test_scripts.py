@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("script, args", [
     ("case1_two_soliton.py", ["--N", "20", "--out", "{tmp}/case1_field.csv"]),
     ("case4_one_soliton.py", ["--N", "20", "--t-end", "0.1"]),
-    ("case2_scan.py", ["--samples", "300"]),
+    ("case2_scan.py", []),
 ])
 def test_script_runs_cleanly(tmp_path, script, args):
     env = dict(os.environ)

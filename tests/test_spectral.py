@@ -187,6 +187,26 @@ class TestZetaBar:
         with pytest.raises(SingularPoint):
             zeta_bar(cfg, cfg.r)
 
+    @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                       allow_infinity=False), max_size=12),
+           st.sampled_from(case_configs()))
+    @settings(max_examples=60, deadline=None)
+    def test_arrays_equal_python_complex_division_bit_for_bit(self, zs, cfg):
+        # real-valued and signed-zero inputs too: the artifacts print zeta_bar's bits
+        zs = [z for z in zs + [3.0, -2.5, complex(0.5, -0.0), complex(-0.0, 1.5)]
+              if abs(z - cfg.r) > 1e-6]
+        python = np.array([(cfg.r * z - 1.0) / (z - cfg.r) for z in map(complex, zs)])
+        bits = TestBoundaryValues.bits
+        assert np.array_equal(bits(zeta_bar(cfg, zs)), bits(python))
+        assert np.array_equal(bits(np.array([zeta_bar(cfg, z) for z in zs])), bits(python))
+        assert type(zeta_bar(cfg, zs[0])) is complex
+        assert zeta_bar(cfg, np.reshape(zs[:4], (2, 2))).shape == (2, 2)
+
+    def test_any_pole_in_an_array_raises(self):
+        cfg = make_case(2, 1.0)
+        with pytest.raises(SingularPoint):
+            zeta_bar(cfg, [2.0, cfg.r, 3.0])
+
     def test_region_swap_and_circle(self):
         cfg = make_case(1, 2.0 / 3.0)
         rng = np.random.default_rng(5)
@@ -194,8 +214,8 @@ class TestZetaBar:
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             if abs(abs(z) - 1.0) < 0.05 or abs(z - cfg.r) < 0.05 or abs(z) < 0.05:
                 continue
-            tag = classify(cfg, z).tag
-            image = classify(cfg, zeta_bar(cfg, z)).tag
+            tag = classify(cfg, z)
+            image = classify(cfg, zeta_bar(cfg, z))
             if tag is Region.DPlus:
                 assert image is Region.DMinus
             elif tag is Region.DMinus:
@@ -208,19 +228,19 @@ class TestZetaBar:
 class TestClassify:
     def test_case1_examples(self):
         cfg = make_case(1, 2.0 / 3.0)
-        assert classify(cfg, 0.5).tag is Region.DPlus
-        assert classify(cfg, 2.0).tag is Region.DMinus
-        assert classify(cfg, cmath.exp(1j * math.pi / 3)).tag is Region.Continuum
+        assert classify(cfg, 0.5) is Region.DPlus
+        assert classify(cfg, 2.0) is Region.DMinus
+        assert classify(cfg, cmath.exp(1j * math.pi / 3)) is Region.Continuum
 
     def test_case2_inner_circle_center(self):
         cfg = make_case(2, 1.0)
-        assert classify(cfg, cfg.r).tag is Region.DPlus
+        assert classify(cfg, cfg.r) is Region.DPlus
 
     @pytest.mark.parametrize("cfg", case_configs(), ids=lambda c: c.case_id.name)
     def test_region_matches_lambda_modulus(self, cfg):
         rng = np.random.default_rng(17)
         for z in sample_regular(cfg, rng, 150):
-            tag = classify(cfg, z).tag
+            tag = classify(cfg, z)
             if tag is Region.Continuum:
                 continue
             lam_mag = abs(lam_squared(cfg, z))
@@ -228,6 +248,24 @@ class TestClassify:
                 assert lam_mag < 1.0
             else:
                 assert lam_mag > 1.0
+
+
+    @pytest.mark.parametrize("cfg", case_configs(), ids=lambda c: c.case_id.name)
+    def test_arrays_equal_the_scalar_formula(self, cfg):
+        rng = np.random.default_rng(19)
+        zs = sample_regular(cfg, rng, 120) + [1.0, -1.0j, cfg.branch_points[0], complex("nan")]
+
+        def region(z):  # the scalar rule, on abs(complex)
+            s = abs(z) - 1.0
+            if cfg.case_id in (Case.II, Case.III):
+                s *= abs(z - cfg.r) - cfg.q0
+            return (Region.DPlus if s < -1e-9 else Region.DMinus if s > 1e-9
+                    else Region.Continuum)
+
+        regions = classify(cfg, zs)
+        assert regions.shape == (len(zs),)
+        assert all(got is region(z) is classify(cfg, z) for got, z in zip(regions, zs))
+        assert classify(cfg, np.reshape(zs[:4], (2, 2))).shape == (2, 2)
 
 
 class TestGamma:

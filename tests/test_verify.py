@@ -186,7 +186,7 @@ class TestExactResiduals:
         # constant that evolves with a perturbed gamma breaks the equation
         cfg, eigenset, norming = request.getfixturevalue(fixture)
         monkeypatch.setattr(ist, "gamma", lambda c, z: wrong_gamma(spectral.gamma(c, z)))
-        wrong = ist.NormingData(cfg, eigenset, norming.cbar0, norming.params)
+        wrong = ist.NormingData(cfg, eigenset, norming.cbar0)
         reps = equation_residuals_exact(_exact(cfg, eigenset, wrong), cfg,
                                         range(-15, 16), self.TIMES)
         assert max(rep.max_abs_residual for rep in reps) > 1e-6
