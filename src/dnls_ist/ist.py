@@ -187,11 +187,14 @@ def case2_feasibility_scan(cfg: CaseConfig, samples: int = 10_000,
     r, q0 = cfg.r, cfg.q0
     n_each = max(1, samples // 3)
 
+    def uniform(low, high, size):  # an empty range (q0 < 0.0448 or > 3.937) draws nothing
+        return rng.uniform(low, high, size) if low < high else np.empty(0)
+
     # J = 1: one real zero zeta_hat in D-, partner zeta_bar_hat = involution image.
     reals = np.concatenate([
         rng.uniform(-6.0, -1.0 - 1e-3, n_each // 3),
-        rng.uniform(1.0 / r * (1 + 1e-6), 0.999, n_each // 3),
-        rng.uniform(r + q0 + 1e-3, 8.0, n_each - 2 * (n_each // 3)),
+        uniform(1.0 / r * (1 + 1e-6), 0.999, n_each // 3),
+        uniform(r + q0 + 1e-3, 8.0, n_each - 2 * (n_each // 3)),
     ])
     zh = reals[classify(cfg, reals) == Region.DMinus]
     zbh = zeta_bar(cfg, zh)
@@ -405,6 +408,8 @@ _SOLVE_FAILED = (OVERFLOW, EXACTLY_SINGULAR, BACKWARD_ERROR)
 # Cells per batched solve in reconstruct_grid: bounds the system stack
 # (512 cells of 9x9 complex entries are 0.7 MB) whatever the grid size.
 _BLOCK = 512
+# Newton steps at most in singularity_scan's refinement of its deepest coarse dip.
+_NEWTON_STEPS = 8
 
 
 def _assemble(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
@@ -540,13 +545,13 @@ def reconstruct_with_derivative(cfg: CaseConfig, eigenset: EigenSet,
     singular cell in flattened order, as make_evaluator does.
     """
     ns, ts, shape = _flat_cells(ns, ts)
-    grid, (qdot,) = _solve_cells(cfg, eigenset, norming, ns, ts, derivative=True)
+    grid, (qdot, _) = _solve_cells(cfg, eigenset, norming, ns, ts, derivative=True)
     return grid.require().reshape(shape)[()], qdot.reshape(shape)[()]
 
 
 def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None,
                  ns: np.ndarray, ts: np.ndarray, derivative: bool = False):
-    """The ReconstructionGrid over flat cells, and [dq/dt] if derivative is set.
+    """The ReconstructionGrid over flat cells; [dq/dt, d(1/Theta_n)/dt] if derivative is set.
 
     The one block loop of reconstruct_grid and reconstruct_with_derivative;
     norming may be None only for an empty spectrum.
@@ -556,7 +561,7 @@ def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | Non
             raise DomainError("nonempty eigenset requires norming data")
         norming = unit_norming(cfg, eigenset)
     out = [np.empty(ns.size, dtype) for dtype in
-           (complex, complex, float, complex, np.int8, complex)[:5 + derivative]]
+           (complex, complex, float, complex, np.int8, complex, complex)[:5 + 2 * derivative]]
     for start in range(0, ns.size, _BLOCK):
         cells = slice(start, start + _BLOCK)
         for whole, part in zip(out, _solve_block(cfg, eigenset, norming, ns[cells], ts[cells],
@@ -569,8 +574,8 @@ def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                  ns: np.ndarray, ts: np.ndarray, derivative: bool = False):
     """q, r, backward error, 1/Theta_n and reason code over one block of cells.
 
-    With derivative set, dq/dt follows as a sixth array when every cell of
-    the block is regular (all NaN otherwise: its caller raises).
+    With derivative set, dq/dt and d(1/Theta_n)/dt follow as a sixth and a
+    seventh array when every cell of the block is regular (all NaN otherwise).
     """
     B, Y, row, row_r, qp, rp = _assemble(cfg, eigenset, norming, ns, ts)
     M = ns.size
@@ -611,14 +616,15 @@ def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     q[reason != OK] = rn[reason != OK] = complex(np.nan, np.nan)
     if not derivative:
         return q, rn, backward, theta_inv, reason
-    qdot = np.full(M, complex(np.nan, np.nan))
+    qdot = theta_inv_dot = np.full(M, complex(np.nan, np.nan))
     if not reason.any():
         with np.errstate(all="ignore"):
             dX = np.linalg.solve(B, -((B * _rate_matrix(cfg, norming)) @ X[..., None]))[..., 0]
+            theta_inv_dot = dX[:, -1]
             dsum_q = (row * (norming.c_rate * X[:, :J] + dX[:, :J])).sum(axis=1)
             qdot = (1j * cfg.rotation * qp
-                    + cfg.r * (dsum_q - sum_q * dX[:, -1] / theta_inv) / theta_inv)
-    return q, rn, backward, theta_inv, reason, qdot
+                    + cfg.r * (dsum_q - sum_q * theta_inv_dot / theta_inv) / theta_inv)
+    return q, rn, backward, theta_inv, reason, qdot, theta_inv_dot
 
 
 def _rate_matrix(cfg: CaseConfig, norming: NormingData) -> np.ndarray:
@@ -678,7 +684,7 @@ def make_evaluator(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | N
 
 @dataclass(frozen=True)
 class SingularityScan:
-    """Minimum of |1/Theta_n| over a refined (n, t) sweep.
+    """Minimum of |1/Theta_n| over a coarse (n, t) sweep and its Newton refinement.
 
     A vanishing minimum marks a real-time amplitude pole of the family
     member (Theta_n -> infinity somewhere on the lattice).
@@ -694,42 +700,43 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                      n_range: tuple[int, int] = (-25, 25),
                      t_span: tuple[float, float] = (-10.0, 10.0),
                      coarse_dt: float = 0.1) -> SingularityScan:
-    """Locate the deepest dip of |1/Theta_n| and refine it in time.
+    """Locate the deepest dip of |1/Theta_n| and refine it in time by Newton.
 
     A cell whose solve fails scores 0; the coarse sweep is one
     reconstruct_grid call over every (site, time) cell and keeps the first
-    minimum in site-major order.  The member is flagged singular when the
-    refined minimum is below 1e-6.
+    minimum in site-major order.  At that site, Gauss-Newton steps on
+    f = 1/Theta_n(t) with the exact df/dt of the derivative solve move t
+    towards a real-time zero of f; they stop when the step is a few ulps,
+    longer than coarse_dt, or predicts no halving of |f| (no zero ahead),
+    when the cell is singular, or after _NEWTON_STEPS.  The member is
+    flagged singular when the least |f| seen is below 1e-6.
     """
-
-    def theta_inv_at(ns, ts) -> np.ndarray:
-        grid = reconstruct_grid(cfg, eigenset, norming, ns, ts)
-        return np.where(np.isin(grid.reason, _SOLVE_FAILED), 0.0, np.abs(grid.theta_inv))
-
+    if not (coarse_dt > 0.0 and n_range[0] <= n_range[1]
+            and -math.inf < t_span[0] <= t_span[1] < math.inf):
+        raise DomainError(f"empty or unbounded scan: n_range={n_range}, "
+                          f"t_span={t_span}, coarse_dt={coarse_dt}")
     sites = np.arange(n_range[0], n_range[1] + 1)
     times = []
     t = t_span[0]
     while t <= t_span[1]:
         times.append(t)
         t += coarse_dt
-    best = (math.inf, 0, 0.0)
-    if sites.size and times:
-        vals = theta_inv_at(sites[:, None], np.array(times)[None, :])
-        k = int(np.argmin(vals))
-        i, j = divmod(k, len(times))
-        best = (float(vals[k]), int(sites[i]), times[j])
-    _, n_star, t_star = best
-    lo, hi = t_star - coarse_dt, t_star + coarse_dt
-    for _ in range(80):
-        ts = np.linspace(lo, hi, 7)
-        i = int(np.argmin(theta_inv_at(n_star, ts)))
-        shrunk = float(ts[max(0, i - 1)]), float(ts[min(6, i + 1)])
-        if shrunk == (lo, hi):  # collapsed to a few ulps: every later round repeats this one
+    grid = reconstruct_grid(cfg, eigenset, norming, sites[:, None], np.array(times)[None, :])
+    vals = np.where(np.isin(grid.reason, _SOLVE_FAILED), 0.0, np.abs(grid.theta_inv))
+    i, j = divmod(int(np.argmin(vals)), len(times))
+    least, n_star, t = float(vals.min()), int(sites[i]), times[j]
+    for _ in range(_NEWTON_STEPS):
+        cell, (_, fdot) = _solve_cells(cfg, eigenset, norming, np.array([n_star]),
+                                       np.array([t]), derivative=True)
+        f, fdot = complex(cell.theta_inv[0]), fdot[0]  # fdot is NaN on a singular cell
+        least = min(least, 0.0 if cell.reason[0] in _SOLVE_FAILED else abs(f))
+        with np.errstate(all="ignore"):
+            step = float(-(f.conjugate() * fdot).real / abs(fdot) ** 2)
+        if not (4.0 * math.ulp(t) < abs(step) <= coarse_dt
+                and abs(f + fdot * step) < 0.5 * abs(f)):
             break
-        lo, hi = shrunk
-    t_ref = 0.5 * (lo + hi)
-    v_ref = min(best[0], float(theta_inv_at(n_star, t_ref)[0]))
-    return SingularityScan(v_ref, n_star, t_ref, v_ref < 1e-6)
+        t += step
+    return SingularityScan(least, n_star, t, least < 1e-6)
 
 
 def soliton_closed_form_case4(cfg: CaseConfig, thbar1: float, ns, ts):

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnls_ist import cli
@@ -563,8 +563,9 @@ _DOCUMENTED_EXITS = {EXIT_OK, EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_ALL_SINGULAR,
 def _run_configs(draw):
     """Configs of every case, in and out of range, with and without eigenvalue keys."""
     case = draw(st.integers(1, 4))
-    q0 = draw(st.one_of(st.floats(0.05, 0.95), st.floats(0.05, 1.5),
-                        st.sampled_from([0.0, -0.5, 1.0])))
+    # case II has candidate real zeros only for 0.0448 < q0 < 3.937: reach past both ends
+    q0 = draw(st.one_of(st.floats(0.05, 0.95), st.floats(0.05, 1.5), st.floats(1e-3, 8.0),
+                        st.sampled_from([0.0, -0.5, 1.0, 0.01, 5.0])))
     t0 = draw(st.floats(-1.0, 1.0))
     doc = {"case": case, "q0": q0, "theta": draw(st.floats(-math.pi, math.pi)),
            "N": draw(st.integers(1, 8)), "dt": draw(st.sampled_from([0.05, 0.1, 0.3])),
@@ -586,6 +587,8 @@ def _run_configs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(doc=_run_configs())
+@example(doc={"case": 2, "q0": 0.01, "J": 2, "N": 3})
+@example(doc={"case": 2, "q0": 5.0, "N": 3})
 def test_every_command_exits_with_a_documented_code(doc):
     # An exception escaping main would be a traceback: the test fails on it.
     with tempfile.TemporaryDirectory() as tmp:

@@ -86,6 +86,12 @@ class TestEigenvaluesCase2:
         assert scan.min_violation > 0.5
         assert scan.candidates > 500
 
+    @pytest.mark.parametrize("q0", [0.01, 5.0])
+    def test_empty_real_range_draws_nothing(self, q0):
+        # (1/r, 0.999) is empty below q0 = 0.0448 and (r + q0, 8) above 3.937
+        scan = case2_feasibility_scan(spectral.make_case(2, q0), samples=300, seed=0)
+        assert scan.min_violation > 0.0 and scan.candidates > 0
+
 
 def _scalar_feasibility_scan(cfg, samples, seed):
     """The case-II scan scored one candidate at a time: the reference for the batched scan."""
@@ -909,9 +915,8 @@ class TestDerivative:
         assert sizes == [512, 512, 512, 512, 329, 329]
 
 
-def _scan_fixed_rounds(cfg, eigenset, norming, n_range, t_span, coarse_dt,
-                       flag_below=1e-6, rounds=80):
-    """The scan with the refinement run for a fixed number of rounds."""
+def _scan_fixed_rounds(cfg, eigenset, norming, n_range, t_span, coarse_dt):
+    """The scan before Newton: 7-point shrink rounds until the bracket stops moving."""
 
     def theta_inv_at(ns, ts):
         grid = ist.reconstruct_grid(cfg, eigenset, norming, ns, ts)
@@ -923,47 +928,139 @@ def _scan_fixed_rounds(cfg, eigenset, norming, n_range, t_span, coarse_dt,
     while t <= t_span[1]:
         times.append(t)
         t += coarse_dt
-    vals = np.column_stack([theta_inv_at(sites, t) for t in times])
-    i, j = divmod(int(np.argmin(vals)), len(times))
-    best, n_star, t_star = float(vals[i, j]), int(sites[i]), times[j]
+    vals = theta_inv_at(sites[:, None], np.array(times)[None, :])
+    k = int(np.argmin(vals))
+    i, j = divmod(k, len(times))
+    best, n_star, t_star = float(vals[k]), int(sites[i]), times[j]
     lo, hi = t_star - coarse_dt, t_star + coarse_dt
-    for _ in range(rounds):
+    for _ in range(80):
         ts = np.linspace(lo, hi, 7)
         i = int(np.argmin(theta_inv_at(n_star, ts)))
-        lo, hi = float(ts[max(0, i - 1)]), float(ts[min(6, i + 1)])
+        shrunk = float(ts[max(0, i - 1)]), float(ts[min(6, i + 1)])
+        if shrunk == (lo, hi):
+            break
+        lo, hi = shrunk
     t_ref = 0.5 * (lo + hi)
     v_ref = min(best, float(theta_inv_at(n_star, t_ref)[0]))
-    # The scan itself makes its coarse sweep in one reconstruct_grid call.
-    return ist.SingularityScan(v_ref, n_star, t_ref, v_ref < flag_below), 1
+    return ist.SingularityScan(v_ref, n_star, t_ref, v_ref < 1e-6)
+
+
+# The scan ranges of the CLI and of the scan tests: (n_range, t_span, coarse_dt).
+_SCAN_RANGES = {
+    "cli": ((-12, 12), (-6.0, 6.0), 0.25),
+    "half": ((-8, 8), (0.0, 5.0), 0.25),
+    "half-coarse": ((-8, 8), (0.0, 5.0), 0.5),
+    "wide": ((-12, 12), (-8.0, 8.0), 0.25),
+}
+
+
+def _family(name):
+    """25 members: case I over theta, or case IV over thbar1, both over [0, 2 pi]."""
+    for angle in np.linspace(0.0, 2.0 * math.pi, 25).tolist():
+        if name == "case1-theta":
+            cfg = spectral.make_case(1, 2.0 / 3.0, angle)
+            eigenset = eigenvalues_case1(cfg, CASE1_ETA1)
+            yield angle, (cfg, eigenset, norming_case1(cfg, eigenset, 1.0, 0.0, 0.0))
+        else:
+            cfg = spectral.make_case(4, 2.0 / 3.0, -math.pi)
+            eigenset = eigenvalues_case4(cfg)
+            yield angle, (cfg, eigenset, norming_case4(cfg, eigenset, angle))
+
+
+@pytest.mark.parametrize("ranges", _SCAN_RANGES)
+@pytest.mark.parametrize("family", ["case1-theta", "case4-thbar1"])
+def test_scan_flags_equal_the_shrink_scan(family, ranges):
+    # Both families hold flagged members: theta = pi (case I), thbar1 = 0 and
+    # 2 pi (case IV); thbar1 = pi is the case-IV member with B singular at n = 0.
+    n_range, t_span, coarse_dt = _SCAN_RANGES[ranges]
+    flags = [(angle, singularity_scan(*member, n_range, t_span, coarse_dt).singular,
+              _scan_fixed_rounds(*member, n_range, t_span, coarse_dt).singular)
+             for angle, member in _family(family)]
+    assert [f for f in flags if f[1] != f[2]] == []
+    assert any(f[1] for f in flags) and not all(f[1] for f in flags)
+
+
+@pytest.mark.parametrize("fixture", ["case1_soliton", "case4_soliton"])
+def test_theta_inv_derivative_matches_central_difference(fixture, request):
+    cfg, eigenset, norming = request.getfixturevalue(fixture)
+    ns, ts, _ = ist._flat_cells(np.arange(-12, 13)[None, :], np.array([-2.0, 0.3, 1.7])[:, None])
+    _, (_, fdot) = ist._solve_cells(cfg, eigenset, norming, ns, ts, derivative=True)
+
+    def fd_error(h):
+        def f(t):
+            return ist.reconstruct_grid(cfg, eigenset, norming, ns, t).theta_inv
+        fd = (-f(ts + 2 * h) + 8.0 * f(ts + h) - 8.0 * f(ts - h) + f(ts - 2 * h)) / (12.0 * h)
+        return float(np.max(np.abs(fd - fdot)))
+
+    assert fd_error(1e-3) < 1e-11
+    if fixture == "case1_soliton":
+        assert 12.0 < fd_error(0.1) / fd_error(0.05) < 20.0
+    else:  # gamma(zbar_1) = 0 in case IV: 1/Theta_n does not depend on t
+        assert np.max(np.abs(fdot)) < 1e-14
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["regular", "pole"])
-def test_scan_stops_refining_at_a_fixed_point(theta, monkeypatch):
-    # The CLI's scan ranges; the pole member refines onto its real-time pole.
+def test_scan_is_one_coarse_call_and_a_few_one_cell_solves(theta, monkeypatch):
     cfg = spectral.make_case(1, 2.0 / 3.0, theta)
     eigenset = eigenvalues_case1(cfg, CASE1_ETA1)
     norming = norming_case1(cfg, eigenset, 1.0, 0.0, 0.0)
-    ranges = {"n_range": (-12, 12), "t_span": (-6.0, 6.0), "coarse_dt": 0.25}
-    expected, coarse_calls = _scan_fixed_rounds(cfg, eigenset, norming, **ranges)
     calls = []
-    grid = ist.reconstruct_grid
+    solve = ist._solve_cells
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return grid(*args, **kwargs)
+    def recording(cfg, eigenset, norming, ns, ts, derivative=False):
+        calls.append((ns.size, derivative))
+        return solve(cfg, eigenset, norming, ns, ts, derivative)
 
-    monkeypatch.setattr(ist, "reconstruct_grid", counted)
-    scan = singularity_scan(cfg, eigenset, norming, **ranges)
-    assert (scan.at_site, scan.at_time, scan.min_theta_inv, scan.singular) == (
-        expected.at_site, expected.at_time, expected.min_theta_inv, expected.singular)
-    assert math.copysign(1.0, scan.at_time) == math.copysign(1.0, expected.at_time)
-    refinements = len(calls) - coarse_calls - 1
-    assert 1 <= refinements < 80
+    monkeypatch.setattr(ist, "_solve_cells", recording)
+    scan = singularity_scan(cfg, eigenset, norming, *_SCAN_RANGES["cli"])
+    steps = len(calls) - 1
+    assert calls == [(25 * 49, False)] + [(1, True)] * steps
+    assert (steps == 1) if theta == 0.0 else (1 <= steps <= ist._NEWTON_STEPS)
     assert scan.singular == (theta == math.pi)
+
+
+@pytest.mark.parametrize("site", [None, -2, 1, 4], ids=["cli", "n=-2", "n=1", "n=4"])
+def test_pole_is_where_the_shrink_scan_put_it(site):
+    cfg = spectral.make_case(1, 2.0 / 3.0, math.pi)
+    eigenset = eigenvalues_case1(cfg, CASE1_ETA1)
+    member = (cfg, eigenset, norming_case1(cfg, eigenset, 1.0, 0.0, 0.0))
+    ranges = _SCAN_RANGES["cli"] if site is None else ((site, site), (-10.0, 10.0), 0.25)
+    scan = singularity_scan(*member, *ranges)
+    expected = _scan_fixed_rounds(*member, *ranges)
+    assert scan.at_site == expected.at_site
+    assert scan.at_time == pytest.approx(expected.at_time, abs=1e-12)
+    assert scan.singular and scan.min_theta_inv < 1e-12
+    with pytest.raises(SingularSolution):
+        reconstruct(*member, scan.at_site, scan.at_time)
+
+
+class _Bound(float):
+    """An upper time bound that fails the test, instead of hanging, once the
+    scan has compared a time against it a thousand times."""
+
+    def __init__(self, value):
+        self.compared = 0
+
+    def __ge__(self, other):
+        self.compared += 1
+        assert self.compared < 1000, "the scan loops on its time list"
+        return float(self) >= other
+
+
+@pytest.mark.parametrize("n_range, t_span, coarse_dt", [
+    ((-8, 8), (0.0, 5.0), 0.0),
+    ((-8, 8), (0.0, 5.0), -0.25),
+    ((-8, 8), (0.0, 5.0), math.nan),
+    ((8, -8), (0.0, 5.0), 0.25),
+    ((-8, 8), (5.0, 0.0), 0.25),
+    ((-8, 8), (0.0, math.inf), 0.25),
+], ids=["dt=0", "dt<0", "dt=nan", "sites reversed", "times reversed", "times unbounded"])
+def test_scan_rejects_an_empty_or_endless_sweep(case1_soliton, n_range, t_span, coarse_dt):
+    with pytest.raises(DomainError):
+        singularity_scan(*case1_soliton, n_range, (t_span[0], _Bound(t_span[1])), coarse_dt)
 
 
 def test_scan_coarse_sweep_is_one_call(case1_soliton, monkeypatch):
     sizes = reconstruct_grid_sizes(monkeypatch)
     singularity_scan(*case1_soliton, n_range=(-12, 12), t_span=(-6.0, 6.0), coarse_dt=0.25)
-    assert sizes[0] == 25 * 49
-    assert max(sizes[1:]) <= 7  # the refinement rounds and the final cell
+    assert sizes == [25 * 49]  # the Newton steps solve one cell each, not through it
