@@ -235,8 +235,9 @@ def _eigenset(config: RunConfig, cfg) -> ist.EigenSet:
     if config.case == 1:
         _require(config.eta1 is not None, "case 1 requires 'eta1'")
         return ist.eigenvalues_case1(cfg, float(config.eta1), J=config.J or 2)
-    if config.case == 2:
-        return ist.eigenvalues_case2(cfg, J=config.J if config.J is not None else 2)
+    if config.case == 2:  # its feasibility scan runs only in `eigs`, at the CLI seed
+        return ist.eigenvalues_case2(cfg, J=config.J if config.J is not None else 2,
+                                     scan_samples=0)
     if config.case == 3:
         _require(config.zeta_hat_1 is not None, "case 3 requires 'zeta_hat_1'")
         return ist.eigenvalues_case3(cfg, float(config.zeta_hat_1), J=config.J or 2)
@@ -304,7 +305,7 @@ def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
         "constraint_residuals": ist.admissibility_residuals(cfg, eigenset),
     }
     if config.case == 2:
-        scan = ist.case2_feasibility_scan(cfg, samples=3000, seed=seed)
+        scan = ist.case2_feasibility_scan(cfg, samples=3000, seed=seed).require_infeasible()
         report["feasibility_scan"] = {
             "min_violation": scan.min_violation,
             "family": scan.family,
@@ -377,6 +378,8 @@ def _load_field_csv(path: str, cfg) -> lattice.PotentialWindow:
     if not by_site:
         raise ConfigError("field csv contains no rows")
     n_max = min(-min(by_site), max(by_site))
+    if n_max < 0:
+        raise ConfigError("field csv needs sites on both sides of n = 0")
     sites = range(-n_max, n_max + 1)
     missing = [n for n in sites if n not in by_site]
     if missing:

@@ -25,10 +25,6 @@ class NearBranchPoint(IstError):
     """Wronskian normalization zeta + 1/zeta - 2r is numerically zero."""
 
 
-class DivisionNearZero(IstError):
-    """Reflection coefficient requested at a (near) zero of its denominator."""
-
-
 class Inadmissible(IstError):
     """Requested discrete-eigenvalue configuration is excluded for this case."""
 
@@ -48,10 +44,6 @@ class BlowupDetected(IstError):
         super().__init__(message)
         self.step = step
         self.t = t
-
-
-class GridMismatch(IstError):
-    """Trajectories to compare are not sampled on the same (n, t) grid."""
 
 
 class ConfigError(IstError):

@@ -6,8 +6,9 @@ nothing, case III two real pairs linked by the spectral involution, case IV
 one real pair.  The reflectionless inverse problem collapses to a dense
 (4J+1)-dimensional linear system per lattice site and time; reconstruct_grid
 solves those systems for a whole (n, t) grid of cells, one batched call per
-fixed-size block, and the one-cell functions (build_system, reconstruct,
-reconstruct_pair) are views over it.
+fixed-size block, and returns both q_n and r_n; reconstruct is its
+one-cell view.  build_system (one cell's B and Y) stays only because the
+benchmark's tracer wraps it, until ROADMAP item 2 re-points the benchmark.
 """
 from __future__ import annotations
 
@@ -169,6 +170,12 @@ class FeasibilityScan:
     family: str
     candidates: int
 
+    def require_infeasible(self) -> FeasibilityScan:
+        """This scan; Inadmissible if some candidate met the trace limits exactly."""
+        if not self.min_violation > 0.0:
+            raise Inadmissible("feasibility scan unexpectedly reached zero violation")
+        return self
+
 
 def case2_feasibility_scan(cfg: CaseConfig, samples: int = 10_000,
                            seed: int = 0) -> FeasibilityScan:
@@ -233,15 +240,17 @@ def case2_feasibility_scan(cfg: CaseConfig, samples: int = 10_000,
 
 
 def eigenvalues_case2(cfg: CaseConfig, J: int = 2, scan_samples: int = 3000) -> EigenSet:
-    """Case II has no admissible discrete spectrum; returns the empty set."""
+    """Case II has no admissible discrete spectrum; returns the empty set.
+
+    For J > 0 a feasibility scan of scan_samples candidates (seed 0) must
+    not meet the trace limits; scan_samples = 0 leaves it to the caller.
+    """
     if cfg.case_id is not Case.II:
         raise DomainError("eigenvalues_case2 requires a case II configuration")
     if J not in (0, 1, 2):
         raise Inadmissible(f"J = {J} not covered by the admissibility analysis")
-    if J > 0:
-        scan = case2_feasibility_scan(cfg, samples=scan_samples)
-        if not scan.min_violation > 0.0:
-            raise Inadmissible("feasibility scan unexpectedly reached zero violation")
+    if J > 0 and scan_samples > 0:
+        case2_feasibility_scan(cfg, samples=scan_samples).require_infeasible()
     return empty_eigenset(cfg)
 
 
@@ -387,18 +396,6 @@ def unit_norming(cfg: CaseConfig, eigenset: EigenSet) -> NormingData:
     return NormingData(cfg, eigenset, (1.0 + 0.0j,) * eigenset.J)
 
 
-@dataclass(frozen=True)
-class ReflectionlessSystem:
-    """Dense system B X = Y of dimension 4J+1 at one lattice site and time.
-
-    Unknown ordering: N1(zeta_j), N2(zeta_j), Nbar1(zbar_j), Nbar2(zbar_j),
-    1/Theta_n.
-    """
-
-    B: np.ndarray
-    Y: np.ndarray
-
-
 # Per-cell outcome of reconstruct_grid: the first check a cell fails, in the
 # order the checks run (OK when it passes them all).
 OK, OVERFLOW, EXACTLY_SINGULAR, BACKWARD_ERROR, THETA_DIVERGENCE, AMPLITUDE = range(6)
@@ -457,10 +454,14 @@ def _assemble(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
 
 
 def build_system(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
-                 n: int, t: float) -> ReflectionlessSystem:
-    """Assemble the (4J+1)-dimensional reflectionless system at site n, time t."""
+                 n: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (4J+1)-dimensional reflectionless system B X = Y at site n, time t.
+
+    Unknown ordering: N1(zeta_j), N2(zeta_j), Nbar1(zbar_j), Nbar2(zbar_j),
+    1/Theta_n.
+    """
     B, Y, *_ = _assemble(cfg, eigenset, norming, np.array([n]), np.array([float(t)]))
-    return ReflectionlessSystem(B[0], Y)
+    return B[0], Y
 
 
 @dataclass(frozen=True)
@@ -648,22 +649,7 @@ def _rate_matrix(cfg: CaseConfig, norming: NormingData) -> np.ndarray:
 def reconstruct(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None,
                 n: int, t: float) -> complex:
     """Reflectionless potential q_n(t); equals q_plus(t) for an empty spectrum."""
-    q, _r = reconstruct_pair(cfg, eigenset, norming, n, t)
-    return q
-
-
-def reconstruct_pair(cfg: CaseConfig, eigenset: EigenSet,
-                     norming: NormingData | None, n: int,
-                     t: float) -> tuple[complex, complex]:
-    """Both reconstructed fields (q_n, r_n) from one solve.
-
-    r_n follows from the large-argument limit of the second components and
-    must coincide with sigma * conj(q_{-n}) for admissible data; the pair
-    is exposed so that the reduction can be verified independently.
-    """
-    grid = reconstruct_grid(cfg, eigenset, norming, [n], [t])
-    grid.require()
-    return complex(grid.q[0]), complex(grid.r[0])
+    return complex(reconstruct_grid(cfg, eigenset, norming, [n], [t]).require()[0])
 
 
 def make_evaluator(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None):

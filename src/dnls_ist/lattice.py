@@ -1,8 +1,9 @@
-"""Truncated lattice fields over an exact phase-rotating background.
+"""Lattice windows over an exact phase-rotating background, and the lattice equation.
 
 A window stores q_n on n in [-N, N]; every operation treats |n| > N as the
 exact background of the configured case.  The nonlocal partner field
-r_n = sigma * conj(q_{-n}) is always derived, never stored.
+r_n = sigma * conj(q_{-n}) is always derived (`partner`), never stored, and
+`al_rhs` is the one place the lattice equation is written.
 """
 from __future__ import annotations
 
@@ -30,16 +31,6 @@ class PotentialWindow:
         object.__setattr__(self, "q", q)
         q.flags.writeable = False
 
-    def site(self, n: int) -> complex:
-        """q_n, with the exact background substituted for |n| > N."""
-        if -self.N <= n <= self.N:
-            return complex(self.q[n + self.N])
-        return self.cfg.background(n, self.t)
-
-    def partner_field(self) -> np.ndarray:
-        """r_n = sigma * conj(q_{-n}) on every window site."""
-        return self.cfg.sigma * np.conj(self.q[::-1])
-
 
 def background_field(cfg: CaseConfig, t: float, N: int) -> PotentialWindow:
     """Pure background window; the delta_theta = pi step sits at n = 0."""
@@ -48,9 +39,9 @@ def background_field(cfg: CaseConfig, t: float, N: int) -> PotentialWindow:
     return PotentialWindow(cfg, N, t, cfg.background(np.arange(-N, N + 1), t))
 
 
-def partner(window: PotentialWindow, n: int) -> complex:
-    """Nonlocal partner r_n = sigma * conj(q_{-n})."""
-    return window.cfg.sigma * np.conj(window.site(-n))
+def partner(window: PotentialWindow) -> np.ndarray:
+    """The nonlocal partner r_n = sigma * conj(q_{-n}) on every window site."""
+    return window.cfg.sigma * np.conj(window.q[::-1])
 
 
 @dataclass(frozen=True)
@@ -73,7 +64,7 @@ def theta_products(window: PotentialWindow) -> ThetaProduct:
     """Finite product over the window; tail factors are exactly 1."""
     cfg = window.cfg
     N = window.N
-    factors = 1.0 - window.q * window.partner_field()
+    factors = 1.0 - window.q * partner(window)
     bad = np.flatnonzero(np.abs(factors) < PRODUCT_GUARD)
     if bad.size:
         raise SingularProduct(f"1 - q_n r_n vanishes at n = {int(bad[0]) - N}")
@@ -82,10 +73,10 @@ def theta_products(window: PotentialWindow) -> ThetaProduct:
     return ThetaProduct(theta, complex(theta[0]), N)
 
 
-def al_rhs(window: PotentialWindow, n: int) -> complex:
-    """Time derivative of q_n implied by the nonlocal lattice equation."""
-    qp = window.site(n + 1)
-    qm = window.site(n - 1)
-    qn = window.site(n)
-    rn = partner(window, n)
-    return -1j * (qp - 2.0 * qn + qm - qn * rn * (qp + qm))
+def al_rhs(q, q_next, q_prev, q_mirror, sigma: float):
+    """dq_n/dt from the nonlocal lattice equation, elementwise over arrays of sites.
+
+    i dq_n/dt = q_{n+1} - 2 q_n + q_{n-1} - sigma q_n conj(q_{-n}) (q_{n+1} + q_{n-1}),
+    with q, q_next, q_prev and q_mirror holding q_n, q_{n+1}, q_{n-1} and q_{-n}.
+    """
+    return -1j * (q_next - 2.0 * q + q_prev - sigma * q * np.conj(q_mirror) * (q_next + q_prev))

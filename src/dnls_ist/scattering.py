@@ -10,9 +10,11 @@ the column's analyticity region.
 
 The recursion is batched over zeta: one sequential sweep over n advances
 all four columns at every requested spectral point with elementwise array
-arithmetic.  `jost` and `scattering_coefficients` are one-point views of
-that sweep, and `scattering_report` evaluates each zeta it needs (samples,
-their zeta_bar partners, eigenvalues) once, over one Theta product.
+arithmetic.  `scattering_report` evaluates each zeta it needs (samples,
+their zeta_bar partners, eigenvalues) once, over one Theta product;
+`scattering_coefficients` is its one-zeta view.  `jost` (one column at one
+zeta) stays only because the benchmark's layer timings call it, until
+ROADMAP item 2 re-points the benchmark.
 """
 from __future__ import annotations
 
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionNearZero, NearBranchPoint, SingularTransfer
+from .errors import NearBranchPoint, SingularTransfer
 from .ist import EigenSet, trace_formula
-from .lattice import PotentialWindow, ThetaProduct, theta_products
+from .lattice import PotentialWindow, ThetaProduct, partner, theta_products
 from .spectral import (CaseConfig, SINGULAR_GUARD, SpectralPoint,
                        lam_squared, point_from_zeta, zeta_bar)
 
@@ -57,14 +59,9 @@ class EigenfunctionColumn:
     values: np.ndarray
     log_scale: np.ndarray
 
-    def raw(self, n: int) -> tuple[np.ndarray, float]:
-        _check_site(self.N, n)
-        i = n + self.N
-        return self.values[i], float(self.log_scale[i])
-
     def value(self, n: int) -> np.ndarray:
-        vec, s = self.raw(n)
-        return vec * math.exp(s)
+        _check_site(self.N, n)
+        return self.values[n + self.N] * math.exp(self.log_scale[n + self.N])
 
 
 def _check_site(N: int, n: int) -> None:
@@ -158,7 +155,7 @@ def _propagate(window: PotentialWindow, zetas,
     K, C = zeta.size, len(kinds)
     forward = np.array([_FORWARD[kind] for kind in kinds])
     # Site fields in each column's step order, shape (steps, C, 1).
-    q_f, r_f = window.q, window.partner_field()
+    q_f, r_f = window.q, partner(window)
     q_s = np.where(forward, q_f[:, None], q_f[::-1, None])[:, :, None]
     r_s = np.where(forward, r_f[:, None], r_f[::-1, None])[:, :, None]
     g_s = q_s * r_s
@@ -219,14 +216,6 @@ def jost(window: PotentialWindow, point: SpectralPoint,
     return _propagate(window, [point.zeta], (kind,)).column(kind, 0)
 
 
-def wronskian(col_a: EigenfunctionColumn, col_b: EigenfunctionColumn, n: int) -> complex:
-    """2x2 determinant of the two columns at site n, de-scaled."""
-    va, sa = col_a.raw(n)
-    vb, sb = col_b.raw(n)
-    det = va[0] * vb[1] - va[1] * vb[0]
-    return complex(det * math.exp(sa + sb))
-
-
 @dataclass(frozen=True)
 class Coefficients:
     """Modified scattering entries (t21/t12 carry the lam-factors).
@@ -263,7 +252,7 @@ def _guard(cfg: CaseConfig, zetas) -> None:
 
 
 def _evaluate(window: PotentialWindow, theta: ThetaProduct, zetas,
-              n: int = 0) -> tuple[Coefficients, _Sweep]:
+              n: int = 0) -> Coefficients:
     """Wronskian coefficients at site n for guarded zetas, from one sweep."""
     cfg = window.cfg
     sweep = _propagate(window, zetas, site=n)
@@ -281,26 +270,16 @@ def _evaluate(window: PotentialWindow, theta: ThetaProduct, zetas,
         t22 = theta_n * wr(ColumnKind.MBAR, ColumnKind.NBAR) / denom
         t21 = theta_n * lam2 ** n * wr(ColumnKind.M, ColumnKind.NBAR) / denom
         t12 = -theta_n * lam2 ** (-n) * wr(ColumnKind.MBAR, ColumnKind.N) / denom
-    return Coefficients(t11, t22, t21, t12), sweep
+    return Coefficients(t11, t22, t21, t12)
 
 
 def scattering_coefficients(window: PotentialWindow, zeta: complex,
                             n: int = 0) -> Coefficients:
     """Wronskian representation of the scattering coefficients at site n."""
     _guard(window.cfg, [zeta])
-    c, _ = _evaluate(window, theta_products(window), [zeta], n)
+    c = _evaluate(window, theta_products(window), [zeta], n)
     return Coefficients(complex(c.t11[0]), complex(c.t22[0]),
                         complex(c.t21_mod[0]), complex(c.t12_mod[0]))
-
-
-def reflection(window: PotentialWindow, zeta: complex) -> tuple[complex, complex]:
-    """(rho, rho_bar) = (t21_mod/t11, t12_mod/t22)."""
-    c = scattering_coefficients(window, zeta)
-    if abs(c.t11) < 1e-13 * max(1.0, abs(c.t21_mod)):
-        raise DivisionNearZero(f"t11 vanishes at zeta={zeta}")
-    if abs(c.t22) < 1e-13 * max(1.0, abs(c.t12_mod)):
-        raise DivisionNearZero(f"t22 vanishes at zeta={zeta}")
-    return c.t21_mod / c.t11, c.t12_mod / c.t22
 
 
 @dataclass(frozen=True)
@@ -312,17 +291,17 @@ class SymmetryReport:
     second: float
 
 
-def _with_partners(cfg: CaseConfig, zetas) -> list[complex]:
-    """The guarded samples, then zeta_bar(zeta) and its conjugate per sample."""
-    _guard(cfg, zetas)
-    zb = zeta_bar(cfg, zetas)
-    partners = np.stack([zb, zb.conj()], axis=1).ravel().tolist()
-    _guard(cfg, partners)
-    return list(zetas) + partners
-
-
 def _symmetries(window: PotentialWindow, c: Coefficients, samples) -> SymmetryReport:
-    """Symmetry residuals from coefficients laid out as by `_with_partners`."""
+    """Residuals of t11(z) = s*t22(zbar(z)) and its conjugated companion.
+
+    The coefficients are laid out as in `scattering_report`.  Both diagonal
+    symmetries carry the case sign s = q0**2/delta (+ for I/III, - for
+    II/IV); the sign follows from (r*lam - z)(r/lam - z) = r**2 - 1 together
+    with q_plus*r_minus = sigma*q0**2.  The off-diagonal relation is
+    evaluated in modified variables, t21_mod(z) = -(q_plus/r_minus)
+    t12_mod(zbar(z)), which is equivalent on the spectral surface and free
+    of the square-root branch.
+    """
     cfg = window.cfg
     sign = cfg.branch_sign
     qp = cfg.q_plus(window.t)
@@ -337,66 +316,6 @@ def _symmetries(window: PotentialWindow, c: Coefficients, samples) -> SymmetryRe
 
 def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x), initial=0.0))
-
-
-def check_symmetries(window: PotentialWindow, zeta_samples) -> SymmetryReport:
-    """Residuals of t11(z) = s*t22(zbar(z)) and its conjugated companion.
-
-    Both diagonal symmetries carry the case sign s = q0**2/delta (+ for
-    I/III, - for II/IV); the sign follows from (r*lam - z)(r/lam - z) =
-    r**2 - 1 together with q_plus*r_minus = sigma*q0**2.  The off-diagonal
-    relation is evaluated in modified variables, t21_mod(z) =
-    -(q_plus/r_minus) t12_mod(zbar(z)), which is equivalent on the
-    spectral surface and free of the square-root branch.
-    """
-    samples = list(zeta_samples)
-    points = _with_partners(window.cfg, samples)
-    c, _ = _evaluate(window, theta_products(window), points)
-    return _symmetries(window, c, samples)
-
-
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """Measured errors of the leading-order limits of columns and coefficients."""
-
-    m_first: float
-    m_second: float
-    nbar_first: float
-    nbar_second: float
-    t11_large: float
-    t11_branch: float
-    t22_zero: float
-    t22_branch: float
-    branch_sign: float
-
-
-def asymptotic_checks(window: PotentialWindow) -> AsymptoticReport:
-    """Evaluate the columns and coefficients near their distinguished points."""
-    cfg = window.cfg
-    sign = cfg.branch_sign
-    theta = theta_products(window)
-    points = [1e4, 1e-4, 1.0 / cfg.r + 1e-4, cfg.r + 1e-4]
-    _guard(cfg, points)
-    c, sweep = _evaluate(window, theta, points)
-
-    # M is read at the large point points[0], Nbar at the small points[1].
-    m_vec, m_log = sweep.at(ColumnKind.M, 0)
-    mv = m_vec[:, 0] * math.exp(m_log[0])
-    m_first = abs(mv[0] - window.site(-1))
-    m_second = abs(mv[1] / points[0] - 1.0)
-
-    nbar_vec, nbar_log = sweep.at(ColumnKind.NBAR, 0)
-    nv = nbar_vec[:, 1] * math.exp(nbar_log[1]) * theta.at(0)
-    nbar_first = abs(nv[0] - window.site(0))
-    nbar_second = abs(nv[1] + cfg.r)
-
-    t11_large = abs(c.t11[0] - 1.0)
-    t22_zero = abs(c.t22[1] - 1.0)
-    t11_branch = abs(c.t11[2] - sign)
-    t22_branch = abs(c.t22[3] - sign)
-    return AsymptoticReport(*(float(x) for x in (
-        m_first, m_second, nbar_first, nbar_second, t11_large, t11_branch,
-        t22_zero, t22_branch)), sign)
 
 
 def continuum_samples(cfg: CaseConfig, count: int, seed: int = 0) -> list[complex]:
@@ -445,9 +364,11 @@ def scattering_report(window: PotentialWindow, zetas,
     samples = list(zetas)
     K = len(samples)
     eigs = [] if eigen_data is None or eigen_data.is_empty() else list(eigen_data.zeros_t11)
-    points = _with_partners(cfg, samples)
-    _guard(cfg, eigs)
-    c, _ = _evaluate(window, theta, points + eigs)
+    _guard(cfg, samples)
+    zb = zeta_bar(cfg, samples)  # the samples, then zeta_bar and its conjugate per sample
+    points = samples + np.stack([zb, zb.conj()], axis=1).ravel().tolist()
+    _guard(cfg, points[K:] + eigs)
+    c = _evaluate(window, theta, points + eigs)
     t11, t22, t21, t12 = (x[:K] for x in (c.t11, c.t22, c.t21_mod, c.t12_mod))
     det_t = t11 * t22 - t21 * t12
     with np.errstate(all="ignore"):

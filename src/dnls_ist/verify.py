@@ -11,6 +11,7 @@ CaseConfig.background, a np.vectorize'd function) gets dq/dt from a
 as the cross-check of the exact derivative.
 The simulator integrates the truncated lattice as a complex ODE with the
 outermost two sites on each side pinned to the exact background rotation.
+Both take the lattice equation from lattice.al_rhs.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupDetected, GridMismatch
-from .lattice import PotentialWindow
+from .errors import BlowupDetected
+from .lattice import PotentialWindow, al_rhs
 from .spectral import CaseConfig
 
 BLOWUP_THRESHOLD = 1e6
@@ -48,16 +49,14 @@ def _residual_cells(n_range):
 
 
 def _reports(cfg: CaseConfig, sites, cells, ts, q, qdot, h, order) -> list[ResidualReport]:
-    """|i q_dot - (q_{n+1} - 2 q_n + q_{n-1}) + sigma q_n q*_{-n} (q_{n+1}+q_{n-1})|, per t.
+    """|q_dot - lattice.al_rhs| at the sites, per t.
 
     q holds one row per t over the cells, qdot one row per t over the sites.
     """
     def at(ns):
         return q[:, np.searchsorted(cells, ns)]
 
-    qp, qm, qn, qmir = at(sites + 1), at(sites - 1), at(sites), at(-sites)
-    res = np.abs(1j * qdot - (qp - 2.0 * qn + qm)
-                 + cfg.sigma * qn * np.conj(qmir) * (qp + qm))
+    res = np.abs(qdot - al_rhs(at(sites), at(sites + 1), at(sites - 1), at(-sites), cfg.sigma))
     reports = []
     for t, res_t in zip(ts, res):
         i = int(np.argmax(res_t))
@@ -105,7 +104,10 @@ def equation_residuals_exact(solution_and_derivative, cfg: CaseConfig, n_range,
 
 def equation_residual(solution_evaluator, cfg: CaseConfig, n_range,
                       t: float, h: float = 1e-3) -> ResidualReport:
-    """The lattice-equation residual at one time t (see equation_residuals)."""
+    """The lattice-equation residual at one time t (see equation_residuals).
+
+    No command calls it; the benchmark's layer timings do (ROADMAP item 2).
+    """
     return equation_residuals(solution_evaluator, cfg, n_range, [t], h)[0]
 
 
@@ -119,23 +121,15 @@ class Trajectory:
     states: np.ndarray
     dt: float
 
-    def window(self, step: int) -> PotentialWindow:
-        return PotentialWindow(self.cfg, self.N, float(self.times[step]),
-                               self.states[step].copy())
-
 
 def _rhs(cfg: CaseConfig, y: np.ndarray, pinned: np.ndarray, bg: np.ndarray) -> np.ndarray:
     """dq/dt of the window field; the pinned sites hold the background values bg."""
     q = y.copy()
     q[pinned] = bg
-    qp = np.empty_like(q)
-    qm = np.empty_like(q)
-    qp[:-1] = q[1:]
-    qp[-1] = bg[-1]  # site N + 1 carries the same q_plus(t) as site N
-    qm[1:] = q[:-1]
-    qm[0] = bg[0]  # and site -N - 1 the same q_minus(t) as site -N
-    qmir = np.conj(q[::-1])
-    deriv = -1j * (qp - 2.0 * q + qm - cfg.sigma * q * qmir * (qp + qm))
+    # Site N + 1 carries the same q_plus(t) as site N, and site -N - 1 the
+    # same q_minus(t) as site -N.
+    deriv = al_rhs(q, np.concatenate((q[1:], bg[-1:])), np.concatenate((bg[:1], q[:-1])),
+                   q[::-1], cfg.sigma)
     deriv[pinned] = 1j * cfg.rotation * bg
     return deriv
 
@@ -181,15 +175,8 @@ def simulate(initial_window: PotentialWindow, cfg: CaseConfig, t_end: float,
 def compare(trajectory: Trajectory, solution_evaluator) -> float:
     """Max |simulated - analytic| over the trajectory's (site, time) grid.
 
-    Accepts either an evaluator ev(ns, ts), called once over the whole grid,
-    or a second Trajectory on the same grid.
+    The evaluator ev(ns, ts) is called once over the whole grid.
     """
-    if isinstance(solution_evaluator, Trajectory):
-        other = solution_evaluator
-        if (other.N != trajectory.N or other.states.shape != trajectory.states.shape
-                or not np.allclose(other.times, trajectory.times, atol=1e-12)):
-            raise GridMismatch("trajectories are on different (n, t) grids")
-        return float(np.max(np.abs(trajectory.states - other.states)))
     sites = np.arange(-trajectory.N, trajectory.N + 1)
     q = solution_evaluator(sites[None, :], trajectory.times[:, None])
     return float(np.max(np.abs(trajectory.states - q)))

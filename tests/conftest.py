@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dnls_ist import ist, lattice, spectral
+from dnls_ist import ist, lattice, scattering, spectral
 
 CASE1_ETA1 = math.pi + math.pi / 7  # zbar_1 = (1 - q0 exp(i pi/7))/r
 
@@ -65,3 +65,32 @@ def case_configs():
         spectral.make_case(3, 1.0, 0.0),
         spectral.make_case(4, 2.0 / 3.0, -math.pi),
     ]
+
+
+# Test-side references for one-point views the package no longer carries.
+
+def site(window, n):
+    """q_n of a window, with the exact background substituted for |n| > N."""
+    if -window.N <= n <= window.N:
+        return complex(window.q[n + window.N])
+    return complex(window.cfg.background(n, window.t))
+
+
+def al_rhs_at(window, n):
+    """The scalar window stencil: dq_n/dt from the lattice equation at one site."""
+    qp, qm, qn = site(window, n + 1), site(window, n - 1), site(window, n)
+    rn = window.cfg.sigma * np.conj(site(window, -n))
+    return -1j * (qp - 2.0 * qn + qm - qn * rn * (qp + qm))
+
+
+def wronskian(col_a, col_b, n):
+    """2x2 determinant of two Jost columns at site n, de-scaled."""
+    i = n + col_a.N
+    va, vb = col_a.values[i], col_b.values[i]
+    det = va[0] * vb[1] - va[1] * vb[0]
+    return complex(det * math.exp(col_a.log_scale[i] + col_b.log_scale[i]))
+
+
+def check_symmetries(window, zeta_samples):
+    """The symmetry residuals of scattering_report over zeta_samples."""
+    return scattering.scattering_report(window, zeta_samples).symmetry

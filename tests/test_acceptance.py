@@ -19,12 +19,12 @@ import pytest
 
 from dnls_ist import ist, lattice, spectral, verify
 from dnls_ist.lattice import background_field, theta_products
-from dnls_ist.scattering import (check_symmetries, continuum_samples,
-                                 scattering_coefficients, trace_formula,
-                                 wronskian, jost, ColumnKind)
+from dnls_ist.scattering import (continuum_samples, scattering_coefficients,
+                                 trace_formula, jost, ColumnKind)
 from dnls_ist.spectral import Region, classify, point_from_zeta
 
-from conftest import CASE1_ETA1, case_configs, perturbed_background
+from conftest import (CASE1_ETA1, case_configs, check_symmetries, perturbed_background,
+                      wronskian)
 
 
 def report(name, ok, detail=""):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnls_ist import cli
+from dnls_ist import cli, ist
 from dnls_ist.cli import (EXIT_ALL_SINGULAR, EXIT_BLOWUP, EXIT_CONFIG,
                           EXIT_INADMISSIBLE, EXIT_NUMERICAL, EXIT_OK,
                           EXIT_TOLERANCE, dump_json, load_config, main,
@@ -120,6 +120,26 @@ class TestEigs:
         doc = json.loads(capsys.readouterr().out)
         assert doc["J"] == 0 and doc["entries"] == []
         assert doc["feasibility_scan"]["min_violation"] > 0
+
+    def test_case2_scans_once_at_the_cli_seed(self, tmp_path, monkeypatch):
+        seeds = []
+        scan = ist.case2_feasibility_scan
+
+        def counted(cfg, samples=10_000, seed=0):
+            seeds.append(seed)
+            return scan(cfg, samples=samples, seed=seed)
+
+        monkeypatch.setattr(ist, "case2_feasibility_scan", counted)
+        path = write_config(tmp_path, {"case": 2, "q0": 1.0})
+        assert main(["eigs", "--config", path, "--seed", "7"]) == EXIT_OK
+        assert seeds == [7]
+
+    def test_case2_scan_reaching_zero_is_inadmissible(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ist, "case2_feasibility_scan",
+                            lambda cfg, samples, seed: ist.FeasibilityScan(0.0, 0j, "", 1))
+        path = write_config(tmp_path, {"case": 2, "q0": 1.0})
+        assert main(["eigs", "--config", path]) == EXIT_INADMISSIBLE
+        assert "unexpectedly reached zero violation" in capsys.readouterr().err
 
     def test_case1_quartet(self, tmp_path):
         out = tmp_path / "eigs.json"
@@ -282,6 +302,15 @@ class TestScatter:
                "field": {"source": "csv", "path": str(bad)}}
         path = write_config(tmp_path, doc)
         assert main(["scatter", "--config", path]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("sites", [(-3, -2), (2, 3)], ids=["n<0 only", "n>0 only"])
+    def test_one_sided_csv_is_a_config_error(self, tmp_path, capsys, sites):
+        field = tmp_path / "one_sided.csv"
+        field.write_text("n,t,re_q,im_q,abs_q\n"
+                         + "".join(f"{n},0,0.6,0,0.6\n" for n in sites), encoding="utf-8")
+        doc = {"case": 1, "q0": 0.6, "field": {"source": "csv", "path": str(field)}}
+        assert main(["scatter", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert "both sides of n = 0" in capsys.readouterr().err
 
     def test_csv_field_roundtrip(self, tmp_path):
         # write a soliton field, scatter on it from file

@@ -14,7 +14,7 @@ from dnls_ist.ist import (build_system, case2_feasibility_scan,
                           eigenvalues_case1, eigenvalues_case2,
                           eigenvalues_case3, eigenvalues_case4,
                           norming_case1, norming_case4, reconstruct,
-                          reconstruct_pair, singularity_scan,
+                          singularity_scan,
                           soliton_closed_form_case4,
                           theta_minus_inf_constraint,
                           theta_minus_inf_from_system, unit_norming)
@@ -339,7 +339,7 @@ class TestBuildSystem:
         # independent transcription of the explicit J = 2 block matrix
         cfg, eigenset, norming = case1_soliton
         n, t = 3, 0.7
-        system = build_system(cfg, eigenset, norming, n, t)
+        sys_B, sys_Y = build_system(cfg, eigenset, norming, n, t)
         q = eigenset.quartets[0]
         z1, z2, zb1, zb2 = q.zeta, q.zeta_conj, q.zbar, q.zbar_conj
         r = cfg.r
@@ -371,13 +371,13 @@ class TestBuildSystem:
         ], dtype=complex)
         Y = np.array([r - 1 / z1, r - 1 / z2, 0, 0, 0, 0, zb1 - r, zb2 - r, 1],
                      dtype=complex)
-        assert np.max(np.abs(system.B - B)) < 1e-14 * np.max(np.abs(B))
-        assert np.max(np.abs(system.Y - Y)) < 1e-14
+        assert np.max(np.abs(sys_B - B)) < 1e-14 * np.max(np.abs(B))
+        assert np.max(np.abs(sys_Y - Y)) < 1e-14
 
     def test_matches_literal_five_by_five(self, case4_soliton):
         cfg, eigenset, norming = case4_soliton
         n, t = -2, 0.3
-        system = build_system(cfg, eigenset, norming, n, t)
+        sys_B, sys_Y = build_system(cfg, eigenset, norming, n, t)
         p = eigenset.pairs[0]
         z1, zb1 = p.zeta, p.zbar
         r = cfg.r
@@ -395,14 +395,13 @@ class TestBuildSystem:
             [0, R3, 0, 0, 1],
         ], dtype=complex)
         Y = np.array([r - 1 / z1, 0, 0, zb1 - r, 1], dtype=complex)
-        assert np.max(np.abs(system.B - B)) < 1e-14 * np.max(np.abs(B))
-        assert np.max(np.abs(system.Y - Y)) < 1e-14
+        assert np.max(np.abs(sys_B - B)) < 1e-14 * np.max(np.abs(B))
+        assert np.max(np.abs(sys_Y - Y)) < 1e-14
 
     def test_zero_constants_give_background_solution(self, case4_soliton):
         cfg, eigenset, _ = case4_soliton
         zero = ist.NormingData(cfg, eigenset, (0.0 + 0.0j,))
-        system = build_system(cfg, eigenset, zero, 0, 0.0)
-        X = np.linalg.solve(system.B, system.Y)
+        X = np.linalg.solve(*build_system(cfg, eigenset, zero, 0, 0.0))
         z1, zb1 = eigenset.pairs[0].zeta, eigenset.pairs[0].zbar
         assert X[0] == pytest.approx(cfg.r - 1.0 / z1)
         assert X[1] == pytest.approx(-cfg.r_plus(0.0))
@@ -413,9 +412,9 @@ class TestBuildSystem:
     def test_cramer_oracle(self, case1_soliton):
         cfg, eigenset, norming = case1_soliton
         for (n, t) in ((0, 0.0), (4, 1.1)):
-            system = build_system(cfg, eigenset, norming, n, t)
-            lu = np.linalg.solve(system.B, system.Y)
-            cr = cramer_solve(system.B, system.Y)
+            B, Y = build_system(cfg, eigenset, norming, n, t)
+            lu = np.linalg.solve(B, Y)
+            cr = cramer_solve(B, Y)
             assert np.max(np.abs(lu - cr)) < 1e-10 * max(1.0, np.max(np.abs(lu)))
 
 
@@ -435,14 +434,14 @@ class TestReconstruct:
         cfg, eigenset, norming = case1_soliton
         for t in (0.0, 0.9):
             for n in range(-8, 9):
-                _, rn = reconstruct_pair(cfg, eigenset, norming, n, t)
+                rn = ist.reconstruct_grid(cfg, eigenset, norming, n, t).r[0]
                 qmn = reconstruct(cfg, eigenset, norming, -n, t)
                 assert abs(rn - cfg.sigma * np.conj(qmn)) < 1e-12
 
     def test_nonlocal_reduction_case4(self, case4_soliton):
         cfg, eigenset, norming = case4_soliton
         for n in range(-6, 7):
-            _, rn = reconstruct_pair(cfg, eigenset, norming, n, 0.4)
+            rn = ist.reconstruct_grid(cfg, eigenset, norming, n, 0.4).r[0]
             qmn = reconstruct(cfg, eigenset, norming, -n, 0.4)
             assert abs(rn - cfg.sigma * np.conj(qmn)) < 1e-12
 
@@ -658,10 +657,10 @@ class TestReconstructGrid:
         sites = np.arange(-6, 7)
         grid = ist.reconstruct_grid(cfg, eigenset, norming, sites, 0.7)
         for i, n in enumerate(sites):
-            q, r = reconstruct_pair(cfg, eigenset, norming, int(n), 0.7)
-            assert q == grid.q[i] and r == grid.r[i]
-            system = build_system(cfg, eigenset, norming, int(n), 0.7)
-            X = np.linalg.solve(system.B, system.Y)
+            one = ist.reconstruct_grid(cfg, eigenset, norming, int(n), 0.7)
+            assert reconstruct(cfg, eigenset, norming, int(n), 0.7) == grid.q[i]
+            assert one.q[0] == grid.q[i] and one.r[0] == grid.r[i]
+            X = np.linalg.solve(*build_system(cfg, eigenset, norming, int(n), 0.7))
             assert abs(X[-1] - grid.theta_inv[i]) < 1e-12 * max(1.0, abs(X[-1]))
 
     def test_wide_window_flags_overflow_quietly(self, case4_soliton):
@@ -688,7 +687,7 @@ class TestReconstructGrid:
         cfg, eigenset, norming = case4_soliton
         sites = np.arange(-2, 3)
         clean = ist.reconstruct_grid(cfg, eigenset, norming, sites, 0.0)
-        marker = build_system(cfg, eigenset, norming, 0, 0.0).B[0, 2]
+        marker = build_system(cfg, eigenset, norming, 0, 0.0)[0][0, 2]
         solve = np.linalg.solve
 
         def zero_pivot_at_marker(B, b):

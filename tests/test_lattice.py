@@ -1,15 +1,17 @@
-import math
-
 import numpy as np
 import pytest
 
 from dnls_ist import ist, lattice, spectral
 from dnls_ist.errors import SingularProduct
-from dnls_ist.lattice import (al_rhs, background_field, partner,
-                              theta_products)
-from dnls_ist.spectral import Case
+from dnls_ist.lattice import al_rhs, background_field, partner, theta_products
 
-from conftest import case_configs, perturbed_background
+from conftest import al_rhs_at, case_configs, perturbed_background, site
+
+
+def window_rhs(w):
+    """lattice.al_rhs at every window site, with the background beyond the edges."""
+    return al_rhs(w.q, np.append(w.q[1:], site(w, w.N + 1)),
+                  np.insert(w.q[:-1], 0, site(w, -w.N - 1)), w.q[::-1], w.cfg.sigma)
 
 
 class TestBackgroundField:
@@ -23,38 +25,38 @@ class TestBackgroundField:
         t = 1.0
         w = background_field(cfg, t, 5)
         expected = (2.0 / 3.0) * np.exp(1j * (0.4 + 2.0 * (2.0 / 3.0) ** 2 * t))
-        assert w.site(3) == pytest.approx(expected, rel=1e-14)
+        assert site(w, 3) == pytest.approx(expected, rel=1e-14)
 
     def test_case4_step(self):
         cfg = spectral.make_case(4, 2.0 / 3.0, 0.0)
         w = background_field(cfg, 0.0, 5)
-        assert w.site(-1) == pytest.approx(2.0 / 3.0, rel=1e-14)
-        assert w.site(0) == pytest.approx(-2.0 / 3.0, rel=1e-14)
+        assert site(w, -1) == pytest.approx(2.0 / 3.0, rel=1e-14)
+        assert site(w, 0) == pytest.approx(-2.0 / 3.0, rel=1e-14)
 
     def test_off_window_is_background(self):
         cfg = spectral.make_case(2, 1.0, 0.3)
         w = background_field(cfg, 0.5, 4)
-        assert w.site(7) == pytest.approx(cfg.q_plus(0.5))
-        assert w.site(-9) == pytest.approx(cfg.q_minus(0.5))
+        assert site(w, 7) == pytest.approx(cfg.q_plus(0.5))
+        assert site(w, -9) == pytest.approx(cfg.q_minus(0.5))
 
 
 class TestPartner:
     def test_case1_background(self):
         cfg = spectral.make_case(1, 2.0 / 3.0, 0.7)
         w = background_field(cfg, 0.0, 5)
-        assert partner(w, 2) == pytest.approx((2.0 / 3.0) * np.exp(-0.7j), rel=1e-14)
+        assert partner(w)[2 + 5] == pytest.approx((2.0 / 3.0) * np.exp(-0.7j), rel=1e-14)
 
     def test_case3_background_sign(self):
         cfg = spectral.make_case(3, 0.5, 0.2)
         w = background_field(cfg, 0.0, 5)
-        assert partner(w, 1) == pytest.approx(-0.5 * np.exp(-0.2j), rel=1e-14)
+        assert partner(w)[1 + 5] == pytest.approx(-0.5 * np.exp(-0.2j), rel=1e-14)
 
     def test_mirror_site(self):
         cfg = spectral.make_case(1, 2.0 / 3.0, 0.0)
         q = np.array(background_field(cfg, 0.0, 6).q)
         q[5 + 6] = 1.0 + 2.0j
         w = lattice.PotentialWindow(cfg, 6, 0.0, q)
-        assert partner(w, -5) == pytest.approx(1.0 - 2.0j)
+        assert partner(w)[-5 + 6] == pytest.approx(1.0 - 2.0j)
 
 
 class TestThetaProducts:
@@ -82,7 +84,7 @@ class TestThetaProducts:
         for n in range(-12, 14):
             prod = 1.0 + 0.0j
             for k in range(n, 13):
-                prod *= (1.0 - w.site(k) * partner(w, k)) / cfg.r ** 2
+                prod *= (1.0 - site(w, k) * partner(w)[k + 12]) / cfg.r ** 2
             assert th.at(n) == pytest.approx(prod, rel=1e-13)
 
     def test_soliton_window_matches_constraint(self, case1_window, case1_soliton):
@@ -107,21 +109,31 @@ class TestAlRhs:
         for n in range(-8, 9):
             if cfg.delta_theta != 0.0 and abs(n) <= 1:
                 continue  # the phase step deforms the stencil near n = 0
-            expected = 1j * cfg.rotation * w.site(n)
-            assert al_rhs(w, n) == pytest.approx(expected, abs=1e-13)
+            expected = 1j * cfg.rotation * site(w, n)
+            assert window_rhs(w)[n + 10] == pytest.approx(expected, abs=1e-13)
 
     def test_zero_field(self):
         cfg = spectral.make_case(1, 0.5, 0.0)
         w = lattice.PotentialWindow(cfg, 3, 0.0, np.zeros(7, dtype=complex))
         # interior stencil of the zero field vanishes identically
-        assert al_rhs(w, 0) == 0.0
+        assert window_rhs(w)[3] == 0.0
 
     def test_case4_step_site(self):
         # hand evaluation: q_{+1} + q_{-1} = 0 kills the nonlinear term,
         # leaving -i(q_plus - 2 q_plus - q_plus) = 2i q_plus
         cfg = spectral.make_case(4, 2.0 / 3.0, 0.0)
         w = background_field(cfg, 0.0, 6)
-        assert al_rhs(w, 0) == pytest.approx(2j * cfg.q_plus(0.0), rel=1e-14)
+        assert window_rhs(w)[6] == pytest.approx(2j * cfg.q_plus(0.0), rel=1e-14)
+
+    @pytest.mark.parametrize("cfg", case_configs(), ids=lambda c: c.case_id.name)
+    def test_matches_the_scalar_stencil(self, cfg):
+        # every site, the step sites n = -1, 0, 1 and both window edges included
+        for seed in range(5):
+            w = perturbed_background(cfg, N=6, seed=seed, amplitude=0.3)
+            rhs = window_rhs(w)
+            for n in range(-6, 7):
+                ref = al_rhs_at(w, n)
+                assert abs(rhs[n + 6] - ref) <= 1e-15 * abs(ref)
 
     def test_soliton_boundary_decay(self, case1_soliton):
         cfg, eigenset, norming = case1_soliton
