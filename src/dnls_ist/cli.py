@@ -381,11 +381,20 @@ def _load_field_csv(path: str, cfg) -> lattice.PotentialWindow:
     if n_max < 0:
         raise ConfigError("field csv needs sites on both sides of n = 0")
     sites = range(-n_max, n_max + 1)
-    missing = [n for n in sites if n not in by_site]
-    if missing:
-        raise ConfigError(f"field csv misses sites {missing[:5]}")
+    wrong = [f"{what} sites {_few(found)}" for what, found in (
+        ("extra", sorted(n for n in by_site if abs(n) > n_max)),
+        ("missing", [n for n in sites if n not in by_site])) if found]
+    if n_max < 1 or wrong:
+        raise ConfigError("field csv sites must be exactly -N..N with N >= 1; "
+                          + ("; ".join(wrong) or "only site 0"))
     q = np.array([by_site[n] for n in sites], dtype=complex)
     return lattice.PotentialWindow(cfg, n_max, float(t_val), q)
+
+
+def _few(sites: list[int]) -> str:
+    """Up to five sites, and how many there are when there are more."""
+    shown = ", ".join(map(str, sites[:5]))
+    return shown if len(sites) <= 5 else f"{shown}, ... ({len(sites)} in all)"
 
 
 def _scatter_window(config: RunConfig, cfg):

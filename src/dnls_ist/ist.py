@@ -3,18 +3,23 @@
 Admissible spectra are fixed per case by the trace-formula asymptotics:
 case I carries one complex quartet on |zeta - 1/r| = q0/r, case II carries
 nothing, case III two real pairs linked by the spectral involution, case IV
-one real pair.  The reflectionless inverse problem collapses to a dense
-(4J+1)-dimensional linear system per lattice site and time; reconstruct_grid
-solves those systems for a whole (n, t) grid of cells, one batched call per
-fixed-size block, and returns both q_n and r_n; reconstruct is its
-one-cell view.  build_system (one cell's B and Y) stays only because the
-benchmark's tracer wraps it, until ROADMAP item 2 re-points the benchmark.
+one real pair.  The reflectionless inverse problem collapses to a
+(4J+1)-dimensional linear system per lattice site and time, block lower
+triangular in the unknown order (N2, Nbar2 | 1/Theta_n | N1, Nbar1) with
+the 2J x 2J diagonal block P = [[I, -kbar], [-k, I]] twice;
+reconstruct_grid solves it for a whole (n, t) grid of cells by one batched,
+pivoted solve of P per fixed-size block, a scalar border for 1/Theta_n and
+back-substitution, and returns both q_n and r_n; reconstruct is its
+one-cell view.  build_system (one cell's dense B and Y, built from the same
+blocks) stays only because the benchmark's tracer wraps it, until ROADMAP
+item 2 re-points the benchmark.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -402,22 +407,40 @@ OK, OVERFLOW, EXACTLY_SINGULAR, BACKWARD_ERROR, THETA_DIVERGENCE, AMPLITUDE = ra
 REASONS = ("ok", "overflow", "exactly singular", "backward error",
            "Theta_n divergence", "non-finite amplitude")
 _SOLVE_FAILED = (OVERFLOW, EXACTLY_SINGULAR, BACKWARD_ERROR)
-# Cells per batched solve in reconstruct_grid: bounds the system stack
-# (512 cells of 9x9 complex entries are 0.7 MB) whatever the grid size.
+# Cells per batched solve in reconstruct_grid: bounds the block arrays
+# (512 cells of J = 2 are 0.2 MB of kbar, k and P) whatever the grid size.
 _BLOCK = 512
 # Newton steps at most in singularity_scan's refinement of its deepest coarse dip.
 _NEWTON_STEPS = 8
 
 
-def _assemble(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
-              ns: np.ndarray, ts: np.ndarray):
-    """Stack of reflectionless systems over the cells (ns[i], ts[i]).
+class _Blocks(NamedTuple):
+    """The reflectionless systems over a block of M cells, by block, cell axis last.
 
-    Returns B (M, 4J+1, 4J+1), the shared right-hand side Y, the
-    multipliers of N1(zeta_j) in the q sum and of Nbar2(zbar_j) in the r
-    sum (both (M, J)), and the boundary values q_plus, r_plus per cell.
+    With unknowns N1(zeta_j), N2(zeta_j), Nbar1(zbar_j), Nbar2(zbar_j) and
+    1/Theta_n, the (4J+1) equations of a cell are
+        N1 - kbar Nbar1 = y0,    N2 - kbar Nbar2 + r_plus/Theta_n = 0,
+        Nbar1 - k N1 - q_plus/Theta_n = 0,    Nbar2 - k N2 = y3,
+        1/Theta_n + row.N2 = 1.
+    kbar and k are (J, J, M); row (the multiplier of N2 here and of N1 in
+    the q sum) and row_r (of Nbar2 in the r sum) are (J, M); q_plus and
+    r_plus are (M,); y0 = r - 1/zeta_j and y3 = zbar_j - r are (J,).
     Overflowing entries come out non-finite, not as an exception.
     """
+
+    kbar: np.ndarray
+    k: np.ndarray
+    row: np.ndarray
+    row_r: np.ndarray
+    qp: np.ndarray
+    rp: np.ndarray
+    y0: np.ndarray
+    y3: np.ndarray
+
+
+def _assemble(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
+              ns: np.ndarray, ts: np.ndarray) -> _Blocks:
+    """The blocks of the reflectionless systems over the cells (ns[i], ts[i])."""
     zs = np.array(eigenset.zeros_t11)
     zbs = np.array(eigenset.zeros_t22)
     J = zs.size
@@ -425,43 +448,37 @@ def _assemble(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     rinv = 1.0 / r
     qp, rp = cfg.q_plus(ts), cfg.r_plus(ts)
     with np.errstate(all="ignore"):
-        cbar = norming.cbar(np.arange(J), ts[:, None])
+        cbar = norming.cbar(np.arange(J)[:, None], ts)
         # NormingData.c's symmetry, on the q_plus and Cbar_j already at hand
-        c = (-(qp * qp))[:, None] / (zbs - r) ** 2 * cbar
-        cpow = c * lam_squared(cfg, zs) ** -ns[:, None]
-        cbarpow = cbar * lam_squared(cfg, zbs) ** ns[:, None]
-        kbar = ((zs - rinv)[:, None] * cbarpow[:, None, :]
-                / ((zbs - rinv)[None, :] * (zs[:, None] - zbs[None, :])))
-        k = ((zbs - r)[:, None] * cpow[:, None, :]
-             / ((zs - r)[None, :] * (zbs[:, None] - zs[None, :])))
-        row = cpow / (zs * (zs - r))
-        row_r = cbarpow / (zbs - rinv)
-    dim = 4 * J + 1
-    B = np.zeros((ns.size, dim, dim), dtype=complex)
-    B[:, np.arange(dim), np.arange(dim)] = 1.0
-    B[:, J:2 * J, -1] = rp[:, None]
-    B[:, 2 * J:3 * J, -1] = -qp[:, None]
-    B[:, :J, 2 * J:3 * J] = -kbar
-    B[:, J:2 * J, 3 * J:4 * J] = -kbar
-    B[:, 2 * J:3 * J, :J] = -k
-    B[:, 3 * J:4 * J, J:2 * J] = -k
-    B[:, -1, J:2 * J] = row
-    Y = np.zeros(dim, dtype=complex)
-    Y[:J] = r - 1.0 / zs
-    Y[3 * J:4 * J] = zbs - r
-    Y[-1] = 1.0
-    return B, Y, row, row_r, qp, rp
+        c = -(qp * qp) / ((zbs - r) ** 2)[:, None] * cbar
+        cpow = c * lam_squared(cfg, zs)[:, None] ** -ns
+        cbarpow = cbar * lam_squared(cfg, zbs)[:, None] ** ns
+        kbar = ((zs - rinv)[:, None, None] * cbarpow
+                / ((zbs - rinv)[None, :] * (zs[:, None] - zbs[None, :]))[..., None])
+        k = ((zbs - r)[:, None, None] * cpow
+             / ((zs - r)[None, :] * (zbs[:, None] - zs[None, :]))[..., None])
+        row = cpow / (zs * (zs - r))[:, None]
+        row_r = cbarpow / (zbs - rinv)[:, None]
+    return _Blocks(kbar, k, row, row_r, qp, rp, r - 1.0 / zs, zbs - r)
 
 
 def build_system(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                  n: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (4J+1)-dimensional reflectionless system B X = Y at site n, time t.
+    """The dense (4J+1)-dimensional system B X = Y at site n, time t.
 
     Unknown ordering: N1(zeta_j), N2(zeta_j), Nbar1(zbar_j), Nbar2(zbar_j),
-    1/Theta_n.
+    1/Theta_n.  A view of _assemble's blocks, off the CLI path:
+    reconstruct_grid solves the blocks without forming B.
     """
-    B, Y, *_ = _assemble(cfg, eigenset, norming, np.array([n]), np.array([float(t)]))
-    return B[0], Y
+    b = _assemble(cfg, eigenset, norming, np.array([n]), np.array([float(t)]))
+    J = b.row.shape[0]
+    B = np.eye(4 * J + 1, dtype=complex)
+    B[J:2 * J, -1] = b.rp[0]
+    B[2 * J:3 * J, -1] = -b.qp[0]
+    B[:J, 2 * J:3 * J] = B[J:2 * J, 3 * J:4 * J] = -b.kbar[..., 0]
+    B[2 * J:3 * J, :J] = B[3 * J:4 * J, J:2 * J] = -b.k[..., 0]
+    B[-1, J:2 * J] = b.row[:, 0]
+    return B, np.concatenate([b.y0, np.zeros(2 * J), b.y3, [1.0]]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -522,13 +539,16 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData |
     ns and ts broadcast against each other (a scalar t gives a time row,
     sites[None, :] and ts[:, None] a time-major grid); the result is flat in
     that broadcast order.  The cells are solved in blocks of _BLOCK: each
-    block's systems are stacked and solved by one batched LAPACK call, and
-    each cell is then judged on its own: finite entries and solution,
-    backward error at most 1e-8 * |B| |X| + |Y|, |1/Theta_n| at least
-    DET_GUARD * max(1, |X|), and a finite amplitude.  The system is badly
-    scaled but well posed at large |n| (lam**(2n) entries), so singularity
-    is judged by these checks rather than by a determinant.  An empty
-    spectrum is the J = 0 system B = [1]: q_plus(t), r_plus(t) at every cell.
+    block's 2J x 2J diagonal blocks P are stacked and solved by one batched
+    LAPACK call with four right-hand sides, 1/Theta_n follows from the
+    border row and the rest by back-substitution (_solve_block), and each
+    cell is then judged on its own: finite entries and solution, backward
+    error of the full (4J+1) equations at most 1e-8 * |B| |X| + |Y| (B is
+    never formed), |1/Theta_n| at least DET_GUARD * max(1, |X|), and a
+    finite amplitude.  The system is badly scaled but well posed at large
+    |n| (lam**(2n) entries), so singularity is judged by these checks rather
+    than by a determinant.  An empty spectrum is the J = 0 system B = [1]:
+    q_plus(t), r_plus(t) at every cell.
     """
     ns, ts, _ = _flat_cells(ns, ts)
     return _solve_cells(cfg, eigenset, norming, ns, ts)[0]
@@ -539,11 +559,11 @@ def reconstruct_with_derivative(cfg: CaseConfig, eigenset: EigenSet,
     """(q_n(t), dq_n/dt) over the cells (ns[i], ts[i]), both in their broadcast shape.
 
     q is reconstruct_grid's q bit for bit (the same blocks, solves and
-    checks).  Time enters the system only through exponentials, so
-    dB/dt is B times a constant rate matrix elementwise and the exact
+    checks).  Time enters the system only through exponentials, so each
+    block of dB/dt is that block times a constant rate, and the exact
     derivative of the computed solution is X' = -B^-1 (dB/dt) X, a second
-    solve on the same stack.  Raises SingularSolution for the first
-    singular cell in flattened order, as make_evaluator does.
+    solve of the same P through the same border.  Raises SingularSolution
+    for the first singular cell in flattened order, as make_evaluator does.
     """
     ns, ts, shape = _flat_cells(ns, ts)
     grid, (qdot, _) = _solve_cells(cfg, eigenset, norming, ns, ts, derivative=True)
@@ -575,42 +595,75 @@ def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                  ns: np.ndarray, ts: np.ndarray, derivative: bool = False):
     """q, r, backward error, 1/Theta_n and reason code over one block of cells.
 
+    In the unknown order (N2, Nbar2 | 1/Theta_n | N1, Nbar1) the system of
+    _Blocks is block lower triangular, and both diagonal blocks are the
+    2J x 2J matrix P = [[I, -kbar], [-k, I]], so det B = det(P)**2 (1 + row.z2).
+    One pivoted solve of P with four right-hand sides gives z1 = P^-1 (0, y3),
+    z2 = P^-1 (-r_plus, 0), z3 = P^-1 (y0, 0) and z4 = P^-1 (0, q_plus); the
+    border then gives 1/Theta_n = (1 - row.z1) / (1 + row.z2) (row against
+    the N2 half), and back-substitution (N2, Nbar2) = z1 + z2/Theta_n,
+    (N1, Nbar1) = z3 + z4/Theta_n.  The backward error is the largest
+    residual of the full equations, and max|B| = max(1, |kbar|, |k|, |row|,
+    |q_plus|, |r_plus|), so B is never formed.  Past the solve every array
+    keeps the cell axis last, where NumPy's reductions are fast.
+
     With derivative set, dq/dt and d(1/Theta_n)/dt follow as a sixth and a
-    seventh array when every cell of the block is regular (all NaN otherwise).
+    seventh array when every cell of the block is regular (all NaN otherwise):
+    time enters only through exponentials, so -(dB/dt) X is X's blocks
+    scaled by the rates, and X' is a second solve of P through the same border.
     """
-    B, Y, row, row_r, qp, rp = _assemble(cfg, eigenset, norming, ns, ts)
-    M = ns.size
-    J = row.shape[1]
+    b = _assemble(cfg, eigenset, norming, ns, ts)
+    kbar, k, row, qp, rp = b.kbar, b.k, b.row, b.qp, b.rp
+    J, M = row.shape
     reason = np.full(M, OK, dtype=np.int8)
 
     def flag(bad, code):
         reason[(reason == OK) & bad] = code
 
-    entries_ok = np.isfinite(B).all(axis=(1, 2))
-    flag(~entries_ok, OVERFLOW)
-    B[~entries_ok] = np.eye(B.shape[1])  # placeholder, never reported
-    rhs = np.broadcast_to(Y[:, None], B.shape[:2] + (1,))
+    with np.errstate(all="ignore"):
+        bmax = _abs_max(kbar, k, row, qp, rp, np.ones(M))  # NaN or inf on overflow
+    entries_ok = np.isfinite(bmax)
+    if not entries_ok.all():
+        flag(~entries_ok, OVERFLOW)
+        kbar[..., ~entries_ok] = k[..., ~entries_ok] = row[:, ~entries_ok] = 0.0  # never reported
+    P = np.empty((M, 2 * J, 2 * J), dtype=complex)
+    P[:, :J, :J] = P[:, J:, J:] = np.eye(J)
+    P[:, :J, J:] = -kbar.transpose(2, 0, 1)
+    P[:, J:, :J] = -k.transpose(2, 0, 1)
+    rhs = np.zeros((2 * J, 4, M), dtype=complex)
+    rhs[J:, 0] = b.y3[:, None]
+    rhs[:J, 1] = -rp
+    rhs[:J, 2] = b.y0[:, None]
+    rhs[J:, 3] = qp
     with np.errstate(all="ignore"):
         try:
-            X = np.linalg.solve(B, rhs)[..., 0]
+            z = np.linalg.solve(P, rhs.transpose(2, 0, 1))
         except np.linalg.LinAlgError:
-            X = np.full(B.shape[:2], np.nan, dtype=complex)
+            z = np.full((M, 2 * J, 4), np.nan, dtype=complex)
             for i in range(M):
                 try:
-                    X[i] = np.linalg.solve(B[i:i + 1], rhs[i:i + 1])[0, :, 0]
+                    z[i] = np.linalg.solve(P[i:i + 1], rhs[None, ..., i])[0]
                 except np.linalg.LinAlgError:
                     reason[i] = EXACTLY_SINGULAR  # entries were finite
-        solved = np.isfinite(X).all(axis=1)
+        z = z.transpose(1, 2, 0).copy()
+        border = 1.0 + (row * z[:J, 1]).sum(axis=0)
+        theta_inv = (1.0 - (row * z[:J, 0]).sum(axis=0)) / border
+        X = z[:, 0::2] + theta_inv * z[:, 1::2]  # columns (N2, Nbar2) and (N1, Nbar1)
+        xmax = np.maximum(_abs_max(X), np.abs(theta_inv))
+        solved = np.isfinite(xmax)
         flag(~solved, OVERFLOW)
-        backward = np.abs((B @ X[..., None])[..., 0] - Y).max(axis=1)
-        xmax = np.abs(X).max(axis=1)
-        scale = np.abs(B).max(axis=(1, 2)) * np.maximum(xmax, 1e-300) + np.abs(Y).max()
-        flag(backward > 1e-8 * scale, BACKWARD_ERROR)
-        theta_inv = X[:, -1]
+        # P X - (right-hand sides), with P = I - [[0, kbar], [k, 0]]
+        residual = X - (rhs[:, 0::2] + theta_inv * rhs[:, 1::2])
+        residual[:J] -= _times(kbar, X[J:])
+        residual[J:] -= _times(k, X[:J])
+        backward = np.maximum(_abs_max(residual),
+                              np.abs(theta_inv + (row * X[:J, 0]).sum(axis=0) - 1.0))
+        ymax = np.abs(np.concatenate([b.y0, b.y3])).max(initial=1.0)
+        flag(backward > 1e-8 * (bmax * np.maximum(xmax, 1e-300) + ymax), BACKWARD_ERROR)
         flag(np.abs(theta_inv) < DET_GUARD * np.maximum(1.0, xmax), THETA_DIVERGENCE)
-        sum_q = (row * X[:, :J]).sum(axis=1)
+        sum_q = (row * X[:J, 1]).sum(axis=0)
         q = qp + cfg.r * sum_q / theta_inv
-        rn = rp - (row_r * X[:, 3 * J:4 * J]).sum(axis=1) / theta_inv
+        rn = rp - (b.row_r * X[J:, 0]).sum(axis=0) / theta_inv
     flag(~np.isfinite(q), AMPLITUDE)
     backward[~solved] = np.inf
     backward[~entries_ok] = np.nan
@@ -620,30 +673,40 @@ def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     qdot = theta_inv_dot = np.full(M, complex(np.nan, np.nan))
     if not reason.any():
         with np.errstate(all="ignore"):
-            dX = np.linalg.solve(B, -((B * _rate_matrix(cfg, norming)) @ X[..., None]))[..., 0]
-            theta_inv_dot = dX[:, -1]
-            dsum_q = (row * (norming.c_rate * X[:, :J] + dX[:, :J])).sum(axis=1)
+            # -(dB/dt) X: kbar's columns carry Cbar_j(t), k's columns and the
+            # border row C_j(t), and r_plus, q_plus rotate at -+i rotation.
+            c_X = norming.c_rate[:, None, None] * X[:J]
+            spin = 1j * cfg.rotation * theta_inv
+            drhs = np.empty_like(X)
+            drhs[:J] = _times(kbar, norming.cbar_rate[:, None, None] * X[J:])
+            drhs[J:] = _times(k, c_X)
+            drhs[:J, 0] += spin * rp
+            drhs[J:, 1] += spin * qp
+            dX = np.linalg.solve(P, drhs.transpose(2, 0, 1)).transpose(1, 2, 0)
+            theta_inv_dot = -(row * (c_X[:, 0] + dX[:J, 0])).sum(axis=0) / border
+            n1_dot = dX[:J, 1] + theta_inv_dot * z[:J, 3]
+            dsum_q = (row * (c_X[:, 1] + n1_dot)).sum(axis=0)
             qdot = (1j * cfg.rotation * qp
                     + cfg.r * (dsum_q - sum_q * theta_inv_dot / theta_inv) / theta_inv)
     return q, rn, backward, theta_inv, reason, qdot, theta_inv_dot
 
 
-def _rate_matrix(cfg: CaseConfig, norming: NormingData) -> np.ndarray:
-    """R with dB/dt = B * R elementwise, the same for every cell.
+def _times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The matrix product a x per cell, for a (J, J, M) and x (J, K, M).
 
-    Column j of the N1/N2 blocks carries C_j(t) (in k and in the 1/Theta_n
-    row), column j of the Nbar1/Nbar2 blocks Cbar_j(t) (in kbar), and the
-    last column r_plus(t) and -q_plus(t); the unit diagonal is constant.
+    J products of whole rows of cells: on stacks of tiny matrices this is
+    several times faster than matmul.
     """
-    J = len(norming.cbar0)
-    dim = 4 * J + 1
-    R = np.zeros((dim, dim), dtype=complex)
-    R[:, :2 * J] = np.tile(norming.c_rate, 2)
-    R[:, 2 * J:4 * J] = np.tile(norming.cbar_rate, 2)
-    R[J:2 * J, -1] = -1j * cfg.rotation
-    R[2 * J:3 * J, -1] = 1j * cfg.rotation
-    R[np.arange(dim), np.arange(dim)] = 0.0
-    return R
+    out = np.zeros(x.shape, dtype=complex)
+    for j in range(a.shape[1]):
+        out += a[:, j, None] * x[j]
+    return out
+
+
+def _abs_max(*blocks: np.ndarray) -> np.ndarray:
+    """The largest modulus per cell over arrays whose last axis is the cell axis."""
+    return np.max([np.abs(a).reshape(-1, a.shape[-1]).max(axis=0, initial=0.0)
+                   for a in blocks], axis=0)
 
 
 def reconstruct(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None,
@@ -690,7 +753,9 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
 
     A cell whose solve fails scores 0; the coarse sweep is one
     reconstruct_grid call over every (site, time) cell and keeps the first
-    minimum in site-major order.  At that site, Gauss-Newton steps on
+    minimum in site-major order.  Case IV sweeps t_span[0] alone: its pair
+    has zbar_1 = (1 - q0)/r with r**2 = 1 - q0**2, so zbar_1 + 1/zbar_1 = 2/r,
+    gamma(zbar_1) = 0, and 1/Theta_n does not depend on t.  At that site, Gauss-Newton steps on
     f = 1/Theta_n(t) with the exact df/dt of the derivative solve move t
     towards a real-time zero of f; they stop when the step is a few ulps,
     longer than coarse_dt, or predicts no halving of |f| (no zero ahead),
@@ -702,11 +767,9 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
         raise DomainError(f"empty or unbounded scan: n_range={n_range}, "
                           f"t_span={t_span}, coarse_dt={coarse_dt}")
     sites = np.arange(n_range[0], n_range[1] + 1)
-    times = []
-    t = t_span[0]
-    while t <= t_span[1]:
-        times.append(t)
-        t += coarse_dt
+    times = [t_span[0]]
+    while cfg.case_id is not Case.IV and times[-1] + coarse_dt <= t_span[1]:
+        times.append(times[-1] + coarse_dt)
     grid = reconstruct_grid(cfg, eigenset, norming, sites[:, None], np.array(times)[None, :])
     vals = np.where(np.isin(grid.reason, _SOLVE_FAILED), 0.0, np.abs(grid.theta_inv))
     i, j = divmod(int(np.argmin(vals)), len(times))

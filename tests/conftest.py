@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -94,3 +95,113 @@ def wronskian(col_a, col_b, n):
 def check_symmetries(window, zeta_samples):
     """The symmetry residuals of scattering_report over zeta_samples."""
     return scattering.scattering_report(window, zeta_samples).symmetry
+
+
+# The dense reflectionless solve that reconstruct_grid's block form replaced:
+# every cell's (4J+1) system stacked and solved by LAPACK, with the same checks.
+
+def dense_reconstruct(cfg, eigenset, norming, ns, ts):
+    """(q, r, reason) per cell from the dense solve, checked as reconstruct_grid checks.
+
+    Unknown ordering: N1(zeta_j), N2(zeta_j), Nbar1(zbar_j), Nbar2(zbar_j), 1/Theta_n.
+    """
+    b = ist._assemble(cfg, eigenset, norming, np.asarray(ns), np.asarray(ts, dtype=float))
+    J, M = b.row.shape
+    dim = 4 * J + 1
+    B = np.zeros((M, dim, dim), dtype=complex)
+    B[:, np.arange(dim), np.arange(dim)] = 1.0
+    B[:, J:2 * J, -1] = b.rp[:, None]
+    B[:, 2 * J:3 * J, -1] = -b.qp[:, None]
+    B[:, :J, 2 * J:3 * J] = B[:, J:2 * J, 3 * J:4 * J] = -b.kbar.transpose(2, 0, 1)
+    B[:, 2 * J:3 * J, :J] = B[:, 3 * J:4 * J, J:2 * J] = -b.k.transpose(2, 0, 1)
+    B[:, -1, J:2 * J] = b.row.T
+    Y = np.concatenate([b.y0, np.zeros(2 * J), b.y3, [1.0]]).astype(complex)
+    reason = np.full(M, ist.OK, dtype=np.int8)
+
+    def flag(bad, code):
+        reason[(reason == ist.OK) & bad] = code
+
+    entries_ok = np.isfinite(B).all(axis=(1, 2))
+    flag(~entries_ok, ist.OVERFLOW)
+    B[~entries_ok] = np.eye(B.shape[1])
+    X = np.full(B.shape[:2], np.nan, dtype=complex)
+    with np.errstate(all="ignore"):
+        for i in range(M):  # cell by cell, so that a zero pivot flags that cell alone
+            try:
+                X[i] = np.linalg.solve(B[i], Y)
+            except np.linalg.LinAlgError:
+                reason[i] = ist.EXACTLY_SINGULAR
+        flag(~np.isfinite(X).all(axis=1), ist.OVERFLOW)
+        backward = np.abs((B @ X[..., None])[..., 0] - Y).max(axis=1)
+        xmax = np.abs(X).max(axis=1)
+        scale = np.abs(B).max(axis=(1, 2)) * np.maximum(xmax, 1e-300) + np.abs(Y).max()
+        flag(backward > 1e-8 * scale, ist.BACKWARD_ERROR)
+        theta_inv = X[:, -1]
+        flag(np.abs(theta_inv) < ist.DET_GUARD * np.maximum(1.0, xmax), ist.THETA_DIVERGENCE)
+        q = b.qp + cfg.r * (b.row.T * X[:, :J]).sum(axis=1) / theta_inv
+        rn = b.rp - (b.row_r.T * X[:, 3 * J:4 * J]).sum(axis=1) / theta_inv
+    flag(~np.isfinite(q), ist.AMPLITUDE)
+    return q, rn, reason
+
+
+def mp_reconstruct(cfg, eigenset, norming, n, t):
+    """q_n(t) from the (4J+1) system assembled and solved in mpmath at 50 digits.
+
+    The inputs are the double eigenvalues, Cbar_j(0) and the background
+    constants; the lam powers, gamma, the time factors and the solve are
+    all carried at 50 digits.
+    """
+    with mpmath.workdps(50):
+        r, t = mpmath.mpf(cfg.r), mpmath.mpf(t)
+        zs = [mpmath.mpc(z) for z in eigenset.zeros_t11]
+        zbs = [mpmath.mpc(z) for z in eigenset.zeros_t22]
+        J = len(zs)
+        rotation = mpmath.mpf(cfg.rotation)
+        qp = cfg.q0 * mpmath.expj(cfg.theta_plus + rotation * t)
+        rp = cfg.sigma * mpmath.conj(cfg.q0 * mpmath.expj(cfg.theta_minus + rotation * t))
+
+        def lam2(z):
+            return z * (z - r) / (z * r - 1)
+
+        def gamma(z):
+            return r * r * (z - 2 / r + 1 / z) * (z - 2 * r + 1 / z) / ((z - r) * (1 / z - r))
+
+        cbar = [mpmath.mpc(c0) * mpmath.exp(-1j * (rotation + gamma(zb)) * t)
+                for c0, zb in zip(norming.cbar0, zbs)]
+        cpow = [-qp ** 2 / (zb - r) ** 2 * cb * lam2(z) ** (-n)
+                for z, zb, cb in zip(zs, zbs, cbar)]
+        cbarpow = [cb * lam2(zb) ** n for zb, cb in zip(zbs, cbar)]
+        row = [cp / (z * (z - r)) for z, cp in zip(zs, cpow)]
+        dim = 4 * J + 1
+        B = [[mpmath.mpc(i == j) for j in range(dim)] for i in range(dim)]
+        Y = [mpmath.mpc(0)] * dim
+        for i in range(J):
+            Y[i], Y[3 * J + i], Y[4 * J] = r - 1 / zs[i], zbs[i] - r, 1
+            B[J + i][4 * J], B[2 * J + i][4 * J], B[4 * J][J + i] = rp, -qp, row[i]
+            for j in range(J):
+                kbar = (zs[i] - 1 / r) * cbarpow[j] / ((zbs[j] - 1 / r) * (zs[i] - zbs[j]))
+                k = (zbs[i] - r) * cpow[j] / ((zs[j] - r) * (zbs[i] - zs[j]))
+                B[i][2 * J + j] = B[J + i][3 * J + j] = -kbar
+                B[2 * J + i][j] = B[3 * J + i][J + j] = -k
+        X = _mp_solve(B, Y)
+        return complex(qp + r * mpmath.fsum(row[j] * X[j] for j in range(J)) / X[4 * J])
+
+
+def _mp_solve(B, Y):
+    """Gaussian elimination with partial pivoting on lists of mpmath numbers.
+
+    mpmath.lu_solve calls a far-field system singular: its pivot test is
+    relative to the norm of B, which the lam**(2n) entries make huge.
+    """
+    A = [row[:] + [y] for row, y in zip(B, Y)]
+    dim = len(A)
+    for c in range(dim):
+        p = max(range(c, dim), key=lambda i: abs(A[i][c]))
+        A[c], A[p] = A[p], A[c]
+        for i in range(c + 1, dim):
+            f = A[i][c] / A[c][c]
+            A[i] = [a - f * b for a, b in zip(A[i], A[c])]
+    X = [mpmath.mpc(0)] * dim
+    for i in reversed(range(dim)):
+        X[i] = (A[i][dim] - mpmath.fsum(A[i][j] * X[j] for j in range(i + 1, dim))) / A[i][i]
+    return X

@@ -312,6 +312,20 @@ class TestScatter:
         assert main(["scatter", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
         assert "both sides of n = 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sites, named", [
+        (range(0, 4), "extra sites 1, 2, 3"),
+        (range(-2, 41), "extra sites 3, 4, 5, 6, 7, ... (38 in all)"),
+        ([-2, -1, 1, 2], "missing sites 0"),
+    ], ids=["0..3", "-2..40", "no n=0"])
+    def test_csv_sites_must_be_a_symmetric_window(self, tmp_path, capsys, sites, named):
+        field = tmp_path / "asymmetric.csv"
+        field.write_text("n,t,re_q,im_q,abs_q\n"
+                         + "".join(f"{n},0,0.6,0,0.6\n" for n in sites), encoding="utf-8")
+        doc = {"case": 1, "q0": 0.6, "field": {"source": "csv", "path": str(field)}}
+        assert main(["scatter", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sites must be exactly -N..N with N >= 1" in err and named in err
+
     def test_csv_field_roundtrip(self, tmp_path):
         # write a soliton field, scatter on it from file
         doc = dict(CASE4_CONFIG)

@@ -21,7 +21,8 @@ from dnls_ist.ist import (build_system, case2_feasibility_scan,
 from dnls_ist.spectral import (Region, classify, gamma, lam_squared,
                                point_from_zeta, zeta_bar)
 
-from conftest import CASE1_ETA1, reconstruct_grid_sizes
+from conftest import (CASE1_ETA1, dense_reconstruct, mp_reconstruct,
+                      reconstruct_grid_sizes)
 
 
 def cramer_solve(B, Y):
@@ -691,7 +692,7 @@ class TestReconstructGrid:
         solve = np.linalg.solve
 
         def zero_pivot_at_marker(B, b):
-            if np.any(B[:, 0, 2] == marker):
+            if np.any(B[:, 0, eigenset.J] == marker):  # -kbar of P = [[I, -kbar], [-k, I]]
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(B, b)
 
@@ -914,6 +915,108 @@ class TestDerivative:
         assert sizes == [512, 512, 512, 512, 329, 329]
 
 
+def _member(case, theta, thbar1=0.0):
+    """A case-I member (c1's spectrum and constants) or a case-IV member, at q0 = 2/3."""
+    cfg = spectral.make_case(case, 2.0 / 3.0, theta)
+    if case == 1:
+        eigenset = eigenvalues_case1(cfg, CASE1_ETA1)
+        return cfg, eigenset, norming_case1(cfg, eigenset, 1.0, 0.0, 0.0)
+    eigenset = eigenvalues_case4(cfg)
+    return cfg, eigenset, norming_case4(cfg, eigenset, thbar1)
+
+
+def _cells(sites, times):
+    """The time-major cells of a sites x times grid, flat."""
+    return np.tile(sites, len(times)), np.repeat(times, len(sites))
+
+
+_C1_TIMES = -5.0 + 0.25 * np.arange(41)  # the t grid of c1
+_C4_TIMES = np.linspace(0.0, 1.0, 6)  # the t grid of the README and bench c4 configs
+
+
+def _parity_grid(name):
+    """(member, ns, ts, cells whose q the problem itself does not fix to 1e-12)."""
+    if name == "c1":
+        ns, ts = _cells(np.arange(-60, 61), _C1_TIMES)
+        return _member(1, 0.0), ns, ts, np.zeros(ns.size, bool)
+    if name == "bench c4":  # the N = 400 window, and three sites out to overflow
+        ns, ts = _cells(np.arange(-400, 401), _C4_TIMES)
+        ns, ts = np.append(ns, [-700, 0, 700]), np.append(ts, [0.0, 0.0, 0.0])
+        return _member(4, -math.pi, math.pi / 3.0), ns, ts, np.zeros(ns.size, bool)
+    if name == "pole":  # 0.25 steps through the pole, and 1e-9 either side of it
+        cfg, eigenset, norming, scan = POLE
+        times = scan.at_time + np.append(0.25 * np.arange(-8, 9), [-1e-9, 1e-9])
+        ns, ts = _cells(scan.at_site + np.arange(-20, 21), times)
+        # within 1e-9 of the pole q is 1e9 times more sensitive than the solve
+        return (cfg, eigenset, norming), ns, ts, np.abs(ts - scan.at_time) < 1e-6
+    # case 4, theta: 0, thbar1: 0: B is singular to working precision at n = 0,
+    # so neither solve fixes q there (ROADMAP item 7); its reasons still match
+    ns, ts = _cells(np.arange(-20, 21), np.linspace(0.0, 1.0, 11))
+    return _member(4, 0.0), ns, ts, ns == 0
+
+
+class TestBlockSolve:
+    """The block-triangular solve against the dense (4J+1) solve it replaced."""
+
+    @pytest.mark.parametrize("name, reasons", [
+        ("c1", {ist.OK}), ("bench c4", {ist.OK, ist.OVERFLOW}),
+        ("pole", {ist.OK, ist.THETA_DIVERGENCE}), ("case4 theta 0", {ist.OK})])
+    def test_reasons_and_fields_match_the_dense_reference(self, name, reasons):
+        member, ns, ts, unfixed = _parity_grid(name)
+        grid = ist.reconstruct_grid(*member, ns, ts)
+        q, r, reason = dense_reconstruct(*member, ns, ts)
+        assert np.array_equal(grid.reason, reason)
+        assert set(grid.reason.tolist()) == reasons
+        check = ~grid.singular & ~unfixed
+        scale = 1e-12 * np.maximum(1.0, np.abs(q[check]))
+        assert np.all(np.abs(grid.q[check] - q[check]) <= scale)
+        assert np.all(np.abs(grid.r[check] - r[check]) <= scale)
+
+    @pytest.mark.parametrize("fixture", ["case1_soliton", "case4_soliton"])
+    def test_every_solve_is_2j_by_2j(self, fixture, request, monkeypatch):
+        cfg, eigenset, norming = request.getfixturevalue(fixture)
+        shapes = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            shapes.append((a.shape[1:], b.shape[1]))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        ist.reconstruct_with_derivative(cfg, eigenset, norming, np.arange(-30, 31)[None, :],
+                                        np.linspace(-2.0, 2.0, 17)[:, None])
+        J = eigenset.J
+        assert len(shapes) == 2 * 3  # two solves in each of three blocks
+        assert set(shapes) == {((2 * J, 2 * J), 2 * J)}
+
+
+def _mp_cells(name):
+    """(member, ns, ts) for the 50-digit comparison."""
+    if name == "c1":  # the residual oracle's cells of ist verify, n=-6, t=4.75 among them
+        return (_member(1, 0.0), *_cells(np.arange(-16, 17), _C1_TIMES))
+    if name == "bench c4":  # every tenth site of the N = 400 window
+        return (_member(4, -math.pi, math.pi / 3.0), *_cells(np.arange(-400, 401, 10), _C4_TIMES))
+    if name == "README c4":
+        return (_member(4, -math.pi, math.pi / 3.0), *_cells(np.arange(-40, 41), _C4_TIMES))
+    cfg, eigenset, norming, scan = POLE  # c1's t grid, half a time unit or more off the pole
+    times = _C1_TIMES[np.abs(_C1_TIMES - scan.at_time) >= 0.5]
+    return ((cfg, eigenset, norming), *_cells(scan.at_site + np.arange(-10, 11), times))
+
+
+@pytest.mark.parametrize("name, bound", [("c1", 1e-12), ("bench c4", 1e-14),
+                                         ("README c4", 1e-14), ("pole", 1e-12)])
+def test_q_against_a_50_digit_solve(name, bound):
+    member, ns, ts = _mp_cells(name)
+    exact = np.array([mp_reconstruct(*member, int(n), float(t)) for n, t in zip(ns, ts)])
+    grid = ist.reconstruct_grid(*member, ns, ts)
+    dense, _, _ = dense_reconstruct(*member, ns, ts)
+    assert not grid.singular.any()
+    error = np.max(np.abs(grid.q - exact) / np.maximum(1.0, np.abs(exact)))
+    dense_error = np.max(np.abs(dense - exact) / np.maximum(1.0, np.abs(exact)))
+    assert error <= bound
+    assert error <= 2.0 * dense_error
+
+
 def _scan_fixed_rounds(cfg, eigenset, norming, n_range, t_span, coarse_dt):
     """The scan before Newton: 7-point shrink rounds until the bracket stops moving."""
 
@@ -956,14 +1059,8 @@ _SCAN_RANGES = {
 def _family(name):
     """25 members: case I over theta, or case IV over thbar1, both over [0, 2 pi]."""
     for angle in np.linspace(0.0, 2.0 * math.pi, 25).tolist():
-        if name == "case1-theta":
-            cfg = spectral.make_case(1, 2.0 / 3.0, angle)
-            eigenset = eigenvalues_case1(cfg, CASE1_ETA1)
-            yield angle, (cfg, eigenset, norming_case1(cfg, eigenset, 1.0, 0.0, 0.0))
-        else:
-            cfg = spectral.make_case(4, 2.0 / 3.0, -math.pi)
-            eigenset = eigenvalues_case4(cfg)
-            yield angle, (cfg, eigenset, norming_case4(cfg, eigenset, angle))
+        yield angle, (_member(1, angle) if name == "case1-theta"
+                      else _member(4, -math.pi, angle))
 
 
 @pytest.mark.parametrize("ranges", _SCAN_RANGES)
@@ -996,6 +1093,55 @@ def test_theta_inv_derivative_matches_central_difference(fixture, request):
         assert 12.0 < fd_error(0.1) / fd_error(0.05) < 20.0
     else:  # gamma(zbar_1) = 0 in case IV: 1/Theta_n does not depend on t
         assert np.max(np.abs(fdot)) < 1e-14
+
+
+def test_case4_theta_inv_is_the_same_at_every_time(case4_soliton):
+    # Every case-IV pair has zbar_1 = (1 - q0)/r with r**2 = 1 - q0**2, so
+    # zbar_1 + 1/zbar_1 = 2/r and the first numerator factor of gamma
+    # vanishes; Cbar_1(t) then turns at -i rotation and C_1(t) at +i rotation,
+    # like r_plus(t) and q_plus(t).  With u = exp(i rotation t), the 5 x 5
+    # system's 1/Theta_n is free of u: singularity_scan's one-time sweep.
+    import sympy as sp
+
+    q0 = sp.symbols("q0", positive=True)
+    r = sp.sqrt(1 - q0 ** 2)
+    zb = (1 - q0) / r
+    assert sp.simplify(zb + 1 / zb - 2 / r) == 0
+    gamma_zb = r ** 2 * (zb - 2 / r + 1 / zb) * (zb - 2 * r + 1 / zb) / ((zb - r) * (1 / zb - r))
+    assert sp.simplify(gamma_zb) == 0
+    kbar, k, row, qp, rp, y0, y3, u = sp.symbols("kbar k row q_p r_p y0 y3 u", nonzero=True)
+    B = sp.Matrix([[1, 0, -kbar / u, 0, 0],  # the layout of TestBuildSystem's 5 x 5
+                   [0, 1, 0, -kbar / u, rp / u],
+                   [-k * u, 0, 1, 0, -qp * u],
+                   [0, -k * u, 0, 1, 0],
+                   [0, row * u, 0, 0, 1]])
+    theta_inv = B.LUsolve(sp.Matrix([y0, 0, 0, y3, 1]))[4]
+    assert sp.simplify(sp.diff(theta_inv, u)) == 0
+    # ist's case-IV blocks carry exactly those powers of u
+    cfg = case4_soliton[0]
+    t = 0.7
+    at_0, at_t = (ist._assemble(*case4_soliton, np.array([3]), np.array([time]))
+                  for time in (0.0, t))
+    u_t = cmath.exp(1j * cfg.rotation * t)
+    for name, power in (("kbar", -1), ("k", 1), ("row", 1), ("qp", 1), ("rp", -1)):
+        ratio = getattr(at_t, name) / getattr(at_0, name)
+        assert np.allclose(ratio, u_t ** power, rtol=1e-14, atol=0.0), name
+
+
+def test_case4_scan_sweeps_one_time_per_site(case4_soliton, monkeypatch):
+    calls = []
+    solve = ist._solve_cells
+
+    def recording(cfg, eigenset, norming, ns, ts, derivative=False):
+        calls.append((ns.size, sorted(set(ts.tolist())), derivative))
+        return solve(cfg, eigenset, norming, ns, ts, derivative)
+
+    monkeypatch.setattr(ist, "_solve_cells", recording)
+    n_range, t_span, coarse_dt = _SCAN_RANGES["cli"]
+    scan = singularity_scan(*case4_soliton, n_range, t_span, coarse_dt)
+    assert calls[0] == (25, [t_span[0]], False)  # one cell per site
+    assert all(size == 1 and derivative for size, _, derivative in calls[1:])
+    assert not scan.singular
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["regular", "pole"])
