@@ -72,12 +72,13 @@ def dump_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, chunks) -> None:
+    """Write str chunks to path, or stdout; a generator streams while the file is open."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 _SCHEMA_KEYS = {
@@ -311,7 +312,7 @@ def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
             "family": scan.family,
             "candidates": scan.candidates,
         }
-    _write_text(out, dump_json(report) + "\n")
+    _write_text(out, [dump_json(report) + "\n"])
     return EXIT_OK
 
 
@@ -346,7 +347,7 @@ def cmd_soliton(config: RunConfig, out: str | None, seed: int) -> int:
         sys.stderr.write("every grid cell is singular\n")
         return EXIT_ALL_SINGULAR
     path = out or config.outputs.get("field_csv")
-    _write_text(path, _field_csv(grid))
+    _write_text(path, [_field_csv(grid)])
     return EXIT_OK
 
 
@@ -444,7 +445,7 @@ def cmd_scatter(config: RunConfig, out: str | None, seed: int) -> int:
         "tolerance": tol,
         "failures": failures,
     }
-    _write_text(out or config.outputs.get("report_json"), dump_json(doc) + "\n")
+    _write_text(out or config.outputs.get("report_json"), [dump_json(doc) + "\n"])
     return EXIT_TOLERANCE if failures else EXIT_OK
 
 
@@ -514,18 +515,17 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
                                                    for name in failures)}
     ok = ok_res and ok_closed and not failures
     doc = {"case": config.case, "checks": checks, "pass": bool(ok)}
-    _write_text(out or config.outputs.get("report_json"), dump_json(doc) + "\n")
+    _write_text(out or config.outputs.get("report_json"), [dump_json(doc) + "\n"])
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def _trajectory_csv(traj: verify.Trajectory) -> str:
-    lines = ["step,t,n,re_q,im_q"]
-    sites = range(-traj.N, traj.N + 1)
+def _trajectory_csv(traj: verify.Trajectory):
+    """The trajectory CSV in chunks: one `%` template per time row of sites."""
+    yield "step,t,n,re_q,im_q\n"
+    row = "".join(f"@{n},%.17g,%.17g\n" for n in range(-traj.N, traj.N + 1))
     # simulate stores only finite states (it raises BlowupDetected first)
-    for k, (t, row) in enumerate(zip(traj.times.tolist(), traj.states.tolist())):
-        for n, z in zip(sites, row):
-            lines.append("%d,%.17g,%d,%.17g,%.17g" % (k, t, n, z.real, z.imag))
-    return "\n".join(lines) + "\n"
+    for k, (t, values) in enumerate(zip(traj.times.tolist(), traj.states.view(float))):
+        yield row.replace("@", "%d,%.17g," % (k, t)) % tuple(values.tolist())
 
 
 def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
@@ -557,7 +557,7 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     except BlowupDetected as exc:
         doc = {"case": config.case, "blowup": True, "singular_parameters": singular,
                "step": exc.step, "t": exc.t}
-        _write_text(out or config.outputs.get("report_json"), dump_json(doc) + "\n")
+        _write_text(out or config.outputs.get("report_json"), [dump_json(doc) + "\n"])
         return EXIT_OK if singular else EXIT_BLOWUP
     deviation = verify.compare(traj, evaluator)
     traj_path = config.outputs.get("trajectory_csv", "trajectory.csv")
@@ -566,7 +566,7 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     doc = {"case": config.case, "blowup": False, "singular_parameters": singular,
            "max_deviation": deviation, "tolerance": tol,
            "trajectory_csv": traj_path, "pass": deviation < tol}
-    _write_text(out or config.outputs.get("report_json"), dump_json(doc) + "\n")
+    _write_text(out or config.outputs.get("report_json"), [dump_json(doc) + "\n"])
     return EXIT_OK if deviation < tol else EXIT_TOLERANCE
 
 

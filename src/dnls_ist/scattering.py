@@ -10,11 +10,12 @@ the column's analyticity region.
 
 The recursion is batched over zeta: one sequential sweep over n advances
 all four columns at every requested spectral point with elementwise array
-arithmetic.  `scattering_report` evaluates each zeta it needs (samples,
-their zeta_bar partners, eigenvalues) once, over one Theta product;
-`scattering_coefficients` is its one-zeta view.  `jost` (one column at one
-zeta) stays only because the benchmark's layer timings call it, until
-ROADMAP item 2 re-points the benchmark.
+arithmetic, and a sweep for one site stops at its last recorded step (N + 1
+of the 2N + 1 at n = 0).  `scattering_report` evaluates each zeta it needs
+(samples, their zeta_bar partners, eigenvalues) once, over one Theta
+product; `scattering_coefficients` is its one-zeta view.  `jost` (one
+column at one zeta) stays only because the benchmark's layer timings call
+it, until ROADMAP item 2 re-points the benchmark.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .spectral import (CaseConfig, SINGULAR_GUARD, SpectralPoint,
 
 RENORM_THRESHOLD = 1e50
 BRANCH_GUARD = 1e-10
-_CHECK_BLOCK = 8192  # (step, column, zeta) entries checked per block
+_CHECK_BLOCK = 8192  # (step, column, zeta) entries of step factors held at once
 
 
 class ColumnKind(enum.Enum):
@@ -142,9 +143,9 @@ def _propagate(window: PotentialWindow, zetas,
     Each step advances all K points and all columns with elementwise
     arithmetic on (columns, K) arrays; a column whose magnitude leaves
     [1/RENORM_THRESHOLD, RENORM_THRESHOLD] is divided by it and the log of
-    the factor accumulated.  Only `site` is recorded, or every site when it
-    is None.  Every step matrix is checked before the sweep; the first
-    failure in (zeta, column, step) order is raised.
+    the factor accumulated.  The sweep stops at the last step that `site`
+    needs (None records every site).  Every step matrix is checked before
+    the sweep; the first failure in (zeta, column, step) order is raised.
     """
     cfg = window.cfg
     N = window.N
@@ -165,13 +166,15 @@ def _propagate(window: PotentialWindow, zetas,
         # det = det0 - det1 * q_n r_n, identically 1 for a forward column.
         det0 = np.where(forward[:, None], 1.0, x00 * x11)
         det1 = np.where(forward[:, None], 0.0, x01 * x10)
+        block = max(1, _CHECK_BLOCK // max(1, 3 * C * K))  # steps per block of factors
+
+        def factors(j):  # x01 q_n, x10 r_n and det_n over the block of steps from j
+            return x01 * q_s[j:j + block], x10 * r_s[j:j + block], det0 - det1 * g_s[j:j + block]
+
         failures = np.empty((steps, C, K), dtype=np.int8)
-        block = max(1, _CHECK_BLOCK // max(1, C * K))
         for j in range(0, steps, block):
-            q, r = q_s[j:j + block], r_s[j:j + block]
-            finite = (np.isfinite(x00) & np.isfinite(x11)
-                      & np.isfinite(x01 * q) & np.isfinite(x10 * r))
-            det = det0 - det1 * g_s[j:j + block]
+            a01, a10, det = factors(j)
+            finite = np.isfinite(x00) & np.isfinite(x11) & np.isfinite(a01) & np.isfinite(a10)
             invertible = forward[:, None] | ((det != 0) & np.isfinite(det))
             failures[j:j + block] = np.where(finite, np.where(invertible, 0, 2), 1)
         if failures.any():
@@ -197,10 +200,11 @@ def _propagate(window: PotentialWindow, zetas,
                 values[i, 0], values[i, 1], logs[i] = v0, v1, log
 
         record(0)
-        for j in range(steps):
-            d = det0 - det1 * g_s[j]
-            v0, v1 = ((x00 * v0 + x01 * q_s[j] * v1) / d,
-                      (x10 * r_s[j] * v0 + x11 * v1) / d)
+        for j in range(keep[-1]):  # N + 1 of the 2N + 1 steps for site 0
+            i = j % block
+            if i == 0:
+                a01, a10, det = factors(j)
+            v0, v1 = ((x00 * v0 + a01[i] * v1) / det[i], (a10[i] * v0 + x11 * v1) / det[i])
             m = np.maximum(np.abs(v0), np.abs(v1))
             rescale = (m > RENORM_THRESHOLD) | ((m > 0.0) & (m < 1.0 / RENORM_THRESHOLD))
             if rescale.any():
@@ -319,16 +323,17 @@ def _max_abs(x: np.ndarray) -> float:
 
 
 def continuum_samples(cfg: CaseConfig, count: int, seed: int = 0) -> list[complex]:
-    """Points just off the continuum, suitable for coefficient evaluation."""
+    """Points just off the continuum, suitable for coefficient evaluation; a sample
+    within 0.05 of a branch point moves by +0.1 rad until it clears all of them."""
     rng = np.random.default_rng(seed)
     out = []
     angles = rng.uniform(0.0, 2.0 * math.pi, count)
     for i, a in enumerate(angles):
         radius = 1.0 + 1e-6 if i % 2 == 0 else 1.0 - 1e-6
         z = radius * cmath.exp(1j * a)
-        for bp in cfg.branch_points:
-            if abs(z - bp) < 0.05:
-                z = radius * cmath.exp(1j * (a + 0.1))
+        while any(abs(z - bp) < 0.05 for bp in cfg.branch_points):
+            a += 0.1
+            z = radius * cmath.exp(1j * a)
         out.append(z)
     return out
 

@@ -92,6 +92,18 @@ def wronskian(col_a, col_b, n):
     return complex(det * math.exp(col_a.log_scale[i] + col_b.log_scale[i]))
 
 
+# The per-line trajectory writer that cli's streamed row templates replaced.
+
+def trajectory_csv_lines(traj):
+    """The trajectory CSV of traj, one format call per line."""
+    lines = ["step,t,n,re_q,im_q"]
+    sites = range(-traj.N, traj.N + 1)
+    for k, (t, row) in enumerate(zip(traj.times.tolist(), traj.states.tolist())):
+        for n, z in zip(sites, row):
+            lines.append("%d,%.17g,%d,%.17g,%.17g" % (k, t, n, z.real, z.imag))
+    return "\n".join(lines) + "\n"
+
+
 def check_symmetries(window, zeta_samples):
     """The symmetry residuals of scattering_report over zeta_samples."""
     return scattering.scattering_report(window, zeta_samples).symmetry

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnls_ist import cli, ist
+from dnls_ist import cli, ist, lattice, verify
 from dnls_ist.cli import (EXIT_ALL_SINGULAR, EXIT_BLOWUP, EXIT_CONFIG,
                           EXIT_INADMISSIBLE, EXIT_NUMERICAL, EXIT_OK,
                           EXIT_TOLERANCE, dump_json, load_config, main,
                           parse_config)
 from dnls_ist.errors import ConfigError
 
-from conftest import CASE1_ETA1
+from conftest import CASE1_ETA1, trajectory_csv_lines
 
 CASE1_CONFIG = {
     "case": 1,
@@ -569,6 +569,26 @@ def test_empty_spectrum_at_delta_theta_pi_is_inadmissible(tmp_path, capsys, monk
         assert not out.exists()
     else:
         assert err == ""
+
+
+class TestCsvWriters:
+    """The streamed trajectory writer writes the bytes of the per-line one."""
+
+    def test_bench_c4_trajectory(self):
+        config = parse_config({**CASE4_CONFIG, "N": 400})
+        cfg = cli._case_config(config)
+        q = ist.make_evaluator(cfg, *cli._eigen_data(config, cfg))(np.arange(-40, 41), 0.0)
+        traj = verify.simulate(lattice.PotentialWindow(cfg, 40, 0.0, q), cfg, 1.0, 0.01)
+        text = "".join(cli._trajectory_csv(traj))
+        assert text == trajectory_csv_lines(traj)
+        assert text.count("\n") == 1 + 101 * 81
+
+    def test_write_text_streams_chunks(self, tmp_path, capsys):
+        chunks = (f"{k}\n" for k in range(3))
+        cli._write_text(str(tmp_path / "out.txt"), chunks)
+        assert (tmp_path / "out.txt").read_bytes() == b"0\n1\n2\n"
+        cli._write_text(None, ["a", "b\n"])
+        assert capsys.readouterr().out == "ab\n"
 
 
 class TestNumericalFailure:

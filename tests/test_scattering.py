@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dnls_ist import ist, lattice, spectral
-from dnls_ist.errors import NearBranchPoint
+from dnls_ist import ist, lattice, scattering, spectral
+from dnls_ist.errors import NearBranchPoint, SingularTransfer
 from dnls_ist.lattice import background_field, theta_products
 from dnls_ist.scattering import (ColumnKind, continuum_samples, jost,
                                  scattering_coefficients, scattering_report,
@@ -463,3 +463,99 @@ def test_report_builds_theta_once_and_propagates_once(case1_window, case1_solito
     rep = scattering_report(case1_window, continuum_samples(cfg, 20, seed=3), eigenset)
     assert counts == {"theta_products": 1, "_propagate": 1}
     assert rep.det_residual < 1e-6 and max(rep.eigenvalue_residuals) < 1e-5
+
+
+def _report_points(window, eigenset, count, monkeypatch):
+    """The zetas scattering_report hands to its one sweep: samples, partners, eigenvalues."""
+    seen = []
+    sweep = scattering._propagate
+
+    def recording(w, zetas, *args, **kwargs):
+        seen.append(list(zetas))
+        return sweep(w, zetas, *args, **kwargs)
+
+    monkeypatch.setattr(scattering, "_propagate", recording)
+    scattering_report(window, continuum_samples(window.cfg, count, seed=0), eigenset)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.fixture(scope="module")
+def bench_c4_window(case4_soliton):
+    cfg, eigenset, norming = case4_soliton
+    q = ist.make_evaluator(cfg, eigenset, norming)(np.arange(-400, 401), 0.0)
+    return lattice.PotentialWindow(cfg, 400, 0.0, q)
+
+
+@pytest.mark.parametrize("check_block", [None, 40])
+@pytest.mark.parametrize("window_name, soliton_name, count, points", [
+    ("case1_window", "case1_soliton", 20, 62),
+    ("bench_c4_window", "case4_soliton", 4, 13),
+])
+def test_site_sweep_is_bit_identical_to_the_full_sweep(request, monkeypatch, window_name,
+                                                       soliton_name, count, points,
+                                                       check_block):
+    # A site sweep stops at its last recorded step (N + 1 of 2N + 1 at n = 0);
+    # what it records must be the full sweep's bits, renormalization included.
+    window = request.getfixturevalue(window_name)
+    _, eigenset, _ = request.getfixturevalue(soliton_name)
+    zetas = _report_points(window, eigenset, count, monkeypatch)
+    assert len(zetas) == points
+    if check_block is not None:  # check blocks that end before and after the last step
+        monkeypatch.setattr(scattering, "_CHECK_BLOCK", check_block)
+    full = scattering._propagate(window, zetas)
+    N = window.N
+    for n in (-N, -1, 0, 1, N, N + 1):
+        sweep = scattering._propagate(window, zetas, site=n)
+        for kind in ColumnKind:
+            (values, logs), (full_values, full_logs) = sweep.at(kind, n), full.at(kind, n)
+            assert values.tobytes() == full_values.tobytes(), (n, kind)
+            assert logs.tobytes() == full_logs.tobytes(), (n, kind)
+        if window_name == "bench_c4_window" and n == 0:
+            assert np.count_nonzero(sweep.logs) > 0  # the log path is exercised
+
+
+# (record site, columns, site of the non-finite q, n in the message).  The
+# partner r_n = sigma conj(q_{-n}) is non-finite at -n too.  With one column
+# the sweep stops at step N - 3 (M at -3) or N - 2 (N at 3), before the first
+# bad step; with all four at n = 0 the bad site 5 lies beyond the recorded one.
+@pytest.mark.parametrize("site, kinds, bad, n", [
+    (0, tuple(ColumnKind), 5, -5),
+    (0, tuple(ColumnKind), 12, -12),
+    (-3, (ColumnKind.M,), 2, -2),
+    (3, (ColumnKind.N,), -1, 1),
+    (None, tuple(ColumnKind), 5, -5),
+])
+@pytest.mark.parametrize("value", [math.inf, math.nan, complex(0.0, math.inf)])
+@pytest.mark.parametrize("check_block", [None, 8])
+def test_non_finite_entries_beyond_the_sweep_still_raise(monkeypatch, site, kinds, bad, n,
+                                                         value, check_block):
+    if check_block is not None:
+        monkeypatch.setattr(scattering, "_CHECK_BLOCK", check_block)
+    cfg = spectral.make_case(4, 2.0 / 3.0, -math.pi)
+    w = perturbed_background(cfg, N=12, seed=3)
+    q = np.array(w.q)
+    q[bad + 12] = value
+    with np.errstate(invalid="ignore"):
+        w = lattice.PotentialWindow(cfg, 12, 0.0, q)
+        zetas = [1.000001 * cmath.exp(0.5j), 0.999999 * cmath.exp(2.0j)]
+        message = f"non-finite transfer entry at n={n}, zeta={complex(zetas[0])}"
+        with pytest.raises(SingularTransfer) as err:
+            scattering._propagate(w, zetas, kinds, site=site)
+    assert str(err.value) == message
+
+
+def test_continuum_samples_clear_every_branch_point():
+    # At q0 = 0.04 the case-4 branch points are 0.08 rad apart, so one move
+    # of +0.1 rad off one can land next to the other (seed 60 did, 2.5e-4
+    # away, and det_vs_theta rose from 1e-14 to 3e-11).
+    cfg = spectral.make_case(4, 0.04, -math.pi)
+    for seed in range(3000):
+        for z in continuum_samples(cfg, 4, seed=seed):
+            assert min(abs(z - bp) for bp in cfg.branch_points) >= 0.05, seed
+    eigenset = ist.eigenvalues_case4(cfg)
+    norming = ist.norming_case4(cfg, eigenset, math.pi / 3.0)
+    q = ist.make_evaluator(cfg, eigenset, norming)(np.arange(-40, 41), 0.0)
+    rep = scattering_report(lattice.PotentialWindow(cfg, 40, 0.0, q),
+                            continuum_samples(cfg, 4, seed=60), eigenset)
+    assert rep.det_residual < 1e-13
