@@ -31,6 +31,9 @@ EXIT_BLOWUP = 6
 EXIT_NUMERICAL = 7
 
 _TOLERANCE_DEFAULTS = {"residual": 1e-6, "scattering": 1e-5, "compare": 1e-4}
+# Half-width at most of the window that `verify` and `evolve` run their
+# lattice oracles (scattering report, RK4) on.
+ORACLE_N = 40
 # Most RK4 steps `evolve` takes: its trajectory holds one 81-site row of
 # complex states per step (about 130 MB at the cap) and its CSV 81 lines.
 MAX_EVOLVE_STEPS = 100_000
@@ -107,21 +110,6 @@ class RunConfig:
     outputs: dict = field(default_factory=dict)
     zeta_samples: int = 20
 
-    def as_dict(self) -> dict:
-        out = {"case": self.case, "q0": self.q0, "theta_minus": self.theta_minus}
-        for key in ("J", "eta1", "zeta_hat_1"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        out.update({"kappa1": self.kappa1, "thbar1": self.thbar1,
-                    "thbar2": self.thbar2, "N": self.N,
-                    "t_grid": dict(self.t_grid), "dt": self.dt,
-                    "tolerances": dict(self.tolerances),
-                    "field": dict(self.field_source),
-                    "outputs": dict(self.outputs),
-                    "zeta_samples": self.zeta_samples})
-        return out
-
 
 def _require(cond, message):
     if not cond:
@@ -132,6 +120,15 @@ def _is_number(value) -> bool:
     """A finite JSON number (booleans, NaN and infinities are not)."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def _sub_object(raw: dict, key: str, allowed, noun: str, absent: dict | None = None) -> dict:
+    """A copy of raw[key] (of absent, or {}, without it): an object with only allowed keys."""
+    value = raw.get(key, absent or {})
+    _require(isinstance(value, dict), f"'{key}' must be an object")
+    extra = set(value) - set(allowed)
+    _require(not extra, f"unknown {noun} keys: {sorted(extra)}")
+    return dict(value)
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -172,45 +169,26 @@ def parse_config(raw: dict) -> RunConfig:
         _require(kwargs["dt"] > 0, "'dt' must be positive")
     if "zeta_samples" in kwargs:
         _require(kwargs["zeta_samples"] >= 1, "'zeta_samples' must be >= 1")
-    t_grid = dict(_TGRID_DEFAULTS)
-    if "t_grid" in raw:
-        _require(isinstance(raw["t_grid"], dict), "'t_grid' must be an object")
-        extra = set(raw["t_grid"]) - {"t0", "t1", "steps"}
-        _require(not extra, f"unknown t_grid keys: {sorted(extra)}")
-        t_grid.update(raw["t_grid"])
-        _require(isinstance(t_grid["steps"], int) and not isinstance(t_grid["steps"], bool)
-                 and t_grid["steps"] >= 1, "'t_grid.steps' must be a positive integer")
-        for key in ("t0", "t1"):
-            _require(_is_number(t_grid[key]), f"'t_grid.{key}' must be a finite number")
-    tolerances = dict(_TOLERANCE_DEFAULTS)
-    if "tolerances" in raw:
-        _require(isinstance(raw["tolerances"], dict), "'tolerances' must be an object")
-        extra = set(raw["tolerances"]) - set(_TOLERANCE_DEFAULTS)
-        _require(not extra, f"unknown tolerance keys: {sorted(extra)}")
-        for k, v in raw["tolerances"].items():
-            _require(_is_number(v) and v >= 0, f"tolerance '{k}' must be a finite number >= 0")
-        tolerances.update(raw["tolerances"])
-    field_source = {"source": "soliton"}
-    if "field" in raw:
-        _require(isinstance(raw["field"], dict), "'field' must be an object")
-        extra = set(raw["field"]) - {"source", "path"}
-        _require(not extra, f"unknown field keys: {sorted(extra)}")
-        src = raw["field"].get("source")
-        _require(src in ("soliton", "background", "csv"),
-                 "'field.source' must be soliton | background | csv")
-        if src == "csv":
-            _require(isinstance(raw["field"].get("path"), str), "'field.path' required for csv")
-        field_source = dict(raw["field"])
-    outputs = {}
-    if "outputs" in raw:
-        _require(isinstance(raw["outputs"], dict), "'outputs' must be an object")
-        extra = set(raw["outputs"]) - {"field_csv", "report_json", "trajectory_csv"}
-        _require(not extra, f"unknown output keys: {sorted(extra)}")
-        for v in raw["outputs"].values():
-            _require(isinstance(v, str), "output paths must be strings")
-        outputs = dict(raw["outputs"])
+    t_grid = _TGRID_DEFAULTS | _sub_object(raw, "t_grid", _TGRID_DEFAULTS, "t_grid")
+    _require(isinstance(t_grid["steps"], int) and not isinstance(t_grid["steps"], bool)
+             and t_grid["steps"] >= 1, "'t_grid.steps' must be a positive integer")
+    for key in ("t0", "t1"):
+        _require(_is_number(t_grid[key]), f"'t_grid.{key}' must be a finite number")
+    given = _sub_object(raw, "tolerances", _TOLERANCE_DEFAULTS, "tolerance")
+    for k, v in given.items():
+        _require(_is_number(v) and v >= 0, f"tolerance '{k}' must be a finite number >= 0")
+    field_source = _sub_object(raw, "field", ("source", "path"), "field", {"source": "soliton"})
+    src = field_source.get("source")
+    _require(src in ("soliton", "background", "csv"),
+             "'field.source' must be soliton | background | csv")
+    if src == "csv":
+        _require(isinstance(field_source.get("path"), str), "'field.path' required for csv")
+    outputs = _sub_object(raw, "outputs", ("field_csv", "report_json", "trajectory_csv"),
+                          "output")
+    for v in outputs.values():
+        _require(isinstance(v, str), "output paths must be strings")
     return RunConfig(case=case, q0=float(q0), theta_minus=theta_minus,
-                     t_grid=t_grid, tolerances=tolerances,
+                     t_grid=t_grid, tolerances=_TOLERANCE_DEFAULTS | given,
                      field_source=field_source, outputs=outputs, **kwargs)
 
 
@@ -278,6 +256,11 @@ def _t_values(config: RunConfig) -> list[float]:
     return [float(g["t0"] + i * step) for i in range(g["steps"])]
 
 
+def _write_report(config: RunConfig, out: str | None, doc: dict) -> None:
+    """A command's JSON report to --out, else to outputs.report_json, else to stdout."""
+    _write_text(out or config.outputs.get("report_json"), [dump_json(doc) + "\n"])
+
+
 def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
     cfg = _case_config(config)
     eigenset = _eigenset(config, cfg)
@@ -312,7 +295,7 @@ def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
             "family": scan.family,
             "candidates": scan.candidates,
         }
-    _write_text(out, [dump_json(report) + "\n"])
+    _write_report(config, out, report)
     return EXIT_OK
 
 
@@ -330,11 +313,8 @@ def _field_csv(grid: ist.ReconstructionGrid) -> str:
         if bad:
             lines.append(f"{n},{_fmt(t)},,,,1")
             continue
-        abs_q = abs(q)  # Python's abs, not np.abs: the two differ in the last bit
-        if math.isfinite(abs_q):
-            lines.append("%d,%.17g,%.17g,%.17g,%.17g,0" % (n, t, q.real, q.imag, abs_q))
-        else:  # _fmt quotes non-finite values
-            lines.append(f"{n},{_fmt(t)},{_fmt(q.real)},{_fmt(q.imag)},{_fmt(abs_q)},0")
+        # Python's abs, not np.abs: the two differ in the last bit
+        lines.append("%d,%.17g,%.17g,%.17g,%.17g,0" % (n, t, q.real, q.imag, abs(q)))
     return "\n".join(lines) + "\n"
 
 
@@ -445,12 +425,18 @@ def cmd_scatter(config: RunConfig, out: str | None, seed: int) -> int:
         "tolerance": tol,
         "failures": failures,
     }
-    _write_text(out or config.outputs.get("report_json"), [dump_json(doc) + "\n"])
+    _write_report(config, out, doc)
     return EXIT_TOLERANCE if failures else EXIT_OK
 
 
 def _soliton_source(config: RunConfig) -> bool:
     return config.field_source.get("source", "soliton") == "soliton"
+
+
+def _oracle_window(config: RunConfig, cfg, evaluator, t: float) -> lattice.PotentialWindow:
+    """The field at time t on sites -N..N, N = min(config N, ORACLE_N)."""
+    N = min(config.N, ORACLE_N)
+    return lattice.PotentialWindow(cfg, N, t, evaluator(np.arange(-N, N + 1), t))
 
 
 def _singular_phase(cfg, eigenset, norming) -> bool:
@@ -492,9 +478,7 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
                                           "pass": ok_closed}
     failures = {}
     if not singular:
-        N_win = min(config.N, 40)
-        q = evaluator(np.arange(-N_win, N_win + 1), 0.0)
-        window = lattice.PotentialWindow(cfg, N_win, 0.0, q)
+        window = _oracle_window(config, cfg, evaluator, 0.0)
         zetas = scattering.continuum_samples(cfg, 8, seed=1)
         report = scattering.scattering_report(window, zetas, eigenset)
         tol_sc = config.tolerances["scattering"]
@@ -515,7 +499,7 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
                                                    for name in failures)}
     ok = ok_res and ok_closed and not failures
     doc = {"case": config.case, "checks": checks, "pass": bool(ok)}
-    _write_text(out or config.outputs.get("report_json"), [dump_json(doc) + "\n"])
+    _write_report(config, out, doc)
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
@@ -549,15 +533,13 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
         evaluator = cfg.background
     else:
         evaluator = ist.make_evaluator(cfg, eigenset, norming)
-    N = min(config.N, 40)
-    q = evaluator(np.arange(-N, N + 1), t0)
-    window = lattice.PotentialWindow(cfg, N, t0, q)
+    window = _oracle_window(config, cfg, evaluator, t0)
     try:
         traj = verify.simulate(window, cfg, t1, config.dt)
     except BlowupDetected as exc:
         doc = {"case": config.case, "blowup": True, "singular_parameters": singular,
                "step": exc.step, "t": exc.t}
-        _write_text(out or config.outputs.get("report_json"), [dump_json(doc) + "\n"])
+        _write_report(config, out, doc)
         return EXIT_OK if singular else EXIT_BLOWUP
     deviation = verify.compare(traj, evaluator)
     traj_path = config.outputs.get("trajectory_csv", "trajectory.csv")
@@ -566,7 +548,7 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     doc = {"case": config.case, "blowup": False, "singular_parameters": singular,
            "max_deviation": deviation, "tolerance": tol,
            "trajectory_csv": traj_path, "pass": deviation < tol}
-    _write_text(out or config.outputs.get("report_json"), [dump_json(doc) + "\n"])
+    _write_report(config, out, doc)
     return EXIT_OK if deviation < tol else EXIT_TOLERANCE
 
 

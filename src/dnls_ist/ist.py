@@ -355,14 +355,19 @@ def norming_case1(cfg: CaseConfig, eigenset: EigenSet, kappa1: float,
 
     The pair below is the unique choice (given Cbar_1) for which the
     reconstructed field satisfies r_n = sigma * conj(q_{-n}) at every time;
-    it requires thbar2 = thbar1 (mod 2pi) and carries lam**-3 in Cbar_2
-    together with a fixed relative phase of pi between the two constants,
-    split symmetrically so that thbar1 = thbar2 = 0 yields the symmetric
-    dark-dark profile at theta = 0.  lam(zbar_1) is real and positive on
-    the admissible circle |zeta - 1/r| = q0/r.
+    it carries lam**-3 in Cbar_2 and a fixed relative phase of pi between
+    the two constants, split so that thbar1 = 0 yields the symmetric
+    dark-dark profile at theta = 0.  Cbar_2 has no phase of its own: thbar2
+    must be thbar1 (mod 2pi) to 1e-12 * max(1, |thbar1|, |thbar2|), else
+    DomainError.  lam(zbar_1) is real and positive on the admissible circle
+    |zeta - 1/r| = q0/r.
     """
     if kappa1 == 0.0:
         raise DomainError("kappa1 must be nonzero")
+    if abs(math.remainder(thbar2 - thbar1, 2.0 * math.pi)) > \
+            1e-12 * max(1.0, abs(thbar1), abs(thbar2)):
+        raise DomainError(f"thbar2 = {thbar2!r} must equal thbar1 = {thbar1!r} (mod 2pi): "
+                          "the nonlocal reduction fixes Cbar_2's phase")
     if eigenset.J1 != 1 or eigenset.J2 != 0:
         raise DomainError("case I norming needs exactly one quartet")
     qt = eigenset.quartets[0]
@@ -374,7 +379,7 @@ def norming_case1(cfg: CaseConfig, eigenset: EigenSet, kappa1: float,
     cbar1 = (kappa1 * lam_b ** 3 * (zb1 - z1) * (zb1 - z1.conjugate())
              / (zb1 - zb2) * cmath.exp(1j * (thbar1 - math.pi / 2.0)))
     cbar2 = ((1.0 / kappa1) * lam_b ** -3 * (zb2 - z1) * (zb2 - z1.conjugate())
-             / (zb2 - zb1) * cmath.exp(1j * (thbar2 + math.pi / 2.0)))
+             / (zb2 - zb1) * cmath.exp(1j * (thbar1 + math.pi / 2.0)))
     return NormingData(cfg, eigenset, (cbar1, cbar2))
 
 
@@ -532,7 +537,7 @@ def _flat_cells(ns, ts):
     return ns.ravel(), ts.ravel(), ns.shape
 
 
-def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None,
+def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                      ns, ts) -> ReconstructionGrid:
     """Reflectionless (q_n(t), r_n(t)) over the cells (ns[i], ts[i]).
 
@@ -555,7 +560,7 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData |
 
 
 def reconstruct_with_derivative(cfg: CaseConfig, eigenset: EigenSet,
-                                norming: NormingData | None, ns, ts):
+                                norming: NormingData, ns, ts):
     """(q_n(t), dq_n/dt) over the cells (ns[i], ts[i]), both in their broadcast shape.
 
     q is reconstruct_grid's q bit for bit (the same blocks, solves and
@@ -570,17 +575,12 @@ def reconstruct_with_derivative(cfg: CaseConfig, eigenset: EigenSet,
     return grid.require().reshape(shape)[()], qdot.reshape(shape)[()]
 
 
-def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None,
+def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                  ns: np.ndarray, ts: np.ndarray, derivative: bool = False):
     """The ReconstructionGrid over flat cells; [dq/dt, d(1/Theta_n)/dt] if derivative is set.
 
-    The one block loop of reconstruct_grid and reconstruct_with_derivative;
-    norming may be None only for an empty spectrum.
+    The one block loop of reconstruct_grid and reconstruct_with_derivative.
     """
-    if norming is None:
-        if not eigenset.is_empty():
-            raise DomainError("nonempty eigenset requires norming data")
-        norming = unit_norming(cfg, eigenset)
     out = [np.empty(ns.size, dtype) for dtype in
            (complex, complex, float, complex, np.int8, complex, complex)[:5 + 2 * derivative]]
     for start in range(0, ns.size, _BLOCK):
@@ -664,7 +664,7 @@ def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
         sum_q = (row * X[:J, 1]).sum(axis=0)
         q = qp + cfg.r * sum_q / theta_inv
         rn = rp - (b.row_r * X[J:, 0]).sum(axis=0) / theta_inv
-    flag(~np.isfinite(q), AMPLITUDE)
+        flag(~np.isfinite(np.abs(q)), AMPLITUDE)  # a finite q can have an infinite |q|
     backward[~solved] = np.inf
     backward[~entries_ok] = np.nan
     q[reason != OK] = rn[reason != OK] = complex(np.nan, np.nan)
@@ -709,13 +709,13 @@ def _abs_max(*blocks: np.ndarray) -> np.ndarray:
                    for a in blocks], axis=0)
 
 
-def reconstruct(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None,
+def reconstruct(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                 n: int, t: float) -> complex:
     """Reflectionless potential q_n(t); equals q_plus(t) for an empty spectrum."""
     return complex(reconstruct_grid(cfg, eigenset, norming, [n], [t]).require()[0])
 
 
-def make_evaluator(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData | None):
+def make_evaluator(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData):
     """Evaluator ev(ns, ts) -> q_n(t) over the reflectionless reconstruction.
 
     ns and ts broadcast against each other; the cells are solved in one

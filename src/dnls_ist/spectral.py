@@ -29,14 +29,6 @@ class Case(enum.Enum):
     IV = 4
 
 
-def _coerce_case(case_id) -> Case:
-    if isinstance(case_id, Case):
-        return case_id
-    if isinstance(case_id, str):
-        return Case[case_id.upper()]
-    return Case(int(case_id))
-
-
 @dataclass(frozen=True)
 class CaseConfig:
     """One background case with all derived constants.
@@ -87,9 +79,9 @@ class CaseConfig:
         return np.where(np.asarray(ns) >= 0, self.q_plus(ts), self.q_minus(ts))[()]
 
 
-def make_case(case_id, q0: float, theta_minus: float = 0.0) -> CaseConfig:
+def make_case(case_id: int | Case, q0: float, theta_minus: float = 0.0) -> CaseConfig:
     """Build a CaseConfig; cases I/IV require 0 < q0 < 1, cases II/III q0 > 0."""
-    case = _coerce_case(case_id)
+    case = Case(case_id)
     if not q0 > 0.0:
         raise DomainError(f"q0 must be positive, got {q0}")
     sigma = 1 if case in (Case.I, Case.II) else -1

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnls_ist import cli, ist, lattice, verify
+from dnls_ist import cli, ist, lattice, spectral, verify
 from dnls_ist.cli import (EXIT_ALL_SINGULAR, EXIT_BLOWUP, EXIT_CONFIG,
                           EXIT_INADMISSIBLE, EXIT_NUMERICAL, EXIT_OK,
                           EXIT_TOLERANCE, dump_json, load_config, main,
@@ -64,11 +64,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config({"case": 1, "q0": 0.5, "theta": 0.0, "theta_plus": 1.0})
 
-    def test_round_trip_identity(self):
-        cfg = parse_config(dict(CASE1_CONFIG))
-        again = parse_config(json.loads(dump_json(cfg.as_dict())))
-        assert again == cfg
-
     def test_theta_plus_maps_to_theta_minus(self):
         cfg = parse_config(dict(CASE4_CONFIG))
         assert cfg.theta_minus == pytest.approx(-math.pi)
@@ -111,6 +106,21 @@ class TestConfig:
         assert main(["scatter", "--config", path, "--out", str(tmp_path / "r.json")]) \
             == EXIT_CONFIG
         assert f"unknown field keys: ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, noun", [("t_grid", "t_grid"), ("tolerances", "tolerance"),
+                                           ("field", "field"), ("outputs", "output")])
+    def test_sub_object_messages(self, tmp_path, capsys, key, noun):
+        for value, message in ((["x"], f"'{key}' must be an object"),
+                               ({"bogus": 1}, f"unknown {noun} keys: ['bogus']")):
+            path = write_config(tmp_path, {**CASE1_CONFIG, key: value})
+            assert main(["eigs", "--config", path]) == EXIT_CONFIG
+            assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    def test_empty_field_object_is_an_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**CASE1_CONFIG, "field": {}})
+        assert main(["verify", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: 'field.source' must be soliton | background | csv\n")
 
 
 class TestEigs:
@@ -174,6 +184,37 @@ class TestEigs:
         assert main(["eigs", "--config", write_config(tmp_path, doc)]) == EXIT_OK
         res = json.loads(capsys.readouterr().out)["constraint_residuals"]
         assert res == {"t11_at_rinv": mismatch, "t22_at_zero": 0.0, "t22_at_r": mismatch}
+
+    def test_report_json_without_out(self, tmp_path, capsys):
+        report = tmp_path / "eigs.json"
+        path = write_config(tmp_path, {**CASE1_CONFIG, "outputs": {"report_json": str(report)}})
+        assert main(["eigs", "--config", path]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert json.loads(report.read_text())["J"] == 2
+
+
+class TestThbar2:
+    """The reduction fixes Cbar_2's phase: thbar2 is thbar1 (mod 2pi) or a config error."""
+
+    @pytest.mark.parametrize("command", ["soliton", "verify"])
+    def test_other_phase_exits_2(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {**CASE1_CONFIG, "thbar2": 0.5})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: thbar2 = 0.5 must equal thbar1 = 0.0")
+        assert not out.exists()
+
+    def test_a_whole_turn_is_the_same_field(self, tmp_path):
+        fields = []
+        for thbar2 in (0.3, 0.3 + 2.0 * math.pi):
+            path = write_config(tmp_path, {**CASE1_CONFIG, "thbar1": 0.3, "thbar2": thbar2})
+            out = tmp_path / "field.csv"
+            assert main(["soliton", "--config", path, "--out", str(out)]) == EXIT_OK
+            rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
+            assert all(r[5] == "0" for r in rows)
+            fields.append(np.array([complex(float(r[2]), float(r[3])) for r in rows]))
+        assert np.max(np.abs(fields[0] - fields[1])) <= 1e-14
 
 
 class TestSoliton:
@@ -273,6 +314,21 @@ class TestSoliton:
         assert flagged and max(flagged) < -400
         far_right = [float(r[4]) for r in rows if int(r[0]) == 700]
         assert all(abs(a - 2.0 / 3.0) < 1e-12 for a in far_right)
+
+    def test_overflowing_amplitude_is_flagged(self, tmp_path, monkeypatch):
+        # q_plus = 1.5e308 (1 + i) is finite but its modulus overflows: the
+        # J = 0 cells where q = q_plus are flagged, not an OverflowError
+        q_plus = spectral.CaseConfig.q_plus
+
+        def huge_at_t1(self, t):
+            return np.where(np.asarray(t) == 1.0, 1.5e308 * (1 + 1j), q_plus(self, t))
+
+        monkeypatch.setattr(spectral.CaseConfig, "q_plus", huge_at_t1)
+        path = write_config(tmp_path, {**CASE1_CONFIG, "J": 0, "N": 3})
+        out = tmp_path / "field.csv"
+        assert main(["soliton", "--config", path, "--out", str(out)]) == EXIT_OK
+        rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
+        assert {(r[1], r[5]) for r in rows} == {("0", "0"), ("0.5", "0"), ("1", "1")}
 
 
 class TestScatter:

@@ -306,6 +306,18 @@ class TestNorming:
         with pytest.raises(DomainError):
             norming_case1(cfg, eigenset, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("thbar1, thbar2", [(0.0, 0.5), (0.0, math.pi), (1.0, 1.0 + 1e-9)])
+    def test_thbar2_must_equal_thbar1(self, case1_soliton, thbar1, thbar2):
+        cfg, eigenset, _ = case1_soliton
+        with pytest.raises(DomainError, match="thbar2"):
+            norming_case1(cfg, eigenset, 1.0, thbar1, thbar2)
+
+    @pytest.mark.parametrize("thbar1, turns", [(0.3, 1), (0.3, -2), (1e6, 1)])
+    def test_thbar2_is_read_mod_2pi(self, case1_soliton, thbar1, turns):
+        cfg, eigenset, _ = case1_soliton
+        norming = norming_case1(cfg, eigenset, 1.0, thbar1, thbar1 + 2.0 * math.pi * turns)
+        assert norming.cbar0 == norming_case1(cfg, eigenset, 1.0, thbar1, thbar1).cbar0
+
     def test_case4_phase(self, case4_soliton):
         # real pair, lam real positive: arg Cbar_1(0) = thbar1 + arg(zbar - zeta)
         cfg, eigenset, norming = case4_soliton
@@ -423,7 +435,8 @@ class TestReconstruct:
     def test_empty_set_gives_background(self):
         cfg = spectral.make_case(2, 1.0, 0.0)
         eigenset = ist.empty_eigenset(cfg)
-        assert reconstruct(cfg, eigenset, None, 5, 0.7) == pytest.approx(cfg.q_plus(0.7))
+        assert reconstruct(cfg, eigenset, unit_norming(cfg, eigenset), 5, 0.7) \
+            == pytest.approx(cfg.q_plus(0.7))
 
     def test_far_field_limit(self, case1_soliton):
         cfg, eigenset, norming = case1_soliton
@@ -706,7 +719,8 @@ class TestReconstructGrid:
 
     def test_empty_spectrum_is_background(self):
         cfg = spectral.make_case(2, 1.0, 0.0)
-        grid = ist.reconstruct_grid(cfg, ist.empty_eigenset(cfg), None, [-3, 0, 3], 0.7)
+        empty = ist.empty_eigenset(cfg)
+        grid = ist.reconstruct_grid(cfg, empty, unit_norming(cfg, empty), [-3, 0, 3], 0.7)
         assert not grid.singular.any()
         assert np.max(np.abs(grid.q - cfg.q_plus(0.7))) < 1e-15
         assert np.max(np.abs(grid.r - cfg.r_plus(0.7))) < 1e-15
@@ -719,19 +733,19 @@ class TestReconstructGrid:
         empty = ist.empty_eigenset(cfg)
         cells = [(np.arange(-300, 301)[None, :], np.array([-2.0, 0.0, 1.3])[:, None]),
                  (np.arange(0), np.arange(0.0))]
-        for norming in (None, unit_norming(cfg, empty)):
-            for ns, ts in cells:
-                grid = ist.reconstruct_grid(cfg, empty, norming, ns, ts)
-                q, qdot = ist.reconstruct_with_derivative(cfg, empty, norming, ns, ts)
-                qp = cfg.q_plus(grid.ts)
-                assert np.array_equal(_bits(grid.q), _bits(qp))
-                assert np.array_equal(_bits(grid.r), _bits(cfg.r_plus(grid.ts)))
-                assert np.array_equal(_bits(grid.backward), _bits(np.zeros(qp.size)))
-                assert np.array_equal(_bits(grid.theta_inv), _bits(np.ones(qp.size, complex)))
-                assert np.array_equal(grid.reason, np.full(qp.size, ist.OK, dtype=np.int8))
-                assert np.array_equal(_bits(q.ravel()), _bits(qp))
-                assert np.array_equal(_bits(qdot.ravel()), _bits(1j * cfg.rotation * qp))
-                assert q.shape == qdot.shape == np.broadcast_shapes(ns.shape, ts.shape)
+        norming = unit_norming(cfg, empty)
+        for ns, ts in cells:
+            grid = ist.reconstruct_grid(cfg, empty, norming, ns, ts)
+            q, qdot = ist.reconstruct_with_derivative(cfg, empty, norming, ns, ts)
+            qp = cfg.q_plus(grid.ts)
+            assert np.array_equal(_bits(grid.q), _bits(qp))
+            assert np.array_equal(_bits(grid.r), _bits(cfg.r_plus(grid.ts)))
+            assert np.array_equal(_bits(grid.backward), _bits(np.zeros(qp.size)))
+            assert np.array_equal(_bits(grid.theta_inv), _bits(np.ones(qp.size, complex)))
+            assert np.array_equal(grid.reason, np.full(qp.size, ist.OK, dtype=np.int8))
+            assert np.array_equal(_bits(q.ravel()), _bits(qp))
+            assert np.array_equal(_bits(qdot.ravel()), _bits(1j * cfg.rotation * qp))
+            assert q.shape == qdot.shape == np.broadcast_shapes(ns.shape, ts.shape)
 
     def test_cbar_does_not_recompute_gamma(self, case1_soliton, monkeypatch):
         cfg, eigenset, norming = case1_soliton
@@ -875,16 +889,12 @@ class TestDerivative:
     def test_empty_spectrum_rotates_q_plus(self):
         for cfg in (spectral.make_case(1, 0.5, 0.3), spectral.make_case(4, 0.5, 0.3)):
             ts = np.array([0.0, 0.4, 1.3])[:, None]
-            q, qdot = ist.reconstruct_with_derivative(cfg, ist.empty_eigenset(cfg), None,
+            empty = ist.empty_eigenset(cfg)
+            q, qdot = ist.reconstruct_with_derivative(cfg, empty, unit_norming(cfg, empty),
                                                       np.arange(-3, 4)[None, :], ts)
             qp = np.broadcast_to(cfg.q_plus(ts), (3, 7))
             assert np.array_equal(q, qp)
             assert np.array_equal(qdot, 1j * cfg.rotation * qp)
-
-    def test_nonempty_spectrum_needs_norming(self, case1_soliton):
-        cfg, eigenset, _ = case1_soliton
-        with pytest.raises(DomainError):
-            ist.reconstruct_with_derivative(cfg, eigenset, None, 0, 0.0)
 
     @settings(max_examples=8, deadline=None)
     @given(spec=_grids, at=st.integers(0, 26))

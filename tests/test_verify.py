@@ -176,7 +176,8 @@ class TestExactResiduals:
 
     def test_background(self):
         cfg = spectral.make_case(1, 2.0 / 3.0, 0.2)
-        pair = _exact(cfg, ist.empty_eigenset(cfg), None)
+        empty = ist.empty_eigenset(cfg)
+        pair = _exact(cfg, empty, ist.unit_norming(cfg, empty))
         reps = equation_residuals_exact(pair, cfg, range(-10, 11), [0.0, 0.5])
         assert max(rep.max_abs_residual for rep in reps) < 1e-14
 
@@ -259,6 +260,12 @@ class TestSimulate:
         with pytest.raises(BlowupDetected):
             simulate(w0, cfg, 4.0, 0.01)
 
+    def test_stage_overflow_is_a_blowup_not_a_warning(self):
+        # the second RK4 step overflows inside its stages (|q| past 1e130)
+        cfg = spectral.make_case(2, 4.0, 0.0)
+        with pytest.raises(BlowupDetected, match="reached nan at step 2,"):
+            simulate(background_field(cfg, 0.0, 4), cfg, 0.3, 0.1)
+
     def test_theta_conservation_surrogate(self, case4_soliton):
         # Theta_0 recomputed from the evolved field matches the linear system
         cfg, eigenset, norming = case4_soliton
@@ -308,7 +315,7 @@ class TestCompare:
                  for n in (1, 4)]
         N = 10
         times = np.array([0.0, *poles, 4.0])
-        traj = Trajectory(cfg, N, times, np.zeros((times.size, 2 * N + 1), dtype=complex), 0.1)
+        traj = Trajectory(N, times, np.zeros((times.size, 2 * N + 1), dtype=complex))
         expected = None
         for t in times.tolist():  # the old loop: one reconstruct_grid call per time row
             grid = ist.reconstruct_grid(cfg, eigenset, norming, np.arange(-N, N + 1), t)
