@@ -100,7 +100,7 @@ def trace_product(zeros, partners, zeta):
     and t22 is theta_-inf times the product with the roles swapped.
     """
     zeta = np.asarray(zeta, dtype=complex)[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.prod((zeta - zeros) / (zeta - partners), axis=-1)
 
 

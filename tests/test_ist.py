@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnls_ist import cli, ist, lattice, spectral
@@ -180,6 +180,7 @@ _spectra = st.integers(0, 4).flatmap(lambda J: st.lists(
 class TestTraceProduct:
     @settings(max_examples=40, deadline=None)
     @given(spectra=_spectra, at=_zeros)
+    @example(spectra=[[0j, 2.225073858507203e-309 + 0j]], at=0j)  # 0/subnormal overflows
     def test_batch_equals_one_spectrum_calls(self, spectra, at):
         batch = np.array(spectra, dtype=complex)
         J = batch.shape[1] // 2
