@@ -8,6 +8,8 @@ path.  The subprocess runs `eigs`, `soliton`, `scatter` (seeds 0 and 5),
 `verify` and `evolve` on each config in CONFIGS, each config in its own
 directory, and keeps every output: the `--out` artifact, the trajectory
 CSV, stdout, stderr and the exit code (or the exception, if one escapes).
+On c1 it also runs `scatter` and `verify` with no `--out`, so that their
+reports go to stdout.
 The two output trees must be byte-identical; the script lists each file
 that differs and exits 1 if any does, 0 otherwise.
 """
@@ -41,6 +43,7 @@ CONFIGS = {
 }
 RUNS = [("eigs", 0), ("soliton", 0), ("scatter", 0), ("scatter", 5), ("verify", 0),
         ("evolve", 0)]
+STDOUT_RUNS = {"c1": [("scatter", 0), ("verify", 0)]}  # by config, run with no --out
 
 
 def collect() -> None:
@@ -50,13 +53,16 @@ def collect() -> None:
         os.makedirs(name)
         os.chdir(name)
         Path("config.json").write_text(json.dumps(config), encoding="utf-8")
-        for command, seed in RUNS:
-            run = f"{command}-{seed}"
+        runs = [(command, seed, True) for command, seed in RUNS]
+        runs += [(command, seed, False) for command, seed in STDOUT_RUNS.get(name, [])]
+        for command, seed, to_file in runs:
+            run = f"{command}-{seed}" + ("" if to_file else "-stdout")
+            argv = [command, "--config", "config.json", "--seed", str(seed)]
+            argv += ["--out", f"{run}.out"] if to_file else []
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
-                    code = repr(cli.main([command, "--config", "config.json",
-                                          "--out", f"{run}.out", "--seed", str(seed)]))
+                    code = repr(cli.main(argv))
                 except BaseException:  # noqa: BLE001 - an escaped error is an output too
                     code = traceback.format_exc(limit=0)
             for suffix, text in (("stdout", out.getvalue()), ("stderr", err.getvalue()),

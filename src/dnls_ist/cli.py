@@ -41,14 +41,19 @@ _TGRID_DEFAULTS = {"t0": 0.0, "t1": 1.0, "steps": 11}
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
-        return '"%s"' % repr(x)
-    return format(float(x), ".17g")
+    return "%.17g" % x if math.isfinite(x) else '"%s"' % repr(x)
 
 
 def dump_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
+    # Exact float and complex first: reports are mostly these.  Subclasses
+    # (np.float64, np.complex128) and other numpy scalars take the chain below.
+    kind = type(obj)
+    if kind is float:
+        return _fmt(obj)
     pad = "  " * indent
+    if kind is complex:
+        return f'{{\n{pad}  "re": {_fmt(obj.real)},\n{pad}  "im": {_fmt(obj.imag)}\n{pad}}}'
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -69,7 +74,7 @@ def dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt(float(obj))
     if isinstance(obj, (complex, np.complexfloating)):
-        return dump_json({"re": float(obj.real), "im": float(obj.imag)}, indent)
+        return dump_json(complex(obj), indent)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -80,7 +85,11 @@ def _write_text(path: str | None, chunks) -> None:
     if path is None:
         sys.stdout.writelines(chunks)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with fh:
         fh.writelines(chunks)
 
 
@@ -565,12 +574,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ist",
         description="Inverse scattering transform pipelines for the nonlocal lattice NLS")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=None, help="primary artifact path (default stdout)")
-        p.add_argument("--seed", type=int, default=0, help="seed for sample generation")
+    parser.add_argument("command", choices=tuple(_DISPATCH))
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--out", default=None, help="primary artifact path (default stdout)")
+    parser.add_argument("--seed", type=int, default=0, help="seed for sample generation")
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -92,7 +93,43 @@ def wronskian(col_a, col_b, n):
     return complex(det * math.exp(col_a.log_scale[i] + col_b.log_scale[i]))
 
 
-# The per-line trajectory writer that cli's streamed row templates replaced.
+# The recursive JSON writer that cli's type-dispatched dump_json replaced, and the
+# per-line trajectory writer that cli's streamed row templates replaced.
+
+def _fmt_json(x):
+    if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
+        return '"%s"' % repr(x)
+    return format(float(x), ".17g")
+
+
+def dump_json_recursive(obj, indent=0):
+    """The JSON of cli.dump_json, by one isinstance chain with complex written as a dict."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(f'{pad}  {json.dumps(k)}: {dump_json_recursive(v, indent + 1)}'
+                           for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(f"{pad}  {dump_json_recursive(v, indent + 1)}" for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_json(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return dump_json_recursive({"re": float(obj.real), "im": float(obj.imag)}, indent)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
 
 def trajectory_csv_lines(traj):
     """The trajectory CSV of traj, one format call per line."""
