@@ -40,6 +40,12 @@ CONFIGS = {
     "c1-J0": {**C1, "J": 0},
     "c2-q0-1": {"case": 2, "q0": 1.0, "N": 40,
                 "t_grid": {"t0": 0.0, "t1": 1.0, "steps": 3}, "dt": 0.01},
+    # RK4 overflows inside the stages of its second step: evolve's blow-up exit
+    "c2-stage-overflow": {"case": 2, "q0": 4.0, "theta": 0.0, "N": 4,
+                          "field": {"source": "background"},
+                          "t_grid": {"t0": 0.0, "t1": 0.3, "steps": 2}, "dt": 0.1},
+    # the cells at n <~ -1000 overflow, so soliton writes singular rows
+    "c1-N1200": {**C1, "N": 1200, "t_grid": {"t0": -5.0, "t1": 5.0, "steps": 2}},
 }
 RUNS = [("eigs", 0), ("soliton", 0), ("scatter", 0), ("scatter", 5), ("verify", 0),
         ("evolve", 0)]

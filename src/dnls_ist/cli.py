@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -83,7 +84,12 @@ def dump_json(obj, indent: int = 0) -> str:
 def _write_text(path: str | None, chunks) -> None:
     """Write str chunks to path, or stdout; a generator streams while the file is open."""
     if path is None:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:  # the reader closed stdout: no flush at exit may raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError(f"cannot write stdout: {exc.strerror}") from exc
         return
     try:
         fh = open(path, "w", encoding="utf-8", newline="\n")
@@ -273,30 +279,15 @@ def _write_report(config: RunConfig, out: str | None, doc: dict) -> None:
 def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
     cfg = _case_config(config)
     eigenset = _eigenset(config, cfg)
-    entries = []
-    for q in eigenset.quartets:
-        entries.append({
-            "kind": "quartet",
-            "zeta": q.zeta, "zeta_conj": q.zeta_conj,
-            "zeta_bar": q.zbar, "zeta_bar_conj": q.zbar_conj,
-            "region_zeta": classify(cfg, q.zeta).value,
-            "region_zeta_bar": classify(cfg, q.zbar).value,
-        })
-    for p in eigenset.pairs:
-        entries.append({
-            "kind": "pair",
-            "zeta": p.zeta, "zeta_bar": p.zbar,
-            "region_zeta": classify(cfg, p.zeta).value,
-            "region_zeta_bar": classify(cfg, p.zbar).value,
-        })
-    report = {
-        "case": config.case,
-        "J": eigenset.J,
-        "J1": eigenset.J1,
-        "J2": eigenset.J2,
-        "entries": entries,
-        "constraint_residuals": ist.admissibility_residuals(cfg, eigenset),
-    }
+    entries = [{"kind": "quartet", "zeta": q.zeta, "zeta_conj": q.zeta_conj, "zeta_bar": q.zbar,
+                "zeta_bar_conj": q.zbar_conj} for q in eigenset.quartets]
+    entries += [{"kind": "pair", "zeta": p.zeta, "zeta_bar": p.zbar} for p in eigenset.pairs]
+    for entry in entries:
+        entry.update(region_zeta=classify(cfg, entry["zeta"]).value,
+                     region_zeta_bar=classify(cfg, entry["zeta_bar"]).value)
+    report = {"case": config.case, "J": eigenset.J, "J1": eigenset.J1, "J2": eigenset.J2,
+              "entries": entries,
+              "constraint_residuals": ist.admissibility_residuals(cfg, eigenset)}
     if config.case == 2:
         scan = ist.case2_feasibility_scan(cfg, samples=3000, seed=seed).require_infeasible()
         report["feasibility_scan"] = {
@@ -413,27 +404,19 @@ def cmd_scatter(config: RunConfig, out: str | None, seed: int) -> int:
     report = scattering.scattering_report(window, zetas, eigenset)
     tol = config.tolerances["scattering"]
     failures = _scatter_failures(report, tol)
-    doc = {
-        "zeta_grid": list(report.zeta_grid),
-        "t11": list(report.t11),
-        "t22": list(report.t22),
-        "t21_mod": list(report.t21_mod),
-        "t12_mod": list(report.t12_mod),
-        "rho": list(report.rho),
-        "rho_bar": list(report.rho_bar),
-        "det_t": list(report.det_t),
+    doc = {name: list(getattr(report, name)) for name in (
+        "zeta_grid", "t11", "t22", "t21_mod", "t12_mod", "rho", "rho_bar", "det_t")}
+    doc.update({
         "theta_minus_inf": report.theta_minus_inf,
         "residuals": {
             "det_vs_theta": report.det_residual,
-            "symmetry_first_diag": report.symmetry.first_diag,
-            "symmetry_first_offdiag": report.symmetry.first_offdiag,
-            "symmetry_second": report.symmetry.second,
+            **{f"symmetry_{name}": res for name, res in vars(report.symmetry).items()},
             "t11_at_eigenvalues": list(report.eigenvalue_residuals),
             "trace_formula": report.trace_residual,
         },
         "tolerance": tol,
         "failures": failures,
-    }
+    })
     _write_report(config, out, doc)
     return EXIT_TOLERANCE if failures else EXIT_OK
 
@@ -494,13 +477,8 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
         failures = _scatter_failures(report, tol_sc)
         checks["det_vs_theta"] = {"max": report.det_residual, "tolerance": tol_sc,
                                   "pass": "det_vs_theta" not in failures}
-        checks["symmetries"] = {
-            "first_diag": report.symmetry.first_diag,
-            "first_offdiag": report.symmetry.first_offdiag,
-            "second": report.symmetry.second,
-            "tolerance": tol_sc,
-            "pass": not any(name.startswith("symmetry_") for name in failures),
-        }
+        checks["symmetries"] = {**vars(report.symmetry), "tolerance": tol_sc, "pass": not any(
+            name.startswith("symmetry_") for name in failures)}
         if report.eigenvalue_residuals:
             checks["t11_zeros"] = {"residuals": list(report.eigenvalue_residuals),
                                    "tolerance": tol_sc,

@@ -10,7 +10,8 @@ the 2J x 2J diagonal block P = [[I, -kbar], [-k, I]] twice;
 reconstruct_grid solves it for a whole (n, t) grid of cells by one batched,
 pivoted solve of P per fixed-size block, a scalar border for 1/Theta_n and
 back-substitution, and returns both q_n and r_n; reconstruct is its
-one-cell view.  build_system (one cell's dense B and Y, built from the same
+one-cell view; NormingData holds the factors that depend on the spectrum
+alone.  build_system (one cell's dense B and Y, built from the same
 blocks) stays only because the benchmark's tracer wraps it, until ROADMAP
 item 2 re-points the benchmark.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -312,18 +314,31 @@ class NormingData:
     symmetry C_j = -q_plus(t)**2 / (zbar_j - r)**2 * Cbar_j.  Both evolve by
     exponentials, Cbar_j(t) = Cbar_j(0) exp(cbar_rate[j] t) and C_j likewise
     with c_rate.  cbar(j, t) and c(j, t) broadcast the index j against the
-    times t.
+    times t.  spectrum holds the reflectionless system's per-spectrum factors.
     """
 
     cfg: CaseConfig
     eigenset: EigenSet
     cbar0: tuple[complex, ...]
     gammas: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+    spectrum: _Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # gamma(zbar_j) depends only on the eigenvalues: evaluate it once.
-        object.__setattr__(self, "gammas", tuple(gamma(self.cfg, zb)
+        # gamma(zbar_j) and the spectrum's factors depend only on the eigenvalues
+        # and Cbar_j(0): evaluate them once.
+        cfg, r, rinv = self.cfg, self.cfg.r, 1.0 / self.cfg.r
+        zs, zbs = np.array(self.eigenset.zeros_t11), np.array(self.eigenset.zeros_t22)
+        object.__setattr__(self, "gammas", tuple(gamma(cfg, zb)
                                                  for zb in self.eigenset.zeros_t22))
+        y0, y3 = r - 1.0 / zs, zbs - r
+        object.__setattr__(self, "spectrum", _Spectrum(
+            np.array(self.cbar0, dtype=complex)[:, None], self.cbar_rate[:, None],
+            self.c_rate[:, None], lam_squared(cfg, zs)[:, None], lam_squared(cfg, zbs)[:, None],
+            ((zbs - r) ** 2)[:, None],
+            (zs - rinv)[:, None, None], ((zbs - rinv) * (zs[:, None] - zbs))[..., None],
+            (zbs - r)[:, None, None], ((zs - r) * (zbs[:, None] - zs))[..., None],
+            (zs * (zs - r))[:, None], (zbs - rinv)[:, None],
+            y0, y3, np.abs(np.concatenate([y0, y3])).max(initial=1.0)))
 
     @property
     def cbar_rate(self) -> np.ndarray:
@@ -443,28 +458,31 @@ class _Blocks(NamedTuple):
     y3: np.ndarray
 
 
+# The factors of _Blocks that depend on the spectrum alone, per NormingData,
+# shaped to broadcast against the cell axis: Cbar_j(0), both rates and lam**2
+# at zeta_j and zbar_j are (J, 1); kbar = kbar_num Cbar_j lam(zbar_j)**(2n) /
+# kbar_den and k = k_num C_j lam(zeta_j)**(-2n) / k_den, with C_j = -q_plus**2
+# Cbar_j / c_den; row and row_r divide by their dens; ymax = max(1, |y0|, |y3|).
+_Spectrum = namedtuple("_Spectrum", "cbar0 cbar_rate c_rate lam2 lam2_bar c_den kbar_num "
+                       "kbar_den k_num k_den row_den row_r_den y0 y3 ymax")
+
+
 def _assemble(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
               ns: np.ndarray, ts: np.ndarray) -> _Blocks:
     """The blocks of the reflectionless systems over the cells (ns[i], ts[i])."""
-    zs = np.array(eigenset.zeros_t11)
-    zbs = np.array(eigenset.zeros_t22)
-    J = zs.size
-    r = cfg.r
-    rinv = 1.0 / r
+    s = norming.spectrum
     qp, rp = cfg.q_plus(ts), cfg.r_plus(ts)
     with np.errstate(all="ignore"):
-        cbar = norming.cbar(np.arange(J)[:, None], ts)
+        cbar = np.multiply(s.cbar0, np.exp(s.cbar_rate * ts))  # NormingData.cbar
         # NormingData.c's symmetry, on the q_plus and Cbar_j already at hand
-        c = -(qp * qp) / ((zbs - r) ** 2)[:, None] * cbar
-        cpow = c * lam_squared(cfg, zs)[:, None] ** -ns
-        cbarpow = cbar * lam_squared(cfg, zbs)[:, None] ** ns
-        kbar = ((zs - rinv)[:, None, None] * cbarpow
-                / ((zbs - rinv)[None, :] * (zs[:, None] - zbs[None, :]))[..., None])
-        k = ((zbs - r)[:, None, None] * cpow
-             / ((zs - r)[None, :] * (zbs[:, None] - zs[None, :]))[..., None])
-        row = cpow / (zs * (zs - r))[:, None]
-        row_r = cbarpow / (zbs - rinv)[:, None]
-    return _Blocks(kbar, k, row, row_r, qp, rp, r - 1.0 / zs, zbs - r)
+        c = -(qp * qp) / s.c_den * cbar
+        cpow = c * s.lam2 ** -ns
+        cbarpow = cbar * s.lam2_bar ** ns
+        kbar = s.kbar_num * cbarpow / s.kbar_den
+        k = s.k_num * cpow / s.k_den
+        row = cpow / s.row_den
+        row_r = cbarpow / s.row_r_den
+    return _Blocks(kbar, k, row, row_r, qp, rp, s.y0, s.y3)
 
 
 def build_system(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
@@ -605,7 +623,8 @@ def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     (N1, Nbar1) = z3 + z4/Theta_n.  The backward error is the largest
     residual of the full equations, and max|B| = max(1, |kbar|, |k|, |row|,
     |q_plus|, |r_plus|), so B is never formed.  Past the solve every array
-    keeps the cell axis last, where NumPy's reductions are fast.
+    keeps the cell axis last, where NumPy's reductions are fast.  Reasons
+    and the NaN and inf fills are made only when some cell fails a check.
 
     With derivative set, dq/dt and d(1/Theta_n)/dt follow as a sixth and a
     seventh array when every cell of the block is regular (all NaN otherwise):
@@ -614,28 +633,22 @@ def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     """
     b = _assemble(cfg, eigenset, norming, ns, ts)
     kbar, k, row, qp, rp = b.kbar, b.k, b.row, b.qp, b.rp
+    s = norming.spectrum
     J, M = row.shape
-    reason = np.full(M, OK, dtype=np.int8)
-
-    def flag(bad, code):
-        reason[(reason == OK) & bad] = code
-
+    singular = np.zeros(M, dtype=bool)  # cells whose P LAPACK finds exactly singular
     with np.errstate(all="ignore"):
-        bmax = _abs_max(kbar, k, row, qp, rp, np.ones(M))  # NaN or inf on overflow
-    entries_ok = np.isfinite(bmax)
-    if not entries_ok.all():
-        flag(~entries_ok, OVERFLOW)
-        kbar[..., ~entries_ok] = k[..., ~entries_ok] = row[:, ~entries_ok] = 0.0  # never reported
-    P = np.empty((M, 2 * J, 2 * J), dtype=complex)
-    P[:, :J, :J] = P[:, J:, J:] = np.eye(J)
-    P[:, :J, J:] = -kbar.transpose(2, 0, 1)
-    P[:, J:, :J] = -k.transpose(2, 0, 1)
-    rhs = np.zeros((2 * J, 4, M), dtype=complex)
-    rhs[J:, 0] = b.y3[:, None]
-    rhs[:J, 1] = -rp
-    rhs[:J, 2] = b.y0[:, None]
-    rhs[J:, 3] = qp
-    with np.errstate(all="ignore"):
+        bmax = np.maximum(np.abs(qp), np.abs(rp))  # max|B| per cell, NaN or inf on overflow
+        for a in (kbar, k, row):
+            np.maximum(bmax, np.abs(a).reshape(-1, M).max(axis=0, initial=1.0), out=bmax)
+        entries_ok = np.isfinite(bmax)
+        if not entries_ok.all():  # zeroed entries are never reported
+            kbar[..., ~entries_ok] = k[..., ~entries_ok] = row[:, ~entries_ok] = 0.0
+        P = np.zeros((M, 2 * J, 2 * J), dtype=complex)
+        P.reshape(M, 4 * J * J)[:, ::2 * J + 1] = 1.0
+        P[:, :J, J:] = -kbar.transpose(2, 0, 1)
+        P[:, J:, :J] = -k.transpose(2, 0, 1)
+        rhs = np.zeros((2 * J, 4, M), dtype=complex)
+        rhs[J:, 0], rhs[:J, 1], rhs[:J, 2], rhs[J:, 3] = s.y3[:, None], -rp, s.y0[:, None], qp
         try:
             z = np.linalg.solve(P, rhs.transpose(2, 0, 1))
         except np.linalg.LinAlgError:
@@ -644,30 +657,35 @@ def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                 try:
                     z[i] = np.linalg.solve(P[i:i + 1], rhs[None, ..., i])[0]
                 except np.linalg.LinAlgError:
-                    reason[i] = EXACTLY_SINGULAR  # entries were finite
+                    singular[i] = True  # entries were finite
         z = z.transpose(1, 2, 0).copy()
         border = 1.0 + (row * z[:J, 1]).sum(axis=0)
         theta_inv = (1.0 - (row * z[:J, 0]).sum(axis=0)) / border
         X = z[:, 0::2] + theta_inv * z[:, 1::2]  # columns (N2, Nbar2) and (N1, Nbar1)
-        xmax = np.maximum(_abs_max(X), np.abs(theta_inv))
+        abs_theta_inv = np.abs(theta_inv)
+        xmax = np.maximum(np.abs(X).reshape(-1, M).max(axis=0, initial=0.0), abs_theta_inv)
         solved = np.isfinite(xmax)
-        flag(~solved, OVERFLOW)
         # P X - (right-hand sides), with P = I - [[0, kbar], [k, 0]]
         residual = X - (rhs[:, 0::2] + theta_inv * rhs[:, 1::2])
         residual[:J] -= _times(kbar, X[J:])
         residual[J:] -= _times(k, X[:J])
-        backward = np.maximum(_abs_max(residual),
+        backward = np.maximum(np.abs(residual).reshape(-1, M).max(axis=0, initial=0.0),
                               np.abs(theta_inv + (row * X[:J, 0]).sum(axis=0) - 1.0))
-        ymax = np.abs(np.concatenate([b.y0, b.y3])).max(initial=1.0)
-        flag(backward > 1e-8 * (bmax * np.maximum(xmax, 1e-300) + ymax), BACKWARD_ERROR)
-        flag(np.abs(theta_inv) < DET_GUARD * np.maximum(1.0, xmax), THETA_DIVERGENCE)
         sum_q = (row * X[:J, 1]).sum(axis=0)
         q = qp + cfg.r * sum_q / theta_inv
         rn = rp - (b.row_r * X[J:, 0]).sum(axis=0) / theta_inv
-        flag(~np.isfinite(np.abs(q)), AMPLITUDE)  # a finite q can have an infinite |q|
-    backward[~solved] = np.inf
-    backward[~entries_ok] = np.nan
-    q[reason != OK] = rn[reason != OK] = complex(np.nan, np.nan)
+        # The checks in REASONS order (a finite q can have an infinite |q|);
+        # a cell's reason is the first check it fails.
+        checks = [~entries_ok, singular, ~solved,
+                  backward > 1e-8 * (bmax * np.maximum(xmax, 1e-300) + s.ymax),
+                  abs_theta_inv < DET_GUARD * np.maximum(1.0, xmax), ~np.isfinite(np.abs(q))]
+    reason = np.zeros(M, dtype=np.int8)
+    if np.any(checks):
+        reason = np.select(checks, [OVERFLOW, EXACTLY_SINGULAR, OVERFLOW, BACKWARD_ERROR,
+                                    THETA_DIVERGENCE, AMPLITUDE], OK).astype(np.int8)
+        backward[~solved] = np.inf
+        backward[~entries_ok] = np.nan
+        q[reason != OK] = rn[reason != OK] = complex(np.nan, np.nan)
     if not derivative:
         return q, rn, backward, theta_inv, reason
     qdot = theta_inv_dot = np.full(M, complex(np.nan, np.nan))
@@ -675,10 +693,10 @@ def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
         with np.errstate(all="ignore"):
             # -(dB/dt) X: kbar's columns carry Cbar_j(t), k's columns and the
             # border row C_j(t), and r_plus, q_plus rotate at -+i rotation.
-            c_X = norming.c_rate[:, None, None] * X[:J]
+            c_X = s.c_rate[..., None] * X[:J]
             spin = 1j * cfg.rotation * theta_inv
             drhs = np.empty_like(X)
-            drhs[:J] = _times(kbar, norming.cbar_rate[:, None, None] * X[J:])
+            drhs[:J] = _times(kbar, s.cbar_rate[..., None] * X[J:])
             drhs[J:] = _times(k, c_X)
             drhs[:J, 0] += spin * rp
             drhs[J:, 1] += spin * qp
@@ -701,12 +719,6 @@ def _times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     for j in range(a.shape[1]):
         out += a[:, j, None] * x[j]
     return out
-
-
-def _abs_max(*blocks: np.ndarray) -> np.ndarray:
-    """The largest modulus per cell over arrays whose last axis is the cell axis."""
-    return np.max([np.abs(a).reshape(-1, a.shape[-1]).max(axis=0, initial=0.0)
-                   for a in blocks], axis=0)
 
 
 def reconstruct(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,

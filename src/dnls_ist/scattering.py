@@ -29,8 +29,8 @@ import numpy as np
 from .errors import NearBranchPoint, SingularTransfer
 from .ist import EigenSet, trace_formula
 from .lattice import PotentialWindow, ThetaProduct, partner, theta_products
-from .spectral import (CaseConfig, SINGULAR_GUARD, SpectralPoint,
-                       lam_squared, point_from_zeta, zeta_bar)
+from .spectral import (CaseConfig, SINGULAR_GUARD, SpectralPoint, guard_singular,
+                       lam_squared, zeta_bar)
 
 RENORM_THRESHOLD = 1e50
 BRANCH_GUARD = 1e-10
@@ -248,11 +248,18 @@ def _descale(value: np.ndarray, log: np.ndarray) -> np.ndarray:
 
 
 def _guard(cfg: CaseConfig, zetas) -> None:
-    """Raise NearBranchPoint or SingularPoint for the first unusable zeta."""
-    for zeta in zetas:
-        if abs(zeta) > SINGULAR_GUARD and abs(zeta + 1.0 / zeta - 2.0 * cfg.r) < BRANCH_GUARD:
-            raise NearBranchPoint(f"zeta + 1/zeta - 2r vanishes at zeta={zeta}")
-        point_from_zeta(cfg, zeta)
+    """Raise NearBranchPoint or SingularPoint for the first unusable zeta of a list.
+
+    Each zeta meets the branch test before point_from_zeta's pole guard;
+    1/zeta is Python's complex division, as in zeta_bar.
+    """
+    zeta = np.asarray(zetas, dtype=complex)
+    far = np.abs(zeta) > SINGULAR_GUARD
+    inv = np.divide(1.0, np.where(far, zeta, 1.0), dtype=object).astype(complex)
+    branch = np.flatnonzero(far & (np.abs(zeta + inv - 2.0 * cfg.r) < BRANCH_GUARD))
+    guard_singular(cfg, zeta[:branch[0] if branch.size else zeta.size])
+    if branch.size:
+        raise NearBranchPoint(f"zeta + 1/zeta - 2r vanishes at zeta={zetas[branch[0]]}")
 
 
 def _evaluate(window: PotentialWindow, theta: ThetaProduct, zetas,

@@ -108,13 +108,13 @@ class SpectralPoint:
     lam: complex
 
 
-def _guard_singular(cfg: CaseConfig, zeta: complex, include_branch: bool = True) -> None:
-    poles = [0.0, cfg.r, 1.0 / cfg.r]
-    if include_branch:
-        poles.extend(cfg.branch_points)
-    for p in poles:
-        if abs(zeta - p) < SINGULAR_GUARD:
-            raise SingularPoint(f"zeta={zeta} within guard radius of {p}")
+def guard_singular(cfg: CaseConfig, zeta, include_branch: bool = True) -> None:
+    """SingularPoint for the first zeta (a scalar or an array) near 0, r, 1/r or a branch point."""
+    poles = (0.0, cfg.r, 1.0 / cfg.r) + (cfg.branch_points if include_branch else ())
+    near = np.abs(np.reshape(zeta, (-1, 1)) - np.array(poles)) < SINGULAR_GUARD
+    if near.any():  # the first zeta that fails, at its first pole
+        i, p = np.unravel_index(np.argmax(near), near.shape)
+        raise SingularPoint(f"zeta={complex(np.ravel(zeta)[i])} within guard radius of {poles[p]}")
 
 
 def lam_squared(cfg: CaseConfig, zeta: complex) -> complex:
@@ -125,7 +125,7 @@ def lam_squared(cfg: CaseConfig, zeta: complex) -> complex:
 def point_from_zeta(cfg: CaseConfig, zeta: complex) -> SpectralPoint:
     """Map zeta to (zeta, z, lam) with z**2 = (zeta-r)/(zeta*(zeta*r-1))."""
     zeta = complex(zeta)
-    _guard_singular(cfg, zeta)
+    guard_singular(cfg, zeta)
     z = cmath.sqrt((zeta - cfg.r) / (zeta * (zeta * cfg.r - 1.0)))
     return SpectralPoint(zeta, z, zeta * z)
 
@@ -172,7 +172,7 @@ def gamma(cfg: CaseConfig, zeta: complex) -> complex:
     zeta -> 1/zeta and needs no square-root branch.
     """
     zeta = complex(zeta)
-    _guard_singular(cfg, zeta, include_branch=False)
+    guard_singular(cfg, zeta, include_branch=False)
     r = cfg.r
     return (r * r * (zeta - 2.0 / r + 1.0 / zeta) * (zeta - 2.0 * r + 1.0 / zeta)
             / ((zeta - r) * (1.0 / zeta - r)))

@@ -5,7 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from dnls_ist import ist, lattice, scattering, spectral
+from dnls_ist import ist, lattice, scattering, spectral, verify
+from dnls_ist.errors import BlowupDetected
 
 CASE1_ETA1 = math.pi + math.pi / 7  # zbar_1 = (1 - q0 exp(i pi/7))/r
 
@@ -254,3 +255,154 @@ def _mp_solve(B, Y):
     for i in reversed(range(dim)):
         X[i] = (A[i][dim] - mpmath.fsum(A[i][j] * X[j] for j in range(i + 1, dim))) / A[i][i]
     return X
+
+
+# The block solve and the RK4 stepper as they were before their loop invariants
+# were hoisted: _assemble's per-spectrum constants built again for every block,
+# each check flagging the cells still OK in turn, and RK4 stages that copy the
+# field and concatenate its neighbours.  ist and verify must match them byte for byte.
+
+def assemble_reference(cfg, eigenset, norming, ns, ts):
+    """ist._Blocks over the cells (ns[i], ts[i]), every constant built in place."""
+    zs = np.array(eigenset.zeros_t11)
+    zbs = np.array(eigenset.zeros_t22)
+    J = zs.size
+    r = cfg.r
+    rinv = 1.0 / r
+    qp, rp = cfg.q_plus(ts), cfg.r_plus(ts)
+    with np.errstate(all="ignore"):
+        cbar = norming.cbar(np.arange(J)[:, None], ts)
+        c = -(qp * qp) / ((zbs - r) ** 2)[:, None] * cbar
+        cpow = c * spectral.lam_squared(cfg, zs)[:, None] ** -ns
+        cbarpow = cbar * spectral.lam_squared(cfg, zbs)[:, None] ** ns
+        kbar = ((zs - rinv)[:, None, None] * cbarpow
+                / ((zbs - rinv)[None, :] * (zs[:, None] - zbs[None, :]))[..., None])
+        k = ((zbs - r)[:, None, None] * cpow
+             / ((zs - r)[None, :] * (zbs[:, None] - zs[None, :]))[..., None])
+        row = cpow / (zs * (zs - r))[:, None]
+        row_r = cbarpow / (zbs - rinv)[:, None]
+    return ist._Blocks(kbar, k, row, row_r, qp, rp, r - 1.0 / zs, zbs - r)
+
+
+def _abs_max(*blocks):
+    """The largest modulus per cell over arrays whose last axis is the cell axis."""
+    return np.max([np.abs(a).reshape(-1, a.shape[-1]).max(axis=0, initial=0.0)
+                   for a in blocks], axis=0)
+
+
+def solve_block_reference(cfg, eigenset, norming, ns, ts, derivative=False):
+    """ist._solve_block's (q, r, backward, theta_inv, reason[, qdot, theta_inv_dot])."""
+    b = assemble_reference(cfg, eigenset, norming, ns, ts)
+    kbar, k, row, qp, rp = b.kbar, b.k, b.row, b.qp, b.rp
+    J, M = row.shape
+    reason = np.full(M, ist.OK, dtype=np.int8)
+
+    def flag(bad, code):
+        reason[(reason == ist.OK) & bad] = code
+
+    with np.errstate(all="ignore"):
+        bmax = _abs_max(kbar, k, row, qp, rp, np.ones(M))
+    entries_ok = np.isfinite(bmax)
+    if not entries_ok.all():
+        flag(~entries_ok, ist.OVERFLOW)
+        kbar[..., ~entries_ok] = k[..., ~entries_ok] = row[:, ~entries_ok] = 0.0
+    P = np.empty((M, 2 * J, 2 * J), dtype=complex)
+    P[:, :J, :J] = P[:, J:, J:] = np.eye(J)
+    P[:, :J, J:] = -kbar.transpose(2, 0, 1)
+    P[:, J:, :J] = -k.transpose(2, 0, 1)
+    rhs = np.zeros((2 * J, 4, M), dtype=complex)
+    rhs[J:, 0] = b.y3[:, None]
+    rhs[:J, 1] = -rp
+    rhs[:J, 2] = b.y0[:, None]
+    rhs[J:, 3] = qp
+    with np.errstate(all="ignore"):
+        try:
+            z = np.linalg.solve(P, rhs.transpose(2, 0, 1))
+        except np.linalg.LinAlgError:
+            z = np.full((M, 2 * J, 4), np.nan, dtype=complex)
+            for i in range(M):
+                try:
+                    z[i] = np.linalg.solve(P[i:i + 1], rhs[None, ..., i])[0]
+                except np.linalg.LinAlgError:
+                    reason[i] = ist.EXACTLY_SINGULAR
+        z = z.transpose(1, 2, 0).copy()
+        border = 1.0 + (row * z[:J, 1]).sum(axis=0)
+        theta_inv = (1.0 - (row * z[:J, 0]).sum(axis=0)) / border
+        X = z[:, 0::2] + theta_inv * z[:, 1::2]
+        xmax = np.maximum(_abs_max(X), np.abs(theta_inv))
+        solved = np.isfinite(xmax)
+        flag(~solved, ist.OVERFLOW)
+        residual = X - (rhs[:, 0::2] + theta_inv * rhs[:, 1::2])
+        residual[:J] -= ist._times(kbar, X[J:])
+        residual[J:] -= ist._times(k, X[:J])
+        backward = np.maximum(_abs_max(residual),
+                              np.abs(theta_inv + (row * X[:J, 0]).sum(axis=0) - 1.0))
+        ymax = np.abs(np.concatenate([b.y0, b.y3])).max(initial=1.0)
+        flag(backward > 1e-8 * (bmax * np.maximum(xmax, 1e-300) + ymax), ist.BACKWARD_ERROR)
+        flag(np.abs(theta_inv) < ist.DET_GUARD * np.maximum(1.0, xmax), ist.THETA_DIVERGENCE)
+        sum_q = (row * X[:J, 1]).sum(axis=0)
+        q = qp + cfg.r * sum_q / theta_inv
+        rn = rp - (b.row_r * X[J:, 0]).sum(axis=0) / theta_inv
+        flag(~np.isfinite(np.abs(q)), ist.AMPLITUDE)
+    backward[~solved] = np.inf
+    backward[~entries_ok] = np.nan
+    q[reason != ist.OK] = rn[reason != ist.OK] = complex(np.nan, np.nan)
+    if not derivative:
+        return q, rn, backward, theta_inv, reason
+    qdot = theta_inv_dot = np.full(M, complex(np.nan, np.nan))
+    if not reason.any():
+        with np.errstate(all="ignore"):
+            c_X = norming.c_rate[:, None, None] * X[:J]
+            spin = 1j * cfg.rotation * theta_inv
+            drhs = np.empty_like(X)
+            drhs[:J] = ist._times(kbar, norming.cbar_rate[:, None, None] * X[J:])
+            drhs[J:] = ist._times(k, c_X)
+            drhs[:J, 0] += spin * rp
+            drhs[J:, 1] += spin * qp
+            dX = np.linalg.solve(P, drhs.transpose(2, 0, 1)).transpose(1, 2, 0)
+            theta_inv_dot = -(row * (c_X[:, 0] + dX[:J, 0])).sum(axis=0) / border
+            n1_dot = dX[:J, 1] + theta_inv_dot * z[:J, 3]
+            dsum_q = (row * (c_X[:, 1] + n1_dot)).sum(axis=0)
+            qdot = (1j * cfg.rotation * qp
+                    + cfg.r * (dsum_q - sum_q * theta_inv_dot / theta_inv) / theta_inv)
+    return q, rn, backward, theta_inv, reason, qdot, theta_inv_dot
+
+
+def _rhs_reference(cfg, y, pinned, bg):
+    q = y.copy()
+    q[pinned] = bg
+    deriv = lattice.al_rhs(q, np.concatenate((q[1:], bg[-1:])),
+                           np.concatenate((bg[:1], q[:-1])), q[::-1], cfg.sigma)
+    deriv[pinned] = 1j * cfg.rotation * bg
+    return deriv
+
+
+def simulate_reference(initial_window, cfg, t_end, dt):
+    """verify.simulate's Trajectory, or its BlowupDetected."""
+    N = initial_window.N
+    sign = 1.0 if t_end >= initial_window.t else -1.0
+    step = sign * abs(dt)
+    n_steps = int(round(abs(t_end - initial_window.t) / abs(dt)))
+    times = initial_window.t + step * np.arange(n_steps + 1)
+    states = np.empty((n_steps + 1, 2 * N + 1), dtype=complex)
+    states[0] = initial_window.q
+    idx = np.arange(-N, N + 1)
+    pinned = np.flatnonzero(np.abs(idx) >= N - 1)
+    bg_at, bg_half, bg_full = (cfg.background(idx[pinned], ts[:, None]) for ts in (
+        times, times[:-1] + 0.5 * step, times[:-1] + step))
+    y = states[0].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            k1 = _rhs_reference(cfg, y, pinned, bg_at[k])
+            k2 = _rhs_reference(cfg, y + 0.5 * step * k1, pinned, bg_half[k])
+            k3 = _rhs_reference(cfg, y + 0.5 * step * k2, pinned, bg_half[k])
+            k4 = _rhs_reference(cfg, y + step * k3, pinned, bg_full[k])
+            y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y[pinned] = bg_at[k + 1]
+            peak = float(np.max(np.abs(y)))
+            if not np.isfinite(peak) or peak > verify.BLOWUP_THRESHOLD:
+                raise BlowupDetected(
+                    f"|q| reached {peak:.3e} at step {k + 1}, t = {times[k + 1]:.4f}",
+                    step=k + 1, t=float(times[k + 1]))
+            states[k + 1] = y
+    return verify.Trajectory(N, times, states)

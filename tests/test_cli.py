@@ -4,8 +4,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -704,6 +707,27 @@ class TestUnwritableOutput:
         # /dev/full opens, and every write to it fails with ENOSPC
         with pytest.raises(OSError):
             cli._write_text("/dev/full", ["x\n"])
+
+
+class TestClosedStdout:
+    """A reader that closes stdout before the first write: exit 2 and one stderr line."""
+
+    @pytest.mark.parametrize("command", ["scatter", "soliton"], ids=["json-report", "field-csv"])
+    def test_exit_2_without_traceback(self, tmp_path, command):
+        path = write_config(tmp_path, CASE4_CONFIG)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        read, write = os.pipe()
+        os.close(read)  # so that the command's first write to stdout fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dnls_ist.cli", command, "--config", path],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_CONFIG, "config error: cannot write stdout: Broken pipe\n")
 
 
 class TestNumericalFailure:

@@ -21,8 +21,8 @@ from dnls_ist.ist import (build_system, case2_feasibility_scan,
 from dnls_ist.spectral import (Region, classify, gamma, lam_squared,
                                point_from_zeta, zeta_bar)
 
-from conftest import (CASE1_ETA1, dense_reconstruct, mp_reconstruct,
-                      reconstruct_grid_sizes)
+from conftest import (CASE1_ETA1, assemble_reference, dense_reconstruct, mp_reconstruct,
+                      reconstruct_grid_sizes, solve_block_reference)
 
 
 def cramer_solve(B, Y):
@@ -999,6 +999,70 @@ class TestBlockSolve:
         J = eigenset.J
         assert len(shapes) == 2 * 3  # two solves in each of three blocks
         assert set(shapes) == {((2 * J, 2 * J), 2 * J)}
+
+
+def _solve_members():
+    """(member, ns, ts) per name: the parity grids plus c1's J = 0 background."""
+    members = {name: _parity_grid(name)[:3]
+               for name in ("c1", "bench c4", "pole", "case4 theta 0")}
+    cfg = spectral.make_case(1, 2.0 / 3.0, 0.0)
+    empty = ist.empty_eigenset(cfg)
+    members["J 0"] = ((cfg, empty, unit_norming(cfg, empty)),
+                      *_cells(np.arange(-60, 61), _C1_TIMES))
+    return members
+
+
+_SOLVE_MEMBERS = _solve_members()
+
+
+def _assert_blocks_match_the_reference(member, ns, ts, derivative):
+    grid, extra = ist._solve_cells(*member, ns, ts, derivative=derivative)
+    got = [grid.q, grid.r, grid.backward, grid.theta_inv, grid.reason] + extra
+    for start in range(0, ns.size, ist._BLOCK):
+        cells = slice(start, start + ist._BLOCK)
+        expected = solve_block_reference(*member, ns[cells], ts[cells], derivative)
+        assert len(expected) == len(got)
+        for whole, part in zip(got, expected):
+            assert whole.dtype == part.dtype
+            assert whole[cells].tobytes() == part.tobytes()
+    return got[4]
+
+
+class TestBlockSolveReference:
+    """The block solve with its per-spectrum constants hoisted, against the per-block build."""
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("name", list(_SOLVE_MEMBERS))
+    def test_byte_for_byte(self, name, derivative):
+        member, ns, ts = _SOLVE_MEMBERS[name]
+        _assert_blocks_match_the_reference(member, ns, ts, derivative)
+
+    def test_reasons_are_covered(self):
+        reasons = set()
+        for member, ns, ts in _SOLVE_MEMBERS.values():
+            reasons |= set(ist._solve_cells(*member, ns, ts)[0].reason.tolist())
+        assert reasons == {ist.OK, ist.OVERFLOW, ist.THETA_DIVERGENCE}
+
+    def test_exactly_singular_cell(self, case4_soliton, monkeypatch):
+        sites = np.arange(-2, 3)
+        marker = build_system(*case4_soliton, 0, 0.0)[0][0, 2]
+        solve = np.linalg.solve
+
+        def zero_pivot_at_marker(B, b):
+            if np.any(B[:, 0, 1] == marker):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(B, b)
+
+        monkeypatch.setattr(np.linalg, "solve", zero_pivot_at_marker)
+        reason = _assert_blocks_match_the_reference(case4_soliton, sites, np.zeros(5), False)
+        assert list(reason) == [ist.OK, ist.OK, ist.EXACTLY_SINGULAR, ist.OK, ist.OK]
+
+    def test_assembly(self):
+        for member, ns, ts in _SOLVE_MEMBERS.values():
+            for got, expected in zip(ist._assemble(*member, ns, ts),
+                                     assemble_reference(*member, ns, ts)):
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
 
 
 def _mp_cells(name):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dnls_ist import ist, lattice, scattering, spectral
-from dnls_ist.errors import NearBranchPoint, SingularTransfer
+from dnls_ist.errors import NearBranchPoint, SingularPoint, SingularTransfer
 from dnls_ist.lattice import background_field, theta_products
 from dnls_ist.scattering import (ColumnKind, continuum_samples, jost,
                                  scattering_coefficients, scattering_report,
@@ -16,6 +16,15 @@ from dnls_ist.scattering import (ColumnKind, continuum_samples, jost,
 from dnls_ist.spectral import Region, classify, point_from_zeta, zeta_bar
 
 from conftest import case_configs, check_symmetries, perturbed_background, wronskian
+
+
+def _guard_by_loop(cfg, zetas):
+    """scattering._guard as one Python check and one point_from_zeta call per zeta."""
+    for zeta in zetas:
+        if abs(zeta) > spectral.SINGULAR_GUARD and \
+                abs(zeta + 1.0 / zeta - 2.0 * cfg.r) < scattering.BRANCH_GUARD:
+            raise NearBranchPoint(f"zeta + 1/zeta - 2r vanishes at zeta={zeta}")
+        point_from_zeta(cfg, zeta)
 
 
 def test_jost_background_stationarity():
@@ -115,6 +124,22 @@ class TestCoefficients:
         w = background_field(cfg, 0.0, 10)
         with pytest.raises(NearBranchPoint):
             scattering_coefficients(w, cfg.branch_points[0] + 1e-12)
+
+    @pytest.mark.parametrize("cfg", case_configs(), ids=lambda c: c.case_id.name)
+    def test_array_guard_raises_as_the_loop_did(self, cfg):
+        bp = cfg.branch_points
+        for zetas in ([1.1j, 0.0, bp[0]], [1.1j, bp[0] + 1e-12, 0j], [2j, cfg.r + 1e-11, bp[1]],
+                      [bp[1], bp[0]], [0.5 + 0.5j, 1.0 / cfg.r - 3e-11j], [1e-11 + 0j],
+                      [0.5 + 0.5j, 1.5j], []):
+            errors = []
+            for guard in (_guard_by_loop, scattering._guard):
+                try:
+                    guard(cfg, zetas)
+                    errors.append(None)
+                except (NearBranchPoint, SingularPoint) as exc:
+                    errors.append((type(exc), str(exc)))
+            assert errors[0] == errors[1], zetas
+            assert (errors[0] is None) == (zetas in ([0.5 + 0.5j, 1.5j], []))
 
     @pytest.mark.parametrize("cfg", case_configs(), ids=lambda c: c.case_id.name)
     def test_site_independence(self, cfg):

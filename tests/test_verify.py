@@ -10,7 +10,8 @@ from dnls_ist.lattice import background_field, theta_products
 from dnls_ist.verify import (Trajectory, compare, equation_residual, equation_residuals,
                              equation_residuals_exact, simulate)
 
-from conftest import CASE1_ETA1, reconstruct_grid_sizes
+from conftest import (CASE1_ETA1, perturbed_background, reconstruct_grid_sizes,
+                      simulate_reference)
 
 
 def bits(a):
@@ -280,6 +281,52 @@ class TestSimulate:
         X = np.linalg.solve(*ist.build_system(cfg, eigenset, norming, 0, t))
         theta_ist = 1.0 / X[-1]
         assert abs(theta_sim - theta_ist) < 1e-3
+
+
+def _rk4_runs():
+    """(window, cfg, t_end, dt) per name."""
+    c4 = spectral.make_case(4, 2.0 / 3.0, -math.pi)
+    c4_set = ist.eigenvalues_case4(c4)
+    c4_q = ist.make_evaluator(c4, c4_set, ist.norming_case4(c4, c4_set, math.pi / 3.0))
+    c1 = spectral.make_case(1, 2.0 / 3.0, 0.0)
+    c1_set = ist.eigenvalues_case1(c1, CASE1_ETA1)
+    c1_q = ist.make_evaluator(c1, c1_set, ist.norming_case1(c1, c1_set, 1.0, 0.0, 0.0))
+    sites = np.arange(-40, 41)
+    c2 = spectral.make_case(2, 4.0, 0.0)
+    c3 = spectral.make_case(3, 1.0, 0.0)
+    return {
+        "bench c4": (lattice.PotentialWindow(c4, 40, 0.0, c4_q(sites, 0.0)), c4, 1.0, 0.01),
+        "c1": (lattice.PotentialWindow(c1, 40, -5.0, c1_q(sites, -5.0)), c1, 5.0, 0.01),
+        "c1 backward": (lattice.PotentialWindow(c1, 40, 1.0, c1_q(sites, 1.0)), c1, -1.0, 0.05),
+        "stage overflow": (background_field(c2, 0.0, 4), c2, 0.3, 0.1),
+        "case 3 bump": (perturbed_background(c3, N=12), c3, 0.5, 0.01),
+        "N 2": (perturbed_background(c4, N=2), c4, 0.2, 0.01),
+        "N 1": (perturbed_background(c4, N=1), c4, 0.2, 0.01),
+    }
+
+
+_RK4_RUNS = _rk4_runs()
+
+
+class TestSimulateReference:
+    """RK4 on one buffer whose views are the neighbours, against the stepper that copies."""
+
+    @pytest.mark.parametrize("name", list(_RK4_RUNS))
+    def test_byte_for_byte(self, name):
+        args = _RK4_RUNS[name]
+        if name == "stage overflow":
+            with pytest.raises(BlowupDetected) as expected:
+                simulate_reference(*args)
+            with pytest.raises(BlowupDetected) as got:
+                simulate(*args)
+            assert (str(got.value), got.value.step, got.value.t) == (
+                str(expected.value), expected.value.step, expected.value.t)
+            return
+        expected = simulate_reference(*args)
+        traj = simulate(*args)
+        assert traj.N == expected.N
+        assert traj.times.tobytes() == expected.times.tobytes()
+        assert traj.states.tobytes() == expected.states.tobytes()
 
 
 class TestCompare:
