@@ -46,6 +46,10 @@ CONFIGS = {
                           "t_grid": {"t0": 0.0, "t1": 0.3, "steps": 2}, "dt": 0.1},
     # the cells at n <~ -1000 overflow, so soliton writes singular rows
     "c1-N1200": {**C1, "N": 1200, "t_grid": {"t0": -5.0, "t1": 5.0, "steps": 2}},
+    # |q_n r_n| = 1 at every site: scatter's sweep checks every step factor
+    "c3-q0-1-background": {"case": 3, "q0": 1.0, "N": 20, "field": {"source": "background"},
+                           "t_grid": {"t0": 0.0, "t1": 1.0, "steps": 3}, "dt": 0.01,
+                           "zeta_samples": 4},
 }
 RUNS = [("eigs", 0), ("soliton", 0), ("scatter", 0), ("scatter", 5), ("verify", 0),
         ("evolve", 0)]

@@ -11,17 +11,19 @@ the column's analyticity region.
 The recursion is batched over zeta: one sequential sweep over n advances
 all four columns at every requested spectral point with elementwise array
 arithmetic, and a sweep for one site stops at its last recorded step (N + 1
-of the 2N + 1 at n = 0).  `scattering_report` evaluates each zeta it needs
-(samples, their zeta_bar partners, eigenvalues) once, over one Theta
-product; `scattering_coefficients` is its one-zeta view.  `jost` (one
-column at one zeta) stays only because the benchmark's layer timings call
-it, until ROADMAP item 2 re-points the benchmark.
+of the 2N + 1 at n = 0).  A priori bounds certify its step factors and
+schedule its renormalization tests (`_propagate`).  `scattering_report`
+evaluates each zeta it needs (samples, their zeta_bar partners, eigenvalues)
+once, over one Theta product; `scattering_coefficients` is its one-zeta
+view.  `jost` (one column at one zeta) stays only because the benchmark's
+layer timings call it, until ROADMAP item 2 re-points the benchmark.
 """
 from __future__ import annotations
 
 import cmath
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +137,39 @@ class _Sweep:
         return EigenfunctionColumn(self.N, self.values[order, :, c, k], self.logs[order, c, k])
 
 
+def _step_bounds(x, forward, q, r, g):
+    """Certify a window's step factors by a priori bounds, then bound its steps.
+
+    None unless x00, x11, x01 q, x10 r < 1e250 (no product with a column
+    under RENORM_THRESHOLD overflows), 1e-300 < |p0|, |p0| + |p1| max|g| < 1e300
+    and each backward |g_n| is a relative 1e-12 off [1/max rho, 1/min rho],
+    rho = |p1 / p0| (p0 = x00 x11, p1 = x01 x10), so no det p0 - p1 g_n is 0.
+    Else the cumulative sums over steps of log bounds on ||T_n||inf and
+    ||T_n^-1||inf over columns and points, each with 1e-10 of slack (and
+    1e-14 times both for rounding), clamped into [0, 1e3].  x is (4, C, K);
+    q, r and g = q r are (steps, C), in each column's step order.
+    """
+    d0, d1, ag = np.abs(x[0] * x[3]), np.abs(x[1] * x[2]), np.abs(g)
+    rho = d1 / d0
+    lo, hi = rho.min(axis=1, initial=np.inf), rho.max(axis=1, initial=0.0)
+    clear = (ag * hi < 1.0 - 1e-12) | (ag * lo > 1.0 + 1e-12)
+    if not (clear | forward).all():
+        return None
+    a, aq, ar = np.abs(x), np.abs(q), np.abs(r)
+    u = a.max(axis=2, initial=0.0)[:, None]
+    if not (max(u[0].max(), u[3].max(), u[1].max() * aq.max(), u[2].max() * ar.max()) < 1e250
+            and (d0 + d1 * ag.max()).max(initial=0.0) < 1e300 and d0.min(initial=1.0) > 1e-300):
+        return None
+    w = (a / d0).max(axis=2, initial=0.0)[:, None]
+    d = np.where(clear, np.minimum(np.abs(1.0 - ag * lo), np.abs(1.0 - ag * hi)), 0.0)
+    # Row sums of T and T^-1, over |p0| per point on the side a det (factor >= d) divides
+    c = np.stack([np.where(forward, u, w), np.where(forward, w, u)[[3, 1, 2, 0]]])
+    det = np.where(forward, [np.ones_like(d), d], [d, np.ones_like(d)])
+    norms = (np.maximum(c[:, 0] + c[:, 1] * aq, c[:, 2] * ar + c[:, 3]) / det).max(axis=2)
+    b = np.nan_to_num(np.log(norms) + (1e-10 + 1e-14 * norms[0] * norms[1]), nan=1e3)
+    return np.pad(np.cumsum(np.clip(b, 0.0, 1e3), axis=1), ((0, 0), (1, 0))).tolist()
+
+
 def _propagate(window: PotentialWindow, zetas,
                kinds: tuple[ColumnKind, ...] = tuple(ColumnKind),
                site: int | None = None) -> _Sweep:
@@ -144,8 +179,11 @@ def _propagate(window: PotentialWindow, zetas,
     arithmetic on (columns, K) arrays; a column whose magnitude leaves
     [1/RENORM_THRESHOLD, RENORM_THRESHOLD] is divided by it and the log of
     the factor accumulated.  The sweep stops at the last step that `site`
-    needs (None records every site).  Every step matrix is checked before
-    the sweep; the first failure in (zeta, column, step) order is raised.
+    needs (None records every site).  A window that `_step_bounds` cannot
+    certify has every step factor checked first, the first failure in (zeta,
+    column, step) order raised, and every step tested.  A certified one tests
+    only where its bounds let the largest (least nonzero) magnitude pass
+    RENORM_THRESHOLD / 4 (4 / RENORM_THRESHOLD): a skipped test rescales nothing.
     """
     cfg = window.cfg
     N = window.N
@@ -161,8 +199,8 @@ def _propagate(window: PotentialWindow, zetas,
     r_s = np.where(forward, r_f[:, None], r_f[::-1, None])[:, :, None]
     g_s = q_s * r_s
     with np.errstate(all="ignore"):
-        x00, x01, x10, x11 = (np.stack(x) for x in zip(
-            *(_step_constants(cfg, zeta, kind) for kind in kinds)))
+        x00, x01, x10, x11 = x = np.array([np.stack(c) for c in zip(
+            *(_step_constants(cfg, zeta, kind) for kind in kinds))])
         # det = det0 - det1 * q_n r_n, identically 1 for a forward column.
         det0 = np.where(forward[:, None], 1.0, x00 * x11)
         det1 = np.where(forward[:, None], 0.0, x01 * x10)
@@ -171,10 +209,12 @@ def _propagate(window: PotentialWindow, zetas,
         def factors(j):  # x01 q_n, x10 r_n and det_n over the block of steps from j
             return x01 * q_s[j:j + block], x10 * r_s[j:j + block], det0 - det1 * g_s[j:j + block]
 
-        failures = np.empty((steps, C, K), dtype=np.int8)
-        for j in range(0, steps, block):
+        bounds = _step_bounds(x, forward, q_s[..., 0], r_s[..., 0], g_s[..., 0])
+        failures = np.empty((0 if bounds else steps, C, K), dtype=np.int8)  # no step if certified
+        diagonal = np.isfinite(x00) & np.isfinite(x11)
+        for j in range(0, len(failures), block):
             a01, a10, det = factors(j)
-            finite = np.isfinite(x00) & np.isfinite(x11) & np.isfinite(a01) & np.isfinite(a10)
+            finite = diagonal & np.isfinite(a01) & np.isfinite(a10)
             invertible = forward[:, None] | ((det != 0) & np.isfinite(det))
             failures[j:j + block] = np.where(finite, np.where(invertible, 0, 2), 1)
         if failures.any():
@@ -200,16 +240,26 @@ def _propagate(window: PotentialWindow, zetas,
                 values[i, 0], values[i, 1], logs[i] = v0, v1, log
 
         record(0)
+        test, head = 0, math.log(RENORM_THRESHOLD / 4.0)  # next step to test, log headroom
         for j in range(keep[-1]):  # N + 1 of the 2N + 1 steps for site 0
             i = j % block
             if i == 0:
                 a01, a10, det = factors(j)
             v0, v1 = ((x00 * v0 + a01[i] * v1) / det[i], (a10[i] * v0 + x11 * v1) / det[i])
-            m = np.maximum(np.abs(v0), np.abs(v1))
-            rescale = (m > RENORM_THRESHOLD) | ((m > 0.0) & (m < 1.0 / RENORM_THRESHOLD))
-            if rescale.any():
-                m = np.where(rescale, m, 1.0)
-                v0, v1, log = v0 / m, v1 / m, log + np.log(m)
+            if j == test:
+                m = np.maximum(np.abs(v0), np.abs(v1))
+                hi = np.fmax.reduce(m, None, initial=0.0)
+                lo = np.fmin.reduce(m, None, initial=np.inf)
+                if lo == 0.0:  # a zero column stays zero (and a NaN one never rescales)
+                    lo = np.fmin.reduce(m, None, where=m > 0.0, initial=np.inf)
+                if hi > RENORM_THRESHOLD or lo < 1.0 / RENORM_THRESHOLD:
+                    rescale = (m > RENORM_THRESHOLD) | ((m > 0.0) & (m < 1.0 / RENORM_THRESHOLD))
+                    m = np.where(rescale, m, 1.0)
+                    v0, v1, log = v0 / m, v1 / m, log + np.log(m)
+                    hi = RENORM_THRESHOLD  # bounds the magnitudes now, so the next step is tested
+                test = j + 1 if not bounds else min(  # the first step a test could fire at
+                    bisect_left(bounds[0], bounds[0][j + 1] + head - np.log(hi), j + 2),
+                    bisect_left(bounds[1], bounds[1][j + 1] + head + np.log(lo), j + 2)) - 1
             record(j + 1)
     return _Sweep(tuple(kinds), N, slots, values, logs)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dnls_ist import ist, lattice, scattering, spectral, verify
-from dnls_ist.errors import BlowupDetected
+from dnls_ist.errors import BlowupDetected, SingularTransfer
 
 CASE1_ETA1 = math.pi + math.pi / 7  # zbar_1 = (1 - q0 exp(i pi/7))/r
 
@@ -406,3 +406,76 @@ def simulate_reference(initial_window, cfg, t_end, dt):
                     step=k + 1, t=float(times[k + 1]))
             states[k + 1] = y
     return verify.Trajectory(N, times, states)
+
+
+# The Jost sweep as it was before its step factors were certified by a priori
+# bounds: every step factor of the window built and checked before the sweep,
+# and the renormalization test run after every step.  scattering._propagate
+# must match it byte for byte, exceptions included.
+
+def propagate_reference(window, zetas, kinds=tuple(scattering.ColumnKind), site=None):
+    """scattering._propagate's _Sweep, or its SingularTransfer."""
+    cfg = window.cfg
+    N = window.N
+    if site is not None:
+        scattering._check_site(N, site)
+    steps = 2 * N + 1
+    zeta = np.asarray(zetas, dtype=complex)
+    K, C = zeta.size, len(kinds)
+    forward = np.array([scattering._FORWARD[kind] for kind in kinds])
+    q_f, r_f = window.q, lattice.partner(window)
+    q_s = np.where(forward, q_f[:, None], q_f[::-1, None])[:, :, None]
+    r_s = np.where(forward, r_f[:, None], r_f[::-1, None])[:, :, None]
+    g_s = q_s * r_s
+    with np.errstate(all="ignore"):
+        x00, x01, x10, x11 = (np.stack(x) for x in zip(
+            *(scattering._step_constants(cfg, zeta, kind) for kind in kinds)))
+        det0 = np.where(forward[:, None], 1.0, x00 * x11)
+        det1 = np.where(forward[:, None], 0.0, x01 * x10)
+        block = max(1, scattering._CHECK_BLOCK // max(1, 3 * C * K))
+
+        def factors(j):
+            return x01 * q_s[j:j + block], x10 * r_s[j:j + block], det0 - det1 * g_s[j:j + block]
+
+        failures = np.empty((steps, C, K), dtype=np.int8)
+        for j in range(0, steps, block):
+            a01, a10, det = factors(j)
+            finite = np.isfinite(x00) & np.isfinite(x11) & np.isfinite(a01) & np.isfinite(a10)
+            invertible = forward[:, None] | ((det != 0) & np.isfinite(det))
+            failures[j:j + block] = np.where(finite, np.where(invertible, 0, 2), 1)
+        if failures.any():
+            k, c, j = np.unravel_index(int(np.argmax(failures.transpose(2, 1, 0) != 0)),
+                                       (K, C, steps))
+            if failures[j, c, k] == 2:
+                raise SingularTransfer("transfer matrix not invertible")
+            n = j - N if forward[c] else N - j
+            raise SingularTransfer(f"non-finite transfer entry at n={n}, zeta={complex(zeta[k])}")
+
+        keep = range(steps + 1) if site is None else sorted(
+            {scattering._step_index(kind, N, site) for kind in kinds})
+        slots = {j: i for i, j in enumerate(keep)}
+        values = np.empty((len(keep), 2, C, K), dtype=complex)
+        logs = np.empty((len(keep), C, K))
+        v0, v1 = (np.stack(x) for x in zip(
+            *(scattering._boundary_vector(cfg, window.t, zeta, kind) for kind in kinds)))
+        log = np.zeros((C, K))
+
+        def record(j):
+            i = slots.get(j)
+            if i is not None:
+                values[i, 0], values[i, 1], logs[i] = v0, v1, log
+
+        record(0)
+        for j in range(keep[-1]):
+            i = j % block
+            if i == 0:
+                a01, a10, det = factors(j)
+            v0, v1 = ((x00 * v0 + a01[i] * v1) / det[i], (a10[i] * v0 + x11 * v1) / det[i])
+            m = np.maximum(np.abs(v0), np.abs(v1))
+            threshold = scattering.RENORM_THRESHOLD
+            rescale = (m > threshold) | ((m > 0.0) & (m < 1.0 / threshold))
+            if rescale.any():
+                m = np.where(rescale, m, 1.0)
+                v0, v1, log = v0 / m, v1 / m, log + np.log(m)
+            record(j + 1)
+    return scattering._Sweep(tuple(kinds), N, slots, values, logs)

@@ -15,7 +15,8 @@ from dnls_ist.scattering import (ColumnKind, continuum_samples, jost,
                                  trace_formula)
 from dnls_ist.spectral import Region, classify, point_from_zeta, zeta_bar
 
-from conftest import case_configs, check_symmetries, perturbed_background, wronskian
+from conftest import (case_configs, check_symmetries, perturbed_background, propagate_reference,
+                      wronskian)
 
 
 def _guard_by_loop(cfg, zetas):
@@ -490,7 +491,7 @@ def test_report_builds_theta_once_and_propagates_once(case1_window, case1_solito
     assert rep.det_residual < 1e-6 and max(rep.eigenvalue_residuals) < 1e-5
 
 
-def _report_points(window, eigenset, count, monkeypatch):
+def _report_points(window, eigenset, count, monkeypatch, seed=0):
     """The zetas scattering_report hands to its one sweep: samples, partners, eigenvalues."""
     seen = []
     sweep = scattering._propagate
@@ -500,7 +501,7 @@ def _report_points(window, eigenset, count, monkeypatch):
         return sweep(w, zetas, *args, **kwargs)
 
     monkeypatch.setattr(scattering, "_propagate", recording)
-    scattering_report(window, continuum_samples(window.cfg, count, seed=0), eigenset)
+    scattering_report(window, continuum_samples(window.cfg, count, seed=seed), eigenset)
     monkeypatch.undo()
     return seen[0]
 
@@ -568,6 +569,145 @@ def test_non_finite_entries_beyond_the_sweep_still_raise(monkeypatch, site, kind
         with pytest.raises(SingularTransfer) as err:
             scattering._propagate(w, zetas, kinds, site=site)
     assert str(err.value) == message
+
+
+def _report_zetas(window, eigenset, count, seed=0):
+    """The zetas that scattering_report over `count` samples hands to its sweep."""
+    with pytest.MonkeyPatch.context() as mp:
+        return _report_points(window, eigenset, count, mp, seed)
+
+
+@pytest.fixture(scope="module")
+def sweep_windows(case1_window, case1_soliton, bench_c4_window, case4_soliton):
+    """(window, zetas) by name: the benchmark's and verify's sweeps, a case-3 q0 = 1
+    background (|q_n r_n| = 1 at every site) and a case-4 soliton whose columns
+    all renormalize at zeta = 0.5 and 2."""
+    cfg4, eig4, norm4 = case4_soliton
+    evaluate = ist.make_evaluator(cfg4, eig4, norm4)
+    verify_c4 = lattice.PotentialWindow(cfg4, 40, 0.0, evaluate(np.arange(-40, 41), 0.0))
+    c3 = background_field(spectral.make_case(3, 1.0, 0.0), 0.0, 60)
+    renormalizing = lattice.PotentialWindow(cfg4, 100, 0.0, evaluate(np.arange(-100, 101), 0.0))
+    return {
+        "c1": (case1_window, _report_zetas(case1_window, case1_soliton[1], 20)),
+        "bench-c4": (bench_c4_window, _report_zetas(bench_c4_window, eig4, 4)),
+        "verify-c4": (verify_c4, _report_zetas(verify_c4, eig4, 8, seed=1)),
+        "c3-q0-1-background": (c3, _report_zetas(c3, None, 20)),
+        "renormalizing": (renormalizing, [0.5, 2.0]),
+    }
+
+
+def _certified(monkeypatch):
+    """Record whether each _propagate call's window was certified by its bounds."""
+    seen = []
+    bounds = scattering._step_bounds
+
+    def recording(*args):
+        result = bounds(*args)
+        seen.append(result is not None)
+        return result
+
+    monkeypatch.setattr(scattering, "_step_bounds", recording)
+    return seen
+
+
+@pytest.mark.parametrize("check_block", [None, 8])
+@pytest.mark.parametrize("kinds", [tuple(ColumnKind), (ColumnKind.M,), (ColumnKind.NBAR,)])
+@pytest.mark.parametrize("site", [None, 0])
+@pytest.mark.parametrize("name", ["c1", "bench-c4", "verify-c4", "c3-q0-1-background",
+                                  "renormalizing"])
+def test_sweep_is_byte_identical_to_the_reference(sweep_windows, monkeypatch, name, site,
+                                                  kinds, check_block):
+    window, zetas = sweep_windows[name]
+    if check_block is not None:
+        monkeypatch.setattr(scattering, "_CHECK_BLOCK", check_block)
+    certified = _certified(monkeypatch)
+    sweep = scattering._propagate(window, zetas, kinds, site=site)
+    reference = propagate_reference(window, zetas, kinds, site=site)
+    # |q_n r_n| = 1 declines only a window with a backward column
+    backward = any(not scattering._FORWARD[kind] for kind in kinds)
+    assert certified == [name != "c3-q0-1-background" or not backward]
+    assert sweep.slots == reference.slots
+    assert sweep.values.tobytes() == reference.values.tobytes()
+    assert sweep.logs.tobytes() == reference.logs.tobytes()
+    if name == "renormalizing" and site is None:
+        assert (np.count_nonzero(sweep.logs, axis=(0, 2)) > 0).all()
+
+
+def test_the_certificate_accepts_the_benchmark_windows(sweep_windows, monkeypatch):
+    # so scatter on c1 and bench c4 builds no step factor ahead of its sweep
+    certified = _certified(monkeypatch)
+    for name in ("c1", "bench-c4"):
+        window, zetas = sweep_windows[name]
+        scattering._propagate(window, zetas, site=0)
+    assert certified == [True, True]
+
+
+def _declined_window(case, q0, theta, n, value):
+    cfg = spectral.make_case(case, q0, theta)
+    q = np.array(perturbed_background(cfg, N=12, seed=4).q)
+    q[n + 12] = value
+    return lattice.PotentialWindow(cfg, 12, 0.0, q)
+
+
+@pytest.mark.parametrize("window, zetas, message", [
+    # finite q_5 = 1e200: x01 q_5 overflows at zeta = 1e-110
+    (_declined_window(4, 2.0 / 3.0, -math.pi, 5, 1e200), [1.000001 * cmath.exp(0.5j), 1e-110],
+     "non-finite transfer entry at n=5, zeta=(1e-110+0j)"),
+    # q_0 r_0 = |q_0|**2 = 1 exactly in case 1, where det0 = det1 at zeta = 0.45 + 0.893j
+    (_declined_window(1, 2.0 / 3.0, 0.0, 0, 1.0), [0.999999 * cmath.exp(2.0j), 0.45 + 0.893j],
+     "transfer matrix not invertible"),
+])
+@pytest.mark.parametrize("check_block", [None, 8])
+def test_declined_windows_raise_the_reference_error(monkeypatch, window, zetas, message,
+                                                    check_block):
+    if check_block is not None:
+        monkeypatch.setattr(scattering, "_CHECK_BLOCK", check_block)
+    certified = _certified(monkeypatch)
+    with pytest.raises(SingularTransfer) as reference:
+        propagate_reference(window, zetas, site=0)
+    with pytest.raises(SingularTransfer) as err:
+        scattering._propagate(window, zetas, site=0)
+    assert str(err.value) == str(reference.value) == message
+    assert certified == [False]
+
+
+def _step_norms(window, zetas):
+    """log of the largest ||T_n||inf and ||T_n^-1||inf over columns and points, per step."""
+    zeta = np.asarray(zetas, dtype=complex)
+    q, r = window.q, lattice.partner(window)
+    norms = []
+    for kind in ColumnKind:
+        x00, x01, x10, x11 = scattering._step_constants(window.cfg, zeta, kind)
+        order = slice(None) if scattering._FORWARD[kind] else slice(None, None, -1)
+        qs, rs = q[order, None], r[order, None]
+        det = 1.0 if scattering._FORWARD[kind] else x00 * x11 - x01 * x10 * qs * rs
+        t00, t01, t10, t11 = np.broadcast_arrays(x00 / det, x01 * qs / det, x10 * rs / det,
+                                                 x11 / det)
+        det_t = np.abs(t00 * t11 - t01 * t10)
+        norms.append([np.maximum(abs(t00) + abs(t01), abs(t10) + abs(t11)).max(axis=1),
+                      (np.maximum(abs(t11) + abs(t01), abs(t10) + abs(t00)) / det_t).max(axis=1)])
+    return np.log(np.max(norms, axis=0))
+
+
+@pytest.mark.parametrize("name", ["c1", "zero field"])
+def test_step_bounds_exceed_each_step_norm_by_the_slack(sweep_windows, monkeypatch, name):
+    # In a zero field every step is diagonal and the bounds are attained, so a
+    # smaller growth bound or no per-step slack shows here.
+    window, zetas = sweep_windows["c1"]
+    if name == "zero field":
+        window = lattice.PotentialWindow(window.cfg, 30, 0.0, np.zeros(61, dtype=complex))
+        zetas = zetas + [0.5, 2.0, 0.3j]
+    bounds = []
+    step_bounds = scattering._step_bounds
+    monkeypatch.setattr(scattering, "_step_bounds",
+                        lambda *args: bounds.append(step_bounds(*args)) or bounds[-1])
+    scattering._propagate(window, zetas)
+    growth, shrink = np.diff(bounds[0])
+    exact = _step_norms(window, zetas)
+    assert (growth >= np.minimum(exact[0] + 1e-10 - 1e-13, 1e3)).all()
+    assert (shrink >= np.minimum(exact[1] + 1e-10 - 1e-13, 1e3)).all()
+    if name == "zero field":
+        assert np.abs(growth - exact[0] - 1e-10).max() < 1e-12
 
 
 def test_continuum_samples_clear_every_branch_point():
