@@ -11,7 +11,7 @@ from .lattice import (PotentialWindow, ThetaProduct, al_rhs, background_field,
                       partner, theta_products)
 from .ist import (EigenSet, NormingData, Quartet, RealPair,
                   ReconstructionGrid, build_system,
-                  case2_feasibility_scan, eigenvalues_case1, eigenvalues_case2,
+                  case2_trace_infima, eigenvalues_case1, eigenvalues_case2,
                   eigenvalues_case3, eigenvalues_case4, empty_eigenset,
                   make_evaluator, norming_case1, norming_case4, reconstruct,
                   reconstruct_grid, reconstruct_with_derivative,

@@ -10,6 +10,7 @@ eigenvalue request, 4 every grid cell singular, 5 tolerance breach,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -81,8 +82,8 @@ def dump_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write_text(path: str | None, chunks) -> None:
-    """Write str chunks to path, or stdout; a generator streams while the file is open."""
+def _write_text(path: str | None, chunks, name: str | None = None) -> None:
+    """Write str chunks to path (errors call it name), or stdout; a generator streams."""
     if path is None:
         try:
             sys.stdout.writelines(chunks)
@@ -94,7 +95,7 @@ def _write_text(path: str | None, chunks) -> None:
     try:
         fh = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ConfigError(f"cannot write {name or path}: {exc.strerror or exc}") from exc
     with fh:
         fh.writelines(chunks)
 
@@ -229,9 +230,8 @@ def _eigenset(config: RunConfig, cfg) -> ist.EigenSet:
     if config.case == 1:
         _require(config.eta1 is not None, "case 1 requires 'eta1'")
         return ist.eigenvalues_case1(cfg, float(config.eta1), J=config.J or 2)
-    if config.case == 2:  # its feasibility scan runs only in `eigs`, at the CLI seed
-        return ist.eigenvalues_case2(cfg, J=config.J if config.J is not None else 2,
-                                     scan_samples=0)
+    if config.case == 2:
+        return ist.eigenvalues_case2(cfg, J=config.J or 2)
     if config.case == 3:
         _require(config.zeta_hat_1 is not None, "case 3 requires 'zeta_hat_1'")
         return ist.eigenvalues_case3(cfg, float(config.zeta_hat_1), J=config.J or 2)
@@ -277,6 +277,7 @@ def _write_report(config: RunConfig, out: str | None, doc: dict) -> None:
 
 
 def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
+    del seed
     cfg = _case_config(config)
     eigenset = _eigenset(config, cfg)
     entries = [{"kind": "quartet", "zeta": q.zeta, "zeta_conj": q.zeta_conj, "zeta_bar": q.zbar,
@@ -289,12 +290,7 @@ def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
               "entries": entries,
               "constraint_residuals": ist.admissibility_residuals(cfg, eigenset)}
     if config.case == 2:
-        scan = ist.case2_feasibility_scan(cfg, samples=3000, seed=seed).require_infeasible()
-        report["feasibility_scan"] = {
-            "min_violation": scan.min_violation,
-            "family": scan.family,
-            "candidates": scan.candidates,
-        }
+        report["trace_limit_infima"] = ist.case2_trace_infima(cfg)
     _write_report(config, out, report)
     return EXIT_OK
 
@@ -530,12 +526,21 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
         return EXIT_OK if singular else EXIT_BLOWUP
     deviation = verify.compare(traj, evaluator)
     traj_path = config.outputs.get("trajectory_csv", "trajectory.csv")
-    _write_text(traj_path, _trajectory_csv(traj))
+    staged = f"{traj_path}.{os.getpid()}.tmp"  # moved to traj_path once the report is written
     tol = config.tolerances["compare"]
-    doc = {"case": config.case, "blowup": False, "singular_parameters": singular,
-           "max_deviation": deviation, "tolerance": tol,
-           "trajectory_csv": traj_path, "pass": deviation < tol}
-    _write_report(config, out, doc)
+    try:
+        _write_text(staged, _trajectory_csv(traj), traj_path)
+        _write_report(config, out, {
+            "case": config.case, "blowup": False, "singular_parameters": singular,
+            "max_deviation": deviation, "tolerance": tol,
+            "trajectory_csv": traj_path, "pass": deviation < tol})
+        try:
+            os.replace(staged, traj_path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {traj_path}: {exc.strerror or exc}") from exc
+    finally:  # a failed run leaves no trajectory behind
+        with contextlib.suppress(OSError):
+            os.remove(staged)
     return EXIT_OK if deviation < tol else EXIT_TOLERANCE
 
 
@@ -555,7 +560,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=tuple(_DISPATCH))
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default=None, help="primary artifact path (default stdout)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sample generation")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of scatter's continuum zeta samples")
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)

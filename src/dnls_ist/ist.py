@@ -2,8 +2,9 @@
 
 Admissible spectra are fixed per case by the trace-formula asymptotics:
 case I carries one complex quartet on |zeta - 1/r| = q0/r, case II carries
-nothing, case III two real pairs linked by the spectral involution, case IV
-one real pair.  The reflectionless inverse problem collapses to a
+nothing (case2_trace_infima bounds each candidate family's violation of the
+trace limits away from 0 in closed form), case III two real pairs linked by
+the spectral involution, case IV one real pair.  The reflectionless inverse problem collapses to a
 (4J+1)-dimensional linear system per lattice site and time, block lower
 triangular in the unknown order (N2, Nbar2 | 1/Theta_n | N1, Nbar1) with
 the 2J x 2J diagonal block P = [[I, -kbar], [-k, I]] twice;
@@ -122,18 +123,6 @@ def trace_formula(cfg: CaseConfig, eigen_data: EigenSet, zeta):
                 theta_minus_inf_constraint(eigen_data) * trace_product(zbs, zs, zeta))
 
 
-def _trace_limits(cfg: CaseConfig, zeros, partners, theta_inf=None) -> dict:
-    """The three trace-limit residuals over spectra (..., J), as arrays."""
-    sign = cfg.branch_sign
-    if theta_inf is None:
-        theta_inf = trace_product(zeros, partners, 0.0)
-    return {
-        "t11_at_rinv": np.abs(trace_product(zeros, partners, 1.0 / cfg.r) - sign),
-        "t22_at_zero": np.abs(theta_inf * trace_product(partners, zeros, 0.0) - 1.0),
-        "t22_at_r": np.abs(theta_inf * trace_product(partners, zeros, cfg.r) - sign),
-    }
-
-
 def admissibility_residuals(cfg: CaseConfig, eigenset: EigenSet,
                             theta_inf: complex | None = None) -> dict[str, float]:
     """Residuals of the three trace-formula limits for this case's spectrum.
@@ -143,8 +132,34 @@ def admissibility_residuals(cfg: CaseConfig, eigenset: EigenSet,
     An empty spectrum meets them only for cases I/III: for II/IV both
     branch-point limits miss by 2.
     """
-    res = _trace_limits(cfg, eigenset.zeros_t11, eigenset.zeros_t22, theta_inf)
-    return {name: float(value) for name, value in res.items()}
+    zeros, partners, sign = eigenset.zeros_t11, eigenset.zeros_t22, cfg.branch_sign
+    if theta_inf is None:
+        theta_inf = trace_product(zeros, partners, 0.0)
+    return {
+        "t11_at_rinv": float(np.abs(trace_product(zeros, partners, 1.0 / cfg.r) - sign)),
+        "t22_at_zero": float(np.abs(theta_inf * trace_product(partners, zeros, 0.0) - 1.0)),
+        "t22_at_r": float(np.abs(theta_inf * trace_product(partners, zeros, cfg.r) - sign)),
+    }
+
+
+def case2_trace_infima(cfg: CaseConfig) -> dict[str, float]:
+    """Least violation of the case-II trace limits by each spectrum family, over all of D-.
+
+    The violation is max(|t11(1/r) + 1|, |t22(r) + 1|) (branch sign -1).  With
+    f(zeta) = (1/r - zeta)/(1/r - zeta_bar(zeta)), the t11(1/r) of a lone zero:
+    - one real pair: f + 1 = (r (zeta + 1/zeta) - 2)/q0**2 and t22(r) = 1/f, and
+      |zeta + 1/zeta| >= 2, so the infimum is min(2, 2 (r + 1)/q0**2), approached,
+      never attained, at zeta -> +-1 or at the branch points;
+    - one quartet: t11(1/r) = |f(zeta)|**2, so |t11(1/r) + 1| alone is at least
+      1, approached as zeta -> 1/r off the axis;
+    - two real pairs linked by zeta_2 = 1/zeta_bar(zeta_1): t11(1/r) = t22(r) = 1.
+    Each is positive for every q0: case II has no discrete spectrum.
+    """
+    if cfg.case_id is not Case.II:
+        raise DomainError("the trace-limit infima are derived for case II")
+    # /q0/q0: where q0**2 underflows to 0 the quotient overflows to inf instead
+    return {"J2=1 real pair": 2.0 * min(1.0, (cfg.r + 1.0) / cfg.q0 / cfg.q0),
+            "J1=1 quartet": 1.0, "J2=2 real pairs": 2.0}
 
 
 def eigenvalues_case1(cfg: CaseConfig, eta1: float, J: int = 2) -> EigenSet:
@@ -168,96 +183,12 @@ def eigenvalues_case1(cfg: CaseConfig, eta1: float, J: int = 2) -> EigenSet:
     return EigenSet(cfg.case_id, (Quartet(z1, z1.conjugate(), zb1, zb1.conjugate()),), ())
 
 
-@dataclass(frozen=True)
-class FeasibilityScan:
-    """Result of the no-soliton grid scan: min over candidates of the violation."""
-
-    min_violation: float
-    argmin: complex
-    family: str
-    candidates: int
-
-    def require_infeasible(self) -> FeasibilityScan:
-        """This scan; Inadmissible if some candidate met the trace limits exactly."""
-        if not self.min_violation > 0.0:
-            raise Inadmissible("feasibility scan unexpectedly reached zero violation")
-        return self
-
-
-def case2_feasibility_scan(cfg: CaseConfig, samples: int = 10_000,
-                           seed: int = 0) -> FeasibilityScan:
-    """Scan the three structured spectra of case II against its trace limits.
-
-    Families scanned: a single real pair (J=1), one complex quartet (J=2),
-    and two involution-linked real pairs (J=2).  The violation of a
-    candidate is the distance of the trace-formula limits from their
-    required values; strict positivity over the grid means no admissible
-    discrete spectrum exists.  Each family's candidates are scored as one
-    batch of spectra; the first least violation wins, in family order.
-    """
-    if cfg.case_id is not Case.II:
-        raise DomainError("the feasibility scan is defined for case II")
-    rng = np.random.default_rng(seed)
-    r, q0 = cfg.r, cfg.q0
-    n_each = max(1, samples // 3)
-
-    def uniform(low, high, size):  # an empty range (q0 < 0.0448 or > 3.937) draws nothing
-        return rng.uniform(low, high, size) if low < high else np.empty(0)
-
-    # J = 1: one real zero zeta_hat in D-, partner zeta_bar_hat = involution image.
-    reals = np.concatenate([
-        rng.uniform(-6.0, -1.0 - 1e-3, n_each // 3),
-        uniform(1.0 / r * (1 + 1e-6), 0.999, n_each // 3),
-        uniform(r + q0 + 1e-3, 8.0, n_each - 2 * (n_each // 3)),
-    ])
-    zh = reals[classify(cfg, reals) == Region.DMinus]
-    zbh = zeta_bar(cfg, zh)
-
-    # J = 2 with one quartet: the 1/r limit is a positive modulus ratio, so
-    # its distance from -1 is at least 1 for every complex candidate.  Each
-    # candidate takes two consecutive draws, real part first.
-    zeta = rng.uniform(-4, 4, (n_each, 2)).view(complex)[:, 0]
-    zeta = zeta[(classify(cfg, zeta) == Region.DMinus) & (np.abs(zeta.imag) >= 1e-3)]
-    zb = zeta_bar(cfg, zeta)
-
-    # J = 2 with two real pairs linked by zeta_hat_2 = 1/zeta_bar_hat_1.
-    nonzero = np.abs(zbh) >= 1e-12
-    zh1, zbh1 = zh[nonzero], zbh[nonzero]
-    zh2 = 1.0 / zbh1
-    linked = classify(cfg, zh2) == Region.DMinus
-    zh1, zbh1, zh2 = zh1[linked], zbh1[linked], zh2[linked]
-
-    families = (  # (name, zeros with the candidate first, partners, scored limits)
-        ("J2=1 real pair", zh[:, None], zbh[:, None], ("t11_at_rinv", "t22_at_r")),
-        ("J1=1 quartet", np.stack([zeta, zeta.conj()], 1), np.stack([zb, zb.conj()], 1),
-         ("t11_at_rinv",)),
-        ("J2=2 real pairs", np.stack([zh1, zh2], 1), np.stack([zbh1, zeta_bar(cfg, zh2)], 1),
-         ("t11_at_rinv", "t22_at_r")),
-    )
-    best = FeasibilityScan(math.inf, 0.0 + 0.0j, "", sum(len(f[1]) for f in families))
-    for family, zeros, partners, scored in families:
-        if len(zeros):
-            res = _trace_limits(cfg, zeros, partners)
-            violation = np.max([res[name] for name in scored], axis=0)
-            i = int(np.argmin(violation))
-            if violation[i] < best.min_violation:
-                best = FeasibilityScan(float(violation[i]), complex(zeros[i, 0]), family,
-                                       best.candidates)
-    return best
-
-
-def eigenvalues_case2(cfg: CaseConfig, J: int = 2, scan_samples: int = 3000) -> EigenSet:
-    """Case II has no admissible discrete spectrum; returns the empty set.
-
-    For J > 0 a feasibility scan of scan_samples candidates (seed 0) must
-    not meet the trace limits; scan_samples = 0 leaves it to the caller.
-    """
+def eigenvalues_case2(cfg: CaseConfig, J: int = 2) -> EigenSet:
+    """Case II has no admissible discrete spectrum (case2_trace_infima); the empty set."""
     if cfg.case_id is not Case.II:
         raise DomainError("eigenvalues_case2 requires a case II configuration")
     if J not in (0, 1, 2):
         raise Inadmissible(f"J = {J} not covered by the admissibility analysis")
-    if J > 0 and scan_samples > 0:
-        case2_feasibility_scan(cfg, samples=scan_samples).require_infeasible()
     return empty_eigenset(cfg)
 
 

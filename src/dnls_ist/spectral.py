@@ -80,7 +80,7 @@ class CaseConfig:
 
 
 def make_case(case_id: int | Case, q0: float, theta_minus: float = 0.0) -> CaseConfig:
-    """Build a CaseConfig; cases I/IV require 0 < q0 < 1, cases II/III q0 > 0."""
+    """Build a CaseConfig; cases I/IV require 0 < q0 < 1, cases II/III q0 > 0 and a finite r."""
     case = Case(case_id)
     if not q0 > 0.0:
         raise DomainError(f"q0 must be positive, got {q0}")
@@ -91,6 +91,8 @@ def make_case(case_id: int | Case, q0: float, theta_minus: float = 0.0) -> CaseC
         if not q0 < 1.0:
             raise DomainError(f"case {case.name} requires 0 < q0 < 1, got {q0}")
     r = math.sqrt(1.0 - sigma * delta)
+    if not math.isfinite(r):  # q0 * q0 overflows from q0 ~ 1.34e154 on
+        raise DomainError(f"q0 = {q0} is too large: r = sqrt(1 + q0**2) overflows")
     if case in (Case.I, Case.IV):
         branch = (complex(r, q0), complex(r, -q0))
     else:

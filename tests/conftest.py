@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -145,6 +146,101 @@ def trajectory_csv_lines(traj):
 def check_symmetries(window, zeta_samples):
     """The symmetry residuals of scattering_report over zeta_samples."""
     return scattering.scattering_report(window, zeta_samples).symmetry
+
+
+# The sampled case-II scan that ist.case2_trace_infima replaced: the one
+# sampled reference for the closed-form infima.
+
+@dataclass(frozen=True)
+class FeasibilityScan:
+    """Least sampled violation (first in family order); by_family[name] = (drawn, scores).
+
+    drawn holds each candidate's first zero, the one its family is derived from.
+    """
+
+    min_violation: float
+    argmin: complex
+    family: str
+    candidates: int
+    by_family: dict
+
+
+def case2_feasibility_scan(cfg, samples=10_000, seed=0):
+    """Random candidates of the three case-II families, scored as case2_trace_infima scores them.
+
+    A single real pair (J=1) from three intervals inside [-6, 8], one
+    quartet (J=2) from [-4, 4]**2 and two real pairs linked by
+    zeta_2 = 1/zeta_bar(zeta_1) (J=2), each scored by its distance from the
+    case's trace limits (branch sign -1) as one batch of spectra; an empty
+    interval (q0 < 0.0448 or > 3.937) draws nothing.
+    """
+    rng = np.random.default_rng(seed)
+    r, q0 = cfg.r, cfg.q0
+    n_each = max(1, samples // 3)
+
+    def uniform(low, high, size):
+        return rng.uniform(low, high, size) if low < high else np.empty(0)
+
+    reals = np.concatenate([
+        rng.uniform(-6.0, -1.0 - 1e-3, n_each // 3),
+        uniform(1.0 / r * (1 + 1e-6), 0.999, n_each // 3),
+        uniform(r + q0 + 1e-3, 8.0, n_each - 2 * (n_each // 3)),
+    ])
+    zh = reals[spectral.classify(cfg, reals) == spectral.Region.DMinus]
+    zbh = spectral.zeta_bar(cfg, zh)
+    # Each quartet candidate takes two consecutive draws, real part first.
+    zeta = rng.uniform(-4, 4, (n_each, 2)).view(complex)[:, 0]
+    zeta = zeta[(spectral.classify(cfg, zeta) == spectral.Region.DMinus)
+                & (np.abs(zeta.imag) >= 1e-3)]
+    zb = spectral.zeta_bar(cfg, zeta)
+    nonzero = np.abs(zbh) >= 1e-12
+    zh1, zbh1 = zh[nonzero], zbh[nonzero]
+    zh2 = 1.0 / zbh1
+    linked = spectral.classify(cfg, zh2) == spectral.Region.DMinus
+    zh1, zbh1, zh2 = zh1[linked], zbh1[linked], zh2[linked]
+
+    def violation(zeros, partners, with_t22=True):
+        worst = np.abs(ist.trace_product(zeros, partners, 1.0 / r) + 1.0)
+        if with_t22:
+            theta_inf = ist.trace_product(zeros, partners, 0.0)
+            worst = np.maximum(worst, np.abs(
+                theta_inf * ist.trace_product(partners, zeros, r) + 1.0))
+        return worst
+
+    families = (  # (name, zeros with the candidate first, partners, t22(r) scored)
+        ("J2=1 real pair", zh[:, None], zbh[:, None], True),
+        ("J1=1 quartet", np.stack([zeta, zeta.conj()], 1), np.stack([zb, zb.conj()], 1), False),
+        ("J2=2 real pairs", np.stack([zh1, zh2], 1),
+         np.stack([zbh1, spectral.zeta_bar(cfg, zh2)], 1), True),
+    )
+    best, by_family = (math.inf, 0j, ""), {}
+    for family, zeros, partners, with_t22 in families:
+        if len(zeros):
+            scores = violation(zeros, partners, with_t22)
+            i = int(np.argmin(scores))
+            by_family[family] = (zeros[:, 0], scores)
+            if scores[i] < best[0]:
+                best = (float(scores[i]), complex(zeros[i, 0]), family)
+    return FeasibilityScan(*best, sum(len(f[1]) for f in families), by_family)
+
+
+def case2_violation_mp(cfg, family, zeta):
+    """The scan's score of the candidate drawn as zeta, in 40 digits (cfg.r taken as exact).
+
+    The float score rounds: a zero 1e-6 from 1/r, say, cancels six digits.
+    """
+    with mpmath.workdps(40):
+        r, zeta = mpmath.mpf(cfg.r), mpmath.mpc(zeta)
+
+        def bar(x):
+            return (r * x - 1) / (x - r)
+
+        zeros = {"J2=1 real pair": [zeta], "J1=1 quartet": [zeta, mpmath.conj(zeta)],
+                 "J2=2 real pairs": [zeta, 1 / bar(zeta)]}[family]
+        t11 = mpmath.fprod((1 / r - x) / (1 / r - bar(x)) for x in zeros)
+        t22 = mpmath.fprod(x / bar(x) * (r - bar(x)) / (r - x) for x in zeros)
+        worst = abs(t11 + 1)
+        return float(worst if family == "J1=1 quartet" else max(worst, abs(t22 + 1)))
 
 
 # The dense reflectionless solve that reconstruct_grid's block form replaced:

@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -132,27 +133,28 @@ class TestEigs:
         assert main(["eigs", "--config", path]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["J"] == 0 and doc["entries"] == []
-        assert doc["feasibility_scan"]["min_violation"] > 0
+        assert min(doc["trace_limit_infima"].values()) > 0
 
-    def test_case2_scans_once_at_the_cli_seed(self, tmp_path, monkeypatch):
-        seeds = []
-        scan = ist.case2_feasibility_scan
-
-        def counted(cfg, samples=10_000, seed=0):
-            seeds.append(seed)
-            return scan(cfg, samples=samples, seed=seed)
-
-        monkeypatch.setattr(ist, "case2_feasibility_scan", counted)
+    def test_case2_report_is_the_same_at_every_seed(self, tmp_path):
         path = write_config(tmp_path, {"case": 2, "q0": 1.0})
-        assert main(["eigs", "--config", path, "--seed", "7"]) == EXIT_OK
-        assert seeds == [7]
+        reports = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"eigs-{seed}.json"
+            assert main(["eigs", "--config", path, "--seed", seed, "--out", str(out)]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
-    def test_case2_scan_reaching_zero_is_inadmissible(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(ist, "case2_feasibility_scan",
-                            lambda cfg, samples, seed: ist.FeasibilityScan(0.0, 0j, "", 1))
-        path = write_config(tmp_path, {"case": 2, "q0": 1.0})
-        assert main(["eigs", "--config", path]) == EXIT_INADMISSIBLE
-        assert "unexpectedly reached zero violation" in capsys.readouterr().err
+    @pytest.mark.parametrize("q0", [1e-200, 0.1, 2.0 / 3.0, 3.0, 100.0, 1e150])
+    def test_case2_reports_the_closed_form_infima(self, tmp_path, capsys, q0):
+        path = write_config(tmp_path, {"case": 2, "q0": q0})
+        assert main(["eigs", "--config", path]) == EXIT_OK
+        infima = json.loads(capsys.readouterr().out)["trace_limit_infima"]
+        with mpmath.workdps(50):
+            q = mpmath.mpf(q0)
+            real_pair = float(min(2, 2 * (mpmath.sqrt(1 + q * q) + 1) / (q * q)))
+        assert list(infima) == ["J2=1 real pair", "J1=1 quartet", "J2=2 real pairs"]
+        assert infima["J2=1 real pair"] == pytest.approx(real_pair, rel=1e-15, abs=0)
+        assert (infima["J1=1 quartet"], infima["J2=2 real pairs"]) == (1.0, 2.0)
 
     def test_case1_quartet(self, tmp_path):
         out = tmp_path / "eigs.json"
@@ -702,6 +704,18 @@ class TestUnwritableOutput:
             f"config error: cannot write {traj}: No such file or directory\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("unwritable", ["report", "trajectory"])
+    def test_failed_evolve_leaves_no_trajectory(self, tmp_path, capsys, unwritable):
+        out, traj = tmp_path / "r.json", tmp_path / "traj.csv"
+        blocked = out if unwritable == "report" else traj
+        blocked.mkdir()
+        path = write_config(tmp_path, {**CASE4_CONFIG, "outputs": {"trajectory_csv": str(traj)}})
+        assert main(["evolve", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: cannot write {blocked}: Is a directory\n"
+        assert not any(blocked.iterdir())
+        # no trajectory, and no staged one: the report is written before the move fails
+        assert {p.name for p in tmp_path.iterdir()} == {"config.json", "r.json", blocked.name}
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_write_is_not_a_config_error(self):
         # /dev/full opens, and every write to it fails with ENOSPC
@@ -730,6 +744,16 @@ class TestClosedStdout:
             EXIT_CONFIG, "config error: cannot write stdout: Broken pipe\n")
 
 
+@pytest.mark.parametrize("case", [2, 3])
+@pytest.mark.parametrize("command", list(cli._DISPATCH))
+def test_q0_whose_r_overflows_is_a_config_error(tmp_path, capsys, command, case):
+    path = write_config(tmp_path, {"case": case, "q0": 1e200, "J": 0,
+                                   "field": {"source": "background"}})
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", "config error: q0 = 1e+200 is too large: r = sqrt(1 + q0**2) overflows\n")
+
+
 class TestNumericalFailure:
     def test_vanishing_product_exits_7(self, tmp_path, capsys):
         doc = {"case": 2, "q0": 1.0, "N": 20, "zeta_samples": 2,
@@ -755,7 +779,7 @@ class TestReferenceWriters:
         (CASE1_CONFIG, 5), (CASE4_CONFIG, 5),
         # evolve writes its blow-up report
         ({**CASE1_CONFIG, "theta": math.pi, "t_grid": {"t0": 0.0, "t1": 4.0, "steps": 3}}, 5),
-        # eigs writes its feasibility scan; soliton exits 3 and writes nothing
+        # eigs writes its trace-limit infima; soliton exits 3 and writes nothing
         ({"case": 2, "q0": 0.5, "N": 10, "field": {"source": "background"}}, 4),
     ], ids=["c1", "c4", "pole-member", "c2-background"])
     def test_every_artifact(self, tmp_path, monkeypatch, doc, artifacts):
@@ -836,6 +860,8 @@ def _run_configs(draw):
 @given(doc=_run_configs())
 @example(doc={"case": 2, "q0": 0.01, "J": 2, "N": 3})
 @example(doc={"case": 2, "q0": 5.0, "N": 3})
+# r = sqrt(1 + q0**2) overflows
+@example(doc={"case": 3, "q0": 1e200, "J": 0, "field": {"source": "background"}})
 # evolve's second RK4 step overflows inside its stages
 @example(doc={"case": 2, "q0": 4.0, "theta": 0.0, "N": 4, "dt": 0.1,
               "t_grid": {"t0": 0.0, "t1": 0.3, "steps": 2}, "field": {"source": "background"}})

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dnls_ist import cli, ist, lattice, spectral
 from dnls_ist.errors import (DegenerateEigenvalues, DomainError, Inadmissible,
                              SingularSolution)
-from dnls_ist.ist import (build_system, case2_feasibility_scan,
+from dnls_ist.ist import (build_system, case2_trace_infima,
                           eigenvalues_case1, eigenvalues_case2,
                           eigenvalues_case3, eigenvalues_case4,
                           norming_case1, norming_case4, reconstruct,
@@ -21,7 +21,8 @@ from dnls_ist.ist import (build_system, case2_feasibility_scan,
 from dnls_ist.spectral import (Region, classify, gamma, lam_squared,
                                point_from_zeta, zeta_bar)
 
-from conftest import (CASE1_ETA1, assemble_reference, dense_reconstruct, mp_reconstruct,
+from conftest import (CASE1_ETA1, assemble_reference, case2_feasibility_scan,
+                      case2_violation_mp, dense_reconstruct, mp_reconstruct,
                       reconstruct_grid_sizes, solve_block_reference)
 
 
@@ -78,8 +79,10 @@ class TestEigenvaluesCase2:
     def test_empty_for_all_j(self):
         cfg = spectral.make_case(2, 1.0)
         for J in (0, 1, 2):
-            eigenset = eigenvalues_case2(cfg, J=J, scan_samples=500)
+            eigenset = eigenvalues_case2(cfg, J=J)
             assert eigenset.is_empty()
+        with pytest.raises(Inadmissible):
+            eigenvalues_case2(cfg, J=3)
 
     def test_scan_strictly_positive(self):
         cfg = spectral.make_case(2, 1.0)
@@ -93,83 +96,92 @@ class TestEigenvaluesCase2:
         scan = case2_feasibility_scan(spectral.make_case(2, q0), samples=300, seed=0)
         assert scan.min_violation > 0.0 and scan.candidates > 0
 
-
-def _scalar_feasibility_scan(cfg, samples, seed):
-    """The case-II scan scored one candidate at a time: the reference for the batched scan."""
-    rng = np.random.default_rng(seed)
-    r, q0 = cfg.r, cfg.q0
-    rinv = 1.0 / r
-
-    def ratio_at(point, z, zb):
-        return (point - z) / (point - zb)
-
-    best = (math.inf, 0.0 + 0.0j, "")
-    n_each = max(1, samples // 3)
-    total = 0
-
-    reals = np.concatenate([
-        rng.uniform(-6.0, -1.0 - 1e-3, n_each // 3),
-        rng.uniform(rinv * (1 + 1e-6), 0.999, n_each // 3),
-        rng.uniform(r + q0 + 1e-3, 8.0, n_each - 2 * (n_each // 3)),
-    ])
-    for zh in reals:
-        if classify(cfg, zh) is not Region.DMinus:
-            continue
-        total += 1
-        zbh = zeta_bar(cfg, zh)
-        v1 = abs(ratio_at(rinv, zh, zbh) + 1.0)
-        theta = zh / zbh
-        v2 = abs(theta * ratio_at(r, zbh, zh) + 1.0)
-        v = max(v1, v2)
-        if v < best[0]:
-            best = (v, complex(zh), "J2=1 real pair")
-
-    for _ in range(n_each):
-        zeta = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        if classify(cfg, zeta) is not Region.DMinus or abs(zeta.imag) < 1e-3:
-            continue
-        total += 1
-        zb = zeta_bar(cfg, zeta)
-        lhs = abs(rinv - zeta) ** 2 / abs(rinv - zb) ** 2
-        v = abs(lhs + 1.0)
-        if v < best[0]:
-            best = (v, zeta, "J1=1 quartet")
-
-    for zh1 in reals[: n_each]:
-        if classify(cfg, zh1) is not Region.DMinus:
-            continue
-        zbh1 = zeta_bar(cfg, zh1)
-        if abs(zbh1) < 1e-12:
-            continue
-        zh2 = 1.0 / zbh1
-        if classify(cfg, zh2) is not Region.DMinus:
-            continue
-        total += 1
-        zbh2 = zeta_bar(cfg, zh2)
-        prod = ratio_at(rinv, zh1, zbh1) * ratio_at(rinv, zh2, zbh2)
-        theta = (zh1 / zbh1) * (zh2 / zbh2)
-        v = max(abs(prod + 1.0),
-                abs(theta * ratio_at(r, zbh1, zh1) * ratio_at(r, zbh2, zh2) + 1.0))
-        if v < best[0]:
-            best = (v, complex(zh1), "J2=2 real pairs")
-
-    return ist.FeasibilityScan(best[0], best[1], best[2], total)
+    def test_infima_are_case_2_only(self):
+        with pytest.raises(DomainError):
+            case2_trace_infima(spectral.make_case(3, 1.0))
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("samples", [1, 3, 300, 3000])
-@pytest.mark.parametrize("theta", [0.0, 0.3])
-@pytest.mark.parametrize("q0", [0.1, 0.5, 1.0, 2.0])
-def test_batched_scan_matches_the_scalar_scan(q0, theta, samples, seed):
-    cfg = spectral.make_case(2, q0, theta)
-    scan = case2_feasibility_scan(cfg, samples=samples, seed=seed)
-    ref = _scalar_feasibility_scan(cfg, samples, seed)
-    assert scan.candidates == ref.candidates
-    assert scan.family == ref.family
-    if math.isinf(ref.min_violation):
-        assert scan.min_violation == ref.min_violation
-    else:
-        assert abs(scan.min_violation - ref.min_violation) <= 1e-12
+def test_case2_trace_identities():
+    """The three identities behind ist.case2_trace_infima, for every zeta and q0 > 0."""
+    import sympy as sp
+    z = sp.symbols("zeta")
+    q0 = sp.symbols("q0", positive=True)
+    r = sp.sqrt(1 + q0 ** 2)
+
+    def bar(x):
+        return (r * x - 1) / (x - r)
+
+    def t11_rinv(zeros):  # t11(1/r) of the zeros zeta_j with their partners zeta_bar_j
+        return sp.Mul(*[(1 / r - x) / (1 / r - bar(x)) for x in zeros])
+
+    def t22_r(zeros):  # theta_-inf = t11(0) times the product with the roles swapped
+        return sp.Mul(*[(x / bar(x)) * (r - bar(x)) / (r - x) for x in zeros])
+
+    f = t11_rinv([z])
+    # one real pair
+    assert sp.simplify(f + 1 - (r * (z + 1 / z) - 2) / q0 ** 2) == 0
+    assert sp.simplify(t22_r([z]) * f - 1) == 0
+    # one quartet {zeta, conj(zeta)}: t11(1/r) = f(zeta) f(conj(zeta)) = |f(zeta)|**2
+    w = sp.symbols("w", complex=True)
+    fw = f.subs(z, w)
+    assert sp.simplify(fw.subs(w, sp.conjugate(w)) - sp.conjugate(fw)) == 0
+    # two real pairs linked by zeta_2 = 1/zeta_bar(zeta_1)
+    linked = [z, 1 / bar(z)]
+    assert sp.simplify(t11_rinv(linked) - 1) == 0
+    assert sp.simplify(t22_r(linked) - 1) == 0
+
+
+_CASE2_Q0 = [0.05, 0.1, 2.0 / 3.0, 1.0, 2.8, 2.9, 3.0, 10.0, 100.0, 1000.0]
+
+
+def _violation(cfg, eigenset):
+    """An eigenset's distance from the case-II trace limits, as case2_trace_infima scores it."""
+    res = ist.admissibility_residuals(cfg, eigenset)
+    return res["t11_at_rinv"] if eigenset.quartets else max(res["t11_at_rinv"], res["t22_at_r"])
+
+
+@pytest.mark.parametrize("q0", _CASE2_Q0)
+def test_case2_infima_are_approached(q0):
+    """Members 1e-7 from the approach points come within 1e-5 of each family's infimum."""
+    cfg = spectral.make_case(2, q0)
+    infima = case2_trace_infima(cfg)
+
+    def pair(z):
+        assert classify(cfg, z) is Region.DMinus
+        return ist.RealPair(complex(z), zeta_bar(cfg, z))
+
+    eps = 1e-7  # classify calls a point within 1e-9 of the continuum the continuum
+    # zeta -> -1 from below gives 2 (r + 1)/q0**2, the branch point r + q0 from above 2
+    real = min(_violation(cfg, ist.EigenSet(cfg.case_id, (), (pair(z),)))
+               for z in (-1.0 - eps, cfg.r + q0 + eps))
+    z = complex(1.0 / cfg.r, eps)
+    assert classify(cfg, z) is Region.DMinus
+    quartet = _violation(cfg, ist.EigenSet(cfg.case_id, (ist.Quartet(
+        z, z.conjugate(), zeta_bar(cfg, z), zeta_bar(cfg, z.conjugate())),), ()))
+    linked = _violation(cfg, ist.EigenSet(cfg.case_id, (), (pair(-2.0), pair(
+        1.0 / zeta_bar(cfg, -2.0)))))
+    assert real == pytest.approx(infima["J2=1 real pair"], rel=1e-5)
+    assert quartet == pytest.approx(infima["J1=1 quartet"], rel=1e-5)
+    assert linked == pytest.approx(infima["J2=2 real pairs"], rel=1e-12)
+
+
+@pytest.mark.parametrize("q0", _CASE2_Q0)
+def test_sampled_scan_never_beats_the_infima(q0):
+    """No sampled candidate over seeds 0-99 goes 1e-12 below its family's closed-form infimum.
+
+    A float score below that floor is re-scored in 40 digits, which decides.
+    """
+    cfg = spectral.make_case(2, q0)
+    infima = case2_trace_infima(cfg)
+    drawn_families = set()
+    for seed in range(100):
+        scan = case2_feasibility_scan(cfg, samples=3000, seed=seed)
+        for family, (drawn, scores) in scan.by_family.items():
+            floor = infima[family] * (1.0 - 1e-12)
+            for zeta in drawn[scores < floor]:
+                assert case2_violation_mp(cfg, family, zeta) >= floor, (family, seed, zeta)
+            drawn_families.add(family)
+    assert {"J2=1 real pair", "J1=1 quartet"} <= drawn_families
 
 
 _zeros = st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False)
