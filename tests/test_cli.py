@@ -144,6 +144,20 @@ class TestEigs:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_case2_scans_once_at_the_cli_seed(self, tmp_path, monkeypatch):
+        # the closed-form infima stand in for the scan: one evaluation, no seed passed on
+        calls = []
+        infima = ist.case2_trace_infima
+
+        def counted(cfg):
+            calls.append(cfg.q0)
+            return infima(cfg)
+
+        monkeypatch.setattr(ist, "case2_trace_infima", counted)
+        path = write_config(tmp_path, {"case": 2, "q0": 1.0})
+        assert main(["eigs", "--config", path, "--seed", "7"]) == EXIT_OK
+        assert calls == [1.0]
+
     @pytest.mark.parametrize("q0", [1e-200, 0.1, 2.0 / 3.0, 3.0, 100.0, 1e150])
     def test_case2_reports_the_closed_form_infima(self, tmp_path, capsys, q0):
         path = write_config(tmp_path, {"case": 2, "q0": q0})
