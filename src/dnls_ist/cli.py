@@ -22,6 +22,7 @@ import numpy as np
 
 from . import ist, lattice, scattering, verify
 from .errors import BlowupDetected, ConfigError, DomainError, Inadmissible, IstError
+from .g17 import WIDTH, format_g17
 from .spectral import classify, make_case
 
 EXIT_OK = 0
@@ -40,6 +41,10 @@ ORACLE_N = 40
 # complex states per step (about 130 MB at the cap) and its CSV 81 lines.
 MAX_EVOLVE_STEPS = 100_000
 _TGRID_DEFAULTS = {"t0": 0.0, "t1": 1.0, "steps": 11}
+# Lines per CSV chunk, formatted by one format_g17 call: chunks a quarter
+# this size lose most of the gain to NumPy's cost per call, and a whole
+# field at once holds more text in memory.
+_CSV_ROWS = 2048
 
 
 def _fmt(x: float) -> str:
@@ -82,22 +87,63 @@ def dump_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write_text(path: str | None, chunks, name: str | None = None) -> None:
-    """Write str chunks to path (errors call it name), or stdout; a generator streams."""
-    if path is None:
-        try:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
-        except BrokenPipeError as exc:  # the reader closed stdout: no flush at exit may raise
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise ConfigError(f"cannot write stdout: {exc.strerror}") from exc
-        return
+def _write_all(artifacts) -> None:
+    """Write each (path, chunks) artifact; path None is stdout, chunks are str.
+
+    Every file is written to <target>.<pid>.tmp beside its target, then
+    each is moved into place, and then stdout is written; when a move or
+    stdout fails, the files already moved are removed.  So a command that
+    fails leaves no artifact, not even a partial one.  A target that exists
+    and is not a regular file (a directory, /dev/null) is opened in place.
+    """
+    files = [(path, chunks, os.path.realpath(path)) for path, chunks in artifacts
+             if path is not None]
+    targets = [target for _, _, target in files]
+    _require(len(set(targets)) == len(targets), "two artifacts would be written to "
+             + ", ".join(sorted({t for t in targets if targets.count(t) > 1})))
+    staged, moved = [], []
     try:
-        fh = open(path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {name or path}: {exc.strerror or exc}") from exc
-    with fh:
-        fh.writelines(chunks)
+        for path, chunks, target in files:
+            in_place = os.path.exists(target) and not os.path.isfile(target)
+            tmp = target if in_place else f"{target}.{os.getpid()}.tmp"
+            staged.append((path, tmp, target))
+            try:
+                fh = open(tmp, "w", encoding="utf-8", newline="\n")
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+            with fh:
+                fh.writelines(chunks)
+        for path, tmp, target in staged:
+            if tmp != target:
+                try:
+                    os.replace(tmp, target)
+                except OSError as exc:
+                    raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+                moved.append(target)
+        for path, chunks in artifacts:
+            if path is None:
+                try:
+                    sys.stdout.writelines(chunks)
+                    sys.stdout.flush()
+                except BrokenPipeError as exc:
+                    # the reader closed stdout: no flush at exit may raise
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                    raise ConfigError(f"cannot write stdout: {exc.strerror}") from exc
+    except BaseException:
+        for target in moved:
+            with contextlib.suppress(OSError):
+                os.remove(target)
+        raise
+    finally:
+        for _, tmp, target in staged:
+            if tmp != target:
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
+
+
+def _write_text(path: str | None, chunks) -> None:
+    """Write str chunks to path, or stdout; a generator streams."""
+    _write_all([(path, chunks)])
 
 
 _SCHEMA_KEYS = {
@@ -263,6 +309,23 @@ def _eigen_data(config: RunConfig, cfg, soliton: bool = True):
                        "so no case-III soliton is available")
 
 
+def _chunks(size: int, rows: int):
+    """Slices of rows consecutive indices that cover range(size)."""
+    return (slice(start, start + rows) for start in range(0, size, rows))
+
+
+def _int_fields(values: np.ndarray) -> np.ndarray:
+    """'%d,' for each int of values, NUL-padded, as uint8 of shape values.shape + (width,)."""
+    low = int(values.min())
+    text = np.array([b"%d," % k for k in range(low, int(values.max()) + 1)])
+    return text[values - low].view(np.uint8).reshape(values.shape + (-1,))
+
+
+def _csv_text(fields) -> str:
+    """CSV lines from NUL-padded uint8 fields, joined along their last axis, NULs dropped."""
+    return np.concatenate(fields, axis=-1).tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _t_values(config: RunConfig) -> list[float]:
     g = config.t_grid
     if g["steps"] == 1:
@@ -271,9 +334,12 @@ def _t_values(config: RunConfig) -> list[float]:
     return [float(g["t0"] + i * step) for i in range(g["steps"])]
 
 
-def _write_report(config: RunConfig, out: str | None, doc: dict) -> None:
-    """A command's JSON report to --out, else to outputs.report_json, else to stdout."""
-    _write_text(out or config.outputs.get("report_json"), [dump_json(doc) + "\n"])
+def _write_report(config: RunConfig, out: str | None, doc: dict, files=()) -> None:
+    """A command's JSON report to --out, else to outputs.report_json, else to stdout.
+
+    files are more (path, chunks) artifacts, written with it by _write_all.
+    """
+    _write_all([*files, (out or config.outputs.get("report_json"), [dump_json(doc) + "\n"])])
 
 
 def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
@@ -302,16 +368,22 @@ def _field_grid(config: RunConfig, cfg, eigenset, norming) -> ist.Reconstruction
     return ist.reconstruct_grid(cfg, eigenset, norming, sites[None, :], ts[:, None])
 
 
-def _field_csv(grid: ist.ReconstructionGrid) -> str:
-    lines = ["n,t,re_q,im_q,abs_q,singular"]
-    for n, t, q, bad in zip(grid.ns.tolist(), grid.ts.tolist(), grid.q.tolist(),
-                            grid.singular.tolist()):
-        if bad:
-            lines.append(f"{n},{_fmt(t)},,,,1")
-            continue
-        # Python's abs, not np.abs: the two differ in the last bit
-        lines.append("%d,%.17g,%.17g,%.17g,%.17g,0" % (n, t, q.real, q.imag, abs(q)))
-    return "\n".join(lines) + "\n"
+def _field_csv(grid: ist.ReconstructionGrid):
+    """The field CSV in chunks of _CSV_ROWS rows; a singular cell's q columns are empty."""
+    yield "n,t,re_q,im_q,abs_q,singular\n"
+    singular = grid.singular
+    for rows in _chunks(grid.q.size, _CSV_ROWS):
+        bad = singular[rows]
+        q = np.where(bad, 0.0, grid.q[rows])
+        # np.hypot is the hypot of Python's abs(complex), not np.abs
+        floats = format_g17(np.stack([grid.ts[rows], q.real, q.imag,
+                                      np.hypot(q.real, q.imag)], axis=1))
+        floats[..., -1] = ord(",")
+        floats[bad, 1:, :-1] = 0
+        flag = np.empty((bad.size, 2), np.uint8)
+        flag[:, 0] = ord("0") + bad
+        flag[:, 1] = ord("\n")
+        yield _csv_text([_int_fields(grid.ns[rows]), floats.reshape(bad.size, -1), flag])
 
 
 def cmd_soliton(config: RunConfig, out: str | None, seed: int) -> int:
@@ -323,7 +395,7 @@ def cmd_soliton(config: RunConfig, out: str | None, seed: int) -> int:
         sys.stderr.write("every grid cell is singular\n")
         return EXIT_ALL_SINGULAR
     path = out or config.outputs.get("field_csv")
-    _write_text(path, [_field_csv(grid)])
+    _write_text(path, _field_csv(grid))
     return EXIT_OK
 
 
@@ -451,7 +523,8 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     else:
         exact = functools.partial(ist.reconstruct_with_derivative, cfg, eigenset, norming)
         reps = verify.equation_residuals_exact(exact, cfg, range(-15, 16), _t_values(config))
-        worst = max([0.0] + [rep.max_abs_residual for rep in reps])
+        # np.max keeps a NaN residual, which then fails the check
+        worst = float(np.max([rep.max_abs_residual for rep in reps], initial=0.0))
         ok_res = worst < tol_res
         checks["equation_residual"] = {"max": worst, "tolerance": tol_res, "pass": ok_res}
     ok_closed = True
@@ -487,12 +560,21 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
 
 
 def _trajectory_csv(traj: verify.Trajectory):
-    """The trajectory CSV in chunks: one `%` template per time row of sites."""
+    """The trajectory CSV in chunks of whole time rows, about _CSV_ROWS lines each."""
     yield "step,t,n,re_q,im_q\n"
-    row = "".join(f"@{n},%.17g,%.17g\n" for n in range(-traj.N, traj.N + 1))
+    sites = np.arange(-traj.N, traj.N + 1)
+    site_fields = _int_fields(sites)
     # simulate stores only finite states (it raises BlowupDetected first)
-    for k, (t, values) in enumerate(zip(traj.times.tolist(), traj.states.view(float))):
-        yield row.replace("@", "%d,%.17g," % (k, t)) % tuple(values.tolist())
+    for steps in _chunks(traj.times.size, max(1, _CSV_ROWS // sites.size)):
+        ks = np.arange(traj.times.size)[steps]
+        floats = format_g17(np.concatenate([traj.times[steps, None],
+                                            traj.states[steps].view(float)], axis=1))
+        floats[..., -1] = ord(",")
+        floats[:, 2::2, -1] = ord("\n")
+        shape = (ks.size, sites.size)
+        yield _csv_text([np.broadcast_to(f, shape + f.shape[-1:]) for f in (
+            _int_fields(ks)[:, None], floats[:, None, 0], site_fields,
+            floats[:, 1:].reshape(shape + (2 * WIDTH,)))])
 
 
 def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
@@ -525,22 +607,13 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
         _write_report(config, out, doc)
         return EXIT_OK if singular else EXIT_BLOWUP
     deviation = verify.compare(traj, evaluator)
-    traj_path = config.outputs.get("trajectory_csv", "trajectory.csv")
-    staged = f"{traj_path}.{os.getpid()}.tmp"  # moved to traj_path once the report is written
     tol = config.tolerances["compare"]
-    try:
-        _write_text(staged, _trajectory_csv(traj), traj_path)
-        _write_report(config, out, {
-            "case": config.case, "blowup": False, "singular_parameters": singular,
-            "max_deviation": deviation, "tolerance": tol,
-            "trajectory_csv": traj_path, "pass": deviation < tol})
-        try:
-            os.replace(staged, traj_path)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {traj_path}: {exc.strerror or exc}") from exc
-    finally:  # a failed run leaves no trajectory behind
-        with contextlib.suppress(OSError):
-            os.remove(staged)
+    traj_path = config.outputs.get("trajectory_csv", "trajectory.csv")
+    _write_report(config, out, {
+        "case": config.case, "blowup": False, "singular_parameters": singular,
+        "max_deviation": deviation, "tolerance": tol,
+        "trajectory_csv": traj_path, "pass": deviation < tol},
+        files=[(traj_path, _trajectory_csv(traj))])
     return EXIT_OK if deviation < tol else EXIT_TOLERANCE
 
 

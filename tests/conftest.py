@@ -96,7 +96,7 @@ def wronskian(col_a, col_b, n):
 
 
 # The recursive JSON writer that cli's type-dispatched dump_json replaced, and the
-# per-line trajectory writer that cli's streamed row templates replaced.
+# per-line field and trajectory writers that cli's streamed format_g17 writers replaced.
 
 def _fmt_json(x):
     if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
@@ -131,6 +131,19 @@ def dump_json_recursive(obj, indent=0):
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def field_csv_lines(grid):
+    """The field CSV of grid, one format call per line."""
+    lines = ["n,t,re_q,im_q,abs_q,singular"]
+    for n, t, q, bad in zip(grid.ns.tolist(), grid.ts.tolist(), grid.q.tolist(),
+                            grid.singular.tolist()):
+        if bad:
+            lines.append(f"{n},{_fmt_json(t)},,,,1")
+            continue
+        # Python's abs, not np.abs: the two differ in the last bit
+        lines.append("%d,%.17g,%.17g,%.17g,%.17g,0" % (n, t, q.real, q.imag, abs(q)))
+    return "\n".join(lines) + "\n"
 
 
 def trajectory_csv_lines(traj):

@@ -23,7 +23,7 @@ from dnls_ist.cli import (EXIT_ALL_SINGULAR, EXIT_BLOWUP, EXIT_CONFIG,
                           parse_config)
 from dnls_ist.errors import ConfigError
 
-from conftest import CASE1_ETA1, dump_json_recursive, trajectory_csv_lines
+from conftest import CASE1_ETA1, dump_json_recursive, field_csv_lines, trajectory_csv_lines
 
 CASE1_CONFIG = {
     "case": 1,
@@ -486,6 +486,19 @@ class TestVerify:
         assert main(["verify", "--config", path, "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["checks"]["equation_residual"]["max"] < 1e-10
 
+    @pytest.mark.parametrize("case", [2, 3])
+    def test_nan_equation_residual_fails(self, tmp_path, capsys, case):
+        # at q0 = 1e150 the cubic term of the lattice equation overflows: NaN residuals
+        doc = {"case": case, "q0": 1e150, "J": 0, "N": 4, "field": {"source": "background"}}
+        out = tmp_path / "v.json"
+        assert main(["verify", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == EXIT_TOLERANCE
+        assert capsys.readouterr().err == ""
+        rep = json.loads(out.read_text())
+        assert rep["checks"]["equation_residual"] == {"max": "nan", "tolerance": 1e-6,
+                                                      "pass": False}
+        assert rep["pass"] is False
+
     def test_case1_background_passes(self, tmp_path):
         doc = {"case": 1, "q0": 0.5, "theta": 0.3, "J": 0, "N": 20, "zeta_samples": 4}
         out = tmp_path / "v.json"
@@ -647,7 +660,7 @@ def test_empty_spectrum_at_delta_theta_pi_is_inadmissible(tmp_path, capsys, monk
 
 
 class TestCsvWriters:
-    """The streamed trajectory writer writes the bytes of the per-line one."""
+    """The streamed writers write the bytes of the per-line ones."""
 
     def test_bench_c4_trajectory(self):
         config = parse_config({**CASE4_CONFIG, "N": 400})
@@ -657,6 +670,36 @@ class TestCsvWriters:
         text = "".join(cli._trajectory_csv(traj))
         assert text == trajectory_csv_lines(traj)
         assert text.count("\n") == 1 + 101 * 81
+
+    @pytest.mark.parametrize("N, steps", [(0, 1), (3, 300), (40, 26), (1100, 3)])
+    def test_trajectory_chunks(self, N, steps):
+        # chunks of whole time rows: one site, a row that divides 2048 lines
+        # unevenly, rows that do not fill the last chunk, rows longer than a chunk
+        rng = np.random.default_rng(N)
+        states = (rng.standard_normal((steps, 2 * N + 1, 2))
+                  * 10.0 ** rng.integers(-6, 17, (steps, 2 * N + 1, 2))).view(complex)[..., 0]
+        states[0, 0] = complex(-0.0, 0.0)
+        traj = verify.Trajectory(N, -0.5 + 0.01 * np.arange(steps), states)
+        chunks = list(cli._trajectory_csv(traj))
+        assert "".join(chunks) == trajectory_csv_lines(traj)
+        assert len(chunks) == 1 + math.ceil(steps / max(1, cli._CSV_ROWS // (2 * N + 1)))
+
+    def test_wide_field_with_singular_cells(self):
+        # 2 x 1401 rows, over two chunks, and the n <= -441 cells flagged singular
+        config = parse_config({**CASE4_CONFIG, "N": 700, "t_grid": {"t0": 0.0, "t1": 1.0,
+                                                                    "steps": 2}})
+        cfg = cli._case_config(config)
+        grid = cli._field_grid(config, cfg, *cli._eigen_data(config, cfg))
+        assert 0 < grid.singular.sum() < grid.q.size
+        assert grid.q.size > cli._CSV_ROWS
+        assert "".join(cli._field_csv(grid)) == field_csv_lines(grid)
+
+    def test_abs_q_is_pythons_abs(self):
+        # np.hypot, the hypot of Python's abs(complex); np.abs differs in the last bit
+        rng = np.random.default_rng(5)
+        q = (rng.standard_normal((100_000, 2)) * 10.0 ** rng.integers(-5, 17, (100_000, 2)))
+        q = q.view(complex)[:, 0]
+        assert np.hypot(q.real, q.imag).tolist() == [abs(z) for z in q.tolist()]
 
     def test_write_text_streams_chunks(self, tmp_path, capsys):
         chunks = (f"{k}\n" for k in range(3))
@@ -718,17 +761,67 @@ class TestUnwritableOutput:
             f"config error: cannot write {traj}: No such file or directory\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("unwritable", ["report", "trajectory"])
-    def test_failed_evolve_leaves_no_trajectory(self, tmp_path, capsys, unwritable):
+    @pytest.mark.parametrize("unwritable", ["report", "trajectory", "chunk", "move"])
+    def test_failed_evolve_leaves_no_trajectory(self, tmp_path, capsys, monkeypatch,
+                                                unwritable):
+        # a directory at either target; a trajectory writer that fails after
+        # two chunks; a report whose move fails after the trajectory's
         out, traj = tmp_path / "r.json", tmp_path / "traj.csv"
-        blocked = out if unwritable == "report" else traj
-        blocked.mkdir()
+        message = f"cannot write {out if unwritable == 'report' else traj}: Is a directory"
+        if unwritable in ("report", "trajectory"):
+            (out if unwritable == "report" else traj).mkdir()
+        elif unwritable == "chunk":
+            writer = cli._trajectory_csv
+            message = "disk gone"
+
+            def failing(traj):
+                chunks = writer(traj)
+                yield next(chunks)
+                yield next(chunks)
+                raise ConfigError(message)
+
+            monkeypatch.setattr(cli, "_trajectory_csv", failing)
+        else:
+            replace = os.replace
+
+            def refuse_report(src, dst):
+                if dst.endswith("r.json"):
+                    raise PermissionError(13, "Permission denied")
+                replace(src, dst)
+
+            monkeypatch.setattr(cli.os, "replace", refuse_report)
+            message = f"cannot write {out}: Permission denied"
         path = write_config(tmp_path, {**CASE4_CONFIG, "outputs": {"trajectory_csv": str(traj)}})
         assert main(["evolve", "--config", path, "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"config error: cannot write {blocked}: Is a directory\n"
-        assert not any(blocked.iterdir())
-        # no trajectory, and no staged one: the report is written before the move fails
-        assert {p.name for p in tmp_path.iterdir()} == {"config.json", "r.json", blocked.name}
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        # no report, no trajectory and no staged file; the blocking directory stays empty
+        left = {p.name: p.is_dir() for p in tmp_path.iterdir()}
+        assert left == {"config.json": False, **{p.name: True for p in (out, traj) if p.is_dir()}}
+        assert not any(p.is_dir() and any(p.iterdir()) for p in (out, traj))
+
+    def test_report_and_trajectory_in_one_file(self, tmp_path, capsys):
+        traj = tmp_path / "traj.csv"
+        path = write_config(tmp_path, {**CASE4_CONFIG, "outputs": {"trajectory_csv": str(traj)}})
+        assert main(["evolve", "--config", path, "--out", str(traj)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: two artifacts would be written to {traj.resolve()}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_failed_field_csv_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        writer = cli._field_csv
+
+        def failing(grid):
+            chunks = writer(grid)
+            yield next(chunks)
+            yield next(chunks)
+            raise ConfigError("disk gone")
+
+        monkeypatch.setattr(cli, "_field_csv", failing)
+        out = tmp_path / "field.csv"
+        path = write_config(tmp_path, CASE4_CONFIG)
+        assert main(["soliton", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: disk gone\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_write_is_not_a_config_error(self):
@@ -799,8 +892,8 @@ class TestReferenceWriters:
     def test_every_artifact(self, tmp_path, monkeypatch, doc, artifacts):
         reports, grids = [], []
         write_report, field_grid = cli._write_report, cli._field_grid
-        monkeypatch.setattr(cli, "_write_report", lambda config, out, report: (
-            reports.append(report) or write_report(config, out, report)))
+        monkeypatch.setattr(cli, "_write_report", lambda config, out, report, files=(): (
+            reports.append(report) or write_report(config, out, report, files)))
         monkeypatch.setattr(cli, "_field_grid", lambda *args: (
             grids.append(field_grid(*args)) or grids[-1]))
         path = write_config(tmp_path, {**doc, "outputs": {
@@ -810,7 +903,7 @@ class TestReferenceWriters:
             out = tmp_path / f"{command}.out"
             main([command, "--config", path, "--out", str(out)])
             if out.exists():
-                text = (cli._field_csv(grids[-1]) if command == "soliton"
+                text = (field_csv_lines(grids[-1]) if command == "soliton"
                         else dump_json_recursive(reports[-1]) + "\n")
                 assert out.read_bytes() == text.encode()
                 written += 1
