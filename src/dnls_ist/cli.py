@@ -316,9 +316,8 @@ def _chunks(size: int, rows: int):
 
 def _int_fields(values: np.ndarray) -> np.ndarray:
     """'%d,' for each int of values, NUL-padded, as uint8 of shape values.shape + (width,)."""
-    low = int(values.min())
-    text = np.array([b"%d," % k for k in range(low, int(values.max()) + 1)])
-    return text[values - low].view(np.uint8).reshape(values.shape + (-1,))
+    text = np.array([b"%d," % k for k in values.tolist()])
+    return text.view(np.uint8).reshape(values.shape + (-1,))
 
 
 def _csv_text(fields) -> str:
@@ -372,6 +371,8 @@ def _field_csv(grid: ist.ReconstructionGrid):
     """The field CSV in chunks of _CSV_ROWS rows; a singular cell's q columns are empty."""
     yield "n,t,re_q,im_q,abs_q,singular\n"
     singular = grid.singular
+    low = int(grid.ns.min())
+    site_fields = _int_fields(np.arange(low, int(grid.ns.max()) + 1))
     for rows in _chunks(grid.q.size, _CSV_ROWS):
         bad = singular[rows]
         q = np.where(bad, 0.0, grid.q[rows])
@@ -383,7 +384,7 @@ def _field_csv(grid: ist.ReconstructionGrid):
         flag = np.empty((bad.size, 2), np.uint8)
         flag[:, 0] = ord("0") + bad
         flag[:, 1] = ord("\n")
-        yield _csv_text([_int_fields(grid.ns[rows]), floats.reshape(bad.size, -1), flag])
+        yield _csv_text([site_fields[grid.ns[rows] - low], floats.reshape(bad.size, -1), flag])
 
 
 def cmd_soliton(config: RunConfig, out: str | None, seed: int) -> int:
