@@ -55,6 +55,52 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+def _key_errors():
+    """(config, message) for each config key given a wrong kind, or a value out of bound.
+
+    A wrong kind is a string, a bool, NaN and Infinity, each where the key
+    does not take it.  Every config starts from a valid case-4 config.
+    """
+    number = "'{}' must be a finite number"
+    keys = {  # key path: (message, takes strings, out-of-bound values and their messages)
+        "case": ("'case' must be an integer 1..4", False, [(0, None), (5, None), (2.0, None)]),
+        "q0": ("'q0' must be a positive number", False, [(0, None), (-0.5, None)]),
+        **{key: (number, False, []) for key in (
+            "theta", "theta_minus", "theta_plus", "eta1", "zeta_hat_1", "kappa1", "thbar1",
+            "thbar2")},
+        "J": ("'J' has the wrong type", False, [(1.5, None)]),
+        "N": ("'N' has the wrong type", False, [(0, "'N' must be >= 1"), (-3, "'N' must be >= 1")]),
+        "zeta_samples": ("'zeta_samples' has the wrong type", False,
+                         [(0, "'zeta_samples' must be >= 1")]),
+        "dt": (number, False, [(0, "'dt' must be positive"), (-0.1, "'dt' must be positive")]),
+        **{key: ("'{}' must be an object", False, []) for key in (
+            "t_grid", "tolerances", "field", "outputs")},
+        "t_grid.t0": (number, False, []),
+        "t_grid.t1": (number, False, []),
+        "t_grid.steps": ("'t_grid.steps' must be a positive integer", False,
+                         [(0, None), (-1, None), (3.0, None)]),
+        **{f"tolerances.{key}": (f"tolerance '{key}' must be a finite number >= 0", False,
+                                 [(-1e-9, None)]) for key in ("residual", "scattering", "compare")},
+        "field.source": ("'field.source' must be soliton | background | csv", False, []),
+        "field.path": ("'field.path' required for csv", True, []),
+        **{f"outputs.{key}": ("output paths must be strings", True, [])
+           for key in ("field_csv", "report_json", "trajectory_csv")},
+    }
+    cases = []
+    for key, (message, takes_strings, bounds) in keys.items():
+        wrong = ([] if takes_strings else ["x"]) + [True, math.nan, math.inf]
+        for value, bound_message in [(v, None) for v in wrong] + bounds:
+            doc = {"case": 4, "q0": 2.0 / 3.0}
+            *parents, last = key.split(".")
+            inner = doc
+            for parent in parents:
+                inner = inner.setdefault(parent, {"source": "csv"} if parent == "field" else {})
+            inner[last] = value
+            cases.append(pytest.param(doc, (bound_message or message).format(key),
+                                      id=f"{key}={value!r}"))
+    return cases
+
+
 class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -125,6 +171,35 @@ class TestConfig:
         assert main(["verify", "--config", path]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "config error: 'field.source' must be soliton | background | csv\n")
+
+    @pytest.mark.parametrize("doc, message", _key_errors())
+    def test_every_key_names_its_error(self, tmp_path, capsys, doc, message):
+        path = write_config(tmp_path, doc)  # json writes NaN and Infinity literally
+        assert main(["eigs", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"bogus": 1, "case": 0}, "unknown config keys: ['bogus']"),
+        ({"case": 0, "q0": "x"}, "'case' must be an integer 1..4"),
+        ({"case": 0, "eta1": "x"}, "'case' must be an integer 1..4"),
+        ({"J": "x", "eta1": "x"}, "'J' has the wrong type"),
+        ({"zeta_samples": "x", "eta1": "x"}, "'zeta_samples' has the wrong type"),
+        ({"N": 0, "dt": "x"}, "'dt' must be a finite number"),
+        ({"N": 0, "dt": 0}, "'N' must be >= 1"),
+        ({"N": 0, "t_grid": {"steps": 0}}, "'N' must be >= 1"),
+        ({"dt": 0, "tolerances": ["x"]}, "'dt' must be positive"),
+        ({"t_grid": {"t0": "x", "steps": 0}}, "'t_grid.steps' must be a positive integer"),
+        ({"t_grid": {"t1": "x", "t0": "x"}}, "'t_grid.t0' must be a finite number"),
+        ({"t_grid": [], "tolerances": []}, "'t_grid' must be an object"),
+        ({"tolerances": {"bogus": 1, "residual": -1}}, "unknown tolerance keys: ['bogus']"),
+        ({"tolerances": {"residual": -1}, "field": {}},
+         "tolerance 'residual' must be a finite number >= 0"),
+        ({"field": {"source": "x"}, "outputs": []}, "'field.source' must be soliton | background | csv"),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
+    def test_two_bad_keys_name_the_first_checked(self, tmp_path, capsys, edit, message):
+        path = write_config(tmp_path, {"case": 4, "q0": 2.0 / 3.0, **edit})
+        assert main(["eigs", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 class TestEigs:
