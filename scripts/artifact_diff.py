@@ -50,6 +50,20 @@ CONFIGS = {
     "c3-q0-1-background": {"case": 3, "q0": 1.0, "N": 20, "field": {"source": "background"},
                            "t_grid": {"t0": 0.0, "t1": 1.0, "steps": 3}, "dt": 0.01,
                            "zeta_samples": 4},
+    # Config errors, one per message family: stderr and the exit code are outputs too.
+    "bad-unknown-key": {**README_C4, "bogus": 1},
+    "bad-kind": {**README_C4, "N": "40"},
+    "bad-bound": {**README_C4, "dt": 0},
+    "bad-sub-object": {**README_C4, "t_grid": [0.0, 1.0]},
+    "bad-field-source": {**README_C4, "field": {"source": "file"}},
+    "bad-csv-without-path": {**README_C4, "field": {"source": "csv"}},
+    "bad-two-keys": {**README_C4, "case": 0, "eta1": "x"},
+    # Sizes over their caps (a huge t_grid.steps is left out: before its cap
+    # it builds a list of that many times).
+    "bad-N-huge": {**README_C4, "N": 10**15},
+    "bad-zeta-samples-huge": {**README_C4, "zeta_samples": 10**15},
+    # a field path that only source csv reads
+    "bad-unread-path": {**README_C4, "field": {"source": "background", "path": "f.csv"}},
 }
 RUNS = [("eigs", 0), ("soliton", 0), ("scatter", 0), ("scatter", 5), ("verify", 0),
         ("evolve", 0)]

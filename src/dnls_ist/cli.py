@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+import dataclasses
 
 import numpy as np
 
@@ -33,14 +33,17 @@ EXIT_TOLERANCE = 5
 EXIT_BLOWUP = 6
 EXIT_NUMERICAL = 7
 
-_TOLERANCE_DEFAULTS = {"residual": 1e-6, "scattering": 1e-5, "compare": 1e-4}
 # Half-width at most of the window that `verify` and `evolve` run their
 # lattice oracles (scattering report, RK4) on.
 ORACLE_N = 40
 # Most RK4 steps `evolve` takes: its trajectory holds one 81-site row of
 # complex states per step (about 130 MB at the cap) and its CSV 81 lines.
 MAX_EVOLVE_STEPS = 100_000
-_TGRID_DEFAULTS = {"t0": 0.0, "t1": 1.0, "steps": 11}
+# Caps on the sizes a config asks for, with the memory each allows at the cap.
+MAX_N = 10_000  # scatter's window and sweep, about 1.2 kB a site: 25 MB
+MAX_T_STEPS = 10_000  # verify's residual, 31 sites a step with dq/dt: 120 MB
+MAX_ZETA_SAMPLES = 500  # an uncertified sweep checks 12 B per site and sample: 120 MB
+MAX_GRID_CELLS = 2_000_000  # the soliton grid's (2N + 1) * steps, 75 B a cell: 150 MB
 # Lines per CSV chunk, formatted by one format_g17 call: chunks a quarter
 # this size lose most of the gain to NumPy's cost per call, and a whole
 # field at once holds more text in memory.
@@ -146,112 +149,116 @@ def _write_text(path: str | None, chunks) -> None:
     _write_all([(path, chunks)])
 
 
-_SCHEMA_KEYS = {
-    "case", "q0", "theta", "theta_minus", "theta_plus", "J", "eta1",
-    "zeta_hat_1", "kappa1", "thbar1", "thbar2", "N", "t_grid", "dt",
-    "tolerances", "field", "outputs", "zeta_samples",
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    case: int
-    q0: float
-    theta_minus: float
-    J: int | None = None
-    eta1: float | None = None
-    zeta_hat_1: float | None = None
-    kappa1: float = 1.0
-    thbar1: float = 0.0
-    thbar2: float = 0.0
-    N: int = 60
-    t_grid: dict = field(default_factory=lambda: dict(_TGRID_DEFAULTS))
-    dt: float = 0.01
-    tolerances: dict = field(default_factory=lambda: dict(_TOLERANCE_DEFAULTS))
-    field_source: dict = field(default_factory=lambda: {"source": "soliton"})
-    outputs: dict = field(default_factory=dict)
-    zeta_samples: int = 20
-
-
-def _require(cond, message):
-    if not cond:
-        raise ConfigError(message)
-
-
 def _is_number(value) -> bool:
-    """A finite JSON number (booleans, NaN and infinities are not)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite double: not a bool, NaN, an infinity or an int past the largest double."""
+    return (type(value) is float and math.isfinite(value)
+            or type(value) is int and abs(value) <= sys.float_info.max)
 
 
-def _sub_object(raw: dict, key: str, allowed, noun: str, absent: dict | None = None) -> dict:
-    """A copy of raw[key] (of absent, or {}, without it): an object with only allowed keys."""
-    value = raw.get(key, absent or {})
-    _require(isinstance(value, dict), f"'{key}' must be an object")
-    extra = set(value) - set(allowed)
-    _require(not extra, f"unknown {noun} keys: {sorted(extra)}")
-    return dict(value)
+def _within(low: int, high: int) -> tuple:
+    return ((lambda v: v >= low, f"'{{key}}' must be >= {low}"),
+            (lambda v: v <= high, f"'{{key}}' must be <= {high}"))
+
+
+_INT = (lambda v: type(v) is int, "'{key}' has the wrong type")
+_NUMBER = (_is_number, "'{key}' must be a finite number")
+_TOL = (lambda v: _is_number(v) and v >= 0, "tolerance '{name}' must be a finite number >= 0")
+_PATH = (lambda v: isinstance(v, str), "output paths must be strings")
+# Every config key: (kind, bound, default).  A scalar key's kind is a (test,
+# message) check and its bound more ({key} is the dotted key, {name} its last
+# part); an object key's kind is its own table, and its bound checks across
+# its keys, made before they are read.
+_SCHEMA = {
+    "case": ((lambda v: type(v) is int and 1 <= v <= 4, "'{key}' must be an integer 1..4"),
+             (), None),
+    "q0": ((lambda v: _is_number(v) and v > 0, "'{key}' must be a positive number"), (), None),
+    "theta": (_NUMBER, (), None),
+    "theta_minus": (_NUMBER, (), 0.0),
+    "theta_plus": (_NUMBER, (), None),
+    "J": (_INT, (), None),
+    "N": (_INT, _within(1, MAX_N), 60),
+    "zeta_samples": (_INT, _within(1, MAX_ZETA_SAMPLES), 20),
+    "eta1": (_NUMBER, (), None),
+    "zeta_hat_1": (_NUMBER, (), None),
+    "kappa1": (_NUMBER, (), 1.0),
+    "thbar1": (_NUMBER, (), 0.0),
+    "thbar2": (_NUMBER, (), 0.0),
+    "dt": (_NUMBER, ((lambda v: v > 0, "'{key}' must be positive"),), 0.01),
+    "t_grid": ({
+        "steps": ((lambda v: type(v) is int and v >= 1, "'{key}' must be a positive integer"),
+                  _within(1, MAX_T_STEPS), 11),
+        "t0": (_NUMBER, (), 0.0),
+        "t1": (_NUMBER, (), 1.0)}, (), {}),
+    "tolerances": ({
+        "residual": (_TOL, (), 1e-6),
+        "scattering": (_TOL, (), 1e-5),
+        "compare": (_TOL, (), 1e-4)}, (), {}),
+    "field": ({"source": (None, (), None), "path": (None, (), None)}, (
+        (lambda f: f.get("source") in ("soliton", "background", "csv"),
+         "'field.source' must be soliton | background | csv"),
+        # path is the CSV that source csv reads, and no other source reads one
+        (lambda f: f["source"] != "csv" or isinstance(f.get("path"), str),
+         "'field.path' required for csv"),
+        (lambda f: f["source"] == "csv" or f.get("path") is None,
+         "'field.path' is read only with 'field.source' csv")), {"source": "soliton"}),
+    "outputs": ({
+        "field_csv": (_PATH, (), None),
+        "report_json": (_PATH, (), None),
+        "trajectory_csv": (_PATH, (), "trajectory.csv")}, (), {}),
+}
+_PHASES = ("theta", "theta_minus", "theta_plus")
+# The bound of the config itself: the keys it must give, and the phase keys.
+_CONFIG_BOUND = ((lambda raw: "case" in raw and "q0" in raw, "config requires 'case' and 'q0'"),
+                 (lambda raw: sum(name in raw for name in _PHASES) <= 1,
+                  "give at most one of " + " / ".join(_PHASES)))
+# One attribute per config key, as given but for theta_minus (see parse_config).
+RunConfig = dataclasses.make_dataclass("RunConfig", _SCHEMA, frozen=True)
+
+
+def _require(cond, message, **fields):
+    """ConfigError(message), formatted with fields if any, unless cond holds."""
+    if not cond:
+        raise ConfigError(message.format(**fields) if fields else message)
+
+
+def _read(obj: dict, keys: dict, across, noun: str, prefix: str = "") -> dict:
+    """obj's value of every key of the table keys, defaults filled in.
+
+    Names unknown keys first, then checks across them, then the kind of each
+    scalar key given, then its bound, in table order; then reads each object
+    key the same way (the noun of its keys is its name in the singular).
+    """
+    unknown = set(obj) - set(keys)
+    _require(not unknown, f"unknown {noun} keys: {sorted(unknown)}")
+    for test, message in across:
+        _require(test(obj), message)
+    values = {name: obj.get(name, default) for name, (_, _, default) in keys.items()}
+    given = [(name, kind, bound) for name, (kind, bound, _) in keys.items()
+             if name in obj and kind and not isinstance(kind, dict)]
+    for name, checks in [(name, [kind]) for name, kind, _ in given] + [
+            (name, bound) for name, _, bound in given]:
+        for test, message in checks:
+            _require(test(values[name]), message, key=prefix + name, name=name)
+    for name, (table, bound, _) in keys.items():
+        if isinstance(table, dict):
+            _require(isinstance(values[name], dict), f"'{name}' must be an object")
+            values[name] = _read(values[name], table, bound, name.removesuffix("s"), name + ".")
+    return values
 
 
 def parse_config(raw: dict) -> RunConfig:
+    """The RunConfig of a config object; ConfigError names the first key that is wrong."""
     _require(isinstance(raw, dict), "config must be a JSON object")
-    unknown = set(raw) - _SCHEMA_KEYS
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    _require("case" in raw and "q0" in raw, "config requires 'case' and 'q0'")
-    case = raw["case"]
-    _require(isinstance(case, int) and not isinstance(case, bool) and 1 <= case <= 4,
-             "'case' must be an integer 1..4")
-    q0 = raw["q0"]
-    _require(_is_number(q0) and q0 > 0, "'q0' must be a positive number")
-    phase_keys = [k for k in ("theta", "theta_minus", "theta_plus") if k in raw]
-    _require(len(phase_keys) <= 1, "give at most one of theta / theta_minus / theta_plus")
-    if not phase_keys:
-        theta_minus = 0.0
-    else:
-        val = raw[phase_keys[0]]
-        _require(_is_number(val), f"'{phase_keys[0]}' must be a finite number")
-        if phase_keys[0] == "theta_plus":
-            delta = math.pi if case in (2, 4) else 0.0
-            theta_minus = float(val) - delta
-        else:
-            theta_minus = float(val)
-    kwargs = {}
-    for key in ("J", "N", "zeta_samples"):
-        if key in raw:
-            _require(isinstance(raw[key], int) and not isinstance(raw[key], bool),
-                     f"'{key}' has the wrong type")
-            kwargs[key] = raw[key]
-    for key in ("eta1", "zeta_hat_1", "kappa1", "thbar1", "thbar2", "dt"):
-        if key in raw:
-            _require(_is_number(raw[key]), f"'{key}' must be a finite number")
-            kwargs[key] = raw[key]
-    if "N" in kwargs:
-        _require(kwargs["N"] >= 1, "'N' must be >= 1")
-    if "dt" in kwargs:
-        _require(kwargs["dt"] > 0, "'dt' must be positive")
-    if "zeta_samples" in kwargs:
-        _require(kwargs["zeta_samples"] >= 1, "'zeta_samples' must be >= 1")
-    t_grid = _TGRID_DEFAULTS | _sub_object(raw, "t_grid", _TGRID_DEFAULTS, "t_grid")
-    _require(isinstance(t_grid["steps"], int) and not isinstance(t_grid["steps"], bool)
-             and t_grid["steps"] >= 1, "'t_grid.steps' must be a positive integer")
-    for key in ("t0", "t1"):
-        _require(_is_number(t_grid[key]), f"'t_grid.{key}' must be a finite number")
-    given = _sub_object(raw, "tolerances", _TOLERANCE_DEFAULTS, "tolerance")
-    for k, v in given.items():
-        _require(_is_number(v) and v >= 0, f"tolerance '{k}' must be a finite number >= 0")
-    field_source = _sub_object(raw, "field", ("source", "path"), "field", {"source": "soliton"})
-    src = field_source.get("source")
-    _require(src in ("soliton", "background", "csv"),
-             "'field.source' must be soliton | background | csv")
-    if src == "csv":
-        _require(isinstance(field_source.get("path"), str), "'field.path' required for csv")
-    outputs = _sub_object(raw, "outputs", ("field_csv", "report_json", "trajectory_csv"),
-                          "output")
-    for v in outputs.values():
-        _require(isinstance(v, str), "output paths must be strings")
-    return RunConfig(case=case, q0=float(q0), theta_minus=theta_minus,
-                     t_grid=t_grid, tolerances=_TOLERANCE_DEFAULTS | given,
-                     field_source=field_source, outputs=outputs, **kwargs)
+    values = _read(raw, _SCHEMA, _CONFIG_BOUND, "config")
+    N, steps = values["N"], values["t_grid"]["steps"]
+    _require((2 * N + 1) * steps <= MAX_GRID_CELLS, f"'N' = {N} and 't_grid.steps' = {steps} "
+             f"make {(2 * N + 1) * steps} grid cells; at most {MAX_GRID_CELLS} are allowed")
+    # theta is theta_minus, and theta_plus is theta_minus + Delta theta (pi in cases 2, 4)
+    theta, theta_plus = values["theta"], values["theta_plus"]
+    if theta_plus is not None:
+        theta = float(theta_plus) - (math.pi if values["case"] in (2, 4) else 0.0)
+    values["theta_minus"] = float(values["theta_minus"] if theta is None else theta)
+    return RunConfig(**values | {"q0": float(values["q0"])})
 
 
 def load_config(path: str) -> RunConfig:
@@ -338,7 +345,7 @@ def _write_report(config: RunConfig, out: str | None, doc: dict, files=()) -> No
 
     files are more (path, chunks) artifacts, written with it by _write_all.
     """
-    _write_all([*files, (out or config.outputs.get("report_json"), [dump_json(doc) + "\n"])])
+    _write_all([*files, (out or config.outputs["report_json"], [dump_json(doc) + "\n"])])
 
 
 def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
@@ -367,9 +374,13 @@ def _field_grid(config: RunConfig, cfg, eigenset, norming) -> ist.Reconstruction
     return ist.reconstruct_grid(cfg, eigenset, norming, sites[None, :], ts[:, None])
 
 
+# The field CSV's columns: its reader needs all but the last.
+_FIELD_COLUMNS = ("n", "t", "re_q", "im_q", "abs_q", "singular")
+
+
 def _field_csv(grid: ist.ReconstructionGrid):
     """The field CSV in chunks of _CSV_ROWS rows; a singular cell's q columns are empty."""
-    yield "n,t,re_q,im_q,abs_q,singular\n"
+    yield ",".join(_FIELD_COLUMNS) + "\n"
     singular = grid.singular
     low = int(grid.ns.min())
     site_fields = _int_fields(np.arange(low, int(grid.ns.max()) + 1))
@@ -395,8 +406,7 @@ def cmd_soliton(config: RunConfig, out: str | None, seed: int) -> int:
     if grid.singular.all():
         sys.stderr.write("every grid cell is singular\n")
         return EXIT_ALL_SINGULAR
-    path = out or config.outputs.get("field_csv")
-    _write_text(path, _field_csv(grid))
+    _write_text(out or config.outputs["field_csv"], _field_csv(grid))
     return EXIT_OK
 
 
@@ -406,37 +416,34 @@ def _load_field_csv(path: str, cfg) -> lattice.PotentialWindow:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise ConfigError(f"cannot read field csv: {exc}") from exc
-    if not lines or lines[0].split(",")[:5] != ["n", "t", "re_q", "im_q", "abs_q"]:
-        raise ConfigError("field csv must start with header n,t,re_q,im_q,abs_q")
+    needed = _FIELD_COLUMNS[:-1]
+    _require(lines and tuple(lines[0].split(",")[:len(needed)]) == needed,
+             "field csv must start with header " + ",".join(needed))
     by_site = {}
     t_val = None
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) not in (5, 6):
-            raise ConfigError(f"malformed field csv row: {ln!r}")
+        _require(len(parts) in (len(needed), len(_FIELD_COLUMNS)),
+                 f"malformed field csv row: {ln!r}")
+        row = dict(zip(_FIELD_COLUMNS, parts))
         try:
-            n = int(parts[0])
-            t = float(parts[1])
-            re_q = float(parts[2])
-            im_q = float(parts[3])
+            n, t = int(row["n"]), float(row["t"])
+            q = complex(float(row["re_q"]), float(row["im_q"]))
         except ValueError as exc:
             raise ConfigError(f"malformed field csv row: {ln!r}") from exc
         if t_val is None:
             t_val = t
         if t == t_val:
-            by_site[n] = complex(re_q, im_q)
-    if not by_site:
-        raise ConfigError("field csv contains no rows")
+            by_site[n] = q
+    _require(by_site, "field csv contains no rows")
     n_max = min(-min(by_site), max(by_site))
-    if n_max < 0:
-        raise ConfigError("field csv needs sites on both sides of n = 0")
+    _require(n_max >= 0, "field csv needs sites on both sides of n = 0")
     sites = range(-n_max, n_max + 1)
     wrong = [f"{what} sites {_few(found)}" for what, found in (
         ("extra", sorted(n for n in by_site if abs(n) > n_max)),
         ("missing", [n for n in sites if n not in by_site])) if found]
-    if n_max < 1 or wrong:
-        raise ConfigError("field csv sites must be exactly -N..N with N >= 1; "
-                          + ("; ".join(wrong) or "only site 0"))
+    _require(n_max >= 1 and not wrong, "field csv sites must be exactly -N..N with N >= 1; "
+             + ("; ".join(wrong) or "only site 0"))
     q = np.array([by_site[n] for n in sites], dtype=complex)
     return lattice.PotentialWindow(cfg, n_max, float(t_val), q)
 
@@ -448,14 +455,13 @@ def _few(sites: list[int]) -> str:
 
 
 def _scatter_window(config: RunConfig, cfg):
-    src = config.field_source.get("source", "soliton")
+    src = config.field["source"]
     if src == "background":
         return lattice.background_field(cfg, 0.0, config.N), None
     if src == "csv":
-        return _load_field_csv(config.field_source["path"], cfg), None
+        return _load_field_csv(config.field["path"], cfg), None
     eigenset, norming = _eigen_data(config, cfg)
-    q = ist.make_evaluator(cfg, eigenset, norming)(np.arange(-config.N, config.N + 1), 0.0)
-    return lattice.PotentialWindow(cfg, config.N, 0.0, q), eigenset
+    return _window(cfg, ist.make_evaluator(cfg, eigenset, norming), config.N, 0.0), eigenset
 
 
 def _scatter_failures(report: scattering.ScatteringReport, tol: float) -> dict:
@@ -490,13 +496,8 @@ def cmd_scatter(config: RunConfig, out: str | None, seed: int) -> int:
     return EXIT_TOLERANCE if failures else EXIT_OK
 
 
-def _soliton_source(config: RunConfig) -> bool:
-    return config.field_source.get("source", "soliton") == "soliton"
-
-
-def _oracle_window(config: RunConfig, cfg, evaluator, t: float) -> lattice.PotentialWindow:
-    """The field at time t on sites -N..N, N = min(config N, ORACLE_N)."""
-    N = min(config.N, ORACLE_N)
+def _window(cfg, evaluator, N: int, t: float) -> lattice.PotentialWindow:
+    """The field of evaluator at time t on sites -N..N."""
     return lattice.PotentialWindow(cfg, N, t, evaluator(np.arange(-N, N + 1), t))
 
 
@@ -512,10 +513,9 @@ def _singular_phase(cfg, eigenset, norming) -> bool:
 def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
     cfg = _case_config(config)
-    eigenset, norming = _eigen_data(config, cfg, _soliton_source(config))
-    checks = {}
+    eigenset, norming = _eigen_data(config, cfg, config.field["source"] == "soliton")
     singular = _singular_phase(cfg, eigenset, norming)
-    checks["singular_parameters"] = {"flagged": singular}
+    checks = {"singular_parameters": {"flagged": singular}}
     evaluator = ist.make_evaluator(cfg, eigenset, norming)
     tol_res = config.tolerances["residual"]
     if singular:
@@ -540,7 +540,7 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
                                           "pass": ok_closed}
     failures = {}
     if not singular:
-        window = _oracle_window(config, cfg, evaluator, 0.0)
+        window = _window(cfg, evaluator, min(config.N, ORACLE_N), 0.0)
         zetas = scattering.continuum_samples(cfg, 8, seed=1)
         report = scattering.scattering_report(window, zetas, eigenset)
         tol_sc = config.tolerances["scattering"]
@@ -581,8 +581,8 @@ def _trajectory_csv(traj: verify.Trajectory):
 def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
     cfg = _case_config(config)
-    eigenset, norming = _eigen_data(config, cfg, _soliton_source(config))
-    if eigenset.is_empty() and config.field_source.get("source") != "background":
+    eigenset, norming = _eigen_data(config, cfg, config.field["source"] == "soliton")
+    if eigenset.is_empty() and config.field["source"] != "background":
         sys.stderr.write("evolve requires a nonempty eigenvalue set or a background field\n")
         return EXIT_CONFIG
     t0 = float(config.t_grid["t0"])
@@ -599,7 +599,7 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
         evaluator = cfg.background
     else:
         evaluator = ist.make_evaluator(cfg, eigenset, norming)
-    window = _oracle_window(config, cfg, evaluator, t0)
+    window = _window(cfg, evaluator, min(config.N, ORACLE_N), t0)
     try:
         traj = verify.simulate(window, cfg, t1, config.dt)
     except BlowupDetected as exc:
@@ -609,7 +609,7 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
         return EXIT_OK if singular else EXIT_BLOWUP
     deviation = verify.compare(traj, evaluator)
     tol = config.tolerances["compare"]
-    traj_path = config.outputs.get("trajectory_csv", "trajectory.csv")
+    traj_path = config.outputs["trajectory_csv"]
     _write_report(config, out, {
         "case": config.case, "blowup": False, "singular_parameters": singular,
         "max_deviation": deviation, "tolerance": tol,
@@ -618,6 +618,11 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     return EXIT_OK if deviation < tol else EXIT_TOLERANCE
 
 
+# Each error a command can end in, with its exit code and stderr label (first match wins).
+_FAILURES = (((ConfigError, DomainError), EXIT_CONFIG, "config error"),
+             (Inadmissible, EXIT_INADMISSIBLE, "inadmissible"),
+             (BlowupDetected, EXIT_BLOWUP, "blow-up"),
+             (IstError, EXIT_NUMERICAL, "numerical failure"))
 _DISPATCH = {
     "eigs": cmd_eigs,
     "soliton": cmd_soliton,
@@ -640,18 +645,11 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         return _DISPATCH[args.command](config, args.out, args.seed)
-    except (ConfigError, DomainError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    except Inadmissible as exc:
-        sys.stderr.write(f"inadmissible: {exc}\n")
-        return EXIT_INADMISSIBLE
-    except BlowupDetected as exc:
-        sys.stderr.write(f"blow-up: {exc}\n")
-        return EXIT_BLOWUP
     except IstError as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
+        code, label = next((code, label) for kind, code, label in _FAILURES
+                           if isinstance(exc, kind))
+        sys.stderr.write(f"{label}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

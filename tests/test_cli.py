@@ -201,6 +201,104 @@ class TestConfig:
         assert main(["eigs", "--config", path]) == EXIT_CONFIG
         assert capsys.readouterr() == ("", f"config error: {message}\n")
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"case": 4}, "config requires 'case' and 'q0'"),
+        ({"q0": 0.5, "bogus": 1}, "unknown config keys: ['bogus']"),
+        ({"case": 4, "q0": 0.5, "theta": 0.0, "theta_plus": 1.0},
+         "give at most one of theta / theta_minus / theta_plus"),
+        ({"case": 4, "q0": 0.5, "theta_minus": 0.0, "theta_plus": "x"},
+         "give at most one of theta / theta_minus / theta_plus"),
+        ({"case": 4, "q0": 0.5, "J": "x", "theta": 0.0, "theta_minus": 0.0},
+         "give at most one of theta / theta_minus / theta_plus"),
+        ({"case": 4, "q0": 0.5, "field": {"path": "f.csv"}},
+         "'field.source' must be soliton | background | csv"),
+        ({"case": 4, "q0": 0.5, "field": {"source": "csv"}}, "'field.path' required for csv"),
+    ], ids=["missing", "unknown-first", "two-phases", "two-phases-one-bad", "phases-before-J",
+            "path-without-source", "csv-without-path"])
+    def test_presence_messages(self, tmp_path, capsys, doc, message):
+        assert main(["eigs", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"N": 10**15}, "'N' must be <= 10000"),
+        ({"N": cli.MAX_N + 1}, "'N' must be <= 10000"),
+        ({"zeta_samples": 10**15}, "'zeta_samples' must be <= 500"),
+        ({"zeta_samples": cli.MAX_ZETA_SAMPLES + 1}, "'zeta_samples' must be <= 500"),
+        ({"t_grid": {"steps": 10**15}}, "'t_grid.steps' must be <= 10000"),
+        ({"t_grid": {"steps": cli.MAX_T_STEPS + 1}}, "'t_grid.steps' must be <= 10000"),
+        ({"N": cli.MAX_N, "t_grid": {"steps": 101}},
+         "'N' = 10000 and 't_grid.steps' = 101 make 2020101 grid cells; "
+         "at most 2000000 are allowed"),
+        ({"N": 312, "t_grid": {"steps": 3201}},
+         "'N' = 312 and 't_grid.steps' = 3201 make 2000625 grid cells; "
+         "at most 2000000 are allowed"),
+    ], ids=["N", "N-cap", "zeta_samples", "zeta_samples-cap", "steps", "steps-cap",
+            "cells-at-N-cap", "cells-by-one-step"])
+    @pytest.mark.parametrize("command", ["eigs", "soliton", "scatter", "verify", "evolve"])
+    def test_sizes_over_their_caps_exit_2(self, tmp_path, capsys, command, edit, message):
+        # Each is refused before any array is built: 10**15 sites or samples
+        # would end in a MemoryError, and 10**15 times in a list never built.
+        path = write_config(tmp_path, {**CASE4_CONFIG, **edit})
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_sizes_at_their_caps_are_accepted(self):
+        for edit in ({"N": cli.MAX_N}, {"zeta_samples": cli.MAX_ZETA_SAMPLES},
+                     {"t_grid": {"steps": cli.MAX_T_STEPS}},
+                     {"N": 312, "t_grid": {"steps": 3200}}):  # 625 * 3200 = MAX_GRID_CELLS
+            parse_config({**CASE4_CONFIG, **edit})
+        assert 625 * 3200 == cli.MAX_GRID_CELLS
+
+    @pytest.mark.parametrize("source", ["soliton", "background"])
+    def test_path_is_read_only_with_csv(self, tmp_path, capsys, source):
+        doc = {**CASE4_CONFIG, "field": {"source": source, "path": "f.csv"}}
+        assert main(["scatter", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "config error: 'field.path' is read only with 'field.source' csv\n")
+        assert parse_config({**CASE4_CONFIG, "field": {"source": source, "path": None}})
+
+    @pytest.mark.parametrize("key", ["q0", "eta1", "dt", "theta"])
+    def test_int_past_the_largest_double_is_not_a_number(self, tmp_path, capsys, key):
+        # float(10**400) raises OverflowError: the kind check must refuse it
+        path = write_config(tmp_path, {**CASE1_CONFIG, key: 10**400})
+        assert main(["verify", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err in (f"config error: '{key}' must be a finite number\n",
+                                           f"config error: '{key}' must be a positive number\n")
+        assert parse_config({**CASE1_CONFIG, key: 10**300})
+
+    def test_defaults_come_from_the_schema(self):
+        config = parse_config({"case": 4, "q0": 1})
+        assert (config.q0, config.theta_minus) == (1.0, 0.0)
+        assert type(config.q0) is float and type(config.theta_minus) is float
+        assert (config.J, config.N, config.dt, config.zeta_samples) == (None, 60, 0.01, 20)
+        assert (config.eta1, config.zeta_hat_1, config.kappa1, config.thbar1, config.thbar2) \
+            == (None, None, 1.0, 0.0, 0.0)
+        assert config.t_grid == {"steps": 11, "t0": 0.0, "t1": 1.0}
+        assert config.tolerances == {"residual": 1e-6, "scattering": 1e-5, "compare": 1e-4}
+        assert config.field == {"source": "soliton", "path": None}
+        assert config.outputs == {"field_csv": None, "report_json": None,
+                                  "trajectory_csv": "trajectory.csv"}
+        given = parse_config({"case": 2, "q0": 1, "theta_plus": 1, "tolerances": {"compare": 0},
+                              "t_grid": {"t1": 2}, "outputs": {"trajectory_csv": "t.csv"}})
+        assert given.theta_minus == 1.0 - math.pi
+        assert given.tolerances == {"residual": 1e-6, "scattering": 1e-5, "compare": 0}
+        assert given.t_grid == {"steps": 11, "t0": 0.0, "t1": 2}
+        assert given.outputs["trajectory_csv"] == "t.csv"
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"dt": 0, "zeta_samples": 0}, "'zeta_samples' must be >= 1"),
+        ({"tolerances": {"compare": -1, "residual": -1}},
+         "tolerance 'residual' must be a finite number >= 0"),
+        ({"case": 0, "theta": 0.0, "theta_plus": 0.0},
+         "give at most one of theta / theta_minus / theta_plus"),
+    ], ids=["bounds-in-table-order", "tolerances-in-table-order", "phases-before-kinds"])
+    def test_checks_follow_the_table_order(self, tmp_path, capsys, edit, message):
+        """Unknown keys, missing keys and the phase keys, then kinds, then bounds, by table."""
+        path = write_config(tmp_path, {"case": 4, "q0": 2.0 / 3.0, **edit})
+        assert main(["eigs", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
 
 class TestEigs:
     def test_case2_empty(self, tmp_path, capsys):
@@ -1047,6 +1145,11 @@ def _run_configs(draw):
 # evolve's second RK4 step overflows inside its stages
 @example(doc={"case": 2, "q0": 4.0, "theta": 0.0, "N": 4, "dt": 0.1,
               "t_grid": {"t0": 0.0, "t1": 0.3, "steps": 2}, "field": {"source": "background"}})
+# sizes over their caps exit 2: before the caps, the first two ended in a
+# MemoryError traceback and the third built a list of 10**15 times
+@example(doc={"case": 1, "q0": 0.5, "eta1": 3.5, "N": 10**15})
+@example(doc={"case": 1, "q0": 0.5, "eta1": 3.5, "zeta_samples": 10**15})
+@example(doc={"case": 1, "q0": 0.5, "eta1": 3.5, "t_grid": {"steps": 10**15}})
 def test_every_command_exits_with_a_documented_code(doc):
     # An exception escaping main would be a traceback: the test fails on it.
     with tempfile.TemporaryDirectory() as tmp:
