@@ -151,7 +151,7 @@ def _write_text(path: str | None, chunks) -> None:
 
 def _is_number(value) -> bool:
     """A finite double: not a bool, NaN, an infinity or an int past the largest double."""
-    return (type(value) is float and math.isfinite(value)
+    return (isinstance(value, float) and math.isfinite(value)
             or type(value) is int and abs(value) <= sys.float_info.max)
 
 
