@@ -30,6 +30,7 @@ C1 = {"case": 1, "q0": 2.0 / 3.0, "theta": 0.0, "eta1": math.pi + math.pi / 7.0,
       "t_grid": {"t0": -5.0, "t1": 5.0, "steps": 41}, "zeta_samples": 20}
 README_C4 = {"case": 4, "q0": 2.0 / 3.0, "theta_plus": 0.0, "thbar1": math.pi / 3.0,
              "N": 40, "t_grid": {"t0": 0.0, "t1": 1.0, "steps": 6}, "dt": 0.01}
+SMALL = {"N": 10, "t_grid": {"t0": 0.0, "t1": 1.0, "steps": 3}}
 CONFIGS = {
     "c1": C1,
     "bench-c4": {**README_C4, "N": 400, "zeta_samples": 4},
@@ -64,6 +65,19 @@ CONFIGS = {
     "bad-zeta-samples-huge": {**README_C4, "zeta_samples": 10**15},
     # a field path that only source csv reads
     "bad-unread-path": {**README_C4, "field": {"source": "background", "path": "f.csv"}},
+    # One config per case rule the CLI reads: a case-3 spectrum with no
+    # norming constants (eigs exits 0, the rest 3), each eigenvalue key
+    # missing, one J each case does not admit, and a theta_plus that maps to
+    # theta_minus through case 2's Delta theta = pi.
+    "c3-q0-1-zeta-hat-3": {"case": 3, "q0": 1.0, "zeta_hat_1": 3.0, **SMALL},
+    "c1-no-eta1": {"case": 1, "q0": 2.0 / 3.0, **SMALL},
+    "c3-no-zeta-hat-1": {"case": 3, "q0": 1.0, **SMALL},
+    "c1-J3": {**C1, **SMALL, "J": 3},
+    "c2-J3": {"case": 2, "q0": 1.0, **SMALL, "J": 3},
+    "c3-J1": {"case": 3, "q0": 1.0, "zeta_hat_1": 3.0, **SMALL, "J": 1},
+    "c4-J2": {**README_C4, **SMALL, "J": 2},
+    "c2-theta-plus-background": {"case": 2, "q0": 0.5, "theta_plus": 1.0, **SMALL,
+                                 "field": {"source": "background"}},
 }
 RUNS = [("eigs", 0), ("soliton", 0), ("scatter", 0), ("scatter", 5), ("verify", 0),
         ("evolve", 0)]

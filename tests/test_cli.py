@@ -118,6 +118,12 @@ class TestConfig:
         cfg = parse_config(dict(CASE4_CONFIG))
         assert cfg.theta_minus == pytest.approx(-math.pi)
 
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    def test_theta_plus_is_shifted_by_delta_theta(self, case):
+        shift = math.pi if case in (2, 4) else 0.0
+        config = parse_config({"case": case, "q0": 0.5, "theta_plus": 1.0})
+        assert config.theta_minus == 1.0 - shift
+
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["eigs", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
@@ -624,6 +630,20 @@ class TestScatter:
 
 
 class TestVerify:
+    def test_case4_calls_the_closed_form_once(self, tmp_path, monkeypatch):
+        # looked up on ist when verify runs, as the benchmark's tracer counts it
+        calls = []
+        closed_form = ist.soliton_closed_form_case4
+
+        def counted(cfg, thbar1, ns, ts):
+            calls.append(thbar1)
+            return closed_form(cfg, thbar1, ns, ts)
+
+        monkeypatch.setattr(ist, "soliton_closed_form_case4", counted)
+        path = write_config(tmp_path, CASE4_CONFIG)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "v.json")]) == EXIT_OK
+        assert calls == [math.pi / 3.0]
+
     def test_case4_passes(self, tmp_path):
         path = write_config(tmp_path, CASE4_CONFIG)
         out = tmp_path / "verify.json"

@@ -62,6 +62,44 @@ class TestMakeCase:
             assert cfg.q_plus(t) * cfg.r_plus(t) == pytest.approx(expected, abs=1e-14)
 
 
+class TestCaseConstants:
+    """Each case's sigma and Delta theta, and the constants that follow from them.
+
+    At q0 = 1e-9 r rounds to 1.0 in every case, and at q0 = 1e-170 q0**2 (so
+    delta) underflows to 0: a constant read off r or delta is wrong there.
+    """
+
+    SIGMA_DELTA_THETA = {Case.I: (1, 0.0), Case.II: (1, math.pi),
+                         Case.III: (-1, 0.0), Case.IV: (-1, math.pi)}
+
+    @pytest.mark.parametrize("q0", [2.0 / 3.0, 1e-9, 1e-170])
+    @pytest.mark.parametrize("case", list(Case), ids=lambda c: c.name)
+    def test_constants(self, case, q0):
+        cfg = make_case(case, q0, 0.25)
+        assert (cfg.sigma, cfg.delta_theta) == self.SIGMA_DELTA_THETA[case]
+        sign = 1.0 if case in (Case.I, Case.III) else -1.0
+        assert type(cfg.branch_sign) is float and cfg.branch_sign == sign
+        if case in (Case.I, Case.IV):
+            assert cfg.branch_points == (complex(cfg.r, q0), complex(cfg.r, -q0))
+        else:
+            assert cfg.branch_points == (complex(cfg.r - q0), complex(cfg.r + q0))
+
+    @pytest.mark.parametrize("case", list(Case), ids=lambda c: c.name)
+    def test_q0_one_is_rejected_only_in_cases_1_and_4(self, case):
+        if case in (Case.I, Case.IV):
+            with pytest.raises(DomainError, match=f"case {case.name} requires 0 < q0 < 1"):
+                make_case(case, 1.0)
+        else:
+            assert make_case(case, 1.0).r == math.sqrt(2.0)
+
+    @pytest.mark.parametrize("case", list(Case), ids=lambda c: c.name)
+    def test_second_circle_only_in_cases_2_and_3(self, case):
+        # r + q0/2 lies outside |zeta| = 1 and, in cases II/III, inside |zeta - r| = q0
+        cfg = make_case(case, 2.0 / 3.0)
+        inside = Region.DPlus if case in (Case.II, Case.III) else Region.DMinus
+        assert classify(cfg, cfg.r + cfg.q0 / 2.0) is inside
+
+
 class TestBoundaryValues:
     TIMES = np.array([-7.3, -1.0, 0.0, 0.25, 2.0 / 3.0, 11.9])
 
