@@ -23,7 +23,7 @@ import numpy as np
 from . import ist, lattice, scattering, verify
 from .errors import BlowupDetected, ConfigError, DomainError, Inadmissible, IstError
 from .g17 import WIDTH, format_g17
-from .spectral import classify, make_case
+from .spectral import CASES, Case, classify, make_case
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,6 +48,11 @@ MAX_GRID_CELLS = 2_000_000  # the soliton grid's (2N + 1) * steps, 75 B a cell: 
 # this size lose most of the gain to NumPy's cost per call, and a whole
 # field at once holds more text in memory.
 _CSV_ROWS = 2048
+# What each case's soliton reads of the config: (eigenvalue keys, default J,
+# norming keys).  ist's eigenvalues_caseN, norming_caseN (none: not derived yet),
+# soliton_closed_form_caseN and caseN_trace_infima are looked up when called.
+_SOLITONS = {1: (("eta1",), 2, ("kappa1", "thbar1", "thbar2")), 2: ((), 2, ()),
+             3: (("zeta_hat_1",), 2, ()), 4: ((), 1, ("thbar1",))}
 
 
 def _fmt(x: float) -> str:
@@ -253,10 +258,10 @@ def parse_config(raw: dict) -> RunConfig:
     N, steps = values["N"], values["t_grid"]["steps"]
     _require((2 * N + 1) * steps <= MAX_GRID_CELLS, f"'N' = {N} and 't_grid.steps' = {steps} "
              f"make {(2 * N + 1) * steps} grid cells; at most {MAX_GRID_CELLS} are allowed")
-    # theta is theta_minus, and theta_plus is theta_minus + Delta theta (pi in cases 2, 4)
+    # theta is theta_minus, and theta_plus is theta_minus + Delta theta (spectral.CASES)
     theta, theta_plus = values["theta"], values["theta_plus"]
     if theta_plus is not None:
-        theta = float(theta_plus) - (math.pi if values["case"] in (2, 4) else 0.0)
+        theta = float(theta_plus) - CASES[Case(values["case"])][1]
     values["theta_minus"] = float(values["theta_minus"] if theta is None else theta)
     return RunConfig(**values | {"q0": float(values["q0"])})
 
@@ -280,15 +285,11 @@ def _eigenset(config: RunConfig, cfg) -> ist.EigenSet:
     """The configured discrete spectrum (possibly empty)."""
     if config.J == 0:
         return ist.empty_eigenset(cfg)
-    if config.case == 1:
-        _require(config.eta1 is not None, "case 1 requires 'eta1'")
-        return ist.eigenvalues_case1(cfg, float(config.eta1), J=config.J or 2)
-    if config.case == 2:
-        return ist.eigenvalues_case2(cfg, J=config.J or 2)
-    if config.case == 3:
-        _require(config.zeta_hat_1 is not None, "case 3 requires 'zeta_hat_1'")
-        return ist.eigenvalues_case3(cfg, float(config.zeta_hat_1), J=config.J or 2)
-    return ist.eigenvalues_case4(cfg, J=config.J or 1)
+    keys, J, _ = _SOLITONS[config.case]
+    for key in keys:
+        _require(getattr(config, key) is not None, f"case {config.case} requires '{key}'")
+    eigenvalues = getattr(ist, f"eigenvalues_case{config.case}")
+    return eigenvalues(cfg, *(float(getattr(config, key)) for key in keys), J=config.J or J)
 
 
 def _eigen_data(config: RunConfig, cfg, soliton: bool = True):
@@ -307,13 +308,12 @@ def _eigen_data(config: RunConfig, cfg, soliton: bool = True):
             raise Inadmissible(f"an empty spectrum misses the case-{config.case} "
                                f"trace limits {residuals}: no reflectionless field exists")
         return eigenset, ist.unit_norming(cfg, eigenset)
-    if config.case == 1:
-        return eigenset, ist.norming_case1(cfg, eigenset, config.kappa1,
-                                           config.thbar1, config.thbar2)
-    if config.case == 4:
-        return eigenset, ist.norming_case4(cfg, eigenset, config.thbar1)
-    raise Inadmissible("case III norming constants are not derived yet, "
-                       "so no case-III soliton is available")
+    norming = getattr(ist, f"norming_case{config.case}", None)
+    if norming is None:
+        raise Inadmissible(f"case {cfg.case_id.name} norming constants are not derived yet, "
+                           f"so no case-{cfg.case_id.name} soliton is available")
+    keys = _SOLITONS[config.case][2]
+    return eigenset, norming(cfg, eigenset, *(getattr(config, key) for key in keys))
 
 
 def _chunks(size: int, rows: int):
@@ -361,8 +361,9 @@ def cmd_eigs(config: RunConfig, out: str | None, seed: int) -> int:
     report = {"case": config.case, "J": eigenset.J, "J1": eigenset.J1, "J2": eigenset.J2,
               "entries": entries,
               "constraint_residuals": ist.admissibility_residuals(cfg, eigenset)}
-    if config.case == 2:
-        report["trace_limit_infima"] = ist.case2_trace_infima(cfg)
+    infima = getattr(ist, f"case{config.case}_trace_infima", None)
+    if infima:
+        report["trace_limit_infima"] = infima(cfg)
     _write_report(config, out, report)
     return EXIT_OK
 
@@ -529,11 +530,13 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
         ok_res = worst < tol_res
         checks["equation_residual"] = {"max": worst, "tolerance": tol_res, "pass": ok_res}
     ok_closed = True
-    if config.case == 4 and not singular and not eigenset.is_empty():
+    closed_form = getattr(ist, f"soliton_closed_form_case{config.case}", None)
+    if closed_form and not singular and not eigenset.is_empty():
         sites = np.arange(-20, 21)[None, :]
         ts = np.array(_t_values(config))[:, None]
         a = evaluator(sites, ts)
-        b = ist.soliton_closed_form_case4(cfg, config.thbar1, sites, ts)
+        keys = _SOLITONS[config.case][2]  # the closed form reads the norming keys
+        b = closed_form(cfg, *(getattr(config, key) for key in keys), sites, ts)
         worst_cf = float(np.max(np.abs(a - b)))
         ok_closed = worst_cf < 1e-10
         checks["closed_form_equality"] = {"max": worst_cf, "tolerance": 1e-10,

@@ -29,6 +29,11 @@ class Case(enum.Enum):
     IV = 4
 
 
+# (sigma, Delta theta) of each case.  The exact sign sigma * cos(Delta theta) sets the rest:
+# +1 (I, IV) r**2 = 1 - q0**2, q0 < 1, complex branch points; -1 (II, III) real ones.
+CASES = {Case.I: (1, 0.0), Case.II: (1, math.pi), Case.III: (-1, 0.0), Case.IV: (-1, math.pi)}
+
+
 @dataclass(frozen=True)
 class CaseConfig:
     """One background case with all derived constants.
@@ -53,8 +58,8 @@ class CaseConfig:
 
     @property
     def branch_sign(self) -> float:
-        """Sign of t11 at 1/r and of t22 at r: +1 for cases I/III, -1 for II/IV."""
-        return 1.0 if self.case_id in (Case.I, Case.III) else -1.0
+        """Sign of t11 at 1/r and of t22 at r, cos(Delta theta): +1 in cases I/III, -1 in II/IV."""
+        return math.cos(self.delta_theta)
 
     @property
     def rotation(self) -> float:
@@ -84,19 +89,16 @@ def make_case(case_id: int | Case, q0: float, theta_minus: float = 0.0) -> CaseC
     case = Case(case_id)
     if not q0 > 0.0:
         raise DomainError(f"q0 must be positive, got {q0}")
-    sigma = 1 if case in (Case.I, Case.II) else -1
-    delta_theta = 0.0 if case in (Case.I, Case.III) else math.pi
+    sigma, delta_theta = CASES[case]
+    bounded = sigma * math.cos(delta_theta) > 0  # r**2 = 1 - q0**2
+    if bounded and not q0 < 1.0:
+        raise DomainError(f"case {case.name} requires 0 < q0 < 1, got {q0}")
     delta = q0 * q0 * math.cos(delta_theta)
-    if case in (Case.I, Case.IV):
-        if not q0 < 1.0:
-            raise DomainError(f"case {case.name} requires 0 < q0 < 1, got {q0}")
     r = math.sqrt(1.0 - sigma * delta)
     if not math.isfinite(r):  # q0 * q0 overflows from q0 ~ 1.34e154 on
         raise DomainError(f"q0 = {q0} is too large: r = sqrt(1 + q0**2) overflows")
-    if case in (Case.I, Case.IV):
-        branch = (complex(r, q0), complex(r, -q0))
-    else:
-        branch = (complex(r - q0), complex(r + q0))
+    branch = ((complex(r, q0), complex(r, -q0)) if bounded
+              else (complex(r - q0), complex(r + q0)))
     return CaseConfig(case, float(q0), float(theta_minus), sigma, delta_theta,
                       delta, r, branch)
 
@@ -160,7 +162,7 @@ def classify(cfg: CaseConfig, zeta):
     """
     zeta = np.asarray(zeta, dtype=complex)
     s = np.hypot(zeta.real, zeta.imag) - 1.0  # hypot: the bits of abs(complex)
-    if cfg.case_id in (Case.II, Case.III):
+    if cfg.sigma * cfg.branch_sign < 0:  # cases II/III: also |zeta - r| = q0
         w = zeta - cfg.r
         s = s * (np.hypot(w.real, w.imag) - cfg.q0)
     return np.where(s < -REGION_TOL, Region.DPlus,
