@@ -78,6 +78,9 @@ CONFIGS = {
     "c4-J2": {**README_C4, **SMALL, "J": 2},
     "c2-theta-plus-background": {"case": 2, "q0": 0.5, "theta_plus": 1.0, **SMALL,
                                  "field": {"source": "background"}},
+    # t1 - t0 overflows; t1 - t0 is finite but (t1 - t0) / dt is not
+    "bad-t-span-huge": {**README_C4, "N": 10, "t_grid": {"t0": -1e308, "t1": 1e308, "steps": 3}},
+    "bad-t-steps-huge": {**README_C4, "N": 10, "t_grid": {"t0": 0.0, "t1": 1e308, "steps": 3}},
 }
 RUNS = [("eigs", 0), ("soliton", 0), ("scatter", 0), ("scatter", 5), ("verify", 0),
         ("evolve", 0)]

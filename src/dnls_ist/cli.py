@@ -258,6 +258,9 @@ def parse_config(raw: dict) -> RunConfig:
     N, steps = values["N"], values["t_grid"]["steps"]
     _require((2 * N + 1) * steps <= MAX_GRID_CELLS, f"'N' = {N} and 't_grid.steps' = {steps} "
              f"make {(2 * N + 1) * steps} grid cells; at most {MAX_GRID_CELLS} are allowed")
+    t0, t1 = values["t_grid"]["t0"], values["t_grid"]["t1"]
+    _require(math.isfinite(float(t1) - float(t0)),
+             f"'t_grid' span t1 - t0 overflows: [t0, t1] = [{t0}, {t1}]")
     # theta is theta_minus, and theta_plus is theta_minus + Delta theta (spectral.CASES)
     theta, theta_plus = values["theta"], values["theta_plus"]
     if theta_plus is not None:
@@ -585,18 +588,18 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
     cfg = _case_config(config)
     eigenset, norming = _eigen_data(config, cfg, config.field["source"] == "soliton")
-    if eigenset.is_empty() and config.field["source"] != "background":
-        sys.stderr.write("evolve requires a nonempty eigenvalue set or a background field\n")
-        return EXIT_CONFIG
+    _require(not eigenset.is_empty() or config.field["source"] == "background",
+             "evolve requires a nonempty eigenvalue set or a background field")
     t0 = float(config.t_grid["t0"])
     t1 = float(config.t_grid["t1"])
     span = abs(t1 - t0)
+    # capped before round(), which raises on an inf span / dt: round(x) <= cap iff x <= cap + 0.5
+    _require(span / config.dt <= MAX_EVOLVE_STEPS + 0.5,
+             f"'dt' = {config.dt} takes {span / config.dt:.0f} RK4 steps over [t0, t1] = "
+             f"[{t0}, {t1}]; at most {MAX_EVOLVE_STEPS} are allowed")
     steps = round(span / config.dt)
     _require(steps >= 1 and abs(steps * config.dt - span) <= 1e-9 * max(1.0, span),
              f"'dt' = {config.dt} does not tile [t0, t1] = [{t0}, {t1}] in whole steps")
-    _require(steps <= MAX_EVOLVE_STEPS,
-             f"'dt' = {config.dt} takes {steps} RK4 steps over [t0, t1] = [{t0}, {t1}]; "
-             f"at most {MAX_EVOLVE_STEPS} are allowed")
     singular = _singular_phase(cfg, eigenset, norming)
     if eigenset.is_empty():
         evaluator = cfg.background

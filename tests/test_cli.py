@@ -249,6 +249,14 @@ class TestConfig:
         assert capsys.readouterr() == ("", f"config error: {message}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["eigs", "soliton", "scatter", "verify", "evolve"])
+    def test_time_span_that_overflows_exits_2(self, tmp_path, capsys, command):
+        # t1 - t0 = inf: soliton and verify ran on NaN times, evolve raised OverflowError
+        path = write_config(tmp_path, {**CASE4_CONFIG, "t_grid": {"t0": -1e308, "t1": 1e308}})
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: 't_grid' span t1 - t0 overflows: "
+                                           "[t0, t1] = [-1e+308, 1e+308]\n")
+
     def test_sizes_at_their_caps_are_accepted(self):
         for edit in ({"N": cli.MAX_N}, {"zeta_samples": cli.MAX_ZETA_SAMPLES},
                      {"t_grid": {"steps": cli.MAX_T_STEPS}},
@@ -782,6 +790,21 @@ class TestEvolve:
         assert err.endswith(f"at most {cli.MAX_EVOLVE_STEPS} are allowed\n")
         assert not out.exists()
 
+    def test_step_count_past_the_largest_double_is_capped(self, tmp_path, capsys):
+        # t1 - t0 is finite but (t1 - t0) / dt is not: round() raised OverflowError
+        doc = {**CASE4_CONFIG, "t_grid": {"t0": 0.0, "t1": 1e308, "steps": 3}}
+        path = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", path, "--out", str(tmp_path / "e.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: 'dt' = 0.01 takes inf RK4 steps over [t0, t1] = [0.0, 1e+308]; "
+            f"at most {cli.MAX_EVOLVE_STEPS} are allowed\n")
+
+    def test_empty_spectrum_without_a_background_field_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**CASE1_CONFIG, "J": 0})
+        assert main(["evolve", "--config", path, "--out", str(tmp_path / "e.json")]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: evolve requires a nonempty eigenvalue "
+                                           "set or a background field\n")
+
     def test_step_cap_itself_is_allowed(self, tmp_path, monkeypatch):
         class Reached(Exception):
             pass
@@ -1171,6 +1194,12 @@ def _run_configs(draw):
 @example(doc={"case": 1, "q0": 0.5, "eta1": 3.5, "N": 10**15})
 @example(doc={"case": 1, "q0": 0.5, "eta1": 3.5, "zeta_samples": 10**15})
 @example(doc={"case": 1, "q0": 0.5, "eta1": 3.5, "t_grid": {"steps": 10**15}})
+# t1 - t0 overflows, and t1 - t0 is finite but (t1 - t0) / dt is not: before
+# parse_config checked the span, evolve ended both in an OverflowError traceback
+@example(doc={"case": 4, "q0": 2.0 / 3.0, "theta_plus": 0.0, "thbar1": math.pi / 3.0, "N": 10,
+              "t_grid": {"t0": -1e308, "t1": 1e308, "steps": 3}})
+@example(doc={"case": 4, "q0": 2.0 / 3.0, "theta_plus": 0.0, "thbar1": math.pi / 3.0, "N": 10,
+              "t_grid": {"t0": 0.0, "t1": 1e308, "steps": 3}})
 def test_every_command_exits_with_a_documented_code(doc):
     # An exception escaping main would be a traceback: the test fails on it.
     with tempfile.TemporaryDirectory() as tmp:
