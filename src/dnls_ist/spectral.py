@@ -2,7 +2,8 @@
 
 The four cases are indexed by the sign sigma of the nonlocal reduction
 r_n = sigma * conj(q_{-n}) and by the phase difference (0 or pi) between the
-two lattice infinities.  Spectral quantities are expressed through the
+two lattice infinities; CASES holds both, and every other per-case constant
+here follows from them.  Spectral quantities are expressed through the
 uniformization variable zeta; the square roots z and lam are pinned to the
 principal branch, which is canonical here because every downstream formula
 depends only on sheet-even combinations (z**2, lam**2, z*lam, lam**(2n)).
