@@ -238,8 +238,11 @@ class TestConfig:
         ({"N": 312, "t_grid": {"steps": 3201}},
          "'N' = 312 and 't_grid.steps' = 3201 make 2000625 grid cells; "
          "at most 2000000 are allowed"),
+        # t1 - t0 = inf: soliton and verify ran on NaN times, evolve raised OverflowError
+        ({"t_grid": {"t0": -1e308, "t1": 1e308}},
+         "'t_grid' span t1 - t0 overflows: [t0, t1] = [-1e+308, 1e+308]"),
     ], ids=["N", "N-cap", "zeta_samples", "zeta_samples-cap", "steps", "steps-cap",
-            "cells-at-N-cap", "cells-by-one-step"])
+            "cells-at-N-cap", "cells-by-one-step", "t-span"])
     @pytest.mark.parametrize("command", ["eigs", "soliton", "scatter", "verify", "evolve"])
     def test_sizes_over_their_caps_exit_2(self, tmp_path, capsys, command, edit, message):
         # Each is refused before any array is built: 10**15 sites or samples
@@ -248,14 +251,6 @@ class TestConfig:
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr() == ("", f"config error: {message}\n")
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command", ["eigs", "soliton", "scatter", "verify", "evolve"])
-    def test_time_span_that_overflows_exits_2(self, tmp_path, capsys, command):
-        # t1 - t0 = inf: soliton and verify ran on NaN times, evolve raised OverflowError
-        path = write_config(tmp_path, {**CASE4_CONFIG, "t_grid": {"t0": -1e308, "t1": 1e308}})
-        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert capsys.readouterr() == ("", "config error: 't_grid' span t1 - t0 overflows: "
-                                           "[t0, t1] = [-1e+308, 1e+308]\n")
 
     def test_sizes_at_their_caps_are_accepted(self):
         for edit in ({"N": cli.MAX_N}, {"zeta_samples": cli.MAX_ZETA_SAMPLES},
