@@ -298,8 +298,8 @@ def _eigenset(config: RunConfig, cfg) -> ist.EigenSet:
 def _eigen_data(config: RunConfig, cfg, soliton: bool = True):
     """EigenSet plus its norming data (no constants for an empty spectrum).
 
-    Case III has no reduction-pinned norming constants yet, so no soliton
-    of it is available: a nonempty case-III spectrum is inadmissible here.
+    A case with no ist.norming_caseN (case III) has no reduction-pinned
+    norming constants yet, so its nonempty spectrum is inadmissible here.
     With soliton set, so is an empty spectrum that violates its case's
     trace limits (every Delta theta = pi background): no reflectionless
     potential joins q_minus = -q_plus to q_plus without eigenvalues.
