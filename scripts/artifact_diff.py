@@ -6,8 +6,10 @@
 Each checkout runs in its own subprocess with its own `src/` first on the
 path.  The subprocess runs `eigs`, `soliton`, `scatter` (seeds 0 and 5),
 `verify` and `evolve` on each config in CONFIGS, each config in its own
-directory, and keeps every output: the `--out` artifact, the trajectory
-CSV, stdout, stderr and the exit code (or the exception, if one escapes).
+directory (with its FIELD_CSVS entry, if it has one, as `field.csv` beside
+its `config.json`), and keeps every output: the `--out` artifact, the
+trajectory CSV, stdout, stderr and the exit code (or the exception, if one
+escapes).
 On c1 it also runs `scatter` and `verify` with no `--out`, so that their
 reports go to stdout.
 The two output trees must be byte-identical; the script lists each file
@@ -47,7 +49,8 @@ CONFIGS = {
                           "t_grid": {"t0": 0.0, "t1": 0.3, "steps": 2}, "dt": 0.1},
     # the cells at n <~ -1000 overflow, so soliton writes singular rows
     "c1-N1200": {**C1, "N": 1200, "t_grid": {"t0": -5.0, "t1": 5.0, "steps": 2}},
-    # |q_n r_n| = 1 at every site: scatter's sweep checks every step factor
+    # |q_n r_n| = -1 at every site, where det_n = 2 x00 x11: the bound on det_n
+    # that keeps its phase certifies the sweep (one that compares moduli declines it)
     "c3-q0-1-background": {"case": 3, "q0": 1.0, "N": 20, "field": {"source": "background"},
                            "t_grid": {"t0": 0.0, "t1": 1.0, "steps": 3}, "dt": 0.01,
                            "zeta_samples": 4},
@@ -81,7 +84,25 @@ CONFIGS = {
     # t1 - t0 overflows; t1 - t0 is finite but (t1 - t0) / dt is not
     "bad-t-span-huge": {**README_C4, "N": 10, "t_grid": {"t0": -1e308, "t1": 1e308, "steps": 3}},
     "bad-t-steps-huge": {**README_C4, "N": 10, "t_grid": {"t0": 0.0, "t1": 1e308, "steps": 3}},
+    # Fields read from a CSV (FIELD_CSVS): a non-finite entry, one whose Theta_n
+    # overflows, and a missing file, which evolve must refuse to ignore.
+    "csv-inf-row": {**README_C4, "N": 10, "field": {"source": "csv", "path": "field.csv"}},
+    "csv-1e300-row": {**README_C4, "N": 10, "field": {"source": "csv", "path": "field.csv"}},
+    "csv-missing": {**README_C4, "field": {"source": "csv", "path": "missing.csv"}},
 }
+
+
+def _field_csv(entries: dict) -> str:
+    """A field CSV on sites -10..10 at t = 0, q_n = 2/3 for n >= 0 and -2/3 for
+    n < 0, with the (re_q, im_q) text of each site in entries in place of its own."""
+    rows = {n: (repr(2.0 / 3.0 if n >= 0 else -2.0 / 3.0), "0.0") for n in range(-10, 11)}
+    rows.update(entries)
+    return "n,t,re_q,im_q,abs_q\n" + "".join(
+        f"{n},0,{re},{im},0\n" for n, (re, im) in rows.items())
+
+
+FIELD_CSVS = {"csv-inf-row": _field_csv({3: ("inf", "0.0")}),
+              "csv-1e300-row": _field_csv({3: ("1e300", "0.0")})}
 RUNS = [("eigs", 0), ("soliton", 0), ("scatter", 0), ("scatter", 5), ("verify", 0),
         ("evolve", 0)]
 STDOUT_RUNS = {"c1": [("scatter", 0), ("verify", 0)]}  # by config, run with no --out
@@ -94,6 +115,8 @@ def collect() -> None:
         os.makedirs(name)
         os.chdir(name)
         Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+        if name in FIELD_CSVS:
+            Path("field.csv").write_text(FIELD_CSVS[name], encoding="utf-8")
         runs = [(command, seed, True) for command, seed in RUNS]
         runs += [(command, seed, False) for command, seed in STDOUT_RUNS.get(name, [])]
         for command, seed, to_file in runs:

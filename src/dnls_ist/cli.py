@@ -42,7 +42,7 @@ MAX_EVOLVE_STEPS = 100_000
 # Caps on the sizes a config asks for, with the memory each allows at the cap.
 MAX_N = 10_000  # scatter's window and sweep, about 1.2 kB a site: 25 MB
 MAX_T_STEPS = 10_000  # verify's residual, 31 sites a step with dq/dt: 120 MB
-MAX_ZETA_SAMPLES = 500  # an uncertified sweep checks 12 B per site and sample: 120 MB
+MAX_ZETA_SAMPLES = 500  # scatter's report, about 3.5 kB a sample: 13 MB in all at MAX_N
 MAX_GRID_CELLS = 2_000_000  # the soliton grid's (2N + 1) * steps, 75 B a cell: 150 MB
 # Lines per CSV chunk, formatted by one format_g17 call: chunks a quarter
 # this size lose most of the gain to NumPy's cost per call, and a whole
@@ -435,6 +435,8 @@ def _load_field_csv(path: str, cfg) -> lattice.PotentialWindow:
             q = complex(float(row["re_q"]), float(row["im_q"]))
         except ValueError as exc:
             raise ConfigError(f"malformed field csv row: {ln!r}") from exc
+        _require(math.isfinite(q.real) and math.isfinite(q.imag),
+                 f"non-finite re_q or im_q in field csv row: {ln!r}")
         if t_val is None:
             t_val = t
         if t == t_val:
@@ -586,6 +588,8 @@ def _trajectory_csv(traj: verify.Trajectory):
 
 def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
+    _require(config.field["source"] != "csv",
+             "evolve does not read 'field.source' csv; give soliton or background")
     cfg = _case_config(config)
     eigenset, norming = _eigen_data(config, cfg, config.field["source"] == "soliton")
     _require(not eigenset.is_empty() or config.field["source"] == "background",

@@ -64,12 +64,16 @@ def theta_products(window: PotentialWindow) -> ThetaProduct:
     """Finite product over the window; tail factors are exactly 1."""
     cfg = window.cfg
     N = window.N
-    factors = 1.0 - window.q * partner(window)
+    with np.errstate(all="ignore"):  # a product that is not finite raises below
+        factors = 1.0 - window.q * partner(window)
+        theta = np.ones(2 * N + 2, dtype=complex)
+        theta[:-1] = np.cumprod((factors / (cfg.r * cfg.r))[::-1])[::-1]
     bad = np.flatnonzero(np.abs(factors) < PRODUCT_GUARD)
     if bad.size:
         raise SingularProduct(f"1 - q_n r_n vanishes at n = {int(bad[0]) - N}")
-    theta = np.ones(2 * N + 2, dtype=complex)
-    theta[:-1] = np.cumprod((factors / (cfg.r * cfg.r))[::-1])[::-1]
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise SingularProduct(f"Theta_n is not finite at n = {int(bad[-1]) - N}")
     return ThetaProduct(theta, complex(theta[0]), N)
 
 

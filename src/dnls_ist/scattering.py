@@ -11,12 +11,12 @@ the column's analyticity region.
 The recursion is batched over zeta: one sequential sweep over n advances
 all four columns at every requested spectral point with elementwise array
 arithmetic, and a sweep for one site stops at its last recorded step (N + 1
-of the 2N + 1 at n = 0).  A priori bounds certify its step factors and
-schedule its renormalization tests (`_propagate`).  `scattering_report`
-evaluates each zeta it needs (samples, their zeta_bar partners, eigenvalues)
-once, over one Theta product; `scattering_coefficients` is its one-zeta
-view.  `jost` (one column at one zeta) stays only because the benchmark's
-layer timings call it, until ROADMAP item 11 re-points the benchmark.
+of the 2N + 1 at n = 0).  A priori bounds that keep the phase of each det_n
+certify its step factors and schedule its renormalization tests (`_propagate`).
+`scattering_report` evaluates each zeta it needs (samples, their zeta_bar
+partners, eigenvalues) once, over one Theta product; `scattering_coefficients`
+is its one-zeta view.  `jost` (one column at one zeta) stays only because the
+benchmark's layer timings call it, until ROADMAP item 11 re-points the benchmark.
 """
 from __future__ import annotations
 
@@ -140,20 +140,20 @@ class _Sweep:
 def _step_bounds(x, forward, q, r, g):
     """Certify a window's step factors by a priori bounds, then bound its steps.
 
-    None unless x00, x11, x01 q, x10 r < 1e250 (no product with a column
-    under RENORM_THRESHOLD overflows), 1e-300 < |p0|, |p0| + |p1| max|g| < 1e300
-    and each backward |g_n| is a relative 1e-12 off [1/max rho, 1/min rho],
-    rho = |p1 / p0| (p0 = x00 x11, p1 = x01 x10), so no det p0 - p1 g_n is 0.
-    Else the cumulative sums over steps of log bounds on ||T_n||inf and
-    ||T_n^-1||inf over columns and points, each with 1e-10 of slack (and
-    1e-14 times both for rounding), clamped into [0, 1e3].  x is (4, C, K);
-    q, r and g = q r are (steps, C), in each column's step order.
+    p1 / p0 is 1 in exact arithmetic (p0 = x00 x11, p1 = x01 x10), so det_n =
+    p0 - p1 g_n has |det_n| >= |p0| d_n, d_n = |1 - g_n| - eps |g_n| with eps =
+    max |p1 / p0 - 1| over a column's points.  None unless x00, x11, x01 q, x10 r
+    < 1e250 (no product with a column under RENORM_THRESHOLD overflows), 1e-300
+    < |p0|, |p0| + |p1| max|g| < 1e300 and every backward d_n > 1e-12.  Else the
+    cumulative sums over steps of log bounds on ||T_n||inf and ||T_n^-1||inf over
+    columns and points, each with 1e-10 of slack (and 1e-14 times both for
+    rounding), clamped into [0, 1e3].  x is (4, C, K); q, r, g = q r are (steps, C).
     """
     d0, d1, ag = np.abs(x[0] * x[3]), np.abs(x[1] * x[2]), np.abs(g)
-    rho = d1 / d0
-    lo, hi = rho.min(axis=1, initial=np.inf), rho.max(axis=1, initial=0.0)
-    clear = (ag * hi < 1.0 - 1e-12) | (ag * lo > 1.0 + 1e-12)
-    if not (clear | forward).all():
+    eps = np.abs(x[1] * x[2] / (x[0] * x[3]) - 1.0).max(axis=1, initial=0.0)
+    d = np.abs(1.0 - g) - eps * ag
+    d = np.where(d > 1e-12, d, 0.0)
+    if not ((d > 0.0) | forward).all():
         return None
     a, aq, ar = np.abs(x), np.abs(q), np.abs(r)
     u = a.max(axis=2, initial=0.0)[:, None]
@@ -161,7 +161,6 @@ def _step_bounds(x, forward, q, r, g):
             and (d0 + d1 * ag.max()).max(initial=0.0) < 1e300 and d0.min(initial=1.0) > 1e-300):
         return None
     w = (a / d0).max(axis=2, initial=0.0)[:, None]
-    d = np.where(clear, np.minimum(np.abs(1.0 - ag * lo), np.abs(1.0 - ag * hi)), 0.0)
     # Row sums of T and T^-1, over |p0| per point on the side a det (factor >= d) divides
     c = np.stack([np.where(forward, u, w), np.where(forward, w, u)[[3, 1, 2, 0]]])
     det = np.where(forward, [np.ones_like(d), d], [d, np.ones_like(d)])
@@ -180,13 +179,13 @@ def _propagate(window: PotentialWindow, zetas,
     [1/RENORM_THRESHOLD, RENORM_THRESHOLD] is divided by it and the log of
     the factor accumulated.  The sweep stops at the last step that `site`
     needs (None records every site).  A window that `_step_bounds` cannot
-    certify has every step factor checked first, the first failure in (zeta,
-    column, step) order raised, and every step tested.  A certified one tests
+    certify has its step factors checked first, in blocks that keep each
+    column's first failing step at each point, raises the first failure in
+    (zeta, column, step) order, and tests every step.  A certified one tests
     only where its bounds let the largest (least nonzero) magnitude pass
     RENORM_THRESHOLD / 4 (4 / RENORM_THRESHOLD): a skipped test rescales nothing.
     """
-    cfg = window.cfg
-    N = window.N
+    cfg, N = window.cfg, window.N
     if site is not None:
         _check_site(N, site)
     steps = 2 * N + 1
@@ -194,9 +193,8 @@ def _propagate(window: PotentialWindow, zetas,
     K, C = zeta.size, len(kinds)
     forward = np.array([_FORWARD[kind] for kind in kinds])
     # Site fields in each column's step order, shape (steps, C, 1).
-    q_f, r_f = window.q, partner(window)
-    q_s = np.where(forward, q_f[:, None], q_f[::-1, None])[:, :, None]
-    r_s = np.where(forward, r_f[:, None], r_f[::-1, None])[:, :, None]
+    q_s, r_s = (np.where(forward, f[:, None], f[::-1, None])[:, :, None]
+                for f in (window.q, partner(window)))
     g_s = q_s * r_s
     with np.errstate(all="ignore"):
         x00, x01, x10, x11 = x = np.array([np.stack(c) for c in zip(
@@ -210,17 +208,19 @@ def _propagate(window: PotentialWindow, zetas,
             return x01 * q_s[j:j + block], x10 * r_s[j:j + block], det0 - det1 * g_s[j:j + block]
 
         bounds = _step_bounds(x, forward, q_s[..., 0], r_s[..., 0], g_s[..., 0])
-        failures = np.empty((0 if bounds else steps, C, K), dtype=np.int8)  # no step if certified
         diagonal = np.isfinite(x00) & np.isfinite(x11)
-        for j in range(0, len(failures), block):
+        first = np.full((C, K), steps)  # first failing step of each column at each point
+        for j in range(0, 0 if bounds else steps, block):
             a01, a10, det = factors(j)
-            finite = diagonal & np.isfinite(a01) & np.isfinite(a10)
-            invertible = forward[:, None] | ((det != 0) & np.isfinite(det))
-            failures[j:j + block] = np.where(finite, np.where(invertible, 0, 2), 1)
-        if failures.any():
-            k, c, j = np.unravel_index(int(np.argmax(failures.transpose(2, 1, 0) != 0)),
-                                       (K, C, steps))
-            if failures[j, c, k] == 2:
+            ok = diagonal & np.isfinite(a01) & np.isfinite(a10) & (
+                forward[:, None] | ((det != 0) & np.isfinite(det)))
+            if not ok.all():
+                first = np.minimum(first, np.where(ok.all(axis=0), steps, j + ok.argmin(axis=0)))
+        failed = np.argwhere(first.T < steps)  # (zeta, column) pairs, in order
+        if failed.size:
+            k, c = failed[0]
+            j = first[c, k]
+            if diagonal[c, k] and all(np.isfinite(f[0, c, k]) for f in factors(j)[:2]):
                 raise SingularTransfer("transfer matrix not invertible")
             n = j - N if forward[c] else N - j
             raise SingularTransfer(f"non-finite transfer entry at n={n}, zeta={complex(zeta[k])}")

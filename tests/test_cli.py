@@ -101,6 +101,16 @@ def _key_errors():
     return cases
 
 
+def write_background_csv(path, entries):
+    """The case-4 q0 = 2/3 background on sites -10..10 at t = 0 as a field CSV,
+    with the (re_q, im_q) text of each site in entries in place of its own."""
+    q = spectral.make_case(4, 2.0 / 3.0, -math.pi).background(np.arange(-10, 11), 0.0)
+    rows = {n: (repr(float(v.real)), repr(float(v.imag))) for n, v in zip(range(-10, 11), q)}
+    rows.update(entries)
+    path.write_text("n,t,re_q,im_q,abs_q\n" + "".join(
+        f"{n},0,{re},{im},0\n" for n, (re, im) in rows.items()), encoding="utf-8")
+
+
 class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -584,6 +594,31 @@ class TestScatter:
         err = capsys.readouterr().err
         assert "sites must be exactly -N..N with N >= 1" in err and named in err
 
+    @pytest.mark.parametrize("re_q, im_q", [("inf", "0"), ("nan", "0"), ("0.5", "-inf")])
+    def test_non_finite_csv_entry_is_a_config_error(self, tmp_path, capsys, re_q, im_q):
+        # refused at its row, before any array arithmetic on it can warn
+        field = tmp_path / "field.csv"
+        write_background_csv(field, {3: (re_q, im_q)})
+        doc = {**CASE4_CONFIG, "N": 10, "field": {"source": "csv", "path": str(field)}}
+        assert main(["scatter", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"config error: non-finite re_q or im_q in field csv row: '3,0,{re_q},{im_q},0'\n")
+
+    # q_3 = 1e300 makes 1 - q_n r_n about 6.7e299 at n = 3 and -3, so Theta_n
+    # overflows from n = -3 down; q_0 = 1e300 makes q_0 r_0 = -1e600 overflow.
+    @pytest.mark.parametrize("site, n", [(3, -3), (0, 0)])
+    def test_csv_field_whose_product_overflows_exits_7(self, tmp_path, capsys, site, n):
+        # one stderr line, no RuntimeWarning and no all-NaN report
+        field = tmp_path / "field.csv"
+        write_background_csv(field, {site: ("1e300", "0")})
+        doc = {**CASE4_CONFIG, "N": 10, "field": {"source": "csv", "path": str(field)}}
+        out = tmp_path / "r.json"
+        assert main(["scatter", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr() == (
+            "", f"numerical failure: Theta_n is not finite at n = {n}\n")
+        assert not out.exists()
+
     def test_csv_field_roundtrip(self, tmp_path):
         # write a soliton field, scatter on it from file
         doc = dict(CASE4_CONFIG)
@@ -793,6 +828,18 @@ class TestEvolve:
         assert capsys.readouterr().err == (
             "config error: 'dt' = 0.01 takes inf RK4 steps over [t0, t1] = [0.0, 1e+308]; "
             f"at most {cli.MAX_EVOLVE_STEPS} are allowed\n")
+
+    def test_csv_field_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # evolve reads no field file, so it would evolve the configured soliton instead
+        monkeypatch.chdir(tmp_path)
+        doc = {**CASE4_CONFIG, "field": {"source": "csv", "path": str(tmp_path / "none.csv")}}
+        out = tmp_path / "e.json"
+        assert main(["evolve", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "config error: evolve does not read 'field.source' csv; give soliton or "
+                "background\n")
+        assert not out.exists() and not (tmp_path / "trajectory.csv").exists()
 
     def test_empty_spectrum_without_a_background_field_is_a_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {**CASE1_CONFIG, "J": 0})

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -623,9 +624,8 @@ def test_sweep_is_byte_identical_to_the_reference(sweep_windows, monkeypatch, na
     certified = _certified(monkeypatch)
     sweep = scattering._propagate(window, zetas, kinds, site=site)
     reference = propagate_reference(window, zetas, kinds, site=site)
-    # |q_n r_n| = 1 declines only a window with a backward column
-    backward = any(not scattering._FORWARD[kind] for kind in kinds)
-    assert certified == [name != "c3-q0-1-background" or not backward]
+    # every one is certified, the case-3 q0 = 1 background (|q_n r_n| = 1) included
+    assert certified == [True]
     assert sweep.slots == reference.slots
     assert sweep.values.tobytes() == reference.values.tobytes()
     assert sweep.logs.tobytes() == reference.logs.tobytes()
@@ -640,21 +640,32 @@ def test_the_certificate_accepts_the_benchmark_windows(sweep_windows, monkeypatc
         window, zetas = sweep_windows[name]
         scattering._propagate(window, zetas, site=0)
     assert certified == [True, True]
+    # |q_n r_n| = 1 at every site, and |q_0|**2 = 1 - 1.5e-12 (a relative 1e-12 clear of 1)
+    c3, c3_zetas = sweep_windows["c3-q0-1-background"]
+    cfg = spectral.make_case(1, 2.0 / 3.0, 0.0)
+    q = np.array(background_field(cfg, 0.0, 12).q)
+    q[12] = math.sqrt(1.0 - 1.5e-12)
+    near = lattice.PotentialWindow(cfg, 12, 0.0, q)
+    for window, zetas in ((c3, c3_zetas), (near, continuum_samples(cfg, 20))):
+        scattering._propagate(window, zetas, site=0)
+    assert certified == [True] * 4
 
 
-def _declined_window(case, q0, theta, n, value):
+def _declined_window(case, q0, theta, values):
+    """A perturbed 25-site background with q_n set to each of values {n: q_n}."""
     cfg = spectral.make_case(case, q0, theta)
     q = np.array(perturbed_background(cfg, N=12, seed=4).q)
-    q[n + 12] = value
+    for n, value in values.items():
+        q[n + 12] = value
     return lattice.PotentialWindow(cfg, 12, 0.0, q)
 
 
 @pytest.mark.parametrize("window, zetas, message", [
     # finite q_5 = 1e200: x01 q_5 overflows at zeta = 1e-110
-    (_declined_window(4, 2.0 / 3.0, -math.pi, 5, 1e200), [1.000001 * cmath.exp(0.5j), 1e-110],
+    (_declined_window(4, 2.0 / 3.0, -math.pi, {5: 1e200}), [1.000001 * cmath.exp(0.5j), 1e-110],
      "non-finite transfer entry at n=5, zeta=(1e-110+0j)"),
     # q_0 r_0 = |q_0|**2 = 1 exactly in case 1, where det0 = det1 at zeta = 0.45 + 0.893j
-    (_declined_window(1, 2.0 / 3.0, 0.0, 0, 1.0), [0.999999 * cmath.exp(2.0j), 0.45 + 0.893j],
+    (_declined_window(1, 2.0 / 3.0, 0.0, {0: 1.0}), [0.999999 * cmath.exp(2.0j), 0.45 + 0.893j],
      "transfer matrix not invertible"),
 ])
 @pytest.mark.parametrize("check_block", [None, 8])
@@ -669,6 +680,53 @@ def test_declined_windows_raise_the_reference_error(monkeypatch, window, zetas, 
         scattering._propagate(window, zetas, site=0)
     assert str(err.value) == str(reference.value) == message
     assert certified == [False]
+
+
+# (window, zetas, message): the first failure in (zeta, column, step) order.
+# At zeta = 1e-110, x01 q_n overflows only where |q_n| = 1e200 (n = 5); at
+# 1e-160 also where it is 1e150 (n = -5), ten steps earlier in column M.  At
+# 0.45 + 0.893j, q_0 r_0 = 1 makes the backward columns' det_0 vanish, five
+# steps later than column M's overflow at n = -5 and 1e-110.
+_ORDER_C4 = _declined_window(4, 2.0 / 3.0, -math.pi, {-5: 1e150, 5: 1e200})
+_ORDER_C1 = _declined_window(1, 2.0 / 3.0, 0.0, {0: 1.0, -5: 1e200})
+
+
+@pytest.mark.parametrize("window, zetas, message", [
+    (_ORDER_C4, [1e-110, 1e-160], "non-finite transfer entry at n=5, zeta=(1e-110+0j)"),
+    (_ORDER_C4, [1e-160, 1e-110], "non-finite transfer entry at n=-5, zeta=(1e-160+0j)"),
+    (_ORDER_C1, [0.45 + 0.893j, 1e-110], "transfer matrix not invertible"),
+    (_ORDER_C1, [1e-110, 0.45 + 0.893j], "non-finite transfer entry at n=-5, zeta=(1e-110+0j)"),
+])
+@pytest.mark.parametrize("check_block", [None, 8])
+def test_the_first_failure_is_taken_in_zeta_column_step_order(monkeypatch, window, zetas,
+                                                              message, check_block):
+    if check_block is not None:  # one step a block, so the failures lie in different blocks
+        monkeypatch.setattr(scattering, "_CHECK_BLOCK", check_block)
+    with np.errstate(over="ignore"):  # q_5 r_5 = 1e350 in _ORDER_C4
+        with pytest.raises(SingularTransfer) as reference:
+            propagate_reference(window, zetas, site=0)
+        with pytest.raises(SingularTransfer) as err:
+            scattering._propagate(window, zetas, site=0)
+    assert str(err.value) == str(reference.value) == message
+
+
+def test_a_declined_sweep_holds_nothing_per_site_and_sample(monkeypatch):
+    # A declined window checks every step factor, in blocks of _CHECK_BLOCK
+    # entries: what it keeps grows with the points, not with sites x points.
+    monkeypatch.setattr(scattering, "_step_bounds", lambda *args: None)
+    window = background_field(spectral.make_case(3, 1.0, 0.0), 0.0, 1000)
+
+    def peak(count):
+        zetas = continuum_samples(window.cfg, count)
+        tracemalloc.start()
+        try:
+            scattering._propagate(window, zetas, site=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # less than 1 B per site and point added
+    assert peak(100) - peak(10) < (2 * window.N + 1) * 90
 
 
 def _step_norms(window, zetas):
