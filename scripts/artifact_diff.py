@@ -13,7 +13,10 @@ escapes).
 On c1 it also runs `scatter` and `verify` with no `--out`, so that their
 reports go to stdout.
 The two output trees must be byte-identical; the script lists each file
-that differs and exits 1 if any does, 0 otherwise.
+that differs and exits 1 if any does, 0 otherwise.  For a file on both
+sides whose text matches once each number is taken out, it prints the
+largest change of any number, |change - base| / max(1, |base|); otherwise
+it says that the text differs.
 """
 import argparse
 import contextlib
@@ -21,6 +24,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -47,8 +51,10 @@ CONFIGS = {
     "c2-stage-overflow": {"case": 2, "q0": 4.0, "theta": 0.0, "N": 4,
                           "field": {"source": "background"},
                           "t_grid": {"t0": 0.0, "t1": 0.3, "steps": 2}, "dt": 0.1},
-    # the cells at n <~ -1000 overflow, so soliton writes singular rows
+    # wide windows: the solve of the far cells overflows (from n ~ -1000 on c1 and
+    # n = -440 on c4), so these take the background of the far field instead
     "c1-N1200": {**C1, "N": 1200, "t_grid": {"t0": -5.0, "t1": 5.0, "steps": 2}},
+    "readme-c4-N2000": {**README_C4, "N": 2000},
     # |q_n r_n| = -1 at every site, where det_n = 2 x00 x11: the bound on det_n
     # that keeps its phase certifies the sweep (one that compares moduli declines it)
     "c3-q0-1-background": {"case": 3, "q0": 1.0, "N": 20, "field": {"source": "background"},
@@ -106,6 +112,25 @@ FIELD_CSVS = {"csv-inf-row": _field_csv({3: ("inf", "0.0")}),
 RUNS = [("eigs", 0), ("soliton", 0), ("scatter", 0), ("scatter", 5), ("verify", 0),
         ("evolve", 0)]
 STDOUT_RUNS = {"c1": [("scatter", 0), ("verify", 0)]}  # by config, run with no --out
+
+
+# A decimal number that is not part of a word (t11, c1-N1200 and the like).
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def change_size(base: bytes, change: bytes) -> str:
+    """How a file differs: its largest numeric change if its other text matches."""
+    texts = [side.decode("utf-8", "replace") for side in (base, change)]
+    (base_text, change_text), numbers = ([_NUMBER.split(t) for t in texts],
+                                         [[float(x) for x in _NUMBER.findall(t)] for t in texts])
+    if base_text != change_text:
+        return "text differs"
+    largest = 0.0
+    for old, new in zip(*numbers):
+        if old != new:
+            size = abs(new - old) / max(1.0, abs(old))
+            largest = max(largest, size if math.isfinite(size) else math.inf)
+    return f"largest change {largest:.2g}, text matches"
 
 
 def collect() -> None:
@@ -169,7 +194,10 @@ def main(argv=None) -> int:
     differ = sorted(path for path in base.keys() | change.keys()
                     if base.get(path) != change.get(path))
     for path in differ:
-        print(f"differs: {path}")
+        if path not in base or path not in change:
+            print(f"differs: {path}: only in {'change' if path in change else 'base'}")
+        else:
+            print(f"differs: {path}: {change_size(base[path], change[path])}")
     print(f"{len(base)} outputs compared, {len(differ)} differ")
     return 1 if differ else 0
 

@@ -8,11 +8,12 @@ the spectral involution, case IV one real pair.  The reflectionless inverse prob
 (4J+1)-dimensional linear system per lattice site and time, block lower
 triangular in the unknown order (N2, Nbar2 | 1/Theta_n | N1, Nbar1) with
 the 2J x 2J diagonal block P = [[I, -kbar], [-k, I]] twice;
-reconstruct_grid solves it for a whole (n, t) grid of cells by one batched,
-pivoted solve of P per fixed-size block, a scalar border for 1/Theta_n and
-back-substitution, and returns both q_n and r_n; reconstruct is its
-one-cell view; NormingData holds the factors that depend on the spectrum
-alone.  build_system (one cell's dense B and Y, built from the same
+reconstruct_grid fills the far field of a whole (n, t) grid of cells with
+the background, screened by bounds on the lam**(2n) couplings, solves the
+rest by one batched, pivoted solve of P per fixed-size block, a scalar
+border for 1/Theta_n and back-substitution, and returns both q_n and r_n;
+reconstruct is its one-cell view; NormingData holds the factors that
+depend on the spectrum alone.  build_system (one cell's dense B and Y, built from the same
 blocks) stays only because the benchmark's tracer wraps it, until ROADMAP
 item 11 re-points the benchmark.
 """
@@ -261,15 +262,17 @@ class NormingData:
         zs, zbs = np.array(self.eigenset.zeros_t11), np.array(self.eigenset.zeros_t22)
         object.__setattr__(self, "gammas", tuple(gamma(cfg, zb)
                                                  for zb in self.eigenset.zeros_t22))
-        y0, y3 = r - 1.0 / zs, zbs - r
-        object.__setattr__(self, "spectrum", _Spectrum(
-            np.array(self.cbar0, dtype=complex)[:, None], self.cbar_rate[:, None],
-            self.c_rate[:, None], lam_squared(cfg, zs)[:, None], lam_squared(cfg, zbs)[:, None],
+        y0, y3, cbar_rate = r - 1.0 / zs, zbs - r, self.cbar_rate
+        s = _Spectrum(
+            np.array(self.cbar0, dtype=complex)[:, None], cbar_rate[:, None],
+            (cbar_rate + 2j * cfg.rotation)[:, None], lam_squared(cfg, zs)[:, None],
+            lam_squared(cfg, zbs)[:, None],
             ((zbs - r) ** 2)[:, None],
             (zs - rinv)[:, None, None], ((zbs - rinv) * (zs[:, None] - zbs))[..., None],
             (zbs - r)[:, None, None], ((zs - r) * (zbs[:, None] - zs))[..., None],
             (zs * (zs - r))[:, None], (zbs - rinv)[:, None],
-            y0, y3, np.abs(np.concatenate([y0, y3])).max(initial=1.0)))
+            y0, y3, np.abs(np.concatenate([y0, y3])).max(initial=1.0), *(None,) * 5)
+        object.__setattr__(self, "spectrum", s._replace(**_far_field(cfg, s, self.gammas)))
 
     @property
     def cbar_rate(self) -> np.ndarray:
@@ -394,8 +397,82 @@ class _Blocks(NamedTuple):
 # at zeta_j and zbar_j are (J, 1); kbar = kbar_num Cbar_j lam(zbar_j)**(2n) /
 # kbar_den and k = k_num C_j lam(zeta_j)**(-2n) / k_den, with C_j = -q_plus**2
 # Cbar_j / c_den; row and row_r divide by their dens; ymax = max(1, |y0|, |y3|).
+# The far-field screen's constants (_far_field) close it.
 _Spectrum = namedtuple("_Spectrum", "cbar0 cbar_rate c_rate lam2 lam2_bar c_den kbar_num "
-                       "kbar_den k_num k_den row_den row_r_den y0 y3 ymax")
+                       "kbar_den k_num k_den row_den row_r_den y0 y3 ymax "
+                       "log_t log_n right left theta_inv_minus")
+# What a far-field fill may neglect, and how far the limiting system's q and r
+# may lie from cfg's q_minus and r_minus (over max(1, q0)) for it to take those.
+_FAR_TOL = 2.0 ** -53
+_MINUS_TOL = 7e-16
+
+
+def _far_field(cfg: CaseConfig, s: _Spectrum, gammas) -> dict:
+    """The far-field screen's fields of _Spectrum (see _solve_cells), and their bounds.
+
+    The 2J couplings E_l (cpow, then cbarpow) enter as kbar = A Ebar, k = B E
+    column by column (A, B constant J x J), row = E / row_den and row_r =
+    Ebar / row_r_den; log|E_l| = log|E_l(0, 0)| + log_t t + log_n n.  In max
+    norms, with X0 the solution that a fill takes:
+    - right: the system is B0 + D, B0 the J = 0 system (|B0^-1| = 1 + q0) and
+      |D| <= S = sum_l |E_l| m_l, m_l the largest modulus in E_l's column of
+      B and 1/row_den (A and 1/row_r_den for Ebar_l).  So |X - X0| <= (1 +
+      q0) S |X0| (1 + O(S)), and q - q_plus = r row.N1 Theta_n and r - r_plus
+      are at most max(1, r) S |X| |Theta_n|: K0 = max(1, r) (1 + q0) |X0|;
+    - left: in the unknowns E N1, E N2, Ebar Nbar1, Ebar Nbar2, 1/Theta_n it
+      is L0 + diag(1/E, 1/E, 1/Ebar, 1/Ebar, 0), L0 the limiting system, whose
+      blocks give 1/Theta_-inf = 1 + row_den^-1.B^-1 y3, q_plus (1 - r
+      row_den^-1.B^-1 1) and r_plus (1 - row_r_den^-1.A^-1 1).  With S =
+      max_l 1/|E_l| and d = |L0^-1| S |X0| (1 + O(S)), |q - q_inf| <= d (r nu
+      + |q_inf - q_plus|) / (|1/Theta_-inf| - d), nu the sum of 1/|row_den|
+      (r alike): K0 = |L0^-1| |X0| max(1, (r nu + |q_inf - q_plus|) / th, ...).
+    The gauge (q_plus, E_l, Ebar_l) -> (e^ia q_plus, e^ia E_l, e^-ia Ebar_l)
+    maps q to e^ia q and keeps 1/Theta_n and every norm here, so dq/dt - i
+    rotation q is the derivative along E_l -> E_l e^(-i gamma_l s), which
+    Cauchy's estimate on |s| = 1/max|gamma| bounds by e max|gamma| times the
+    value bound.  So with K = 2 K0 max(1, |rotation| + e max|gamma|) a fill
+    neglects less than K S in q, r, 1/Theta_n and dq/dt: right holds
+    log|E_l(0, 0)| + log(2J K_R m_l / _FAR_TOL) and left log|E_l(0, 0)| -
+    log(K_L / _FAR_TOL), which is -inf (never left far) when L0 is singular
+    or q_inf, r_inf miss cfg.q_minus, cfg.r_minus by more than _MINUS_TOL
+    max(1, q0), since left far cells take those exactly.
+    """
+    J, q0, r = s.y0.size, cfg.q0, cfg.r
+    time = max(1.0, abs(cfg.rotation) + math.e * max(map(abs, gammas), default=0.0))
+    # A and B, each with the dens of the sum it feeds (row_r_den, row_den)
+    AB = np.array([s.kbar_num / s.kbar_den, s.k_num / s.k_den])[..., 0]
+    dens = np.array([s.row_r_den, s.row_den])[..., 0]
+    with np.errstate(all="ignore"):
+        e0 = np.abs(np.concatenate([q0 * q0 * s.cbar0 / s.c_den, s.cbar0]))  # |E_l(0, 0)|
+        m = np.maximum(np.abs(AB).max(axis=1, initial=0.0), 1.0 / np.abs(dens))[::-1]
+        k_r = 2.0 * max(1.0, r) * (1.0 + q0) * max(s.ymax, q0) * time
+        right = np.log(e0 * (2.0 * J * k_r / _FAR_TOL * m).reshape(-1, 1))
+        try:
+            inv = np.linalg.inv(AB)
+        except np.linalg.LinAlgError:
+            inv = np.full_like(AB, np.nan)
+        ones = inv.sum(axis=2)  # A^-1 1 and B^-1 1
+        a_y0, b_y3 = (inv[0] * s.y0).sum(axis=1), (inv[1] * s.y3).sum(axis=1)
+        theta_inv = complex(1.0 + (b_y3 / dens[1]).sum())
+        lam_r, lam_q = 1.0 - (ones / dens).sum(axis=1) * (1.0, r)
+        th, nus = abs(theta_inv), (1.0 / np.abs(dens)).sum(axis=1)
+        # |L0^-1| row by row: E N2 = -B^-1 f, then 1/Theta_n (row 1 + |row_den^-1.B^-1|),
+        # E N1 = -B^-1 (f + q_plus Theta_n 1), and Ebar Nbar1, Ebar Nbar2 alike with A
+        theta_row = 1.0 + np.abs((inv[1] / dens[1][:, None]).sum(axis=0)).sum()
+        l0_inv = max(theta_row, (np.abs(inv).sum(axis=2) + q0 * theta_row * np.abs(ones)).max(
+            initial=0.0))
+        x0 = max(th, np.abs(np.concatenate([a_y0, b_y3, q0 * th * ones.ravel()])).max(
+            initial=0.0))
+        k_l = (2.0 * l0_inv * x0 * time * max(1.0, (r * nus[1] + q0 * abs(lam_q - 1.0)) / th,
+                                               (nus[0] + q0 * abs(lam_r - 1.0)) / th))
+        # q_minus / q_plus = r_minus / r_plus = e^(-i Delta theta)
+        ratio = cmath.exp(-1j * cfg.delta_theta)
+        exact = q0 * max(abs(lam_q - ratio), abs(lam_r - ratio)) <= _MINUS_TOL * max(1.0, q0)
+        left = (np.log(e0 * (_FAR_TOL / k_l)) if exact and math.isfinite(k_l)
+                else np.full_like(e0, -np.inf))
+        log_n = np.log(np.abs(np.concatenate([1.0 / s.lam2, s.lam2_bar])))
+    return {"log_t": np.concatenate([s.c_rate, s.cbar_rate]).real, "log_n": log_n,
+            "right": right, "left": left, "theta_inv_minus": theta_inv}
 
 
 def _assemble(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
@@ -441,8 +518,9 @@ class ReconstructionGrid:
 
     q and r are NaN on singular cells; reason holds the codes OK ...
     AMPLITUDE (names in REASONS).  backward is the solve's backward error:
-    NaN where the entries overflowed (no solve was made) and inf where the
-    solve gave no finite solution; theta_inv is 1/Theta_n wherever it did.
+    0 on the far cells, which are filled without one, NaN where the entries
+    overflowed (no solve was made) and inf where the solve gave no finite
+    solution; theta_inv is 1/Theta_n wherever it did.
     """
 
     ns: np.ndarray
@@ -492,17 +570,19 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
 
     ns and ts broadcast against each other (a scalar t gives a time row,
     sites[None, :] and ts[:, None] a time-major grid); the result is flat in
-    that broadcast order.  The cells are solved in blocks of _BLOCK: each
-    block's 2J x 2J diagonal blocks P are stacked and solved by one batched
-    LAPACK call with four right-hand sides, 1/Theta_n follows from the
-    border row and the rest by back-substitution (_solve_block), and each
-    cell is then judged on its own: finite entries and solution, backward
-    error of the full (4J+1) equations at most 1e-8 * |B| |X| + |Y| (B is
-    never formed), |1/Theta_n| at least DET_GUARD * max(1, |X|), and a
-    finite amplitude.  The system is badly scaled but well posed at large
-    |n| (lam**(2n) entries), so singularity is judged by these checks rather
-    than by a determinant.  An empty spectrum is the J = 0 system B = [1]:
-    q_plus(t), r_plus(t) at every cell.
+    that broadcast order.  Far cells, whose lam**(2n) couplings all lie past
+    their bounds, take the background there with no solve, within 1e-15
+    max(1, |x|) of the exact one, and backward error 0 (_solve_cells).  The
+    others are solved in blocks of _BLOCK: each block's 2J x 2J diagonal blocks P are stacked and
+    solved by one batched LAPACK call with four right-hand sides, 1/Theta_n
+    follows from the border row and the rest by back-substitution
+    (_solve_block), and each cell is then judged on its own: finite entries
+    and solution, backward error of the full (4J+1) equations at most
+    1e-8 * |B| |X| + |Y| (B is never formed), |1/Theta_n| at least
+    DET_GUARD * max(1, |X|), and a finite amplitude.  The system is badly
+    scaled but well posed at large |n| (lam**(2n) entries), so singularity
+    is judged by these checks rather than by a determinant.  An empty
+    spectrum is the J = 0 system B = [1]: q_plus(t), r_plus(t) at every cell.
     """
     ns, ts, _ = _flat_cells(ns, ts)
     return _solve_cells(cfg, eigenset, norming, ns, ts)[0]
@@ -529,15 +609,60 @@ def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     """The ReconstructionGrid over flat cells; [dq/dt, d(1/Theta_n)/dt] if derivative is set.
 
     The one block loop of reconstruct_grid and reconstruct_with_derivative.
+    The screen (_screen) first takes out the far cells, from their 2J
+    couplings E_l = C_l(t) lam(zeta_l)**(-2n) and Ebar_l = Cbar_l(t)
+    lam(zbar_l)**(2n), whose logs are affine in (n, t):
+    - right far field, every |E_l| m_l <= 2**-53 / (2J K_R): the J = 0
+      system, q_plus(t), r_plus(t) and 1/Theta_n = 1;
+    - left far field, every |E_l| >= K_L / 2**-53: the limiting system,
+      q_minus(t), r_minus(t) and 1/Theta_-inf, for a spectrum whose limit
+      agrees with that background to _MINUS_TOL (none is left far otherwise).
+    _far_field derives m_l, K_R and K_L from the spectrum so that a fill
+    neglects less than 2**-53 (_FAR_TOL) in q, r, 1/Theta_n and dq/dt, which
+    with its rounding and the _MINUS_TOL agreement keeps it within 1e-15
+    max(1, |x|) of the exact solve.  Far cells are OK (AMPLITUDE where |q| is
+    not finite), never overflow, and have backward error 0, dq/dt = i
+    rotation q and d(1/Theta_n)/dt = 0; _solve_block solves the rest in
+    _BLOCK chunks.
     """
+    s = norming.spectrum
     out = [np.empty(ns.size, dtype) for dtype in
            (complex, complex, float, complex, np.int8, complex, complex)[:5 + 2 * derivative]]
-    for start in range(0, ns.size, _BLOCK):
-        cells = slice(start, start + _BLOCK)
+    right, left = _screen(s, ns, ts)
+    near, far = np.flatnonzero(~(right | left)), np.flatnonzero(right | left)
+    for start in range(0, near.size, _BLOCK):
+        cells = near[start:start + _BLOCK]
         for whole, part in zip(out, _solve_block(cfg, eigenset, norming, ns[cells], ts[cells],
                                                  derivative)):
             whole[cells] = part
+    if far.size:
+        t, plus = ts[far], right[far]
+        with np.errstate(all="ignore"):
+            qp, qm = cfg.q_plus(t), cfg.q_minus(t)
+            q = np.where(plus, qp, qm)
+            r = cfg.sigma * np.conj(np.where(plus, qm, qp))  # r_plus(t), r_minus(t)
+            reason = OK
+            huge = ~np.isfinite(np.abs(q))  # a finite q whose modulus overflows
+            if huge.any():
+                q[huge] = r[huge] = complex(np.nan, np.nan)
+                reason = np.where(huge, AMPLITUDE, OK)
+            fills = [q, r, 0.0, np.where(plus, 1.0, s.theta_inv_minus), reason]
+            if derivative:
+                fills += [1j * cfg.rotation * q, 0.0]
+        for whole, fill in zip(out, fills):
+            whole[far] = fill
     return ReconstructionGrid(ns, ts, *out[:5]), out[5:]
+
+
+def _screen(s: _Spectrum, ns: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the right and of the left far field (_solve_cells), as two masks."""
+    with np.errstate(invalid="ignore"):  # inf - inf on unbounded cells, which stay near
+        log = s.log_t * ts
+        log += s.log_n * ns
+        right = np.maximum.reduce(log + s.right, axis=0, initial=-np.inf) <= 0.0
+        left = np.minimum.reduce(log + s.left, axis=0, initial=np.inf) >= 0.0
+    left &= ~right
+    return right, left
 
 
 def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
@@ -777,18 +902,13 @@ def soliton_closed_form_case4(cfg: CaseConfig, thbar1: float, ns, ts):
 
 def theta_minus_inf_from_system(cfg: CaseConfig, eigenset: EigenSet,
                                 norming: NormingData) -> complex:
-    """Theta_n from the solved system at t = 0 and a deeply negative site.
+    """Theta_n as n -> -inf, from the limiting system that left far cells take.
 
-    The site (at most 200 out) is capped so that the lam**(2n) system entries
-    stay finite in double precision; the limit is machine-converged long before the cap.
+    Its J x J blocks are constant (_far_field), so 1/Theta_-inf = 1 +
+    row_den^-1 . B^-1 y3 at every time; it is derived from the system, not
+    from the trace formula, so that the two can check each other.
     """
-    max_log = 1e-6
-    for z in (*eigenset.zeros_t11, *eigenset.zeros_t22):
-        max_log = max(max_log, abs(math.log10(abs(lam_squared(cfg, z)))))
-    n_eff = min(200, max(8, int(140.0 / max_log)))
-    grid = reconstruct_grid(cfg, eigenset, norming, [-n_eff], [0.0])
-    if grid.reason[0] in _SOLVE_FAILED:
-        raise grid.error(0)
-    if abs(grid.theta_inv[0]) < DET_GUARD:
+    theta_inv = norming.spectrum.theta_inv_minus
+    if not abs(theta_inv) >= DET_GUARD:  # NaN too: A or B is singular
         raise SingularSolution("Theta_n diverged in the minus-infinity limit")
-    return complex(1.0 / grid.theta_inv[0])
+    return complex(1.0 / theta_inv)

@@ -11,7 +11,10 @@ the column's analyticity region.
 The recursion is batched over zeta: one sequential sweep over n advances
 all four columns at every requested spectral point with elementwise array
 arithmetic, and a sweep for one site stops at its last recorded step (N + 1
-of the 2N + 1 at n = 0).  A priori bounds that keep the phase of each det_n
+of the 2N + 1 at n = 0).  It starts where the window first leaves the exact
+edge backgrounds that the boundary vectors are built from (a reflectionless
+window's far field is that background), since up to there every column
+holds its boundary vector.  A priori bounds that keep the phase of each det_n
 certify its step factors and schedule its renormalization tests (`_propagate`).
 `scattering_report` evaluates each zeta it needs (samples, their zeta_bar
 partners, eigenvalues) once, over one Theta product; `scattering_coefficients`
@@ -23,7 +26,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +172,21 @@ def _step_bounds(x, forward, q, r, g):
     return np.pad(np.cumsum(np.clip(b, 0.0, 1e3), axis=1), ((0, 0), (1, 0))).tolist()
 
 
+def _stationary_steps(cfg: CaseConfig, t: float, forward: np.ndarray, q_s: np.ndarray,
+                      r_s: np.ndarray) -> int:
+    """The first step at which some column's (q_n, r_n) is not its edge's background.
+
+    A forward column's boundary vector is built from (q_minus(t), r_minus(t))
+    and a backward one's from (q_plus(t), r_plus(t)); while a column steps
+    through exactly those values its step matrix fixes that vector.  q_s and
+    r_s are (steps, C, 1) in each column's step order.
+    """
+    q_edge = np.where(forward, cfg.q_minus(t), cfg.q_plus(t))
+    r_edge = np.where(forward, cfg.r_minus(t), cfg.r_plus(t))
+    edge = ((q_s[..., 0] == q_edge) & (r_s[..., 0] == r_edge)).all(axis=1)
+    return len(edge) if edge.all() else int(edge.argmin())
+
+
 def _propagate(window: PotentialWindow, zetas,
                kinds: tuple[ColumnKind, ...] = tuple(ColumnKind),
                site: int | None = None) -> _Sweep:
@@ -177,13 +195,17 @@ def _propagate(window: PotentialWindow, zetas,
     Each step advances all K points and all columns with elementwise
     arithmetic on (columns, K) arrays; a column whose magnitude leaves
     [1/RENORM_THRESHOLD, RENORM_THRESHOLD] is divided by it and the log of
-    the factor accumulated.  The sweep stops at the last step that `site`
+    the factor accumulated.  The sweep starts at the first step where some
+    column's (q_n, r_n) is not exactly its edge's background
+    (`_stationary_steps`, the same for every `site`): each earlier slot holds
+    the boundary vector with log 0.  It stops at the last step that `site`
     needs (None records every site).  A window that `_step_bounds` cannot
     certify has its step factors checked first, in blocks that keep each
     column's first failing step at each point, raises the first failure in
     (zeta, column, step) order, and tests every step.  A certified one tests
     only where its bounds let the largest (least nonzero) magnitude pass
     RENORM_THRESHOLD / 4 (4 / RENORM_THRESHOLD): a skipped test rescales nothing.
+    The factor checks and the bounds cover every step, the skipped ones too.
     """
     cfg, N = window.cfg, window.N
     if site is not None:
@@ -195,8 +217,8 @@ def _propagate(window: PotentialWindow, zetas,
     # Site fields in each column's step order, shape (steps, C, 1).
     q_s, r_s = (np.where(forward, f[:, None], f[::-1, None])[:, :, None]
                 for f in (window.q, partner(window)))
-    g_s = q_s * r_s
     with np.errstate(all="ignore"):
+        g_s = q_s * r_s
         x00, x01, x10, x11 = x = np.array([np.stack(c) for c in zip(
             *(_step_constants(cfg, zeta, kind) for kind in kinds))])
         # det = det0 - det1 * q_n r_n, identically 1 for a forward column.
@@ -239,10 +261,12 @@ def _propagate(window: PotentialWindow, zetas,
             if i is not None:
                 values[i, 0], values[i, 1], logs[i] = v0, v1, log
 
-        record(0)
-        test, head = 0, math.log(RENORM_THRESHOLD / 4.0)  # next step to test, log headroom
-        for j in range(keep[-1]):  # N + 1 of the 2N + 1 steps for site 0
-            i = j % block
+        start = _stationary_steps(cfg, window.t, forward, q_s, r_s)
+        fixed = bisect_right(keep, start)
+        values[:fixed, 0], values[:fixed, 1], logs[:fixed] = v0, v1, 0.0
+        test, head = start, math.log(RENORM_THRESHOLD / 4.0)  # next step to test, log headroom
+        for j in range(start, keep[-1]):  # N + 1 of the 2N + 1 steps for site 0, at most
+            i = (j - start) % block
             if i == 0:
                 a01, a10, det = factors(j)
             v0, v1 = ((x00 * v0 + a01[i] * v1) / det[i], (a10[i] * v0 + x11 * v1) / det[i])

@@ -519,7 +519,8 @@ def simulate_reference(initial_window, cfg, t_end, dt):
 
 # The Jost sweep as it was before its step factors were certified by a priori
 # bounds: every step factor of the window built and checked before the sweep,
-# and the renormalization test run after every step.  scattering._propagate
+# and the renormalization test run after every step.  Like it, the sweep starts
+# where some column first leaves its edge's background.  scattering._propagate
 # must match it byte for byte, exceptions included.
 
 def propagate_reference(window, zetas, kinds=tuple(scattering.ColumnKind), site=None):
@@ -535,8 +536,8 @@ def propagate_reference(window, zetas, kinds=tuple(scattering.ColumnKind), site=
     q_f, r_f = window.q, lattice.partner(window)
     q_s = np.where(forward, q_f[:, None], q_f[::-1, None])[:, :, None]
     r_s = np.where(forward, r_f[:, None], r_f[::-1, None])[:, :, None]
-    g_s = q_s * r_s
     with np.errstate(all="ignore"):
+        g_s = q_s * r_s
         x00, x01, x10, x11 = (np.stack(x) for x in zip(
             *(scattering._step_constants(cfg, zeta, kind) for kind in kinds)))
         det0 = np.where(forward[:, None], 1.0, x00 * x11)
@@ -574,12 +575,20 @@ def propagate_reference(window, zetas, kinds=tuple(scattering.ColumnKind), site=
             if i is not None:
                 values[i, 0], values[i, 1], logs[i] = v0, v1, log
 
-        record(0)
-        for j in range(keep[-1]):
-            i = j % block
-            if i == 0:
-                a01, a10, det = factors(j)
-            v0, v1 = ((x00 * v0 + a01[i] * v1) / det[i], (a10[i] * v0 + x11 * v1) / det[i])
+        start = steps
+        for c, kind in enumerate(kinds):
+            left_edge = scattering._FORWARD[kind]
+            q_edge = cfg.q_minus(window.t) if left_edge else cfg.q_plus(window.t)
+            r_edge = cfg.r_minus(window.t) if left_edge else cfg.r_plus(window.t)
+            j = 0
+            while j < steps and q_s[j, c, 0] == q_edge and r_s[j, c, 0] == r_edge:
+                j += 1
+            start = min(start, j)
+        for j in range(start + 1):
+            record(j)
+        for j in range(start, keep[-1]):
+            a01, a10, det = x01 * q_s[j], x10 * r_s[j], det0 - det1 * g_s[j]
+            v0, v1 = ((x00 * v0 + a01 * v1) / det, (a10 * v0 + x11 * v1) / det)
             m = np.maximum(np.abs(v0), np.abs(v1))
             threshold = scattering.RENORM_THRESHOLD
             rescale = (m > threshold) | ((m > 0.0) & (m < 1.0 / threshold))

@@ -509,8 +509,8 @@ class TestSoliton:
 
 
     def test_wide_window_flags_overflow_without_traceback(self, tmp_path, capsys):
-        # far out on the left the lam**(2n) entries overflow double precision;
-        # those cells are flagged singular and the command still succeeds
+        # far out the lam**(2n) entries would overflow double precision; the
+        # far field is filled with the background instead, so no cell is flagged
         doc = dict(CASE4_CONFIG)
         doc["N"] = 700
         doc["t_grid"] = {"t0": 0.0, "t1": 1.0, "steps": 2}
@@ -522,10 +522,10 @@ class TestSoliton:
         assert capsys.readouterr().err == ""
         rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
         assert len(rows) == 2 * 1401
-        flagged = {int(r[0]) for r in rows if r[5] == "1"}
-        assert flagged and max(flagged) < -400
-        far_right = [float(r[4]) for r in rows if int(r[0]) == 700]
-        assert all(abs(a - 2.0 / 3.0) < 1e-12 for a in far_right)
+        assert {r[5] for r in rows} == {"0"}
+        for n in (-700, 700):
+            far = [float(r[4]) for r in rows if int(r[0]) == n]
+            assert len(far) == 2 and all(abs(a - 2.0 / 3.0) < 1e-15 for a in far)
 
     def test_overflowing_amplitude_is_flagged(self, tmp_path, monkeypatch):
         # q_plus = 1.5e308 (1 + i) is finite but its modulus overflows: the
@@ -944,14 +944,25 @@ class TestCsvWriters:
         assert len(chunks) == 1 + math.ceil(steps / max(1, cli._CSV_ROWS // (2 * N + 1)))
 
     def test_wide_field_with_singular_cells(self):
-        # 2 x 1401 rows, over two chunks, and the n <= -441 cells flagged singular
-        config = parse_config({**CASE4_CONFIG, "N": 700, "t_grid": {"t0": 0.0, "t1": 1.0,
-                                                                    "steps": 2}})
-        cfg = cli._case_config(config)
-        grid = cli._field_grid(config, cfg, *cli._eigen_data(config, cfg))
-        assert 0 < grid.singular.sum() < grid.q.size
-        assert grid.q.size > cli._CSV_ROWS
-        assert "".join(cli._field_csv(grid)) == field_csv_lines(grid)
+        # 2 x 1401 rows, over two chunks.  On the README c4 member no cell is
+        # singular (the far field is the background, |q| = q0); on the case-1
+        # member with theta = pi the rows at its pole time are.
+        pole = {**CASE1_CONFIG, "theta": math.pi}
+        cfg = cli._case_config(parse_config(pole))
+        t = ist.singularity_scan(cfg, *cli._eigen_data(parse_config(pole), cfg), n_range=(-8, 8),
+                                 t_span=(0.0, 5.0), coarse_dt=0.25).at_time
+        for doc, t_grid in ((CASE4_CONFIG, {"t0": 0.0, "t1": 1.0, "steps": 2}),
+                            (pole, {"t0": t, "t1": t + 1.0, "steps": 2})):
+            config = parse_config({**doc, "N": 700, "t_grid": t_grid})
+            cfg = cli._case_config(config)
+            grid = cli._field_grid(config, cfg, *cli._eigen_data(config, cfg))
+            assert grid.q.size > cli._CSV_ROWS
+            assert "".join(cli._field_csv(grid)) == field_csv_lines(grid)
+            if doc is CASE4_CONFIG:
+                assert not grid.singular.any()
+                assert np.abs(np.abs(grid.q[np.abs(grid.ns) == 700]) - 2.0 / 3.0).max() < 1e-15
+            else:
+                assert 0 < grid.singular.sum() < 1401 and grid.singular[:1401].any()
 
     def test_abs_q_is_pythons_abs(self):
         # np.hypot, the hypot of Python's abs(complex); np.abs differs in the last bit
@@ -1131,11 +1142,15 @@ class TestNumericalFailure:
             "numerical failure: 1 - q_n r_n vanishes at n = 0\n")
 
     def test_overflowing_window_exits_7(self, tmp_path, capsys):
-        path = write_config(tmp_path, {**CASE4_CONFIG, "N": 700, "zeta_samples": 2})
-        assert main(["scatter", "--config", path, "--out",
-                     str(tmp_path / "r.json")]) == EXIT_NUMERICAL
-        assert capsys.readouterr().err == (
-            "numerical failure: system entries overflowed at n=-700, t=0.0\n")
+        # the window's far field is the exact background, not an overflow:
+        # scatter on README c4 exits 0 at N = 700 and at N = 2000
+        for N in (700, 2000):
+            path = write_config(tmp_path, {**CASE4_CONFIG, "N": N, "zeta_samples": 2})
+            assert main(["scatter", "--config", path, "--out",
+                         str(tmp_path / "r.json")]) == EXIT_OK
+            assert capsys.readouterr().err == ""
+            rep = json.loads((tmp_path / "r.json").read_text())
+            assert rep["failures"] == {}
 
 
 class TestReferenceWriters:

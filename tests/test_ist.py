@@ -691,14 +691,15 @@ class TestReconstructGrid:
             assert abs(X[-1] - grid.theta_inv[i]) < 1e-12 * max(1.0, abs(X[-1]))
 
     def test_wide_window_flags_overflow_quietly(self, case4_soliton):
+        # n = -700 lies in the left far field: the background q_minus, no overflow
         cfg, eigenset, norming = case4_soliton
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             grid = ist.reconstruct_grid(cfg, eigenset, norming, [-700, 0, 700], 0.0)
-        assert list(grid.reason) == [ist.OVERFLOW, ist.OK, ist.OK]
-        assert np.isnan(grid.q[0]) and abs(grid.q[2] - cfg.q_plus(0.0)) < 1e-12
-        with pytest.raises(SingularSolution, match="overflowed at n=-700"):
-            reconstruct(cfg, eigenset, norming, -700, 0.0)
+        assert list(grid.reason) == [ist.OK, ist.OK, ist.OK]
+        assert grid.q[0] == cfg.q_minus(0.0) and abs(abs(grid.q[0]) - cfg.q0) < 1e-15
+        assert abs(grid.q[2] - cfg.q_plus(0.0)) < 1e-12
+        assert reconstruct(cfg, eigenset, norming, -700, 0.0) == grid.q[0]
 
     def test_pole_reason_and_message(self):
         cfg, eigenset, norming, scan = POLE
@@ -823,9 +824,10 @@ class TestWholeGrid:
         sites, ts = np.arange(-60, 61), np.linspace(-5.0, 5.0, 11)
         grid = ist.reconstruct_grid(cfg, eigenset, norming, sites[None, :], ts[:, None])
         assert not grid.singular.any()
+        near = _near(norming, grid.ns, grid.ts).sum()  # the far field is filled, not solved
         assert max(sizes) == ist._BLOCK
-        assert sum(sizes) == grid.q.size == 1331
-        assert len(sizes) == -(-1331 // ist._BLOCK)
+        assert sum(sizes) == near < grid.q.size == 1331
+        assert len(sizes) == -(-near // ist._BLOCK)
 
     def test_field_grid_is_one_call(self, monkeypatch):
         config = cli.parse_config({"case": 1, "q0": 2.0 / 3.0, "eta1": CASE1_ETA1, "N": 30,
@@ -982,15 +984,19 @@ class TestBlockSolve:
     """The block-triangular solve against the dense (4J+1) solve it replaced."""
 
     @pytest.mark.parametrize("name, reasons", [
-        ("c1", {ist.OK}), ("bench c4", {ist.OK, ist.OVERFLOW}),
+        ("c1", {ist.OK}), ("bench c4", {ist.OK}),
         ("pole", {ist.OK, ist.THETA_DIVERGENCE}), ("case4 theta 0", {ist.OK})])
     def test_reasons_and_fields_match_the_dense_reference(self, name, reasons):
         member, ns, ts, unfixed = _parity_grid(name)
         grid = ist.reconstruct_grid(*member, ns, ts)
         q, r, reason = dense_reconstruct(*member, ns, ts)
-        assert np.array_equal(grid.reason, reason)
+        # the dense solve overflows at bench c4's n = -700, which the left far field fills
+        overflow = reason == ist.OVERFLOW
+        assert list(ns[overflow]) == ([-700] if name == "bench c4" else [])
+        assert np.array_equal(grid.reason[~overflow], reason[~overflow])
         assert set(grid.reason.tolist()) == reasons
-        check = ~grid.singular & ~unfixed
+        assert np.all(np.abs(np.abs(grid.q[overflow]) - member[0].q0) <= 1e-15)
+        check = ~grid.singular & ~unfixed & ~overflow
         scale = 1e-12 * np.maximum(1.0, np.abs(q[check]))
         assert np.all(np.abs(grid.q[check] - q[check]) <= scale)
         assert np.all(np.abs(grid.r[check] - r[check]) <= scale)
@@ -1006,32 +1012,44 @@ class TestBlockSolve:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", recording)
-        ist.reconstruct_with_derivative(cfg, eigenset, norming, np.arange(-30, 31)[None, :],
-                                        np.linspace(-2.0, 2.0, 17)[:, None])
+        ns, ts, _ = ist._flat_cells(np.arange(-30, 31)[None, :],
+                                    np.linspace(-2.0, 2.0, 17)[:, None])
+        ist.reconstruct_with_derivative(cfg, eigenset, norming, ns, ts)
         J = eigenset.J
-        assert len(shapes) == 2 * 3  # two solves in each of three blocks
+        # two solves in each block of the near cells: three blocks on c1, two on c4
+        assert len(shapes) == 2 * -(-_near(norming, ns, ts).sum() // ist._BLOCK)
+        assert len(shapes) == (6 if J == 2 else 4)
         assert set(shapes) == {((2 * J, 2 * J), 2 * J)}
 
 
 def _solve_members():
-    """(member, ns, ts) per name: the parity grids plus c1's J = 0 background."""
+    """(member, ns, ts) per name: the parity grids, c1's J = 0 background, and c1
+    at t = +-1000, where one coupling of each pair overflows and its partner
+    underflows, so that the cells stay near and their entries overflow."""
     members = {name: _parity_grid(name)[:3]
                for name in ("c1", "bench c4", "pole", "case4 theta 0")}
     cfg = spectral.make_case(1, 2.0 / 3.0, 0.0)
     empty = ist.empty_eigenset(cfg)
     members["J 0"] = ((cfg, empty, unit_norming(cfg, empty)),
                       *_cells(np.arange(-60, 61), _C1_TIMES))
+    members["c1 late"] = (_member(1, 0.0), *_cells(np.arange(-60, 61), np.array([-1e3, 1e3])))
     return members
 
 
 _SOLVE_MEMBERS = _solve_members()
 
 
+def _near(norming, ns, ts):
+    """The cells that _solve_cells solves (the rest it fills as far field)."""
+    return ~np.logical_or(*ist._screen(norming.spectrum, ns, ts))
+
+
 def _assert_blocks_match_the_reference(member, ns, ts, derivative):
     grid, extra = ist._solve_cells(*member, ns, ts, derivative=derivative)
     got = [grid.q, grid.r, grid.backward, grid.theta_inv, grid.reason] + extra
-    for start in range(0, ns.size, ist._BLOCK):
-        cells = slice(start, start + ist._BLOCK)
+    near = np.flatnonzero(_near(member[2], ns, ts))
+    for start in range(0, near.size, ist._BLOCK):
+        cells = near[start:start + ist._BLOCK]
         expected = solve_block_reference(*member, ns[cells], ts[cells], derivative)
         assert len(expected) == len(got)
         for whole, part in zip(got, expected):
@@ -1050,10 +1068,12 @@ class TestBlockSolveReference:
         _assert_blocks_match_the_reference(member, ns, ts, derivative)
 
     def test_reasons_are_covered(self):
-        reasons = set()
-        for member, ns, ts in _SOLVE_MEMBERS.values():
-            reasons |= set(ist._solve_cells(*member, ns, ts)[0].reason.tolist())
-        assert reasons == {ist.OK, ist.OVERFLOW, ist.THETA_DIVERGENCE}
+        reasons = {}
+        for name, (member, ns, ts) in _SOLVE_MEMBERS.items():
+            for reason in ist._solve_cells(*member, ns, ts)[0].reason.tolist():
+                reasons.setdefault(reason, set()).add(name)
+        assert set(reasons) == {ist.OK, ist.OVERFLOW, ist.THETA_DIVERGENCE}
+        assert reasons[ist.OVERFLOW] == {"c1 late"}
 
     def test_exactly_singular_cell(self, case4_soliton, monkeypatch):
         sites = np.arange(-2, 3)
@@ -1102,6 +1122,128 @@ def test_q_against_a_50_digit_solve(name, bound):
     dense_error = np.max(np.abs(dense - exact) / np.maximum(1.0, np.abs(exact)))
     assert error <= bound
     assert error <= 2.0 * dense_error
+
+
+class TestFarField:
+    """Cells past the screen's bounds are filled with the background, not solved."""
+
+    @staticmethod
+    def _far(member, ns, ts):
+        return np.flatnonzero(~_near(member[2], ns, ts))
+
+    def test_the_bench_c4_compare_grid_solves_5252_cells(self, case4_soliton, monkeypatch):
+        # evolve's compare grid on bench c4: 81 sites by the 101 RK4 times
+        sizes = []
+        solve_block = ist._solve_block
+
+        def recording(cfg, eigenset, norming, ns, ts, derivative=False):
+            sizes.append(ns.size)
+            return solve_block(cfg, eigenset, norming, ns, ts, derivative)
+
+        monkeypatch.setattr(ist, "_solve_block", recording)
+        q = ist.make_evaluator(*case4_soliton)(np.arange(-40, 41)[None, :],
+                                               (0.01 * np.arange(101))[:, None])
+        assert q.shape == (101, 81)
+        assert sizes == [ist._BLOCK] * 10 + [132] and sum(sizes) == 5252
+
+    @pytest.mark.parametrize("name", ["c1", "bench c4 compare", "bench c4", "pole",
+                                      "case4 theta 0"])
+    def test_filled_cells_equal_the_block_solve(self, name):
+        # the parent's solve of every far cell: the same reason, and q, r, 1/Theta_n
+        # and dq/dt to 4e-15 max(1, |x|); only bench c4's n = -700 overflowed there
+        grids = {"bench c4 compare": (_member(4, -math.pi, math.pi / 3.0),
+                                      *_cells(np.arange(-40, 41), 0.01 * np.arange(101))),
+                 "pole": (POLE[:3], *_cells(np.arange(-60, 61), _C1_TIMES)),
+                 "case4 theta 0": (_member(4, 0.0), *_cells(np.arange(-60, 61),
+                                                            np.linspace(0.0, 1.0, 11)))}
+        member, ns, ts = grids[name] if name in grids else _parity_grid(name)[:3]
+        far = self._far(member, ns, ts)
+        grid, (qdot, theta_inv_dot) = ist._solve_cells(*member, ns, ts, derivative=True)
+        assert far.size and (grid.reason[far] == ist.OK).all()
+        assert not theta_inv_dot[far].any() and not grid.backward[far].any()
+        reason = ist._solve_block(*member, ns[far], ts[far])[4]
+        assert list(ns[far][reason != ist.OK]) == ([-700] if name == "bench c4" else [])
+        self._assert_fills_equal_the_solve(member, ns, ts, far[reason == ist.OK],
+                                           grid, qdot)
+
+    @staticmethod
+    def _assert_fills_equal_the_solve(member, ns, ts, cells, grid, qdot, bound=4e-15):
+        """q, r, 1/Theta_n and dq/dt of the cells to bound max(1, |x|) of _solve_block's."""
+        solved = ist._solve_block(*member, ns[cells], ts[cells], derivative=True)
+        for got, x in zip((grid.q, grid.r, grid.theta_inv, qdot),
+                          (solved[0], solved[1], solved[3], solved[5])):
+            assert np.all(np.abs(got[cells] - x) <= bound * np.maximum(1.0, np.abs(x)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.sampled_from([1, 4]), q0=st.floats(0.05, 0.95), theta=st.floats(-3.0, 3.0),
+           shape=st.floats(0.05, 0.95) | st.floats(-0.95, -0.05), thbar1=st.floats(-3.0, 3.0),
+           kappa1=st.floats(0.1, 10.0), t=st.floats(-5.0, 5.0))
+    def test_filled_cells_equal_the_block_solve_across_both_families(self, case, q0, theta,
+                                                                       shape, thbar1, kappa1, t):
+        # eta1 = pi + shape arctan(r/q0) spans the admissible case-I quartets (at
+        # shape = 0 the quartet collapses onto the real axis)
+        cfg = spectral.make_case(case, q0, theta)
+        if case == 1:
+            eigenset = eigenvalues_case1(cfg, math.pi + shape * math.atan2(cfg.r, q0))
+            norming = norming_case1(cfg, eigenset, kappa1, thbar1, thbar1)
+        else:
+            eigenset = eigenvalues_case4(cfg)
+            norming = norming_case4(cfg, eigenset, thbar1)
+        member = (cfg, eigenset, norming)
+        ns, ts = np.arange(-700, 701), np.full(1401, t)
+        far = self._far(member, ns, ts)
+        grid, (qdot, _) = ist._solve_cells(*member, ns, ts, derivative=True)
+        assert (grid.reason[far] == ist.OK).all()
+        if far.size:  # the cells where the parent's solve did not overflow
+            ok = far[ist._solve_block(*member, ns[far], ts[far])[4] == ist.OK]
+            # 1e-15 of the exact solve (test_q_past_the_threshold_against_a_50_digit_solve)
+            # plus the block solve's own error deep in the far field: at q0 = 0.785,
+            # theta = 1, shape = -0.34375 and n = -309 its dq/dt is 4.1e-15 off
+            # i rotation q_minus, and its q at n = -411 2.8e-15 off a 50-digit q
+            self._assert_fills_equal_the_solve(member, ns, ts, ok, grid, qdot, bound=1e-14)
+
+    @pytest.mark.parametrize("name, bound", [("c1", 1e-12), ("README c4", 1e-14),
+                                             ("pole", 1e-12)])
+    def test_q_past_the_threshold_against_a_50_digit_solve(self, name, bound):
+        # the first two far cells on each side of every time row of the grid
+        member, ns, ts = _mp_cells(name)
+        sites, times = np.arange(-300, 301), np.unique(ts)[::2]
+        ns, ts = _cells(sites, times)
+        right, left = ist._screen(member[2].spectrum, ns, ts)
+        pick = []
+        for t in times:
+            row = np.flatnonzero(ts == t)
+            far_right, far_left = row[right[row]], row[left[row]]
+            pick += [*far_right[:2], *far_left[-2:]]
+        ns, ts = ns[pick], ts[pick]
+        exact = np.array([mp_reconstruct(*member, int(n), float(t)) for n, t in zip(ns, ts)])
+        grid = ist.reconstruct_grid(*member, ns, ts)
+        error = np.max(np.abs(grid.q - exact) / np.maximum(1.0, np.abs(exact)))
+        assert len(pick) == 4 * times.size and error <= min(bound, 1e-15)
+
+    @pytest.mark.parametrize("name", ["README c4", "c1"])
+    def test_wide_windows_hold_the_background(self, name):
+        # ROADMAP item 3: no overflow at N = 2000, and the far field is the background
+        cfg, eigenset, norming = _member(4, -math.pi, math.pi / 3.0) if name == "README c4" \
+            else _member(1, 0.0)
+        times = _C4_TIMES if name == "README c4" else _C1_TIMES
+        grid = ist.reconstruct_grid(cfg, eigenset, norming, np.arange(-2000, 2001)[None, :],
+                                    times[:, None])
+        assert not grid.singular.any()
+        far = np.abs(grid.ns) >= 200
+        background = cfg.background(grid.ns[far], grid.ts[far])
+        assert np.max(np.abs(grid.q[far] - background)) <= 1e-13
+
+    @pytest.mark.parametrize("fixture", ["case1_soliton", "case4_soliton"])
+    def test_theta_minus_inf_is_the_left_fill(self, fixture, request):
+        # 1/Theta_n of a left far cell is the limiting system's, which agrees with
+        # the trace formula's Theta_-inf
+        cfg, eigenset, norming = request.getfixturevalue(fixture)
+        grid = ist.reconstruct_grid(cfg, eigenset, norming, -700, 0.0)
+        assert grid.theta_inv[0] == norming.spectrum.theta_inv_minus
+        theta = theta_minus_inf_from_system(cfg, eigenset, norming)
+        assert theta == 1.0 / grid.theta_inv[0]
+        assert abs(theta - theta_minus_inf_constraint(eigenset)) < 1e-14 * abs(theta)
 
 
 def _scan_fixed_rounds(cfg, eigenset, norming, n_range, t_span, coarse_dt):

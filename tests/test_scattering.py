@@ -538,8 +538,11 @@ def test_site_sweep_is_bit_identical_to_the_full_sweep(request, monkeypatch, win
             (values, logs), (full_values, full_logs) = sweep.at(kind, n), full.at(kind, n)
             assert values.tobytes() == full_values.tobytes(), (n, kind)
             assert logs.tobytes() == full_logs.tobytes(), (n, kind)
-        if window_name == "bench_c4_window" and n == 0:
-            assert np.count_nonzero(sweep.logs) > 0  # the log path is exercised
+        # the log path is exercised: every sweep of this window starts at step
+        # 374 (its far field is the exact background), and the one to N + 1
+        # takes 427 steps where the one to n = 0 takes 27
+        if window_name == "bench_c4_window" and n == N + 1:
+            assert np.count_nonzero(sweep.logs) > 0
 
 
 # (record site, columns, site of the non-finite q, n in the message).  The
@@ -708,6 +711,37 @@ def test_the_first_failure_is_taken_in_zeta_column_step_order(monkeypatch, windo
         with pytest.raises(SingularTransfer) as err:
             scattering._propagate(window, zetas, site=0)
     assert str(err.value) == str(reference.value) == message
+
+
+def test_an_overflowing_q_r_product_raises_without_a_warning():
+    # q_-5 = 1e150 and q_5 = 1e200 make q_n r_n overflow at n = +-5; the
+    # suite turns any RuntimeWarning into an error, so none may come first
+    with pytest.raises(SingularTransfer, match="non-finite transfer entry at n=5"):
+        scattering._propagate(_ORDER_C4, [1e-110, 1e-160], site=0)
+    with pytest.raises(SingularTransfer, match="non-finite transfer entry at n=5"):
+        propagate_reference(_ORDER_C4, [1e-110, 1e-160], site=0)
+
+
+def test_the_bench_c4_sweep_starts_where_its_window_leaves_the_background(sweep_windows,
+                                                                         monkeypatch):
+    # bench c4's window is the exact background q_minus on n <= -27 and q_plus
+    # on n >= 26, so every column is stationary for its first 374 steps: the
+    # site-0 sweep takes 27 of its 401 steps, and the skipped slots hold the
+    # boundary vectors with log 0
+    window, zetas = sweep_windows["bench-c4"]
+    starts = []
+    stationary = scattering._stationary_steps
+    monkeypatch.setattr(scattering, "_stationary_steps",
+                        lambda *args: starts.append(stationary(*args)) or starts[-1])
+    sweep = scattering._propagate(window, zetas, site=0)
+    full = scattering._propagate(window, zetas)
+    assert starts == [374, 374] and max(sweep.slots) - starts[0] == 27
+    zeta = np.asarray(zetas, dtype=complex)
+    for c, kind in enumerate(full.kinds):
+        boundary = np.stack(scattering._boundary_vector(window.cfg, 0.0, zeta, kind))
+        assert (full.values[:375, :, c] == boundary).all() and not full.logs[:375].any()
+    for kind in ColumnKind:
+        assert sweep.at(kind, 0)[0].tobytes() == full.at(kind, 0)[0].tobytes()
 
 
 def test_a_declined_sweep_holds_nothing_per_site_and_sample(monkeypatch):

@@ -42,4 +42,22 @@ def test_artifact_diff_lists_a_difference(monkeypatch, capsys):
                   {"c1/soliton-0.out": b"2\n", "c1/soliton-0.exit": b"0"}])
     monkeypatch.setattr(artifact_diff, "outputs", lambda checkout, into: next(trees))
     assert artifact_diff.main([str(ROOT), str(ROOT)]) == 1
-    assert capsys.readouterr().out == "differs: c1/soliton-0.out\n2 outputs compared, 1 differ\n"
+    assert capsys.readouterr().out == (
+        "differs: c1/soliton-0.out: largest change 1, text matches\n"
+        "2 outputs compared, 1 differ\n")
+    # the size of a change is |change - base| / max(1, |base|) over the numbers
+    # of a file whose other text matches (t11 and c1-N1200 are words, not numbers)
+    base = {"a.csv": b"n,t11\n-700,0.5,-2.5e-3\n1,3e2,1\n", "b.exit": b"7", "c.out": b"x",
+            "d.stderr": b"numerical failure: overflow at n=-700\n", "e.json": b'{"t11": 1}'}
+    change = {"a.csv": b"n,t11\n-700,0.5000000000000001,-2.5e-3\n1,300.0000000003,1\n",
+              "b.exit": b"0", "d.stderr": b"", "e.json": b'{"t12": 1}', "f.out": b"y"}
+    trees = iter([base, change])
+    assert artifact_diff.main([str(ROOT), str(ROOT)]) == 1
+    assert capsys.readouterr().out == (
+        "differs: a.csv: largest change 1e-12, text matches\n"
+        "differs: b.exit: largest change 1, text matches\n"
+        "differs: c.out: only in base\n"
+        "differs: d.stderr: text differs\n"
+        "differs: e.json: text differs\n"
+        "differs: f.out: only in change\n"
+        "5 outputs compared, 6 differ\n")
