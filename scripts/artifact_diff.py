@@ -55,6 +55,11 @@ CONFIGS = {
     # n = -440 on c4), so these take the background of the far field instead
     "c1-N1200": {**C1, "N": 1200, "t_grid": {"t0": -5.0, "t1": 5.0, "steps": 2}},
     "readme-c4-N2000": {**README_C4, "N": 2000},
+    # case 4 far from t = 0, where each field is its t = 0 solve turned by the
+    # background's phase; evolve takes 10,000 RK4 steps on each (dt 0.1 on 0..1000)
+    "readme-c4-t1000": {**README_C4, "t_grid": {"t0": 0.0, "t1": 1000.0, "steps": 11},
+                        "dt": 0.1},
+    "readme-c4-t50": {**README_C4, "t_grid": {"t0": -50.0, "t1": 50.0, "steps": 11}},
     # |q_n r_n| = -1 at every site, where det_n = 2 x00 x11: the bound on det_n
     # that keeps its phase certifies the sweep (one that compares moduli declines it)
     "c3-q0-1-background": {"case": 3, "q0": 1.0, "N": 20, "field": {"source": "background"},

@@ -17,6 +17,8 @@ values outside that range and non-finite values are formatted by Python's
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Bytes per value: sign, "0." and up to three zeros (e < 0), then the 17
@@ -67,8 +69,10 @@ def _layouts():
             .reshape(-1, WIDTH // 8) for b in (keep * np.uint8(0xFF), text)]
 
 
-_WORDS, _LAST = _group_tables()
-_KEEP, _TEXT = _layouts()
+@functools.cache
+def _tables():
+    """(_group_tables(), _layouts()), built on the first format_g17 call, not at import."""
+    return _group_tables(), _layouts()
 
 
 def _scaled(a, s):
@@ -84,6 +88,7 @@ def format_g17(values) -> np.ndarray:
 
     Each value's ASCII text is its bytes with the NULs dropped.
     """
+    (group_words, group_last), (layout_keep, layout_text) = _tables()
     values = np.asarray(values, dtype=float)
     flat = values.ravel()
     a = np.abs(flat)
@@ -100,7 +105,7 @@ def format_g17(values) -> np.ndarray:
     # Never 10**17: a double below a power of ten is further from it than half
     # a unit in the 17th digit, so its digits do not round up to that power.
     digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    # digits = d0 * 10**16 + four groups of 4 digits: their rows of _WORDS
+    # digits = d0 * 10**16 + four groups of 4 digits: their rows of the group words
     # (// by a scalar beats divmod)
     rows = np.empty((a.size, 5), np.intp)
     d0 = digits // 10 ** 16
@@ -110,13 +115,13 @@ def format_g17(values) -> np.ndarray:
         rows[:, k] = rest // scale
         rest -= rows[:, k] * scale
     rows[:, 4] = rest
-    last = _LAST[0].take(rows[:, 1])
+    last = group_last[0].take(rows[:, 1])
     for k in range(1, 4):
-        np.maximum(last, _LAST[k].take(rows[:, k + 1]), out=last)
+        np.maximum(last, group_last[k].take(rows[:, k + 1]), out=last)
     layout = ((e + 4) * 17 + last) * 2 + (flat < 0)
-    words = _WORDS.take(rows)
-    words &= _KEEP.take(layout, axis=0)
-    words |= _TEXT.take(layout, axis=0)
+    words = group_words.take(rows)
+    words &= layout_keep.take(layout, axis=0)
+    words |= layout_text.take(layout, axis=0)
     text = words.view(np.uint8)
     if slow.size:
         text[slow] = 0

@@ -11,7 +11,9 @@ the 2J x 2J diagonal block P = [[I, -kbar], [-k, I]] twice;
 reconstruct_grid fills the far field of a whole (n, t) grid of cells with
 the background, screened by bounds on the lam**(2n) couplings, solves the
 rest by one batched, pivoted solve of P per fixed-size block, a scalar
-border for 1/Theta_n and back-substitution, and returns both q_n and r_n;
+border for 1/Theta_n and back-substitution (a stationary spectrum, every
+gamma(zbar_j) = 0, once per site at t = 0, turned by the background's
+phase at every other time), and returns both q_n and r_n;
 reconstruct is its one-cell view; NormingData holds the factors that
 depend on the spectrum alone.  build_system (one cell's dense B and Y, built from the same
 blocks) stays only because the benchmark's tracer wraps it, until ROADMAP
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import (DegenerateEigenvalues, DomainError, Inadmissible,
                      SingularSolution)
 from .spectral import (Case, CaseConfig, Region, SINGULAR_GUARD, classify,
-                       gamma, lam_squared, point_from_zeta, zeta_bar)
+                       gamma, gamma_rounding, lam_squared, point_from_zeta, zeta_bar)
 
 CONSTRAINT_TOL = 1e-8
 DET_GUARD = 1e-13
@@ -260,8 +262,10 @@ class NormingData:
         # and Cbar_j(0): evaluate them once.
         cfg, r, rinv = self.cfg, self.cfg.r, 1.0 / self.cfg.r
         zs, zbs = np.array(self.eigenset.zeros_t11), np.array(self.eigenset.zeros_t22)
-        object.__setattr__(self, "gammas", tuple(gamma(cfg, zb)
-                                                 for zb in self.eigenset.zeros_t22))
+        # a gamma within its rounding of 0 (spectral.gamma_rounding) is stored as 0
+        gammas = ((gamma(cfg, zb), zb) for zb in self.eigenset.zeros_t22)
+        object.__setattr__(self, "gammas", tuple(0j if abs(g) <= gamma_rounding(cfg, zb) else g
+                                                 for g, zb in gammas))
         y0, y3, cbar_rate = r - 1.0 / zs, zbs - r, self.cbar_rate
         s = _Spectrum(
             np.array(self.cbar0, dtype=complex)[:, None], cbar_rate[:, None],
@@ -273,6 +277,15 @@ class NormingData:
             (zs * (zs - r))[:, None], (zbs - rinv)[:, None],
             y0, y3, np.abs(np.concatenate([y0, y3])).max(initial=1.0), *(None,) * 5)
         object.__setattr__(self, "spectrum", s._replace(**_far_field(cfg, s, self.gammas)))
+
+    @property
+    def stationary(self) -> bool:
+        """Every gamma(zbar_j) is 0: the couplings turn with the background's gauge.
+
+        Then q_n(t) = u q_n(0), r_n(t) = r_n(0) / u and 1/Theta_n(t) = 1/Theta_n(0)
+        with u = exp(i rotation t), which _solve_cells and singularity_scan use.
+        """
+        return not any(self.gammas)
 
     @property
     def cbar_rate(self) -> np.ndarray:
@@ -573,7 +586,9 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     that broadcast order.  Far cells, whose lam**(2n) couplings all lie past
     their bounds, take the background there with no solve, within 1e-15
     max(1, |x|) of the exact one, and backward error 0 (_solve_cells).  The
-    others are solved in blocks of _BLOCK: each block's 2J x 2J diagonal blocks P are stacked and
+    others are solved in blocks of _BLOCK (a stationary spectrum's once per
+    site, at t = 0, and turned by exp(i rotation t); _solve_cells states the
+    bound): each block's 2J x 2J diagonal blocks P are stacked and
     solved by one batched LAPACK call with four right-hand sides, 1/Theta_n
     follows from the border row and the rest by back-substitution
     (_solve_block), and each cell is then judged on its own: finite entries
@@ -623,18 +638,42 @@ def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     max(1, |x|) of the exact solve.  Far cells are OK (AMPLITUDE where |q| is
     not finite), never overflow, and have backward error 0, dq/dt = i
     rotation q and d(1/Theta_n)/dt = 0; _solve_block solves the rest in
-    _BLOCK chunks.
+    _BLOCK chunks.  A stationary spectrum (NormingData.stationary) turns
+    with the background's gauge: its near sites are solved once each, at
+    t = 0, and a cell at any other time takes q u and r conj(u), u = exp(i
+    rotation t), its site's 1/Theta_n, backward error and reason, dq/dt = i
+    rotation q and d(1/Theta_n)/dt = 0, written in _BLOCK chunks.  Such a
+    cell lies within 32 eps (1 + |rotation t|) max(1, |x|) / min(1, d) of
+    the solve at its own time, d the distance of theta_plus + thbar1 from 0
+    and pi (mod 2 pi), near which both solves lose digits (tests/test_ist.py,
+    TestGauge).
     """
     s = norming.spectrum
     out = [np.empty(ns.size, dtype) for dtype in
            (complex, complex, float, complex, np.int8, complex, complex)[:5 + 2 * derivative]]
     right, left = _screen(s, ns, ts)
     near, far = np.flatnonzero(~(right | left)), np.flatnonzero(right | left)
-    for start in range(0, near.size, _BLOCK):
-        cells = near[start:start + _BLOCK]
-        for whole, part in zip(out, _solve_block(cfg, eigenset, norming, ns[cells], ts[cells],
-                                                 derivative)):
-            whole[cells] = part
+    if not norming.stationary:
+        _solve_blocks(cfg, eigenset, norming, ns, ts, near, out, derivative)
+    elif near.size:
+        sites, at = np.unique(ns[near], return_inverse=True)
+        solved = [np.empty(sites.size, a.dtype) for a in out[:5]]
+        _solve_blocks(cfg, eigenset, norming, sites, np.zeros(sites.size),
+                      np.arange(sites.size), solved, False)
+        for start in range(0, near.size, _BLOCK):
+            cells, site = near[start:start + _BLOCK], at[start:start + _BLOCK]
+            t, q, r = ts[cells], solved[0][site], solved[1][site]
+            with np.errstate(all="ignore"):
+                u = np.exp(1j * cfg.rotation * t)
+                # t = 0 keeps the solve's bits (q * (1 + 0j) can flip the sign of a zero);
+                # no where= here: NumPy's masked loop rounds a one-cell product differently
+                moving = t != 0.0
+                q, r = np.where(moving, q * u, q), np.where(moving, r * u.conj(), r)
+            fills = [q, r, *(a[site] for a in solved[2:])]
+            if derivative:
+                fills += [1j * cfg.rotation * q, 0.0]
+            for whole, fill in zip(out, fills):
+                whole[cells] = fill
     if far.size:
         t, plus = ts[far], right[far]
         with np.errstate(all="ignore"):
@@ -652,6 +691,16 @@ def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
         for whole, fill in zip(out, fills):
             whole[far] = fill
     return ReconstructionGrid(ns, ts, *out[:5]), out[5:]
+
+
+def _solve_blocks(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData, ns: np.ndarray,
+                  ts: np.ndarray, cells: np.ndarray, out: list, derivative: bool) -> None:
+    """_solve_block over the cells (ns[cells], ts[cells]) in _BLOCK chunks, into out[k][cells]."""
+    for start in range(0, cells.size, _BLOCK):
+        block = cells[start:start + _BLOCK]
+        for whole, part in zip(out, _solve_block(cfg, eigenset, norming, ns[block], ts[block],
+                                                 derivative)):
+            whole[block] = part
 
 
 def _screen(s: _Spectrum, ns: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -821,13 +870,14 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
 
     A cell whose solve fails scores 0; the coarse sweep is one
     reconstruct_grid call over every (site, time) cell and keeps the first
-    minimum in site-major order.  Case IV sweeps t_span[0] alone: its pair
-    has zbar_1 = (1 - q0)/r with r**2 = 1 - q0**2, so zbar_1 + 1/zbar_1 = 2/r,
-    gamma(zbar_1) = 0, and 1/Theta_n does not depend on t.  At that site, Gauss-Newton steps on
+    minimum in site-major order.  A stationary spectrum (NormingData.stationary,
+    every gamma(zbar_j) = 0, as for the case-IV pair zbar_1 = (1 - q0)/r, where
+    zbar_1 + 1/zbar_1 = 2/r) sweeps t_span[0] alone: its 1/Theta_n does not
+    depend on t.  At that site, Gauss-Newton steps on
     f = 1/Theta_n(t) with the exact df/dt of the derivative solve move t
-    towards a real-time zero of f; they stop when the step is a few ulps,
-    longer than coarse_dt, or predicts no halving of |f| (no zero ahead),
-    when the cell is singular, or after _NEWTON_STEPS.  The member is
+    towards a real-time zero of f; they stop when df/dt is 0, the step is a
+    few ulps, longer than coarse_dt, or predicts no halving of |f| (no zero
+    ahead), when the cell is singular, or after _NEWTON_STEPS.  The member is
     flagged singular when the least |f| seen is below 1e-6.
     """
     if not (coarse_dt > 0.0 and n_range[0] <= n_range[1]
@@ -836,7 +886,7 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                           f"t_span={t_span}, coarse_dt={coarse_dt}")
     sites = np.arange(n_range[0], n_range[1] + 1)
     times = [t_span[0]]
-    while cfg.case_id is not Case.IV and times[-1] + coarse_dt <= t_span[1]:
+    while not norming.stationary and times[-1] + coarse_dt <= t_span[1]:
         times.append(times[-1] + coarse_dt)
     grid = reconstruct_grid(cfg, eigenset, norming, sites[:, None], np.array(times)[None, :])
     vals = np.where(np.isin(grid.reason, _SOLVE_FAILED), 0.0, np.abs(grid.theta_inv))
@@ -847,6 +897,8 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                                        np.array([t]), derivative=True)
         f, fdot = complex(cell.theta_inv[0]), fdot[0]  # fdot is NaN on a singular cell
         least = min(least, 0.0 if cell.reason[0] in _SOLVE_FAILED else abs(f))
+        if fdot == 0.0:  # a stationary cell: no zero ahead
+            break
         with np.errstate(all="ignore"):
             step = float(-(f.conjugate() * fdot).real / abs(fdot) ** 2)
         if not (4.0 * math.ulp(t) < abs(step) <= coarse_dt

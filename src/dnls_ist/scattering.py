@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,7 +140,7 @@ class _Sweep:
         return EigenfunctionColumn(self.N, self.values[order, :, c, k], self.logs[order, c, k])
 
 
-def _step_bounds(x, forward, q, r, g):
+def _step_bounds(x, forward, q, r, g, start):
     """Certify a window's step factors by a priori bounds, then bound its steps.
 
     p1 / p0 is 1 in exact arithmetic (p0 = x00 x11, p1 = x01 x10), so det_n =
@@ -150,26 +150,55 @@ def _step_bounds(x, forward, q, r, g):
     < |p0|, |p0| + |p1| max|g| < 1e300 and every backward d_n > 1e-12.  Else the
     cumulative sums over steps of log bounds on ||T_n||inf and ||T_n^-1||inf over
     columns and points, each with 1e-10 of slack (and 1e-14 times both for
-    rounding), clamped into [0, 1e3].  x is (4, C, K); q, r, g = q r are (steps, C).
+    rounding), clamped into [0, 1e3]: a (2, steps + 1 - start) array of the sums
+    before steps start .. steps, for np.searchsorted (a sweep from start reads
+    no earlier one).  x is (4, C, K); q, r, g = q r are (steps, C), read in
+    blocks of steps whose temporaries hold about _CHECK_BLOCK / 4 entries each.
     """
-    d0, d1, ag = np.abs(x[0] * x[3]), np.abs(x[1] * x[2]), np.abs(g)
+    steps, C = g.shape
+    d0, d1 = np.abs(x[0] * x[3]), np.abs(x[1] * x[2])
     eps = np.abs(x[1] * x[2] / (x[0] * x[3]) - 1.0).max(axis=1, initial=0.0)
-    d = np.abs(1.0 - g) - eps * ag
-    d = np.where(d > 1e-12, d, 0.0)
-    if not ((d > 0.0) | forward).all():
-        return None
-    a, aq, ar = np.abs(x), np.abs(q), np.abs(r)
+    a = np.abs(x)
     u = a.max(axis=2, initial=0.0)[:, None]
-    if not (max(u[0].max(), u[3].max(), u[1].max() * aq.max(), u[2].max() * ar.max()) < 1e250
-            and (d0 + d1 * ag.max()).max(initial=0.0) < 1e300 and d0.min(initial=1.0) > 1e-300):
-        return None
     w = (a / d0).max(axis=2, initial=0.0)[:, None]
     # Row sums of T and T^-1, over |p0| per point on the side a det (factor >= d) divides
     c = np.stack([np.where(forward, u, w), np.where(forward, w, u)[[3, 1, 2, 0]]])
-    det = np.where(forward, [np.ones_like(d), d], [d, np.ones_like(d)])
-    norms = (np.maximum(c[:, 0] + c[:, 1] * aq, c[:, 2] * ar + c[:, 3]) / det).max(axis=2)
-    b = np.nan_to_num(np.log(norms) + (1e-10 + 1e-14 * norms[0] * norms[1]), nan=1e3)
-    return np.pad(np.cumsum(np.clip(b, 0.0, 1e3), axis=1), ((0, 0), (1, 0))).tolist()
+    bounds = np.zeros((2, steps + 1 - start))
+    top = np.zeros(3)  # max |g|, |q|, |r|
+    block = max(1, _CHECK_BLOCK // (4 * C))
+    sums = np.zeros((2, block + 1))  # the sum before a block, then its sums, in step order
+    for j in range(0, steps, block):
+        g_j = g[j:j + block]
+        ag = np.abs(g_j)
+        top[0] = np.maximum(top[0], ag.max(initial=0.0))  # NaN stays NaN, and declines
+        d = np.abs(1.0 - g_j)
+        d -= np.multiply(eps, ag, out=ag)
+        del ag
+        d[~(d > 1e-12)] = 0.0
+        if not ((d > 0.0) | forward).all():
+            return None
+        aq, ar = np.abs(q[j:j + block]), np.abs(r[j:j + block])
+        top[1:] = np.maximum(top[1:], [aq.max(initial=0.0), ar.max(initial=0.0)])
+        sums[:, 0] = sums[:, -1]  # the previous block was whole
+        b = sums[:, 1:len(g_j) + 1]
+        for k in range(2):  # T (det divides backward columns), then T^-1 (forward ones)
+            det = np.where(forward != bool(k), 1.0, d)
+            row, col = c[k, 1] * aq, c[k, 2] * ar
+            row += c[k, 0]
+            col += c[k, 3]
+            np.maximum(row, col, out=row)
+            row /= det
+            b[k] = row.max(axis=1)
+        b[:] = np.clip(np.nan_to_num(np.log(b) + (1e-10 + 1e-14 * b[0] * b[1]), nan=1e3),
+                       0.0, 1e3)
+        np.cumsum(sums[:, :len(g_j) + 1], axis=1, out=sums[:, :len(g_j) + 1])
+        if j + len(g_j) >= start:  # the sums before steps start .. steps are kept
+            first = max(j + 1, start)
+            bounds[:, first - start:j + len(g_j) + 1 - start] = sums[:, first - j:len(g_j) + 1]
+    if not (max(u[0].max(), u[3].max(), u[1].max() * top[1], u[2].max() * top[2]) < 1e250
+            and (d0 + d1 * top[0]).max(initial=0.0) < 1e300 and d0.min(initial=1.0) > 1e-300):
+        return None
+    return bounds
 
 
 def _stationary_steps(cfg: CaseConfig, t: float, forward: np.ndarray, q_s: np.ndarray,
@@ -179,12 +208,17 @@ def _stationary_steps(cfg: CaseConfig, t: float, forward: np.ndarray, q_s: np.nd
     A forward column's boundary vector is built from (q_minus(t), r_minus(t))
     and a backward one's from (q_plus(t), r_plus(t)); while a column steps
     through exactly those values its step matrix fixes that vector.  q_s and
-    r_s are (steps, C, 1) in each column's step order.
+    r_s are (steps, C, 1) in each column's step order, the same for every
+    column of one direction, so one column per direction is read.
     """
-    q_edge = np.where(forward, cfg.q_minus(t), cfg.q_plus(t))
-    r_edge = np.where(forward, cfg.r_minus(t), cfg.r_plus(t))
-    edge = ((q_s[..., 0] == q_edge) & (r_s[..., 0] == r_edge)).all(axis=1)
-    return len(edge) if edge.all() else int(edge.argmin())
+    first = len(q_s)
+    for c in {bool(f): c for c, f in enumerate(forward)}.values():
+        q_edge, r_edge = ((cfg.q_minus(t), cfg.r_minus(t)) if forward[c]
+                          else (cfg.q_plus(t), cfg.r_plus(t)))
+        moved = (q_s[:, c, 0] != q_edge) | (r_s[:, c, 0] != r_edge)
+        if moved.any():
+            first = min(first, int(moved.argmax()))
+    return first
 
 
 def _propagate(window: PotentialWindow, zetas,
@@ -229,10 +263,11 @@ def _propagate(window: PotentialWindow, zetas,
         def factors(j):  # x01 q_n, x10 r_n and det_n over the block of steps from j
             return x01 * q_s[j:j + block], x10 * r_s[j:j + block], det0 - det1 * g_s[j:j + block]
 
-        bounds = _step_bounds(x, forward, q_s[..., 0], r_s[..., 0], g_s[..., 0])
+        start = _stationary_steps(cfg, window.t, forward, q_s, r_s)
+        bounds = _step_bounds(x, forward, q_s[..., 0], r_s[..., 0], g_s[..., 0], start)
         diagonal = np.isfinite(x00) & np.isfinite(x11)
         first = np.full((C, K), steps)  # first failing step of each column at each point
-        for j in range(0, 0 if bounds else steps, block):
+        for j in range(0, steps if bounds is None else 0, block):
             a01, a10, det = factors(j)
             ok = diagonal & np.isfinite(a01) & np.isfinite(a10) & (
                 forward[:, None] | ((det != 0) & np.isfinite(det)))
@@ -261,7 +296,6 @@ def _propagate(window: PotentialWindow, zetas,
             if i is not None:
                 values[i, 0], values[i, 1], logs[i] = v0, v1, log
 
-        start = _stationary_steps(cfg, window.t, forward, q_s, r_s)
         fixed = bisect_right(keep, start)
         values[:fixed, 0], values[:fixed, 1], logs[:fixed] = v0, v1, 0.0
         test, head = start, math.log(RENORM_THRESHOLD / 4.0)  # next step to test, log headroom
@@ -281,9 +315,10 @@ def _propagate(window: PotentialWindow, zetas,
                     m = np.where(rescale, m, 1.0)
                     v0, v1, log = v0 / m, v1 / m, log + np.log(m)
                     hi = RENORM_THRESHOLD  # bounds the magnitudes now, so the next step is tested
-                test = j + 1 if not bounds else min(  # the first step a test could fire at
-                    bisect_left(bounds[0], bounds[0][j + 1] + head - np.log(hi), j + 2),
-                    bisect_left(bounds[1], bounds[1][j + 1] + head + np.log(lo), j + 2)) - 1
+                at = j + 1 - start  # bounds[:, at] is the sum before step j + 1
+                test = j + 1 if bounds is None else j + 1 + min(  # the first step a test can fire
+                    np.searchsorted(bounds[0, at + 1:], bounds[0, at] + head - np.log(hi)),
+                    np.searchsorted(bounds[1, at + 1:], bounds[1, at] + head + np.log(lo)))
             record(j + 1)
     return _Sweep(tuple(kinds), N, slots, values, logs)
 

@@ -181,3 +181,23 @@ def gamma(cfg: CaseConfig, zeta: complex) -> complex:
     r = cfg.r
     return (r * r * (zeta - 2.0 / r + 1.0 / zeta) * (zeta - 2.0 * r + 1.0 / zeta)
             / ((zeta - r) * (1.0 / zeta - r)))
+
+
+def gamma_rounding(cfg: CaseConfig, zeta: complex) -> float:
+    """How far from 0 gamma(cfg, zeta) may round where one of its factors vanishes.
+
+    gamma = r**2 a b / ((zeta - r) (1/zeta - r)), a = zeta - 2/r + 1/zeta and
+    b = zeta - 2r + 1/zeta.  zeta and r carry the rounding of their own
+    derivation, r relatively about eps (1 + |delta|/r**2) where 1 - sigma
+    delta cancels, so a and b are off by at most u (|zeta| + |1/zeta| + 2/r)
+    and u (|zeta| + |1/zeta| + 2r), u = 4 eps (1 + |delta|/r**2), and gamma
+    by at most r**2 (da (|b| + db) + db (|a| + da)) / |(zeta - r) (1/zeta - r)|.
+    Case-IV pairs (a = 0) lie within 1/8 of it over 400 admissible q0 from
+    1e-8 to 1 - 1e-9; case-I quartets and case-III pairs 170 times past it.
+    """
+    zeta, r = complex(zeta), cfg.r
+    inv = 1.0 / zeta
+    a, b = abs(zeta - 2.0 / r + inv), abs(zeta - 2.0 * r + inv)
+    u = 4.0 * 2.0 ** -52 * (1.0 + abs(cfg.delta) / (r * r))
+    da, db = u * (abs(zeta) + abs(inv) + 2.0 / r), u * (abs(zeta) + abs(inv) + 2.0 * r)
+    return r * r * (da * (b + db) + db * (a + da)) / abs((zeta - r) * (inv - r))

@@ -1016,9 +1016,11 @@ class TestBlockSolve:
                                     np.linspace(-2.0, 2.0, 17)[:, None])
         ist.reconstruct_with_derivative(cfg, eigenset, norming, ns, ts)
         J = eigenset.J
-        # two solves in each block of the near cells: three blocks on c1, two on c4
-        assert len(shapes) == 2 * -(-_near(norming, ns, ts).sum() // ist._BLOCK)
-        assert len(shapes) == (6 if J == 2 else 4)
+        near = _near(norming, ns, ts)
+        if norming.stationary:  # c4: one solve of its near sites at t = 0, dq/dt by the gauge
+            assert len(shapes) == -(-np.unique(ns[near]).size // ist._BLOCK) == 1
+        else:  # c1: two solves in each of its three blocks of near cells
+            assert len(shapes) == 2 * -(-near.sum() // ist._BLOCK) == 6
         assert set(shapes) == {((2 * J, 2 * J), 2 * J)}
 
 
@@ -1045,16 +1047,37 @@ def _near(norming, ns, ts):
 
 
 def _assert_blocks_match_the_reference(member, ns, ts, derivative):
+    """The near cells byte for byte against solve_block_reference in _BLOCK chunks.
+
+    A stationary spectrum's near sites are solved at t = 0 instead, and each
+    cell takes its site's bytes rotated by u = exp(i rotation t) (t = 0 cells
+    as they are), with dq/dt = i rotation q and d(1/Theta_n)/dt = 0.
+    """
     grid, extra = ist._solve_cells(*member, ns, ts, derivative=derivative)
     got = [grid.q, grid.r, grid.backward, grid.theta_inv, grid.reason] + extra
     near = np.flatnonzero(_near(member[2], ns, ts))
-    for start in range(0, near.size, ist._BLOCK):
-        cells = near[start:start + ist._BLOCK]
-        expected = solve_block_reference(*member, ns[cells], ts[cells], derivative)
-        assert len(expected) == len(got)
-        for whole, part in zip(got, expected):
-            assert whole.dtype == part.dtype
-            assert whole[cells].tobytes() == part.tobytes()
+    stationary = member[2].stationary
+    solve_ns, solve_ts = ns[near], ts[near]
+    if stationary:
+        solve_ns, at = np.unique(ns[near], return_inverse=True)
+        solve_ts = np.zeros(solve_ns.size)
+    parts = [solve_block_reference(*member, solve_ns[start:start + ist._BLOCK],
+                                   solve_ts[start:start + ist._BLOCK],
+                                   derivative and not stationary)
+             for start in range(0, solve_ns.size, ist._BLOCK)]
+    expected = [np.concatenate(arrays) for arrays in zip(*parts)] if parts else []
+    if stationary and parts:
+        t, rotation = ts[near], member[0].rotation
+        u = np.exp(1j * rotation * t)
+        expected = [a[at] for a in expected]
+        expected[0] = np.where(t != 0.0, expected[0] * u, expected[0])
+        expected[1] = np.where(t != 0.0, expected[1] * u.conj(), expected[1])
+        if derivative:
+            expected += [1j * rotation * expected[0], np.zeros(near.size, complex)]
+    assert len(expected) == (len(got) if near.size else 0)
+    for whole, part in zip(got, expected):
+        assert whole.dtype == part.dtype
+        assert whole[near].tobytes() == part.tobytes()
     return got[4]
 
 
@@ -1131,8 +1154,10 @@ class TestFarField:
     def _far(member, ns, ts):
         return np.flatnonzero(~_near(member[2], ns, ts))
 
-    def test_the_bench_c4_compare_grid_solves_5252_cells(self, case4_soliton, monkeypatch):
-        # evolve's compare grid on bench c4: 81 sites by the 101 RK4 times
+    def test_the_bench_c4_compare_grid_solves_52_cells(self, case4_soliton, monkeypatch):
+        # evolve's compare grid on bench c4: 81 sites by the 101 RK4 times, 5,252
+        # of them near; the spectrum is stationary, so its 52 near sites are solved
+        # once each, at t = 0
         sizes = []
         solve_block = ist._solve_block
 
@@ -1141,10 +1166,11 @@ class TestFarField:
             return solve_block(cfg, eigenset, norming, ns, ts, derivative)
 
         monkeypatch.setattr(ist, "_solve_block", recording)
-        q = ist.make_evaluator(*case4_soliton)(np.arange(-40, 41)[None, :],
-                                               (0.01 * np.arange(101))[:, None])
+        sites, times = np.arange(-40, 41)[None, :], (0.01 * np.arange(101))[:, None]
+        q = ist.make_evaluator(*case4_soliton)(sites, times)
         assert q.shape == (101, 81)
-        assert sizes == [ist._BLOCK] * 10 + [132] and sum(sizes) == 5252
+        ns, ts, _ = ist._flat_cells(sites, times)
+        assert _near(case4_soliton[2], ns, ts).sum() == 5252 and sizes == [52]
 
     @pytest.mark.parametrize("name", ["c1", "bench c4 compare", "bench c4", "pole",
                                       "case4 theta 0"])
@@ -1246,6 +1272,84 @@ class TestFarField:
         assert abs(theta - theta_minus_inf_constraint(eigenset)) < 1e-14 * abs(theta)
 
 
+class TestGauge:
+    """A stationary spectrum's near sites are solved once, at t = 0, and rotated."""
+
+    @pytest.mark.parametrize("q0", [1e-4, 0.05, 2.0 / 3.0, 0.95, 1.0 - 1e-9])
+    def test_case4_gamma_is_stored_as_zero(self, q0):
+        cfg = spectral.make_case(4, q0, 0.0)
+        eigenset = eigenvalues_case4(cfg)
+        norming = norming_case4(cfg, eigenset, 0.5)
+        assert norming.gammas == (0j,) and norming.stationary
+        assert np.array_equal(norming.cbar_rate, [-1j * cfg.rotation])
+
+    def test_a_shifted_gamma_is_kept(self, case4_soliton, monkeypatch):
+        # the test reads gamma, not the case: a wrong gamma is solved cell by cell
+        cfg, eigenset, norming = case4_soliton
+        monkeypatch.setattr(ist, "gamma", lambda c, z: gamma(c, z) + 1e-12)
+        wrong = ist.NormingData(cfg, eigenset, norming.cbar0)
+        assert wrong.gammas[0] != 0.0 and not wrong.stationary
+
+    @pytest.mark.parametrize("fixture", ["case1_soliton", "case4_soliton"])
+    def test_solve_count(self, fixture, request, monkeypatch):
+        # c1 solves each near cell at its own time; c4 each near site once, at t = 0
+        cfg, eigenset, norming = request.getfixturevalue(fixture)
+        cells = []
+        solve_block = ist._solve_block
+
+        def recording(cfg, eigenset, norming, ns, ts, derivative=False):
+            cells.extend(zip(ns.tolist(), ts.tolist()))
+            return solve_block(cfg, eigenset, norming, ns, ts, derivative)
+
+        monkeypatch.setattr(ist, "_solve_block", recording)
+        ns, ts = _cells(np.arange(-60, 61), _C1_TIMES)
+        ist.reconstruct_with_derivative(cfg, eigenset, norming, ns, ts)
+        near = _near(norming, ns, ts)
+        if fixture == "case1_soliton":
+            assert not norming.stationary
+            assert sorted(cells) == sorted(zip(ns[near].tolist(), ts[near].tolist()))
+        else:
+            assert sorted(cells) == [(n, 0.0) for n in np.unique(ns[near]).tolist()]
+
+    @settings(max_examples=25, deadline=None)
+    @given(q0=st.floats(0.05, 0.95), theta_plus=st.floats(-math.pi, math.pi),
+           thbar1=st.floats(-math.pi, math.pi),
+           times=st.lists(st.floats(-1000.0, 1000.0), min_size=1, max_size=3))
+    @example(q0=2.0 / 3.0, theta_plus=math.pi, thbar1=0.0, times=[1000.0])  # item 7's member
+    @example(q0=0.95, theta_plus=0.3, thbar1=1.0, times=[-1000.0, 100.0])
+    def test_gauge_fill_equals_the_solve_at_each_time(self, q0, theta_plus, thbar1, times):
+        # Both are exact in exact arithmetic; the direct solve at time t sees its
+        # phases rounded by about eps |rotation t|, which the system's conditioning
+        # amplifies like 1/d, d the distance of theta_plus + thbar1 from 0 (the
+        # amplitude-singular member) and from pi (ROADMAP item 7: B singular at n = 0).
+        # Measured on 1,500 members with q0 in [0.05, 0.95] and |t| <= 1000, half of
+        # them within 1e-8 to 0.1 of a locus: at most 7 eps (1 + |rotation t|) / min(1, d)
+        # relative to max(1, |x|), so the bound is 32 of those.
+        cfg = spectral.make_case(4, q0, theta_plus - math.pi)
+        eigenset = eigenvalues_case4(cfg)
+        member = (cfg, eigenset, norming_case4(cfg, eigenset, thbar1))
+        assert member[2].stationary
+        ns, ts = _cells(np.arange(-60, 61), np.array(times))
+        grid, (qdot, theta_inv_dot) = ist._solve_cells(*member, ns, ts, derivative=True)
+        d = min(abs(math.remainder(theta_plus + thbar1 - locus, 2.0 * math.pi))
+                for locus in (0.0, math.pi))
+        near = np.flatnonzero(_near(member[2], ns, ts))
+        if abs(math.remainder(theta_plus + thbar1 - math.pi, 2.0 * math.pi)) < 1e-12:
+            near = near[ns[near] != 0]  # neither solve fixes q there (_parity_grid)
+        solved = ist._solve_block(*member, ns[near], ts[near], derivative=True)
+        assert np.array_equal(grid.reason[near], solved[4])
+        assert not theta_inv_dot.any()
+        ok = solved[4] == ist.OK
+        with np.errstate(divide="ignore"):
+            bound = np.divide(32.0 * 2.0 ** -52 * (1.0 + np.abs(cfg.rotation * ts[near])),
+                              min(1.0, d))
+        for got, x in ((grid.q, solved[0]), (grid.r, solved[1]), (grid.theta_inv, solved[3]),
+                       (qdot, solved[5])):  # the block's dq/dt is NaN if any cell is singular
+            check = ok & np.isfinite(x)
+            error = np.abs(got[near] - x) / np.maximum(1.0, np.abs(x))
+            assert np.all(error[check] <= bound[check])
+
+
 def _scan_fixed_rounds(cfg, eigenset, norming, n_range, t_span, coarse_dt):
     """The scan before Newton: 7-point shrink rounds until the bracket stops moving."""
 
@@ -1329,7 +1433,8 @@ def test_case4_theta_inv_is_the_same_at_every_time(case4_soliton):
     # zbar_1 + 1/zbar_1 = 2/r and the first numerator factor of gamma
     # vanishes; Cbar_1(t) then turns at -i rotation and C_1(t) at +i rotation,
     # like r_plus(t) and q_plus(t).  With u = exp(i rotation t), the 5 x 5
-    # system's 1/Theta_n is free of u: singularity_scan's one-time sweep.
+    # system's 1/Theta_n, q_n / u and r_n u are free of u: singularity_scan's
+    # one-time sweep and _solve_cells' solve at t = 0 of a stationary spectrum.
     import sympy as sp
 
     q0 = sp.symbols("q0", positive=True)
@@ -1338,21 +1443,30 @@ def test_case4_theta_inv_is_the_same_at_every_time(case4_soliton):
     assert sp.simplify(zb + 1 / zb - 2 / r) == 0
     gamma_zb = r ** 2 * (zb - 2 / r + 1 / zb) * (zb - 2 * r + 1 / zb) / ((zb - r) * (1 / zb - r))
     assert sp.simplify(gamma_zb) == 0
-    kbar, k, row, qp, rp, y0, y3, u = sp.symbols("kbar k row q_p r_p y0 y3 u", nonzero=True)
+    kbar, k, row, row_r, qp, rp, y0, y3, u, r_ = sp.symbols(
+        "kbar k row row_r q_p r_p y0 y3 u r", nonzero=True)
     B = sp.Matrix([[1, 0, -kbar / u, 0, 0],  # the layout of TestBuildSystem's 5 x 5
                    [0, 1, 0, -kbar / u, rp / u],
                    [-k * u, 0, 1, 0, -qp * u],
                    [0, -k * u, 0, 1, 0],
                    [0, row * u, 0, 0, 1]])
-    theta_inv = B.LUsolve(sp.Matrix([y0, 0, 0, y3, 1]))[4]
+    X = B.LUsolve(sp.Matrix([y0, 0, 0, y3, 1]))  # N1, N2, Nbar1, Nbar2, 1/Theta_n
+    theta_inv = X[4]
     assert sp.simplify(sp.diff(theta_inv, u)) == 0
+    # _solve_block's q = q_plus + r row.N1 Theta_n and r = r_plus - row_r.Nbar2 Theta_n
+    q_n = qp * u + r_ * row * u * X[0] / theta_inv
+    r_n = rp / u - row_r / u * X[3] / theta_inv
+    assert sp.simplify(sp.diff(q_n / u, u)) == 0
+    assert sp.simplify(sp.diff(r_n * u, u)) == 0
     # ist's case-IV blocks carry exactly those powers of u
     cfg = case4_soliton[0]
     t = 0.7
     at_0, at_t = (ist._assemble(*case4_soliton, np.array([3]), np.array([time]))
                   for time in (0.0, t))
     u_t = cmath.exp(1j * cfg.rotation * t)
-    for name, power in (("kbar", -1), ("k", 1), ("row", 1), ("qp", 1), ("rp", -1)):
+    assert case4_soliton[2].stationary
+    for name, power in (("kbar", -1), ("k", 1), ("row", 1), ("row_r", -1), ("qp", 1),
+                        ("rp", -1)):
         ratio = getattr(at_t, name) / getattr(at_0, name)
         assert np.allclose(ratio, u_t ** power, rtol=1e-14, atol=0.0), name
 
@@ -1369,7 +1483,8 @@ def test_case4_scan_sweeps_one_time_per_site(case4_soliton, monkeypatch):
     n_range, t_span, coarse_dt = _SCAN_RANGES["cli"]
     scan = singularity_scan(*case4_soliton, n_range, t_span, coarse_dt)
     assert calls[0] == (25, [t_span[0]], False)  # one cell per site
-    assert all(size == 1 and derivative for size, _, derivative in calls[1:])
+    # one Newton call, whose d(1/Theta_n)/dt is exactly 0: it stops there, with no warning
+    assert calls[1:] == [(1, [t_span[0]], True)]
     assert not scan.singular
 
 
