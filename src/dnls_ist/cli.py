@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import json
 import math
@@ -44,6 +45,10 @@ MAX_N = 10_000  # scatter's window and sweep, about 1.2 kB a site: 25 MB
 MAX_T_STEPS = 10_000  # verify's residual, 31 sites a step with dq/dt: 120 MB
 MAX_ZETA_SAMPLES = 500  # scatter's report, about 3.5 kB a sample: 13 MB in all at MAX_N
 MAX_GRID_CELLS = 2_000_000  # the soliton grid's (2N + 1) * steps, 75 B a cell: 150 MB
+# Largest |rate t| of the phases exp(i rate t) a field is built from: each is
+# rounded by about eps |rate t|, which reaches verify's closed-form
+# tolerance 1e-10 there.
+MAX_PHASE = 1e-10 / sys.float_info.epsilon  # 4.5e5
 # Lines per CSV chunk, formatted by one format_g17 call: chunks a quarter
 # this size lose most of the gain to NumPy's cost per call, and a whole
 # field at once holds more text in memory.
@@ -280,6 +285,24 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
+def _require_phase_digits(config: RunConfig, norming) -> None:
+    """ConfigError unless each phase rate times max(|t0|, |t1|) is at most MAX_PHASE.
+
+    The rates are the background's rotation and each norming constant's
+    c_rate and cbar_rate: a soliton is built from their phases together,
+    and past MAX_PHASE their roundings move it by more than 1e-10.  An
+    empty spectrum's field is the background alone, whose one phase turns
+    every site alike and stays a solution when rounded: any time is accepted.
+    """
+    if norming.eigenset.is_empty():
+        return
+    t = max(abs(float(config.t_grid["t0"])), abs(float(config.t_grid["t1"])))
+    rate = float(np.abs([norming.cfg.rotation, *norming.c_rate, *norming.cbar_rate]).max())
+    _require(rate * t <= MAX_PHASE, f"'t_grid' reaches |t| = {t:g}, where the phase rate "
+             f"{rate:.6g} times t is {rate * t:.3g}; at most {MAX_PHASE:.3g} = 1e-10 / eps "
+             "is allowed, past which the phase's rounding passes 1e-10")
+
+
 def _case_config(config: RunConfig):
     return make_case(config.case, config.q0, config.theta_minus)
 
@@ -388,24 +411,32 @@ def _field_csv(grid: ist.ReconstructionGrid):
     singular = grid.singular
     low = int(grid.ns.min())
     site_fields = _int_fields(np.arange(low, int(grid.ns.max()) + 1))
+    # Each run of equal times (a time row of the time-major grid) is formatted
+    # once; runs are told apart by their bits, so a -0 time keeps its sign.
+    bits = grid.ts.view(np.int64)
+    starts = np.concatenate([[True], bits[1:] != bits[:-1]])
+    run = np.cumsum(starts) - 1
+    time_fields = format_g17(grid.ts[starts])
+    time_fields[:, -1] = ord(",")
     for rows in _chunks(grid.q.size, _CSV_ROWS):
         bad = singular[rows]
         q = np.where(bad, 0.0, grid.q[rows])
         # np.hypot is the hypot of Python's abs(complex), not np.abs
-        floats = format_g17(np.stack([grid.ts[rows], q.real, q.imag,
-                                      np.hypot(q.real, q.imag)], axis=1))
+        floats = format_g17(np.stack([q.real, q.imag, np.hypot(q.real, q.imag)], axis=1))
         floats[..., -1] = ord(",")
-        floats[bad, 1:, :-1] = 0
+        floats[bad, :, :-1] = 0
         flag = np.empty((bad.size, 2), np.uint8)
         flag[:, 0] = ord("0") + bad
         flag[:, 1] = ord("\n")
-        yield _csv_text([site_fields[grid.ns[rows] - low], floats.reshape(bad.size, -1), flag])
+        yield _csv_text([site_fields[grid.ns[rows] - low], time_fields[run[rows]],
+                         floats.reshape(bad.size, -1), flag])
 
 
 def cmd_soliton(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
     cfg = _case_config(config)
     eigenset, norming = _eigen_data(config, cfg)
+    _require_phase_digits(config, norming)
     grid = _field_grid(config, cfg, eigenset, norming)
     if grid.singular.all():
         sys.stderr.write("every grid cell is singular\n")
@@ -520,6 +551,7 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
     cfg = _case_config(config)
     eigenset, norming = _eigen_data(config, cfg, config.field["source"] == "soliton")
+    _require_phase_digits(config, norming)
     singular = _singular_phase(cfg, eigenset, norming)
     checks = {"singular_parameters": {"flagged": singular}}
     evaluator = ist.make_evaluator(cfg, eigenset, norming)
@@ -604,6 +636,7 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     steps = round(span / config.dt)
     _require(steps >= 1 and abs(steps * config.dt - span) <= 1e-9 * max(1.0, span),
              f"'dt' = {config.dt} does not tile [t0, t1] = [{t0}, {t1}] in whole steps")
+    _require_phase_digits(config, norming)
     singular = _singular_phase(cfg, eigenset, norming)
     if eigenset.is_empty():
         evaluator = cfg.background
@@ -642,7 +675,26 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _pin_malloc() -> None:
+    """Fix glibc's mmap and trim thresholds (mallopt(3)); elsewhere do nothing.
+
+    The block solve's temporaries are 128 KiB, glibc's default mmap
+    threshold, so whether a process maps, unmaps or trims them on every
+    block depends on its allocation history: about 300 fresh pages a c1
+    soliton call.  Fixed thresholds keep them on the heap; MALLOC_MMAP_THRESHOLD_
+    and MALLOC_TRIM_THRESHOLD_ in the environment do the same.
+    """
+    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
+        return  # not glibc
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, the ceiling of glibc's dynamic one
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _pin_malloc()
     parser = argparse.ArgumentParser(
         prog="ist",
         description="Inverse scattering transform pipelines for the nonlocal lattice NLS")

@@ -269,6 +269,26 @@ class TestConfig:
             parse_config({**CASE4_CONFIG, **edit})
         assert 625 * 3200 == cli.MAX_GRID_CELLS
 
+    @pytest.mark.parametrize("doc, t, rate", [
+        (CASE4_CONFIG, 1e6, "0.888889"),  # the rotation, the spectrum's only rate
+        (CASE1_CONFIG, 4e5, "1.1587"),  # |c_rate_j|: rotation t is 3.6e5, inside the bound
+    ], ids=["c4", "c1"])
+    @pytest.mark.parametrize("command", ["soliton", "verify", "evolve"])
+    def test_times_past_the_phase_bound_exit_2(self, tmp_path, capsys, command, doc, t, rate):
+        # a span of 1 takes 100 RK4 steps, so evolve's step checks pass first
+        edit = {"t_grid": {"t0": t, "t1": t + 1.0, "steps": 3}}
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, {**doc, **edit}),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", (
+            f"config error: 't_grid' reaches |t| = {t + 1.0:g}, where the phase rate {rate} "
+            f"times t is {float(rate) * (t + 1.0):.3g}; at most 4.5e+05 = 1e-10 / eps is "
+            "allowed, past which the phase's rounding passes 1e-10\n"))
+        assert not out.exists()
+        # 1% inside the bound is accepted
+        config = parse_config({**doc, "t_grid": {"t0": -0.99 * cli.MAX_PHASE / float(rate)}})
+        cli._require_phase_digits(config, cli._eigen_data(config, cli._case_config(config))[1])
+
     @pytest.mark.parametrize("source", ["soliton", "background"])
     def test_path_is_read_only_with_csv(self, tmp_path, capsys, source):
         doc = {**CASE4_CONFIG, "field": {"source": source, "path": "f.csv"}}
@@ -964,6 +984,15 @@ class TestCsvWriters:
             else:
                 assert 0 < grid.singular.sum() < 1401 and grid.singular[:1401].any()
 
+    def test_field_times_in_any_order(self):
+        # each run of equal times is formatted once: -0 and 0 are two runs,
+        # and a time that comes back after another is a new one
+        config = parse_config(CASE1_CONFIG)
+        cfg = cli._case_config(config)
+        ts = np.array([-0.0, 0.0, 0.0, 1.5, -0.0, 1.5, 1e-300])
+        grid = ist.reconstruct_grid(cfg, *cli._eigen_data(config, cfg), np.arange(-3, 4), ts)
+        assert "".join(cli._field_csv(grid)) == field_csv_lines(grid)
+
     def test_abs_q_is_pythons_abs(self):
         # np.hypot, the hypot of Python's abs(complex); np.abs differs in the last bit
         rng = np.random.default_rng(5)
@@ -1119,6 +1148,44 @@ class TestClosedStdout:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (
             EXIT_CONFIG, "config error: cannot write stdout: Broken pipe\n")
+
+
+# Four soliton calls in one process: the minor page faults of each, and how
+# often the allocator was pinned before the first and after the last.
+_FAULT_PROBE = """
+import json, resource, sys
+from dnls_ist import cli
+pins = [cli._pin_malloc.cache_info().misses]
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(["soliton", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+info = cli._pin_malloc.cache_info()
+print(json.dumps({"faults": faults, "pins": pins + [info.misses], "hits": info.hits}))
+"""
+
+
+@pytest.mark.skipif("CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}),
+                    reason="glibc's mallopt only")
+def test_pinned_allocator_stops_faulting_in_pages(tmp_path):
+    # The bench c1 soliton.  Unpinned, glibc maps, unmaps or trims the block
+    # solve's 128 KiB temporaries every block: about 300 faults a call after
+    # the first, where the pinned heap keeps them.
+    doc = {**CASE1_CONFIG, "N": 60, "t_grid": {"t0": -5.0, "t1": 5.0, "steps": 41}}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")}
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                                 else []))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, write_config(tmp_path, doc),
+                           str(tmp_path / "field.csv")],
+                          capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert all(faults < 50 for faults in report["faults"][1:]), report
+    # not pinned at import, pinned by the first call, and only then
+    assert (report["pins"], report["hits"]) == ([0, 1], 3)
 
 
 @pytest.mark.parametrize("case", [2, 3])

@@ -1340,7 +1340,8 @@ class TestGauge:
         assert np.array_equal(grid.reason[near], solved[4])
         assert not theta_inv_dot.any()
         ok = solved[4] == ist.OK
-        with np.errstate(divide="ignore"):
+        # d = 0 or a subnormal d (theta_plus = 5e-324) leaves no bound: inf
+        with np.errstate(divide="ignore", over="ignore"):
             bound = np.divide(32.0 * 2.0 ** -52 * (1.0 + np.abs(cfg.rotation * ts[near])),
                               min(1.0, d))
         for got, x in ((grid.q, solved[0]), (grid.r, solved[1]), (grid.theta_inv, solved[3]),
