@@ -411,25 +411,18 @@ def _field_csv(grid: ist.ReconstructionGrid):
     singular = grid.singular
     low = int(grid.ns.min())
     site_fields = _int_fields(np.arange(low, int(grid.ns.max()) + 1))
-    # Each run of equal times (a time row of the time-major grid) is formatted
-    # once; runs are told apart by their bits, so a -0 time keeps its sign.
-    bits = grid.ts.view(np.int64)
-    starts = np.concatenate([[True], bits[1:] != bits[:-1]])
-    run = np.cumsum(starts) - 1
-    time_fields = format_g17(grid.ts[starts])
-    time_fields[:, -1] = ord(",")
     for rows in _chunks(grid.q.size, _CSV_ROWS):
         bad = singular[rows]
         q = np.where(bad, 0.0, grid.q[rows])
         # np.hypot is the hypot of Python's abs(complex), not np.abs
-        floats = format_g17(np.stack([q.real, q.imag, np.hypot(q.real, q.imag)], axis=1))
+        floats = format_g17(np.stack([grid.ts[rows], q.real, q.imag,
+                                      np.hypot(q.real, q.imag)], axis=1))
         floats[..., -1] = ord(",")
-        floats[bad, :, :-1] = 0
+        floats[bad, 1:, :-1] = 0
         flag = np.empty((bad.size, 2), np.uint8)
         flag[:, 0] = ord("0") + bad
         flag[:, 1] = ord("\n")
-        yield _csv_text([site_fields[grid.ns[rows] - low], time_fields[run[rows]],
-                         floats.reshape(bad.size, -1), flag])
+        yield _csv_text([site_fields[grid.ns[rows] - low], floats.reshape(bad.size, -1), flag])
 
 
 def cmd_soliton(config: RunConfig, out: str | None, seed: int) -> int:
@@ -675,6 +668,9 @@ _DISPATCH = {
 }
 
 
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+
+
 @functools.cache
 def _pin_malloc() -> None:
     """Fix glibc's mmap and trim thresholds (mallopt(3)); elsewhere do nothing.
@@ -682,15 +678,18 @@ def _pin_malloc() -> None:
     The block solve's temporaries are 128 KiB, glibc's default mmap
     threshold, so whether a process maps, unmaps or trims them on every
     block depends on its allocation history: about 300 fresh pages a c1
-    soliton call.  Fixed thresholds keep them on the heap; MALLOC_MMAP_THRESHOLD_
-    and MALLOC_TRIM_THRESHOLD_ in the environment do the same.
+    soliton call.  Fixed thresholds keep them on the heap.  Where the
+    environment sets MALLOC_MMAP_THRESHOLD_ or MALLOC_TRIM_THRESHOLD_,
+    glibc has read that choice at start-up, and it is kept as it is.
     """
     if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
         return  # not glibc
+    if any(name in os.environ for name in _MALLOC_ENV):
+        return
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, the ceiling of glibc's dynamic one
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice that, as glibc's dynamic one
 
 
 def main(argv=None) -> int:

@@ -984,15 +984,6 @@ class TestCsvWriters:
             else:
                 assert 0 < grid.singular.sum() < 1401 and grid.singular[:1401].any()
 
-    def test_field_times_in_any_order(self):
-        # each run of equal times is formatted once: -0 and 0 are two runs,
-        # and a time that comes back after another is a new one
-        config = parse_config(CASE1_CONFIG)
-        cfg = cli._case_config(config)
-        ts = np.array([-0.0, 0.0, 0.0, 1.5, -0.0, 1.5, 1e-300])
-        grid = ist.reconstruct_grid(cfg, *cli._eigen_data(config, cfg), np.arange(-3, 4), ts)
-        assert "".join(cli._field_csv(grid)) == field_csv_lines(grid)
-
     def test_abs_q_is_pythons_abs(self):
         # np.hypot, the hypot of Python's abs(complex); np.abs differs in the last bit
         rng = np.random.default_rng(5)
@@ -1186,6 +1177,27 @@ def test_pinned_allocator_stops_faulting_in_pages(tmp_path):
     assert all(faults < 50 for faults in report["faults"][1:]), report
     # not pinned at import, pinned by the first call, and only then
     assert (report["pins"], report["hits"]) == ([0, 1], 3)
+
+
+@pytest.mark.skipif("CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}),
+                    reason="glibc's mallopt only")
+@pytest.mark.parametrize("name", [None, *cli._MALLOC_ENV])
+def test_malloc_settings_in_the_environment_are_kept(monkeypatch, name):
+    calls = []
+
+    class Libc:
+        @staticmethod
+        def mallopt(*args):
+            calls.append(args)
+            return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: Libc)
+    for var in cli._MALLOC_ENV:
+        monkeypatch.delenv(var, raising=False)
+    if name:
+        monkeypatch.setenv(name, "131072")
+    cli._pin_malloc.__wrapped__()
+    assert calls == ([] if name else [(-3, 32 << 20), (-1, 64 << 20)])
 
 
 @pytest.mark.parametrize("case", [2, 3])
