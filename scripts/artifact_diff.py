@@ -45,6 +45,8 @@ CONFIGS = {
     "c4-theta0": {key: value for key, value in README_C4.items()
                   if key not in ("theta_plus", "thbar1")} | {"theta": 0.0},
     "c1-J0": {**C1, "J": 0},
+    # the background of a config that names a quartet: no command reads eta1
+    "c1-background": {**C1, "field": {"source": "background"}},
     "c2-q0-1": {"case": 2, "q0": 1.0, "N": 40,
                 "t_grid": {"t0": 0.0, "t1": 1.0, "steps": 3}, "dt": 0.01},
     # RK4 overflows inside the stages of its second step: evolve's blow-up exit

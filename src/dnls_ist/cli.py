@@ -318,19 +318,19 @@ def _eigenset(config: RunConfig, cfg) -> ist.EigenSet:
     return eigenvalues(cfg, *(float(getattr(config, key)) for key in keys), J=config.J or J)
 
 
-def _eigen_data(config: RunConfig, cfg, soliton: bool = True):
+def _eigen_data(config: RunConfig, cfg):
     """EigenSet plus its norming data (no constants for an empty spectrum).
 
     A case with no ist.norming_caseN (case III) has no reduction-pinned
     norming constants yet, so its nonempty spectrum is inadmissible here.
-    With soliton set, so is an empty spectrum that violates its case's
-    trace limits (every Delta theta = pi background): no reflectionless
-    potential joins q_minus = -q_plus to q_plus without eigenvalues.
+    So is an empty spectrum that violates its case's trace limits (every
+    Delta theta = pi background): no reflectionless potential joins
+    q_minus = -q_plus to q_plus without eigenvalues.
     """
     eigenset = _eigenset(config, cfg)
     if eigenset.is_empty():
         residuals = ist.admissibility_residuals(cfg, eigenset)
-        if soliton and max(residuals.values()) > ist.CONSTRAINT_TOL:
+        if max(residuals.values()) > ist.CONSTRAINT_TOL:
             raise Inadmissible(f"an empty spectrum misses the case-{config.case} "
                                f"trace limits {residuals}: no reflectionless field exists")
         return eigenset, ist.unit_norming(cfg, eigenset)
@@ -484,14 +484,30 @@ def _few(sites: list[int]) -> str:
     return shown if len(sites) <= 5 else f"{shown}, ... ({len(sites)} in all)"
 
 
-def _scatter_window(config: RunConfig, cfg):
-    src = config.field["source"]
-    if src == "background":
-        return lattice.background_field(cfg, 0.0, config.N), None
-    if src == "csv":
-        return _load_field_csv(config.field["path"], cfg), None
-    eigenset, norming = _eigen_data(config, cfg)
-    return _window(cfg, ist.make_evaluator(cfg, eigenset, norming), config.N, 0.0), eigenset
+def _field(config: RunConfig, command: str):
+    """(cfg, spectrum, norming, q(ns, ts), (q, dq/dt)(ns, ts)) of the field 'field.source' names.
+
+    soliton reconstructs the configured spectrum; background is the exact
+    background with the empty spectrum (no eigenvalue or norming key read),
+    every site turning at the rate rotation: dq/dt = i rotation q.  csv is
+    refused before any other check: only scatter reads one (_load_field_csv).
+    """
+    source = config.field["source"]
+    _require(source != "csv",
+             f"{command} does not read 'field.source' csv; give soliton or background")
+    cfg = _case_config(config)
+    if source == "soliton":
+        eigenset, norming = _eigen_data(config, cfg)
+        return (cfg, eigenset, norming, ist.make_evaluator(cfg, eigenset, norming),
+                functools.partial(ist.reconstruct_with_derivative, cfg, eigenset, norming))
+
+    def exact(ns, ts):
+        q = cfg.background(ns, ts)
+        with np.errstate(over="ignore", invalid="ignore"):  # the residual reports a NaN
+            return q, 1j * cfg.rotation * q
+
+    eigenset = ist.empty_eigenset(cfg)
+    return cfg, eigenset, ist.unit_norming(cfg, eigenset), cfg.background, exact
 
 
 def _scatter_failures(report: scattering.ScatteringReport, tol: float) -> dict:
@@ -503,8 +519,12 @@ def _scatter_failures(report: scattering.ScatteringReport, tol: float) -> dict:
 
 
 def cmd_scatter(config: RunConfig, out: str | None, seed: int) -> int:
-    cfg = _case_config(config)
-    window, eigenset = _scatter_window(config, cfg)
+    if config.field["source"] == "csv":
+        cfg = _case_config(config)
+        window, eigenset = _load_field_csv(config.field["path"], cfg), None
+    else:
+        cfg, eigenset, _, field, _ = _field(config, "scatter")
+        window = _window(cfg, field, config.N, 0.0)
     zetas = scattering.continuum_samples(cfg, config.zeta_samples, seed=seed)
     report = scattering.scattering_report(window, zetas, eigenset)
     tol = config.tolerances["scattering"]
@@ -542,18 +562,15 @@ def _singular_phase(cfg, eigenset, norming) -> bool:
 
 def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
-    cfg = _case_config(config)
-    eigenset, norming = _eigen_data(config, cfg, config.field["source"] == "soliton")
+    cfg, eigenset, norming, field, exact = _field(config, "verify")
     _require_phase_digits(config, norming)
     singular = _singular_phase(cfg, eigenset, norming)
     checks = {"singular_parameters": {"flagged": singular}}
-    evaluator = ist.make_evaluator(cfg, eigenset, norming)
     tol_res = config.tolerances["residual"]
     if singular:
         checks["equation_residual"] = {"skipped": "singular family member"}
         ok_res = True
     else:
-        exact = functools.partial(ist.reconstruct_with_derivative, cfg, eigenset, norming)
         reps = verify.equation_residuals_exact(exact, cfg, range(-15, 16), _t_values(config))
         # np.max keeps a NaN residual, which then fails the check
         worst = float(np.max([rep.max_abs_residual for rep in reps], initial=0.0))
@@ -564,7 +581,7 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     if closed_form and not singular and not eigenset.is_empty():
         sites = np.arange(-20, 21)[None, :]
         ts = np.array(_t_values(config))[:, None]
-        a = evaluator(sites, ts)
+        a = field(sites, ts)
         keys = _SOLITONS[config.case][2]  # the closed form reads the norming keys
         b = closed_form(cfg, *(getattr(config, key) for key in keys), sites, ts)
         worst_cf = float(np.max(np.abs(a - b)))
@@ -573,7 +590,7 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
                                           "pass": ok_closed}
     failures = {}
     if not singular:
-        window = _window(cfg, evaluator, min(config.N, ORACLE_N), 0.0)
+        window = _window(cfg, field, min(config.N, ORACLE_N), 0.0)
         zetas = scattering.continuum_samples(cfg, 8, seed=1)
         report = scattering.scattering_report(window, zetas, eigenset)
         tol_sc = config.tolerances["scattering"]
@@ -613,10 +630,7 @@ def _trajectory_csv(traj: verify.Trajectory):
 
 def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
-    _require(config.field["source"] != "csv",
-             "evolve does not read 'field.source' csv; give soliton or background")
-    cfg = _case_config(config)
-    eigenset, norming = _eigen_data(config, cfg, config.field["source"] == "soliton")
+    cfg, eigenset, norming, field, _ = _field(config, "evolve")
     _require(not eigenset.is_empty() or config.field["source"] == "background",
              "evolve requires a nonempty eigenvalue set or a background field")
     t0 = float(config.t_grid["t0"])
@@ -631,11 +645,7 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
              f"'dt' = {config.dt} does not tile [t0, t1] = [{t0}, {t1}] in whole steps")
     _require_phase_digits(config, norming)
     singular = _singular_phase(cfg, eigenset, norming)
-    if eigenset.is_empty():
-        evaluator = cfg.background
-    else:
-        evaluator = ist.make_evaluator(cfg, eigenset, norming)
-    window = _window(cfg, evaluator, min(config.N, ORACLE_N), t0)
+    window = _window(cfg, field, min(config.N, ORACLE_N), t0)
     try:
         traj = verify.simulate(window, cfg, t1, config.dt)
     except BlowupDetected as exc:
@@ -643,7 +653,7 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
                "step": exc.step, "t": exc.t}
         _write_report(config, out, doc)
         return EXIT_OK if singular else EXIT_BLOWUP
-    deviation = verify.compare(traj, evaluator)
+    deviation = verify.compare(traj, field)
     tol = config.tolerances["compare"]
     traj_path = config.outputs["trajectory_csv"]
     _write_report(config, out, {

@@ -17,7 +17,7 @@ phase at every other time), and returns both q_n and r_n;
 reconstruct is its one-cell view; NormingData holds the factors that
 depend on the spectrum alone.  build_system (one cell's dense B and Y, built from the same
 blocks) stays only because the benchmark's tracer wraps it, until ROADMAP
-item 11 re-points the benchmark.
+item 18 re-points the benchmark.
 """
 from __future__ import annotations
 

@@ -19,7 +19,7 @@ certify its step factors and schedule its renormalization tests (`_propagate`).
 `scattering_report` evaluates each zeta it needs (samples, their zeta_bar
 partners, eigenvalues) once, over one Theta product; `scattering_coefficients`
 is its one-zeta view.  `jost` (one column at one zeta) stays only because the
-benchmark's layer timings call it, until ROADMAP item 11 re-points the benchmark.
+benchmark's layer timings call it, until ROADMAP item 18 re-points the benchmark.
 """
 from __future__ import annotations
 

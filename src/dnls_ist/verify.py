@@ -110,7 +110,7 @@ def equation_residual(solution_evaluator, cfg: CaseConfig, n_range,
                       t: float, h: float = 1e-3) -> ResidualReport:
     """The lattice-equation residual at one time t (see equation_residuals).
 
-    No command calls it; the benchmark's layer timings do (ROADMAP item 11).
+    No command calls it; the benchmark's layer timings do (ROADMAP item 18).
     """
     return equation_residuals(solution_evaluator, cfg, n_range, [t], h)[0]
 

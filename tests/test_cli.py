@@ -663,7 +663,7 @@ class TestScatter:
             return dataclasses.replace(report(*args), det_residual=math.nan)
 
         monkeypatch.setattr(scattering, "scattering_report", nan_det)
-        # J: 0 gives verify a field (the bare background); scatter ignores it
+        # the background, which scatter and verify both check (J is not read)
         doc = {"case": 1, "q0": 2.0 / 3.0, "J": 0, "N": 10,
                "field": {"source": "background"}, "zeta_samples": 2}
         path = write_config(tmp_path, doc)
@@ -760,8 +760,10 @@ class TestVerify:
 
     def test_case4_background_has_no_closed_form_check(self, tmp_path, capsys):
         # the closed form is a soliton formula: with no eigenvalue there is
-        # nothing to compare; q_n = q_plus on every site is no solution
-        doc = {"case": 4, "q0": 0.5, "J": 0, "N": 20, "zeta_samples": 4,
+        # nothing to compare; the step background q_minus = -q_plus is no
+        # solution: at n = 0 the lattice side is 2i q_plus, dq/dt 2i q0**2 q_plus
+        q0 = 0.5
+        doc = {"case": 4, "q0": q0, "J": 0, "N": 20, "zeta_samples": 4,
                "field": {"source": "background"}}
         out = tmp_path / "v.json"
         assert main(["verify", "--config", write_config(tmp_path, doc),
@@ -769,7 +771,28 @@ class TestVerify:
         assert capsys.readouterr().err == ""
         checks = json.loads(out.read_text())["checks"]
         assert "closed_form_equality" not in checks
-        assert checks["equation_residual"]["max"] == pytest.approx(0.5, rel=1e-12)
+        assert checks["equation_residual"]["max"] == pytest.approx(2 * q0 * (1 - q0**2),
+                                                                   rel=1e-12)
+
+    def test_background_source_checks_the_background(self, tmp_path):
+        # the config names a quartet (eta1), but the field it names is the background
+        doc = {**CASE1_CONFIG, "field": {"source": "background"}}
+        out = tmp_path / "v.json"
+        assert main(["verify", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == EXIT_OK
+        checks = json.loads(out.read_text())["checks"]
+        assert checks["equation_residual"]["max"] < 1e-14
+        assert "t11_zeros" not in checks
+
+    def test_csv_field_is_a_config_error(self, tmp_path, capsys):
+        # verify reads no field file, so it would check the configured soliton instead
+        doc = {**CASE4_CONFIG, "field": {"source": "csv", "path": str(tmp_path / "none.csv")}}
+        path = write_config(tmp_path, doc)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "v.json")]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "config error: verify does not read 'field.source' csv; give soliton or "
+                "background\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestEvolve:
@@ -812,6 +835,21 @@ class TestEvolve:
         path = write_config(tmp_path, doc)
         assert main(["evolve", "--config", path, "--out",
                      str(tmp_path / "bg.json")]) == EXIT_OK
+
+    def test_background_source_evolves_the_background(self, tmp_path, monkeypatch):
+        # the config names a quartet (eta1), but the field it names is the background
+        monkeypatch.chdir(tmp_path)
+        doc = {**CASE1_CONFIG, "field": {"source": "background"}}
+        out = tmp_path / "e.json"
+        assert main(["evolve", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == EXIT_OK
+        rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+        ts, ns, q = rows[:, 1], rows[:, 2], rows[:, 3] + 1j * rows[:, 4]
+        background = spectral.make_case(1, 2.0 / 3.0).background(ns, ts)
+        deviation = float(np.max(np.abs(q - background)))
+        assert deviation < 1e-8
+        assert json.loads(out.read_text())["max_deviation"] == pytest.approx(deviation,
+                                                                             rel=1e-12)
 
     # dt = 2.0 would take zero RK4 steps and pass vacuously; dt = 0.3 would
     # stop at t = 0.9 instead of t1 = 1.
@@ -882,6 +920,18 @@ class TestEvolve:
         assert info.value.args == (cli.MAX_EVOLVE_STEPS,)
 
 
+# The background field reads no eigenvalue key: case 3 at q0 = 1 with no
+# zeta_hat_1, where every q_n r_n is -1.
+@pytest.mark.parametrize("command", ["scatter", "verify", "evolve"])
+def test_background_needs_no_eigenvalue_key(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    doc = {"case": 3, "q0": 1.0, "N": 20, "field": {"source": "background"},
+           "t_grid": {"t0": 0.0, "t1": 1.0, "steps": 3}, "dt": 0.01, "zeta_samples": 4}
+    path = write_config(tmp_path, doc)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 # Case III has no reduction-pinned norming constants yet: every command that
 # needs its soliton is inadmissible, while its spectrum and background work.
 @pytest.mark.parametrize("command, source, code", [
@@ -920,6 +970,7 @@ def test_case3_soliton_is_inadmissible(tmp_path, capsys, monkeypatch, command, s
     ("evolve", "soliton", EXIT_INADMISSIBLE),
     ("scatter", "soliton", EXIT_INADMISSIBLE),
     ("scatter", "background", EXIT_OK),
+    ("verify", "background", EXIT_TOLERANCE),
     ("evolve", "background", EXIT_TOLERANCE),
 ])
 def test_empty_spectrum_at_delta_theta_pi_is_inadmissible(tmp_path, capsys, monkeypatch,
