@@ -62,6 +62,12 @@ CONFIGS = {
     "readme-c4-t1000": {**README_C4, "t_grid": {"t0": 0.0, "t1": 1000.0, "steps": 11},
                         "dt": 0.1},
     "readme-c4-t50": {**README_C4, "t_grid": {"t0": -50.0, "t1": 50.0, "steps": 11}},
+    # c1 on t -20..20: the far-field thresholds move about 0.9 sites per unit of t,
+    # so the grid puts cells on each side of them at many offsets
+    "c1-t20": {**C1, "t_grid": {"t0": -20.0, "t1": 20.0, "steps": 41}},
+    # a quartet near the real axis: its limiting system misses q_minus beyond
+    # ist._MINUS_TOL, so it has no left far field and its window overflows there
+    "c1-near-axis": {**C1, "q0": 0.82, "eta1": 3.14287, "N": 300},
     # |q_n r_n| = -1 at every site, where det_n = 2 x00 x11: the bound on det_n
     # that keeps its phase certifies the sweep (one that compares moduli declines it)
     "c3-q0-1-background": {"case": 3, "q0": 1.0, "N": 20, "field": {"source": "background"},

@@ -37,6 +37,11 @@ EXIT_NUMERICAL = 7
 # Half-width at most of the window that `verify` and `evolve` run their
 # lattice oracles (scattering report, RK4) on.
 ORACLE_N = 40
+# Half-widths of verify's residual-oracle and closed-form sites, and the
+# singularity scan of verify and evolve; each report lists them as "limits".
+RESIDUAL_N = 15
+CLOSED_FORM_N = 20
+SCAN = {"n_range": (-12, 12), "t_span": (-6.0, 6.0), "coarse_dt": 0.25}
 # Most RK4 steps `evolve` takes: its trajectory holds one 81-site row of
 # complex states per step (about 130 MB at the cap) and its CSV 81 lines.
 MAX_EVOLVE_STEPS = 100_000
@@ -554,10 +559,7 @@ def _window(cfg, evaluator, N: int, t: float) -> lattice.PotentialWindow:
 def _singular_phase(cfg, eigenset, norming) -> bool:
     if eigenset.is_empty():
         return False
-    scan = ist.singularity_scan(cfg, eigenset, norming,
-                                n_range=(-12, 12), t_span=(-6.0, 6.0),
-                                coarse_dt=0.25)
-    return scan.singular
+    return ist.singularity_scan(cfg, eigenset, norming, **SCAN).singular
 
 
 def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
@@ -571,7 +573,8 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
         checks["equation_residual"] = {"skipped": "singular family member"}
         ok_res = True
     else:
-        reps = verify.equation_residuals_exact(exact, cfg, range(-15, 16), _t_values(config))
+        reps = verify.equation_residuals_exact(exact, cfg, range(-RESIDUAL_N, RESIDUAL_N + 1),
+                                               _t_values(config))
         # np.max keeps a NaN residual, which then fails the check
         worst = float(np.max([rep.max_abs_residual for rep in reps], initial=0.0))
         ok_res = worst < tol_res
@@ -579,7 +582,7 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     ok_closed = True
     closed_form = getattr(ist, f"soliton_closed_form_case{config.case}", None)
     if closed_form and not singular and not eigenset.is_empty():
-        sites = np.arange(-20, 21)[None, :]
+        sites = np.arange(-CLOSED_FORM_N, CLOSED_FORM_N + 1)[None, :]
         ts = np.array(_t_values(config))[:, None]
         a = field(sites, ts)
         keys = _SOLITONS[config.case][2]  # the closed form reads the norming keys
@@ -605,7 +608,10 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
                                    "pass": not any(name.startswith("t11_zero_")
                                                    for name in failures)}
     ok = ok_res and ok_closed and not failures
-    doc = {"case": config.case, "checks": checks, "pass": bool(ok)}
+    doc = {"case": config.case, "source": config.field["source"], "checks": checks,
+           "limits": {"oracle_N": min(config.N, ORACLE_N), "residual_N": RESIDUAL_N,
+                      "closed_form_N": CLOSED_FORM_N, "scan": SCAN},
+           "pass": bool(ok)}
     _write_report(config, out, doc)
     return EXIT_OK if ok else EXIT_TOLERANCE
 
@@ -646,11 +652,12 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     _require_phase_digits(config, norming)
     singular = _singular_phase(cfg, eigenset, norming)
     window = _window(cfg, field, min(config.N, ORACLE_N), t0)
+    limits = {"oracle_N": window.N, "scan": SCAN}
     try:
         traj = verify.simulate(window, cfg, t1, config.dt)
     except BlowupDetected as exc:
         doc = {"case": config.case, "blowup": True, "singular_parameters": singular,
-               "step": exc.step, "t": exc.t}
+               "step": exc.step, "t": exc.t, "limits": limits}
         _write_report(config, out, doc)
         return EXIT_OK if singular else EXIT_BLOWUP
     deviation = verify.compare(traj, field)
@@ -659,7 +666,7 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     _write_report(config, out, {
         "case": config.case, "blowup": False, "singular_parameters": singular,
         "max_deviation": deviation, "tolerance": tol,
-        "trajectory_csv": traj_path, "pass": deviation < tol},
+        "trajectory_csv": traj_path, "limits": limits, "pass": deviation < tol},
         files=[(traj_path, _trajectory_csv(traj))])
     return EXIT_OK if deviation < tol else EXIT_TOLERANCE
 

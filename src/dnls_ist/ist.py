@@ -9,11 +9,12 @@ the spectral involution, case IV one real pair.  The reflectionless inverse prob
 triangular in the unknown order (N2, Nbar2 | 1/Theta_n | N1, Nbar1) with
 the 2J x 2J diagonal block P = [[I, -kbar], [-k, I]] twice;
 reconstruct_grid fills the far field of a whole (n, t) grid of cells with
-the background, screened by bounds on the lam**(2n) couplings, solves the
-rest by one batched, pivoted solve of P per fixed-size block, a scalar
-border for 1/Theta_n and back-substitution (a stationary spectrum, every
-gamma(zbar_j) = 0, once per site at t = 0, turned by the background's
-phase at every other time), and returns both q_n and r_n;
+the background to first order in the lam**(2n) couplings, screened by
+bounds on them, solves the rest by one batched, pivoted solve of P per
+fixed-size block, a scalar border for 1/Theta_n and back-substitution (a
+stationary spectrum, every gamma(zbar_j) = 0, once per site at t = 0,
+turned by the background's phase at every other time), and returns both
+q_n and r_n;
 reconstruct is its one-cell view; NormingData holds the factors that
 depend on the spectrum alone.  build_system (one cell's dense B and Y, built from the same
 blocks) stays only because the benchmark's tracer wraps it, until ROADMAP
@@ -275,7 +276,7 @@ class NormingData:
             (zs - rinv)[:, None, None], ((zbs - rinv) * (zs[:, None] - zbs))[..., None],
             (zbs - r)[:, None, None], ((zs - r) * (zbs[:, None] - zs))[..., None],
             (zs * (zs - r))[:, None], (zbs - rinv)[:, None],
-            y0, y3, np.abs(np.concatenate([y0, y3])).max(initial=1.0), *(None,) * 5)
+            y0, y3, np.abs(np.concatenate([y0, y3])).max(initial=1.0), *(None,) * 8)
         object.__setattr__(self, "spectrum", s._replace(**_far_field(cfg, s, self.gammas)))
 
     @property
@@ -413,7 +414,7 @@ class _Blocks(NamedTuple):
 # The far-field screen's constants (_far_field) close it.
 _Spectrum = namedtuple("_Spectrum", "cbar0 cbar_rate c_rate lam2 lam2_bar c_den kbar_num "
                        "kbar_den k_num k_den row_den row_r_den y0 y3 ymax "
-                       "log_t log_n right left theta_inv_minus")
+                       "log_e0 rate log_lam right left theta_inv_minus first_order first_bound")
 # What a far-field fill may neglect, and how far the limiting system's q and r
 # may lie from cfg's q_minus and r_minus (over max(1, q0)) for it to take those.
 _FAR_TOL = 2.0 ** -53
@@ -425,41 +426,65 @@ def _far_field(cfg: CaseConfig, s: _Spectrum, gammas) -> dict:
 
     The 2J couplings E_l (cpow, then cbarpow) enter as kbar = A Ebar, k = B E
     column by column (A, B constant J x J), row = E / row_den and row_r =
-    Ebar / row_r_den; log|E_l| = log|E_l(0, 0)| + log_t t + log_n n.  In max
-    norms, with X0 the solution that a fill takes:
+    Ebar / row_r_den; log E_l = log_e0 + rate t + log_lam n.  A fill takes
+    X0 + X1: the limiting solution X0 and its first-order term X1 in the
+    small couplings.  In max norms:
     - right: the system is B0 + D, B0 the J = 0 system (|B0^-1| = 1 + q0) and
       |D| <= S = sum_l |E_l| m_l, m_l the largest modulus in E_l's column of
-      B and 1/row_den (A and 1/row_r_den for Ebar_l).  So |X - X0| <= (1 +
-      q0) S |X0| (1 + O(S)), and q - q_plus = r row.N1 Theta_n and r - r_plus
-      are at most max(1, r) S |X| |Theta_n|: K0 = max(1, r) (1 + q0) |X0|;
+      B and 1/row_den (A and 1/row_r_den for Ebar_l).  X1 = -B0^-1 D X0 gives
+      q_plus + r row.y0, r_plus - row_r.y3 and 1/Theta_n = 1 + r_plus sum(row),
+      and |X - X0 - X1| <= ((1 + q0) S)**2 |X0| / (1 - (1 + q0) S).  Since
+      q - q_plus = r row.N1 Theta_n, q and r miss their first-order fills by
+      at most 2 max(1, r) (1 + q0) S**2 |X0| (1 + O(S)): K0 = max(2 max(1, r)
+      (1 + q0), (1 + q0)**2) |X0|;
     - left: in the unknowns E N1, E N2, Ebar Nbar1, Ebar Nbar2, 1/Theta_n it
       is L0 + diag(1/E, 1/E, 1/Ebar, 1/Ebar, 0), L0 the limiting system, whose
-      blocks give 1/Theta_-inf = 1 + row_den^-1.B^-1 y3, q_plus (1 - r
-      row_den^-1.B^-1 1) and r_plus (1 - row_r_den^-1.A^-1 1).  With S =
-      max_l 1/|E_l| and d = |L0^-1| S |X0| (1 + O(S)), |q - q_inf| <= d (r nu
-      + |q_inf - q_plus|) / (|1/Theta_-inf| - d), nu the sum of 1/|row_den|
-      (r alike): K0 = |L0^-1| |X0| max(1, (r nu + |q_inf - q_plus|) / th, ...).
+      blocks give 1/Theta_-inf = th0 = 1 + row_den^-1.B^-1 y3, q_plus (1 - r
+      row_den^-1.B^-1 1) and r_plus (1 - row_r_den^-1.A^-1 1).  Its X1 =
+      -L0^-1 diag(1/E, ...) X0 adds -(r / th0) sum_l (row_den^-1.B^-1)_l
+      (A^-1 y0)_l / Ebar_l to q, (1 / th0) sum_l (row_r_den^-1.A^-1)_l
+      (B^-1 y3)_l / E_l to r and -th0 r_plus sum_l (row_den^-1.B^-1)_l
+      (A^-1 1)_l / Ebar_l to 1/Theta_n.  With S = max_l 1/|E_l|, |X - X0| <=
+      |L0^-1| S |X0| (1 + O(S)) and |X - X0 - X1| <= (|L0^-1| S)**2 |X0| (1 +
+      O(S)), so q = q_plus + r row_den^-1.(E N1) Theta_n misses its fill by at
+      most |L0^-1|**2 S**2 |X0| (1 + |X0| / th) (r nu + |q_inf - q_plus|) / th,
+      th = |th0| and nu the sum of 1/|row_den| (r alike): K0 = |L0^-1|**2 |X0|
+      (1 + |X0| / th) max(1, (r nu + |q_inf - q_plus|) / th, ...).
     The gauge (q_plus, E_l, Ebar_l) -> (e^ia q_plus, e^ia E_l, e^-ia Ebar_l)
     maps q to e^ia q and keeps 1/Theta_n and every norm here, so dq/dt - i
     rotation q is the derivative along E_l -> E_l e^(-i gamma_l s), which
-    Cauchy's estimate on |s| = 1/max|gamma| bounds by e max|gamma| times the
-    value bound.  So with K = 2 K0 max(1, |rotation| + e max|gamma|) a fill
-    neglects less than K S in q, r, 1/Theta_n and dq/dt: right holds
-    log|E_l(0, 0)| + log(2J K_R m_l / _FAR_TOL) and left log|E_l(0, 0)| -
-    log(K_L / _FAR_TOL), which is -inf (never left far) when L0 is singular
-    or q_inf, r_inf miss cfg.q_minus, cfg.r_minus by more than _MINUS_TOL
-    max(1, q0), since left far cells take those exactly.
+    Cauchy's estimate on |s| = 1/max|gamma|, where S grows by e at most,
+    bounds by e**2 max|gamma| times the remainder's bound.  So with K = 2 K0
+    max(1, |rotation| + e**2 max|gamma|) a fill neglects less than K S**2 in
+    q, r, 1/Theta_n and dq/dt: right holds log|E_l(0, 0)| + log(2J m_l
+    sqrt(K_R / _FAR_TOL)) and left log|E_l(0, 0)| - log sqrt(K_L /
+    _FAR_TOL), which is -inf (never left far) when L0 is singular or q_inf,
+    r_inf miss cfg.q_minus, cfg.r_minus by more than _MINUS_TOL max(1, q0),
+    since left far cells take those as X0.  first_order holds the fills'
+    first-order coefficients, per side (right, left), of q, r, (1/Theta_n) /
+    r_plus and dq/dt on each E_l (right) or 1/E_l (left), and first_bound
+    log(2J max_k |first_order_kl| / _FAR_TOL), the 1/Theta_n row weighed by
+    |r_plus| = q0, plus log|E_l(0, 0)| (minus it on the left): a cell whose
+    log|E_l / E_l(0, 0)| (its negative on the left) stays below -first_bound
+    for every l has no first-order term past _FAR_TOL (_live).  For a
+    stationary spectrum right and left hold first_bound too, so that its far
+    cells have no such term (_solve_cells).
     """
     J, q0, r = s.y0.size, cfg.q0, cfg.r
-    time = max(1.0, abs(cfg.rotation) + math.e * max(map(abs, gammas), default=0.0))
+    time = max(1.0, abs(cfg.rotation) + math.e ** 2 * max(map(abs, gammas), default=0.0))
     # A and B, each with the dens of the sum it feeds (row_r_den, row_den)
     AB = np.array([s.kbar_num / s.kbar_den, s.k_num / s.k_den])[..., 0]
     dens = np.array([s.row_r_den, s.row_den])[..., 0]
+    first = np.zeros((2, 4, 2 * J), dtype=complex)
     with np.errstate(all="ignore"):
-        e0 = np.abs(np.concatenate([q0 * q0 * s.cbar0 / s.c_den, s.cbar0]))  # |E_l(0, 0)|
+        qp0 = cfg.q0 * cmath.exp(1j * cfg.theta_plus)  # q_plus(0)
+        log_e0 = np.log(np.concatenate([-(qp0 * qp0) / s.c_den * s.cbar0, s.cbar0]))
         m = np.maximum(np.abs(AB).max(axis=1, initial=0.0), 1.0 / np.abs(dens))[::-1]
-        k_r = 2.0 * max(1.0, r) * (1.0 + q0) * max(s.ymax, q0) * time
-        right = np.log(e0 * (2.0 * J * k_r / _FAR_TOL * m).reshape(-1, 1))
+        k_r = (2.0 * max(2.0 * max(1.0, r) * (1.0 + q0), (1.0 + q0) ** 2) * max(s.ymax, q0)
+               * time)
+        right = log_e0.real + np.log(2.0 * J * math.sqrt(k_r / _FAR_TOL) * m).reshape(-1, 1)
+        first[0, 0, :J], first[0, 2, :J] = r * s.y0 / s.row_den[:, 0], 1.0 / s.row_den[:, 0]
+        first[0, 1, J:] = -s.y3 / s.row_r_den[:, 0]
         try:
             inv = np.linalg.inv(AB)
         except np.linalg.LinAlgError:
@@ -469,23 +494,37 @@ def _far_field(cfg: CaseConfig, s: _Spectrum, gammas) -> dict:
         theta_inv = complex(1.0 + (b_y3 / dens[1]).sum())
         lam_r, lam_q = 1.0 - (ones / dens).sum(axis=1) * (1.0, r)
         th, nus = abs(theta_inv), (1.0 / np.abs(dens)).sum(axis=1)
+        row_inv = (inv / dens[..., None]).sum(axis=1)  # row_r_den^-1.A^-1, row_den^-1.B^-1
+        first[1, 0, J:] = -r / theta_inv * row_inv[1] * a_y0
+        first[1, 1, :J] = row_inv[0] * b_y3 / theta_inv
+        first[1, 2, J:] = -theta_inv * row_inv[1] * ones[0]
+        rate = np.concatenate([s.c_rate, s.cbar_rate])[:, 0]
+        first[:, 3] = first[:, 0] * rate * [[1.0], [-1.0]]  # E_l and 1/E_l at their rates
+        bound = np.log(2.0 * J / _FAR_TOL * (np.abs(first) * [[1.0], [1.0], [q0], [1.0]]).max(
+            axis=1)) + log_e0.real[:, 0] * [[1.0], [-1.0]]
+        if not any(gammas):  # stationary: a cell with a first-order term stays near
+            right = np.maximum(right, bound[0, :, None])
         # |L0^-1| row by row: E N2 = -B^-1 f, then 1/Theta_n (row 1 + |row_den^-1.B^-1|),
         # E N1 = -B^-1 (f + q_plus Theta_n 1), and Ebar Nbar1, Ebar Nbar2 alike with A
-        theta_row = 1.0 + np.abs((inv[1] / dens[1][:, None]).sum(axis=0)).sum()
+        theta_row = 1.0 + np.abs(row_inv[1]).sum()
         l0_inv = max(theta_row, (np.abs(inv).sum(axis=2) + q0 * theta_row * np.abs(ones)).max(
             initial=0.0))
         x0 = max(th, np.abs(np.concatenate([a_y0, b_y3, q0 * th * ones.ravel()])).max(
             initial=0.0))
-        k_l = (2.0 * l0_inv * x0 * time * max(1.0, (r * nus[1] + q0 * abs(lam_q - 1.0)) / th,
-                                               (nus[0] + q0 * abs(lam_r - 1.0)) / th))
+        k_l = (2.0 * l0_inv ** 2 * x0 * (1.0 + x0 / th) * time
+               * max(1.0, (r * nus[1] + q0 * abs(lam_q - 1.0)) / th,
+                     (nus[0] + q0 * abs(lam_r - 1.0)) / th))
         # q_minus / q_plus = r_minus / r_plus = e^(-i Delta theta)
         ratio = cmath.exp(-1j * cfg.delta_theta)
         exact = q0 * max(abs(lam_q - ratio), abs(lam_r - ratio)) <= _MINUS_TOL * max(1.0, q0)
-        left = (np.log(e0 * (_FAR_TOL / k_l)) if exact and math.isfinite(k_l)
-                else np.full_like(e0, -np.inf))
-        log_n = np.log(np.abs(np.concatenate([1.0 / s.lam2, s.lam2_bar])))
-    return {"log_t": np.concatenate([s.c_rate, s.cbar_rate]).real, "log_n": log_n,
-            "right": right, "left": left, "theta_inv_minus": theta_inv}
+        left = (log_e0.real - 0.5 * np.log(k_l / _FAR_TOL) if exact and math.isfinite(k_l)
+                else np.full(log_e0.shape, -np.inf))
+        if not any(gammas):
+            left = np.minimum(left, -bound[1, :, None])
+        log_lam = np.log(np.concatenate([1.0 / s.lam2, s.lam2_bar]))
+    return {"log_e0": log_e0, "rate": rate[:, None], "log_lam": log_lam, "right": right,
+            "left": left, "theta_inv_minus": theta_inv, "first_order": first,
+            "first_bound": bound[..., None]}
 
 
 def _assemble(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
@@ -584,8 +623,8 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     ns and ts broadcast against each other (a scalar t gives a time row,
     sites[None, :] and ts[:, None] a time-major grid); the result is flat in
     that broadcast order.  Far cells, whose lam**(2n) couplings all lie past
-    their bounds, take the background there with no solve, within 1e-15
-    max(1, |x|) of the exact one, and backward error 0 (_solve_cells).  The
+    their bounds, take the background to first order with no solve, within
+    1e-15 max(1, |x|) of the exact one, and backward error 0 (_solve_cells).  The
     others are solved in blocks of _BLOCK (a stationary spectrum's once per
     site, at t = 0, and turned by exp(i rotation t); _solve_cells states the
     bound): each block's 2J x 2J diagonal blocks P are stacked and
@@ -627,32 +666,46 @@ def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     The screen (_screen) first takes out the far cells, from their 2J
     couplings E_l = C_l(t) lam(zeta_l)**(-2n) and Ebar_l = Cbar_l(t)
     lam(zbar_l)**(2n), whose logs are affine in (n, t):
-    - right far field, every |E_l| m_l <= 2**-53 / (2J K_R): the J = 0
-      system, q_plus(t), r_plus(t) and 1/Theta_n = 1;
-    - left far field, every |E_l| >= K_L / 2**-53: the limiting system,
-      q_minus(t), r_minus(t) and 1/Theta_-inf, for a spectrum whose limit
-      agrees with that background to _MINUS_TOL (none is left far otherwise).
-    _far_field derives m_l, K_R and K_L from the spectrum so that a fill
-    neglects less than 2**-53 (_FAR_TOL) in q, r, 1/Theta_n and dq/dt, which
-    with its rounding and the _MINUS_TOL agreement keeps it within 1e-15
-    max(1, |x|) of the exact solve.  Far cells are OK (AMPLITUDE where |q| is
-    not finite), never overflow, and have backward error 0, dq/dt = i
-    rotation q and d(1/Theta_n)/dt = 0; _solve_block solves the rest in
-    _BLOCK chunks.  A stationary spectrum (NormingData.stationary) turns
-    with the background's gauge: its near sites are solved once each, at
-    t = 0, and a cell at any other time takes q u and r conj(u), u = exp(i
-    rotation t), its site's 1/Theta_n, backward error and reason, dq/dt = i
-    rotation q and d(1/Theta_n)/dt = 0, written in _BLOCK chunks.  Such a
-    cell lies within 32 eps (1 + |rotation t|) max(1, |x|) / min(1, d) of
-    the solve at its own time, d the distance of theta_plus + thbar1 from 0
-    and pi (mod 2 pi), near which both solves lose digits (tests/test_ist.py,
-    TestGauge).
+    - right far field, every |E_l| m_l <= sqrt(2**-53 / K_R) / 2J: the J = 0
+      system to first order, q_plus + r sum_j row_j y0_j, r_plus - sum_j
+      row_r_j y3_j and 1/Theta_n = 1 + r_plus sum_j row_j;
+    - left far field, every |E_l| >= sqrt(K_L / 2**-53): the limiting system,
+      q_minus(t), r_minus(t) and 1/Theta_-inf, to first order in the 1/E_l,
+      for a spectrum whose limit agrees with that background to _MINUS_TOL
+      (none is left far otherwise).
+    _far_field derives m_l, K_R, K_L and the first-order coefficients from
+    the spectrum so that a fill's second-order remainder is below 2**-53
+    (_FAR_TOL) in q, r, 1/Theta_n and dq/dt.  A first-order term below
+    2**-53 is left out, and none is formed on the cells where first_bound
+    shows that none can pass it (not _live), so that deeper cells keep the
+    limit's bytes; with the rounding and the _MINUS_TOL agreement a fill
+    stays within 1e-15 max(1, |x|) of the exact solve.  Far cells are OK
+    (AMPLITUDE where |q| is not finite), never overflow, and have backward
+    error 0 and the fill's exact dq/dt (i rotation on the limit, each
+    coupling's rate on its term); d(1/Theta_n)/dt is left 0, off by its
+    first-order term, which only singularity_scan's Newton step would read,
+    and a far cell stops that step either way.  _solve_block solves the
+    rest in _BLOCK chunks.  A stationary spectrum (NormingData.stationary)
+    turns with the background's gauge: its near sites are solved once each,
+    at t = 0, and a cell at any other time takes q u and r conj(u), u =
+    exp(i rotation t), its site's 1/Theta_n, backward error and reason,
+    dq/dt = i rotation q and d(1/Theta_n)/dt = 0, written in _BLOCK chunks;
+    inside that one block a solve costs less than filling each cell of its
+    site, so its screen keeps near every cell with a first-order term past
+    2**-53 (_far_field), and its far cells take the limits.  Such a
+    cell lies within 4 eps (1 + |rotation t|) max(1, |x|) / (min(1, d) r**3)
+    of the solve at its own time, d the distance of theta_plus + thbar1 from
+    0 and pi (mod 2 pi), near which both solves lose digits, and r**3 the
+    solve's conditioning as q0 nears 1 (at most 2.2 of those units over
+    2,200 members; tests/test_ist.py, TestGauge).
     """
     s = norming.spectrum
     out = [np.empty(ns.size, dtype) for dtype in
            (complex, complex, float, complex, np.int8, complex, complex)[:5 + 2 * derivative]]
     right, left = _screen(s, ns, ts)
     near, far = np.flatnonzero(~(right | left)), np.flatnonzero(right | left)
+    # a stationary spectrum's far cells have no first-order term past _FAR_TOL (_far_field)
+    live = far[:0] if norming.stationary else _live(s, right[far], ns[far], ts[far])
     if not norming.stationary:
         _solve_blocks(cfg, eigenset, norming, ns, ts, near, out, derivative)
     elif near.size:
@@ -678,19 +731,49 @@ def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
         t, plus = ts[far], right[far]
         with np.errstate(all="ignore"):
             qp, qm = cfg.q_plus(t), cfg.q_minus(t)
-            q = np.where(plus, qp, qm)
-            r = cfg.sigma * np.conj(np.where(plus, qm, qp))  # r_plus(t), r_minus(t)
+            # the limits of q, r (r_plus = sigma conj(q_minus), r_minus = sigma conj(q_plus)),
+            # 1/Theta_n and, with derivative set, dq/dt
+            fills = np.empty((3 + derivative, far.size), dtype=complex)
+            fills[0] = np.where(plus, qp, qm)
+            fills[1] = cfg.sigma * np.conj(np.where(plus, qm, qp))
+            fills[2] = np.where(plus, 1.0, s.theta_inv_minus)
+            if derivative:
+                fills[3] = 1j * cfg.rotation * fills[0]
+            if live.size:  # their first-order terms on E_l (right) or 1/E_l (left)
+                minus = ~plus[live]
+                log = s.log_e0 + s.rate * t[live] + s.log_lam * ns[far[live]]  # log E_l
+                e = np.exp(np.where(minus, -log, log))
+                terms = np.zeros((len(fills), live.size), dtype=complex)
+                for l, (right_l, left_l) in enumerate(zip(*s.first_order.transpose(0, 2, 1))):
+                    terms += np.where(minus, left_l[:len(fills), None],
+                                      right_l[:len(fills), None]) * e[l]
+                # times r_plus; not *=, which rounds a one-cell product differently
+                terms[2] = terms[2] * (cfg.sigma * np.conj(qm[live]))
+                # a term below _FAR_TOL is left out, so that the limit keeps its bytes
+                limits = fills[:, live]
+                fills[:, live] = np.where(np.abs(terms) <= _FAR_TOL, limits, limits + terms)
+            q, r, theta_inv, *qdot = fills
             reason = OK
             huge = ~np.isfinite(np.abs(q))  # a finite q whose modulus overflows
             if huge.any():
-                q[huge] = r[huge] = complex(np.nan, np.nan)
+                fills[:2, huge] = fills[3:, huge] = complex(np.nan, np.nan)
                 reason = np.where(huge, AMPLITUDE, OK)
-            fills = [q, r, 0.0, np.where(plus, 1.0, s.theta_inv_minus), reason]
-            if derivative:
-                fills += [1j * cfg.rotation * q, 0.0]
-        for whole, fill in zip(out, fills):
+        for whole, fill in zip(out, [q, r, 0.0, theta_inv, reason, *qdot, 0.0]):
             whole[far] = fill
     return ReconstructionGrid(ns, ts, *out[:5]), out[5:]
+
+
+def _live(s: _Spectrum, plus: np.ndarray, ns: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The far cells (right where plus, else left) whose first-order terms can pass _FAR_TOL.
+
+    A term is at most 2J max_l |coef_l| |E_l|**(+-1) (first_bound), and
+    log|E_l| is affine in (n, t) as in _screen; the other cells keep the limit.
+    """
+    with np.errstate(invalid="ignore"):
+        log = s.rate.real * ts
+        log += s.log_lam.real * ns  # log|E_l / E_l(0, 0)|
+        bound = np.where(plus, log + s.first_bound[0], s.first_bound[1] - log)
+    return np.flatnonzero(bound.max(axis=0, initial=-1.0) > 0.0)
 
 
 def _solve_blocks(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData, ns: np.ndarray,
@@ -706,8 +789,8 @@ def _solve_blocks(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData, ns:
 def _screen(s: _Spectrum, ns: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cells of the right and of the left far field (_solve_cells), as two masks."""
     with np.errstate(invalid="ignore"):  # inf - inf on unbounded cells, which stay near
-        log = s.log_t * ts
-        log += s.log_n * ns
+        log = s.rate.real * ts
+        log += s.log_lam.real * ns
         right = np.maximum.reduce(log + s.right, axis=0, initial=-np.inf) <= 0.0
         left = np.minimum.reduce(log + s.left, axis=0, initial=np.inf) >= 0.0
     left &= ~right

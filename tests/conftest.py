@@ -311,39 +311,61 @@ def mp_reconstruct(cfg, eigenset, norming, n, t):
     all carried at 50 digits.
     """
     with mpmath.workdps(50):
-        r, t = mpmath.mpf(cfg.r), mpmath.mpf(t)
-        zs = [mpmath.mpc(z) for z in eigenset.zeros_t11]
-        zbs = [mpmath.mpc(z) for z in eigenset.zeros_t22]
-        J = len(zs)
-        rotation = mpmath.mpf(cfg.rotation)
-        qp = cfg.q0 * mpmath.expj(cfg.theta_plus + rotation * t)
-        rp = cfg.sigma * mpmath.conj(cfg.q0 * mpmath.expj(cfg.theta_minus + rotation * t))
+        return complex(_mp_cell(cfg, eigenset, norming, n, mpmath.mpf(t))[0])
 
-        def lam2(z):
-            return z * (z - r) / (z * r - 1)
 
-        def gamma(z):
-            return r * r * (z - 2 / r + 1 / z) * (z - 2 * r + 1 / z) / ((z - r) * (1 / z - r))
+def mp_fields(cfg, eigenset, norming, n, t):
+    """(q_n, r_n, 1/Theta_n, dq_n/dt) at time t, each as mp_reconstruct makes q_n.
 
-        cbar = [mpmath.mpc(c0) * mpmath.exp(-1j * (rotation + gamma(zb)) * t)
-                for c0, zb in zip(norming.cbar0, zbs)]
-        cpow = [-qp ** 2 / (zb - r) ** 2 * cb * lam2(z) ** (-n)
-                for z, zb, cb in zip(zs, zbs, cbar)]
-        cbarpow = [cb * lam2(zb) ** n for zb, cb in zip(zbs, cbar)]
-        row = [cp / (z * (z - r)) for z, cp in zip(zs, cpow)]
-        dim = 4 * J + 1
-        B = [[mpmath.mpc(i == j) for j in range(dim)] for i in range(dim)]
-        Y = [mpmath.mpc(0)] * dim
-        for i in range(J):
-            Y[i], Y[3 * J + i], Y[4 * J] = r - 1 / zs[i], zbs[i] - r, 1
-            B[J + i][4 * J], B[2 * J + i][4 * J], B[4 * J][J + i] = rp, -qp, row[i]
-            for j in range(J):
-                kbar = (zs[i] - 1 / r) * cbarpow[j] / ((zbs[j] - 1 / r) * (zs[i] - zbs[j]))
-                k = (zbs[i] - r) * cpow[j] / ((zs[j] - r) * (zbs[i] - zs[j]))
-                B[i][2 * J + j] = B[J + i][3 * J + j] = -kbar
-                B[2 * J + i][j] = B[3 * J + i][J + j] = -k
-        X = _mp_solve(B, Y)
-        return complex(qp + r * mpmath.fsum(row[j] * X[j] for j in range(J)) / X[4 * J])
+    dq/dt is the central difference of step 1e-20 of the 50-digit q: its
+    truncation (about 1e-40 times q's third derivative) and rounding (1e-30)
+    lie far below a double's.
+    """
+    with mpmath.workdps(50):
+        t, h = mpmath.mpf(t), mpmath.mpf("1e-20")
+        q, r, theta_inv = _mp_cell(cfg, eigenset, norming, n, t)
+        qdot = (_mp_cell(cfg, eigenset, norming, n, t + h)[0]
+                - _mp_cell(cfg, eigenset, norming, n, t - h)[0]) / (2 * h)
+        return tuple(complex(x) for x in (q, r, theta_inv, qdot))
+
+
+def _mp_cell(cfg, eigenset, norming, n, t):
+    """(q_n, r_n, 1/Theta_n) at the mpf time t, in the working precision."""
+    r = mpmath.mpf(cfg.r)
+    zs = [mpmath.mpc(z) for z in eigenset.zeros_t11]
+    zbs = [mpmath.mpc(z) for z in eigenset.zeros_t22]
+    J = len(zs)
+    rotation = mpmath.mpf(cfg.rotation)
+    qp = cfg.q0 * mpmath.expj(cfg.theta_plus + rotation * t)
+    rp = cfg.sigma * mpmath.conj(cfg.q0 * mpmath.expj(cfg.theta_minus + rotation * t))
+
+    def lam2(z):
+        return z * (z - r) / (z * r - 1)
+
+    def gamma(z):
+        return r * r * (z - 2 / r + 1 / z) * (z - 2 * r + 1 / z) / ((z - r) * (1 / z - r))
+
+    cbar = [mpmath.mpc(c0) * mpmath.exp(-1j * (rotation + gamma(zb)) * t)
+            for c0, zb in zip(norming.cbar0, zbs)]
+    cpow = [-qp ** 2 / (zb - r) ** 2 * cb * lam2(z) ** (-n)
+            for z, zb, cb in zip(zs, zbs, cbar)]
+    cbarpow = [cb * lam2(zb) ** n for zb, cb in zip(zbs, cbar)]
+    row = [cp / (z * (z - r)) for z, cp in zip(zs, cpow)]
+    row_r = [cb / (zb - 1 / r) for zb, cb in zip(zbs, cbarpow)]
+    dim = 4 * J + 1
+    B = [[mpmath.mpc(i == j) for j in range(dim)] for i in range(dim)]
+    Y = [mpmath.mpc(0)] * dim
+    for i in range(J):
+        Y[i], Y[3 * J + i], Y[4 * J] = r - 1 / zs[i], zbs[i] - r, 1
+        B[J + i][4 * J], B[2 * J + i][4 * J], B[4 * J][J + i] = rp, -qp, row[i]
+        for j in range(J):
+            kbar = (zs[i] - 1 / r) * cbarpow[j] / ((zbs[j] - 1 / r) * (zs[i] - zbs[j]))
+            k = (zbs[i] - r) * cpow[j] / ((zs[j] - r) * (zbs[i] - zs[j]))
+            B[i][2 * J + j] = B[J + i][3 * J + j] = -kbar
+            B[2 * J + i][j] = B[3 * J + i][J + j] = -k
+    X = _mp_solve(B, Y)
+    return (qp + r * mpmath.fsum(row[j] * X[j] for j in range(J)) / X[4 * J],
+            rp - mpmath.fsum(row_r[j] * X[3 * J + j] for j in range(J)) / X[4 * J], X[4 * J])
 
 
 def _mp_solve(B, Y):

@@ -920,6 +920,48 @@ class TestEvolve:
         assert info.value.args == (cli.MAX_EVOLVE_STEPS,)
 
 
+@pytest.mark.parametrize("N", [30, 60])
+@pytest.mark.parametrize("command", ["verify", "evolve"])
+def test_reports_list_the_caps_their_checks_ran_under(tmp_path, monkeypatch, command, N):
+    # each entry of "limits" is read against what the command handed the call it caps
+    monkeypatch.chdir(tmp_path)
+    seen = {}
+    scan, residuals = ist.singularity_scan, verify.equation_residuals_exact
+    closed_form, window = ist.soliton_closed_form_case4, cli._window
+
+    def scanning(cfg, eigenset, norming, **kwargs):
+        seen["scan"] = {key: list(value) if isinstance(value, tuple) else value
+                        for key, value in kwargs.items()}
+        return scan(cfg, eigenset, norming, **kwargs)
+
+    def residual_at(exact, cfg, sites, ts):
+        seen["residual_N"] = max(sites)
+        assert list(sites) == list(range(-max(sites), max(sites) + 1))
+        return residuals(exact, cfg, sites, ts)
+
+    def closed_form_at(cfg, thbar1, sites, ts):
+        seen["closed_form_N"] = int(sites.max())
+        assert np.array_equal(sites.ravel(), np.arange(-sites.max(), sites.max() + 1))
+        return closed_form(cfg, thbar1, sites, ts)
+
+    def windowed(cfg, evaluator, n, t):
+        seen["oracle_N"] = n
+        return window(cfg, evaluator, n, t)
+
+    monkeypatch.setattr(ist, "singularity_scan", scanning)
+    monkeypatch.setattr(verify, "equation_residuals_exact", residual_at)
+    monkeypatch.setattr(ist, "soliton_closed_form_case4", closed_form_at)
+    monkeypatch.setattr(cli, "_window", windowed)
+    path = write_config(tmp_path, {**CASE4_CONFIG, "N": N})
+    out = tmp_path / "report.json"
+    assert main([command, "--config", path, "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["limits"] == seen and seen["oracle_N"] == min(N, cli.ORACLE_N)
+    assert set(seen) == ({"oracle_N", "scan", "residual_N", "closed_form_N"}
+                         if command == "verify" else {"oracle_N", "scan"})
+    assert rep.get("source") == ("soliton" if command == "verify" else None)
+
+
 # The background field reads no eigenvalue key: case 3 at q0 = 1 with no
 # zeta_hat_1, where every q_n r_n is -1.
 @pytest.mark.parametrize("command", ["scatter", "verify", "evolve"])

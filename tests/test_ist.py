@@ -22,7 +22,7 @@ from dnls_ist.spectral import (Region, classify, gamma, lam_squared,
                                point_from_zeta, zeta_bar)
 
 from conftest import (CASE1_ETA1, assemble_reference, case2_feasibility_scan,
-                      case2_violation_mp, dense_reconstruct, mp_reconstruct,
+                      case2_violation_mp, dense_reconstruct, mp_fields, mp_reconstruct,
                       reconstruct_grid_sizes, solve_block_reference)
 
 
@@ -1019,8 +1019,8 @@ class TestBlockSolve:
         near = _near(norming, ns, ts)
         if norming.stationary:  # c4: one solve of its near sites at t = 0, dq/dt by the gauge
             assert len(shapes) == -(-np.unique(ns[near]).size // ist._BLOCK) == 1
-        else:  # c1: two solves in each of its three blocks of near cells
-            assert len(shapes) == 2 * -(-near.sum() // ist._BLOCK) == 6
+        else:  # c1: two solves in each of its two blocks of near cells
+            assert len(shapes) == 2 * -(-near.sum() // ist._BLOCK) == 4
         assert set(shapes) == {((2 * J, 2 * J), 2 * J)}
 
 
@@ -1122,8 +1122,12 @@ class TestBlockSolveReference:
 
 def _mp_cells(name):
     """(member, ns, ts) for the 50-digit comparison."""
-    if name == "c1":  # the residual oracle's cells of ist verify, n=-6, t=4.75 among them
-        return (_member(1, 0.0), *_cells(np.arange(-16, 17), _C1_TIMES))
+    if name == "c1":  # the residual oracle's cells of ist verify, n=-6, t=4.75 among them,
+        # and both far fields from n = +-20 to +-50, across their thresholds
+        ns, ts = _cells(np.arange(-16, 17), _C1_TIMES)
+        far_ns, far_ts = _cells(np.concatenate([np.arange(-50, -19), np.arange(20, 51)]),
+                                np.array([-5.0, 0.0, 5.0]))
+        return _member(1, 0.0), np.append(ns, far_ns), np.append(ts, far_ts)
     if name == "bench c4":  # every tenth site of the N = 400 window
         return (_member(4, -math.pi, math.pi / 3.0), *_cells(np.arange(-400, 401, 10), _C4_TIMES))
     if name == "README c4":
@@ -1147,6 +1151,47 @@ def test_q_against_a_50_digit_solve(name, bound):
     assert error <= 2.0 * dense_error
 
 
+@st.composite
+def _family_members(draw):
+    """An admissible case-I member with q0 in [0.05, 0.95], or a case-IV member.
+
+    eta1 = pi + shape arctan(r/q0) spans the admissible case-I quartets (at
+    shape = 0 the quartet collapses onto the real axis).
+    """
+    case, q0, theta = draw(st.sampled_from([1, 4])), draw(st.floats(0.05, 0.95)), \
+        draw(st.floats(-3.0, 3.0))
+    thbar1 = draw(st.floats(-3.0, 3.0))
+    cfg = spectral.make_case(case, q0, theta)
+    if case == 4:
+        eigenset = eigenvalues_case4(cfg)
+        return cfg, eigenset, norming_case4(cfg, eigenset, thbar1)
+    shape = draw(st.floats(0.05, 0.95) | st.floats(-0.95, -0.05))
+    eigenset = eigenvalues_case1(cfg, math.pi + shape * math.atan2(cfg.r, q0))
+    return cfg, eigenset, norming_case1(cfg, eigenset, draw(st.floats(0.1, 10.0)), thbar1, thbar1)
+
+
+def _assert_fills_match_the_solve(member, ns, ts, derivative, bound=1e-14):
+    """Every cell the screen fills, on either side, against _solve_block on that cell.
+
+    q, r and 1/Theta_n (and dq/dt with derivative set) to bound max(1, |x|)
+    where the solve did not overflow: the fill's 1e-15 of the exact solve
+    plus the solve's own error deep in the far field
+    (test_filled_cells_equal_the_block_solve_across_both_families).
+    """
+    far = np.flatnonzero(~_near(member[2], ns, ts))
+    grid, extra = ist._solve_cells(*member, ns, ts, derivative=derivative)
+    assert (grid.reason[far] == ist.OK).all()
+    if not far.size:  # a slowly decaying member can keep every cell near
+        return
+    far = far[ist._solve_block(*member, ns[far], ts[far])[4] == ist.OK]
+    solved = ist._solve_block(*member, ns[far], ts[far], derivative=derivative)
+    pairs = [(grid.q, solved[0]), (grid.r, solved[1]), (grid.theta_inv, solved[3])]
+    if derivative:
+        pairs.append((extra[0], solved[5]))
+    for got, x in pairs:
+        assert np.all(np.abs(got[far] - x) <= bound * np.maximum(1.0, np.abs(x)))
+
+
 class TestFarField:
     """Cells past the screen's bounds are filled with the background, not solved."""
 
@@ -1154,10 +1199,11 @@ class TestFarField:
     def _far(member, ns, ts):
         return np.flatnonzero(~_near(member[2], ns, ts))
 
-    def test_the_bench_c4_compare_grid_solves_52_cells(self, case4_soliton, monkeypatch):
-        # evolve's compare grid on bench c4: 81 sites by the 101 RK4 times, 5,252
-        # of them near; the spectrum is stationary, so its 52 near sites are solved
-        # once each, at t = 0
+    def test_the_bench_c4_compare_grid_solves_48_cells(self, case4_soliton, monkeypatch):
+        # evolve's compare grid on bench c4: 81 sites by the 101 RK4 times, 4,848 of
+        # them near; the spectrum is stationary, so its screen keeps near every cell
+        # with a first-order term, and its 48 near sites are solved once each, at
+        # t = 0 (52 sites when the fills stopped at zeroth order)
         sizes = []
         solve_block = ist._solve_block
 
@@ -1170,7 +1216,78 @@ class TestFarField:
         q = ist.make_evaluator(*case4_soliton)(sites, times)
         assert q.shape == (101, 81)
         ns, ts, _ = ist._flat_cells(sites, times)
-        assert _near(case4_soliton[2], ns, ts).sum() == 5252 and sizes == [52]
+        assert _near(case4_soliton[2], ns, ts).sum() == 4848 and sizes == [48]
+
+    @staticmethod
+    def _solved(member, ns, ts, monkeypatch):
+        """The number of cells that reconstruct_grid hands to _solve_block."""
+        sizes = []
+        solve_block = ist._solve_block
+
+        def recording(cfg, eigenset, norming, ns, ts, derivative=False):
+            sizes.append(ns.size)
+            return solve_block(cfg, eigenset, norming, ns, ts, derivative)
+
+        monkeypatch.setattr(ist, "_solve_block", recording)
+        assert not ist.reconstruct_grid(*member, ns, ts).singular.any()
+        return sum(sizes)
+
+    def test_the_c1_soliton_grid_solves_about_half_its_cells(self, case1_soliton, monkeypatch):
+        # soliton's grid of c1, 121 sites by 41 times: 2,489 of its 4,961 cells are
+        # near (4,372 when the fills stopped at zeroth order)
+        ns, ts = _cells(np.arange(-60, 61), _C1_TIMES)
+        assert self._solved(case1_soliton, ns, ts, monkeypatch) == 2489 <= 2600
+
+    def test_the_scatter_c1_window_solves_58_cells(self, case1_soliton, monkeypatch):
+        # scatter's 121-site window of c1 at t = 0: n = -29..28 are near (105 sites
+        # when the fills stopped at zeroth order)
+        ns = np.arange(-60, 61)
+        assert self._solved(case1_soliton, ns, np.zeros(ns.size), monkeypatch) == 58
+
+    @pytest.mark.parametrize("name", ["c1", "bench c4", "README c4"])
+    def test_fills_against_a_50_digit_solve(self, name):
+        # q, r, 1/Theta_n and dq/dt of filled cells to 1e-15 max(1, |x|): README c4's
+        # every far cell, and on c1 (every fourth time) and bench c4 the three far
+        # cells next to each threshold, where the first-order term is largest
+        member = _member(1, 0.0) if name == "c1" else _member(4, -math.pi, math.pi / 3.0)
+        N, times = {"c1": (60, _C1_TIMES[::4]), "bench c4": (400, _C4_TIMES),
+                    "README c4": (40, _C4_TIMES)}[name]
+        ns, ts = _cells(np.arange(-N, N + 1), times)
+        far, right = ~_near(member[2], ns, ts), ist._screen(member[2].spectrum, ns, ts)[0]
+        pick = np.flatnonzero(far)
+        if name != "README c4":
+            rows = [np.flatnonzero(ts == t) for t in times]
+            pick = np.concatenate([np.r_[row[far[row] & ~right[row]][-3:],
+                                         row[far[row] & right[row]][:3]] for row in rows])
+        grid, (qdot, _) = ist._solve_cells(*member, ns[pick], ts[pick], derivative=True)
+        exact = np.array([mp_fields(*member, int(n), float(t))
+                          for n, t in zip(ns[pick], ts[pick])]).T
+        assert pick.size >= 6 * times.size and (grid.reason == ist.OK).all()
+        for got, x in zip((grid.q, grid.r, grid.theta_inv, qdot), exact):
+            assert np.all(np.abs(got - x) <= 1e-15 * np.maximum(1.0, np.abs(x)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(member=_family_members(),
+           times=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3),
+           derivative=st.booleans())
+    def test_every_fill_matches_the_solve_of_its_cell(self, member, times, derivative):
+        _assert_fills_match_the_solve(member, *_cells(np.arange(-700, 701), np.array(times)),
+                                      derivative)
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_the_property_fails_without_the_first_order_term(self, derivative, monkeypatch):
+        # the mutation the property above must catch: the zeroth-order fill is up
+        # to 1.3e-10 off the solve next to c1's thresholds
+        far_field = ist._far_field
+
+        def zeroth_order(*args):
+            fields = far_field(*args)
+            return {**fields, "first_order": np.zeros_like(fields["first_order"])}
+
+        monkeypatch.setattr(ist, "_far_field", zeroth_order)
+        with pytest.raises(AssertionError):
+            _assert_fills_match_the_solve(_member(1, 0.0), *_cells(np.arange(-60, 61), _C1_TIMES),
+                                          derivative)
 
     @pytest.mark.parametrize("name", ["c1", "bench c4 compare", "bench c4", "pole",
                                       "case4 theta 0"])
@@ -1246,6 +1363,15 @@ class TestFarField:
         grid = ist.reconstruct_grid(*member, ns, ts)
         error = np.max(np.abs(grid.q - exact) / np.maximum(1.0, np.abs(exact)))
         assert len(pick) == 4 * times.size and error <= min(bound, 1e-15)
+
+    def test_a_quartet_near_the_axis_keeps_no_left_far_field(self):
+        # q0 = 0.82, eta1 = 3.14287: the limiting system misses q_minus by about
+        # 1e-11, past _MINUS_TOL, so no cell is left far; the right side still fills
+        cfg = spectral.make_case(1, 0.82, 0.0)
+        eigenset = eigenvalues_case1(cfg, 3.14287)
+        norming = norming_case1(cfg, eigenset, 1.0, 0.0, 0.0)
+        right, left = ist._screen(norming.spectrum, *_cells(np.arange(-300, 301), _C1_TIMES))
+        assert np.isneginf(norming.spectrum.left).all() and not left.any() and right.any()
 
     @pytest.mark.parametrize("name", ["README c4", "c1"])
     def test_wide_windows_hold_the_background(self, name):
