@@ -65,6 +65,13 @@ CONFIGS = {
     # c1 on t -20..20: the far-field thresholds move about 0.9 sites per unit of t,
     # so the grid puts cells on each side of them at many offsets
     "c1-t20": {**C1, "t_grid": {"t0": -20.0, "t1": 20.0, "steps": 41}},
+    # verify's singularity scan reads the cells of its residual solve that lie on
+    # its 0.25 grid (-6..6): six times of 35 here, none on the next, every scan
+    # time on the one after, and a member next to the theta + thbar1 = pi pole
+    "c1-t-offgrid": {**C1, "t_grid": {"t0": -5.1, "t1": 5.1, "steps": 35}},
+    "c1-t-nomatch": {**C1, "t_grid": {"t0": -5.05, "t1": 5.05, "steps": 34}},
+    "c1-t-wide": {**C1, "t_grid": {"t0": -8.0, "t1": 8.0, "steps": 65}},
+    "c1-near-pole": {**C1, "theta": math.pi - 1e-6},
     # a quartet near the real axis: its limiting system misses q_minus beyond
     # ist._MINUS_TOL, so it has no left far field and its window overflows there
     "c1-near-axis": {**C1, "q0": 0.82, "eta1": 3.14287, "N": 300},

@@ -490,12 +490,12 @@ def _few(sites: list[int]) -> str:
 
 
 def _field(config: RunConfig, command: str):
-    """(cfg, spectrum, norming, q(ns, ts), (q, dq/dt)(ns, ts)) of the field 'field.source' names.
+    """(cfg, spectrum, norming, q(ns, ts)) of the field 'field.source' names.
 
     soliton reconstructs the configured spectrum; background is the exact
-    background with the empty spectrum (no eigenvalue or norming key read),
-    every site turning at the rate rotation: dq/dt = i rotation q.  csv is
-    refused before any other check: only scatter reads one (_load_field_csv).
+    background with the empty spectrum (no eigenvalue or norming key read).
+    csv is refused before any other check: only scatter reads one
+    (_load_field_csv).
     """
     source = config.field["source"]
     _require(source != "csv",
@@ -503,16 +503,37 @@ def _field(config: RunConfig, command: str):
     cfg = _case_config(config)
     if source == "soliton":
         eigenset, norming = _eigen_data(config, cfg)
-        return (cfg, eigenset, norming, ist.make_evaluator(cfg, eigenset, norming),
-                functools.partial(ist.reconstruct_with_derivative, cfg, eigenset, norming))
-
-    def exact(ns, ts):
-        q = cfg.background(ns, ts)
-        with np.errstate(over="ignore", invalid="ignore"):  # the residual reports a NaN
-            return q, 1j * cfg.rotation * q
-
+        return cfg, eigenset, norming, ist.make_evaluator(cfg, eigenset, norming)
     eigenset = ist.empty_eigenset(cfg)
-    return cfg, eigenset, ist.unit_norming(cfg, eigenset), cfg.background, exact
+    return cfg, eigenset, ist.unit_norming(cfg, eigenset), cfg.background
+
+
+def _exact(config: RunConfig, cfg, eigenset, norming, ts: list[float]):
+    """(solved, (q, dq/dt)(ns, ts)) of verify's field at the residual cells of every t in ts.
+
+    verify.equation_residuals_exact makes its one call at those cells.  The
+    soliton source solves them here, once (solved, which the singularity scan
+    reads too), and never raises: a singular cell raises at require(), when
+    the oracle reads q.  The background turns every site at the rate
+    rotation, dq/dt = i rotation q, and solves nothing (solved is None).
+    """
+    if config.field["source"] == "background":
+        def background(ns, ts):
+            q = cfg.background(ns, ts)
+            with np.errstate(over="ignore", invalid="ignore"):  # the residual reports a NaN
+                return q, 1j * cfg.rotation * q
+
+        return None, background
+    cells = verify._residual_cells(range(-RESIDUAL_N, RESIDUAL_N + 1))[1]
+    solved = ist.solve_with_derivative(cfg, eigenset, norming, cells[None, :],
+                                       np.reshape(ts, (-1, 1)))
+    grid, (qdot, _) = solved
+    shape = (len(ts), cells.size)
+
+    def exact(ns, ts):  # at the cells solved above
+        return grid.require().reshape(shape), qdot.reshape(shape)
+
+    return solved, exact
 
 
 def _scatter_failures(report: scattering.ScatteringReport, tol: float) -> dict:
@@ -528,7 +549,7 @@ def cmd_scatter(config: RunConfig, out: str | None, seed: int) -> int:
         cfg = _case_config(config)
         window, eigenset = _load_field_csv(config.field["path"], cfg), None
     else:
-        cfg, eigenset, _, field, _ = _field(config, "scatter")
+        cfg, eigenset, _, field = _field(config, "scatter")
         window = _window(cfg, field, config.N, 0.0)
     zetas = scattering.continuum_samples(cfg, config.zeta_samples, seed=seed)
     report = scattering.scattering_report(window, zetas, eigenset)
@@ -556,17 +577,28 @@ def _window(cfg, evaluator, N: int, t: float) -> lattice.PotentialWindow:
     return lattice.PotentialWindow(cfg, N, t, evaluator(np.arange(-N, N + 1), t))
 
 
-def _singular_phase(cfg, eigenset, norming) -> bool:
+def _singular_phase(cfg, eigenset, norming, solved=None) -> bool:
+    """The singularity scan's flag over SCAN, reading the cells of solved it holds."""
     if eigenset.is_empty():
         return False
-    return ist.singularity_scan(cfg, eigenset, norming, **SCAN).singular
+    return ist.singularity_scan(cfg, eigenset, norming, **SCAN, solved=solved).singular
 
 
 def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
+    """Check the field against the oracles; exit 0 when every check passes.
+
+    The residual oracle's cells are solved first, once (_exact), and the
+    singularity scan reads them before it solves the rest of its sweep.  A
+    flagged member skips the residual, the closed form and the scattering
+    checks; otherwise a singular residual cell raises SingularSolution as
+    the oracle reads it.
+    """
     del seed
-    cfg, eigenset, norming, field, exact = _field(config, "verify")
+    cfg, eigenset, norming, field = _field(config, "verify")
     _require_phase_digits(config, norming)
-    singular = _singular_phase(cfg, eigenset, norming)
+    ts = _t_values(config)
+    solved, exact = _exact(config, cfg, eigenset, norming, ts)
+    singular = _singular_phase(cfg, eigenset, norming, solved)
     checks = {"singular_parameters": {"flagged": singular}}
     tol_res = config.tolerances["residual"]
     if singular:
@@ -574,7 +606,7 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
         ok_res = True
     else:
         reps = verify.equation_residuals_exact(exact, cfg, range(-RESIDUAL_N, RESIDUAL_N + 1),
-                                               _t_values(config))
+                                               ts)
         # np.max keeps a NaN residual, which then fails the check
         worst = float(np.max([rep.max_abs_residual for rep in reps], initial=0.0))
         ok_res = worst < tol_res
@@ -583,10 +615,10 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     closed_form = getattr(ist, f"soliton_closed_form_case{config.case}", None)
     if closed_form and not singular and not eigenset.is_empty():
         sites = np.arange(-CLOSED_FORM_N, CLOSED_FORM_N + 1)[None, :]
-        ts = np.array(_t_values(config))[:, None]
-        a = field(sites, ts)
+        times = np.array(ts)[:, None]
+        a = field(sites, times)
         keys = _SOLITONS[config.case][2]  # the closed form reads the norming keys
-        b = closed_form(cfg, *(getattr(config, key) for key in keys), sites, ts)
+        b = closed_form(cfg, *(getattr(config, key) for key in keys), sites, times)
         worst_cf = float(np.max(np.abs(a - b)))
         ok_closed = worst_cf < 1e-10
         checks["closed_form_equality"] = {"max": worst_cf, "tolerance": 1e-10,
@@ -636,7 +668,7 @@ def _trajectory_csv(traj: verify.Trajectory):
 
 def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
-    cfg, eigenset, norming, field, _ = _field(config, "evolve")
+    cfg, eigenset, norming, field = _field(config, "evolve")
     _require(not eigenset.is_empty() or config.field["source"] == "background",
              "evolve requires a nonempty eigenvalue set or a background field")
     t0 = float(config.t_grid["t0"])

@@ -23,6 +23,7 @@ item 18 re-points the benchmark.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -256,17 +257,24 @@ class NormingData:
     eigenset: EigenSet
     cbar0: tuple[complex, ...]
     gammas: tuple[complex, ...] = field(init=False, repr=False, compare=False)
-    spectrum: _Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # gamma(zbar_j) and the spectrum's factors depend only on the eigenvalues
-        # and Cbar_j(0): evaluate them once.
-        cfg, r, rinv = self.cfg, self.cfg.r, 1.0 / self.cfg.r
-        zs, zbs = np.array(self.eigenset.zeros_t11), np.array(self.eigenset.zeros_t22)
-        # a gamma within its rounding of 0 (spectral.gamma_rounding) is stored as 0
+        # gamma(zbar_j) depends only on the eigenvalues: evaluate it once.  A gamma
+        # within its rounding of 0 (spectral.gamma_rounding) is stored as 0.
+        cfg = self.cfg
         gammas = ((gamma(cfg, zb), zb) for zb in self.eigenset.zeros_t22)
         object.__setattr__(self, "gammas", tuple(0j if abs(g) <= gamma_rounding(cfg, zb) else g
                                                  for g, zb in gammas))
+
+    @functools.cached_property
+    def spectrum(self) -> _Spectrum:
+        """The factors of the reflectionless system that depend on the spectrum alone.
+
+        Built on the first solve and kept: soliton_closed_form_case4 reads only
+        cbar and c, so its NormingData never builds them (nor _far_field's bounds).
+        """
+        cfg, r, rinv = self.cfg, self.cfg.r, 1.0 / self.cfg.r
+        zs, zbs = np.array(self.eigenset.zeros_t11), np.array(self.eigenset.zeros_t22)
         y0, y3, cbar_rate = r - 1.0 / zs, zbs - r, self.cbar_rate
         s = _Spectrum(
             np.array(self.cbar0, dtype=complex)[:, None], cbar_rate[:, None],
@@ -277,7 +285,7 @@ class NormingData:
             (zbs - r)[:, None, None], ((zs - r) * (zbs[:, None] - zs))[..., None],
             (zs * (zs - r))[:, None], (zbs - rinv)[:, None],
             y0, y3, np.abs(np.concatenate([y0, y3])).max(initial=1.0), *(None,) * 8)
-        object.__setattr__(self, "spectrum", s._replace(**_far_field(cfg, s, self.gammas)))
+        return s._replace(**_far_field(cfg, s, self.gammas))
 
     @property
     def stationary(self) -> bool:
@@ -653,16 +661,28 @@ def reconstruct_with_derivative(cfg: CaseConfig, eigenset: EigenSet,
     solve of the same P through the same border.  Raises SingularSolution
     for the first singular cell in flattened order, as make_evaluator does.
     """
-    ns, ts, shape = _flat_cells(ns, ts)
-    grid, (qdot, _) = _solve_cells(cfg, eigenset, norming, ns, ts, derivative=True)
+    grid, (qdot, _) = solve_with_derivative(cfg, eigenset, norming, ns, ts)
+    shape = np.broadcast_shapes(np.shape(ns), np.shape(ts))
     return grid.require().reshape(shape)[()], qdot.reshape(shape)[()]
+
+
+def solve_with_derivative(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData, ns, ts):
+    """(ReconstructionGrid, (dq/dt, d(1/Theta_n)/dt)) over the cells (ns[i], ts[i]), flat.
+
+    reconstruct_with_derivative's solve, which never raises: a singular cell
+    raises at the grid's require(), and NaN fills both derivatives on every
+    cell of its _BLOCK.  Over a time-major grid of consecutive ascending
+    sites (sites[None, :], ts[:, None]) it is what singularity_scan's solved
+    takes.
+    """
+    return _solve_cells(cfg, eigenset, norming, *_flat_cells(ns, ts)[:2], derivative=True)
 
 
 def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                  ns: np.ndarray, ts: np.ndarray, derivative: bool = False):
     """The ReconstructionGrid over flat cells; [dq/dt, d(1/Theta_n)/dt] if derivative is set.
 
-    The one block loop of reconstruct_grid and reconstruct_with_derivative.
+    The one block loop of reconstruct_grid and solve_with_derivative.
     The screen (_screen) first takes out the far cells, from their 2J
     couplings E_l = C_l(t) lam(zeta_l)**(-2n) and Ebar_l = Cbar_l(t)
     lam(zbar_l)**(2n), whose logs are affine in (n, t):
@@ -948,20 +968,26 @@ class SingularityScan:
 def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                      n_range: tuple[int, int] = (-25, 25),
                      t_span: tuple[float, float] = (-10.0, 10.0),
-                     coarse_dt: float = 0.1) -> SingularityScan:
+                     coarse_dt: float = 0.1, solved=None) -> SingularityScan:
     """Locate the deepest dip of |1/Theta_n| and refine it in time by Newton.
 
-    A cell whose solve fails scores 0; the coarse sweep is one
-    reconstruct_grid call over every (site, time) cell and keeps the first
-    minimum in site-major order.  A stationary spectrum (NormingData.stationary,
-    every gamma(zbar_j) = 0, as for the case-IV pair zbar_1 = (1 - q0)/r, where
-    zbar_1 + 1/zbar_1 = 2/r) sweeps t_span[0] alone: its 1/Theta_n does not
-    depend on t.  At that site, Gauss-Newton steps on
-    f = 1/Theta_n(t) with the exact df/dt of the derivative solve move t
-    towards a real-time zero of f; they stop when df/dt is 0, the step is a
-    few ulps, longer than coarse_dt, or predicts no halving of |f| (no zero
-    ahead), when the cell is singular, or after _NEWTON_STEPS.  The member is
-    flagged singular when the least |f| seen is below 1e-6.
+    A cell whose solve fails scores 0; the coarse sweep covers every
+    (site, time) cell and keeps the first minimum in site-major order.  A
+    stationary spectrum (NormingData.stationary, every gamma(zbar_j) = 0, as
+    for the case-IV pair zbar_1 = (1 - q0)/r, where zbar_1 + 1/zbar_1 = 2/r)
+    sweeps t_span[0] alone: its 1/Theta_n does not depend on t.  solved
+    (solve_with_derivative over a time-major grid of consecutive ascending
+    sites; `ist verify` passes its residual cells) holds cells that the sweep
+    reads instead of solving (_solved_at); the rest are one reconstruct_grid
+    call.  A cell's solve does not depend on its block, so the scan is the
+    same bit for bit with or without solved.  At the dip's site, Gauss-Newton
+    steps on f = 1/Theta_n(t) with the exact df/dt of the derivative solve
+    move t towards a real-time zero of f, each a one-cell solve but the first
+    when solved holds the dip with a finite df/dt (NaN where its block held a
+    singular cell); they stop when df/dt is 0, the step is a few ulps, longer
+    than coarse_dt, or predicts no halving of |f| (no zero ahead), when the
+    cell is singular, or after _NEWTON_STEPS.  The member is flagged singular
+    when the least |f| seen is below 1e-6.
     """
     if not (coarse_dt > 0.0 and n_range[0] <= n_range[1]
             and -math.inf < t_span[0] <= t_span[1] < math.inf):
@@ -971,15 +997,24 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     times = [t_span[0]]
     while not norming.stationary and times[-1] + coarse_dt <= t_span[1]:
         times.append(times[-1] + coarse_dt)
-    grid = reconstruct_grid(cfg, eigenset, norming, sites[:, None], np.array(times)[None, :])
-    vals = np.where(np.isin(grid.reason, _SOLVE_FAILED), 0.0, np.abs(grid.theta_inv))
+    ns, ts = np.broadcast_arrays(sites[:, None], np.array(times))
+    at = _solved_at(solved, sites, ts[0])
+    rest, vals = at < 0, np.empty(at.shape)
+    vals[rest] = _scores(reconstruct_grid(cfg, eigenset, norming, ns[rest], ts[rest]))
+    if not rest.all():
+        vals[~rest] = _scores(solved[0], at[~rest])
     i, j = divmod(int(np.argmin(vals)), len(times))
-    least, n_star, t = float(vals.min()), int(sites[i]), times[j]
+    least, n_star, t, k = float(vals.min()), int(sites[i]), times[j], at[i, j]
     for _ in range(_NEWTON_STEPS):
-        cell, (_, fdot) = _solve_cells(cfg, eigenset, norming, np.array([n_star]),
-                                       np.array([t]), derivative=True)
-        f, fdot = complex(cell.theta_inv[0]), fdot[0]  # fdot is NaN on a singular cell
-        least = min(least, 0.0 if cell.reason[0] in _SOLVE_FAILED else abs(f))
+        if k >= 0 and np.isfinite(solved[1][1][k]):  # the dip's own cell in solved
+            cell, (_, fdot) = solved
+        else:
+            cell, (_, fdot) = _solve_cells(cfg, eigenset, norming, np.array([n_star]),
+                                           np.array([t]), derivative=True)
+            k = 0
+        f, fdot = complex(cell.theta_inv[k]), fdot[k]  # fdot is NaN on a singular cell
+        least = min(least, 0.0 if cell.reason[k] in _SOLVE_FAILED else abs(f))
+        k = -1  # every later step is at a time of its own
         if fdot == 0.0:  # a stationary cell: no zero ahead
             break
         with np.errstate(all="ignore"):
@@ -989,6 +1024,38 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
             break
         t += step
     return SingularityScan(least, n_star, t, least < 1e-6)
+
+
+def _scores(grid: ReconstructionGrid, cells=slice(None)) -> np.ndarray:
+    """|1/Theta_n| on the cells of grid, 0 where the solve failed (singularity_scan)."""
+    return np.where(np.isin(grid.reason[cells], _SOLVE_FAILED), 0.0,
+                    np.abs(grid.theta_inv[cells]))
+
+
+def _solved_at(solved, sites: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The flat index in solved's grid of each cell (sites[i], times[j]), -1 where it is absent.
+
+    solved's grid is time-major over consecutive ascending sites (else
+    DomainError): a site is found by its offset from the first, a time by
+    comparing its bits with each row's (sorted, then searchsorted), so -0.0
+    and 0.0 stay apart.  Nothing of the grid is copied.
+    """
+    at = np.full((sites.size, times.size), -1)
+    if solved is None or not solved[0].ns.size:
+        return at
+    ns, ts = solved[0].ns, solved[0].ts
+    first, width = int(ns[0]), int(ns[-1] - ns[0]) + 1
+    if width < 1 or ns.size % width or not (
+            (ns.reshape(-1, width) == np.arange(first, first + width)).all()
+            and (ts.reshape(-1, width) == ts[::width, None]).all()):
+        raise DomainError("solved cells must be a time-major grid of consecutive ascending sites")
+    rows, keys = ts[::width].view(np.int64), times.view(np.int64)
+    order = np.argsort(rows)
+    found = order[np.minimum(np.searchsorted(rows, keys, sorter=order), rows.size - 1)]
+    row, col = np.where(rows[found] == keys, found, -1), sites - first
+    np.copyto(at, row * width + col[:, None],
+              where=(row >= 0) & ((col >= 0) & (col < width))[:, None])
+    return at
 
 
 def soliton_closed_form_case4(cfg: CaseConfig, thbar1: float, ns, ts):

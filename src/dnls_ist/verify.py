@@ -4,7 +4,8 @@ The residual oracle never touches the scattering machinery.  It needs the
 field q over the sites, their neighbours and their mirror sites at each
 time, and dq/dt at the sites.  For the reflectionless solution, dq/dt is
 exact: ist.reconstruct_with_derivative differentiates the solve itself
-(equation_residuals_exact, which `ist verify` uses).  Any other evaluator
+(equation_residuals_exact, which `ist verify` runs on its one up-front
+ist.solve_with_derivative).  Any other evaluator
 ev(ns, ts) -> q over broadcast (n, t) cells (ist.make_evaluator,
 CaseConfig.background, a np.vectorize'd function) gets dq/dt from a
 4th-order finite-difference stencil (equation_residuals), which also stays

@@ -728,6 +728,68 @@ class TestVerify:
         assert "skipped" in rep["checks"]["equation_residual"]
         assert code == EXIT_OK
 
+    # c1: the scan's 0.25 grid holds every t_grid time, and its sites -12..12 lie
+    # inside the residual cells -16..16
+    C1 = {**CASE1_CONFIG, "N": 60, "t_grid": {"t0": -5.0, "t1": 5.0, "steps": 41},
+          "zeta_samples": 20}
+
+    @staticmethod
+    def _recorded_solves(monkeypatch):
+        calls = []
+        solve = ist._solve_cells
+
+        def recording(cfg, eigenset, norming, ns, ts, derivative=False):
+            calls.append((ns.size, derivative, solve(cfg, eigenset, norming, ns, ts, derivative)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(ist, "_solve_cells", recording)
+        return calls
+
+    def test_c1_solves_each_cell_once(self, tmp_path, monkeypatch):
+        # 1,634 cells: the residual cells with dq/dt (33 sites x 41 times), the
+        # scan's 8 times outside t_grid (25 sites each) and the 81-site window; the
+        # scan's 1,025 other cells and its first Newton step read the residual solve
+        calls = self._recorded_solves(monkeypatch)
+        path = write_config(tmp_path, self.C1)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "v.json")]) == EXIT_OK
+        assert [size for size, _, _ in calls] == [33 * 41, 25 * 8, 81]
+        assert [derivative for _, derivative, _ in calls] == [True, False, False]
+
+    def test_pole_member_pays_the_residual_solve_and_skips_it(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # theta + thbar1 = pi: the scan's pole lies among the residual cells, which
+        # are solved before the scan flags the member; the report is the flagged one's
+        calls = self._recorded_solves(monkeypatch)
+        path = write_config(tmp_path, {**self.C1, "theta": math.pi})
+        out = tmp_path / "v.json"
+        assert main(["verify", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text()) == {
+            "case": 1, "source": "soliton",
+            "checks": {"singular_parameters": {"flagged": True},
+                       "equation_residual": {"skipped": "singular family member"}},
+            "limits": {"oracle_N": 40, "residual_N": 15, "closed_form_N": 20,
+                       "scan": {"n_range": [-12, 12], "t_span": [-6, 6], "coarse_dt": 0.25}},
+            "pass": True}
+        size, derivative, (grid, _) = calls[0]
+        assert (size, derivative) == (33 * 41, True)
+        cfg, eigenset, norming = cli._field(parse_config({**self.C1, "theta": math.pi}),
+                                            "verify")[:3]
+        pole = ist.singularity_scan(cfg, eigenset, norming, **cli.SCAN)
+        assert pole.singular and grid.ns.min() < pole.at_site < grid.ns.max()
+        assert grid.ts.min() < pole.at_time < grid.ts.max()
+        # its nearest residual cell is 1.4e-3 from Theta_n's divergence
+        assert np.abs(grid.theta_inv).min() < 2e-3
+
+    def test_case4_builds_the_far_field_once(self, tmp_path, monkeypatch):
+        # the closed form's own NormingData never solves, so it never builds its spectrum
+        calls = []
+        far_field = ist._far_field
+        monkeypatch.setattr(ist, "_far_field", lambda *args: calls.append(1) or far_field(*args))
+        path = write_config(tmp_path, CASE4_CONFIG)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "v.json")]) == EXIT_OK
+        assert len(calls) == 1
+
     def test_residual_uses_the_exact_derivative(self, tmp_path, monkeypatch):
         def stencil(*args, **kwargs):
             raise AssertionError("verify ran the finite-difference oracle")
@@ -930,8 +992,9 @@ def test_reports_list_the_caps_their_checks_ran_under(tmp_path, monkeypatch, com
     closed_form, window = ist.soliton_closed_form_case4, cli._window
 
     def scanning(cfg, eigenset, norming, **kwargs):
+        # solved (verify's residual solve, which the scan reads) is not a cap
         seen["scan"] = {key: list(value) if isinstance(value, tuple) else value
-                        for key, value in kwargs.items()}
+                        for key, value in kwargs.items() if key != "solved"}
         return scan(cfg, eigenset, norming, **kwargs)
 
     def residual_at(exact, cfg, sites, ts):

@@ -1705,3 +1705,103 @@ def test_scan_coarse_sweep_is_one_call(case1_soliton, monkeypatch):
     sizes = reconstruct_grid_sizes(monkeypatch)
     singularity_scan(*case1_soliton, n_range=(-12, 12), t_span=(-6.0, 6.0), coarse_dt=0.25)
     assert sizes == [25 * 49]  # the Newton steps solve one cell each, not through it
+
+
+# singularity_scan's solved: the cells `ist verify` solves for its residual oracle.
+@st.composite
+def _scan_members(draw):
+    """_family_members, and case-I members with theta + thbar1 on or near pi (the pole)."""
+    if draw(st.booleans()):
+        return draw(_family_members())
+    q0, theta = draw(st.floats(0.05, 0.95)), draw(st.floats(-3.0, 3.0))
+    thbar1 = math.pi - theta + draw(st.sampled_from([0.0, 1e-9, -1e-6, 1e-3, -0.1]))
+    cfg = spectral.make_case(1, q0, theta)
+    shape = draw(st.floats(0.05, 0.95) | st.floats(-0.95, -0.05))
+    eigenset = eigenvalues_case1(cfg, math.pi + shape * math.atan2(cfg.r, q0))
+    return cfg, eigenset, norming_case1(cfg, eigenset, draw(st.floats(0.1, 10.0)), thbar1, thbar1)
+
+
+# (t0, t1, steps) of a t_grid, whose times cli._t_values forms
+_T_GRIDS = st.one_of(
+    # on the scan's 0.25 grid: inside, beyond or across its span -6..6
+    st.builds(lambda a, n: (0.25 * a, 0.25 * (a + n - 1), n),
+              st.integers(-40, 20), st.integers(2, 70)),
+    # off it, steps of about 0.3 and 0.1
+    st.builds(lambda t0, n, h: (t0, t0 + h * (n - 1), n),
+              st.floats(-8.0, 8.0), st.integers(2, 50), st.sampled_from([0.3, 0.1])),
+    # a single time
+    st.builds(lambda t0: (t0, t0, 1), st.floats(-8.0, 8.0) | st.sampled_from([-6.0, 0.0, -0.0])),
+    # descending, on the 0.25 grid
+    st.builds(lambda a, n: (0.25 * a, 0.25 * (a - n + 1), n),
+              st.integers(-20, 40), st.integers(2, 70)),
+)
+
+
+def _solved_cells(member, sites, t_grid):
+    t0, t1, steps = t_grid
+    times = cli._t_values(type("Config", (), {"t_grid": {"t0": t0, "t1": t1, "steps": steps}}))
+    return ist.solve_with_derivative(*member, sites[None, :], np.array(times)[:, None])
+
+
+def _assert_the_scan_reads_the_solve(member, sites, t_grid):
+    """singularity_scan with the solved cells equals the scan without them, bit for bit."""
+    solved = _solved_cells(member, sites, t_grid)
+    alone, read = (singularity_scan(*member, *_SCAN_RANGES["cli"], solved=s)
+                   for s in (None, solved))
+    assert (read.at_site, read.singular) == (alone.at_site, alone.singular)
+    assert np.array_equal(_bits(np.array([read.min_theta_inv, read.at_time])),
+                          _bits(np.array([alone.min_theta_inv, alone.at_time])))
+
+
+# the residual cells of `ist verify` (-16..16) and of c1 (t -5..5 in 41 steps)
+@example(member=_member(1, 0.0), lo=-16, hi=16, t_grid=(-5.0, 5.0, 41))
+@example(member=_member(1, math.pi), lo=-16, hi=16, t_grid=(-5.0, 5.0, 41))
+@example(member=_member(1, 0.0), lo=-16, hi=16, t_grid=(-8.0, 8.0, 65))
+@example(member=_member(4, -math.pi, math.pi / 3.0), lo=-16, hi=16, t_grid=(-6.0, 6.0, 49))
+@settings(max_examples=40, deadline=None)
+@given(member=_scan_members(), lo=st.integers(-20, 5), hi=st.integers(-5, 20), t_grid=_T_GRIDS)
+def test_the_scan_reads_the_solved_cells_bit_for_bit(member, lo, hi, t_grid):
+    # site ranges narrower and wider than the scan's -12..12, and t_grids on and off its grid
+    _assert_the_scan_reads_the_solve(member, np.arange(min(lo, hi), max(lo, hi) + 1), t_grid)
+
+
+def test_the_property_fails_with_the_lookup_a_row_off(monkeypatch):
+    # the mutation the property above must catch: each cell read one time row later
+    solved_at = ist._solved_at
+
+    def a_row_off(solved, sites, times):
+        at = solved_at(solved, sites, times)
+        if solved is None:
+            return at
+        width = int(np.ptp(solved[0].ns)) + 1
+        return np.where((at >= 0) & (at + width < solved[0].ns.size), at + width, at)
+
+    monkeypatch.setattr(ist, "_solved_at", a_row_off)
+    with pytest.raises(AssertionError):
+        _assert_the_scan_reads_the_solve(_member(1, 0.0), np.arange(-16, 17), (-5.0, 5.0, 41))
+
+
+@pytest.mark.parametrize("t_grid, found", [
+    ((-5.0, 5.0, 41), 25 * 41),  # c1: every t_grid time is a scan time
+    ((-8.0, 8.0, 65), 25 * 49),  # every scan cell: the rest is an empty call
+    ((-5.1, 5.1, 35), 25 * 6),  # steps of 0.3: six land on scan times (-4.5, ..., 4.5)
+    ((-5.05, 5.05, 34), 0),  # none: an odd step count would put one on 0.0
+    ((-0.0, -0.0, 1), 0),  # -0.0 is not the scan's 0.0
+    ((0.0, 0.0, 1), 25),
+])
+def test_the_sweep_reads_the_cells_it_finds(t_grid, found, monkeypatch):
+    sizes = reconstruct_grid_sizes(monkeypatch)
+    member = _member(1, 0.0)
+    solved = _solved_cells(member, np.arange(-16, 17), t_grid)
+    assert (ist._solved_at(solved, np.arange(-12, 13), np.arange(49) * 0.25 - 6.0) >= 0).sum() \
+        == found
+    singularity_scan(*member, *_SCAN_RANGES["cli"], solved=solved)
+    assert sizes == [25 * 49 - found]
+
+
+def test_the_scan_refuses_solved_cells_out_of_order():
+    # site-major: the lookup by offset would read the wrong cells
+    solved = ist.solve_with_derivative(*_member(1, 0.0), np.arange(-3, 4)[:, None],
+                                       np.array([0.0, 0.25])[None, :])
+    with pytest.raises(DomainError, match="time-major"):
+        singularity_scan(*_member(1, 0.0), *_SCAN_RANGES["cli"], solved=solved)
