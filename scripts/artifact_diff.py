@@ -72,6 +72,9 @@ CONFIGS = {
     "c1-t-nomatch": {**C1, "t_grid": {"t0": -5.05, "t1": 5.05, "steps": 34}},
     "c1-t-wide": {**C1, "t_grid": {"t0": -8.0, "t1": 8.0, "steps": 65}},
     "c1-near-pole": {**C1, "theta": math.pi - 1e-6},
+    # thbar2 left out: it defaults to thbar1 (0.3 here), as the reduction requires
+    "c1-thbar1-only": {key: value for key, value in C1.items() if key != "thbar2"}
+    | {"thbar1": 0.3},
     # a quartet near the real axis: its limiting system misses q_minus beyond
     # ist._MINUS_TOL, so it has no left far field and its window overflows there
     "c1-near-axis": {**C1, "q0": 0.82, "eta1": 3.14287, "N": 300},

@@ -197,7 +197,7 @@ _SCHEMA = {
     "zeta_hat_1": (_NUMBER, (), None),
     "kappa1": (_NUMBER, (), 1.0),
     "thbar1": (_NUMBER, (), 0.0),
-    "thbar2": (_NUMBER, (), 0.0),
+    "thbar2": (_NUMBER, (), None),  # thbar1 when not given (parse_config)
     "dt": (_NUMBER, ((lambda v: v > 0, "'{key}' must be positive"),), 0.01),
     "t_grid": ({
         "steps": ((lambda v: type(v) is int and v >= 1, "'{key}' must be a positive integer"),
@@ -226,7 +226,7 @@ _PHASES = ("theta", "theta_minus", "theta_plus")
 _CONFIG_BOUND = ((lambda raw: "case" in raw and "q0" in raw, "config requires 'case' and 'q0'"),
                  (lambda raw: sum(name in raw for name in _PHASES) <= 1,
                   "give at most one of " + " / ".join(_PHASES)))
-# One attribute per config key, as given but for theta_minus (see parse_config).
+# One attribute per config key, as given but for theta_minus and thbar2 (see parse_config).
 RunConfig = dataclasses.make_dataclass("RunConfig", _SCHEMA, frozen=True)
 
 
@@ -276,7 +276,9 @@ def parse_config(raw: dict) -> RunConfig:
     if theta_plus is not None:
         theta = float(theta_plus) - CASES[Case(values["case"])][1]
     values["theta_minus"] = float(values["theta_minus"] if theta is None else theta)
-    return RunConfig(**values | {"q0": float(values["q0"])})
+    # the reduction fixes Cbar_2's phase to thbar1's (ist.norming_case1)
+    thbar2 = values["thbar1"] if values["thbar2"] is None else values["thbar2"]
+    return RunConfig(**values | {"q0": float(values["q0"]), "thbar2": thbar2})
 
 
 def load_config(path: str) -> RunConfig:
@@ -508,34 +510,6 @@ def _field(config: RunConfig, command: str):
     return cfg, eigenset, ist.unit_norming(cfg, eigenset), cfg.background
 
 
-def _exact(config: RunConfig, cfg, eigenset, norming, ts: list[float]):
-    """(solved, (q, dq/dt)(ns, ts)) of verify's field at the residual cells of every t in ts.
-
-    verify.equation_residuals_exact makes its one call at those cells.  The
-    soliton source solves them here, once (solved, which the singularity scan
-    reads too), and never raises: a singular cell raises at require(), when
-    the oracle reads q.  The background turns every site at the rate
-    rotation, dq/dt = i rotation q, and solves nothing (solved is None).
-    """
-    if config.field["source"] == "background":
-        def background(ns, ts):
-            q = cfg.background(ns, ts)
-            with np.errstate(over="ignore", invalid="ignore"):  # the residual reports a NaN
-                return q, 1j * cfg.rotation * q
-
-        return None, background
-    cells = verify._residual_cells(range(-RESIDUAL_N, RESIDUAL_N + 1))[1]
-    solved = ist.solve_with_derivative(cfg, eigenset, norming, cells[None, :],
-                                       np.reshape(ts, (-1, 1)))
-    grid, (qdot, _) = solved
-    shape = (len(ts), cells.size)
-
-    def exact(ns, ts):  # at the cells solved above
-        return grid.require().reshape(shape), qdot.reshape(shape)
-
-    return solved, exact
-
-
 def _scatter_failures(report: scattering.ScatteringReport, tol: float) -> dict:
     """The scattering residuals that breach tol, by name; `not x <= tol` fails a NaN."""
     residuals = {"det_vs_theta": report.det_residual}
@@ -587,17 +561,20 @@ def _singular_phase(cfg, eigenset, norming, solved=None) -> bool:
 def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     """Check the field against the oracles; exit 0 when every check passes.
 
-    The residual oracle's cells are solved first, once (_exact), and the
+    A spectrum's residual cells are solved first, once, with dq/dt, and the
     singularity scan reads them before it solves the rest of its sweep.  A
     flagged member skips the residual, the closed form and the scattering
     checks; otherwise a singular residual cell raises SingularSolution as
-    the oracle reads it.
+    the oracle reads it.  An empty spectrum's field turns every site at the
+    rate rotation: dq/dt = i rotation q.
     """
     del seed
     cfg, eigenset, norming, field = _field(config, "verify")
     _require_phase_digits(config, norming)
-    ts = _t_values(config)
-    solved, exact = _exact(config, cfg, eigenset, norming, ts)
+    ts, n_range = _t_values(config), range(-RESIDUAL_N, RESIDUAL_N + 1)
+    cells, times = verify.residual_cells(n_range)[1][None, :], np.reshape(ts, (-1, 1))
+    solved = None if eigenset.is_empty() else ist.reconstruct_grid(
+        cfg, eigenset, norming, cells, times, derivative=True)
     singular = _singular_phase(cfg, eigenset, norming, solved)
     checks = {"singular_parameters": {"flagged": singular}}
     tol_res = config.tolerances["residual"]
@@ -605,8 +582,13 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
         checks["equation_residual"] = {"skipped": "singular family member"}
         ok_res = True
     else:
-        reps = verify.equation_residuals_exact(exact, cfg, range(-RESIDUAL_N, RESIDUAL_N + 1),
-                                               ts)
+        if solved is None:
+            q = field(cells, times)
+            with np.errstate(over="ignore", invalid="ignore"):  # the residual reports a NaN
+                qdot = 1j * cfg.rotation * q
+        else:
+            q, qdot = (a.reshape(len(ts), -1) for a in (solved.require(), solved.qdot))
+        reps = verify.equation_residuals_exact(q, qdot, cfg, n_range, ts)
         # np.max keeps a NaN residual, which then fails the check
         worst = float(np.max([rep.max_abs_residual for rep in reps], initial=0.0))
         ok_res = worst < tol_res
@@ -615,7 +597,6 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     closed_form = getattr(ist, f"soliton_closed_form_case{config.case}", None)
     if closed_form and not singular and not eigenset.is_empty():
         sites = np.arange(-CLOSED_FORM_N, CLOSED_FORM_N + 1)[None, :]
-        times = np.array(ts)[:, None]
         a = field(sites, times)
         keys = _SOLITONS[config.case][2]  # the closed form reads the norming keys
         b = closed_form(cfg, *(getattr(config, key) for key in keys), sites, times)

@@ -580,7 +580,9 @@ class ReconstructionGrid:
     AMPLITUDE (names in REASONS).  backward is the solve's backward error:
     0 on the far cells, which are filled without one, NaN where the entries
     overflowed (no solve was made) and inf where the solve gave no finite
-    solution; theta_inv is 1/Theta_n wherever it did.
+    solution; theta_inv is 1/Theta_n wherever it did.  qdot and theta_inv_dot
+    (dq/dt, d(1/Theta_n)/dt) are None unless derivative was set, and NaN
+    across a _BLOCK that holds a singular cell.
     """
 
     ns: np.ndarray
@@ -590,6 +592,8 @@ class ReconstructionGrid:
     backward: np.ndarray
     theta_inv: np.ndarray
     reason: np.ndarray
+    qdot: np.ndarray | None = None
+    theta_inv_dot: np.ndarray | None = None
 
     @property
     def singular(self) -> np.ndarray:
@@ -625,8 +629,8 @@ def _flat_cells(ns, ts):
 
 
 def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
-                     ns, ts) -> ReconstructionGrid:
-    """Reflectionless (q_n(t), r_n(t)) over the cells (ns[i], ts[i]).
+                     ns, ts, derivative: bool = False) -> ReconstructionGrid:
+    """Reflectionless (q_n(t), r_n(t)) over the cells (ns[i], ts[i]); dq/dt too if derivative.
 
     ns and ts broadcast against each other (a scalar t gives a time row,
     sites[None, :] and ts[:, None] a time-major grid); the result is flat in
@@ -645,44 +649,31 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     scaled but well posed at large |n| (lam**(2n) entries), so singularity
     is judged by these checks rather than by a determinant.  An empty
     spectrum is the J = 0 system B = [1]: q_plus(t), r_plus(t) at every cell.
+    With derivative set the grid also holds qdot and theta_inv_dot, every
+    other field bit for bit as without: time enters only through
+    exponentials, so the exact derivative of the computed solution is
+    X' = -B^-1 (dB/dt) X, a second solve of the same P through the same
+    border.  The solve never raises; require() raises for a singular cell.
     """
-    ns, ts, _ = _flat_cells(ns, ts)
-    return _solve_cells(cfg, eigenset, norming, ns, ts)[0]
+    return _solve_cells(cfg, eigenset, norming, *_flat_cells(ns, ts)[:2], derivative)
 
 
 def reconstruct_with_derivative(cfg: CaseConfig, eigenset: EigenSet,
                                 norming: NormingData, ns, ts):
     """(q_n(t), dq_n/dt) over the cells (ns[i], ts[i]), both in their broadcast shape.
 
-    q is reconstruct_grid's q bit for bit (the same blocks, solves and
-    checks).  Time enters the system only through exponentials, so each
-    block of dB/dt is that block times a constant rate, and the exact
-    derivative of the computed solution is X' = -B^-1 (dB/dt) X, a second
-    solve of the same P through the same border.  Raises SingularSolution
+    A view of reconstruct_grid with derivative set.  Raises SingularSolution
     for the first singular cell in flattened order, as make_evaluator does.
     """
-    grid, (qdot, _) = solve_with_derivative(cfg, eigenset, norming, ns, ts)
+    grid = reconstruct_grid(cfg, eigenset, norming, ns, ts, derivative=True)
     shape = np.broadcast_shapes(np.shape(ns), np.shape(ts))
-    return grid.require().reshape(shape)[()], qdot.reshape(shape)[()]
-
-
-def solve_with_derivative(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData, ns, ts):
-    """(ReconstructionGrid, (dq/dt, d(1/Theta_n)/dt)) over the cells (ns[i], ts[i]), flat.
-
-    reconstruct_with_derivative's solve, which never raises: a singular cell
-    raises at the grid's require(), and NaN fills both derivatives on every
-    cell of its _BLOCK.  Over a time-major grid of consecutive ascending
-    sites (sites[None, :], ts[:, None]) it is what singularity_scan's solved
-    takes.
-    """
-    return _solve_cells(cfg, eigenset, norming, *_flat_cells(ns, ts)[:2], derivative=True)
+    return grid.require().reshape(shape)[()], grid.qdot.reshape(shape)[()]
 
 
 def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
-                 ns: np.ndarray, ts: np.ndarray, derivative: bool = False):
-    """The ReconstructionGrid over flat cells; [dq/dt, d(1/Theta_n)/dt] if derivative is set.
+                 ns: np.ndarray, ts: np.ndarray, derivative: bool = False) -> ReconstructionGrid:
+    """reconstruct_grid over flat cells: the one block loop of every solve.
 
-    The one block loop of reconstruct_grid and solve_with_derivative.
     The screen (_screen) first takes out the far cells, from their 2J
     couplings E_l = C_l(t) lam(zeta_l)**(-2n) and Ebar_l = Cbar_l(t)
     lam(zbar_l)**(2n), whose logs are affine in (n, t):
@@ -730,19 +721,19 @@ def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
         _solve_blocks(cfg, eigenset, norming, ns, ts, near, out, derivative)
     elif near.size:
         sites, at = np.unique(ns[near], return_inverse=True)
-        solved = [np.empty(sites.size, a.dtype) for a in out[:5]]
+        by_site = [np.empty(sites.size, a.dtype) for a in out[:5]]
         _solve_blocks(cfg, eigenset, norming, sites, np.zeros(sites.size),
-                      np.arange(sites.size), solved, False)
+                      np.arange(sites.size), by_site, False)
         for start in range(0, near.size, _BLOCK):
             cells, site = near[start:start + _BLOCK], at[start:start + _BLOCK]
-            t, q, r = ts[cells], solved[0][site], solved[1][site]
+            t, q, r = ts[cells], by_site[0][site], by_site[1][site]
             with np.errstate(all="ignore"):
                 u = np.exp(1j * cfg.rotation * t)
                 # t = 0 keeps the solve's bits (q * (1 + 0j) can flip the sign of a zero);
                 # no where= here: NumPy's masked loop rounds a one-cell product differently
                 moving = t != 0.0
                 q, r = np.where(moving, q * u, q), np.where(moving, r * u.conj(), r)
-            fills = [q, r, *(a[site] for a in solved[2:])]
+            fills = [q, r, *(a[site] for a in by_site[2:])]
             if derivative:
                 fills += [1j * cfg.rotation * q, 0.0]
             for whole, fill in zip(out, fills):
@@ -780,7 +771,7 @@ def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                 reason = np.where(huge, AMPLITUDE, OK)
         for whole, fill in zip(out, [q, r, 0.0, theta_inv, reason, *qdot, 0.0]):
             whole[far] = fill
-    return ReconstructionGrid(ns, ts, *out[:5]), out[5:]
+    return ReconstructionGrid(ns, ts, *out)
 
 
 def _live(s: _Spectrum, plus: np.ndarray, ns: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -975,18 +966,17 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     (site, time) cell and keeps the first minimum in site-major order.  A
     stationary spectrum (NormingData.stationary, every gamma(zbar_j) = 0, as
     for the case-IV pair zbar_1 = (1 - q0)/r, where zbar_1 + 1/zbar_1 = 2/r)
-    sweeps t_span[0] alone: its 1/Theta_n does not depend on t.  solved
-    (solve_with_derivative over a time-major grid of consecutive ascending
-    sites; `ist verify` passes its residual cells) holds cells that the sweep
-    reads instead of solving (_solved_at); the rest are one reconstruct_grid
-    call.  A cell's solve does not depend on its block, so the scan is the
-    same bit for bit with or without solved.  At the dip's site, Gauss-Newton
-    steps on f = 1/Theta_n(t) with the exact df/dt of the derivative solve
-    move t towards a real-time zero of f, each a one-cell solve but the first
-    when solved holds the dip with a finite df/dt (NaN where its block held a
-    singular cell); they stop when df/dt is 0, the step is a few ulps, longer
-    than coarse_dt, or predicts no halving of |f| (no zero ahead), when the
-    cell is singular, or after _NEWTON_STEPS.  The member is flagged singular
+    sweeps t_span[0] alone: its 1/Theta_n does not depend on t.  The sweep
+    reads the cells that solved holds (_solved_at: `ist verify` passes its
+    residual cells) and solves the rest in one reconstruct_grid call; a
+    cell's solve does not depend on its block, so the scan is the same bit
+    for bit with or without solved.  At the dip's site, Gauss-Newton steps
+    on f = 1/Theta_n(t) with the exact df/dt (theta_inv_dot) move t towards
+    a real-time zero of f, each a one-cell solve but the first when solved
+    holds the dip with a finite df/dt (NaN where its block held a singular
+    cell); they stop when df/dt is 0, the step is a few ulps, longer than
+    coarse_dt, or predicts no halving of |f| (no zero ahead), when the cell
+    is singular, or after _NEWTON_STEPS.  The member is flagged singular
     when the least |f| seen is below 1e-6.
     """
     if not (coarse_dt > 0.0 and n_range[0] <= n_range[1]
@@ -1002,17 +992,14 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     rest, vals = at < 0, np.empty(at.shape)
     vals[rest] = _scores(reconstruct_grid(cfg, eigenset, norming, ns[rest], ts[rest]))
     if not rest.all():
-        vals[~rest] = _scores(solved[0], at[~rest])
+        vals[~rest] = _scores(solved, at[~rest])
     i, j = divmod(int(np.argmin(vals)), len(times))
-    least, n_star, t, k = float(vals.min()), int(sites[i]), times[j], at[i, j]
+    least, n_star, t, k, cell = float(vals.min()), int(sites[i]), times[j], at[i, j], solved
     for _ in range(_NEWTON_STEPS):
-        if k >= 0 and np.isfinite(solved[1][1][k]):  # the dip's own cell in solved
-            cell, (_, fdot) = solved
-        else:
-            cell, (_, fdot) = _solve_cells(cfg, eigenset, norming, np.array([n_star]),
-                                           np.array([t]), derivative=True)
-            k = 0
-        f, fdot = complex(cell.theta_inv[k]), fdot[k]  # fdot is NaN on a singular cell
+        if k < 0 or not np.isfinite(cell.theta_inv_dot[k]):  # not the dip's own cell in solved
+            cell, k = _solve_cells(cfg, eigenset, norming, np.array([n_star]), np.array([t]),
+                                   derivative=True), 0
+        f, fdot = complex(cell.theta_inv[k]), cell.theta_inv_dot[k]  # NaN on a singular cell
         least = min(least, 0.0 if cell.reason[k] in _SOLVE_FAILED else abs(f))
         k = -1  # every later step is at a time of its own
         if fdot == 0.0:  # a stationary cell: no zero ahead
@@ -1033,17 +1020,19 @@ def _scores(grid: ReconstructionGrid, cells=slice(None)) -> np.ndarray:
 
 
 def _solved_at(solved, sites: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The flat index in solved's grid of each cell (sites[i], times[j]), -1 where it is absent.
+    """The flat index in solved of each cell (sites[i], times[j]), -1 where it is absent.
 
-    solved's grid is time-major over consecutive ascending sites (else
-    DomainError): a site is found by its offset from the first, a time by
-    comparing its bits with each row's (sorted, then searchsorted), so -0.0
-    and 0.0 stay apart.  Nothing of the grid is copied.
+    solved holds derivatives and is time-major over consecutive ascending
+    sites (else DomainError): a site is found by its offset from the first,
+    a time by comparing its bits with each row's (sorted, then
+    searchsorted), so -0.0 and 0.0 stay apart.  Nothing of it is copied.
     """
     at = np.full((sites.size, times.size), -1)
-    if solved is None or not solved[0].ns.size:
+    if solved is not None and solved.theta_inv_dot is None:
+        raise DomainError("solved cells must be solved with derivative set")
+    if solved is None or not solved.ns.size:
         return at
-    ns, ts = solved[0].ns, solved[0].ts
+    ns, ts = solved.ns, solved.ts
     first, width = int(ns[0]), int(ns[-1] - ns[0]) + 1
     if width < 1 or ns.size % width or not (
             (ns.reshape(-1, width) == np.arange(first, first + width)).all()

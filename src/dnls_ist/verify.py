@@ -2,14 +2,13 @@
 
 The residual oracle never touches the scattering machinery.  It needs the
 field q over the sites, their neighbours and their mirror sites at each
-time, and dq/dt at the sites.  For the reflectionless solution, dq/dt is
-exact: ist.reconstruct_with_derivative differentiates the solve itself
-(equation_residuals_exact, which `ist verify` runs on its one up-front
-ist.solve_with_derivative).  Any other evaluator
-ev(ns, ts) -> q over broadcast (n, t) cells (ist.make_evaluator,
-CaseConfig.background, a np.vectorize'd function) gets dq/dt from a
-4th-order finite-difference stencil (equation_residuals), which also stays
-as the cross-check of the exact derivative.
+time (residual_cells), and dq/dt at the sites.  equation_residuals_exact
+takes both as arrays, with dq/dt exact for the reflectionless solution
+(ist.reconstruct_grid with derivative set, the solve `ist verify` shares
+with its singularity scan).  Any evaluator ev(ns, ts) -> q over broadcast
+(n, t) cells (ist.make_evaluator, CaseConfig.background, a np.vectorize'd
+function) gets dq/dt from a 4th-order finite-difference stencil
+(equation_residuals), the cross-check of the exact derivative.
 The simulator integrates the truncated lattice as a complex ODE with the
 outermost two sites on each side pinned to the exact background rotation.
 Both take the lattice equation from lattice.al_rhs.
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupDetected
+from .errors import BlowupDetected, DomainError
 from .lattice import PotentialWindow, al_rhs
 from .spectral import CaseConfig
 
@@ -43,7 +42,7 @@ class ResidualReport:
     stencil_order: int = 4
 
 
-def _residual_cells(n_range):
+def residual_cells(n_range):
     """The sites, and the sorted cells their residual reads at one time."""
     sites = np.array(list(n_range), dtype=int)
     return sites, np.unique(np.concatenate([sites - 1, sites, sites + 1, -sites]))
@@ -79,7 +78,7 @@ def equation_residuals(solution_evaluator, cfg: CaseConfig, n_range, ts,
     t in ts are evaluated together in one evaluator call; the result holds
     one report per t, in the order of ts.
     """
-    sites, cells = _residual_cells(n_range)
+    sites, cells = residual_cells(n_range)
     K = sites.size
     ts = [float(t) for t in ts]
     stencil_ns = np.concatenate([np.tile(sites, 4), cells])
@@ -92,18 +91,18 @@ def equation_residuals(solution_evaluator, cfg: CaseConfig, n_range, ts,
     return _reports(cfg, sites, cells, ts, q[:, 4 * K:], qdot, h, 4)
 
 
-def equation_residuals_exact(solution_and_derivative, cfg: CaseConfig, n_range,
-                             ts) -> list[ResidualReport]:
+def equation_residuals_exact(q, qdot, cfg: CaseConfig, n_range, ts) -> list[ResidualReport]:
     """Lattice-equation residuals per t, with the exact q_dot.
 
-    solution_and_derivative(ns, ts) -> (q, dq/dt) over broadcast cells, as
-    ist.reconstruct_with_derivative with its first three arguments bound.
-    It is called once, at the residual cells of every t in ts and at no
-    other time; the reports have h = 0 and stencil_order = 0.
+    q and qdot hold q and dq/dt at residual_cells(n_range), one row per t
+    in ts (as ist.reconstruct_with_derivative gives them over cells[None, :]
+    and ts[:, None]); any other shape is a DomainError.  The reports have
+    h = 0 and stencil_order = 0.
     """
-    sites, cells = _residual_cells(n_range)
+    sites, cells = residual_cells(n_range)
     ts = [float(t) for t in ts]
-    q, qdot = solution_and_derivative(cells[None, :], np.reshape(ts, (len(ts), 1)))
+    if not np.shape(q) == np.shape(qdot) == (len(ts), cells.size):
+        raise DomainError(f"q and dq/dt must be {(len(ts), cells.size)}: (times, residual cells)")
     return _reports(cfg, sites, cells, ts, q, qdot[:, np.searchsorted(cells, sites)], 0.0, 0)
 
 

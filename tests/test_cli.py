@@ -448,6 +448,19 @@ class TestThbar2:
             fields.append(np.array([complex(float(r[2]), float(r[3])) for r in rows]))
         assert np.max(np.abs(fields[0] - fields[1])) <= 1e-14
 
+    @pytest.mark.parametrize("command", ["soliton", "verify"])
+    def test_thbar2_defaults_to_thbar1(self, tmp_path, command):
+        # at the schema's former default thbar2 = 0.0 this config exited 2
+        without = {key: value for key, value in CASE1_CONFIG.items() if key != "thbar2"}
+        artifacts = []
+        for doc in ({**without, "thbar1": 0.3}, {**without, "thbar1": 0.3, "thbar2": 0.3}):
+            out = tmp_path / "out"
+            assert main([command, "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == EXIT_OK
+            artifacts.append(out.read_bytes())
+        assert artifacts[0] == artifacts[1]
+        assert parse_config({"case": 1, "q0": 0.5, "thbar1": 0.3}).thbar2 == 0.3
+
 
 class TestSoliton:
     def test_background_constant_field(self, tmp_path):
@@ -771,7 +784,7 @@ class TestVerify:
             "limits": {"oracle_N": 40, "residual_N": 15, "closed_form_N": 20,
                        "scan": {"n_range": [-12, 12], "t_span": [-6, 6], "coarse_dt": 0.25}},
             "pass": True}
-        size, derivative, (grid, _) = calls[0]
+        size, derivative, grid = calls[0]
         assert (size, derivative) == (33 * 41, True)
         cfg, eigenset, norming = cli._field(parse_config({**self.C1, "theta": math.pi}),
                                             "verify")[:3]
@@ -997,10 +1010,10 @@ def test_reports_list_the_caps_their_checks_ran_under(tmp_path, monkeypatch, com
                         for key, value in kwargs.items() if key != "solved"}
         return scan(cfg, eigenset, norming, **kwargs)
 
-    def residual_at(exact, cfg, sites, ts):
+    def residual_at(q, qdot, cfg, sites, ts):
         seen["residual_N"] = max(sites)
         assert list(sites) == list(range(-max(sites), max(sites) + 1))
-        return residuals(exact, cfg, sites, ts)
+        return residuals(q, qdot, cfg, sites, ts)
 
     def closed_form_at(cfg, thbar1, sites, ts):
         seen["closed_form_N"] = int(sites.max())
@@ -1297,14 +1310,14 @@ class TestClosedStdout:
             EXIT_CONFIG, "config error: cannot write stdout: Broken pipe\n")
 
 
-# Four soliton calls in one process: the minor page faults of each, and how
+# Six soliton calls in one process: the minor page faults of each, and how
 # often the allocator was pinned before the first and after the last.
 _FAULT_PROBE = """
 import json, resource, sys
 from dnls_ist import cli
 pins = [cli._pin_malloc.cache_info().misses]
 faults = []
-for _ in range(4):
+for _ in range(6):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     assert cli.main(["soliton", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
@@ -1317,8 +1330,10 @@ print(json.dumps({"faults": faults, "pins": pins + [info.misses], "hits": info.h
                     reason="glibc's mallopt only")
 def test_pinned_allocator_stops_faulting_in_pages(tmp_path):
     # The bench c1 soliton.  Unpinned, glibc maps, unmaps or trims the block
-    # solve's 128 KiB temporaries every block: about 300 faults a call after
-    # the first, where the pinned heap keeps them.
+    # solve's 128 KiB temporaries every block: about 200-300 faults a call after
+    # the first, where the pinned heap keeps them.  The first two calls are left
+    # out: where first-touch heap pages land between them follows the layout of
+    # the source, not the pin.
     doc = {**CASE1_CONFIG, "N": 60, "t_grid": {"t0": -5.0, "t1": 5.0, "steps": 41}}
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {key: value for key, value in os.environ.items()
@@ -1330,9 +1345,9 @@ def test_pinned_allocator_stops_faulting_in_pages(tmp_path):
                           capture_output=True, env=env, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert all(faults < 50 for faults in report["faults"][1:]), report
+    assert all(faults < 50 for faults in report["faults"][2:]), report
     # not pinned at import, pinned by the first call, and only then
-    assert (report["pins"], report["hits"]) == ([0, 1], 3)
+    assert (report["pins"], report["hits"]) == ([0, 1], 5)
 
 
 @pytest.mark.skipif("CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}),

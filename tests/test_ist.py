@@ -875,6 +875,22 @@ class TestDerivative:
     def test_q_is_reconstruct_grid_q_case4(self, case4_soliton, spec):
         self._assert_q_is_grid_q(*case4_soliton, spec)
 
+    @pytest.mark.parametrize("name", ["c1", "bench c4", "README c4", "pole", "case4 theta 0"])
+    def test_derivative_changes_no_other_field(self, name):
+        # `ist verify` solves once with derivative set, and its singularity scan reads
+        # theta_inv and reason from that solve, the residual oracle q
+        if name == "README c4":
+            member, ns, ts = _member(4, -math.pi, math.pi / 3.0), *_cells(np.arange(-40, 41),
+                                                                          _C4_TIMES)
+        else:
+            member, ns, ts = _parity_grid(name)[:3]
+        plain, both = (ist.reconstruct_grid(*member, ns, ts, derivative=derivative)
+                       for derivative in (False, True))
+        for field in ("ns", "ts", "q", "r", "backward", "theta_inv", "reason"):
+            assert getattr(both, field).tobytes() == getattr(plain, field).tobytes(), field
+        assert plain.qdot is None and plain.theta_inv_dot is None
+        assert both.qdot.shape == both.theta_inv_dot.shape == plain.q.shape
+
     @pytest.mark.parametrize("fixture", ["case1_soliton", "case4_soliton"])
     def test_derivative_of_the_solved_field(self, fixture, request):
         # a 4th-order central difference of q converges to dq/dt at rate h**4
@@ -1053,8 +1069,9 @@ def _assert_blocks_match_the_reference(member, ns, ts, derivative):
     cell takes its site's bytes rotated by u = exp(i rotation t) (t = 0 cells
     as they are), with dq/dt = i rotation q and d(1/Theta_n)/dt = 0.
     """
-    grid, extra = ist._solve_cells(*member, ns, ts, derivative=derivative)
-    got = [grid.q, grid.r, grid.backward, grid.theta_inv, grid.reason] + extra
+    grid = ist._solve_cells(*member, ns, ts, derivative=derivative)
+    got = [grid.q, grid.r, grid.backward, grid.theta_inv, grid.reason]
+    got += [grid.qdot, grid.theta_inv_dot] if derivative else []
     near = np.flatnonzero(_near(member[2], ns, ts))
     stationary = member[2].stationary
     solve_ns, solve_ts = ns[near], ts[near]
@@ -1093,7 +1110,7 @@ class TestBlockSolveReference:
     def test_reasons_are_covered(self):
         reasons = {}
         for name, (member, ns, ts) in _SOLVE_MEMBERS.items():
-            for reason in ist._solve_cells(*member, ns, ts)[0].reason.tolist():
+            for reason in ist._solve_cells(*member, ns, ts).reason.tolist():
                 reasons.setdefault(reason, set()).add(name)
         assert set(reasons) == {ist.OK, ist.OVERFLOW, ist.THETA_DIVERGENCE}
         assert reasons[ist.OVERFLOW] == {"c1 late"}
@@ -1179,7 +1196,7 @@ def _assert_fills_match_the_solve(member, ns, ts, derivative, bound=1e-14):
     (test_filled_cells_equal_the_block_solve_across_both_families).
     """
     far = np.flatnonzero(~_near(member[2], ns, ts))
-    grid, extra = ist._solve_cells(*member, ns, ts, derivative=derivative)
+    grid = ist._solve_cells(*member, ns, ts, derivative=derivative)
     assert (grid.reason[far] == ist.OK).all()
     if not far.size:  # a slowly decaying member can keep every cell near
         return
@@ -1187,7 +1204,7 @@ def _assert_fills_match_the_solve(member, ns, ts, derivative, bound=1e-14):
     solved = ist._solve_block(*member, ns[far], ts[far], derivative=derivative)
     pairs = [(grid.q, solved[0]), (grid.r, solved[1]), (grid.theta_inv, solved[3])]
     if derivative:
-        pairs.append((extra[0], solved[5]))
+        pairs.append((grid.qdot, solved[5]))
     for got, x in pairs:
         assert np.all(np.abs(got[far] - x) <= bound * np.maximum(1.0, np.abs(x)))
 
@@ -1259,7 +1276,8 @@ class TestFarField:
             rows = [np.flatnonzero(ts == t) for t in times]
             pick = np.concatenate([np.r_[row[far[row] & ~right[row]][-3:],
                                          row[far[row] & right[row]][:3]] for row in rows])
-        grid, (qdot, _) = ist._solve_cells(*member, ns[pick], ts[pick], derivative=True)
+        grid = ist._solve_cells(*member, ns[pick], ts[pick], derivative=True)
+        qdot = grid.qdot
         exact = np.array([mp_fields(*member, int(n), float(t))
                           for n, t in zip(ns[pick], ts[pick])]).T
         assert pick.size >= 6 * times.size and (grid.reason == ist.OK).all()
@@ -1301,7 +1319,8 @@ class TestFarField:
                                                             np.linspace(0.0, 1.0, 11)))}
         member, ns, ts = grids[name] if name in grids else _parity_grid(name)[:3]
         far = self._far(member, ns, ts)
-        grid, (qdot, theta_inv_dot) = ist._solve_cells(*member, ns, ts, derivative=True)
+        grid = ist._solve_cells(*member, ns, ts, derivative=True)
+        qdot, theta_inv_dot = grid.qdot, grid.theta_inv_dot
         assert far.size and (grid.reason[far] == ist.OK).all()
         assert not theta_inv_dot[far].any() and not grid.backward[far].any()
         reason = ist._solve_block(*member, ns[far], ts[far])[4]
@@ -1335,7 +1354,8 @@ class TestFarField:
         member = (cfg, eigenset, norming)
         ns, ts = np.arange(-700, 701), np.full(1401, t)
         far = self._far(member, ns, ts)
-        grid, (qdot, _) = ist._solve_cells(*member, ns, ts, derivative=True)
+        grid = ist._solve_cells(*member, ns, ts, derivative=True)
+        qdot = grid.qdot
         assert (grid.reason[far] == ist.OK).all()
         if far.size:  # the cells where the parent's solve did not overflow
             ok = far[ist._solve_block(*member, ns[far], ts[far])[4] == ist.OK]
@@ -1462,7 +1482,8 @@ class TestGauge:
         member = (cfg, eigenset, norming_case4(cfg, eigenset, thbar1))
         assert member[2].stationary
         ns, ts = _cells(np.arange(-60, 61), np.array(times))
-        grid, (qdot, theta_inv_dot) = ist._solve_cells(*member, ns, ts, derivative=True)
+        grid = ist._solve_cells(*member, ns, ts, derivative=True)
+        qdot, theta_inv_dot = grid.qdot, grid.theta_inv_dot
         d = min(abs(math.remainder(theta_plus + thbar1 - locus, 2.0 * math.pi))
                 for locus in (0.0, math.pi))
         near = np.flatnonzero(_near(member[2], ns, ts))
@@ -1492,7 +1513,7 @@ class TestGauge:
         eigenset = eigenvalues_case4(cfg)
         member = (cfg, eigenset, norming_case4(cfg, eigenset, 0.0))
         ns, ts = _cells(np.arange(-60, 61), np.array([t]))
-        grid, _ = ist._solve_cells(*member, ns, ts)
+        grid = ist._solve_cells(*member, ns, ts)
         near = np.flatnonzero(_near(member[2], ns, ts))
         solved = ist._solve_block(*member, ns[near], ts[near])
         exact = np.array([mp_reconstruct(*member, int(n), t) for n in ns[near]])
@@ -1565,7 +1586,7 @@ def test_scan_flags_equal_the_shrink_scan(family, ranges):
 def test_theta_inv_derivative_matches_central_difference(fixture, request):
     cfg, eigenset, norming = request.getfixturevalue(fixture)
     ns, ts, _ = ist._flat_cells(np.arange(-12, 13)[None, :], np.array([-2.0, 0.3, 1.7])[:, None])
-    _, (_, fdot) = ist._solve_cells(cfg, eigenset, norming, ns, ts, derivative=True)
+    fdot = ist._solve_cells(cfg, eigenset, norming, ns, ts, derivative=True).theta_inv_dot
 
     def fd_error(h):
         def f(t):
@@ -1740,7 +1761,8 @@ _T_GRIDS = st.one_of(
 def _solved_cells(member, sites, t_grid):
     t0, t1, steps = t_grid
     times = cli._t_values(type("Config", (), {"t_grid": {"t0": t0, "t1": t1, "steps": steps}}))
-    return ist.solve_with_derivative(*member, sites[None, :], np.array(times)[:, None])
+    return ist.reconstruct_grid(*member, sites[None, :], np.array(times)[:, None],
+                                derivative=True)
 
 
 def _assert_the_scan_reads_the_solve(member, sites, t_grid):
@@ -1773,8 +1795,8 @@ def test_the_property_fails_with_the_lookup_a_row_off(monkeypatch):
         at = solved_at(solved, sites, times)
         if solved is None:
             return at
-        width = int(np.ptp(solved[0].ns)) + 1
-        return np.where((at >= 0) & (at + width < solved[0].ns.size), at + width, at)
+        width = int(np.ptp(solved.ns)) + 1
+        return np.where((at >= 0) & (at + width < solved.ns.size), at + width, at)
 
     monkeypatch.setattr(ist, "_solved_at", a_row_off)
     with pytest.raises(AssertionError):
@@ -1790,9 +1812,9 @@ def test_the_property_fails_with_the_lookup_a_row_off(monkeypatch):
     ((0.0, 0.0, 1), 25),
 ])
 def test_the_sweep_reads_the_cells_it_finds(t_grid, found, monkeypatch):
-    sizes = reconstruct_grid_sizes(monkeypatch)
     member = _member(1, 0.0)
     solved = _solved_cells(member, np.arange(-16, 17), t_grid)
+    sizes = reconstruct_grid_sizes(monkeypatch)
     assert (ist._solved_at(solved, np.arange(-12, 13), np.arange(49) * 0.25 - 6.0) >= 0).sum() \
         == found
     singularity_scan(*member, *_SCAN_RANGES["cli"], solved=solved)
@@ -1801,7 +1823,15 @@ def test_the_sweep_reads_the_cells_it_finds(t_grid, found, monkeypatch):
 
 def test_the_scan_refuses_solved_cells_out_of_order():
     # site-major: the lookup by offset would read the wrong cells
-    solved = ist.solve_with_derivative(*_member(1, 0.0), np.arange(-3, 4)[:, None],
-                                       np.array([0.0, 0.25])[None, :])
+    solved = ist.reconstruct_grid(*_member(1, 0.0), np.arange(-3, 4)[:, None],
+                                  np.array([0.0, 0.25])[None, :], derivative=True)
     with pytest.raises(DomainError, match="time-major"):
+        singularity_scan(*_member(1, 0.0), *_SCAN_RANGES["cli"], solved=solved)
+
+
+@pytest.mark.parametrize("sites", [np.arange(-16, 17), np.arange(0)], ids=["c1", "empty"])
+def test_the_scan_refuses_solved_cells_without_derivatives(sites):
+    # the first Newton step reads theta_inv_dot where solved holds the dip
+    solved = ist.reconstruct_grid(*_member(1, 0.0), sites[None, :], _C1_TIMES[:, None])
+    with pytest.raises(DomainError, match="derivative"):
         singularity_scan(*_member(1, 0.0), *_SCAN_RANGES["cli"], solved=solved)

@@ -1,11 +1,10 @@
-import functools
 import math
 
 import numpy as np
 import pytest
 
 from dnls_ist import ist, lattice, spectral, verify
-from dnls_ist.errors import BlowupDetected, SingularSolution
+from dnls_ist.errors import BlowupDetected, DomainError, SingularSolution
 from dnls_ist.lattice import background_field, theta_products
 from dnls_ist.verify import (Trajectory, compare, equation_residual, equation_residuals,
                              equation_residuals_exact, simulate)
@@ -155,8 +154,11 @@ class TestStencilAdapter:
         assert equation_residuals(ev, case1_soliton[0], range(-3, 4), []) == []
 
 
-def _exact(cfg, eigenset, norming):
-    return functools.partial(ist.reconstruct_with_derivative, cfg, eigenset, norming)
+def _exact(cfg, eigenset, norming, n_range, ts):
+    """(q, dq/dt) at the residual cells of n_range, one row per t in ts."""
+    cells = verify.residual_cells(n_range)[1]
+    return ist.reconstruct_with_derivative(cfg, eigenset, norming, cells[None, :],
+                                           np.reshape(ts, (-1, 1)))
 
 
 class TestExactResiduals:
@@ -165,8 +167,8 @@ class TestExactResiduals:
     @pytest.mark.parametrize("fixture", ["case1_soliton", "case4_soliton"])
     def test_solution_passes_below_the_stencil(self, fixture, request):
         cfg, eigenset, norming = request.getfixturevalue(fixture)
-        exact = equation_residuals_exact(_exact(cfg, eigenset, norming), cfg,
-                                         range(-15, 16), self.TIMES)
+        exact = equation_residuals_exact(*_exact(cfg, eigenset, norming, range(-15, 16),
+                                                 self.TIMES), cfg, range(-15, 16), self.TIMES)
         fd = equation_residuals(ist.make_evaluator(cfg, eigenset, norming), cfg,
                                 range(-15, 16), self.TIMES)
         assert [rep.t for rep in exact] == list(self.TIMES)
@@ -178,8 +180,8 @@ class TestExactResiduals:
     def test_background(self):
         cfg = spectral.make_case(1, 2.0 / 3.0, 0.2)
         empty = ist.empty_eigenset(cfg)
-        pair = _exact(cfg, empty, ist.unit_norming(cfg, empty))
-        reps = equation_residuals_exact(pair, cfg, range(-10, 11), [0.0, 0.5])
+        pair = _exact(cfg, empty, ist.unit_norming(cfg, empty), range(-10, 11), [0.0, 0.5])
+        reps = equation_residuals_exact(*pair, cfg, range(-10, 11), [0.0, 0.5])
         assert max(rep.max_abs_residual for rep in reps) < 1e-14
 
     # gamma(zbar_1) vanishes for the case-4 pair, so it is shifted, not scaled
@@ -193,20 +195,18 @@ class TestExactResiduals:
         cfg, eigenset, norming = request.getfixturevalue(fixture)
         monkeypatch.setattr(ist, "gamma", lambda c, z: wrong_gamma(spectral.gamma(c, z)))
         wrong = ist.NormingData(cfg, eigenset, norming.cbar0)
-        reps = equation_residuals_exact(_exact(cfg, eigenset, wrong), cfg,
-                                        range(-15, 16), self.TIMES)
+        reps = equation_residuals_exact(*_exact(cfg, eigenset, wrong, range(-15, 16), self.TIMES),
+                                        cfg, range(-15, 16), self.TIMES)
         assert max(rep.max_abs_residual for rep in reps) > 1e-6
 
-    def test_one_call_at_the_residual_cells(self, case1_soliton):
-        calls = []
-        pair = _exact(*case1_soliton)
-
-        def counted(ns, ts):
-            calls.append(np.broadcast(ns, ts).shape)
-            return pair(ns, ts)
-
-        equation_residuals_exact(counted, case1_soliton[0], range(-15, 16), self.TIMES)
-        assert calls == [(41, 33)]
+    def test_refuses_arrays_of_the_wrong_shape(self, case1_soliton):
+        # one row of the 33 residual cells per time, for q and dq/dt alike
+        q, qdot = _exact(*case1_soliton, range(-15, 16), self.TIMES)
+        assert q.shape == qdot.shape == (41, 33)
+        for wrong in ((q.ravel(), qdot.ravel()), (q.T, qdot.T), (q[:, 1:], qdot[:, 1:]),
+                      (q[1:], qdot[1:]), (q, qdot[:, :31])):
+            with pytest.raises(DomainError, match=r"must be \(41, 33\)"):
+                equation_residuals_exact(*wrong, case1_soliton[0], range(-15, 16), self.TIMES)
 
 
 class TestSimulate:
@@ -390,5 +390,6 @@ def test_oracles_take_the_equation_from_lattice(oracle, case4_soliton, monkeypat
         simulate(background_field(cfg, 0.0, 10), cfg, 0.05, 0.01)
         assert calls == [(21,)] * 4 * 5
     else:
-        equation_residuals_exact(_exact(cfg, eigenset, norming), cfg, range(-3, 4), [0.0, 0.5])
+        equation_residuals_exact(*_exact(cfg, eigenset, norming, range(-3, 4), [0.0, 0.5]), cfg,
+                                 range(-3, 4), [0.0, 0.5])
         assert calls == [(2, 7)]
