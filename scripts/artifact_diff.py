@@ -62,6 +62,9 @@ CONFIGS = {
     "readme-c4-t1000": {**README_C4, "t_grid": {"t0": 0.0, "t1": 1000.0, "steps": 11},
                         "dt": 0.1},
     "readme-c4-t50": {**README_C4, "t_grid": {"t0": -50.0, "t1": 50.0, "steps": 11}},
+    # both at once: the far cells of a wide window, turned to large t
+    "readme-c4-N2000-t1000": {**README_C4, "N": 2000,
+                              "t_grid": {"t0": 0.0, "t1": 1000.0, "steps": 11}, "dt": 0.1},
     # c1 on t -20..20: the far-field thresholds move about 0.9 sites per unit of t,
     # so the grid puts cells on each side of them at many offsets
     "c1-t20": {**C1, "t_grid": {"t0": -20.0, "t1": 20.0, "steps": 41}},

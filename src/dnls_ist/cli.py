@@ -49,7 +49,9 @@ MAX_EVOLVE_STEPS = 100_000
 MAX_N = 10_000  # scatter's window and sweep, about 1.2 kB a site: 25 MB
 MAX_T_STEPS = 10_000  # verify's residual, 31 sites a step with dq/dt: 120 MB
 MAX_ZETA_SAMPLES = 500  # scatter's report, about 3.5 kB a sample: 13 MB in all at MAX_N
-MAX_GRID_CELLS = 2_000_000  # the soliton grid's (2N + 1) * steps, 75 B a cell: 150 MB
+# The soliton grid's (2N + 1) * steps, 75 B a cell: 150 MB held; under tracemalloc
+# its solve peaks at 455 MB on c1 and 245 MB on case 4, whose sites solve once.
+MAX_GRID_CELLS = 2_000_000
 # Largest |rate t| of the phases exp(i rate t) a field is built from: each is
 # rounded by about eps |rate t|, which reaches verify's closed-form
 # tolerance 1e-10 there.
@@ -436,6 +438,9 @@ def cmd_soliton(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
     cfg = _case_config(config)
     eigenset, norming = _eigen_data(config, cfg)
+    source = config.field["source"]
+    _require(source == "soliton",
+             f"soliton writes the configured soliton only, not 'field.source' {source}")
     _require_phase_digits(config, norming)
     grid = _field_grid(config, cfg, eigenset, norming)
     if grid.singular.all():

@@ -11,10 +11,10 @@ the 2J x 2J diagonal block P = [[I, -kbar], [-k, I]] twice;
 reconstruct_grid fills the far field of a whole (n, t) grid of cells with
 the background to first order in the lam**(2n) couplings, screened by
 bounds on them, solves the rest by one batched, pivoted solve of P per
-fixed-size block, a scalar border for 1/Theta_n and back-substitution (a
-stationary spectrum, every gamma(zbar_j) = 0, once per site at t = 0,
-turned by the background's phase at every other time), and returns both
-q_n and r_n;
+fixed-size block, a scalar border for 1/Theta_n and back-substitution, and
+returns both q_n and r_n; a stationary spectrum (every gamma(zbar_j) = 0)
+takes that path once per site at t = 0, turned by the background's phase
+at every other time;
 reconstruct is its one-cell view; NormingData holds the factors that
 depend on the spectrum alone.  build_system (one cell's dense B and Y, built from the same
 blocks) stays only because the benchmark's tracer wraps it, until ROADMAP
@@ -289,12 +289,13 @@ class NormingData:
 
     @property
     def stationary(self) -> bool:
-        """Every gamma(zbar_j) is 0: the couplings turn with the background's gauge.
+        """A nonempty spectrum whose every gamma(zbar_j) is 0: it turns with the gauge.
 
         Then q_n(t) = u q_n(0), r_n(t) = r_n(0) / u and 1/Theta_n(t) = 1/Theta_n(0)
         with u = exp(i rotation t), which _solve_cells and singularity_scan use.
+        The empty spectrum is not stationary: its fill q_plus(t) is exact at t.
         """
-        return not any(self.gammas)
+        return bool(self.gammas) and not any(self.gammas)
 
     @property
     def cbar_rate(self) -> np.ndarray:
@@ -430,7 +431,7 @@ _MINUS_TOL = 7e-16
 
 
 def _far_field(cfg: CaseConfig, s: _Spectrum, gammas) -> dict:
-    """The far-field screen's fields of _Spectrum (see _solve_cells), and their bounds.
+    """The far-field screen's fields of _Spectrum (see _solve_screened), and their bounds.
 
     The 2J couplings E_l (cpow, then cbarpow) enter as kbar = A Ebar, k = B E
     column by column (A, B constant J x J), row = E / row_den and row_r =
@@ -474,9 +475,7 @@ def _far_field(cfg: CaseConfig, s: _Spectrum, gammas) -> dict:
     log(2J max_k |first_order_kl| / _FAR_TOL), the 1/Theta_n row weighed by
     |r_plus| = q0, plus log|E_l(0, 0)| (minus it on the left): a cell whose
     log|E_l / E_l(0, 0)| (its negative on the left) stays below -first_bound
-    for every l has no first-order term past _FAR_TOL (_live).  For a
-    stationary spectrum right and left hold first_bound too, so that its far
-    cells have no such term (_solve_cells).
+    for every l has no first-order term past _FAR_TOL (_live).
     """
     J, q0, r = s.y0.size, cfg.q0, cfg.r
     time = max(1.0, abs(cfg.rotation) + math.e ** 2 * max(map(abs, gammas), default=0.0))
@@ -510,8 +509,6 @@ def _far_field(cfg: CaseConfig, s: _Spectrum, gammas) -> dict:
         first[:, 3] = first[:, 0] * rate * [[1.0], [-1.0]]  # E_l and 1/E_l at their rates
         bound = np.log(2.0 * J / _FAR_TOL * (np.abs(first) * [[1.0], [1.0], [q0], [1.0]]).max(
             axis=1)) + log_e0.real[:, 0] * [[1.0], [-1.0]]
-        if not any(gammas):  # stationary: a cell with a first-order term stays near
-            right = np.maximum(right, bound[0, :, None])
         # |L0^-1| row by row: E N2 = -B^-1 f, then 1/Theta_n (row 1 + |row_den^-1.B^-1|),
         # E N1 = -B^-1 (f + q_plus Theta_n 1), and Ebar Nbar1, Ebar Nbar2 alike with A
         theta_row = 1.0 + np.abs(row_inv[1]).sum()
@@ -527,8 +524,6 @@ def _far_field(cfg: CaseConfig, s: _Spectrum, gammas) -> dict:
         exact = q0 * max(abs(lam_q - ratio), abs(lam_r - ratio)) <= _MINUS_TOL * max(1.0, q0)
         left = (log_e0.real - 0.5 * np.log(k_l / _FAR_TOL) if exact and math.isfinite(k_l)
                 else np.full(log_e0.shape, -np.inf))
-        if not any(gammas):
-            left = np.minimum(left, -bound[1, :, None])
         log_lam = np.log(np.concatenate([1.0 / s.lam2, s.lam2_bar]))
     return {"log_e0": log_e0, "rate": rate[:, None], "log_lam": log_lam, "right": right,
             "left": left, "theta_inv_minus": theta_inv, "first_order": first,
@@ -636,15 +631,13 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     sites[None, :] and ts[:, None] a time-major grid); the result is flat in
     that broadcast order.  Far cells, whose lam**(2n) couplings all lie past
     their bounds, take the background to first order with no solve, within
-    1e-15 max(1, |x|) of the exact one, and backward error 0 (_solve_cells).  The
-    others are solved in blocks of _BLOCK (a stationary spectrum's once per
-    site, at t = 0, and turned by exp(i rotation t); _solve_cells states the
-    bound): each block's 2J x 2J diagonal blocks P are stacked and
-    solved by one batched LAPACK call with four right-hand sides, 1/Theta_n
-    follows from the border row and the rest by back-substitution
-    (_solve_block), and each cell is then judged on its own: finite entries
-    and solution, backward error of the full (4J+1) equations at most
-    1e-8 * |B| |X| + |Y| (B is never formed), |1/Theta_n| at least
+    1e-15 max(1, |x|) of the exact one, and backward error 0 (_solve_screened).
+    The others are solved in blocks of _BLOCK: each block's 2J x 2J diagonal
+    blocks P are stacked and solved by one batched LAPACK call with four
+    right-hand sides, 1/Theta_n follows from the border row and the rest by
+    back-substitution (_solve_block), and each cell is then judged on its
+    own: finite entries and solution, backward error of the full (4J+1)
+    equations at most 1e-8 * |B| |X| + |Y| (B is never formed), |1/Theta_n| at least
     DET_GUARD * max(1, |X|), and a finite amplitude.  The system is badly
     scaled but well posed at large |n| (lam**(2n) entries), so singularity
     is judged by these checks rather than by a determinant.  An empty
@@ -653,7 +646,9 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     other field bit for bit as without: time enters only through
     exponentials, so the exact derivative of the computed solution is
     X' = -B^-1 (dB/dt) X, a second solve of the same P through the same
-    border.  The solve never raises; require() raises for a singular cell.
+    border.  A stationary spectrum's cells, near and far, all take their
+    site's t = 0 result turned by exp(i rotation t) (_solve_cells states the
+    bound).  The solve never raises; require() raises for a singular cell.
     """
     return _solve_cells(cfg, eigenset, norming, *_flat_cells(ns, ts)[:2], derivative)
 
@@ -672,7 +667,39 @@ def reconstruct_with_derivative(cfg: CaseConfig, eigenset: EigenSet,
 
 def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
                  ns: np.ndarray, ts: np.ndarray, derivative: bool = False) -> ReconstructionGrid:
-    """reconstruct_grid over flat cells: the one block loop of every solve.
+    """reconstruct_grid over flat cells: _solve_screened, or a stationary spectrum's gauge.
+
+    A stationary spectrum (NormingData.stationary) turns with the
+    background's gauge: its distinct sites go through _solve_screened once
+    each, at t = 0, and every cell, near or far, takes its site's q u and
+    r conj(u), u = exp(i rotation t), 1/Theta_n, backward error and reason,
+    dq/dt = i rotation q and d(1/Theta_n)/dt = 0; a t = 0 cell keeps the
+    solve's bits.  Such a cell lies within 4 eps (1 + |rotation t|) max(1,
+    |x|) / (min(1, d) r**3) of _solve_screened at its own time, d the
+    distance of theta_plus + thbar1 from 0 and pi (mod 2 pi), near which
+    both lose digits, and r**3 the solve's conditioning as q0 nears 1 (at
+    most 2.2 of those units over 2,200 members; tests/test_ist.py, TestGauge).
+    """
+    if not norming.stationary:
+        return _solve_screened(cfg, eigenset, norming, ns, ts, derivative)
+    sites, at = np.unique(ns, return_inverse=True)
+    by_site = _solve_screened(cfg, eigenset, norming, sites, np.zeros(sites.size))
+    q, r = by_site.q[at], by_site.r[at]
+    with np.errstate(all="ignore"):
+        u = np.exp(1j * cfg.rotation * ts)
+        # t = 0 keeps the solve's bits (q * (1 + 0j) can flip the sign of a zero);
+        # no where= here: NumPy's masked loop rounds a one-cell product differently
+        moving = ts != 0.0
+        q, r = np.where(moving, q * u, q), np.where(moving, r * u.conj(), r)
+        dots = (1j * cfg.rotation * q, np.zeros(ns.size, complex)) if derivative else ()
+    return ReconstructionGrid(ns, ts, q, r, by_site.backward[at], by_site.theta_inv[at],
+                              by_site.reason[at], *dots)
+
+
+def _solve_screened(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
+                    ns: np.ndarray, ts: np.ndarray, derivative: bool = False
+                    ) -> ReconstructionGrid:
+    """Every cell at its own time: far fills, and _solve_block on the rest.
 
     The screen (_screen) first takes out the far cells, from their 2J
     couplings E_l = C_l(t) lam(zeta_l)**(-2n) and Ebar_l = Cbar_l(t)
@@ -696,48 +723,20 @@ def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     coupling's rate on its term); d(1/Theta_n)/dt is left 0, off by its
     first-order term, which only singularity_scan's Newton step would read,
     and a far cell stops that step either way.  _solve_block solves the
-    rest in _BLOCK chunks.  A stationary spectrum (NormingData.stationary)
-    turns with the background's gauge: its near sites are solved once each,
-    at t = 0, and a cell at any other time takes q u and r conj(u), u =
-    exp(i rotation t), its site's 1/Theta_n, backward error and reason,
-    dq/dt = i rotation q and d(1/Theta_n)/dt = 0, written in _BLOCK chunks;
-    inside that one block a solve costs less than filling each cell of its
-    site, so its screen keeps near every cell with a first-order term past
-    2**-53 (_far_field), and its far cells take the limits.  Such a
-    cell lies within 4 eps (1 + |rotation t|) max(1, |x|) / (min(1, d) r**3)
-    of the solve at its own time, d the distance of theta_plus + thbar1 from
-    0 and pi (mod 2 pi), near which both solves lose digits, and r**3 the
-    solve's conditioning as q0 nears 1 (at most 2.2 of those units over
-    2,200 members; tests/test_ist.py, TestGauge).
+    rest in _BLOCK chunks.
     """
     s = norming.spectrum
     out = [np.empty(ns.size, dtype) for dtype in
            (complex, complex, float, complex, np.int8, complex, complex)[:5 + 2 * derivative]]
     right, left = _screen(s, ns, ts)
     near, far = np.flatnonzero(~(right | left)), np.flatnonzero(right | left)
-    # a stationary spectrum's far cells have no first-order term past _FAR_TOL (_far_field)
-    live = far[:0] if norming.stationary else _live(s, right[far], ns[far], ts[far])
-    if not norming.stationary:
-        _solve_blocks(cfg, eigenset, norming, ns, ts, near, out, derivative)
-    elif near.size:
-        sites, at = np.unique(ns[near], return_inverse=True)
-        by_site = [np.empty(sites.size, a.dtype) for a in out[:5]]
-        _solve_blocks(cfg, eigenset, norming, sites, np.zeros(sites.size),
-                      np.arange(sites.size), by_site, False)
-        for start in range(0, near.size, _BLOCK):
-            cells, site = near[start:start + _BLOCK], at[start:start + _BLOCK]
-            t, q, r = ts[cells], by_site[0][site], by_site[1][site]
-            with np.errstate(all="ignore"):
-                u = np.exp(1j * cfg.rotation * t)
-                # t = 0 keeps the solve's bits (q * (1 + 0j) can flip the sign of a zero);
-                # no where= here: NumPy's masked loop rounds a one-cell product differently
-                moving = t != 0.0
-                q, r = np.where(moving, q * u, q), np.where(moving, r * u.conj(), r)
-            fills = [q, r, *(a[site] for a in by_site[2:])]
-            if derivative:
-                fills += [1j * cfg.rotation * q, 0.0]
-            for whole, fill in zip(out, fills):
-                whole[cells] = fill
+    # _live before the solves: its temporaries go before out's pages are touched
+    live = _live(s, right[far], ns[far], ts[far])
+    for start in range(0, near.size, _BLOCK):
+        block = near[start:start + _BLOCK]
+        for whole, part in zip(out, _solve_block(cfg, eigenset, norming, ns[block], ts[block],
+                                                 derivative)):
+            whole[block] = part
     if far.size:
         t, plus = ts[far], right[far]
         with np.errstate(all="ignore"):
@@ -787,18 +786,8 @@ def _live(s: _Spectrum, plus: np.ndarray, ns: np.ndarray, ts: np.ndarray) -> np.
     return np.flatnonzero(bound.max(axis=0, initial=-1.0) > 0.0)
 
 
-def _solve_blocks(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData, ns: np.ndarray,
-                  ts: np.ndarray, cells: np.ndarray, out: list, derivative: bool) -> None:
-    """_solve_block over the cells (ns[cells], ts[cells]) in _BLOCK chunks, into out[k][cells]."""
-    for start in range(0, cells.size, _BLOCK):
-        block = cells[start:start + _BLOCK]
-        for whole, part in zip(out, _solve_block(cfg, eigenset, norming, ns[block], ts[block],
-                                                 derivative)):
-            whole[block] = part
-
-
 def _screen(s: _Spectrum, ns: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of the right and of the left far field (_solve_cells), as two masks."""
+    """The cells of the right and of the left far field (_solve_screened), as two masks."""
     with np.errstate(invalid="ignore"):  # inf - inf on unbounded cells, which stay near
         log = s.rate.real * ts
         log += s.log_lam.real * ns

@@ -477,6 +477,20 @@ class TestSoliton:
             assert float(parts[4]) == pytest.approx(2.0 / 3.0, rel=1e-12)
             assert parts[5] == "0"
 
+    @pytest.mark.parametrize("field", [{"source": "background"},
+                                       {"source": "csv", "path": "none.csv"}],
+                             ids=["background", "csv"])
+    def test_another_field_source_is_a_config_error(self, tmp_path, capsys, field):
+        # soliton writes the configured spectrum's field, which verify and evolve
+        # would not check under another source
+        path = write_config(tmp_path, {**CASE4_CONFIG, "field": field})
+        out = tmp_path / "field.csv"
+        assert main(["soliton", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "config error: soliton writes the configured soliton only, not "
+                f"'field.source' {field['source']}\n")
+        assert not out.exists()
+
     def test_case1_dark_dips(self, tmp_path):
         doc = dict(CASE1_CONFIG)
         doc["t_grid"] = {"t0": 10.0, "t1": 10.0, "steps": 1}

@@ -1065,36 +1065,43 @@ def _near(norming, ns, ts):
 def _assert_blocks_match_the_reference(member, ns, ts, derivative):
     """The near cells byte for byte against solve_block_reference in _BLOCK chunks.
 
-    A stationary spectrum's near sites are solved at t = 0 instead, and each
-    cell takes its site's bytes rotated by u = exp(i rotation t) (t = 0 cells
-    as they are), with dq/dt = i rotation q and d(1/Theta_n)/dt = 0.
+    A stationary spectrum's sites are solved at t = 0 instead, the far ones by
+    _solve_screened's fill, and every cell, near or far, takes its site's bytes
+    turned by u = exp(i rotation t) (t = 0 cells as they are), with dq/dt = i
+    rotation q and d(1/Theta_n)/dt = 0.
     """
     grid = ist._solve_cells(*member, ns, ts, derivative=derivative)
     got = [grid.q, grid.r, grid.backward, grid.theta_inv, grid.reason]
     got += [grid.qdot, grid.theta_inv_dot] if derivative else []
     near = np.flatnonzero(_near(member[2], ns, ts))
     stationary = member[2].stationary
-    solve_ns, solve_ts = ns[near], ts[near]
+    solve_ns, solve_ts, cells = ns[near], ts[near], near
     if stationary:
-        solve_ns, at = np.unique(ns[near], return_inverse=True)
-        solve_ts = np.zeros(solve_ns.size)
+        sites, at = np.unique(ns, return_inverse=True)
+        fills = ist._solve_screened(*member, sites, np.zeros(sites.size))
+        by_site = [fills.q, fills.r, fills.backward, fills.theta_inv, fills.reason]
+        near_sites = np.flatnonzero(_near(member[2], sites, np.zeros(sites.size)))
+        solve_ns, solve_ts = sites[near_sites], np.zeros(near_sites.size)
+        cells = np.arange(ns.size)
     parts = [solve_block_reference(*member, solve_ns[start:start + ist._BLOCK],
                                    solve_ts[start:start + ist._BLOCK],
                                    derivative and not stationary)
              for start in range(0, solve_ns.size, ist._BLOCK)]
     expected = [np.concatenate(arrays) for arrays in zip(*parts)] if parts else []
-    if stationary and parts:
-        t, rotation = ts[near], member[0].rotation
-        u = np.exp(1j * rotation * t)
-        expected = [a[at] for a in expected]
-        expected[0] = np.where(t != 0.0, expected[0] * u, expected[0])
-        expected[1] = np.where(t != 0.0, expected[1] * u.conj(), expected[1])
+    if stationary:
+        for whole, part in zip(by_site, expected):
+            whole[near_sites] = part
+        rotation = member[0].rotation
+        u = np.exp(1j * rotation * ts)
+        expected = [a[at] for a in by_site]
+        expected[0] = np.where(ts != 0.0, expected[0] * u, expected[0])
+        expected[1] = np.where(ts != 0.0, expected[1] * u.conj(), expected[1])
         if derivative:
-            expected += [1j * rotation * expected[0], np.zeros(near.size, complex)]
-    assert len(expected) == (len(got) if near.size else 0)
+            expected += [1j * rotation * expected[0], np.zeros(ns.size, complex)]
+    assert len(expected) == (len(got) if cells.size else 0)
     for whole, part in zip(got, expected):
         assert whole.dtype == part.dtype
-        assert whole[near].tobytes() == part.tobytes()
+        assert whole[cells].tobytes() == part.tobytes()
     return got[4]
 
 
@@ -1216,11 +1223,11 @@ class TestFarField:
     def _far(member, ns, ts):
         return np.flatnonzero(~_near(member[2], ns, ts))
 
-    def test_the_bench_c4_compare_grid_solves_48_cells(self, case4_soliton, monkeypatch):
-        # evolve's compare grid on bench c4: 81 sites by the 101 RK4 times, 4,848 of
-        # them near; the spectrum is stationary, so its screen keeps near every cell
-        # with a first-order term, and its 48 near sites are solved once each, at
-        # t = 0 (52 sites when the fills stopped at zeroth order)
+    def test_the_bench_c4_compare_grid_solves_28_sites(self, case4_soliton, monkeypatch):
+        # evolve's compare grid on bench c4: 81 sites by the 101 RK4 times, 2,828 of
+        # them near; the spectrum is stationary, so its 28 near sites are solved once
+        # each, at t = 0, under the screen of every other spectrum (48 sites when the
+        # stationary screen kept near every cell with a first-order term)
         sizes = []
         solve_block = ist._solve_block
 
@@ -1233,7 +1240,7 @@ class TestFarField:
         q = ist.make_evaluator(*case4_soliton)(sites, times)
         assert q.shape == (101, 81)
         ns, ts, _ = ist._flat_cells(sites, times)
-        assert _near(case4_soliton[2], ns, ts).sum() == 4848 and sizes == [48]
+        assert _near(case4_soliton[2], ns, ts).sum() == 2828 and sizes == [28]
 
     @staticmethod
     def _solved(member, ns, ts, monkeypatch):
@@ -1419,7 +1426,7 @@ class TestFarField:
 
 
 class TestGauge:
-    """A stationary spectrum's near sites are solved once, at t = 0, and rotated."""
+    """A stationary spectrum's sites are solved once, at t = 0, and every cell turned."""
 
     @pytest.mark.parametrize("q0", [1e-4, 0.05, 2.0 / 3.0, 0.95, 1.0 - 1e-9])
     def test_case4_gamma_is_stored_as_zero(self, q0):
@@ -1486,21 +1493,29 @@ class TestGauge:
         qdot, theta_inv_dot = grid.qdot, grid.theta_inv_dot
         d = min(abs(math.remainder(theta_plus + thbar1 - locus, 2.0 * math.pi))
                 for locus in (0.0, math.pi))
-        near = np.flatnonzero(_near(member[2], ns, ts))
+        is_near = _near(member[2], ns, ts)
+        near, far = np.flatnonzero(is_near), np.flatnonzero(~is_near)
         if abs(math.remainder(theta_plus + thbar1 - math.pi, 2.0 * math.pi)) < 1e-12:
             near = near[ns[near] != 0]  # neither solve fixes q there (_parity_grid)
         solved = ist._solve_block(*member, ns[near], ts[near], derivative=True)
         assert np.array_equal(grid.reason[near], solved[4])
         assert not theta_inv_dot.any()
-        ok = solved[4] == ist.OK
+        # far cells against the screened path's fill at their own time
+        filled = ist._solve_screened(*member, ns[far], ts[far], derivative=True)
+        assert (filled.reason == ist.OK).all() and np.array_equal(grid.reason[far], filled.reason)
+        cells = np.concatenate([near, far])
+        q, r, theta_inv, x_dot, reason = (np.concatenate(pair) for pair in zip(
+            (solved[0], solved[1], solved[3], solved[5], solved[4]),
+            (filled.q, filled.r, filled.theta_inv, filled.qdot, filled.reason)))
+        ok = reason == ist.OK
         # d = 0 or a subnormal d (theta_plus = 5e-324) leaves no bound: inf
         with np.errstate(divide="ignore", over="ignore"):
-            bound = np.divide(4.0 * 2.0 ** -52 * (1.0 + np.abs(cfg.rotation * ts[near])),
+            bound = np.divide(4.0 * 2.0 ** -52 * (1.0 + np.abs(cfg.rotation * ts[cells])),
                               min(1.0, d) * cfg.r ** 3)
-        for got, x in ((grid.q, solved[0]), (grid.r, solved[1]), (grid.theta_inv, solved[3]),
-                       (qdot, solved[5])):  # the block's dq/dt is NaN if any cell is singular
+        for got, x in ((grid.q, q), (grid.r, r), (grid.theta_inv, theta_inv),
+                       (qdot, x_dot)):  # the block's dq/dt is NaN if any cell is singular
             check = ok & np.isfinite(x)
-            error = np.abs(got[near] - x) / np.maximum(1.0, np.abs(x))
+            error = np.abs(got[cells] - x) / np.maximum(1.0, np.abs(x))
             assert np.all(error[check] <= bound[check])
 
     def test_pinned_member_against_a_50_digit_solve(self):

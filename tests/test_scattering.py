@@ -725,8 +725,8 @@ def test_an_overflowing_q_r_product_raises_without_a_warning():
 def test_the_bench_c4_sweep_starts_where_its_window_leaves_the_background(sweep_windows,
                                                                          monkeypatch):
     # bench c4's window is the exact background q_minus on n <= -24 and q_plus
-    # on n >= 25, so every column is stationary for its first 376 steps: the
-    # site-0 sweep takes 25 of its 401 steps, and the skipped slots hold the
+    # on n >= 24, so every column is stationary for its first 377 steps: the
+    # site-0 sweep takes 24 of its 401 steps, and the skipped slots hold the
     # boundary vectors with log 0
     window, zetas = sweep_windows["bench-c4"]
     starts = []
@@ -735,11 +735,11 @@ def test_the_bench_c4_sweep_starts_where_its_window_leaves_the_background(sweep_
                         lambda *args: starts.append(stationary(*args)) or starts[-1])
     sweep = scattering._propagate(window, zetas, site=0)
     full = scattering._propagate(window, zetas)
-    assert starts == [376, 376] and max(sweep.slots) - starts[0] == 25
+    assert starts == [377, 377] and max(sweep.slots) - starts[0] == 24
     zeta = np.asarray(zetas, dtype=complex)
     for c, kind in enumerate(full.kinds):
         boundary = np.stack(scattering._boundary_vector(window.cfg, 0.0, zeta, kind))
-        assert (full.values[:377, :, c] == boundary).all() and not full.logs[:377].any()
+        assert (full.values[:378, :, c] == boundary).all() and not full.logs[:378].any()
     for kind in ColumnKind:
         assert sweep.at(kind, 0)[0].tobytes() == full.at(kind, 0)[0].tobytes()
 
