@@ -4,21 +4,21 @@ Admissible spectra are fixed per case by the trace-formula asymptotics:
 case I carries one complex quartet on |zeta - 1/r| = q0/r, case II carries
 nothing (case2_trace_infima bounds each candidate family's violation of the
 trace limits away from 0 in closed form), case III two real pairs linked by
-the spectral involution, case IV one real pair.  The reflectionless inverse problem collapses to a
-(4J+1)-dimensional linear system per lattice site and time, block lower
-triangular in the unknown order (N2, Nbar2 | 1/Theta_n | N1, Nbar1) with
-the 2J x 2J diagonal block P = [[I, -kbar], [-k, I]] twice;
-reconstruct_grid fills the far field of a whole (n, t) grid of cells with
-the background to first order in the lam**(2n) couplings, screened by
-bounds on them, solves the rest by one batched, pivoted solve of P per
-fixed-size block, a scalar border for 1/Theta_n and back-substitution, and
-returns both q_n and r_n; a stationary spectrum (every gamma(zbar_j) = 0)
-takes that path once per site at t = 0, turned by the background's phase
-at every other time;
-reconstruct is its one-cell view; NormingData holds the factors that
-depend on the spectrum alone.  build_system (one cell's dense B and Y, built from the same
-blocks) stays only because the benchmark's tracer wraps it, until ROADMAP
-item 18 re-points the benchmark.
+the spectral involution, case IV one real pair.  The reflectionless
+inverse problem collapses to a (4J+1)-dimensional linear system per
+lattice site and time, block lower triangular in the unknown order (N2,
+Nbar2 | 1/Theta_n | N1, Nbar1) with the 2J x 2J diagonal block
+P = [[I, -kbar], [-k, I]] twice.  reconstruct_grid is the one entry point
+to its solve, dq/dt included: it fills the far field of a whole (n, t)
+grid of cells with the background to first order in the lam**(2n)
+couplings, screened by bounds on them, solves the rest by one batched,
+pivoted solve of P per fixed-size block, a scalar border for 1/Theta_n
+and back-substitution, and returns both q_n and r_n; a stationary
+spectrum (every gamma(zbar_j) = 0) takes that path once per site at t = 0,
+turned by the background's phase at every other time.  reconstruct is its
+one-cell view; NormingData holds the factors that depend on the spectrum
+alone.  build_system (one cell's dense B and Y, from the same blocks)
+stays only because the benchmark's tracer wraps it (ROADMAP item 18).
 """
 from __future__ import annotations
 
@@ -292,7 +292,7 @@ class NormingData:
         """A nonempty spectrum whose every gamma(zbar_j) is 0: it turns with the gauge.
 
         Then q_n(t) = u q_n(0), r_n(t) = r_n(0) / u and 1/Theta_n(t) = 1/Theta_n(0)
-        with u = exp(i rotation t), which _solve_cells and singularity_scan use.
+        with u = exp(i rotation t), which reconstruct_grid and singularity_scan use.
         The empty spectrum is not stationary: its fill q_plus(t) is exact at t.
         """
         return bool(self.gammas) and not any(self.gammas)
@@ -475,7 +475,7 @@ def _far_field(cfg: CaseConfig, s: _Spectrum, gammas) -> dict:
     log(2J max_k |first_order_kl| / _FAR_TOL), the 1/Theta_n row weighed by
     |r_plus| = q0, plus log|E_l(0, 0)| (minus it on the left): a cell whose
     log|E_l / E_l(0, 0)| (its negative on the left) stays below -first_bound
-    for every l has no first-order term past _FAR_TOL (_live).
+    for every l has no first-order term past _FAR_TOL (_screen's live mask).
     """
     J, q0, r = s.y0.size, cfg.q0, cfg.r
     time = max(1.0, abs(cfg.rotation) + math.e ** 2 * max(map(abs, gammas), default=0.0))
@@ -646,30 +646,7 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     other field bit for bit as without: time enters only through
     exponentials, so the exact derivative of the computed solution is
     X' = -B^-1 (dB/dt) X, a second solve of the same P through the same
-    border.  A stationary spectrum's cells, near and far, all take their
-    site's t = 0 result turned by exp(i rotation t) (_solve_cells states the
-    bound).  The solve never raises; require() raises for a singular cell.
-    """
-    return _solve_cells(cfg, eigenset, norming, *_flat_cells(ns, ts)[:2], derivative)
-
-
-def reconstruct_with_derivative(cfg: CaseConfig, eigenset: EigenSet,
-                                norming: NormingData, ns, ts):
-    """(q_n(t), dq_n/dt) over the cells (ns[i], ts[i]), both in their broadcast shape.
-
-    A view of reconstruct_grid with derivative set.  Raises SingularSolution
-    for the first singular cell in flattened order, as make_evaluator does.
-    """
-    grid = reconstruct_grid(cfg, eigenset, norming, ns, ts, derivative=True)
-    shape = np.broadcast_shapes(np.shape(ns), np.shape(ts))
-    return grid.require().reshape(shape)[()], grid.qdot.reshape(shape)[()]
-
-
-def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
-                 ns: np.ndarray, ts: np.ndarray, derivative: bool = False) -> ReconstructionGrid:
-    """reconstruct_grid over flat cells: _solve_screened, or a stationary spectrum's gauge.
-
-    A stationary spectrum (NormingData.stationary) turns with the
+    border.  A stationary spectrum (NormingData.stationary) turns with the
     background's gauge: its distinct sites go through _solve_screened once
     each, at t = 0, and every cell, near or far, takes its site's q u and
     r conj(u), u = exp(i rotation t), 1/Theta_n, backward error and reason,
@@ -679,7 +656,9 @@ def _solve_cells(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     distance of theta_plus + thbar1 from 0 and pi (mod 2 pi), near which
     both lose digits, and r**3 the solve's conditioning as q0 nears 1 (at
     most 2.2 of those units over 2,200 members; tests/test_ist.py, TestGauge).
+    The solve never raises; require() raises for a singular cell.
     """
+    ns, ts, _ = _flat_cells(ns, ts)
     if not norming.stationary:
         return _solve_screened(cfg, eigenset, norming, ns, ts, derivative)
     sites, at = np.unique(ns, return_inverse=True)
@@ -714,8 +693,8 @@ def _solve_screened(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     _far_field derives m_l, K_R, K_L and the first-order coefficients from
     the spectrum so that a fill's second-order remainder is below 2**-53
     (_FAR_TOL) in q, r, 1/Theta_n and dq/dt.  A first-order term below
-    2**-53 is left out, and none is formed on the cells where first_bound
-    shows that none can pass it (not _live), so that deeper cells keep the
+    2**-53 is left out, and none is formed off _screen's live mask, where
+    first_bound shows that none can pass it, so that deeper cells keep the
     limit's bytes; with the rounding and the _MINUS_TOL agreement a fill
     stays within 1e-15 max(1, |x|) of the exact solve.  Far cells are OK
     (AMPLITUDE where |q| is not finite), never overflow, and have backward
@@ -728,10 +707,10 @@ def _solve_screened(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     s = norming.spectrum
     out = [np.empty(ns.size, dtype) for dtype in
            (complex, complex, float, complex, np.int8, complex, complex)[:5 + 2 * derivative]]
-    right, left = _screen(s, ns, ts)
+    # the screen before the solves: its temporaries go before out's pages are touched
+    right, left, live = _screen(s, ns, ts)
     near, far = np.flatnonzero(~(right | left)), np.flatnonzero(right | left)
-    # _live before the solves: its temporaries go before out's pages are touched
-    live = _live(s, right[far], ns[far], ts[far])
+    live = np.flatnonzero(live[far])
     for start in range(0, near.size, _BLOCK):
         block = near[start:start + _BLOCK]
         for whole, part in zip(out, _solve_block(cfg, eigenset, norming, ns[block], ts[block],
@@ -773,28 +752,21 @@ def _solve_screened(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     return ReconstructionGrid(ns, ts, *out)
 
 
-def _live(s: _Spectrum, plus: np.ndarray, ns: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """The far cells (right where plus, else left) whose first-order terms can pass _FAR_TOL.
+def _screen(s: _Spectrum, ns: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Masks of the right and of the left far field (_solve_screened), and of their live cells.
 
-    A term is at most 2J max_l |coef_l| |E_l|**(+-1) (first_bound), and
-    log|E_l| is affine in (n, t) as in _screen; the other cells keep the limit.
+    A live cell's first-order term, at most 2J max_l |coef_l| |E_l|**(+-1)
+    (first_bound), can pass _FAR_TOL; the other far cells keep the limit.
     """
-    with np.errstate(invalid="ignore"):
-        log = s.rate.real * ts
-        log += s.log_lam.real * ns  # log|E_l / E_l(0, 0)|
-        bound = np.where(plus, log + s.first_bound[0], s.first_bound[1] - log)
-    return np.flatnonzero(bound.max(axis=0, initial=-1.0) > 0.0)
-
-
-def _screen(s: _Spectrum, ns: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of the right and of the left far field (_solve_screened), as two masks."""
     with np.errstate(invalid="ignore"):  # inf - inf on unbounded cells, which stay near
         log = s.rate.real * ts
-        log += s.log_lam.real * ns
+        log += s.log_lam.real * ns  # log|E_l / E_l(0, 0)|, affine in (n, t)
         right = np.maximum.reduce(log + s.right, axis=0, initial=-np.inf) <= 0.0
         left = np.minimum.reduce(log + s.left, axis=0, initial=np.inf) >= 0.0
-    left &= ~right
-    return right, left
+        left &= ~right
+        live = right & (np.maximum.reduce(log + s.first_bound[0], axis=0, initial=-1.0) > 0.0)
+        live |= left & (np.maximum.reduce(s.first_bound[1] - log, axis=0, initial=-1.0) > 0.0)
+    return right, left, live
 
 
 def _solve_block(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
@@ -955,39 +927,43 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     (site, time) cell and keeps the first minimum in site-major order.  A
     stationary spectrum (NormingData.stationary, every gamma(zbar_j) = 0, as
     for the case-IV pair zbar_1 = (1 - q0)/r, where zbar_1 + 1/zbar_1 = 2/r)
-    sweeps t_span[0] alone: its 1/Theta_n does not depend on t.  The sweep
+    sweeps one time alone, t = 0 clamped into t_span: its 1/Theta_n does not
+    depend on t, and a solved row at t = 0 then serves the sweep.  The sweep
     reads the cells that solved holds (_solved_at: `ist verify` passes its
-    residual cells) and solves the rest in one reconstruct_grid call; a
-    cell's solve does not depend on its block, so the scan is the same bit
-    for bit with or without solved.  At the dip's site, Gauss-Newton steps
-    on f = 1/Theta_n(t) with the exact df/dt (theta_inv_dot) move t towards
-    a real-time zero of f, each a one-cell solve but the first when solved
-    holds the dip with a finite df/dt (NaN where its block held a singular
-    cell); they stop when df/dt is 0, the step is a few ulps, longer than
-    coarse_dt, or predicts no halving of |f| (no zero ahead), when the cell
-    is singular, or after _NEWTON_STEPS.  The member is flagged singular
-    when the least |f| seen is below 1e-6.
+    residual cells) and solves the rest, if any, in one reconstruct_grid
+    call; a cell's solve does not depend on its block, so the scan is the
+    same bit for bit with or without solved.  At the dip's site, Gauss-Newton
+    steps on f = 1/Theta_n(t) with the exact df/dt (theta_inv_dot) move t
+    towards a real-time zero of f, each a one-cell reconstruct_grid call but
+    the first when solved holds the dip with a finite df/dt (NaN where its
+    block held a singular cell); they stop when df/dt is 0, the step is a
+    few ulps, longer than coarse_dt, or predicts no halving of |f| (no zero
+    ahead), when the cell is singular, or after _NEWTON_STEPS.  The member
+    is flagged singular when the least |f| seen is below 1e-6.
     """
     if not (coarse_dt > 0.0 and n_range[0] <= n_range[1]
             and -math.inf < t_span[0] <= t_span[1] < math.inf):
         raise DomainError(f"empty or unbounded scan: n_range={n_range}, "
                           f"t_span={t_span}, coarse_dt={coarse_dt}")
     sites = np.arange(n_range[0], n_range[1] + 1)
-    times = [t_span[0]]
-    while not norming.stationary and times[-1] + coarse_dt <= t_span[1]:
-        times.append(times[-1] + coarse_dt)
+    if norming.stationary:  # reconstruct_grid solves it at t = 0 whatever the time
+        times = [min(max(0.0, t_span[0]), t_span[1])]
+    else:
+        times = [t_span[0]]
+        while times[-1] + coarse_dt <= t_span[1]:
+            times.append(times[-1] + coarse_dt)
     ns, ts = np.broadcast_arrays(sites[:, None], np.array(times))
     at = _solved_at(solved, sites, ts[0])
     rest, vals = at < 0, np.empty(at.shape)
-    vals[rest] = _scores(reconstruct_grid(cfg, eigenset, norming, ns[rest], ts[rest]))
+    if rest.any():
+        vals[rest] = _scores(reconstruct_grid(cfg, eigenset, norming, ns[rest], ts[rest]))
     if not rest.all():
         vals[~rest] = _scores(solved, at[~rest])
     i, j = divmod(int(np.argmin(vals)), len(times))
     least, n_star, t, k, cell = float(vals.min()), int(sites[i]), times[j], at[i, j], solved
     for _ in range(_NEWTON_STEPS):
         if k < 0 or not np.isfinite(cell.theta_inv_dot[k]):  # not the dip's own cell in solved
-            cell, k = _solve_cells(cfg, eigenset, norming, np.array([n_star]), np.array([t]),
-                                   derivative=True), 0
+            cell, k = reconstruct_grid(cfg, eigenset, norming, n_star, t, derivative=True), 0
         f, fdot = complex(cell.theta_inv[k]), cell.theta_inv_dot[k]  # NaN on a singular cell
         least = min(least, 0.0 if cell.reason[k] in _SOLVE_FAILED else abs(f))
         k = -1  # every later step is at a time of its own

@@ -95,9 +95,9 @@ def equation_residuals_exact(q, qdot, cfg: CaseConfig, n_range, ts) -> list[Resi
     """Lattice-equation residuals per t, with the exact q_dot.
 
     q and qdot hold q and dq/dt at residual_cells(n_range), one row per t
-    in ts (as ist.reconstruct_with_derivative gives them over cells[None, :]
-    and ts[:, None]); any other shape is a DomainError.  The reports have
-    h = 0 and stencil_order = 0.
+    in ts (ist.reconstruct_grid's q and qdot over cells[None, :] and
+    ts[:, None], reshaped); any other shape is a DomainError.  The reports
+    have h = 0 and stencil_order = 0.
     """
     sites, cells = residual_cells(n_range)
     ts = [float(t) for t in ts]

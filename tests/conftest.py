@@ -44,9 +44,9 @@ def reconstruct_grid_sizes(monkeypatch):
     sizes = []
     grid = ist.reconstruct_grid
 
-    def counted(cfg, eigenset, norming, ns, ts):
+    def counted(cfg, eigenset, norming, ns, ts, derivative=False):
         sizes.append(np.broadcast(ns, ts).size)
-        return grid(cfg, eigenset, norming, ns, ts)
+        return grid(cfg, eigenset, norming, ns, ts, derivative)
 
     monkeypatch.setattr(ist, "reconstruct_grid", counted)
     return sizes

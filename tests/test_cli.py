@@ -763,13 +763,14 @@ class TestVerify:
     @staticmethod
     def _recorded_solves(monkeypatch):
         calls = []
-        solve = ist._solve_cells
+        solve = ist.reconstruct_grid
 
         def recording(cfg, eigenset, norming, ns, ts, derivative=False):
-            calls.append((ns.size, derivative, solve(cfg, eigenset, norming, ns, ts, derivative)))
+            calls.append((np.broadcast(ns, ts).size, derivative,
+                          solve(cfg, eigenset, norming, ns, ts, derivative)))
             return calls[-1][2]
 
-        monkeypatch.setattr(ist, "_solve_cells", recording)
+        monkeypatch.setattr(ist, "reconstruct_grid", recording)
         return calls
 
     def test_c1_solves_each_cell_once(self, tmp_path, monkeypatch):
@@ -780,6 +781,20 @@ class TestVerify:
         path = write_config(tmp_path, self.C1)
         assert main(["verify", "--config", path, "--out", str(tmp_path / "v.json")]) == EXIT_OK
         assert [size for size, _, _ in calls] == [33 * 41, 25 * 8, 81]
+        assert [derivative for _, derivative, _ in calls] == [True, False, False]
+
+    # bench c4: a stationary spectrum, whose scan sweeps t = 0 alone, a t_grid time
+    BENCH_C4 = {**CASE4_CONFIG, "N": 400, "t_grid": {"t0": 0.0, "t1": 1.0, "steps": 6},
+                "zeta_samples": 4}
+
+    def test_bench_c4_solves_each_cell_once(self, tmp_path, monkeypatch):
+        # the residual cells with dq/dt (33 sites x 6 times), the closed form's 41
+        # sites x 6 times and the 81-site window; the scan's 25 cells at t = 0 and
+        # its Newton step, whose d(1/Theta_n)/dt is 0, read the residual solve
+        calls = self._recorded_solves(monkeypatch)
+        path = write_config(tmp_path, self.BENCH_C4)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "v.json")]) == EXIT_OK
+        assert [size for size, _, _ in calls] == [33 * 6, 41 * 6, 81]
         assert [derivative for _, derivative, _ in calls] == [True, False, False]
 
     def test_pole_member_pays_the_residual_solve_and_skips_it(self, tmp_path, monkeypatch,

@@ -750,16 +750,17 @@ class TestReconstructGrid:
         norming = unit_norming(cfg, empty)
         for ns, ts in cells:
             grid = ist.reconstruct_grid(cfg, empty, norming, ns, ts)
-            q, qdot = ist.reconstruct_with_derivative(cfg, empty, norming, ns, ts)
+            with_dot = ist.reconstruct_grid(cfg, empty, norming, ns, ts, derivative=True)
+            q, qdot = with_dot.require(), with_dot.qdot
             qp = cfg.q_plus(grid.ts)
             assert np.array_equal(_bits(grid.q), _bits(qp))
             assert np.array_equal(_bits(grid.r), _bits(cfg.r_plus(grid.ts)))
             assert np.array_equal(_bits(grid.backward), _bits(np.zeros(qp.size)))
             assert np.array_equal(_bits(grid.theta_inv), _bits(np.ones(qp.size, complex)))
             assert np.array_equal(grid.reason, np.full(qp.size, ist.OK, dtype=np.int8))
-            assert np.array_equal(_bits(q.ravel()), _bits(qp))
-            assert np.array_equal(_bits(qdot.ravel()), _bits(1j * cfg.rotation * qp))
-            assert q.shape == qdot.shape == np.broadcast_shapes(ns.shape, ts.shape)
+            assert np.array_equal(_bits(q), _bits(qp))
+            assert np.array_equal(_bits(qdot), _bits(1j * cfg.rotation * qp))
+            assert q.shape == qdot.shape == (np.broadcast(ns, ts).size,)
 
     def test_cbar_does_not_recompute_gamma(self, case1_soliton, monkeypatch):
         cfg, eigenset, norming = case1_soliton
@@ -855,12 +856,13 @@ def _flat_cell_set(spec):
 
 
 class TestDerivative:
-    """ist.reconstruct_with_derivative: q as reconstruct_grid, dq/dt exact."""
+    """reconstruct_grid with derivative set: q as without it, dq/dt exact."""
 
     def _assert_q_is_grid_q(self, cfg, eigenset, norming, spec):
         ns, ts = _flat_cell_set(spec)
         assert ns.size > ist._BLOCK
-        q, qdot = ist.reconstruct_with_derivative(cfg, eigenset, norming, ns, ts)
+        with_dot = ist.reconstruct_grid(cfg, eigenset, norming, ns, ts, derivative=True)
+        q, qdot = with_dot.require(), with_dot.qdot
         grid = ist.reconstruct_grid(cfg, eigenset, norming, ns, ts)
         assert np.array_equal(_bits(q), _bits(grid.require()))
         assert qdot.shape == q.shape and np.isfinite(qdot).all()
@@ -896,7 +898,8 @@ class TestDerivative:
         # a 4th-order central difference of q converges to dq/dt at rate h**4
         cfg, eigenset, norming = request.getfixturevalue(fixture)
         sites, ts = np.arange(-12, 13)[None, :], np.array([-2.0, 0.3, 1.7])[:, None]
-        _, qdot = ist.reconstruct_with_derivative(cfg, eigenset, norming, sites, ts)
+        qdot = ist.reconstruct_grid(cfg, eigenset, norming, sites, ts,
+                                    derivative=True).qdot.reshape(ts.size, sites.size)
         ev = ist.make_evaluator(cfg, eigenset, norming)
 
         def fd_error(h):
@@ -909,21 +912,22 @@ class TestDerivative:
 
     def test_shapes(self, case1_soliton):
         cfg, eigenset, norming = case1_soliton
-        q, qdot = ist.reconstruct_with_derivative(cfg, eigenset, norming, 2, 0.5)
-        assert isinstance(q, complex) and isinstance(qdot, complex)
-        assert q == reconstruct(cfg, eigenset, norming, 2, 0.5)
-        q, qdot = ist.reconstruct_with_derivative(cfg, eigenset, norming,
-                                                  np.arange(-3, 4)[None, :],
-                                                  np.array([0.0, 0.5])[:, None])
-        assert q.shape == qdot.shape == (2, 7)
+        grid = ist.reconstruct_grid(cfg, eigenset, norming, 2, 0.5, derivative=True)
+        q, qdot = grid.require(), grid.qdot
+        assert q.shape == qdot.shape == (1,)
+        assert q[0] == reconstruct(cfg, eigenset, norming, 2, 0.5)
+        grid = ist.reconstruct_grid(cfg, eigenset, norming, np.arange(-3, 4)[None, :],
+                                    np.array([0.0, 0.5])[:, None], derivative=True)
+        assert grid.require().shape == grid.qdot.shape == (2 * 7,)
 
     def test_empty_spectrum_rotates_q_plus(self):
         for cfg in (spectral.make_case(1, 0.5, 0.3), spectral.make_case(4, 0.5, 0.3)):
             ts = np.array([0.0, 0.4, 1.3])[:, None]
             empty = ist.empty_eigenset(cfg)
-            q, qdot = ist.reconstruct_with_derivative(cfg, empty, unit_norming(cfg, empty),
-                                                      np.arange(-3, 4)[None, :], ts)
-            qp = np.broadcast_to(cfg.q_plus(ts), (3, 7))
+            grid = ist.reconstruct_grid(cfg, empty, unit_norming(cfg, empty),
+                                        np.arange(-3, 4)[None, :], ts, derivative=True)
+            q, qdot = grid.require(), grid.qdot
+            qp = np.broadcast_to(cfg.q_plus(ts), (3, 7)).ravel()
             assert np.array_equal(q, qp)
             assert np.array_equal(qdot, 1j * cfg.rotation * qp)
 
@@ -936,7 +940,8 @@ class TestDerivative:
         with pytest.raises(SingularSolution) as expected:
             ist.make_evaluator(cfg, eigenset, norming)(sites[None, :], ts)
         with pytest.raises(SingularSolution) as got:
-            ist.reconstruct_with_derivative(cfg, eigenset, norming, sites[None, :], ts)
+            ist.reconstruct_grid(cfg, eigenset, norming, sites[None, :], ts,
+                                 derivative=True).require()
         assert str(got.value) == str(expected.value)
 
     def test_solves_per_block(self, case1_soliton, monkeypatch):
@@ -950,9 +955,8 @@ class TestDerivative:
             return solve(B, b)
 
         monkeypatch.setattr(np.linalg, "solve", recording)
-        ist.reconstruct_with_derivative(cfg, eigenset, norming,
-                                        np.arange(-16, 17)[None, :],
-                                        np.linspace(-5.0, 5.0, 41)[:, None])
+        ist.reconstruct_grid(cfg, eigenset, norming, np.arange(-16, 17)[None, :],
+                             np.linspace(-5.0, 5.0, 41)[:, None], derivative=True)
         assert sizes == [512, 512, 512, 512, 329, 329]
 
 
@@ -1030,7 +1034,7 @@ class TestBlockSolve:
         monkeypatch.setattr(np.linalg, "solve", recording)
         ns, ts, _ = ist._flat_cells(np.arange(-30, 31)[None, :],
                                     np.linspace(-2.0, 2.0, 17)[:, None])
-        ist.reconstruct_with_derivative(cfg, eigenset, norming, ns, ts)
+        ist.reconstruct_grid(cfg, eigenset, norming, ns, ts, derivative=True)
         J = eigenset.J
         near = _near(norming, ns, ts)
         if norming.stationary:  # c4: one solve of its near sites at t = 0, dq/dt by the gauge
@@ -1058,8 +1062,8 @@ _SOLVE_MEMBERS = _solve_members()
 
 
 def _near(norming, ns, ts):
-    """The cells that _solve_cells solves (the rest it fills as far field)."""
-    return ~np.logical_or(*ist._screen(norming.spectrum, ns, ts))
+    """The cells that reconstruct_grid solves (the rest it fills as far field)."""
+    return ~np.logical_or(*ist._screen(norming.spectrum, ns, ts)[:2])
 
 
 def _assert_blocks_match_the_reference(member, ns, ts, derivative):
@@ -1070,7 +1074,7 @@ def _assert_blocks_match_the_reference(member, ns, ts, derivative):
     turned by u = exp(i rotation t) (t = 0 cells as they are), with dq/dt = i
     rotation q and d(1/Theta_n)/dt = 0.
     """
-    grid = ist._solve_cells(*member, ns, ts, derivative=derivative)
+    grid = ist.reconstruct_grid(*member, ns, ts, derivative=derivative)
     got = [grid.q, grid.r, grid.backward, grid.theta_inv, grid.reason]
     got += [grid.qdot, grid.theta_inv_dot] if derivative else []
     near = np.flatnonzero(_near(member[2], ns, ts))
@@ -1117,7 +1121,7 @@ class TestBlockSolveReference:
     def test_reasons_are_covered(self):
         reasons = {}
         for name, (member, ns, ts) in _SOLVE_MEMBERS.items():
-            for reason in ist._solve_cells(*member, ns, ts).reason.tolist():
+            for reason in ist.reconstruct_grid(*member, ns, ts).reason.tolist():
                 reasons.setdefault(reason, set()).add(name)
         assert set(reasons) == {ist.OK, ist.OVERFLOW, ist.THETA_DIVERGENCE}
         assert reasons[ist.OVERFLOW] == {"c1 late"}
@@ -1203,7 +1207,7 @@ def _assert_fills_match_the_solve(member, ns, ts, derivative, bound=1e-14):
     (test_filled_cells_equal_the_block_solve_across_both_families).
     """
     far = np.flatnonzero(~_near(member[2], ns, ts))
-    grid = ist._solve_cells(*member, ns, ts, derivative=derivative)
+    grid = ist.reconstruct_grid(*member, ns, ts, derivative=derivative)
     assert (grid.reason[far] == ist.OK).all()
     if not far.size:  # a slowly decaying member can keep every cell near
         return
@@ -1268,6 +1272,30 @@ class TestFarField:
         ns = np.arange(-60, 61)
         assert self._solved(case1_soliton, ns, np.zeros(ns.size), monkeypatch) == 58
 
+    @pytest.mark.parametrize("name", ["c1", "bench c4"])
+    def test_far_cells_off_the_live_mask_hold_the_limit(self, name):
+        # scattering._stationary_steps finds a window's edge sites by comparing them
+        # with the background bit for bit, so a far cell that _screen does not mark
+        # live holds the limit's exact bytes: q_plus, r_plus and 1 on the right, and
+        # q_minus, r_minus and 1/Theta_-inf on the left (c1's soliton grid, and
+        # scatter's 801-site window of bench c4 at t = 0)
+        if name == "c1":
+            member, (ns, ts) = _member(1, 0.0), _cells(np.arange(-60, 61), _C1_TIMES)
+        else:
+            member, ns = _member(4, -math.pi, math.pi / 3.0), np.arange(-400, 401)
+            ts = np.zeros(ns.size)
+        cfg, s = member[0], member[2].spectrum
+        right, left, live = ist._screen(s, ns, ts)
+        grid = ist.reconstruct_grid(*member, ns, ts)
+        for side, q, r, theta_inv in ((right, cfg.q_plus, cfg.r_plus, 1.0),
+                                      (left, cfg.q_minus, cfg.r_minus, s.theta_inv_minus)):
+            dead = side & ~live
+            assert dead.any() and (side & live).any()
+            assert grid.q[dead].tobytes() == q(ts[dead]).tobytes()
+            assert grid.r[dead].tobytes() == r(ts[dead]).tobytes()
+            assert grid.theta_inv[dead].tobytes() == np.full(dead.sum(), theta_inv,
+                                                             complex).tobytes()
+
     @pytest.mark.parametrize("name", ["c1", "bench c4", "README c4"])
     def test_fills_against_a_50_digit_solve(self, name):
         # q, r, 1/Theta_n and dq/dt of filled cells to 1e-15 max(1, |x|): README c4's
@@ -1283,7 +1311,7 @@ class TestFarField:
             rows = [np.flatnonzero(ts == t) for t in times]
             pick = np.concatenate([np.r_[row[far[row] & ~right[row]][-3:],
                                          row[far[row] & right[row]][:3]] for row in rows])
-        grid = ist._solve_cells(*member, ns[pick], ts[pick], derivative=True)
+        grid = ist.reconstruct_grid(*member, ns[pick], ts[pick], derivative=True)
         qdot = grid.qdot
         exact = np.array([mp_fields(*member, int(n), float(t))
                           for n, t in zip(ns[pick], ts[pick])]).T
@@ -1326,7 +1354,7 @@ class TestFarField:
                                                             np.linspace(0.0, 1.0, 11)))}
         member, ns, ts = grids[name] if name in grids else _parity_grid(name)[:3]
         far = self._far(member, ns, ts)
-        grid = ist._solve_cells(*member, ns, ts, derivative=True)
+        grid = ist.reconstruct_grid(*member, ns, ts, derivative=True)
         qdot, theta_inv_dot = grid.qdot, grid.theta_inv_dot
         assert far.size and (grid.reason[far] == ist.OK).all()
         assert not theta_inv_dot[far].any() and not grid.backward[far].any()
@@ -1361,7 +1389,7 @@ class TestFarField:
         member = (cfg, eigenset, norming)
         ns, ts = np.arange(-700, 701), np.full(1401, t)
         far = self._far(member, ns, ts)
-        grid = ist._solve_cells(*member, ns, ts, derivative=True)
+        grid = ist.reconstruct_grid(*member, ns, ts, derivative=True)
         qdot = grid.qdot
         assert (grid.reason[far] == ist.OK).all()
         if far.size:  # the cells where the parent's solve did not overflow
@@ -1379,7 +1407,7 @@ class TestFarField:
         member, ns, ts = _mp_cells(name)
         sites, times = np.arange(-300, 301), np.unique(ts)[::2]
         ns, ts = _cells(sites, times)
-        right, left = ist._screen(member[2].spectrum, ns, ts)
+        right, left = ist._screen(member[2].spectrum, ns, ts)[:2]
         pick = []
         for t in times:
             row = np.flatnonzero(ts == t)
@@ -1397,7 +1425,8 @@ class TestFarField:
         cfg = spectral.make_case(1, 0.82, 0.0)
         eigenset = eigenvalues_case1(cfg, 3.14287)
         norming = norming_case1(cfg, eigenset, 1.0, 0.0, 0.0)
-        right, left = ist._screen(norming.spectrum, *_cells(np.arange(-300, 301), _C1_TIMES))
+        right, left = ist._screen(norming.spectrum,
+                                  *_cells(np.arange(-300, 301), _C1_TIMES))[:2]
         assert np.isneginf(norming.spectrum.left).all() and not left.any() and right.any()
 
     @pytest.mark.parametrize("name", ["README c4", "c1"])
@@ -1456,7 +1485,7 @@ class TestGauge:
 
         monkeypatch.setattr(ist, "_solve_block", recording)
         ns, ts = _cells(np.arange(-60, 61), _C1_TIMES)
-        ist.reconstruct_with_derivative(cfg, eigenset, norming, ns, ts)
+        ist.reconstruct_grid(cfg, eigenset, norming, ns, ts, derivative=True)
         near = _near(norming, ns, ts)
         if fixture == "case1_soliton":
             assert not norming.stationary
@@ -1489,7 +1518,7 @@ class TestGauge:
         member = (cfg, eigenset, norming_case4(cfg, eigenset, thbar1))
         assert member[2].stationary
         ns, ts = _cells(np.arange(-60, 61), np.array(times))
-        grid = ist._solve_cells(*member, ns, ts, derivative=True)
+        grid = ist.reconstruct_grid(*member, ns, ts, derivative=True)
         qdot, theta_inv_dot = grid.qdot, grid.theta_inv_dot
         d = min(abs(math.remainder(theta_plus + thbar1 - locus, 2.0 * math.pi))
                 for locus in (0.0, math.pi))
@@ -1528,7 +1557,7 @@ class TestGauge:
         eigenset = eigenvalues_case4(cfg)
         member = (cfg, eigenset, norming_case4(cfg, eigenset, 0.0))
         ns, ts = _cells(np.arange(-60, 61), np.array([t]))
-        grid = ist._solve_cells(*member, ns, ts)
+        grid = ist.reconstruct_grid(*member, ns, ts)
         near = np.flatnonzero(_near(member[2], ns, ts))
         solved = ist._solve_block(*member, ns[near], ts[near])
         exact = np.array([mp_reconstruct(*member, int(n), t) for n in ns[near]])
@@ -1601,7 +1630,7 @@ def test_scan_flags_equal_the_shrink_scan(family, ranges):
 def test_theta_inv_derivative_matches_central_difference(fixture, request):
     cfg, eigenset, norming = request.getfixturevalue(fixture)
     ns, ts, _ = ist._flat_cells(np.arange(-12, 13)[None, :], np.array([-2.0, 0.3, 1.7])[:, None])
-    fdot = ist._solve_cells(cfg, eigenset, norming, ns, ts, derivative=True).theta_inv_dot
+    fdot = ist.reconstruct_grid(cfg, eigenset, norming, ns, ts, derivative=True).theta_inv_dot
 
     def fd_error(h):
         def f(t):
@@ -1622,7 +1651,7 @@ def test_case4_theta_inv_is_the_same_at_every_time(case4_soliton):
     # vanishes; Cbar_1(t) then turns at -i rotation and C_1(t) at +i rotation,
     # like r_plus(t) and q_plus(t).  With u = exp(i rotation t), the 5 x 5
     # system's 1/Theta_n, q_n / u and r_n u are free of u: singularity_scan's
-    # one-time sweep and _solve_cells' solve at t = 0 of a stationary spectrum.
+    # one-time sweep and reconstruct_grid's solve at t = 0 of a stationary spectrum.
     import sympy as sp
 
     q0 = sp.symbols("q0", positive=True)
@@ -1661,18 +1690,18 @@ def test_case4_theta_inv_is_the_same_at_every_time(case4_soliton):
 
 def test_case4_scan_sweeps_one_time_per_site(case4_soliton, monkeypatch):
     calls = []
-    solve = ist._solve_cells
+    solve = ist.reconstruct_grid
 
     def recording(cfg, eigenset, norming, ns, ts, derivative=False):
-        calls.append((ns.size, sorted(set(ts.tolist())), derivative))
+        calls.append((np.broadcast(ns, ts).size, sorted(set(np.ravel(ts).tolist())), derivative))
         return solve(cfg, eigenset, norming, ns, ts, derivative)
 
-    monkeypatch.setattr(ist, "_solve_cells", recording)
+    monkeypatch.setattr(ist, "reconstruct_grid", recording)
     n_range, t_span, coarse_dt = _SCAN_RANGES["cli"]
     scan = singularity_scan(*case4_soliton, n_range, t_span, coarse_dt)
-    assert calls[0] == (25, [t_span[0]], False)  # one cell per site
+    assert calls[0] == (25, [0.0], False)  # one cell per site, at t = 0 in t_span
     # one Newton call, whose d(1/Theta_n)/dt is exactly 0: it stops there, with no warning
-    assert calls[1:] == [(1, [t_span[0]], True)]
+    assert calls[1:] == [(1, [0.0], True)]
     assert not scan.singular
 
 
@@ -1682,13 +1711,13 @@ def test_scan_is_one_coarse_call_and_a_few_one_cell_solves(theta, monkeypatch):
     eigenset = eigenvalues_case1(cfg, CASE1_ETA1)
     norming = norming_case1(cfg, eigenset, 1.0, 0.0, 0.0)
     calls = []
-    solve = ist._solve_cells
+    solve = ist.reconstruct_grid
 
     def recording(cfg, eigenset, norming, ns, ts, derivative=False):
-        calls.append((ns.size, derivative))
+        calls.append((np.broadcast(ns, ts).size, derivative))
         return solve(cfg, eigenset, norming, ns, ts, derivative)
 
-    monkeypatch.setattr(ist, "_solve_cells", recording)
+    monkeypatch.setattr(ist, "reconstruct_grid", recording)
     scan = singularity_scan(cfg, eigenset, norming, *_SCAN_RANGES["cli"])
     steps = len(calls) - 1
     assert calls == [(25 * 49, False)] + [(1, True)] * steps
@@ -1740,7 +1769,8 @@ def test_scan_rejects_an_empty_or_endless_sweep(case1_soliton, n_range, t_span, 
 def test_scan_coarse_sweep_is_one_call(case1_soliton, monkeypatch):
     sizes = reconstruct_grid_sizes(monkeypatch)
     singularity_scan(*case1_soliton, n_range=(-12, 12), t_span=(-6.0, 6.0), coarse_dt=0.25)
-    assert sizes == [25 * 49]  # the Newton steps solve one cell each, not through it
+    # the coarse sweep, then the regular member's one Newton step on one cell
+    assert sizes == [25 * 49, 1]
 
 
 # singularity_scan's solved: the cells `ist verify` solves for its residual oracle.
@@ -1820,7 +1850,7 @@ def test_the_property_fails_with_the_lookup_a_row_off(monkeypatch):
 
 @pytest.mark.parametrize("t_grid, found", [
     ((-5.0, 5.0, 41), 25 * 41),  # c1: every t_grid time is a scan time
-    ((-8.0, 8.0, 65), 25 * 49),  # every scan cell: the rest is an empty call
+    ((-8.0, 8.0, 65), 25 * 49),  # every scan cell: no call for the rest
     ((-5.1, 5.1, 35), 25 * 6),  # steps of 0.3: six land on scan times (-4.5, ..., 4.5)
     ((-5.05, 5.05, 34), 0),  # none: an odd step count would put one on 0.0
     ((-0.0, -0.0, 1), 0),  # -0.0 is not the scan's 0.0
@@ -1832,8 +1862,12 @@ def test_the_sweep_reads_the_cells_it_finds(t_grid, found, monkeypatch):
     sizes = reconstruct_grid_sizes(monkeypatch)
     assert (ist._solved_at(solved, np.arange(-12, 13), np.arange(49) * 0.25 - 6.0) >= 0).sum() \
         == found
-    singularity_scan(*member, *_SCAN_RANGES["cli"], solved=solved)
-    assert sizes == [25 * 49 - found]
+    scan = singularity_scan(*member, *_SCAN_RANGES["cli"], solved=solved)
+    # one call for the cells it does not find, if any, then the member's one Newton
+    # step on one cell, unless solved holds the dip
+    holds_dip = ist._solved_at(solved, np.array([-12]), np.array([-1.75]))[0, 0] >= 0
+    assert (scan.at_site, scan.at_time) == (-12, -1.75)
+    assert sizes == [25 * 49 - found] * (found < 25 * 49) + [1] * (not holds_dip)
 
 
 def test_the_scan_refuses_solved_cells_out_of_order():

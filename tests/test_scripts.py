@@ -27,6 +27,18 @@ def test_script_runs_cleanly(tmp_path, script, args):
     assert proc.stdout
 
 
+def test_cap_memory_measures_both_configs(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cap_memory.py"), "--N", "20", "--steps", "3"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["c1", "README c4"]
+    for line in lines:
+        assert "cells=123:" in line and "_field_grid tracemalloc peak" in line
+        assert "ist soliton ru_maxrss" in line and "ist eigs ru_maxrss" in line
+
+
 def test_artifact_diff_finds_this_checkout_identical_to_itself():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "artifact_diff.py"), str(ROOT), str(ROOT)],

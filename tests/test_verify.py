@@ -157,8 +157,9 @@ class TestStencilAdapter:
 def _exact(cfg, eigenset, norming, n_range, ts):
     """(q, dq/dt) at the residual cells of n_range, one row per t in ts."""
     cells = verify.residual_cells(n_range)[1]
-    return ist.reconstruct_with_derivative(cfg, eigenset, norming, cells[None, :],
-                                           np.reshape(ts, (-1, 1)))
+    grid = ist.reconstruct_grid(cfg, eigenset, norming, cells[None, :], np.reshape(ts, (-1, 1)),
+                                derivative=True)
+    return grid.require().reshape(-1, cells.size), grid.qdot.reshape(-1, cells.size)
 
 
 class TestExactResiduals:
