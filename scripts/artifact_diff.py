@@ -62,6 +62,9 @@ CONFIGS = {
     "readme-c4-t1000": {**README_C4, "t_grid": {"t0": 0.0, "t1": 1000.0, "steps": 11},
                         "dt": 0.1},
     "readme-c4-t50": {**README_C4, "t_grid": {"t0": -50.0, "t1": 50.0, "steps": 11}},
+    # no t_grid time is 0, the one time a stationary spectrum's scan sweeps, so
+    # verify's residual solve cannot serve that sweep
+    "readme-c4-t-off0": {**README_C4, "t_grid": {"t0": 0.1, "t1": 1.1, "steps": 6}},
     # both at once: the far cells of a wide window, turned to large t
     "readme-c4-N2000-t1000": {**README_C4, "N": 2000,
                               "t_grid": {"t0": 0.0, "t1": 1000.0, "steps": 11}, "dt": 0.1},

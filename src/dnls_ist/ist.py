@@ -924,22 +924,23 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     """Locate the deepest dip of |1/Theta_n| and refine it in time by Newton.
 
     A cell whose solve fails scores 0; the coarse sweep covers every
-    (site, time) cell and keeps the first minimum in site-major order.  A
-    stationary spectrum (NormingData.stationary, every gamma(zbar_j) = 0, as
-    for the case-IV pair zbar_1 = (1 - q0)/r, where zbar_1 + 1/zbar_1 = 2/r)
-    sweeps one time alone, t = 0 clamped into t_span: its 1/Theta_n does not
-    depend on t, and a solved row at t = 0 then serves the sweep.  The sweep
-    reads the cells that solved holds (_solved_at: `ist verify` passes its
-    residual cells) and solves the rest, if any, in one reconstruct_grid
-    call; a cell's solve does not depend on its block, so the scan is the
-    same bit for bit with or without solved.  At the dip's site, Gauss-Newton
-    steps on f = 1/Theta_n(t) with the exact df/dt (theta_inv_dot) move t
-    towards a real-time zero of f, each a one-cell reconstruct_grid call but
-    the first when solved holds the dip with a finite df/dt (NaN where its
-    block held a singular cell); they stop when df/dt is 0, the step is a
-    few ulps, longer than coarse_dt, or predicts no halving of |f| (no zero
-    ahead), when the cell is singular, or after _NEWTON_STEPS.  The member
-    is flagged singular when the least |f| seen is below 1e-6.
+    (site, time) cell and keeps the first minimum in site-major order.  It
+    reads each cell that solved holds (any ReconstructionGrid of the member,
+    in any order: `ist verify` passes its residual cells) and solves the
+    rest, if any, in one reconstruct_grid call; a cell's solve does not
+    depend on its block, so the scan is the same bit for bit with or
+    without solved.  At the dip's site, Gauss-Newton steps on f =
+    1/Theta_n(t) with the exact df/dt (theta_inv_dot) move t towards a
+    real-time zero of f, each a one-cell reconstruct_grid call but the
+    first when solved holds the dip with a finite df/dt (none without
+    derivative, NaN where its block held a singular cell); they stop when
+    the step is a few ulps, longer than coarse_dt, or predicts no halving
+    of |f| (no zero ahead), when the cell is singular, or after
+    _NEWTON_STEPS.  A stationary spectrum (NormingData.stationary, every
+    gamma(zbar_j) = 0, as for the case-IV pair zbar_1 = (1 - q0)/r, where
+    zbar_1 + 1/zbar_1 = 2/r) has the same 1/Theta_n at every time: it
+    sweeps t = 0 alone, clamped into t_span, and takes no step.  The
+    member is flagged singular when the least |f| seen is below 1e-6.
     """
     if not (coarse_dt > 0.0 and n_range[0] <= n_range[1]
             and -math.inf < t_span[0] <= t_span[1] < math.inf):
@@ -961,15 +962,13 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
         vals[~rest] = _scores(solved, at[~rest])
     i, j = divmod(int(np.argmin(vals)), len(times))
     least, n_star, t, k, cell = float(vals.min()), int(sites[i]), times[j], at[i, j], solved
-    for _ in range(_NEWTON_STEPS):
-        if k < 0 or not np.isfinite(cell.theta_inv_dot[k]):  # not the dip's own cell in solved
+    for _ in range(0 if norming.stationary else _NEWTON_STEPS):  # stationary: the sweep is all
+        if k < 0 or cell.theta_inv_dot is None or not np.isfinite(cell.theta_inv_dot[k]):
             cell, k = reconstruct_grid(cfg, eigenset, norming, n_star, t, derivative=True), 0
         f, fdot = complex(cell.theta_inv[k]), cell.theta_inv_dot[k]  # NaN on a singular cell
         least = min(least, 0.0 if cell.reason[k] in _SOLVE_FAILED else abs(f))
         k = -1  # every later step is at a time of its own
-        if fdot == 0.0:  # a stationary cell: no zero ahead
-            break
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # df/dt = 0 gives a NaN step, which stops
             step = float(-(f.conjugate() * fdot).real / abs(fdot) ** 2)
         if not (4.0 * math.ulp(t) < abs(step) <= coarse_dt
                 and abs(f + fdot * step) < 0.5 * abs(f)):
@@ -985,31 +984,21 @@ def _scores(grid: ReconstructionGrid, cells=slice(None)) -> np.ndarray:
 
 
 def _solved_at(solved, sites: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The flat index in solved of each cell (sites[i], times[j]), -1 where it is absent.
+    """The flat index in solved of each cell (sites[i], times[j]), -1 where it holds none.
 
-    solved holds derivatives and is time-major over consecutive ascending
-    sites (else DomainError): a site is found by its offset from the first,
-    a time by comparing its bits with each row's (sorted, then
-    searchsorted), so -0.0 and 0.0 stay apart.  Nothing of it is copied.
+    A cell's key is its site and the rank of its time's bits among solved's
+    (so -0.0 and 0.0 stay apart); the wanted keys are searchsorted among
+    solved's, whatever their order.
     """
-    at = np.full((sites.size, times.size), -1)
-    if solved is not None and solved.theta_inv_dot is None:
-        raise DomainError("solved cells must be solved with derivative set")
     if solved is None or not solved.ns.size:
-        return at
-    ns, ts = solved.ns, solved.ts
-    first, width = int(ns[0]), int(ns[-1] - ns[0]) + 1
-    if width < 1 or ns.size % width or not (
-            (ns.reshape(-1, width) == np.arange(first, first + width)).all()
-            and (ts.reshape(-1, width) == ts[::width, None]).all()):
-        raise DomainError("solved cells must be a time-major grid of consecutive ascending sites")
-    rows, keys = ts[::width].view(np.int64), times.view(np.int64)
-    order = np.argsort(rows)
-    found = order[np.minimum(np.searchsorted(rows, keys, sorter=order), rows.size - 1)]
-    row, col = np.where(rows[found] == keys, found, -1), sites - first
-    np.copyto(at, row * width + col[:, None],
-              where=(row >= 0) & ((col >= 0) & (col < width))[:, None])
-    return at
+        return np.full((sites.size, times.size), -1)
+    bits, rank = np.unique(solved.ts.view(np.int64), return_inverse=True)
+    rows = np.searchsorted(bits, times.view(np.int64))
+    rows[bits[np.minimum(rows, bits.size - 1)] != times.view(np.int64)] = bits.size  # no cell's
+    keys, wanted = solved.ns * (bits.size + 1) + rank, sites[:, None] * (bits.size + 1) + rows
+    order = np.argsort(keys)
+    found = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), keys.size - 1)]
+    return np.where(keys[found] == wanted, found, -1)
 
 
 def soliton_closed_form_case4(cfg: CaseConfig, thbar1: float, ns, ts):

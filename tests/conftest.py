@@ -39,16 +39,21 @@ def case4_soliton():
     return cfg, eigenset, norming
 
 
-def reconstruct_grid_sizes(monkeypatch):
-    """Record the cell count of every ist.reconstruct_grid call made through the module."""
+def reconstruct_grid_sizes(monkeypatch, name="reconstruct_grid"):
+    """Record the cell count of every ist.<name> call made through the module.
+
+    name is reconstruct_grid or _solve_screened, which share a signature; a
+    stationary spectrum's reconstruct_grid call makes one _solve_screened
+    call over its distinct sites.
+    """
     sizes = []
-    grid = ist.reconstruct_grid
+    grid = getattr(ist, name)
 
     def counted(cfg, eigenset, norming, ns, ts, derivative=False):
         sizes.append(np.broadcast(ns, ts).size)
         return grid(cfg, eigenset, norming, ns, ts, derivative)
 
-    monkeypatch.setattr(ist, "reconstruct_grid", counted)
+    monkeypatch.setattr(ist, name, counted)
     return sizes
 
 

@@ -23,7 +23,8 @@ from dnls_ist.cli import (EXIT_ALL_SINGULAR, EXIT_BLOWUP, EXIT_CONFIG,
                           parse_config)
 from dnls_ist.errors import ConfigError
 
-from conftest import CASE1_ETA1, dump_json_recursive, field_csv_lines, trajectory_csv_lines
+from conftest import (CASE1_ETA1, dump_json_recursive, field_csv_lines, reconstruct_grid_sizes,
+                      trajectory_csv_lines)
 
 CASE1_CONFIG = {
     "case": 1,
@@ -789,13 +790,31 @@ class TestVerify:
 
     def test_bench_c4_solves_each_cell_once(self, tmp_path, monkeypatch):
         # the residual cells with dq/dt (33 sites x 6 times), the closed form's 41
-        # sites x 6 times and the 81-site window; the scan's 25 cells at t = 0 and
-        # its Newton step, whose d(1/Theta_n)/dt is 0, read the residual solve
+        # sites x 6 times and the 81-site window; the scan's 25 cells at t = 0 read
+        # the residual solve, and it takes no Newton step: d(1/Theta_n)/dt is 0
         calls = self._recorded_solves(monkeypatch)
         path = write_config(tmp_path, self.BENCH_C4)
         assert main(["verify", "--config", path, "--out", str(tmp_path / "v.json")]) == EXIT_OK
         assert [size for size, _, _ in calls] == [33 * 6, 41 * 6, 81]
         assert [derivative for _, derivative, _ in calls] == [True, False, False]
+
+    # the _solve_screened calls of a stationary spectrum: one per reconstruct_grid
+    # call, over its distinct sites, solved at t = 0
+    @pytest.mark.parametrize("command, doc, sizes", [
+        # README c4 on t 0.1..1.1: the residual solve holds no t = 0 cell, so the
+        # scan solves its 25 sites
+        ("verify", {**CASE4_CONFIG, "t_grid": {"t0": 0.1, "t1": 1.1, "steps": 6}},
+         [33, 25, 41, 81]),
+        # the scan's sweep, the window at t0 and the compare grid
+        ("evolve", BENCH_C4, [25, 81, 81]),
+    ], ids=["README c4 verify t 0.1..1.1", "bench c4 evolve"])
+    def test_a_stationary_scan_makes_no_newton_solve(self, tmp_path, monkeypatch, command, doc,
+                                                     sizes):
+        monkeypatch.chdir(tmp_path)
+        solves = reconstruct_grid_sizes(monkeypatch, "_solve_screened")
+        path = write_config(tmp_path, doc)
+        assert main([command, "--config", path, "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert solves == sizes
 
     def test_pole_member_pays_the_residual_solve_and_skips_it(self, tmp_path, monkeypatch,
                                                              capsys):

@@ -731,6 +731,24 @@ class TestReconstructGrid:
         with pytest.raises(SingularSolution, match="exactly singular system at n=0, t=0.0"):
             grid.require()
 
+    def test_each_reason_has_its_message(self, case1_soliton):
+        # c1 at t = 1000: every cell's lam**(2n) entries overflow, so no solve is made
+        late = ist.reconstruct_grid(*case1_soliton, np.arange(-3, 4), 1000.0)
+        assert np.all(late.reason == ist.OVERFLOW) and np.isnan(late.backward).all()
+        message = r"^system entries overflowed at n=-3, t=1000\.0$"
+        with pytest.raises(SingularSolution, match=message):
+            late.require()
+        # one hand-built cell of each reason
+        nan = np.full(5, complex(np.nan))
+        grid = ist.ReconstructionGrid(
+            np.arange(5), np.full(5, 0.5), nan, nan, np.array([np.inf, np.inf, 2.5e-7, 0.0, 0.0]),
+            nan, np.array([ist.OVERFLOW, ist.EXACTLY_SINGULAR, ist.BACKWARD_ERROR,
+                           ist.THETA_DIVERGENCE, ist.AMPLITUDE], dtype=np.int8))
+        assert [str(grid.error(i)) for i in range(5)] == [
+            "solution overflowed at n=0, t=0.5", "exactly singular system at n=1, t=0.5",
+            "solve backward error 2.50e-07 at n=2, t=0.5", "Theta_n diverges at n=3, t=0.5",
+            "amplitude diverges at n=4, t=0.5"]
+
     def test_empty_spectrum_is_background(self):
         cfg = spectral.make_case(2, 1.0, 0.0)
         empty = ist.empty_eigenset(cfg)
@@ -1700,8 +1718,8 @@ def test_case4_scan_sweeps_one_time_per_site(case4_soliton, monkeypatch):
     n_range, t_span, coarse_dt = _SCAN_RANGES["cli"]
     scan = singularity_scan(*case4_soliton, n_range, t_span, coarse_dt)
     assert calls[0] == (25, [0.0], False)  # one cell per site, at t = 0 in t_span
-    # one Newton call, whose d(1/Theta_n)/dt is exactly 0: it stops there, with no warning
-    assert calls[1:] == [(1, [0.0], True)]
+    # no Newton call: d(1/Theta_n)/dt is exactly 0, so the sweep is the answer
+    assert calls[1:] == []
     assert not scan.singular
 
 
@@ -1810,9 +1828,8 @@ def _solved_cells(member, sites, t_grid):
                                 derivative=True)
 
 
-def _assert_the_scan_reads_the_solve(member, sites, t_grid):
+def _assert_the_scan_reads_the_solve(member, solved):
     """singularity_scan with the solved cells equals the scan without them, bit for bit."""
-    solved = _solved_cells(member, sites, t_grid)
     alone, read = (singularity_scan(*member, *_SCAN_RANGES["cli"], solved=s)
                    for s in (None, solved))
     assert (read.at_site, read.singular) == (alone.at_site, alone.singular)
@@ -1829,7 +1846,8 @@ def _assert_the_scan_reads_the_solve(member, sites, t_grid):
 @given(member=_scan_members(), lo=st.integers(-20, 5), hi=st.integers(-5, 20), t_grid=_T_GRIDS)
 def test_the_scan_reads_the_solved_cells_bit_for_bit(member, lo, hi, t_grid):
     # site ranges narrower and wider than the scan's -12..12, and t_grids on and off its grid
-    _assert_the_scan_reads_the_solve(member, np.arange(min(lo, hi), max(lo, hi) + 1), t_grid)
+    sites = np.arange(min(lo, hi), max(lo, hi) + 1)
+    _assert_the_scan_reads_the_solve(member, _solved_cells(member, sites, t_grid))
 
 
 def test_the_property_fails_with_the_lookup_a_row_off(monkeypatch):
@@ -1844,8 +1862,10 @@ def test_the_property_fails_with_the_lookup_a_row_off(monkeypatch):
         return np.where((at >= 0) & (at + width < solved.ns.size), at + width, at)
 
     monkeypatch.setattr(ist, "_solved_at", a_row_off)
+    member = _member(1, 0.0)
+    solved = _solved_cells(member, np.arange(-16, 17), (-5.0, 5.0, 41))
     with pytest.raises(AssertionError):
-        _assert_the_scan_reads_the_solve(_member(1, 0.0), np.arange(-16, 17), (-5.0, 5.0, 41))
+        _assert_the_scan_reads_the_solve(member, solved)
 
 
 @pytest.mark.parametrize("t_grid, found", [
@@ -1870,17 +1890,26 @@ def test_the_sweep_reads_the_cells_it_finds(t_grid, found, monkeypatch):
     assert sizes == [25 * 49 - found] * (found < 25 * 49) + [1] * (not holds_dip)
 
 
-def test_the_scan_refuses_solved_cells_out_of_order():
-    # site-major: the lookup by offset would read the wrong cells
-    solved = ist.reconstruct_grid(*_member(1, 0.0), np.arange(-3, 4)[:, None],
-                                  np.array([0.0, 0.25])[None, :], derivative=True)
-    with pytest.raises(DomainError, match="time-major"):
-        singularity_scan(*_member(1, 0.0), *_SCAN_RANGES["cli"], solved=solved)
+def test_the_scan_reads_solved_cells_in_any_order():
+    # site-major, and the same cells shuffled: each is found by its site and time bits
+    member, sites = _member(1, 0.0), np.arange(-16, 17)
+    site_major = ist.reconstruct_grid(*member, sites[:, None], _C1_TIMES[None, :],
+                                      derivative=True)
+    shuffled = np.random.default_rng(0).permutation(site_major.ns.size)
+    scan_sites = np.arange(-12, 13)
+    for solved in (site_major, ist.reconstruct_grid(*member, site_major.ns[shuffled],
+                                                    site_major.ts[shuffled], derivative=True)):
+        at = ist._solved_at(solved, scan_sites, _C1_TIMES)
+        assert np.array_equal(solved.ns[at], np.broadcast_to(scan_sites[:, None], at.shape))
+        assert np.array_equal(_bits(solved.ts[at]), _bits(np.broadcast_to(_C1_TIMES, at.shape)))
+        _assert_the_scan_reads_the_solve(member, solved)
 
 
 @pytest.mark.parametrize("sites", [np.arange(-16, 17), np.arange(0)], ids=["c1", "empty"])
-def test_the_scan_refuses_solved_cells_without_derivatives(sites):
-    # the first Newton step reads theta_inv_dot where solved holds the dip
+def test_the_scan_reads_solved_cells_without_derivatives(sites, monkeypatch):
+    # the sweep reads them; the first Newton step, with no theta_inv_dot to read, solves its cell
     solved = ist.reconstruct_grid(*_member(1, 0.0), sites[None, :], _C1_TIMES[:, None])
-    with pytest.raises(DomainError, match="derivative"):
-        singularity_scan(*_member(1, 0.0), *_SCAN_RANGES["cli"], solved=solved)
+    _assert_the_scan_reads_the_solve(_member(1, 0.0), solved)
+    sizes = reconstruct_grid_sizes(monkeypatch)
+    singularity_scan(*_member(1, 0.0), *_SCAN_RANGES["cli"], solved=solved)
+    assert sizes == [25 * 8 if sites.size else 25 * 49, 1]
