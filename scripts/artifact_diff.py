@@ -78,6 +78,12 @@ CONFIGS = {
     "c1-t-nomatch": {**C1, "t_grid": {"t0": -5.05, "t1": 5.05, "steps": 34}},
     "c1-t-wide": {**C1, "t_grid": {"t0": -8.0, "t1": 8.0, "steps": 65}},
     "c1-near-pole": {**C1, "theta": math.pi - 1e-6},
+    # every cell of the soliton grid overflows at t = 1000: soliton exits 4
+    "c1-t1000": {**C1, "N": 3, "t_grid": {"t0": 1000.0, "t1": 1000.0, "steps": 3}},
+    # an empty spectrum's times are not bounded, but its phase rotation t
+    # overflows at t = 1.5e308: soliton and verify exit 2
+    "c1-J0-phase-overflow": {"case": 1, "q0": 0.9, "theta": 0.0, "J": 0, "N": 1,
+                             "t_grid": {"t0": 0.0, "t1": 1.5e308, "steps": 2}},
     # thbar2 left out: it defaults to thbar1 (0.3 here), as the reduction requires
     "c1-thbar1-only": {key: value for key, value in C1.items() if key != "thbar2"}
     | {"thbar1": 0.3},

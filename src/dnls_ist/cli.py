@@ -301,12 +301,13 @@ def _require_phase_digits(config: RunConfig, norming) -> None:
     c_rate and cbar_rate: a soliton is built from their phases together,
     and past MAX_PHASE their roundings move it by more than 1e-10.  An
     empty spectrum's field is the background alone, whose one phase turns
-    every site alike and stays a solution when rounded: any time is accepted.
+    every site alike and stays a solution when rounded: any finite phase is accepted.
     """
-    if norming.eigenset.is_empty():
-        return
     t = max(abs(float(config.t_grid["t0"])), abs(float(config.t_grid["t1"])))
     rate = float(np.abs([norming.cfg.rotation, *norming.c_rate, *norming.cbar_rate]).max())
+    _require(rate * t < math.inf, f"'t_grid' reaches |t| = {t:g}, where the phase overflows")
+    if norming.eigenset.is_empty():
+        return
     _require(rate * t <= MAX_PHASE, f"'t_grid' reaches |t| = {t:g}, where the phase rate "
              f"{rate:.6g} times t is {rate * t:.3g}; at most {MAX_PHASE:.3g} = 1e-10 / eps "
              "is allowed, past which the phase's rounding passes 1e-10")

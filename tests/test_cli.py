@@ -290,6 +290,19 @@ class TestConfig:
         config = parse_config({**doc, "t_grid": {"t0": -0.99 * cli.MAX_PHASE / float(rate)}})
         cli._require_phase_digits(config, cli._eigen_data(config, cli._case_config(config))[1])
 
+    @pytest.mark.parametrize("command", ["soliton", "verify"])
+    def test_a_phase_that_overflows_exits_2(self, tmp_path, capsys, command):
+        # an empty spectrum's times are not bounded, but rotation t must be finite:
+        # at t = 1.5e308 q_plus(t) is NaN
+        doc = {"case": 1, "q0": 0.9, "theta": 0, "J": 0, "N": 1,
+               "t_grid": {"t0": 0, "t1": 1.5e308, "steps": 2}}
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "config error: 't_grid' reaches |t| = 1.5e+308, where the phase overflows\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["soliton", "background"])
     def test_path_is_read_only_with_csv(self, tmp_path, capsys, source):
         doc = {**CASE4_CONFIG, "field": {"source": source, "path": "f.csv"}}
@@ -531,12 +544,18 @@ class TestSoliton:
         doc["t_grid"] = {"t0": scan.at_time, "t1": scan.at_time, "steps": 1}
         path = write_config(tmp_path, doc)
         out = tmp_path / "singular.csv"
-        code = main(["soliton", "--config", path, "--out", str(out)])
-        assert code in (EXIT_OK, EXIT_ALL_SINGULAR)
-        if code == EXIT_OK:
-            rows = out.read_text().strip().split("\n")[1:]
-            flags = [r.split(",")[5] for r in rows]
-            assert "1" in flags
+        assert main(["soliton", "--config", path, "--out", str(out)]) == EXIT_OK
+        rows = out.read_text().strip().split("\n")[1:]
+        assert [r.split(",")[5] for r in rows].count("1") == 2
+
+    def test_every_cell_singular_exits_4(self, tmp_path, capsys):
+        # c1 at t = 1000: every cell of a 7-site window overflows
+        path = write_config(tmp_path, {**CASE1_CONFIG, "N": 3,
+                                       "t_grid": {"t0": 1000.0, "t1": 1000.0, "steps": 3}})
+        out = tmp_path / "field.csv"
+        assert main(["soliton", "--config", path, "--out", str(out)]) == EXIT_ALL_SINGULAR
+        assert capsys.readouterr() == ("", "every grid cell is singular\n")
+        assert not out.exists()
 
     def test_threaded_grid_is_deterministic(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, CASE4_CONFIG)
