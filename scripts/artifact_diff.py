@@ -87,9 +87,14 @@ CONFIGS = {
     # thbar2 left out: it defaults to thbar1 (0.3 here), as the reduction requires
     "c1-thbar1-only": {key: value for key, value in C1.items() if key != "thbar2"}
     | {"thbar1": 0.3},
-    # a quartet near the real axis: its limiting system misses q_minus beyond
-    # ist._MINUS_TOL, so it has no left far field and its window overflows there
+    # a quartet near the real axis: its double limiting system misses q_minus by
+    # 4.7e-11, inside the admission tolerance, so its left far field fills from
+    # n = -19 on, where the block solve is up to 4.5e-11 off and overflows from
+    # n = -301 (at N = 2000 on 69,681 cells)
     "c1-near-axis": {**C1, "q0": 0.82, "eta1": 3.14287, "N": 300},
+    "c1-near-axis-N2000": {**C1, "q0": 0.82, "eta1": 3.14287, "N": 2000},
+    # eta1 = pi puts the quartet on the real axis: eigs reports it, the rest exit 3
+    "c1-eta1-pi": {"case": 1, "q0": 0.5, "theta": 0.0, "eta1": math.pi, "N": 20},
     # |q_n r_n| = -1 at every site, where det_n = 2 x00 x11: the bound on det_n
     # that keeps its phase certifies the sweep (one that compares moduli declines it)
     "c3-q0-1-background": {"case": 3, "q0": 1.0, "N": 20, "field": {"source": "background"},

@@ -29,7 +29,7 @@ class Inadmissible(IstError):
     """Requested discrete-eigenvalue configuration is excluded for this case."""
 
 
-class DegenerateEigenvalues(IstError):
+class DegenerateEigenvalues(Inadmissible):
     """Members of a complex eigenvalue family coincide (real-axis collapse)."""
 
 

@@ -424,10 +424,8 @@ class _Blocks(NamedTuple):
 _Spectrum = namedtuple("_Spectrum", "cbar0 cbar_rate c_rate lam2 lam2_bar c_den kbar_num "
                        "kbar_den k_num k_den row_den row_r_den y0 y3 ymax "
                        "log_e0 rate log_lam right left theta_inv_minus first_order first_bound")
-# What a far-field fill may neglect, and how far the limiting system's q and r
-# may lie from cfg's q_minus and r_minus (over max(1, q0)) for it to take those.
+# What a far-field fill may neglect.
 _FAR_TOL = 2.0 ** -53
-_MINUS_TOL = 7e-16
 
 
 def _far_field(cfg: CaseConfig, s: _Spectrum, gammas) -> dict:
@@ -468,8 +466,9 @@ def _far_field(cfg: CaseConfig, s: _Spectrum, gammas) -> dict:
     q, r, 1/Theta_n and dq/dt: right holds log|E_l(0, 0)| + log(2J m_l
     sqrt(K_R / _FAR_TOL)) and left log|E_l(0, 0)| - log sqrt(K_L /
     _FAR_TOL), which is -inf (never left far) when L0 is singular or q_inf,
-    r_inf miss cfg.q_minus, cfg.r_minus by more than _MINUS_TOL max(1, q0),
-    since left far cells take those as X0.  first_order holds the fills'
+    r_inf miss cfg.q_minus, cfg.r_minus by more than CONSTRAINT_TOL max(1,
+    q0), the tolerance that admits a spectrum: left far cells take those as
+    X0, the limit that the trace formulas fix.  first_order holds the fills'
     first-order coefficients, per side (right, left), of q, r, (1/Theta_n) /
     r_plus and dq/dt on each E_l (right) or 1/E_l (left), and first_bound
     log(2J max_k |first_order_kl| / _FAR_TOL), the 1/Theta_n row weighed by
@@ -521,7 +520,7 @@ def _far_field(cfg: CaseConfig, s: _Spectrum, gammas) -> dict:
                      (nus[0] + q0 * abs(lam_r - 1.0)) / th))
         # q_minus / q_plus = r_minus / r_plus = e^(-i Delta theta)
         ratio = cmath.exp(-1j * cfg.delta_theta)
-        exact = q0 * max(abs(lam_q - ratio), abs(lam_r - ratio)) <= _MINUS_TOL * max(1.0, q0)
+        exact = q0 * max(abs(lam_q - ratio), abs(lam_r - ratio)) <= CONSTRAINT_TOL * max(1.0, q0)
         left = (log_e0.real - 0.5 * np.log(k_l / _FAR_TOL) if exact and math.isfinite(k_l)
                 else np.full(log_e0.shape, -np.inf))
         log_lam = np.log(np.concatenate([1.0 / s.lam2, s.lam2_bar]))
@@ -688,15 +687,16 @@ def _solve_screened(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
       row_r_j y3_j and 1/Theta_n = 1 + r_plus sum_j row_j;
     - left far field, every |E_l| >= sqrt(K_L / 2**-53): the limiting system,
       q_minus(t), r_minus(t) and 1/Theta_-inf, to first order in the 1/E_l,
-      for a spectrum whose limit agrees with that background to _MINUS_TOL
-      (none is left far otherwise).
+      for a spectrum whose limiting system reaches that background to
+      CONSTRAINT_TOL (none is left far otherwise).
     _far_field derives m_l, K_R, K_L and the first-order coefficients from
     the spectrum so that a fill's second-order remainder is below 2**-53
     (_FAR_TOL) in q, r, 1/Theta_n and dq/dt.  A first-order term below
     2**-53 is left out, and none is formed off _screen's live mask, where
     first_bound shows that none can pass it, so that deeper cells keep the
-    limit's bytes; with the rounding and the _MINUS_TOL agreement a fill
-    stays within 1e-15 max(1, |x|) of the exact solve.  Far cells are OK
+    limit's bytes; a fill stays within 1e-15 max(1, |x|) of the exact
+    solve, plus on the left about the limiting system's miss of the
+    background (tests/test_ist.py, _limit_miss).  Far cells are OK
     (AMPLITUDE where |q| is not finite), never overflow, and have backward
     error 0 and the fill's exact dq/dt (i rotation on the limit, each
     coupling's rate on its term); d(1/Theta_n)/dt is left 0, off by its

@@ -1174,6 +1174,29 @@ def test_empty_spectrum_at_delta_theta_pi_is_inadmissible(tmp_path, capsys, monk
         assert err == ""
 
 
+# eta1 = pi puts case I's quartet on the real axis: eigs reports the collapsed
+# quartet, and every command that needs its norming constants is inadmissible.
+@pytest.mark.parametrize("command, code", [
+    ("eigs", EXIT_OK),
+    ("soliton", EXIT_INADMISSIBLE),
+    ("verify", EXIT_INADMISSIBLE),
+    ("evolve", EXIT_INADMISSIBLE),
+    ("scatter", EXIT_INADMISSIBLE),
+])
+def test_collapsed_quartet_is_inadmissible(tmp_path, capsys, monkeypatch, command, code):
+    monkeypatch.chdir(tmp_path)
+    doc = {"case": 1, "q0": 0.5, "theta": 0.0, "eta1": math.pi, "N": 20}
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_INADMISSIBLE:
+        assert err == "inadmissible: zbar_1 is real; the quartet collapses\n"
+        assert not out.exists() and not (tmp_path / "trajectory.csv").exists()
+    else:
+        assert err == "" and len(json.loads(out.read_text())["entries"]) == 1
+
+
 class TestCsvWriters:
     """The streamed writers write the bytes of the per-line ones."""
 
