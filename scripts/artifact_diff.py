@@ -47,6 +47,12 @@ CONFIGS = {
     "c1-J0": {**C1, "J": 0},
     # the background of a config that names a quartet: no command reads eta1
     "c1-background": {**C1, "field": {"source": "background"}},
+    # verify reads each check's own pass: here every scattering check fails while
+    # the residual passes
+    "c1-scattering-tol0": {**C1, "tolerances": {"scattering": 0.0}},
+    # the Delta theta = pi step background: its residual fails, it has no closed
+    # form, and verify and evolve scan its empty spectrum in case 4
+    "c4-background": {**README_C4, "field": {"source": "background"}},
     "c2-q0-1": {"case": 2, "q0": 1.0, "N": 40,
                 "t_grid": {"t0": 0.0, "t1": 1.0, "steps": 3}, "dt": 0.01},
     # RK4 overflows inside the stages of its second step: evolve's blow-up exit

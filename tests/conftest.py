@@ -316,7 +316,7 @@ def mp_reconstruct(cfg, eigenset, norming, n, t):
     all carried at 50 digits.
     """
     with mpmath.workdps(50):
-        return complex(_mp_cell(cfg, eigenset, norming, n, mpmath.mpf(t))[0])
+        return complex(_mp_cell(cfg, _mp_inputs(cfg, eigenset, norming), n, mpmath.mpf(t))[0])
 
 
 def mp_fields(cfg, eigenset, norming, n, t):
@@ -327,21 +327,86 @@ def mp_fields(cfg, eigenset, norming, n, t):
     lie far below a double's.
     """
     with mpmath.workdps(50):
-        t, h = mpmath.mpf(t), mpmath.mpf("1e-20")
-        q, r, theta_inv = _mp_cell(cfg, eigenset, norming, n, t)
-        qdot = (_mp_cell(cfg, eigenset, norming, n, t + h)[0]
-                - _mp_cell(cfg, eigenset, norming, n, t - h)[0]) / (2 * h)
-        return tuple(complex(x) for x in (q, r, theta_inv, qdot))
+        return _mp_fields(cfg, _mp_inputs(cfg, eigenset, norming), n, t)
 
 
-def _mp_cell(cfg, eigenset, norming, n, t):
+def mp_exact_fields(cfg, keys, n, t):
+    """mp_fields of the member that cfg and its norming keys define, from exact inputs.
+
+    keys are norming_case1's (eta1, kappa1, thbar1) for a case-I cfg and
+    norming_case4's (thbar1,) for a case-IV one.  r, the rotation, the
+    eigenvalues and Cbar_j(0) are their closed forms (spectral.make_case,
+    eigenvalues_case1/_case4, norming_case1/_case4), evaluated at 50 digits
+    from these double parameters, so the limit of the solve as n -> -inf
+    is q_minus(t) itself, which the double eigenvalues' rounding moves.
+    """
+    with mpmath.workdps(50):
+        return _mp_fields(cfg, _mp_exact_inputs(cfg, keys), n, t)
+
+
+def mp_exact_background(cfg, t):
+    """(q_minus(t), r_minus(t), dq_minus/dt) of a case-I or case-IV cfg at 50 digits,
+    rounded once to doubles: the limit of mp_exact_fields as n -> -inf."""
+    with mpmath.workdps(50):
+        q0, rotation, theta_plus = _mp_exact_background(cfg)
+        t = mpmath.mpf(t)
+        q_minus = q0 * mpmath.expj(cfg.theta_minus + rotation * t)
+        r_minus = cfg.sigma * mpmath.conj(q0 * mpmath.expj(theta_plus + rotation * t))
+        return complex(q_minus), complex(r_minus), complex(1j * rotation * q_minus)
+
+
+def _mp_exact_background(cfg):
+    """(q0, rotation, theta_plus) of a case-I or case-IV cfg in the working precision."""
+    q0, case_iv = mpmath.mpf(cfg.q0), cfg.case_id is spectral.Case.IV
+    return q0, 2 * q0 ** 2, cfg.theta_minus + mpmath.pi * case_iv  # rotation 2 sigma delta
+
+
+def _mp_fields(cfg, inputs, n, t):
+    """mp_fields of _mp_cell's inputs, in the working precision."""
+    t, h = mpmath.mpf(t), mpmath.mpf("1e-20")
+    q, r, theta_inv = _mp_cell(cfg, inputs, n, t)
+    qdot = (_mp_cell(cfg, inputs, n, t + h)[0] - _mp_cell(cfg, inputs, n, t - h)[0]) / (2 * h)
+    return tuple(complex(x) for x in (q, r, theta_inv, qdot))
+
+
+def _mp_inputs(cfg, eigenset, norming):
+    """The inputs of _mp_cell from a double member: (r, rotation, theta_plus, the
+    zeros of t11 and of t22, Cbar_j(0)), each as the double it is."""
+    return (mpmath.mpf(cfg.r), mpmath.mpf(cfg.rotation), mpmath.mpf(cfg.theta_plus),
+            [mpmath.mpc(z) for z in eigenset.zeros_t11],
+            [mpmath.mpc(z) for z in eigenset.zeros_t22], [mpmath.mpc(c) for c in norming.cbar0])
+
+
+def _mp_exact_inputs(cfg, keys):
+    """The inputs of _mp_cell from the closed forms of a case-I or case-IV member (keys
+    as mp_exact_fields), in the working precision."""
+    q0, rotation, theta_plus = _mp_exact_background(cfg)
+    r = mpmath.sqrt(1 - q0 ** 2)  # r**2 = 1 - q0**2 in cases I and IV
+
+    def lam(zeta):  # lam(zbar_1), real and positive for both members
+        return zeta * mpmath.sqrt((zeta - r) / (zeta * (zeta * r - 1)))
+
+    if cfg.case_id is spectral.Case.IV:
+        zb1, z1 = (1 - q0) / r, r / (1 - q0)
+        zs, zbs = [mpmath.mpc(z1)], [mpmath.mpc(zb1)]
+        cbar0 = [(zb1 - z1) / lam(zb1) * mpmath.expj(mpmath.mpf(keys[0]))]
+        return r, rotation, theta_plus, zs, zbs, cbar0
+    eta1, kappa1, thbar1 = (mpmath.mpf(key) for key in keys)
+    zb1, z1 = (1 + q0 * mpmath.expj(eta1)) / r, r / (1 + q0 * mpmath.expj(-eta1))
+    zs, zbs = [z1, mpmath.conj(z1)], [zb1, mpmath.conj(zb1)]
+    lam3 = lam(zb1) ** 3
+    cbar0 = [kappa1 * lam3 * (zbs[0] - z1) * (zbs[0] - zs[1]) / (zbs[0] - zbs[1])
+             * mpmath.expj(thbar1 - mpmath.pi / 2),
+             (zbs[1] - z1) * (zbs[1] - zs[1]) / (kappa1 * lam3 * (zbs[1] - zbs[0]))
+             * mpmath.expj(thbar1 + mpmath.pi / 2)]
+    return r, rotation, theta_plus, zs, zbs, cbar0
+
+
+def _mp_cell(cfg, inputs, n, t):
     """(q_n, r_n, 1/Theta_n) at the mpf time t, in the working precision."""
-    r = mpmath.mpf(cfg.r)
-    zs = [mpmath.mpc(z) for z in eigenset.zeros_t11]
-    zbs = [mpmath.mpc(z) for z in eigenset.zeros_t22]
+    r, rotation, theta_plus, zs, zbs, cbar0 = inputs
     J = len(zs)
-    rotation = mpmath.mpf(cfg.rotation)
-    qp = cfg.q0 * mpmath.expj(cfg.theta_plus + rotation * t)
+    qp = cfg.q0 * mpmath.expj(theta_plus + rotation * t)
     rp = cfg.sigma * mpmath.conj(cfg.q0 * mpmath.expj(cfg.theta_minus + rotation * t))
 
     def lam2(z):
@@ -350,8 +415,7 @@ def _mp_cell(cfg, eigenset, norming, n, t):
     def gamma(z):
         return r * r * (z - 2 / r + 1 / z) * (z - 2 * r + 1 / z) / ((z - r) * (1 / z - r))
 
-    cbar = [mpmath.mpc(c0) * mpmath.exp(-1j * (rotation + gamma(zb)) * t)
-            for c0, zb in zip(norming.cbar0, zbs)]
+    cbar = [c0 * mpmath.exp(-1j * (rotation + gamma(zb)) * t) for c0, zb in zip(cbar0, zbs)]
     cpow = [-qp ** 2 / (zb - r) ** 2 * cb * lam2(z) ** (-n)
             for z, zb, cb in zip(zs, zbs, cbar)]
     cbarpow = [cb * lam2(zb) ** n for zb, cb in zip(zbs, cbar)]

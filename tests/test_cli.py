@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnls_ist import cli, ist, lattice, spectral, verify
+from dnls_ist import cli, ist, lattice, scattering, spectral, verify
 from dnls_ist.cli import (EXIT_ALL_SINGULAR, EXIT_BLOWUP, EXIT_CONFIG,
                           EXIT_INADMISSIBLE, EXIT_NUMERICAL, EXIT_OK,
                           EXIT_TOLERANCE, dump_json, load_config, main,
@@ -557,15 +557,6 @@ class TestSoliton:
         assert capsys.readouterr() == ("", "every grid cell is singular\n")
         assert not out.exists()
 
-    def test_threaded_grid_is_deterministic(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, CASE4_CONFIG)
-        out1 = tmp_path / "serial.csv"
-        out2 = tmp_path / "threaded.csv"
-        assert main(["soliton", "--config", path, "--out", str(out1)]) == EXIT_OK
-        monkeypatch.setenv("IST_THREADS", "4")
-        assert main(["soliton", "--config", path, "--out", str(out2)]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_determinism(self, tmp_path):
         path = write_config(tmp_path, CASE4_CONFIG)
         out1 = tmp_path / "a.csv"
@@ -703,7 +694,6 @@ class TestScatter:
 
     @pytest.mark.parametrize("command", ["scatter", "verify"])
     def test_nan_residual_is_a_failure(self, tmp_path, monkeypatch, command):
-        from dnls_ist import scattering
         report = scattering.scattering_report
 
         def nan_det(*args):
@@ -774,6 +764,62 @@ class TestVerify:
         assert rep["checks"]["singular_parameters"]["flagged"] is True
         assert "skipped" in rep["checks"]["equation_residual"]
         assert code == EXIT_OK
+
+    @staticmethod
+    def _edit_scattering(monkeypatch, edit):
+        """scattering_report, with the fields that edit(report) returns replaced."""
+        report = scattering.scattering_report
+
+        def edited(*args):
+            rep = report(*args)
+            return dataclasses.replace(rep, **edit(rep))
+
+        monkeypatch.setattr(scattering, "scattering_report", edited)
+
+    @pytest.mark.parametrize("failing", ["equation_residual", "closed_form_equality",
+                                         "symmetries", "t11_zeros", None])
+    def test_the_report_passes_when_every_check_passes(self, tmp_path, monkeypatch, failing):
+        # README c4 with one check of each kind made to fail, which alone fails the
+        # report; None is the flagged theta = pi c1 member, whose skipped residual passes
+        doc = CASE4_CONFIG
+        if failing is None:
+            doc = {**CASE1_CONFIG, "theta": math.pi}
+        elif failing == "equation_residual":
+            doc = {**CASE4_CONFIG, "tolerances": {"residual": 0.0}}
+        elif failing == "closed_form_equality":
+            closed_form = ist.soliton_closed_form_case4
+            monkeypatch.setattr(ist, "soliton_closed_form_case4",
+                                lambda *args: closed_form(*args) + 1e-9)
+        elif failing == "symmetries":
+            self._edit_scattering(monkeypatch, lambda rep: {
+                "symmetry": dataclasses.replace(rep.symmetry, second=math.nan)})
+        elif failing == "t11_zeros":
+            self._edit_scattering(monkeypatch, lambda rep: {"eigenvalue_residuals": (math.nan,)})
+        out = tmp_path / "v.json"
+        code = main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        rep = json.loads(out.read_text())
+        failed = [name for name, check in rep["checks"].items() if check.get("pass") is False]
+        assert failed == ([] if failing is None else [failing])
+        assert (rep["pass"], code) == ((True, EXIT_OK) if failing is None
+                                       else (False, EXIT_TOLERANCE))
+        if failing is None:
+            assert rep["checks"]["singular_parameters"]["flagged"] is True
+            assert rep["checks"]["equation_residual"] == {"skipped": "singular family member"}
+        else:
+            assert len(rep["checks"]) == 6
+
+    @pytest.mark.parametrize("case, q0", [(1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5), (2, 1e150),
+                                          (3, 1e150)])
+    def test_an_empty_spectrum_is_scanned_and_never_flagged(self, case, q0):
+        # verify and evolve scan every spectrum: an empty one is the J = 0 system,
+        # whose 1/Theta_n is 1 at every cell
+        cfg = spectral.make_case(case, q0)
+        eigenset = ist.empty_eigenset(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = ist.singularity_scan(cfg, eigenset, ist.unit_norming(cfg, eigenset),
+                                        **cli.SCAN)
+        assert scan.singular is False and scan.min_theta_inv == 1.0
 
     # c1: the scan's 0.25 grid holds every t_grid time, and its sites -12..12 lie
     # inside the residual cells -16..16
@@ -1250,11 +1296,11 @@ class TestCsvWriters:
         q = q.view(complex)[:, 0]
         assert np.hypot(q.real, q.imag).tolist() == [abs(z) for z in q.tolist()]
 
-    def test_write_text_streams_chunks(self, tmp_path, capsys):
+    def test_write_all_streams_chunks(self, tmp_path, capsys):
         chunks = (f"{k}\n" for k in range(3))
-        cli._write_text(str(tmp_path / "out.txt"), chunks)
+        cli._write_all([(str(tmp_path / "out.txt"), chunks)])
         assert (tmp_path / "out.txt").read_bytes() == b"0\n1\n2\n"
-        cli._write_text(None, ["a", "b\n"])
+        cli._write_all([(None, ["a", "b\n"])])
         assert capsys.readouterr().out == "ab\n"
 
 
@@ -1376,7 +1422,7 @@ class TestUnwritableOutput:
     def test_failed_write_is_not_a_config_error(self):
         # /dev/full opens, and every write to it fails with ENOSPC
         with pytest.raises(OSError):
-            cli._write_text("/dev/full", ["x\n"])
+            cli._write_all([("/dev/full", ["x\n"])])
 
 
 class TestClosedStdout:

@@ -22,8 +22,9 @@ from dnls_ist.spectral import (Region, classify, gamma, lam_squared,
                                point_from_zeta, zeta_bar)
 
 from conftest import (CASE1_ETA1, assemble_reference, case2_feasibility_scan,
-                      case2_violation_mp, dense_reconstruct, mp_fields, mp_reconstruct,
-                      reconstruct_grid_sizes, solve_block_reference)
+                      case2_violation_mp, dense_reconstruct, mp_exact_background,
+                      mp_exact_fields, mp_fields, mp_reconstruct, reconstruct_grid_sizes,
+                      solve_block_reference)
 
 
 def cramer_solve(B, Y):
@@ -1209,10 +1210,12 @@ def test_q_against_a_50_digit_solve(name, bound):
 
 @st.composite
 def _family_members(draw):
-    """An admissible case-I member with q0 in [0.05, 0.95], or a case-IV member.
+    """(member, its norming keys): an admissible case-I member with q0 in [0.05, 0.95],
+    or a case-IV member.
 
     eta1 = pi + shape arctan(r/q0) spans the admissible case-I quartets (at
-    shape = 0 the quartet collapses onto the real axis).
+    shape = 0 the quartet collapses onto the real axis).  The keys are those
+    of conftest.mp_exact_fields.
     """
     case, q0, theta = draw(st.sampled_from([1, 4])), draw(st.floats(0.05, 0.95)), \
         draw(st.floats(-3.0, 3.0))
@@ -1220,10 +1223,12 @@ def _family_members(draw):
     cfg = spectral.make_case(case, q0, theta)
     if case == 4:
         eigenset = eigenvalues_case4(cfg)
-        return cfg, eigenset, norming_case4(cfg, eigenset, thbar1)
+        return (cfg, eigenset, norming_case4(cfg, eigenset, thbar1)), (thbar1,)
     shape = draw(st.floats(0.05, 0.95) | st.floats(-0.95, -0.05))
-    eigenset = eigenvalues_case1(cfg, math.pi + shape * math.atan2(cfg.r, q0))
-    return cfg, eigenset, norming_case1(cfg, eigenset, draw(st.floats(0.1, 10.0)), thbar1, thbar1)
+    eta1, kappa1 = math.pi + shape * math.atan2(cfg.r, q0), draw(st.floats(0.1, 10.0))
+    eigenset = eigenvalues_case1(cfg, eta1)
+    return (cfg, eigenset, norming_case1(cfg, eigenset, kappa1, thbar1, thbar1)), \
+        (eta1, kappa1, thbar1)
 
 
 # A limiting system that meets the background to this, over max(1, q0): its left
@@ -1248,35 +1253,45 @@ def _limit_miss(member):
     return cfg.q0 * max(abs(lam_q - ratio), abs(lam_r - ratio)) / max(1.0, cfg.q0)
 
 
-def _solve_checked_fills(member, ns, ts, far):
-    """The far cells to check against the block solve; the rest go against mp_fields.
+def _solve_checked_fills(member, keys, ns, ts, far):
+    """The far cells to check against the block solve; the rest go against a 50-digit solve.
 
     Those are the left fills of a member whose limit misses the background by
     more than _EXACT_LIMIT: the innermost and outermost left far cell of each
-    time, with q, r, 1/Theta_n and dq/dt to (1e-15 + 10 miss) max(1, |x|), miss
-    the limiting system's (_limit_miss).  A fill takes the background itself;
-    the 50-digit solve takes the double eigenvalues, whose rounding moves its
-    limit off the background, and the limit 1/Theta_-inf of a fill inherits
-    the double limiting system's rounding.  Both are of the order of the miss:
-    over 2,000 case-I and 400 case-IV draws with miss > _EXACT_LIMIT, at one time
-    in [-5, 5], the error passed 1e-15 max(1, |x|) by at most 1.2 miss in q,
-    r and dq/dt and 2.7 miss in 1/Theta_n.
+    time, against mp_exact_fields of the member's norming keys.  A fill takes
+    the background itself, and that solve's limit is the exact background, so
+    q, r and dq/dt hold to 1e-15 max(1, |x|) plus the double background's own
+    rounding at that time (|cfg.q_minus(t) - q_minus(t)| and the like, up to
+    2.2e-15 where theta_minus + rotation t is large), which no double fill can
+    beat.  1/Theta_n holds to (1e-15 + 10 miss) max(1, |x|), miss the limiting
+    system's (_limit_miss): the limit 1/Theta_-inf of a fill is the double
+    limiting system's.  Over 2,000 case-I and 400 case-IV draws with miss >
+    _EXACT_LIMIT, at one time in [-5, 5], q, r and dq/dt were within 6.6e-16
+    max(1, |x|) past that rounding, and 1/Theta_n passed 1e-15 max(1, |x|) by
+    at most 3.4 miss.
     """
     miss = _limit_miss(member)
     if miss <= _EXACT_LIMIT:
         return far
-    left = ist._screen(member[2].spectrum, ns, ts)[1]
+    cfg, left = member[0], ist._screen(member[2].spectrum, ns, ts)[1]
     rows = [np.flatnonzero(left & (ts == t)) for t in np.unique(ts[left])]
     pick = [i for row in rows for i in (row[np.argmax(ns[row])], row[np.argmin(ns[row])])]
     grid = ist.reconstruct_grid(*member, ns[pick], ts[pick], derivative=True)
-    exact = np.array([mp_fields(*member, int(ns[i]), float(ts[i])) for i in pick]).T
+    q, r, theta_inv, qdot = np.array([mp_exact_fields(cfg, keys, int(ns[i]), float(ts[i]))
+                                      for i in pick]).T
+    background = np.array([mp_exact_background(cfg, float(ts[i])) for i in pick]).T
+    t = ts[pick]
+    rounding = np.abs([cfg.q_minus(t), cfg.r_minus(t), 1j * cfg.rotation * cfg.q_minus(t)]
+                      - background)
     assert (grid.reason == ist.OK).all()
-    for got, x in zip((grid.q, grid.r, grid.theta_inv, grid.qdot), exact):
-        assert np.all(np.abs(got - x) <= (1e-15 + 10.0 * miss) * np.maximum(1.0, np.abs(x)))
+    for got, x, floor in zip((grid.q, grid.r, grid.qdot), (q, r, qdot), rounding):
+        assert np.all(np.abs(got - x) <= 1e-15 * np.maximum(1.0, np.abs(x)) + floor)
+    assert np.all(np.abs(grid.theta_inv - theta_inv)
+                  <= (1e-15 + 10.0 * miss) * np.maximum(1.0, np.abs(theta_inv)))
     return far[~left[far]]
 
 
-def _assert_fills_match_the_solve(member, ns, ts, derivative, bound=1e-14):
+def _assert_fills_match_the_solve(member, keys, ns, ts, derivative, bound=1e-14):
     """Every cell the screen fills, on either side, against _solve_block on that cell.
 
     q, r and 1/Theta_n (and dq/dt with derivative set) to bound max(1, |x|)
@@ -1290,7 +1305,7 @@ def _assert_fills_match_the_solve(member, ns, ts, derivative, bound=1e-14):
     assert (grid.reason[far] == ist.OK).all()
     if not far.size:  # a slowly decaying member can keep every cell near
         return
-    far = _solve_checked_fills(member, ns, ts, far)
+    far = _solve_checked_fills(member, keys, ns, ts, far)
     far = far[ist._solve_block(*member, ns[far], ts[far])[4] == ist.OK]
     solved = ist._solve_block(*member, ns[far], ts[far], derivative=derivative)
     pairs = [(grid.q, solved[0]), (grid.r, solved[1]), (grid.theta_inv, solved[3])]
@@ -1400,11 +1415,11 @@ class TestFarField:
             assert np.all(np.abs(got - x) <= 1e-15 * np.maximum(1.0, np.abs(x)))
 
     @settings(max_examples=25, deadline=None)
-    @given(member=_family_members(),
+    @given(drawn=_family_members(),
            times=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3),
            derivative=st.booleans())
-    def test_every_fill_matches_the_solve_of_its_cell(self, member, times, derivative):
-        _assert_fills_match_the_solve(member, *_cells(np.arange(-700, 701), np.array(times)),
+    def test_every_fill_matches_the_solve_of_its_cell(self, drawn, times, derivative):
+        _assert_fills_match_the_solve(*drawn, *_cells(np.arange(-700, 701), np.array(times)),
                                       derivative)
 
     @pytest.mark.parametrize("derivative", [False, True])
@@ -1419,8 +1434,8 @@ class TestFarField:
 
         monkeypatch.setattr(ist, "_far_field", zeroth_order)
         with pytest.raises(AssertionError):
-            _assert_fills_match_the_solve(_member(1, 0.0), *_cells(np.arange(-60, 61), _C1_TIMES),
-                                          derivative)
+            _assert_fills_match_the_solve(_member(1, 0.0), (CASE1_ETA1, 1.0, 0.0),
+                                          *_cells(np.arange(-60, 61), _C1_TIMES), derivative)
 
     @pytest.mark.parametrize("name", ["c1", "bench c4 compare", "bench c4", "pole",
                                       "case4 theta 0"])
@@ -1461,10 +1476,11 @@ class TestFarField:
         # shape = 0 the quartet collapses onto the real axis)
         cfg = spectral.make_case(case, q0, theta)
         if case == 1:
-            eigenset = eigenvalues_case1(cfg, math.pi + shape * math.atan2(cfg.r, q0))
+            keys = (math.pi + shape * math.atan2(cfg.r, q0), kappa1, thbar1)
+            eigenset = eigenvalues_case1(cfg, keys[0])
             norming = norming_case1(cfg, eigenset, kappa1, thbar1, thbar1)
         else:
-            eigenset = eigenvalues_case4(cfg)
+            keys, eigenset = (thbar1,), eigenvalues_case4(cfg)
             norming = norming_case4(cfg, eigenset, thbar1)
         member = (cfg, eigenset, norming)
         ns, ts = np.arange(-700, 701), np.full(1401, t)
@@ -1472,7 +1488,7 @@ class TestFarField:
         grid = ist.reconstruct_grid(*member, ns, ts, derivative=True)
         qdot = grid.qdot
         assert (grid.reason[far] == ist.OK).all()
-        far = _solve_checked_fills(member, ns, ts, far)
+        far = _solve_checked_fills(member, keys, ns, ts, far)
         if far.size:  # the cells where the parent's solve did not overflow
             ok = far[ist._solve_block(*member, ns[far], ts[far])[4] == ist.OK]
             # 1e-15 of the exact solve (test_q_past_the_threshold_against_a_50_digit_solve)
@@ -1892,7 +1908,7 @@ def test_scan_coarse_sweep_is_one_call(case1_soliton, monkeypatch):
 def _scan_members(draw):
     """_family_members, and case-I members with theta + thbar1 on or near pi (the pole)."""
     if draw(st.booleans()):
-        return draw(_family_members())
+        return draw(_family_members())[0]
     q0, theta = draw(st.floats(0.05, 0.95)), draw(st.floats(-3.0, 3.0))
     thbar1 = math.pi - theta + draw(st.sampled_from([0.0, 1e-9, -1e-6, 1e-3, -0.1]))
     cfg = spectral.make_case(1, q0, theta)
