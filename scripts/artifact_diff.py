@@ -4,8 +4,8 @@
     python scripts/artifact_diff.py BASE CHANGE
 
 Each checkout runs in its own subprocess with its own `src/` first on the
-path.  The subprocess runs `eigs`, `soliton`, `scatter` (seeds 0 and 5),
-`verify` and `evolve` on each config in CONFIGS, each config in its own
+path, the two at once.  Each runs `eigs`, `soliton`, `scatter` (seeds 0
+and 5), `verify` and `evolve` on each config in CONFIGS, each config in its own
 directory (with its FIELD_CSVS entry, if it has one, as `field.csv` beside
 its `config.json`), and keeps every output: the `--out` artifact, the
 trajectory CSV, stdout, stderr and the exit code (or the exception, if one
@@ -45,6 +45,8 @@ CONFIGS = {
     "c4-theta0": {key: value for key, value in README_C4.items()
                   if key not in ("theta_plus", "thbar1")} | {"theta": 0.0},
     "c1-J0": {**C1, "J": 0},
+    # a case-3 empty soliton spectrum, which every command runs, evolve included
+    "c3-J0": {"case": 3, "q0": 1.0, "J": 0, **SMALL},
     # the background of a config that names a quartet: no command reads eta1
     "c1-background": {**C1, "field": {"source": "background"}},
     # verify reads each check's own pass: here every scattering check fails while
@@ -137,24 +139,28 @@ CONFIGS = {
     "bad-t-span-huge": {**README_C4, "N": 10, "t_grid": {"t0": -1e308, "t1": 1e308, "steps": 3}},
     "bad-t-steps-huge": {**README_C4, "N": 10, "t_grid": {"t0": 0.0, "t1": 1e308, "steps": 3}},
     # Fields read from a CSV (FIELD_CSVS): a non-finite entry, one whose Theta_n
-    # overflows, and a missing file, which evolve must refuse to ignore.
-    "csv-inf-row": {**README_C4, "N": 10, "field": {"source": "csv", "path": "field.csv"}},
-    "csv-1e300-row": {**README_C4, "N": 10, "field": {"source": "csv", "path": "field.csv"}},
+    # overflows, a site missing, seven sites past the window (more than the five
+    # that its error names), and a missing file, which evolve must refuse to ignore.
+    **{name: {**README_C4, "N": 10, "field": {"source": "csv", "path": "field.csv"}}
+       for name in ("csv-inf-row", "csv-1e300-row", "csv-missing-site", "csv-extra-sites")},
     "csv-missing": {**README_C4, "field": {"source": "csv", "path": "missing.csv"}},
 }
 
 
-def _field_csv(entries: dict) -> str:
-    """A field CSV on sites -10..10 at t = 0, q_n = 2/3 for n >= 0 and -2/3 for
-    n < 0, with the (re_q, im_q) text of each site in entries in place of its own."""
-    rows = {n: (repr(2.0 / 3.0 if n >= 0 else -2.0 / 3.0), "0.0") for n in range(-10, 11)}
+def _field_csv(entries: dict, sites=range(-10, 11)) -> str:
+    """A field CSV on sites (-10..10 by default) at t = 0, q_n = 2/3 for n >= 0 and
+    -2/3 for n < 0, with the (re_q, im_q) text of each site in entries in place of
+    its own."""
+    rows = {n: (repr(2.0 / 3.0 if n >= 0 else -2.0 / 3.0), "0.0") for n in sites}
     rows.update(entries)
     return "n,t,re_q,im_q,abs_q\n" + "".join(
         f"{n},0,{re},{im},0\n" for n, (re, im) in rows.items())
 
 
 FIELD_CSVS = {"csv-inf-row": _field_csv({3: ("inf", "0.0")}),
-              "csv-1e300-row": _field_csv({3: ("1e300", "0.0")})}
+              "csv-1e300-row": _field_csv({3: ("1e300", "0.0")}),
+              "csv-missing-site": _field_csv({}, [n for n in range(-10, 11) if n != 4]),
+              "csv-extra-sites": _field_csv({}, range(-10, 18))}
 RUNS = [("eigs", 0), ("soliton", 0), ("scatter", 0), ("scatter", 5), ("verify", 0),
         ("evolve", 0)]
 STDOUT_RUNS = {"c1": [("scatter", 0), ("verify", 0)]}  # by config, run with no --out
@@ -208,16 +214,22 @@ def collect() -> None:
         os.chdir("..")
 
 
-def outputs(checkout: Path, into: Path) -> dict[str, bytes]:
-    """Every output file of one checkout's run, by relative path."""
+def start(checkout: Path, into: Path):
+    """Start one checkout's run in the empty directory into; the returned
+    function waits for it and gives every output file, by relative path."""
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--collect"],
-                          cwd=into, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"{checkout}: the run failed\n{proc.stderr}")
-    return {str(p.relative_to(into)): p.read_bytes().replace(
-                str(checkout.resolve()).encode(), b"<checkout>")
-            for p in sorted(into.rglob("*")) if p.is_file()}
+    log = into.with_suffix(".stderr")  # beside into, so not an output
+    with open(log, "w", encoding="utf-8") as err:
+        proc = subprocess.Popen([sys.executable, str(Path(__file__).resolve()), "--collect"],
+                                cwd=into, env=env, stdout=subprocess.DEVNULL, stderr=err)
+
+    def outputs() -> dict[str, bytes]:
+        if proc.wait() != 0:
+            raise SystemExit(f"{checkout}: the run failed\n{log.read_text(encoding='utf-8')}")
+        return {str(p.relative_to(into)): p.read_bytes().replace(
+                    str(checkout.resolve()).encode(), b"<checkout>")
+                for p in sorted(into.rglob("*")) if p.is_file()}
+    return outputs
 
 
 def main(argv=None) -> int:
@@ -231,12 +243,13 @@ def main(argv=None) -> int:
         return 0
     if args.base is None or args.change is None:
         parser.error("BASE and CHANGE checkouts are required")
-    with tempfile.TemporaryDirectory() as tmp:
-        trees = []
+    # a failed run exits while the other may still be writing below tmp
+    with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+        runs = []  # both run at once; base is read first
         for side, checkout in (("base", args.base), ("change", args.change)):
             (Path(tmp) / side).mkdir()
-            trees.append(outputs(checkout, Path(tmp) / side))
-    base, change = trees
+            runs.append(start(checkout, Path(tmp) / side))
+        base, change = (outputs() for outputs in runs)
     differ = sorted(path for path in base.keys() | change.keys()
                     if base.get(path) != change.get(path))
     for path in differ:

@@ -511,14 +511,6 @@ def _field(config: RunConfig, command: str):
     return cfg, eigenset, ist.unit_norming(cfg, eigenset), cfg.background
 
 
-def _scatter_failures(report: scattering.ScatteringReport, tol: float) -> dict:
-    """The scattering residuals that breach tol, by name; `not x <= tol` fails a NaN."""
-    residuals = {"det_vs_theta": report.det_residual}
-    residuals.update((f"symmetry_{name}", res) for name, res in vars(report.symmetry).items())
-    residuals.update((f"t11_zero_{k}", res) for k, res in enumerate(report.eigenvalue_residuals))
-    return {name: res for name, res in residuals.items() if not res <= tol}
-
-
 def cmd_scatter(config: RunConfig, out: str | None, seed: int) -> int:
     if config.field["source"] == "csv":
         cfg = _case_config(config)
@@ -529,17 +521,16 @@ def cmd_scatter(config: RunConfig, out: str | None, seed: int) -> int:
     zetas = scattering.continuum_samples(cfg, config.zeta_samples, seed=seed)
     report = scattering.scattering_report(window, zetas, eigenset)
     tol = config.tolerances["scattering"]
-    failures = _scatter_failures(report, tol)
+    gated = {"det_vs_theta": report.det_residual,
+             **{f"symmetry_{name}": res for name, res in vars(report.symmetry).items()}}
+    zeros = {f"t11_zero_{k}": res for k, res in enumerate(report.eigenvalue_residuals)}
+    failures = {name: x for name, x in {**gated, **zeros}.items() if not x <= tol}  # fails a NaN
     doc = {name: list(getattr(report, name)) for name in (
         "zeta_grid", "t11", "t22", "t21_mod", "t12_mod", "rho", "rho_bar", "det_t")}
     doc.update({
         "theta_minus_inf": report.theta_minus_inf,
-        "residuals": {
-            "det_vs_theta": report.det_residual,
-            **{f"symmetry_{name}": res for name, res in vars(report.symmetry).items()},
-            "t11_at_eigenvalues": list(report.eigenvalue_residuals),
-            "trace_formula": report.trace_residual,
-        },
+        "residuals": {**gated, "t11_at_eigenvalues": list(report.eigenvalue_residuals),
+                      "trace_formula": report.trace_residual},
         "tolerance": tol,
         "failures": failures,
     })
@@ -555,20 +546,20 @@ def _window(cfg, evaluator, N: int, t: float) -> lattice.PotentialWindow:
 def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
     """Check the field against the oracles; pass is every check's pass (exit 0).
 
-    A spectrum's residual cells are solved first, once, with dq/dt, and the
-    singularity scan reads them before it solves the rest of its sweep.  A
-    flagged member skips the residual (which passes), the closed form and
-    the scattering checks; otherwise a singular residual cell raises
-    SingularSolution as the oracle reads it.  An empty spectrum's field
-    turns every site at the rate rotation: dq/dt = i rotation q, and its
-    1/Theta_n = 1 is never flagged.
+    A soliton's residual cells (an empty spectrum's too) are solved first,
+    once, with dq/dt, and the singularity scan reads them before it solves
+    the rest of its sweep.  A flagged member skips the residual (which
+    passes), the closed form and the scattering checks; otherwise a
+    singular residual cell raises SingularSolution as the oracle reads it.
+    The background field, which is no solve, gives q through its evaluator
+    and dq/dt = i rotation q; it has no closed form.
     """
     del seed
     cfg, eigenset, norming, field = _field(config, "verify")
     _require_phase_digits(config, norming)
     ts, n_range = _t_values(config), range(-RESIDUAL_N, RESIDUAL_N + 1)
     cells, times = verify.residual_cells(n_range)[1][None, :], np.reshape(ts, (-1, 1))
-    solved = None if eigenset.is_empty() else ist.reconstruct_grid(
+    solved = None if config.field["source"] == "background" else ist.reconstruct_grid(
         cfg, eigenset, norming, cells, times, derivative=True)
     singular = ist.singularity_scan(cfg, eigenset, norming, **SCAN, solved=solved).singular
     checks = {"singular_parameters": {"flagged": singular}}
@@ -587,7 +578,7 @@ def cmd_verify(config: RunConfig, out: str | None, seed: int) -> int:
         tol = config.tolerances["residual"]
         checks["equation_residual"] = {"max": worst, "tolerance": tol, "pass": worst < tol}
         closed_form = getattr(ist, f"soliton_closed_form_case{config.case}", None)
-        if closed_form and not eigenset.is_empty():
+        if closed_form and solved is not None:
             sites = np.arange(-CLOSED_FORM_N, CLOSED_FORM_N + 1)[None, :]
             a = field(sites, times)
             keys = _SOLITONS[config.case][2]  # the closed form reads the norming keys
@@ -637,8 +628,6 @@ def _trajectory_csv(traj: verify.Trajectory):
 def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     del seed
     cfg, eigenset, norming, field = _field(config, "evolve")
-    _require(not eigenset.is_empty() or config.field["source"] == "background",
-             "evolve requires a nonempty eigenvalue set or a background field")
     t0 = float(config.t_grid["t0"])
     t1 = float(config.t_grid["t1"])
     span = abs(t1 - t0)

@@ -13,7 +13,7 @@ to its solve, dq/dt included: it fills the far field of a whole (n, t)
 grid of cells with the background to first order in the lam**(2n)
 couplings, screened by bounds on them, solves the rest by one batched,
 pivoted solve of P per fixed-size block, a scalar border for 1/Theta_n
-and back-substitution, and returns both q_n and r_n; a stationary
+and back-substitution, and returns both q_n and r_n; a nonempty stationary
 spectrum (every gamma(zbar_j) = 0) takes that path once per site at t = 0,
 turned by the background's phase at every other time.  reconstruct is its
 one-cell view; NormingData holds the factors that depend on the spectrum
@@ -289,13 +289,12 @@ class NormingData:
 
     @property
     def stationary(self) -> bool:
-        """A nonempty spectrum whose every gamma(zbar_j) is 0: it turns with the gauge.
+        """Every gamma(zbar_j) is 0 (the empty spectrum too): it turns with the gauge.
 
         Then q_n(t) = u q_n(0), r_n(t) = r_n(0) / u and 1/Theta_n(t) = 1/Theta_n(0)
         with u = exp(i rotation t), which reconstruct_grid and singularity_scan use.
-        The empty spectrum is not stationary: its fill q_plus(t) is exact at t.
         """
-        return bool(self.gammas) and not any(self.gammas)
+        return not any(self.gammas)
 
     @property
     def cbar_rate(self) -> np.ndarray:
@@ -645,10 +644,10 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     other field bit for bit as without: time enters only through
     exponentials, so the exact derivative of the computed solution is
     X' = -B^-1 (dB/dt) X, a second solve of the same P through the same
-    border.  A stationary spectrum (NormingData.stationary) turns with the
-    background's gauge: its distinct sites go through _solve_screened once
-    each, at t = 0, and every cell, near or far, takes its site's q u and
-    r conj(u), u = exp(i rotation t), 1/Theta_n, backward error and reason,
+    border.  A nonempty stationary spectrum (NormingData.stationary) turns with
+    the background's gauge: its distinct sites go through _solve_screened once
+    each, at t = 0, and every cell, near or far, takes its site's q u and r
+    conj(u), u = exp(i rotation t), 1/Theta_n, backward error and reason,
     dq/dt = i rotation q and d(1/Theta_n)/dt = 0; a t = 0 cell keeps the
     solve's bits.  Such a cell lies within 4 eps (1 + |rotation t|) max(1,
     |x|) / (min(1, d) r**3) of _solve_screened at its own time, d the
@@ -658,7 +657,7 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     The solve never raises; require() raises for a singular cell.
     """
     ns, ts, _ = _flat_cells(ns, ts)
-    if not norming.stationary:
+    if not (norming.stationary and norming.gammas):
         return _solve_screened(cfg, eigenset, norming, ns, ts, derivative)
     sites, at = np.unique(ns, return_inverse=True)
     by_site = _solve_screened(cfg, eigenset, norming, sites, np.zeros(sites.size))
@@ -937,17 +936,17 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     the step is a few ulps, longer than coarse_dt, or predicts no halving
     of |f| (no zero ahead), when the cell is singular, or after
     _NEWTON_STEPS.  A stationary spectrum (NormingData.stationary, every
-    gamma(zbar_j) = 0, as for the case-IV pair zbar_1 = (1 - q0)/r, where
-    zbar_1 + 1/zbar_1 = 2/r) has the same 1/Theta_n at every time: it
-    sweeps t = 0 alone, clamped into t_span, and takes no step.  The
-    member is flagged singular when the least |f| seen is below 1e-6.
+    gamma(zbar_j) = 0: the empty one, and the case-IV pair zbar_1 = (1 -
+    q0)/r, where zbar_1 + 1/zbar_1 = 2/r) has the same 1/Theta_n at every
+    time: it sweeps t = 0 alone, clamped into t_span, and takes no step.
+    The member is flagged singular when the least |f| seen is below 1e-6.
     """
     if not (coarse_dt > 0.0 and n_range[0] <= n_range[1]
             and -math.inf < t_span[0] <= t_span[1] < math.inf):
         raise DomainError(f"empty or unbounded scan: n_range={n_range}, "
                           f"t_span={t_span}, coarse_dt={coarse_dt}")
     sites = np.arange(n_range[0], n_range[1] + 1)
-    if norming.stationary:  # reconstruct_grid solves it at t = 0 whatever the time
+    if norming.stationary:  # 1/Theta_n is the same at every time
         times = [min(max(0.0, t_span[0]), t_span[1])]
     else:
         times = [t_span[0]]

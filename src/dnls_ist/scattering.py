@@ -484,7 +484,7 @@ def scattering_report(window: PotentialWindow, zetas,
     theta = theta_products(window)
     samples = list(zetas)
     K = len(samples)
-    eigs = [] if eigen_data is None or eigen_data.is_empty() else list(eigen_data.zeros_t11)
+    eigs = [] if eigen_data is None else list(eigen_data.zeros_t11)
     _guard(cfg, samples)
     zb = zeta_bar(cfg, samples)  # the samples, then zeta_bar and its conjugate per sample
     points = samples + np.stack([zb, zb.conj()], axis=1).ravel().tolist()

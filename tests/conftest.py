@@ -39,18 +39,21 @@ def case4_soliton():
     return cfg, eigenset, norming
 
 
-def reconstruct_grid_sizes(monkeypatch, name="reconstruct_grid"):
+def reconstruct_grid_sizes(monkeypatch, name="reconstruct_grid", times=None):
     """Record the cell count of every ist.<name> call made through the module.
 
     name is reconstruct_grid or _solve_screened, which share a signature; a
-    stationary spectrum's reconstruct_grid call makes one _solve_screened
-    call over its distinct sites.
+    nonempty stationary spectrum's reconstruct_grid call makes one
+    _solve_screened call over its distinct sites.  times, if given, gathers
+    the time of each cell of every call.
     """
     sizes = []
     grid = getattr(ist, name)
 
     def counted(cfg, eigenset, norming, ns, ts, derivative=False):
         sizes.append(np.broadcast(ns, ts).size)
+        if times is not None:
+            times.extend(np.broadcast_arrays(ns, ts)[1].ravel().tolist())
         return grid(cfg, eigenset, norming, ns, ts, derivative)
 
     monkeypatch.setattr(ist, name, counted)

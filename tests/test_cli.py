@@ -810,16 +810,20 @@ class TestVerify:
 
     @pytest.mark.parametrize("case, q0", [(1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5), (2, 1e150),
                                           (3, 1e150)])
-    def test_an_empty_spectrum_is_scanned_and_never_flagged(self, case, q0):
+    def test_an_empty_spectrum_is_scanned_and_never_flagged(self, monkeypatch, case, q0):
         # verify and evolve scan every spectrum: an empty one is the J = 0 system,
-        # whose 1/Theta_n is 1 at every cell
+        # whose 1/Theta_n is 1 at every cell, a stationary spectrum whose scan
+        # solves its 25 sites at t = 0 alone and takes no Newton step
         cfg = spectral.make_case(case, q0)
         eigenset = ist.empty_eigenset(cfg)
+        times = []
+        solves = reconstruct_grid_sizes(monkeypatch, "_solve_screened", times)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scan = ist.singularity_scan(cfg, eigenset, ist.unit_norming(cfg, eigenset),
                                         **cli.SCAN)
         assert scan.singular is False and scan.min_theta_inv == 1.0
+        assert solves == [25] and times == [0.0] * 25
 
     # c1: the scan's 0.25 grid holds every t_grid time, and its sites -12..12 lie
     # inside the residual cells -16..16
@@ -864,7 +868,8 @@ class TestVerify:
         assert [derivative for _, derivative, _ in calls] == [True, False, False]
 
     # the _solve_screened calls of a stationary spectrum: one per reconstruct_grid
-    # call, over its distinct sites, solved at t = 0
+    # call, over its distinct sites, solved at t = 0 (an empty spectrum's cells
+    # each at its own time)
     @pytest.mark.parametrize("command, doc, sizes", [
         # README c4 on t 0.1..1.1: the residual solve holds no t = 0 cell, so the
         # scan solves its 25 sites
@@ -872,7 +877,14 @@ class TestVerify:
          [33, 25, 41, 81]),
         # the scan's sweep, the window at t0 and the compare grid
         ("evolve", BENCH_C4, [25, 81, 81]),
-    ], ids=["README c4 verify t 0.1..1.1", "bench c4 evolve"])
+        # an empty soliton spectrum: the residual cells, which hold the scan's
+        # t = 0 cells, and the 81-site window
+        ("verify", {**C1, "J": 0}, [33 * 41, 81]),
+        # the background field is no solve: only the scan's t = 0 sweep solves
+        ("verify", {**C1, "field": {"source": "background"}}, [25]),
+        ("evolve", {**C1, "field": {"source": "background"}}, [25]),
+    ], ids=["README c4 verify t 0.1..1.1", "bench c4 evolve", "c1 J 0 verify",
+            "c1 background verify", "c1 background evolve"])
     def test_a_stationary_scan_makes_no_newton_solve(self, tmp_path, monkeypatch, command, doc,
                                                      sizes):
         monkeypatch.chdir(tmp_path)
@@ -1087,11 +1099,21 @@ class TestEvolve:
                 "background\n")
         assert not out.exists() and not (tmp_path / "trajectory.csv").exists()
 
-    def test_empty_spectrum_without_a_background_field_is_a_config_error(self, tmp_path, capsys):
-        path = write_config(tmp_path, {**CASE1_CONFIG, "J": 0})
-        assert main(["evolve", "--config", path, "--out", str(tmp_path / "e.json")]) == EXIT_CONFIG
-        assert capsys.readouterr() == ("", "config error: evolve requires a nonempty eigenvalue "
-                                           "set or a background field\n")
+    @pytest.mark.parametrize("doc", [
+        {**CASE1_CONFIG, "J": 0},
+        {"case": 3, "q0": 1.0, "J": 0, "N": 20, "t_grid": {"t0": 0.0, "t1": 1.0, "steps": 3},
+         "dt": 0.01},
+    ], ids=["case 1", "case 3"])
+    def test_an_empty_soliton_spectrum_evolves(self, tmp_path, capsys, monkeypatch, doc):
+        # the J = 0 soliton is the background q_plus(t): evolve runs it as any spectrum
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "e.json"
+        assert main(["evolve", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr() == ("", "")
+        rep = json.loads(out.read_text())
+        assert rep["pass"] is True and rep["singular_parameters"] is False
+        assert (tmp_path / "trajectory.csv").exists()
 
     def test_step_cap_itself_is_allowed(self, tmp_path, monkeypatch):
         class Reached(Exception):

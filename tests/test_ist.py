@@ -1595,6 +1595,15 @@ class TestGauge:
         assert norming.gammas == (0j,) and norming.stationary
         assert np.array_equal(norming.cbar_rate, [-1j * cfg.rotation])
 
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    def test_an_empty_spectrum_is_stationary(self, case):
+        # no gamma(zbar_j) at all: the scan sweeps it at t = 0 alone, while
+        # reconstruct_grid fills each of its cells at its own time
+        # (TestReconstructGrid.test_empty_spectrum_is_the_j0_system)
+        cfg = spectral.make_case(case, 0.5)
+        norming = unit_norming(cfg, ist.empty_eigenset(cfg))
+        assert norming.gammas == () and norming.stationary
+
     def test_a_shifted_gamma_is_kept(self, case4_soliton, monkeypatch):
         # the test reads gamma, not the case: a wrong gamma is solved cell by cell
         cfg, eigenset, norming = case4_soliton

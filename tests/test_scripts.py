@@ -35,7 +35,7 @@ def test_artifact_diff_lists_a_difference(monkeypatch, capsys):
     import artifact_diff
     trees = iter([{"c1/soliton-0.out": b"1\n", "c1/soliton-0.exit": b"0"},
                   {"c1/soliton-0.out": b"2\n", "c1/soliton-0.exit": b"0"}])
-    monkeypatch.setattr(artifact_diff, "outputs", lambda checkout, into: next(trees))
+    monkeypatch.setattr(artifact_diff, "start", lambda checkout, into: lambda: next(trees))
     assert artifact_diff.main([str(ROOT), str(ROOT)]) == 1
     assert capsys.readouterr().out == (
         "differs: c1/soliton-0.out: largest change 1, text matches\n"
