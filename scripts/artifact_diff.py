@@ -61,6 +61,11 @@ CONFIGS = {
     "c2-stage-overflow": {"case": 2, "q0": 4.0, "theta": 0.0, "N": 4,
                           "field": {"source": "background"},
                           "t_grid": {"t0": 0.0, "t1": 0.3, "steps": 2}, "dt": 0.1},
+    # the same at dt 0.002: |q| passes the blow-up threshold at step 55, in the
+    # second of simulate's 32-row peak checks
+    "c2-slow-overflow": {"case": 2, "q0": 4.0, "theta": 0.0, "N": 4,
+                         "field": {"source": "background"},
+                         "t_grid": {"t0": 0.0, "t1": 0.3, "steps": 2}, "dt": 0.002},
     # wide windows: the solve of the far cells overflows (from n ~ -1000 on c1 and
     # n = -440 on c4), so these take the background of the far field instead
     "c1-N1200": {**C1, "N": 1200, "t_grid": {"t0": -5.0, "t1": 5.0, "steps": 2}},
@@ -73,6 +78,9 @@ CONFIGS = {
     # no t_grid time is 0, the one time a stationary spectrum's scan sweeps, so
     # verify's residual solve cannot serve that sweep
     "readme-c4-t-off0": {**README_C4, "t_grid": {"t0": 0.1, "t1": 1.1, "steps": 6}},
+    # evolve's window at t0 = 0.3 is the sites' t = 0 solves turned by the gauge,
+    # and its scan and compare grid read those solves
+    "readme-c4-t0.3": {**README_C4, "t_grid": {"t0": 0.3, "t1": 0.8, "steps": 6}},
     # both at once: the far cells of a wide window, turned to large t
     "readme-c4-N2000-t1000": {**README_C4, "N": 2000,
                               "t_grid": {"t0": 0.0, "t1": 1000.0, "steps": 11}, "dt": 0.1},

@@ -639,8 +639,8 @@ def cmd_evolve(config: RunConfig, out: str | None, seed: int) -> int:
     _require(steps >= 1 and abs(steps * config.dt - span) <= 1e-9 * max(1.0, span),
              f"'dt' = {config.dt} does not tile [t0, t1] = [{t0}, {t1}] in whole steps")
     _require_phase_digits(config, norming)
+    window = _window(cfg, field, min(config.N, ORACLE_N), t0)  # holds a stationary scan's sites
     singular = ist.singularity_scan(cfg, eigenset, norming, **SCAN).singular
-    window = _window(cfg, field, min(config.N, ORACLE_N), t0)
     limits = {"oracle_N": window.N, "scan": SCAN}
     try:
         traj = verify.simulate(window, cfg, t1, config.dt)

@@ -17,8 +17,9 @@ and back-substitution, and returns both q_n and r_n; a nonempty stationary
 spectrum (every gamma(zbar_j) = 0) takes that path once per site at t = 0,
 turned by the background's phase at every other time.  reconstruct is its
 one-cell view; NormingData holds the factors that depend on the spectrum
-alone.  build_system (one cell's dense B and Y, from the same blocks)
-stays only because the benchmark's tracer wraps it (ROADMAP item 18).
+alone, and a stationary spectrum's site solves.  build_system (one cell's
+dense B and Y, from the same blocks) stays only because the benchmark's
+tracer wraps it (ROADMAP item 18).
 """
 from __future__ import annotations
 
@@ -251,12 +252,17 @@ class NormingData:
     exponentials, Cbar_j(t) = Cbar_j(0) exp(cbar_rate[j] t) and C_j likewise
     with c_rate.  cbar(j, t) and c(j, t) broadcast the index j against the
     times t.  spectrum holds the reflectionless system's per-spectrum factors.
+    For a nonempty stationary spectrum, site_solves keeps the t = 0 solve of
+    every site reconstruct_grid has seen, as a ReconstructionGrid over the
+    sorted sites (None before the first), so that each site is solved once.
     """
 
     cfg: CaseConfig
     eigenset: EigenSet
     cbar0: tuple[complex, ...]
     gammas: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+    site_solves: ReconstructionGrid | None = field(default=None, init=False, repr=False,
+                                                   compare=False)
 
     def __post_init__(self):
         # gamma(zbar_j) depends only on the eigenvalues: evaluate it once.  A gamma
@@ -646,24 +652,31 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     X' = -B^-1 (dB/dt) X, a second solve of the same P through the same
     border.  A nonempty stationary spectrum (NormingData.stationary) turns with
     the background's gauge: its distinct sites go through _solve_screened once
-    each, at t = 0, and every cell, near or far, takes its site's q u and r
-    conj(u), u = exp(i rotation t), 1/Theta_n, backward error and reason,
-    dq/dt = i rotation q and d(1/Theta_n)/dt = 0; a t = 0 cell keeps the
-    solve's bits.  Such a cell lies within 4 eps (1 + |rotation t|) max(1,
-    |x|) / (min(1, d) r**3) of _solve_screened at its own time, d the
+    each per NormingData, at t = 0 (only those that norming.site_solves
+    lacks), and every cell, near or far, takes its site's q u and r conj(u),
+    u = exp(i rotation t), 1/Theta_n, backward error and reason, dq/dt = i
+    rotation q and d(1/Theta_n)/dt = 0; a t = 0 cell keeps the solve's bits.
+    The sites and u are taken from ns and ts before they are broadcast.
+    Such a cell lies within 4 eps (1 + |rotation t|) max(1, |x|) / (min(1,
+    d) r**3) of _solve_screened at its own time, d the
     distance of theta_plus + thbar1 from 0 and pi (mod 2 pi), near which
     both lose digits, and r**3 the solve's conditioning as q0 nears 1 (at
     most 2.2 of those units over 2,200 members; tests/test_ist.py, TestGauge).
     The solve never raises; require() raises for a singular cell.
     """
-    ns, ts, _ = _flat_cells(ns, ts)
     if not (norming.stationary and norming.gammas):
+        ns, ts, _ = _flat_cells(ns, ts)
         return _solve_screened(cfg, eigenset, norming, ns, ts, derivative)
-    sites, at = np.unique(ns, return_inverse=True)
-    by_site = _solve_screened(cfg, eigenset, norming, sites, np.zeros(sites.size))
-    q, r = by_site.q[at], by_site.r[at]
+    # the sites and the gauge before (ns, ts) are broadcast
+    ns, ts = np.asarray(ns, dtype=np.int64), np.asarray(ts, dtype=float)
+    # return_index takes NumPy's sorting path: a plain unique hashes, several
+    # times slower on a window of a few hundred sites
+    by_site = _site_solves(cfg, eigenset, norming, np.unique(ns, return_index=True)[0])
     with np.errstate(all="ignore"):
         u = np.exp(1j * cfg.rotation * ts)
+        ns, ts, at, u = (a.ravel() for a in np.broadcast_arrays(
+            ns, ts, np.searchsorted(by_site.ns, ns), u))
+        q, r = by_site.q[at], by_site.r[at]
         # t = 0 keeps the solve's bits (q * (1 + 0j) can flip the sign of a zero);
         # no where= here: NumPy's masked loop rounds a one-cell product differently
         moving = ts != 0.0
@@ -671,6 +684,28 @@ def reconstruct_grid(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
         dots = (1j * cfg.rotation * q, np.zeros(ns.size, complex)) if derivative else ()
     return ReconstructionGrid(ns, ts, q, r, by_site.backward[at], by_site.theta_inv[at],
                               by_site.reason[at], *dots)
+
+
+def _site_solves(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
+                 sites: np.ndarray) -> ReconstructionGrid:
+    """norming.site_solves, once it holds the sorted distinct sites (a stationary spectrum).
+
+    The sites it lacks go through _solve_screened at t = 0, in one call, and
+    are merged in; a cell's solve does not depend on its block, so a kept
+    site has the bits of a fresh solve.
+    """
+    kept = norming.site_solves
+    new = sites if kept is None else sites[~np.isin(sites, kept.ns)]
+    if kept is not None and not new.size:
+        return kept
+    grid = _solve_screened(cfg, eigenset, norming, new, np.zeros(new.size))
+    if kept is not None:
+        order = np.argsort(np.concatenate([kept.ns, new]))
+        grid = ReconstructionGrid(*(
+            np.concatenate([getattr(kept, name), getattr(grid, name)])[order]
+            for name in ("ns", "ts", "q", "r", "backward", "theta_inv", "reason")))
+    object.__setattr__(norming, "site_solves", grid)
+    return grid
 
 
 def _solve_screened(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
@@ -939,6 +974,9 @@ def singularity_scan(cfg: CaseConfig, eigenset: EigenSet, norming: NormingData,
     gamma(zbar_j) = 0: the empty one, and the case-IV pair zbar_1 = (1 -
     q0)/r, where zbar_1 + 1/zbar_1 = 2/r) has the same 1/Theta_n at every
     time: it sweeps t = 0 alone, clamped into t_span, and takes no step.
+    For a nonempty one, solved is redundant: reconstruct_grid reads each
+    site that norming has solved (NormingData.site_solves), whatever the
+    time it was asked at, so the sweep solves no site twice either way.
     The member is flagged singular when the least |f| seen is below 1e-6.
     """
     if not (coarse_dt > 0.0 and n_range[0] <= n_range[1]

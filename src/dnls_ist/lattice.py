@@ -77,10 +77,26 @@ def theta_products(window: PotentialWindow) -> ThetaProduct:
     return ThetaProduct(theta, complex(theta[0]), N)
 
 
-def al_rhs(q, q_next, q_prev, q_mirror, sigma: float):
+def al_rhs(q, q_next, q_prev, q_mirror, sigma: float, out=None):
     """dq_n/dt from the nonlocal lattice equation, elementwise over arrays of sites.
 
     i dq_n/dt = q_{n+1} - 2 q_n + q_{n-1} - sigma q_n conj(q_{-n}) (q_{n+1} + q_{n-1}),
     with q, q_next, q_prev and q_mirror holding q_n, q_{n+1}, q_{n-1} and q_{-n}.
+    The result goes to out if given (a complex array of the sites' shape that
+    overlaps no input), else to a new array; either way it takes two
+    temporaries, and each operation is the one the formula reads, in its order.
     """
-    return -1j * (q_next - 2.0 * q + q_prev - sigma * q * np.conj(q_mirror) * (q_next + q_prev))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(*map(np.shape, (q, q_next, q_prev, q_mirror))),
+                       dtype=complex)
+    # no operation writes over one of its inputs: NumPy can round such a one
+    # differently (the sign of a NaN, or a one-site product)
+    cubic = np.multiply(sigma, q)
+    work = np.conj(q_mirror)
+    np.multiply(cubic, work, out=out)
+    np.multiply(out, np.add(q_next, q_prev, out=work), out=cubic)
+    np.multiply(2.0, q, out=out)
+    np.subtract(q_next, out, out=work)
+    np.add(work, q_prev, out=out)
+    np.subtract(out, cubic, out=work)
+    return np.multiply(-1j, work, out=out)

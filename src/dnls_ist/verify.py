@@ -24,6 +24,8 @@ from .lattice import PotentialWindow, al_rhs
 from .spectral import CaseConfig
 
 BLOWUP_THRESHOLD = 1e6
+# Stored RK4 rows per blow-up check in simulate.
+_PEAK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,13 @@ def simulate(initial_window: PotentialWindow, cfg: CaseConfig, t_end: float,
     step (and seen as exact background by every stage).  Stages read one
     buffer over the sites -N - 1 .. N + 1, whose views are q_{n+1}, q_{n-1}
     and q_{-n}.  Its end sites neighbour only pinned sites, whose stage
-    derivatives never reach a state, so they stay 0.
+    derivatives never reach a state, so they stay 0.  The stages and their
+    weighted sum are computed into buffers made once (lattice.al_rhs's out),
+    operation by operation as the formulas read, so every state keeps the
+    bits of the stepper that allocates each one.  The peak |q| is checked
+    once per _PEAK_ROWS stored rows and after the last: the first row past
+    BLOWUP_THRESHOLD (or not finite) raises BlowupDetected with its step and
+    t, as a check after every step would.
     """
     N = initial_window.N
     sign = 1.0 if t_end >= initial_window.t else -1.0
@@ -150,31 +158,40 @@ def simulate(initial_window: PotentialWindow, cfg: CaseConfig, t_end: float,
         times, times[:-1] + 0.5 * step, times[:-1] + step))
     u = np.zeros(2 * N + 3, dtype=complex)
     q, q_next, q_prev, q_mirror = u[1:-1], u[2:], u[:-2], u[-2:0:-1]
+    k1, k2, k3, k4, dy = np.empty((5, 2 * N + 1), dtype=complex)
 
-    def rhs(bg):  # dq/dt of the buffer's field, its pinned sites set to bg
+    def rhs(bg, out):  # dq/dt of the buffer's field, its pinned sites set to bg, into out
         q[pinned] = bg
-        return al_rhs(q, q_next, q_prev, q_mirror, cfg.sigma)
+        al_rhs(q, q_next, q_prev, q_mirror, cfg.sigma, out)
 
-    y = states[0]
+    checked = 0  # rows 1 .. checked are below the threshold
     # A stage that overflows gives inf or NaN, which the peak check reports as a blow-up.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
+            y = states[k]
             q[:] = y
-            k1 = rhs(bg_at[k])
-            np.add(y, 0.5 * step * k1, out=q)
-            k2 = rhs(bg_half[k])
-            np.add(y, 0.5 * step * k2, out=q)
-            k3 = rhs(bg_half[k])
-            np.add(y, step * k3, out=q)
-            k4 = rhs(bg_full[k])
-            y = states[k + 1]
-            np.add(states[k], (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=y)
-            y[pinned] = bg_at[k + 1]
-            peak = float(np.max(np.abs(y)))
-            if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
-                raise BlowupDetected(
-                    f"|q| reached {peak:.3e} at step {k + 1}, t = {times[k + 1]:.4f}",
-                    step=k + 1, t=float(times[k + 1]))
+            rhs(bg_at[k], k1)
+            np.add(y, np.multiply(0.5 * step, k1, out=dy), out=q)
+            rhs(bg_half[k], k2)
+            np.add(y, np.multiply(0.5 * step, k2, out=dy), out=q)
+            rhs(bg_half[k], k3)
+            np.add(y, np.multiply(step, k3, out=dy), out=q)
+            rhs(bg_full[k], k4)
+            # (step / 6) (k1 + 2 k2 + 2 k3 + k4); no operation writes over its inputs
+            np.add(k1, np.multiply(2.0, k2, out=dy), out=k2)
+            np.add(k2, np.multiply(2.0, k3, out=dy), out=k1)
+            np.multiply(step / 6.0, np.add(k1, k4, out=k2), out=k1)
+            np.add(y, k1, out=states[k + 1])
+            states[k + 1, pinned] = bg_at[k + 1]
+            if k + 1 - checked == _PEAK_ROWS or k + 1 == n_steps:
+                peaks = np.abs(states[checked + 1:k + 2]).max(axis=1)
+                bad = np.flatnonzero(~np.isfinite(peaks) | (peaks > BLOWUP_THRESHOLD))
+                if bad.size:
+                    row = checked + 1 + int(bad[0])
+                    raise BlowupDetected(
+                        f"|q| reached {peaks[bad[0]]:.3e} at step {row}, t = {times[row]:.4f}",
+                        step=row, t=float(times[row]))
+                checked = k + 1
     return Trajectory(N, times, states)
 
 

@@ -39,6 +39,17 @@ def case4_soliton():
     return cfg, eigenset, norming
 
 
+def fresh(member):
+    """member with a NormingData of its own, which has solved no site yet.
+
+    The session fixtures' NormingData keep the sites they have solved
+    (NormingData.site_solves), so a test that counts solves or patches LAPACK
+    takes a fresh one.
+    """
+    cfg, eigenset, norming = member
+    return cfg, eigenset, ist.NormingData(cfg, eigenset, norming.cbar0)
+
+
 def reconstruct_grid_sizes(monkeypatch, name="reconstruct_grid", times=None):
     """Record the cell count of every ist.<name> call made through the module.
 

@@ -867,23 +867,29 @@ class TestVerify:
         assert [size for size, _, _ in calls] == [33 * 6, 41 * 6, 81]
         assert [derivative for _, derivative, _ in calls] == [True, False, False]
 
-    # the _solve_screened calls of a stationary spectrum: one per reconstruct_grid
-    # call, over its distinct sites, solved at t = 0 (an empty spectrum's cells
-    # each at its own time)
+    # the _solve_screened calls of a stationary spectrum: at most one per
+    # reconstruct_grid call, over the distinct sites its NormingData has not
+    # solved yet, at t = 0 (an empty spectrum's cells each at its own time)
     @pytest.mark.parametrize("command, doc, sizes", [
-        # README c4 on t 0.1..1.1: the residual solve holds no t = 0 cell, so the
-        # scan solves its 25 sites
+        # README c4 on t 0.1..1.1: the residual solve holds no t = 0 cell, but its
+        # 33 sites hold the scan's 25; the closed form adds 8 sites, the window 40
         ("verify", {**CASE4_CONFIG, "t_grid": {"t0": 0.1, "t1": 1.1, "steps": 6}},
-         [33, 25, 41, 81]),
-        # the scan's sweep, the window at t0 and the compare grid
-        ("evolve", BENCH_C4, [25, 81, 81]),
+         [33, 8, 40]),
+        # the window at t0 holds the scan's sites and the compare grid's
+        ("evolve", BENCH_C4, [81]),
+        # the rest of a bench c4 session: the residual sites, which hold the
+        # scan's, then the closed form's and the window's new sites (far fills
+        # only); scatter's 801-site window
+        ("verify", BENCH_C4, [33, 8, 40]),
+        ("scatter", BENCH_C4, [801]),
         # an empty soliton spectrum: the residual cells, which hold the scan's
         # t = 0 cells, and the 81-site window
         ("verify", {**C1, "J": 0}, [33 * 41, 81]),
         # the background field is no solve: only the scan's t = 0 sweep solves
         ("verify", {**C1, "field": {"source": "background"}}, [25]),
         ("evolve", {**C1, "field": {"source": "background"}}, [25]),
-    ], ids=["README c4 verify t 0.1..1.1", "bench c4 evolve", "c1 J 0 verify",
+    ], ids=["README c4 verify t 0.1..1.1", "bench c4 evolve", "bench c4 verify",
+            "bench c4 scatter", "c1 J 0 verify",
             "c1 background verify", "c1 background evolve"])
     def test_a_stationary_scan_makes_no_newton_solve(self, tmp_path, monkeypatch, command, doc,
                                                      sizes):

@@ -23,8 +23,8 @@ from dnls_ist.spectral import (Region, classify, gamma, lam_squared,
 
 from conftest import (CASE1_ETA1, assemble_reference, case2_feasibility_scan,
                       case2_violation_mp, dense_reconstruct, mp_exact_background,
-                      mp_exact_fields, mp_fields, mp_reconstruct, reconstruct_grid_sizes,
-                      solve_block_reference)
+                      fresh, mp_exact_fields, mp_fields, mp_reconstruct,
+                      reconstruct_grid_sizes, solve_block_reference)
 
 
 def cramer_solve(B, Y):
@@ -713,9 +713,9 @@ class TestReconstructGrid:
     def test_exactly_singular_cell_is_isolated(self, case4_soliton, monkeypatch):
         # LAPACK rejects the whole batch when one matrix has a zero pivot;
         # only that cell may be flagged, the others keep their batched values
-        cfg, eigenset, norming = case4_soliton
+        cfg, eigenset, norming = fresh(case4_soliton)  # one each: it keeps its solves
         sites = np.arange(-2, 3)
-        clean = ist.reconstruct_grid(cfg, eigenset, norming, sites, 0.0)
+        clean = ist.reconstruct_grid(*fresh(case4_soliton), sites, 0.0)
         marker = build_system(cfg, eigenset, norming, 0, 0.0)[0][0, 2]
         solve = np.linalg.solve
 
@@ -1049,7 +1049,7 @@ class TestBlockSolve:
 
     @pytest.mark.parametrize("fixture", ["case1_soliton", "case4_soliton"])
     def test_every_solve_is_2j_by_2j(self, fixture, request, monkeypatch):
-        cfg, eigenset, norming = request.getfixturevalue(fixture)
+        cfg, eigenset, norming = fresh(request.getfixturevalue(fixture))
         shapes = []
         solve = np.linalg.solve
 
@@ -1163,7 +1163,8 @@ class TestBlockSolveReference:
             return solve(B, b)
 
         monkeypatch.setattr(np.linalg, "solve", zero_pivot_at_marker)
-        reason = _assert_blocks_match_the_reference(case4_soliton, sites, np.zeros(5), False)
+        reason = _assert_blocks_match_the_reference(fresh(case4_soliton), sites, np.zeros(5),
+                                                    False)
         assert list(reason) == [ist.OK, ist.OK, ist.EXACTLY_SINGULAR, ist.OK, ist.OK]
 
     def test_assembly(self):
@@ -1336,7 +1337,7 @@ class TestFarField:
 
         monkeypatch.setattr(ist, "_solve_block", recording)
         sites, times = np.arange(-40, 41)[None, :], (0.01 * np.arange(101))[:, None]
-        q = ist.make_evaluator(*case4_soliton)(sites, times)
+        q = ist.make_evaluator(*fresh(case4_soliton))(sites, times)
         assert q.shape == (101, 81)
         ns, ts, _ = ist._flat_cells(sites, times)
         assert _near(case4_soliton[2], ns, ts).sum() == 2828 and sizes == [28]
@@ -1614,7 +1615,7 @@ class TestGauge:
     @pytest.mark.parametrize("fixture", ["case1_soliton", "case4_soliton"])
     def test_solve_count(self, fixture, request, monkeypatch):
         # c1 solves each near cell at its own time; c4 each near site once, at t = 0
-        cfg, eigenset, norming = request.getfixturevalue(fixture)
+        cfg, eigenset, norming = fresh(request.getfixturevalue(fixture))
         cells = []
         solve_block = ist._solve_block
 
@@ -1704,6 +1705,71 @@ class TestGauge:
         assert near.size and np.all(solved[4] == ist.OK)
         for q in (grid.q[near], solved[0]):
             assert np.max(np.abs(q - exact) / np.maximum(1.0, np.abs(exact))) <= half
+
+
+class TestSiteSolves:
+    """A stationary spectrum's NormingData solves each site once and replays it bit for bit."""
+
+    # (sites, times, derivative), asked in this order: the first at t0 != 0, the
+    # others overlapping it and each other, unsorted, repeated, with and without
+    # dq/dt, time-major and site-major, and one wholly kept set
+    ASKS = [
+        (np.arange(-5, 6), 0.7, False),
+        (np.arange(8, -12, -1)[None, :], np.array([[0.3], [-1.7], [0.0]]), True),
+        (np.array([40, -40, 3, 3, 0, -60, 60, 40]), -0.25, False),
+        (np.arange(-60, 61)[:, None], _C4_TIMES[None, :], True),
+        (np.array([[0], [2], [-2]]), np.array([0.0, 1e3]), False),
+        (np.arange(-3, 4), 0.0, True),
+    ]
+
+    @pytest.mark.parametrize("thbar1", [math.pi / 3.0, math.pi, 0.0],
+                             ids=["case4_soliton", "pi member", "pole member"])
+    def test_each_site_is_solved_once_and_replayed(self, thbar1, monkeypatch):
+        # The pi member (theta_plus + thbar1 = pi) writes |q_0| = 3.69 with reason
+        # ok at n = 0 (ROADMAP item 7), and the pole member (theta_plus + thbar1 =
+        # 0) flags n = 0 Theta_n divergence: a kept site replays either.
+        member = _member(4, -math.pi, thbar1)
+        kept = member[2]
+        seen = []
+        screened = ist._solve_screened
+
+        def recording(cfg, eigenset, norming, ns, ts, derivative=False):
+            if norming is kept:
+                seen.extend(ns.tolist())
+                assert not derivative and not ts.any()
+            return screened(cfg, eigenset, norming, ns, ts, derivative)
+
+        monkeypatch.setattr(ist, "_solve_screened", recording)
+        asked = set()
+        for ns, ts, derivative in self.ASKS:
+            got = ist.reconstruct_grid(*member, ns, ts, derivative)
+            expected = ist.reconstruct_grid(*fresh(member), ns, ts, derivative)
+            for name in ("ns", "ts", "q", "r", "backward", "theta_inv", "reason", "qdot",
+                         "theta_inv_dot"):
+                a, b = getattr(got, name), getattr(expected, name)
+                assert (a is None and b is None) or (a.dtype == b.dtype
+                                                     and a.tobytes() == b.tobytes()), name
+            asked.update(np.ravel(ns).tolist())
+            assert len(seen) == len(set(seen)) and set(seen) == asked
+            assert kept.site_solves.ns.tolist() == sorted(asked)
+            assert not kept.site_solves.ts.any()
+        zero = int(np.flatnonzero(kept.site_solves.ns == 0)[0])
+        reason = ist.THETA_DIVERGENCE if thbar1 == 0.0 else ist.OK
+        assert kept.site_solves.reason[zero] == reason
+
+    def test_other_spectra_keep_nothing(self, case1_soliton):
+        cfg, eigenset, norming = fresh(case1_soliton)
+        ist.reconstruct_grid(cfg, eigenset, norming, np.arange(-3, 4), 0.0)
+        empty = ist.unit_norming(cfg, ist.empty_eigenset(cfg))
+        ist.reconstruct_grid(cfg, empty.eigenset, empty, np.arange(-3, 4), 0.0)
+        assert norming.site_solves is None and empty.site_solves is None
+
+    def test_kept_solves_are_not_compared(self, case4_soliton):
+        cfg, eigenset, norming = fresh(case4_soliton)
+        ist.reconstruct_grid(cfg, eigenset, norming, np.arange(-3, 4), 0.0)
+        other = fresh(case4_soliton)[2]
+        assert norming == other and hash(norming) == hash(other)
+        assert "site_solves" not in repr(norming)
 
 
 def _scan_fixed_rounds(cfg, eigenset, norming, n_range, t_span, coarse_dt):

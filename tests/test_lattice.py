@@ -135,6 +135,35 @@ class TestAlRhs:
                 ref = al_rhs_at(w, n)
                 assert abs(rhs[n + 6] - ref) <= 1e-15 * abs(ref)
 
+    @pytest.mark.parametrize("sites", [1, 2, 3, 9, 81])
+    def test_out_keeps_the_bits_of_the_one_line_formula(self, sites):
+        # al_rhs as it was written before it took out, against al_rhs with and
+        # without out, on simulate's views of one buffer (q_{-n} a reversed view)
+        # and on the rows of a 2-D grid, with signed zeros, infinities and NaN
+        def formula(q, q_next, q_prev, q_mirror, sigma):
+            return -1j * (q_next - 2.0 * q + q_prev
+                          - sigma * q * np.conj(q_mirror) * (q_next + q_prev))
+
+        rng = np.random.default_rng(sites)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e-300, 1.0]
+        for _ in range(200):
+            parts = rng.standard_normal((2, 3, sites + 2)) * 10.0 ** rng.integers(-20, 20)
+            for part in parts.reshape(-1, sites + 2):
+                hit = rng.random(sites + 2) < 0.3
+                part[hit] = rng.choice(special, hit.sum())
+            u = np.empty((3, sites + 2), complex)
+            u.real, u.imag = parts
+            views = [(u[0, 1:-1], u[0, 2:], u[0, :-2], u[0, -2:0:-1]),
+                     (u[:, 1:-1], u[:, 2:], u[:, :-2], u[::-1, 1:-1])]
+            for args in views:
+                for sigma in (1.0, -1.0):
+                    with np.errstate(all="ignore"):
+                        expected = formula(*args, sigma).tobytes()
+                        out = np.empty(args[0].shape, complex)
+                        assert al_rhs(*args, sigma).tobytes() == expected
+                        assert al_rhs(*args, sigma, out) is out
+                        assert out.tobytes() == expected
+
     def test_soliton_boundary_decay(self, case1_soliton):
         cfg, eigenset, norming = case1_soliton
         for t in (0.0, 2.0):

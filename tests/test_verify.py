@@ -329,6 +329,33 @@ class TestSimulateReference:
         assert traj.times.tobytes() == expected.times.tobytes()
         assert traj.states.tobytes() == expected.states.tobytes()
 
+    # The stage-overflow background at dt = 0.002: its peak |q| rises at every
+    # step, from 4 to 8.5e2 at step 54, 1.2e13 at step 55 and NaN at step 56.
+    SLOW_OVERFLOW = (background_field(spectral.make_case(2, 4.0, 0.0), 0.0, 4),
+                     spectral.make_case(2, 4.0, 0.0), 0.11, 0.002)
+
+    @pytest.mark.parametrize("row", [1, verify._PEAK_ROWS, verify._PEAK_ROWS + 1, 40, 55],
+                             ids=["step 1", "last row of a check", "first row of the next",
+                                  "final step", "final step, unpatched"])
+    def test_the_first_row_past_the_threshold_raises(self, row, monkeypatch):
+        # simulate checks the peak once per _PEAK_ROWS stored rows and after the
+        # last; the threshold is put between the peaks of rows row - 1 and row
+        window, cfg, t_end, dt = self.SLOW_OVERFLOW
+        if row != 55:
+            monkeypatch.setattr(verify, "BLOWUP_THRESHOLD", math.inf)
+            peaks = np.abs(simulate_reference(window, cfg, t_end, dt).states).max(axis=1)
+            assert np.all(np.diff(peaks) > 0.0)
+            monkeypatch.setattr(verify, "BLOWUP_THRESHOLD", 0.5 * (peaks[row - 1] + peaks[row]))
+        # the final step is the last row: t_end stops the run there
+        args = (window, cfg, row * dt if row in (40, 55) else t_end, dt)
+        with pytest.raises(BlowupDetected) as expected:
+            simulate_reference(*args)
+        with pytest.raises(BlowupDetected) as got:
+            simulate(*args)
+        assert expected.value.step == row
+        assert (str(got.value), got.value.step, got.value.t) == (
+            str(expected.value), expected.value.step, expected.value.t)
+
 
 class TestCompare:
     def test_grid_and_plain_callable_agree(self, case4_soliton):
